@@ -13,7 +13,7 @@
 
 use crate::common::{BaselineCtx, ReadGuard};
 use parking_lot::{Condvar, Mutex};
-use primo_common::sim_time::{charge_latency_us, now_us};
+use primo_common::sim_time::{now_us, wait_until};
 use primo_common::{
     AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnError, TxnId, TxnResult,
 };
@@ -166,12 +166,7 @@ impl Protocol for AriaProtocol {
 
         // ---- Sequencing: wait for the batch to close. ----
         let (batch, join_idx) = self.join_batch();
-        timers.time(Phase::Sequence, || {
-            let now = now_us();
-            if batch.open_until_us > now {
-                charge_latency_us(batch.open_until_us - now);
-            }
-        });
+        timers.time(Phase::Sequence, || wait_until(batch.open_until_us));
 
         // ---- Execution phase: run against the current snapshot, no locks. ----
         let mut ctx =

@@ -135,11 +135,8 @@ impl PrimoProtocol {
             for w in &ctx.access.writes {
                 let store = &cluster.partition(w.partition).store;
                 let record = resolve_write_record(store, w, txn, &ctx.access.undo)?;
-                if ctx.access.find_read(w.partition, w.table, w.key).is_none()
-                    || ctx.access.reads[ctx.access.find_read(w.partition, w.table, w.key).unwrap()]
-                        .locked
-                        .is_none()
-                {
+                let read = ctx.access.find_read(w.partition, w.table, w.key);
+                if read.is_none_or(|i| ctx.access.reads[i].locked.is_none()) {
                     if record.acquire(txn, LockMode::Exclusive, LockPolicy::NoWait)
                         != LockRequestResult::Granted
                     {

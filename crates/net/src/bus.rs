@@ -2,17 +2,18 @@
 //!
 //! Partition watermarks (§5.1) and COCO epoch messages are *not* on the
 //! transaction critical path; they are broadcast asynchronously and may be
-//! delayed (Fig 13a studies exactly that). The [`DelayedBus`] delivers
-//! messages to per-partition mailboxes after `base_delay + per-destination
-//! extra delay`, using a background pump thread.
+//! delayed (Fig 13a studies exactly that). The [`DelayedBus`] makes a
+//! message visible in its destination's mailbox `base_delay + per-sender
+//! extra delay` after it was sent. No delivery thread, no polling: a blocked
+//! receiver sleeps until the earliest in-flight deadline, its own deadline,
+//! a `send` with an earlier one, or a [`DelayedBus::interrupt`].
 
 use parking_lot::{Condvar, Mutex};
 use primo_common::sim_time::now_us;
 use primo_common::PartitionId;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Control messages exchanged between partition leaders outside the
@@ -36,65 +37,68 @@ pub enum BusMessage {
     },
 }
 
-#[derive(Debug)]
-struct Pending {
-    deliver_at_us: u64,
-    to: PartitionId,
-    msg: BusMessage,
-    seq: u64,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at_us == other.deliver_at_us && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by delivery time (BinaryHeap is a max-heap, so reverse).
-        other
-            .deliver_at_us
-            .cmp(&self.deliver_at_us)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// A per-partition mailbox: delivered messages wait here until the owning
-/// partition drains them.
+/// A per-partition mailbox: messages in flight to the owning partition,
+/// keyed `(deliver_at_us, send sequence)` so the earliest delivery is first.
+/// One is *delivered* once its deadline has passed.
 #[derive(Debug, Default)]
 struct Mailbox {
-    queue: Mutex<VecDeque<BusMessage>>,
-    available: Condvar,
+    state: Mutex<MailboxState>,
+    /// Signalled when the earliest deadline moves forward or on interrupt.
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct MailboxState {
+    in_flight: BTreeMap<(u64, u64), BusMessage>,
+    /// Set by [`DelayedBus::interrupt`]; sticky until a blocking receive
+    /// consumes it, so an interrupt racing ahead of the receive is not lost.
+    interrupted: bool,
+}
+
+impl MailboxState {
+    fn next_delivery_us(&self) -> Option<u64> {
+        self.in_flight.first_key_value().map(|(key, _)| key.0)
+    }
+
+    fn pop_delivered(&mut self, now: u64) -> Option<BusMessage> {
+        if self.next_delivery_us()? > now {
+            return None;
+        }
+        self.in_flight.pop_first().map(|(_, msg)| msg)
+    }
 }
 
 impl Mailbox {
-    fn push(&self, msg: BusMessage) {
-        self.queue.lock().push_back(msg);
-        self.available.notify_all();
+    fn push(&self, deliver_at_us: u64, seq: u64, msg: BusMessage) {
+        let mut st = self.state.lock();
+        // Only a new earliest deadline shortens a blocked receiver's wait.
+        let earliest = st.next_delivery_us().is_none_or(|at| deliver_at_us < at);
+        st.in_flight.insert((deliver_at_us, seq), msg);
+        if earliest {
+            self.changed.notify_all();
+        }
     }
 
     fn try_pop(&self) -> Option<BusMessage> {
-        self.queue.lock().pop_front()
+        self.state.lock().pop_delivered(now_us())
     }
 
-    fn pop_timeout(&self, timeout: Duration) -> Option<BusMessage> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.queue.lock();
+    fn pop_until(&self, deadline_us: u64) -> Option<BusMessage> {
+        let mut st = self.state.lock();
         loop {
-            if let Some(msg) = q.pop_front() {
+            let now = now_us();
+            if let Some(msg) = st.pop_delivered(now) {
                 return Some(msg);
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            if std::mem::take(&mut st.interrupted) || now >= deadline_us {
                 return None;
             }
-            self.available.wait_for(&mut q, deadline - now);
+            // Nothing delivered yet, so every deadline below is in the future.
+            let wake_at = st
+                .next_delivery_us()
+                .map_or(deadline_us, |at| at.min(deadline_us));
+            self.changed
+                .wait_for(&mut st, Duration::from_micros(wake_at - now));
         }
     }
 }
@@ -103,61 +107,22 @@ impl Mailbox {
 #[derive(Debug)]
 pub struct DelayedBus {
     inboxes: Vec<Mailbox>,
-    queue: Arc<Mutex<BinaryHeap<Pending>>>,
     /// Base one-way delay for control messages, microseconds.
     base_delay_us: AtomicU64,
     /// Extra delay applied to messages *from* a given partition (simulates a
     /// lagging sender, Fig 13a).
     extra_from_us: Vec<AtomicU64>,
     seq: AtomicU64,
-    stop: Arc<AtomicBool>,
-    pump: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl DelayedBus {
     pub fn new(num_partitions: usize, base_delay_us: u64) -> Arc<Self> {
-        let inboxes = (0..num_partitions).map(|_| Mailbox::default()).collect();
-        let bus = Arc::new(DelayedBus {
-            inboxes,
-            queue: Arc::new(Mutex::new(BinaryHeap::new())),
+        Arc::new(DelayedBus {
+            inboxes: (0..num_partitions).map(|_| Mailbox::default()).collect(),
             base_delay_us: AtomicU64::new(base_delay_us),
             extra_from_us: (0..num_partitions).map(|_| AtomicU64::new(0)).collect(),
             seq: AtomicU64::new(0),
-            stop: Arc::new(AtomicBool::new(false)),
-            pump: Mutex::new(None),
-        });
-        bus.start_pump();
-        bus
-    }
-
-    fn start_pump(self: &Arc<Self>) {
-        let me = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("bus-pump".into())
-            .spawn(move || me.pump_loop())
-            .expect("spawn bus pump");
-        *self.pump.lock() = Some(handle);
-    }
-
-    fn pump_loop(&self) {
-        while !self.stop.load(Ordering::Relaxed) {
-            let now = now_us();
-            let mut delivered_any = false;
-            {
-                let mut q = self.queue.lock();
-                while let Some(top) = q.peek() {
-                    if top.deliver_at_us > now {
-                        break;
-                    }
-                    let p = q.pop().unwrap();
-                    self.inboxes[p.to.idx()].push(p.msg);
-                    delivered_any = true;
-                }
-            }
-            if !delivered_any {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
+        })
     }
 
     pub fn set_base_delay_us(&self, us: u64) {
@@ -177,14 +142,8 @@ impl DelayedBus {
 
     /// Send a message to one partition (delivered after the configured delay).
     pub fn send(&self, from: PartitionId, to: PartitionId, msg: BusMessage) {
-        let deliver_at = now_us() + self.delay_for(from);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.queue.lock().push(Pending {
-            deliver_at_us: deliver_at,
-            to,
-            msg,
-            seq,
-        });
+        self.inboxes[to.idx()].push(now_us() + self.delay_for(from), seq, msg);
     }
 
     /// Broadcast to every partition except the sender.
@@ -196,7 +155,7 @@ impl DelayedBus {
         }
     }
 
-    /// Drain all messages currently available for a partition.
+    /// Drain all messages already delivered to a partition.
     pub fn drain(&self, me: PartitionId) -> Vec<BusMessage> {
         let mut out = Vec::new();
         while let Some(m) = self.inboxes[me.idx()].try_pop() {
@@ -207,23 +166,27 @@ impl DelayedBus {
 
     /// Blocking receive with timeout for coordinator threads.
     pub fn recv_timeout(&self, me: PartitionId, timeout: Duration) -> Option<BusMessage> {
-        self.inboxes[me.idx()].pop_timeout(timeout)
+        self.recv_until(me, now_us() + timeout.as_micros() as u64)
     }
 
-    /// Stop the pump thread. Called on cluster shutdown.
+    /// Blocking receive until `deadline_us` on the [`now_us`] clock. Returns
+    /// `None` at the deadline or when [`DelayedBus::interrupt`]ed.
+    pub fn recv_until(&self, me: PartitionId, deadline_us: u64) -> Option<BusMessage> {
+        self.inboxes[me.idx()].pop_until(deadline_us)
+    }
+
+    /// Make `me`'s current (or next) blocking receive return `None` early, so
+    /// its owner re-reads state changed outside the bus (a stop flag).
+    pub fn interrupt(&self, me: PartitionId) {
+        let inbox = &self.inboxes[me.idx()];
+        inbox.state.lock().interrupted = true;
+        inbox.changed.notify_all();
+    }
+
+    /// Release every blocked receiver. Called on cluster shutdown.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for DelayedBus {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
+        for p in 0..self.inboxes.len() {
+            self.interrupt(PartitionId(p as u32));
         }
     }
 }

@@ -46,7 +46,8 @@ impl PartitionHealth {
 /// The simulated network connecting all partitions.
 ///
 /// All methods are cheap and thread-safe; latency is charged by blocking the
-/// calling thread for the configured duration (spin for short waits).
+/// calling thread for the configured duration
+/// ([`primo_common::sim_time::charge_latency_us`]).
 #[derive(Debug)]
 pub struct SimNetwork {
     cfg: RwLock<NetConfig>,

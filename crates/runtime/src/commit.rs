@@ -26,11 +26,12 @@
 
 use crate::cluster::Cluster;
 use primo_common::config::CommitMode;
+use primo_common::sim_time::charge_latency_us;
 use primo_common::{AbortReason, PartitionId, TxnId};
 use primo_trace::TraceEventKind;
 use primo_wal::LogPayload;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Proof that the prepare phase succeeded, carrying the instant it completed
 /// so the decide phase can report the prepare→decide latency.
@@ -259,10 +260,10 @@ impl PaxosCommit {
     ) -> PrepareOutcome {
         for (p, lsn) in vote_lsns {
             let log = &cluster.partition(*p).log;
-            let deadline = Instant::now()
-                + Duration::from_micros(4 * log.quorum_ack_delay_us().max(1_000) + 10_000);
-            while !log.is_durable(*lsn) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(200));
+            // The vote was appended before this instant: one quorum-ack
+            // delay from now it is durable if its quorum is alive at all.
+            if !log.is_durable(*lsn) {
+                charge_latency_us(log.quorum_ack_delay_us());
             }
             if log.is_durable(*lsn) {
                 cluster.recorder.emit(
@@ -460,6 +461,7 @@ impl AtomicCommit for PaxosCommit {
 mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
+    use std::time::Duration;
 
     fn cluster_with_mode(mode: CommitMode, partitions: usize) -> Arc<Cluster> {
         let mut config = ClusterConfig::for_tests(partitions);

@@ -112,6 +112,14 @@ fn block_on_oldest(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
     }
 }
 
+/// Exponential back-off (paper: 0.5 ms initial, doubling): wait a jittered
+/// `[b/2, b]` so colliding retries diverge, then double `b` up to `max_us`.
+fn back_off(rng: &mut FastRng, backoff_us: &mut u64, max_us: u64) {
+    let jitter = rng.next_below(*backoff_us / 2 + 1);
+    charge_latency_us(*backoff_us / 2 + jitter);
+    *backoff_us = (*backoff_us * 2).min(max_us);
+}
+
 /// Run the worker loop until the stop flag is raised.
 pub fn worker_loop(ctx: WorkerContext) {
     let mut rng = FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5);
@@ -274,13 +282,9 @@ pub fn worker_loop(ctx: WorkerContext) {
                     }
                 }
             }
-            // Exponential back-off before the next attempt (paper: 0.5 ms
-            // initial, doubling).
             timers.time(Phase::Backoff, || {
-                let jitter = rng.next_below(backoff_us.max(1) / 2 + 1);
-                charge_latency_us(backoff_us / 2 + jitter);
+                back_off(&mut rng, &mut backoff_us, backoff_max)
             });
-            backoff_us = (backoff_us * 2).min(backoff_max);
         }
     }
 
@@ -401,8 +405,9 @@ pub fn run_single_txn(
                 }
             }
         }
-        std::thread::sleep(Duration::from_micros(backoff_us));
-        backoff_us = (backoff_us * 2).min(cluster.config.backoff_max_us);
+        // Jitter seeded by the failed attempt's id.
+        let mut rng = FastRng::new(txn.pack());
+        back_off(&mut rng, &mut backoff_us, cluster.config.backoff_max_us);
     }
 }
 

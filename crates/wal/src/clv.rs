@@ -15,7 +15,7 @@ use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
 use parking_lot::Mutex;
 use primo_common::config::WalConfig;
-use primo_common::sim_time::{charge_latency_us, now_us};
+use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_trace::{FlightRecorder, TraceEventKind};
 use std::collections::HashSet;
@@ -165,10 +165,7 @@ impl GroupCommit for ClvCommit {
         if self.rolled_back_txns.lock().contains(&waiter.txn) || self.crash_rolled_back(ready_at) {
             return CommitOutcome::CrashAborted;
         }
-        let now = now_us();
-        if ready_at > now {
-            charge_latency_us(ready_at - now);
-        }
+        wait_until(ready_at);
         if self.rolled_back_txns.lock().contains(&waiter.txn) || self.crash_rolled_back(ready_at) {
             return CommitOutcome::CrashAborted;
         }

@@ -21,6 +21,7 @@ use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
 use parking_lot::{Condvar, Mutex};
 use primo_common::config::WalConfig;
+use primo_common::sim_time::{now_us, park_until};
 use primo_common::{FastRng, PartitionId, Ts, TxnId};
 use primo_net::DelayedBus;
 use primo_trace::{FlightRecorder, TraceEventKind};
@@ -149,14 +150,10 @@ impl CocoCommit {
     fn coordinator_loop(self: &Arc<Self>) {
         let mut rng = FastRng::new(0xC0C0);
         let epoch_us = self.cfg.interval_ms * 1000;
-        while !self.stop.load(Ordering::Relaxed) {
+        // Both waits below park until their deadline; `shutdown` unparks.
+        loop {
             // 1. Epoch execution window.
-            let window = Duration::from_micros(epoch_us);
-            let start = std::time::Instant::now();
-            while start.elapsed() < window && !self.stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_micros(500.min(epoch_us)));
-            }
-            if self.stop.load(Ordering::Relaxed) {
+            if !park_until(now_us() + epoch_us, &self.stop) {
                 break;
             }
             let epoch = self.epoch.load(Ordering::Acquire);
@@ -203,7 +200,7 @@ impl CocoCommit {
                 }
             }
             sync_us += straggle;
-            std::thread::sleep(Duration::from_micros(sync_us));
+            park_until(now_us() + sync_us, &self.stop);
 
             // 5. Commit (or abort) the epoch and reopen the gate.
             {
@@ -417,9 +414,10 @@ impl GroupCommit for CocoCommit {
     }
 
     fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
         self.cond.notify_all();
         if let Some(h) = self.coordinator.lock().take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -427,10 +425,7 @@ impl GroupCommit for CocoCommit {
 
 impl Drop for CocoCommit {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.coordinator.lock().take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 

@@ -11,6 +11,9 @@
 //!    control bus, maintains the global watermark `Wg = min(all Wp)` and wakes
 //!    transactions waiting for their result to become returnable.
 //!
+//! The agent blocks in its bus mailbox until a peer's `Wp`, its next
+//! generation or its next publication is due — no polling tick.
+//!
 //! Rule R2 (new transactions must exceed the freshly generated `Wp`) is
 //! exposed through [`GroupCommit::ts_floor`]; Primo's coordinator adds the
 //! floor as a timestamp constraint and participants raise the floor of the
@@ -34,10 +37,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often each agent drains the bus and re-evaluates `Wg`, independent of
-/// the (much larger) watermark generation interval `t_m`.
-const AGENT_TICK_US: u64 = 500;
-
 #[derive(Debug, Default)]
 struct WgState {
     /// This partition's view of the global watermark.
@@ -59,8 +58,6 @@ struct PartitionWm {
     wp_published: AtomicU64,
     /// Additional floor pushed by the force-update mechanism.
     force_floor: AtomicU64,
-    /// Generated watermarks waiting for the persist delay before publication.
-    pending_publish: Mutex<VecDeque<(u64, Ts)>>,
     /// Highest logical timestamp this partition has seen being committed —
     /// lets an idle partition's watermark jump straight past everything it
     /// has already processed instead of creeping one tick at a time.
@@ -70,8 +67,6 @@ struct PartitionWm {
     /// Global-watermark view and crash-rollback bookkeeping.
     wg: Mutex<WgState>,
     wg_cond: Condvar,
-    /// Time of the last watermark generation.
-    last_generate_us: AtomicU64,
 }
 
 impl PartitionWm {
@@ -83,11 +78,9 @@ impl PartitionWm {
             wp_published: AtomicU64::new(0),
             force_floor: AtomicU64::new(0),
             max_seen_ts: AtomicU64::new(0),
-            pending_publish: Mutex::new(VecDeque::new()),
             table: Mutex::new(vec![0; n]),
             wg: Mutex::new(WgState::default()),
             wg_cond: Condvar::new(),
-            last_generate_us: AtomicU64::new(0),
         }
     }
 
@@ -227,14 +220,26 @@ fn agent_loop(
     recorder: Arc<OnceLock<Arc<FlightRecorder>>>,
 ) {
     let interval_us = cfg.interval_ms * 1000;
-    while !stop.load(Ordering::Relaxed) {
+    let mut next_generate_us = now_us();
+    // `max_seen_ts` at the last generation: unchanged means idle since.
+    let mut seen_at_generate = 0;
+    // Generated watermarks waiting out the quorum-ack delay: (ready at, Wp).
+    let mut pending_publish: VecDeque<(u64, Ts)> = VecDeque::new();
+    loop {
+        // Block until a peer's `Wp`, the next generation or the next
+        // publication (`shutdown` / `on_partition_recover` interrupt).
+        let next_publish_us = pending_publish.front().map_or(u64::MAX, |p| p.0);
+        let wake_at = next_generate_us.min(next_publish_us);
+        let first = bus.recv_until(me.id, wake_at);
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
         let now = now_us();
 
-        // 1. Drain control messages and update the watermark table.
-        let msgs = bus.drain(me.id);
-        if !msgs.is_empty() {
+        // 1. Fold every delivered control message into the watermark table.
+        if first.is_some() {
             let mut table = me.table.lock();
-            for m in msgs {
+            for m in first.into_iter().chain(bus.drain(me.id)) {
                 if let BusMessage::PartitionWatermark { from, wp } = m {
                     let slot = &mut table[from.idx()];
                     if *slot < wp {
@@ -244,35 +249,26 @@ fn agent_loop(
             }
         }
 
-        // 2. Recompute this partition's view of the global watermark.
-        {
+        // 2. Generate a new partition watermark every t_m — and at once when
+        //    a peer's `Wp` shows this partition lagging while it has processed
+        //    nothing since its last generation (it only holds `Wg` back).
+        let prev = me.wp_generated.load(Ordering::Acquire);
+        // Cluster average for the force-update rule, computed before the
+        // active-table lock so the two locks never nest.
+        let force_avg = (cfg.force_update && all.len() > 1).then(|| {
             let table = me.table.lock();
-            let min = table.iter().copied().min().unwrap_or(0);
-            drop(table);
-            let mut wg = me.wg.lock();
-            if min > wg.wg {
-                wg.wg = min;
-                me.wg_cond.notify_all();
-            }
+            let others = (0..all.len()).filter(|i| *i != me.id.idx());
+            others.map(|i| table[i]).sum::<Ts>() / (all.len() - 1) as Ts
+        });
+        let max_seen = me.max_seen_ts.load(Ordering::Acquire);
+        let due = now >= next_generate_us;
+        let idle_and_lagging =
+            max_seen == seen_at_generate && force_avg.is_some_and(|avg| prev < avg);
+        if due {
+            next_generate_us = (next_generate_us + interval_us).max(now);
         }
-
-        // 3. Generate a new partition watermark every t_m.
-        if now.saturating_sub(me.last_generate_us.load(Ordering::Relaxed)) >= interval_us {
-            me.last_generate_us.store(now, Ordering::Relaxed);
-            let prev = me.wp_generated.load(Ordering::Acquire);
-            // Cluster average for the force-update rule, computed before the
-            // active-table lock so the two locks never nest.
-            let force_avg = if cfg.force_update && all.len() > 1 {
-                let table = me.table.lock();
-                let others: Vec<Ts> = (0..all.len())
-                    .filter(|i| *i != me.id.idx())
-                    .map(|i| table[i])
-                    .collect();
-                drop(table);
-                Some(others.iter().sum::<Ts>() / others.len().max(1) as Ts)
-            } else {
-                None
-            };
+        if due || idle_and_lagging {
+            seen_at_generate = max_seen;
             let candidate = {
                 // The watermark chases the highest timestamp this partition
                 // has processed. Soundness rests on the commit critical
@@ -288,8 +284,10 @@ fn agent_loop(
                 // the floor (rule R2). Candidate selection, the
                 // `wp_generated` store and `reserve_commit_ts` all run under
                 // the active-table lock, so no reservation can slip between
-                // the cap check and the floor becoming visible.
-                let target = (prev + 1).max(me.max_seen_ts.load(Ordering::Acquire));
+                // the cap check and the floor becoming visible. `+ 1`
+                // because releasing needs `Wg > ts`: this generation, not the
+                // next, covers the newest processed commit.
+                let target = prev.max(max_seen) + 1;
                 let active = me.active.lock();
                 let mut candidate = match active.values().copied().min() {
                     Some(min_active) => prev.max(target.min(min_active)),
@@ -322,38 +320,39 @@ fn agent_loop(
             // follower copies inherit the sequencer's append timestamp, so
             // quorum durability elapses on the same clock whether the pump
             // has shipped the record yet or not.
-            me.pending_publish
-                .lock()
-                .push_back((now + wal.quorum_ack_delay_us(), candidate));
+            pending_publish.push_back((now + wal.quorum_ack_delay_us(), candidate));
         }
 
-        // 4. Publish watermarks whose persist delay has elapsed.
-        {
-            let mut pending = me.pending_publish.lock();
-            while let Some((ready_at, wp)) = pending.front().copied() {
-                if ready_at > now {
-                    break;
-                }
-                pending.pop_front();
-                if wp > me.wp_published.load(Ordering::Acquire) {
-                    me.wp_published.store(wp, Ordering::Release);
-                    me.table.lock()[me.id.idx()] = wp;
-                    // The watermark is itself a log record (§5.1): append it
-                    // so a recovering leader can retrieve the latest Wp.
-                    wal.append(LogPayload::Watermark { wp });
-                    bus.broadcast(me.id, BusMessage::PartitionWatermark { from: me.id, wp });
-                    if let Some(rec) = recorder.get() {
-                        rec.emit(
-                            None,
-                            Some(me.id),
-                            TraceEventKind::WatermarkPublish { wg: wp },
-                        );
-                    }
+        // 3. Publish watermarks whose persist delay has elapsed.
+        while let Some((ready_at, wp)) = pending_publish.front().copied() {
+            if ready_at > now {
+                break;
+            }
+            pending_publish.pop_front();
+            if wp > me.wp_published.load(Ordering::Acquire) {
+                me.wp_published.store(wp, Ordering::Release);
+                me.table.lock()[me.id.idx()] = wp;
+                // The watermark is itself a log record (§5.1): append it
+                // so a recovering leader can retrieve the latest Wp.
+                wal.append(LogPayload::Watermark { wp });
+                bus.broadcast(me.id, BusMessage::PartitionWatermark { from: me.id, wp });
+                if let Some(rec) = recorder.get() {
+                    rec.emit(
+                        None,
+                        Some(me.id),
+                        TraceEventKind::WatermarkPublish { wg: wp },
+                    );
                 }
             }
         }
 
-        std::thread::sleep(Duration::from_micros(AGENT_TICK_US));
+        // 4. Recompute `Wg` last: a peer's `Wp` and our own take effect at once.
+        let min = me.table.lock().iter().copied().min().unwrap_or(0);
+        let mut wg = me.wg.lock();
+        if min > wg.wg {
+            wg.wg = min;
+            me.wg_cond.notify_all();
+        }
     }
 }
 
@@ -628,9 +627,10 @@ impl GroupCommit for WatermarkCommit {
         part.active.lock().clear();
         for other in &self.parts {
             let mut table = other.table.lock();
-            if table[p.idx()] < recovered_wp {
-                table[p.idx()] = recovered_wp;
-            }
+            table[p.idx()] = table[p.idx()].max(recovered_wp);
+            drop(table);
+            // Have the agent fold the reseeded table into its `Wg` now.
+            self.bus.interrupt(other.id);
         }
         part.wg_cond.notify_all();
     }
@@ -641,36 +641,35 @@ impl GroupCommit for WatermarkCommit {
         // global watermark; the maximum of those views is adopted. It is
         // >= every view ever used to report results (safe for clients) and
         // <= every partition's durable watermark (safe for durability).
-        let agreed = self
-            .parts
-            .iter()
-            .map(|part| part.wg.lock().wg)
-            .max()
-            .unwrap_or(0);
-        for part in &self.parts {
-            let mut wg = part.wg.lock();
+        // One atomic step under every `wg` lock plus the cap list's: a view
+        // advancing between "read the maximum" and "record the rollback, cap
+        // the horizon" would let a waiter be told `Committed`, or a snapshot
+        // session pick a horizon, above the agreement.
+        let mut caps = self.snapshot_caps.lock();
+        let mut views: Vec<_> = self.parts.iter().map(|part| part.wg.lock()).collect();
+        let agreed = views.iter().map(|wg| wg.wg).max().unwrap_or(0);
+        for wg in &mut views {
             wg.rollbacks.push(agreed);
             // The crashed partition recovers from its durable log; the whole
             // cluster resumes from the agreed watermark.
-            if wg.wg < agreed {
-                wg.wg = agreed;
-            }
+            wg.wg = agreed;
+        }
+        // Snapshot readers must not observe versions the survivor
+        // compensation is about to undo (`ts >= agreed`): cap the horizon
+        // until `on_compensation_complete`.
+        caps.push(agreed);
+        drop(views);
+        drop(caps);
+        for part in &self.parts {
             part.wg_cond.notify_all();
-            {
-                let mut table = part.table.lock();
-                if table[p.idx()] < agreed {
-                    table[p.idx()] = agreed;
-                }
-            }
+            let mut table = part.table.lock();
+            table[p.idx()] = table[p.idx()].max(agreed);
+            drop(table);
             part.wp_generated.fetch_max(agreed, Ordering::AcqRel);
             part.force_floor.fetch_max(agreed, Ordering::AcqRel);
         }
         // Abort every transaction still active on the crashed partition.
         self.parts[p.idx()].active.lock().clear();
-        // Snapshot readers must not observe versions the survivor
-        // compensation is about to undo (`ts >= agreed`): cap the horizon
-        // until `on_compensation_complete`.
-        self.snapshot_caps.lock().push(agreed);
         agreed
     }
 
@@ -683,7 +682,10 @@ impl GroupCommit for WatermarkCommit {
     }
 
     fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
+        for part in &self.parts {
+            self.bus.interrupt(part.id);
+        }
         let mut agents = self.agents.lock();
         for h in agents.drain(..) {
             let _ = h.join();
