@@ -236,8 +236,8 @@ fn bench_fanout_batching() {
 
 fn bench_wal_durable_boundary() {
     // Satellite of the replicated-WAL refactor: the durable-boundary
-    // lookups (`durable_lsn`, `latest_durable_watermark_at`,
-    // `latest_durable_checkpoint`) used to reverse-scan the log — O(n) per
+    // lookups (`durable_lsn`, `latest_durable_watermark_at`) used to
+    // reverse-scan the log — O(n) per
     // call on the volatile suffix, and the quorum computation calls
     // `durable_lsn` once per replica per query. `appended_at_us` is
     // monotone per log, so the boundary is now a `partition_point` binary
@@ -365,9 +365,7 @@ fn bench_checkpoint_and_replay() {
     );
     bench("recovery/checkpoint_fold_10k_txns", || {
         let wal = ReplicatedLog::single(PartitionId(0), 0);
-        wal.append(LogPayload::Checkpoint {
-            image: Arc::new(CheckpointImage::default()),
-        });
+        wal.install_base_image(CheckpointImage::default());
         fill(&wal);
         std::hint::black_box(Checkpointer::tick(PartitionId(0), &wal, gc.as_ref()));
     });

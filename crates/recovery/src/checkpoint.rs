@@ -1,23 +1,32 @@
 //! The per-partition checkpoint writer.
 //!
-//! A checkpoint is a consistent image of the partition's committed state at
-//! a chosen bound, *derived from the log*, not from the live store: each
-//! image is the previous image plus the contiguous durable log prefix the
-//! group-commit scheme vouches for
-//! ([`GroupCommit::checkpoint_bound`]).
-//! That construction is immune to the races a live-store scan would have —
-//! a record overwritten by a not-yet-durable transaction never leaks into
-//! an image, because the image only ever sees logged, covered writes.
+//! A partition's checkpoint is one **rolling image** owned by its replicated
+//! log ([`ReplicatedLog`]): the committed state as of the image's
+//! `base_lsn`, *derived from the log*, not from the live store. Each fold
+//! advances the image in place by the contiguous quorum-durable log prefix
+//! the group-commit scheme vouches for
+//! ([`GroupCommit::checkpoint_bound`]) and drains that prefix from every
+//! replica. That construction is immune to the races a live-store scan
+//! would have — a record overwritten by a not-yet-durable transaction never
+//! leaks into the image, because the image only ever sees logged, covered
+//! writes.
 //!
-//! The one exception is the **base checkpoint** taken right after workload
+//! The one exception is the **base image** taken right after workload
 //! loading ([`Checkpointer::initial`]): loaders write straight into the
 //! store without logging, so the base image is a quiescent store scan.
 //! Without it a wiped partition could never get its loaded records back.
+//!
+//! There is one fold path, [`Checkpointer::fold`]. Explicit checkpoints
+//! (`checkpoint_all`, the experiment driver's periodic hook) call it with
+//! [`FoldScope::Everything`]; the commit path calls it with
+//! [`FoldScope::Chunk`] whenever a log retains more than twice
+//! [`RETENTION_TARGET`](primo_wal::RETENTION_TARGET) entries, which is what
+//! keeps every log — and recovery's replay — bounded without anybody
+//! opting in.
 
 use primo_common::{PartitionId, Ts};
 use primo_storage::PartitionStore;
-use primo_wal::{CheckpointImage, GroupCommit, LogPayload, ReplayBound, ReplicatedLog};
-use std::sync::Arc;
+use primo_wal::{CheckpointImage, FoldScope, GroupCommit, ReplicatedLog};
 
 /// What one checkpoint pass did (for logs, metrics and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,26 +36,21 @@ pub struct CheckpointStats {
     pub folded_txns: usize,
     /// Records in the resulting image.
     pub image_records: usize,
-    /// Log entries dropped by truncation (entries covered by the newest
-    /// *durable* checkpoint).
+    /// Log entries the pass drained (the folded prefix).
     pub truncated_entries: usize,
     /// The image's coverage bound.
     pub up_to_ts: Ts,
 }
 
-/// Stateless checkpoint driver: all state lives in the log itself.
+/// Stateless checkpoint driver: all state lives in the log and its image.
 pub struct Checkpointer;
 
 impl Checkpointer {
-    /// Base checkpoint from a quiescent store scan (call after loading,
-    /// before workers start). The image's `base_lsn` is the current log
-    /// end, so everything already logged is considered covered.
+    /// Base image from a quiescent store scan (call after loading, before
+    /// workers start). The image covers the log from its install marker on,
+    /// so everything already logged is considered covered.
     pub fn initial(store: &PartitionStore, wal: &ReplicatedLog) -> CheckpointStats {
-        let mut image = CheckpointImage {
-            up_to_ts: 0,
-            base_lsn: wal.end_lsn(),
-            ..Default::default()
-        };
+        let mut image = CheckpointImage::default();
         for (table, key, value, ts) in store.snapshot_visible() {
             image.records.insert((table, key), (value, ts));
             image.up_to_ts = image.up_to_ts.max(ts);
@@ -58,63 +62,42 @@ impl Checkpointer {
             truncated_entries: 0,
             up_to_ts: image.up_to_ts,
         };
-        wal.append(LogPayload::Checkpoint {
-            image: Arc::new(image),
-        });
+        wal.install_base_image(image);
         stats
     }
 
-    /// One periodic checkpoint pass: fold the durable covered prefix since
-    /// the latest image into a new image, append it, and truncate whatever
-    /// the newest **durable** checkpoint covers. Returns `None` when no base
-    /// image exists yet (call [`Checkpointer::initial`] first) — folding
-    /// from the live store mid-run would not be consistent.
+    /// Fold the quorum-durable prefix the scheme covers into the rolling
+    /// image and drain it from the log: a bounded chunk or everything
+    /// foldable, per `scope` (see [`ReplicatedLog::fold`], which also says
+    /// when `leader_up` is asked). Returns `None` when nothing ran — the
+    /// leader is down, another fold holds the image (chunk scope), or no
+    /// base image exists yet (call [`Checkpointer::initial`] first: folding
+    /// from the live store mid-run would not be consistent).
+    pub fn fold(
+        partition: PartitionId,
+        wal: &ReplicatedLog,
+        gc: &dyn GroupCommit,
+        scope: FoldScope,
+        leader_up: impl FnOnce() -> bool,
+    ) -> Option<CheckpointStats> {
+        let bound = gc.checkpoint_bound(partition, wal);
+        let stats = wal.fold(&bound, scope, leader_up)?;
+        Some(CheckpointStats {
+            partition,
+            folded_txns: stats.folded_txns,
+            image_records: stats.image_records,
+            truncated_entries: stats.truncated_entries,
+            up_to_ts: stats.up_to_ts,
+        })
+    }
+
+    /// One explicit checkpoint pass: fold everything foldable now.
     pub fn tick(
         partition: PartitionId,
         wal: &ReplicatedLog,
         gc: &dyn GroupCommit,
     ) -> Option<CheckpointStats> {
-        let (_, prev) = wal.latest_checkpoint()?;
-        let bound = gc.checkpoint_bound(partition, wal);
-        let new_base = wal.fold_stop_lsn(prev.base_lsn, &bound);
-
-        let folded = if new_base > prev.base_lsn {
-            wal.replay_range(prev.base_lsn, &bound, Some(new_base - 1))
-        } else {
-            Vec::new()
-        };
-        let mut image = CheckpointImage {
-            up_to_ts: prev.up_to_ts,
-            base_lsn: new_base,
-            records: prev.records.clone(),
-        };
-        for (_, ts, writes) in &folded {
-            image.apply(*ts, writes);
-        }
-        if let ReplayBound::Ts(b) = bound {
-            // The image provably covers everything below the ts bound, even
-            // if the folded prefix happened to stop earlier.
-            image.up_to_ts = image.up_to_ts.max(b.saturating_sub(1));
-        }
-        let stats = CheckpointStats {
-            partition,
-            folded_txns: folded.len(),
-            image_records: image.len(),
-            truncated_entries: 0,
-            up_to_ts: image.up_to_ts,
-        };
-        wal.append(LogPayload::Checkpoint {
-            image: Arc::new(image),
-        });
-        // Truncate only what the newest *durable* checkpoint covers: the
-        // image appended above is still within its persist delay, and a
-        // crash right now must be able to fall back to the previous durable
-        // image plus the retained log.
-        let truncated = wal.truncate_to_durable_checkpoint();
-        Some(CheckpointStats {
-            truncated_entries: truncated,
-            ..stats
-        })
+        Self::fold(partition, wal, gc, FoldScope::Everything, || true)
     }
 }
 
@@ -122,7 +105,8 @@ impl Checkpointer {
 mod tests {
     use super::*;
     use primo_common::{TableId, TxnId, Value};
-    use primo_wal::LoggedWrite;
+    use primo_wal::{LogPayload, LoggedWrite, ReplayBound};
+    use std::sync::Arc;
 
     struct FixedBound(ReplayBound);
 
@@ -164,6 +148,11 @@ mod tests {
         fn shutdown(&self) {}
     }
 
+    fn image_has(wal: &ReplicatedLog, key: u64) -> bool {
+        wal.with_image(|image| image.records.contains_key(&(TableId(0), key)))
+            .expect("base image")
+    }
+
     fn put(key: u64, v: u64) -> Vec<LoggedWrite> {
         vec![LoggedWrite::put(TableId(0), key, Value::from_u64(v))]
     }
@@ -178,9 +167,8 @@ mod tests {
         let wal = ReplicatedLog::single(PartitionId(0), 0);
         let stats = Checkpointer::initial(&store, &wal);
         assert_eq!(stats.image_records, 1);
-        let image = wal.latest_checkpoint().unwrap().1;
-        assert!(image.records.contains_key(&(TableId(0), 1)));
-        assert!(!image.records.contains_key(&(TableId(0), 2)));
+        assert!(image_has(&wal, 1));
+        assert!(!image_has(&wal, 2));
     }
 
     #[test]
@@ -202,15 +190,19 @@ mod tests {
         let stats = Checkpointer::tick(PartitionId(0), &wal, &gc).expect("base image exists");
         assert_eq!(stats.folded_txns, 2);
         assert_eq!(stats.image_records, 3);
-        assert!(stats.truncated_entries > 0, "durable checkpoint truncates");
-        let image = wal.latest_checkpoint().unwrap().1;
-        assert!(image.records.contains_key(&(TableId(0), 101)));
-        assert!(image.records.contains_key(&(TableId(0), 102)));
+        assert_eq!(
+            stats.truncated_entries, 3,
+            "the install marker and the folded prefix are drained at once"
+        );
+        assert_eq!(wal.len(), 1, "only the uncovered entry is retained");
+        assert!(image_has(&wal, 101));
+        assert!(image_has(&wal, 102));
         assert!(
-            !image.records.contains_key(&(TableId(0), 103)),
+            !image_has(&wal, 103),
             "uncovered entry must stay in the log, not the image"
         );
         // The uncovered entry is still replayable from the image's base.
+        let (_, image) = wal.latest_checkpoint().unwrap();
         let rest = wal.replay_range(image.base_lsn, &ReplayBound::Ts(u64::MAX), None);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].1, 50);

@@ -6,12 +6,13 @@
 //! because write-sets and watermarks are logged before results are
 //! returned. This crate is the subsystem that cashes that claim in:
 //!
-//! * [`Checkpointer`] periodically folds the durable, committed prefix of a
-//!   partition's log into a [`CheckpointImage`](primo_wal::CheckpointImage) (appended to the log as a
-//!   real `Checkpoint` payload) and truncates what the newest *durable*
-//!   checkpoint covers, so logs stop growing without bound.
+//! * [`Checkpointer`] folds the durable, committed prefix of a partition's
+//!   log into the log's rolling [`CheckpointImage`](primo_wal::CheckpointImage)
+//!   and drains it — a bounded chunk at a time from the commit path, or
+//!   everything foldable on an explicit checkpoint — so logs bound
+//!   themselves.
 //! * [`RecoveryManager`] rebuilds a crashed partition: wipe the volatile
-//!   store, restore the newest checkpoint that was durable at the crash,
+//!   store, restore the checkpoint image if it was durable at the crash,
 //!   replay the retained durable log up to the per-scheme
 //!   [`ReplayBound`](primo_wal::ReplayBound) — the recovered watermark
 //!   (Watermark), the last durable epoch boundary (COCO) or the durable LSN

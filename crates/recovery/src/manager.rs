@@ -1,7 +1,10 @@
 //! The recovery manager: wipe a crashed partition's volatile store and
-//! rebuild it from `latest quorum-durable checkpoint + bounded replay of the
-//! replicated log` — surviving a lost leader disk, and handing off to the
-//! deterministic successor replica when a second crash lands mid-replay.
+//! rebuild it from `rolling checkpoint image + bounded replay of the
+//! retained replicated log` — surviving a lost leader disk, and handing off
+//! to the deterministic successor replica when a second crash lands
+//! mid-replay. The log bounds itself (see `primo_wal::replicated`), so the
+//! replay is bounded too: a few retention targets' worth of entries,
+//! however long the partition ran.
 
 use primo_common::sim_time::now_us;
 use primo_common::{PartitionId, Ts};
@@ -35,12 +38,15 @@ impl CrashContext {
     /// Capture the crash-time state of one partition. Call *after* the
     /// network marked the partition crashed and the group commit agreed on
     /// the rollback point, but *before* the log's leader hand-off discards
-    /// any disk (see [`CrashContext::durable_lsn`]).
+    /// any disk (see [`CrashContext::durable_lsn`]). The horizon is read
+    /// atomically with respect to checkpoint folds
+    /// ([`ReplicatedLog::crash_horizon`]): the image and the retained log
+    /// recovery later reads are either both before or both after any chunk.
     pub fn capture(partition: PartitionId, token: Ts, log: &ReplicatedLog) -> Self {
         CrashContext {
             partition,
             token,
-            durable_lsn: log.durable_lsn(),
+            durable_lsn: log.crash_horizon(),
             crashed_at_us: now_us(),
         }
     }
@@ -77,10 +83,11 @@ pub struct RecoveryReport {
 /// Apply a replayed transaction sequence to a store, in order. The sequence
 /// comes ts-sorted and deduplicated from
 /// [`ReplicatedLog::replay_range`], so applying it twice equals applying it
-/// once (puts overwrite in place, deletes of missing keys are no-ops).
+/// once (puts overwrite in place, deletes of missing keys are no-ops). The
+/// write-sets are read in place from the log's shared payloads.
 pub fn apply_replay(store: &PartitionStore, txns: &[ReplayedTxn]) {
     for (_, ts, writes) in txns {
-        for w in writes {
+        for w in writes.iter() {
             match &w.op {
                 LoggedOp::Put(v) => {
                     store.restore(w.table, w.key, v.clone(), *ts);
@@ -105,9 +112,9 @@ impl RecoveryManager {
     ///    tombstones and uncommitted inserts must never resurrect, and they
     ///    cannot: checkpoints snapshot only `Visible` records and the log
     ///    only ever contains committed write-sets);
-    /// 3. restore the newest checkpoint that was **quorum**-durable *at the
-    ///    crash* — read from the elected leader replica, which survives even
-    ///    when the dead leader's disk was discarded;
+    /// 3. restore the rolling checkpoint image, if it was **quorum**-durable
+    ///    *at the crash* — it survives a discarded leader disk as long as
+    ///    any replica does;
     /// 4. replay the retained quorum-durable log from the image's base,
     ///    bounded by the scheme ([`GroupCommit::replay_bound`]) and by the
     ///    crash-time quorum LSN — honoring `TxnRolledBack` markers, so a
@@ -173,16 +180,14 @@ impl RecoveryManager {
                     (0, Vec::new())
                 }
                 Some(cutoff) => {
-                    let image = log.latest_durable_checkpoint(Some(cutoff));
-                    let (restored, replay_base) = match &image {
-                        Some(image) => {
+                    let (restored, replay_base) = log
+                        .with_durable_image(Some(cutoff), |image| {
                             for ((table, key), (value, ts)) in &image.records {
                                 store.restore(*table, *key, value.clone(), *ts);
                             }
                             (image.len(), image.base_lsn)
-                        }
-                        None => (0, 0),
-                    };
+                        })
+                        .unwrap_or((0, 0));
                     let bound = gc.replay_bound(crash.token, log, crash.durable_lsn);
                     let txns = log.replay_range(replay_base, &bound, Some(cutoff));
                     apply_replay(store, &txns);

@@ -13,7 +13,7 @@ use primo_recovery::{
 };
 use primo_storage::PartitionStore;
 use primo_trace::{FlightRecorder, TraceEventKind};
-use primo_wal::{build_group_commit, GroupCommit, ReplicatedLog};
+use primo_wal::{build_group_commit, FoldScope, GroupCommit, ReplicatedLog};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,8 +105,9 @@ pub struct Cluster {
     /// Total crash-rolled-back transactions whose surviving-partition
     /// residue was compensated (see [`Cluster::crash_partition`]).
     compensated_txns: AtomicU64,
-    /// Superseded record versions garbage-collected at checkpoints (the
-    /// version-chain GC piggybacks on [`Cluster::checkpoint_partition`]).
+    /// Superseded record versions garbage-collected at explicit checkpoints
+    /// (the version-chain sweep piggybacks on
+    /// [`Cluster::checkpoint_partition`]).
     pruned_versions: AtomicU64,
     /// Batched remote-read fan-outs issued (one per resolved non-empty
     /// [`Footprint`](crate::prefetch::Footprint)).
@@ -384,7 +385,9 @@ impl Cluster {
             .emit(None, Some(p), TraceEventKind::CrashInjected);
         self.net.set_crashed(p, true);
         let token = self.group_commit.on_partition_crash(p);
-        // Capture the quorum horizon **before** the hand-off wipes the dead
+        // Capture the quorum horizon — between, never inside, checkpoint
+        // fold chunks, and with the partition already marked down so no
+        // later chunk starts — **before** the hand-off wipes the dead
         // leader's disk: everything quorum-durable at the crash instant is
         // physically present on every replica (the capture itself drains
         // the append pipeline's staging ring, and the fail-over flushes
@@ -516,15 +519,50 @@ impl Cluster {
         Some(report)
     }
 
-    /// Checkpoint one partition: the base image (quiescent store scan) if
-    /// none exists yet, otherwise a log-fold checkpoint bounded by the
-    /// group-commit scheme, followed by truncation of what the newest
-    /// durable checkpoint covers.
+    /// Fold one partition's log into its rolling checkpoint image — the one
+    /// retention path, shared by the commit path's self-driven step
+    /// ([`Cluster::fold_due_logs`], a bounded chunk) and explicit checkpoints
+    /// ([`Cluster::checkpoint_partition`], everything foldable).
     ///
-    /// Returns `None` for a crashed or recovering partition: a dead leader
-    /// cannot checkpoint, and — more subtly — a post-crash checkpoint would
-    /// fold the crash-volatile log tail and then truncate entries that the
-    /// eventual recovery (which is pinned to the crash-time durable LSN)
+    /// Never runs on a crashed or recovering partition: a dead leader cannot
+    /// checkpoint, and — more subtly — a post-crash fold would absorb the
+    /// crash-volatile log tail and drain entries that the eventual recovery
+    /// (which is pinned to the crash-time durable LSN) still needs. The
+    /// health check runs under the image lock the crash-time capture also
+    /// takes, so a crash sees the image and the log either before or after
+    /// a chunk, never in between.
+    fn fold_log(&self, p: PartitionId, scope: FoldScope) -> Option<CheckpointStats> {
+        Checkpointer::fold(
+            p,
+            &self.partition(p).log,
+            self.group_commit.as_ref(),
+            scope,
+            || !self.net.is_crashed(p),
+        )
+    }
+
+    /// The commit path's retention step, called by whoever just committed a
+    /// transaction once its locks are released (the worker loop,
+    /// `run_single_txn` and through it every facade session): any partition
+    /// whose log retains more than twice the retention target gets one
+    /// bounded chunk folded into its image. The check is three relaxed
+    /// loads per partition; the work, when due, is proportional to the
+    /// chunk — so every log bounds itself, no commit pays more than a
+    /// chunk, and no experiment has to opt into a checkpointer for memory
+    /// to stop tracking throughput.
+    pub fn fold_due_logs(&self) {
+        for partition in &self.partitions {
+            if partition.log.fold_due() && !self.net.is_crashed(partition.id) {
+                self.fold_log(partition.id, FoldScope::Chunk);
+            }
+        }
+    }
+
+    /// Checkpoint one partition: the base image (quiescent store scan) if
+    /// none exists yet, otherwise fold everything foldable right now — the
+    /// whole quorum-durable prefix the group-commit scheme covers. Returns
+    /// `None` for a crashed or recovering partition: a dead leader cannot
+    /// checkpoint, and a post-crash fold would drain entries its recovery
     /// still needs.
     pub fn checkpoint_partition(&self, p: PartitionId) -> Option<CheckpointStats> {
         if self.net.is_crashed(p) {
@@ -534,13 +572,14 @@ impl Cluster {
         let stats = if partition.log.latest_checkpoint().is_none() {
             Checkpointer::initial(&partition.store, &partition.log)
         } else {
-            Checkpointer::tick(p, &partition.log, self.group_commit.as_ref())
-                .expect("base checkpoint exists")
+            self.fold_log(p, FoldScope::Everything)?
         };
-        // Version-chain GC piggybacks on the checkpoint pass: history
-        // versions shadowed at or below the current snapshot horizon can no
-        // longer be requested (the published horizon is monotone), so they
-        // are reclaimed here rather than by a dedicated vacuum thread.
+        // The version-chain sweep rides on the explicit checkpoint only (the
+        // commit-path fold never walks a table; chains are bounded by
+        // `max_versions` anyway): history versions shadowed at or below the
+        // current snapshot horizon can no longer be requested (the published
+        // horizon is monotone), so they are reclaimed here rather than by a
+        // dedicated vacuum thread.
         let bound = self.group_commit.snapshot_horizon(p);
         let pruned = partition.store.prune_versions(bound);
         self.pruned_versions
@@ -569,7 +608,7 @@ impl Cluster {
     }
 
     /// Checkpoint every healthy partition (the experiment driver runs this
-    /// after loading and then periodically).
+    /// after loading, and periodically when asked to).
     pub fn checkpoint_all(&self) -> Vec<CheckpointStats> {
         self.partition_ids()
             .into_iter()

@@ -6,6 +6,11 @@
 //! (which fans it out to every replica) as one [`LogPayload::TxnWrites`]
 //! entry.
 //!
+//! What is appended here leaves the log again through the commit path's
+//! retention step ([`Cluster::fold_due_logs`]), which the committing thread
+//! takes after the locks are released: logs fold their covered prefix into
+//! the rolling checkpoint image and stay at a fixed retained size.
+//!
 //! Two invariants the recovery subsystem depends on:
 //!
 //! * **Log before results.** The append happens before the group commit is

@@ -171,9 +171,10 @@ pub struct ExperimentOptions {
     /// Extra per-transaction execution time on this partition — Fig 13b
     /// ("masked cores").
     pub slow_partition: Option<(PartitionId, u64)>,
-    /// Periodic checkpoint interval. A base checkpoint is always taken after
-    /// loading; `Some(iv)` additionally folds the durable log into a fresh
-    /// image every `iv` (bounding both log growth and recovery replay).
+    /// Periodic explicit-checkpoint interval. A base checkpoint is always
+    /// taken after loading and the logs bound themselves from the commit
+    /// path; `Some(iv)` additionally folds everything foldable and sweeps
+    /// the version chains every `iv` (a tighter bound on recovery replay).
     pub checkpoint_interval: Option<Duration>,
 }
 
@@ -225,8 +226,8 @@ pub fn run_on_cluster(
 
     let handles = spawn_workers(cluster, &protocol, &workload, &metrics, &stop, &recording);
 
-    // Periodic checkpointing folds the durable log into fresh images while
-    // the measurement runs.
+    // Optional explicit checkpoints while the measurement runs (the logs
+    // fold themselves from the commit path regardless).
     let checkpointer = options.checkpoint_interval.map(|interval| {
         let cluster = Arc::clone(cluster);
         let stop = Arc::clone(&stop);

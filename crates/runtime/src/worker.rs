@@ -253,6 +253,8 @@ pub fn worker_loop(ctx: WorkerContext) {
                             distributed: commit.distributed,
                         });
                     }
+                    // Locks are released: take the log-retention step.
+                    ctx.cluster.fold_due_logs();
                     break 'attempts;
                 }
                 Err(e) => {
@@ -383,6 +385,8 @@ pub fn run_single_txn(
                 let waiter = cluster
                     .group_commit
                     .txn_committed(&ticket, commit.ts, commit.ops);
+                // Locks are released: take the log-retention step.
+                cluster.fold_due_logs();
                 if protocol.manages_durability() {
                     return Ok(attempts);
                 }

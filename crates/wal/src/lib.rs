@@ -33,10 +33,10 @@ pub mod watermark;
 
 pub use group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 pub use log::{
-    CheckpointImage, LogEntry, LogPayload, LoggedOp, LoggedWrite, PartitionWal, ReplayBound,
-    ReplayedTxn,
+    CheckpointImage, ImageSummary, LogEntry, LogPayload, LoggedOp, LoggedWrite, LoggedWrites,
+    PartitionWal, ReplayBound, ReplayedTxn, FOLD_CHUNK, RETENTION_TARGET,
 };
-pub use replicated::ReplicatedLog;
+pub use replicated::{FoldScope, FoldStats, ReplicatedLog};
 pub use watermark::WatermarkCommit;
 
 use primo_common::config::{LoggingScheme, WalConfig};

@@ -5,17 +5,36 @@
 //! `t + persist_delay`. The log is the partition's durability story end to
 //! end: protocols append committed write-sets ([`LogPayload::TxnWrites`]),
 //! the group-commit schemes append their control records
-//! ([`LogPayload::Watermark`] / [`LogPayload::EpochBoundary`]), the
-//! checkpoint writer folds the durable prefix into
-//! [`LogPayload::Checkpoint`] images so the log stops growing without bound,
-//! and the recovery manager rebuilds a crashed partition's store from
-//! `latest durable checkpoint + bounded replay` (see `primo-recovery`).
+//! ([`LogPayload::Watermark`] / [`LogPayload::EpochBoundary`]), and the
+//! recovery manager rebuilds a crashed partition's store from
+//! `rolling checkpoint image + bounded replay` (see `primo-recovery`).
+//!
+//! **Retention is the log's own job.** A log copy keeps only a tail of
+//! entries: the quorum-durable, scheme-covered prefix is *folded* into the
+//! partition's rolling [`CheckpointImage`] a bounded chunk at a time
+//! ([`FOLD_CHUNK`] entries, driven from the commit path once more than
+//! twice [`RETENTION_TARGET`] entries are retained — see
+//! [`crate::ReplicatedLog::fold`]) and drained from the front. Everything a
+//! fold needs is kept up to date as entries arrive — the rollback-marker
+//! set, the resolution state of Paxos-Commit votes — so a fold reads only
+//! the entries it absorbs: the scan finds its start by binary search and
+//! copies the chunk's shared payload handles under the log lock, and the
+//! drain pops the prefix off a deque.
 
 use parking_lot::Mutex;
 use primo_common::sim_time::now_us;
 use primo_common::{Key, PartitionId, TableId, Ts, TxnId, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+/// Entries a log copy keeps once folding has caught up. The self-driven
+/// fold starts above twice this and never folds below it, so the tail
+/// always holds something to replay and no commit pays for more than one
+/// [`FOLD_CHUNK`].
+pub const RETENTION_TARGET: usize = 8_192;
+
+/// Most entries one self-driven fold pass absorbs.
+pub const FOLD_CHUNK: usize = 256;
 
 /// One operation inside a logged write-set.
 #[derive(Debug, Clone)]
@@ -73,14 +92,15 @@ impl LoggedWrite {
     }
 }
 
-/// A materialised checkpoint: the state of one partition at `up_to_ts`,
-/// equivalent to replaying every durable committed transaction below the
-/// checkpoint bound into an empty store.
+/// The partition's rolling checkpoint image: the state of one partition at
+/// `base_lsn`, equivalent to replaying every committed transaction logged
+/// below `base_lsn` into the base image.
 ///
-/// Images are built *from the log*, never from the live store (except the
-/// quiescent base checkpoint taken right after loading): each image is the
-/// previous image plus the covered durable log prefix, so it is consistent
-/// by construction even while transactions keep installing concurrently.
+/// The image is built *from the log*, never from the live store (except the
+/// quiescent base image taken right after loading): it is advanced in place
+/// by folding the covered quorum-durable log prefix into it, so it is
+/// consistent by construction even while transactions keep installing
+/// concurrently, and it never holds a write a crash could still roll back.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointImage {
     /// Every logged transaction with a commit timestamp `<= up_to_ts` that
@@ -89,6 +109,11 @@ pub struct CheckpointImage {
     /// First LSN **not** folded into this image: recovery replays the
     /// retained log from here.
     pub base_lsn: u64,
+    /// LSN of the [`LogPayload::Checkpoint`] marker appended when the base
+    /// image was installed. The image is restorable once the marker is
+    /// quorum-durable — a crash before that loses it like any other
+    /// volatile record.
+    pub installed_lsn: u64,
     /// Committed records: `(table, key) -> (value, commit ts)`.
     pub records: BTreeMap<(TableId, Key), (Value, Ts)>,
 }
@@ -107,9 +132,7 @@ impl CheckpointImage {
                 }
             }
         }
-        if ts > self.up_to_ts {
-            self.up_to_ts = ts;
-        }
+        self.up_to_ts = self.up_to_ts.max(ts);
     }
 
     pub fn len(&self) -> usize {
@@ -118,6 +141,36 @@ impl CheckpointImage {
 
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// The image's coverage without its records.
+    pub fn summary(&self) -> ImageSummary {
+        ImageSummary {
+            up_to_ts: self.up_to_ts,
+            base_lsn: self.base_lsn,
+            records: self.records.len(),
+        }
+    }
+}
+
+/// What a [`CheckpointImage`] covers, without its records (see
+/// [`crate::ReplicatedLog::latest_checkpoint`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageSummary {
+    pub up_to_ts: Ts,
+    /// First LSN not folded into the image.
+    pub base_lsn: u64,
+    /// Number of committed records in the image.
+    pub records: usize,
+}
+
+impl ImageSummary {
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
     }
 }
 
@@ -138,23 +191,26 @@ pub enum LogPayload {
     /// A committed epoch boundary (COCO): every `TxnWrites` entry before this
     /// marker belongs to a committed epoch.
     EpochBoundary { epoch: u64 },
-    /// A periodic checkpoint with its attached image; recovery restores the
-    /// newest durable image and replays from `image.base_lsn`.
-    Checkpoint { image: Arc<CheckpointImage> },
+    /// A base checkpoint image covering commit timestamps up to `up_to_ts`
+    /// was installed at this LSN (the image itself lives beside the log, see
+    /// [`crate::ReplicatedLog::install_base_image`]); it is restorable once
+    /// this marker is quorum-durable.
+    Checkpoint { up_to_ts: Ts },
     /// The cluster rolled `txn` back after a crash (the group commit reported
     /// it `CrashAborted`) and its installed writes on this partition were
     /// compensated with their before-images. Replay, checkpoint folding and
     /// log repair all skip the transaction's `TxnWrites` entries from then
     /// on, so a *later* crash of this partition cannot resurrect it. The
     /// marker always has a higher LSN than the entries it cancels, so
-    /// checkpoint truncation can never drop the marker while the entries
-    /// remain.
+    /// truncation can never drop the marker while the entries remain.
     TxnRolledBack { txn: TxnId },
     /// Paxos Commit: a prepare vote for `txn`, logged quorum-durably so the
     /// commit decision no longer depends on the coordinating worker staying
     /// alive — any replica holding a durable vote set can assemble (or, in
     /// doubt, terminate) the global verdict. `coordinator` is the home
-    /// partition that ran the prepare round.
+    /// partition that ran the prepare round. A vote stays in the log until
+    /// its outcome is durably known: a fold never passes a vote whose
+    /// resolution is not quorum-durable.
     CommitVote {
         txn: TxnId,
         coordinator: PartitionId,
@@ -186,7 +242,10 @@ pub struct LogEntry {
 
 #[derive(Debug, Default)]
 struct WalInner {
-    entries: Vec<LogEntry>,
+    /// The retained tail, ascending by LSN. LSNs are dense except where
+    /// recovery-time repair ([`PartitionWal::retain_replayable`]) removed
+    /// write-sets, so positions are found by binary search on the LSN.
+    entries: VecDeque<LogEntry>,
     /// Replication segments received ([`PartitionWal::receive_segment`]) but
     /// not yet folded into `entries`. Delivery is O(1) per segment — the
     /// `Arc` is shared by every replica of the partition — and the copy into
@@ -196,6 +255,18 @@ struct WalInner {
     /// folding.
     pending: Vec<Arc<[LogEntry]>>,
     next_lsn: u64,
+    /// Every LSN below this was drained after a fold absorbed it, so it was
+    /// durable: the durable horizon never falls below `truncated_before - 1`
+    /// even when the retained tail is empty.
+    truncated_before: u64,
+    /// Transactions cancelled by a retained [`LogPayload::TxnRolledBack`]
+    /// marker, with the (first) marker's LSN. Kept current as entries arrive
+    /// and leave, so no reader re-scans the log for markers.
+    rolled_back: HashMap<TxnId, u64>,
+    /// Transactions with a retained [`LogPayload::CommitVote`], with the LSN
+    /// of the first entry resolving the vote (decision, installed write-set
+    /// or rollback marker) — `None` while the outcome is unknown.
+    votes: HashMap<TxnId, Option<u64>>,
 }
 
 impl WalInner {
@@ -209,15 +280,114 @@ impl WalInner {
         }
         let total: usize = self.pending.iter().map(|s| s.len()).sum();
         self.entries.reserve(total);
-        for seg in self.pending.drain(..) {
-            self.entries.extend_from_slice(&seg);
+        for seg in std::mem::take(&mut self.pending) {
+            for entry in seg.iter() {
+                self.push(entry.clone());
+            }
+        }
+    }
+
+    /// Add one entry to the retained tail, keeping the marker and vote
+    /// indexes current.
+    #[inline]
+    fn push(&mut self, entry: LogEntry) {
+        self.index(&entry);
+        self.entries.push_back(entry);
+    }
+
+    fn index(&mut self, entry: &LogEntry) {
+        match entry.payload.as_ref() {
+            LogPayload::TxnWrites { txn, .. } | LogPayload::CommitDecision { txn, .. } => {
+                self.resolve_vote(*txn, entry.lsn);
+            }
+            LogPayload::TxnRolledBack { txn } => {
+                self.rolled_back.entry(*txn).or_insert(entry.lsn);
+                self.resolve_vote(*txn, entry.lsn);
+            }
+            LogPayload::CommitVote { txn, .. } => {
+                self.votes.entry(*txn).or_insert(None);
+            }
+            _ => {}
+        }
+    }
+
+    #[inline]
+    fn resolve_vote(&mut self, txn: TxnId, lsn: u64) {
+        // Empty (a lookup that does not even hash) unless Paxos Commit is
+        // logging votes.
+        if let Some(resolved @ None) = self.votes.get_mut(&txn) {
+            *resolved = Some(lsn);
+        }
+    }
+
+    /// Rebuild the marker and vote indexes from the retained entries, after
+    /// an operation that rewrote them wholesale.
+    fn reindex(&mut self) {
+        self.rolled_back.clear();
+        self.votes.clear();
+        let entries = std::mem::take(&mut self.entries);
+        for entry in &entries {
+            self.index(entry);
+        }
+        self.entries = entries;
+    }
+
+    /// Index of the first retained entry with `lsn >= from_lsn`.
+    #[inline]
+    fn position(&self, from_lsn: u64) -> usize {
+        self.entries.partition_point(|e| e.lsn < from_lsn)
+    }
+
+    /// Transactions cancelled by a marker inside the readable prefix
+    /// `entries[..readable]`.
+    fn rolled_back_within(&self, readable: usize) -> HashSet<TxnId> {
+        let Some(horizon) = readable.checked_sub(1).map(|i| self.entries[i].lsn) else {
+            return HashSet::new();
+        };
+        self.rolled_back
+            .iter()
+            .filter(|(_, marker_lsn)| **marker_lsn <= horizon)
+            .map(|(txn, _)| *txn)
+            .collect()
+    }
+}
+
+/// The write-set of one logged transaction, shared with the log entry it
+/// was read from (replay, compensation and folds never copy write-sets).
+/// Dereferences to the `[LoggedWrite]` slice.
+#[derive(Debug, Clone)]
+pub struct LoggedWrites(Arc<LogPayload>);
+
+impl std::ops::Deref for LoggedWrites {
+    type Target = [LoggedWrite];
+
+    fn deref(&self) -> &[LoggedWrite] {
+        match self.0.as_ref() {
+            LogPayload::TxnWrites { writes, .. } => writes,
+            _ => &[],
         }
     }
 }
 
 /// One replayed transaction: its id, commit timestamp and write-set on this
 /// partition.
-pub type ReplayedTxn = (TxnId, Ts, Vec<LoggedWrite>);
+pub type ReplayedTxn = (TxnId, Ts, LoggedWrites);
+
+/// A `TxnWrites` entry picked by a log scan, before ordering.
+struct Picked {
+    ts: Ts,
+    lsn: u64,
+    txn: TxnId,
+    payload: Arc<LogPayload>,
+}
+
+/// What [`PartitionWal::fold_scan`] found: the first LSN the fold may not
+/// pass, and the covered write-sets below it in log order.
+#[derive(Debug)]
+pub(crate) struct FoldChunk {
+    pub stop_lsn: u64,
+    pub writes: Vec<(Ts, LoggedWrites)>,
+}
 
 /// How far a recovery (or checkpoint fold) may read into the log. Every
 /// group-commit scheme translates its own agreement — recovered watermark,
@@ -335,7 +505,7 @@ impl PartitionWal {
             term,
             payload,
         };
-        inner.entries.push(entry.clone());
+        inner.push(entry.clone());
         entry
     }
 
@@ -356,7 +526,9 @@ impl PartitionWal {
             entries[0].lsn, inner.next_lsn,
             "replication batch must continue the replica's log"
         );
-        inner.entries.extend_from_slice(entries);
+        for entry in entries {
+            inner.push(entry.clone());
+        }
         inner.next_lsn = entries[entries.len() - 1].lsn + 1;
     }
 
@@ -399,7 +571,7 @@ impl PartitionWal {
     /// a monotonic clock), so the durable boundary is found by binary search
     /// instead of a reverse scan over the whole log.
     #[inline]
-    fn durable_prefix_len(entries: &[LogEntry], persist_delay_us: u64, now: u64) -> usize {
+    fn durable_prefix_len(entries: &VecDeque<LogEntry>, persist_delay_us: u64, now: u64) -> usize {
         entries.partition_point(|e| e.appended_at_us + persist_delay_us <= now)
     }
 
@@ -412,20 +584,25 @@ impl PartitionWal {
     /// hide quorum-acknowledged entries from recovery. Without a cutoff,
     /// the copy's local persist delay decides.
     #[inline]
-    fn durable_len(&self, entries: &[LogEntry], cutoff_lsn: Option<u64>, now: u64) -> usize {
+    fn readable_len(&self, entries: &VecDeque<LogEntry>, cutoff_lsn: Option<u64>) -> usize {
         match cutoff_lsn {
-            Some(_) => entries.len(),
-            None => Self::durable_prefix_len(entries, self.persist_delay_us, now),
+            Some(cut) => entries.partition_point(|e| e.lsn <= cut),
+            None => Self::durable_prefix_len(entries, self.persist_delay_us, now_us()),
         }
     }
 
     /// Highest LSN that is durable "now" (append time + persist delay has
-    /// elapsed). Returns `None` if nothing is durable yet.
+    /// elapsed). Entries a fold already drained were durable, so the
+    /// horizon never falls below the truncation point. Returns `None` if
+    /// nothing is durable yet.
     pub fn durable_lsn(&self) -> Option<u64> {
         let now = now_us();
         let inner = self.folded();
         let durable = Self::durable_prefix_len(&inner.entries, self.persist_delay_us, now);
-        inner.entries[..durable].last().map(|e| e.lsn)
+        match durable.checked_sub(1) {
+            Some(last) => Some(inner.entries[last].lsn),
+            None => inner.truncated_before.checked_sub(1),
+        }
     }
 
     /// Whether a specific LSN is durable.
@@ -445,50 +622,14 @@ impl PartitionWal {
     /// partition died (or was appended by the dead leader's agent during
     /// the outage) is never recovered from.
     pub fn latest_durable_watermark_at(&self, cutoff_lsn: Option<u64>) -> Option<Ts> {
-        let now = now_us();
         let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
-            .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-            .find_map(|e| match *e.payload {
-                LogPayload::Watermark { wp } => Some(wp),
-                _ => None,
-            })
-    }
-
-    /// The newest durable checkpoint image whose entry LSN does not exceed
-    /// `cutoff_lsn` (pass the durable LSN captured at crash time so recovery
-    /// never restores an image that was still volatile when the partition
-    /// died).
-    pub fn latest_durable_checkpoint(
-        &self,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<Arc<CheckpointImage>> {
-        let now = now_us();
-        let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
-            .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-            .find_map(|e| match e.payload.as_ref() {
-                LogPayload::Checkpoint { image } => Some(Arc::clone(image)),
-                _ => None,
-            })
-    }
-
-    /// The latest (checkpoint-entry LSN, image) pair regardless of
-    /// durability — the checkpoint writer folds forward from here.
-    pub fn latest_checkpoint(&self) -> Option<(u64, Arc<CheckpointImage>)> {
-        let inner = self.folded();
+        let readable = self.readable_len(&inner.entries, cutoff_lsn);
         inner
             .entries
-            .iter()
+            .range(..readable)
             .rev()
-            .find_map(|e| match e.payload.as_ref() {
-                LogPayload::Checkpoint { image } => Some((e.lsn, Arc::clone(image))),
+            .find_map(|e| match *e.payload {
+                LogPayload::Watermark { wp } => Some(wp),
                 _ => None,
             })
     }
@@ -502,13 +643,12 @@ impl PartitionWal {
         max_epoch: u64,
         cutoff_lsn: Option<u64>,
     ) -> Option<u64> {
-        let now = now_us();
         let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
+        let readable = self.readable_len(&inner.entries, cutoff_lsn);
+        inner
+            .entries
+            .range(..readable)
             .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
             .find_map(|e| match *e.payload {
                 LogPayload::EpochBoundary { epoch } if epoch <= max_epoch => Some(e.lsn),
                 _ => None,
@@ -549,41 +689,37 @@ impl PartitionWal {
     /// marker (a crash rolled them back and compensation undid their
     /// installed writes) are never replayed, whatever the bound says — the
     /// bound keeps advancing after the crash, the rollback decision does not.
+    /// Markers cancel entries *behind* them (lower LSNs), so every marker in
+    /// the readable prefix counts, with the same durability and crash-cutoff
+    /// rule as the entries themselves.
     ///
     /// Sorted and deduplicated exactly like [`PartitionWal::replay_prefix`].
+    /// The write-sets are shared with the log's entries, not copied.
     pub fn replay_range(
         &self,
         from_lsn: u64,
         bound: &ReplayBound,
         cutoff_lsn: Option<u64>,
     ) -> Vec<ReplayedTxn> {
-        let now = now_us();
-        let picked: Vec<(Ts, u64, TxnId, Vec<LoggedWrite>)> = {
+        let picked: Vec<Picked> = {
             let inner = self.folded();
-            // Rollback markers cancel entries *behind* them (lower LSNs), so
-            // they are collected over the whole log with the same durability
-            // and crash-cutoff filters as the entries themselves. An
-            // explicit cutoff is a durability horizon (see `durable_len`),
-            // so the local age filter only applies without one.
-            let marker_durability = match cutoff_lsn {
-                Some(_) => None,
-                None => Some((now, self.persist_delay_us)),
-            };
-            let rolled_back = Self::rolled_back_in(&inner, marker_durability, cutoff_lsn);
+            let readable = self.readable_len(&inner.entries, cutoff_lsn);
+            let start = inner.position(from_lsn).min(readable);
+            let cancelled = inner.rolled_back_within(readable);
             inner
                 .entries
-                .iter()
-                .filter(|e| e.lsn >= from_lsn)
-                .filter(|e| match cutoff_lsn {
-                    Some(cut) => e.lsn <= cut,
-                    None => e.appended_at_us + self.persist_delay_us <= now,
-                })
+                .range(start..readable)
                 .filter_map(|e| match e.payload.as_ref() {
-                    LogPayload::TxnWrites { txn, ts, writes }
+                    LogPayload::TxnWrites { txn, ts, .. }
                         if bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us)
-                            && !rolled_back.contains(txn) =>
+                            && !cancelled.contains(txn) =>
                     {
-                        Some((*ts, e.lsn, *txn, writes.clone()))
+                        Some(Picked {
+                            ts: *ts,
+                            lsn: e.lsn,
+                            txn: *txn,
+                            payload: Arc::clone(&e.payload),
+                        })
                     }
                     _ => None,
                 })
@@ -592,59 +728,28 @@ impl PartitionWal {
         Self::sort_dedup_by_txn(picked)
     }
 
-    /// Order picked entries by `(ts, lsn)` and deduplicate by transaction
-    /// id, keeping the highest-LSN entry: a transaction logs one entry per
-    /// partition, so later duplicates (if a caller ever re-appends)
-    /// supersede earlier ones. Shared by [`PartitionWal::replay_range`] and
+    /// Deduplicate picked entries by transaction id, keeping the
+    /// highest-LSN entry (a transaction logs one entry per partition, so
+    /// later duplicates — if a caller ever re-appends — supersede earlier
+    /// ones), then order by `(ts, lsn)`. Shared by
+    /// [`PartitionWal::replay_range`] and
     /// [`PartitionWal::collect_rolled_back`] so the set of transactions
     /// replayed and the set compensated can never diverge on the
     /// ordering/dedup rule.
-    fn sort_dedup_by_txn(mut picked: Vec<(Ts, u64, TxnId, Vec<LoggedWrite>)>) -> Vec<ReplayedTxn> {
-        picked.sort_by_key(|(ts, lsn, _, _)| (*ts, *lsn));
-        let mut out: Vec<ReplayedTxn> = Vec::with_capacity(picked.len());
-        let mut seen: std::collections::HashMap<TxnId, usize> = std::collections::HashMap::new();
-        for (ts, _lsn, txn, writes) in picked {
-            match seen.get(&txn) {
-                Some(&i) => out[i] = (txn, ts, writes),
-                None => {
-                    seen.insert(txn, out.len());
-                    out.push((txn, ts, writes));
-                }
-            }
-        }
-        out
-    }
-
-    /// Collect the transaction ids cancelled by [`LogPayload::TxnRolledBack`]
-    /// markers. `durability` is `Some((now, persist_delay))` to honour only
-    /// markers that are durable at `now` (replay semantics: a marker still in
-    /// its persist window at a crash is lost, exactly like a write-set);
-    /// `None` trusts every marker in the log (live compensation, which runs
-    /// on a partition that did not crash). `cutoff_lsn` restricts to markers
-    /// at or below the crash-time durable LSN.
-    fn rolled_back_in(
-        inner: &WalInner,
-        durability: Option<(u64, u64)>,
-        cutoff_lsn: Option<u64>,
-    ) -> std::collections::HashSet<TxnId> {
-        inner
-            .entries
-            .iter()
-            .filter(|e| {
-                durability.is_none_or(|(now, delay)| e.appended_at_us + delay <= now)
-                    && cutoff_lsn.is_none_or(|cut| e.lsn <= cut)
-            })
-            .filter_map(|e| match *e.payload {
-                LogPayload::TxnRolledBack { txn } => Some(txn),
-                _ => None,
-            })
+    fn sort_dedup_by_txn(mut picked: Vec<Picked>) -> Vec<ReplayedTxn> {
+        picked.sort_unstable_by_key(|p| std::cmp::Reverse((p.txn, p.lsn)));
+        picked.dedup_by_key(|p| p.txn);
+        picked.sort_unstable_by_key(|p| (p.ts, p.lsn));
+        picked
+            .into_iter()
+            .map(|p| (p.txn, p.ts, LoggedWrites(p.payload)))
             .collect()
     }
 
     /// All transaction ids with a rollback marker in this log, regardless of
     /// durability (exposed for compensation and tests).
-    pub fn rolled_back_txns(&self) -> std::collections::HashSet<TxnId> {
-        Self::rolled_back_in(&self.folded(), None, None)
+    pub fn rolled_back_txns(&self) -> HashSet<TxnId> {
+        self.folded().rolled_back.keys().copied().collect()
     }
 
     /// The `TxnWrites` entries `bound` does **not** cover and no rollback
@@ -663,19 +768,23 @@ impl PartitionWal {
         bound: &ReplayBound,
         upper_cutoff: Option<u64>,
     ) -> Vec<ReplayedTxn> {
-        let picked: Vec<(Ts, u64, TxnId, Vec<LoggedWrite>)> = {
+        let picked: Vec<Picked> = {
             let inner = self.folded();
-            let already = Self::rolled_back_in(&inner, None, None);
+            let end = upper_cutoff.map_or(inner.entries.len(), |cut| inner.position(cut));
             inner
                 .entries
-                .iter()
-                .filter(|e| upper_cutoff.is_none_or(|cut| e.lsn < cut))
+                .range(..end)
                 .filter_map(|e| match e.payload.as_ref() {
-                    LogPayload::TxnWrites { txn, ts, writes }
+                    LogPayload::TxnWrites { txn, ts, .. }
                         if !bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us)
-                            && !already.contains(txn) =>
+                            && !inner.rolled_back.contains_key(txn) =>
                     {
-                        Some((*ts, e.lsn, *txn, writes.clone()))
+                        Some(Picked {
+                            ts: *ts,
+                            lsn: e.lsn,
+                            txn: *txn,
+                            payload: Arc::clone(&e.payload),
+                        })
                     }
                     _ => None,
                 })
@@ -687,13 +796,12 @@ impl PartitionWal {
     /// The newest durable [`LogPayload::CommitDecision`] verdict for `txn`
     /// at or below `cutoff_lsn`, if any.
     pub fn commit_decision_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let now = now_us();
         let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
+        let readable = self.readable_len(&inner.entries, cutoff_lsn);
+        inner
+            .entries
+            .range(..readable)
             .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
             .find_map(|e| match *e.payload {
                 LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
                 _ => None,
@@ -703,13 +811,12 @@ impl PartitionWal {
     /// The durable [`LogPayload::CommitVote`] for `txn` at or below
     /// `cutoff_lsn`, if any (verdict assembly and tests).
     pub fn commit_vote_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let now = now_us();
         let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
-        inner.entries[..durable]
-            .iter()
+        let readable = self.readable_len(&inner.entries, cutoff_lsn);
+        inner
+            .entries
+            .range(..readable)
             .rev()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
             .find_map(|e| match *e.payload {
                 LogPayload::CommitVote { txn: t, commit, .. } if t == txn => Some(commit),
                 _ => None,
@@ -722,30 +829,32 @@ impl PartitionWal {
     /// to completion on this partition) and no [`LogPayload::TxnRolledBack`]
     /// marker. These are the in-doubt transactions recovery must terminate;
     /// it seals each with a global abort decision (presumed abort). Returned
-    /// in first-vote order.
+    /// in first-vote order. (A fold never drains a vote before its
+    /// resolution is durable, so an in-doubt vote is always still retained.)
     pub fn unresolved_commit_votes(&self, cutoff_lsn: Option<u64>) -> Vec<TxnId> {
-        let now = now_us();
         let inner = self.folded();
-        let durable = self.durable_len(&inner.entries, cutoff_lsn, now);
+        let readable = self.readable_len(&inner.entries, cutoff_lsn);
         let mut voted: Vec<TxnId> = Vec::new();
-        let mut resolved: std::collections::HashSet<TxnId> = std::collections::HashSet::new();
-        for e in inner.entries[..durable]
-            .iter()
-            .filter(|e| cutoff_lsn.is_none_or(|cut| e.lsn <= cut))
-        {
+        // txn -> resolved? A vote is recorded (in order) the first time its
+        // transaction is seen unresolved.
+        let mut resolved: HashMap<TxnId, bool> = HashMap::new();
+        for e in inner.entries.range(..readable) {
             match e.payload.as_ref() {
-                LogPayload::CommitVote { txn, .. } if !voted.contains(txn) => {
-                    voted.push(*txn);
+                LogPayload::CommitVote { txn, .. } => {
+                    resolved.entry(*txn).or_insert_with(|| {
+                        voted.push(*txn);
+                        false
+                    });
                 }
                 LogPayload::CommitDecision { txn, .. }
                 | LogPayload::TxnWrites { txn, .. }
                 | LogPayload::TxnRolledBack { txn } => {
-                    resolved.insert(*txn);
+                    resolved.insert(*txn, true);
                 }
                 _ => {}
             }
         }
-        voted.retain(|t| !resolved.contains(t));
+        voted.retain(|t| !resolved[t]);
         voted
     }
 
@@ -754,38 +863,75 @@ impl PartitionWal {
         let inner = self.folded();
         inner
             .entries
-            .iter()
-            .filter(|e| e.lsn >= from_lsn)
+            .range(inner.position(from_lsn)..)
             .cloned()
             .collect()
     }
 
-    /// The first LSN at or after `from_lsn` that may **not** be folded into
-    /// a checkpoint: the first entry that is not yet durable, or a
-    /// transaction write-set `bound` does not cover. Control entries inside
-    /// the folded prefix are folded past, and so are write-sets cancelled by
-    /// a durable rollback marker (the fold's `replay_range` skips them, so
-    /// they never reach the image). A metadata-only scan under the log lock
-    /// — no entry is cloned.
-    pub fn fold_stop_lsn(&self, from_lsn: u64, bound: &ReplayBound) -> u64 {
-        let now = now_us();
+    /// One fold step over this copy: starting at `from_lsn` (found by
+    /// binary search), walk at most `max_entries` entries — leaving at
+    /// least `keep` retained — and stop at the first entry the fold may
+    /// **not** absorb:
+    ///
+    /// * an entry above `durable_lsn` (the caller's quorum horizon);
+    /// * a write-set `bound` does not cover;
+    /// * a [`LogPayload::CommitVote`] whose outcome is not durably known —
+    ///   no decision, installed write-set or rollback marker at or below
+    ///   `durable_lsn` (Gray & Lamport: a resource manager's vote stays on
+    ///   stable storage until the outcome is known, so a coordinator crash
+    ///   in the prepare→decide window can still be terminated).
+    ///
+    /// Control entries are folded past, and so are write-sets cancelled by a
+    /// rollback marker — any marker, durable or not: this copy did not
+    /// crash, and a cancelled write-set must never reach the image. Only the
+    /// covered write-sets' shared payload handles are copied under the log
+    /// lock; the caller applies them outside it.
+    pub(crate) fn fold_scan(
+        &self,
+        from_lsn: u64,
+        bound: &ReplayBound,
+        durable_lsn: u64,
+        max_entries: usize,
+        keep: usize,
+    ) -> FoldChunk {
         let inner = self.folded();
-        let rolled_back = Self::rolled_back_in(&inner, Some((now, self.persist_delay_us)), None);
-        let mut stop = from_lsn;
-        for entry in inner.entries.iter().filter(|e| e.lsn >= from_lsn) {
-            if entry.appended_at_us + self.persist_delay_us > now {
+        let start = inner.position(from_lsn);
+        let end = inner
+            .entries
+            .len()
+            .saturating_sub(keep)
+            .min(start.saturating_add(max_entries));
+        let mut chunk = FoldChunk {
+            stop_lsn: from_lsn,
+            writes: Vec::new(),
+        };
+        for e in inner.entries.range(start..end.max(start)) {
+            if e.lsn > durable_lsn {
                 break;
             }
-            if let LogPayload::TxnWrites { txn, ts, .. } = entry.payload.as_ref() {
-                if !rolled_back.contains(txn)
-                    && !bound.covers(*ts, entry.lsn, entry.appended_at_us, self.ack_delay_us)
-                {
-                    break;
+            match e.payload.as_ref() {
+                LogPayload::TxnWrites { txn, ts, .. } if !inner.rolled_back.contains_key(txn) => {
+                    if !bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us) {
+                        break;
+                    }
+                    chunk
+                        .writes
+                        .push((*ts, LoggedWrites(Arc::clone(&e.payload))));
                 }
+                LogPayload::CommitVote { txn, .. } => {
+                    let outcome_durable = matches!(
+                        inner.votes.get(txn),
+                        Some(Some(resolved_at)) if *resolved_at <= durable_lsn
+                    );
+                    if !outcome_durable {
+                        break;
+                    }
+                }
+                _ => {}
             }
-            stop = entry.lsn + 1;
+            chunk.stop_lsn = e.lsn + 1;
         }
-        stop
+        chunk
     }
 
     /// Recovery-time log repair: remove every `TxnWrites` entry at or after
@@ -808,17 +954,13 @@ impl PartitionWal {
     }
 
     /// The transaction ids cancelled by a marker that is durable on *this*
-    /// log copy right now, restricted to markers at or below `cutoff_lsn`.
-    pub(crate) fn durable_rolled_back(
-        &self,
-        cutoff_lsn: Option<u64>,
-    ) -> std::collections::HashSet<TxnId> {
-        let durability = match cutoff_lsn {
-            // The cutoff is a durability horizon (see `durable_len`).
-            Some(_) => None,
-            None => Some((now_us(), self.persist_delay_us)),
-        };
-        Self::rolled_back_in(&self.folded(), durability, cutoff_lsn)
+    /// log copy right now, restricted to markers at or below `cutoff_lsn`
+    /// (the cutoff is itself a durability horizon, see
+    /// [`PartitionWal::readable_len`]).
+    pub(crate) fn durable_rolled_back(&self, cutoff_lsn: Option<u64>) -> HashSet<TxnId> {
+        let inner = self.folded();
+        let readable = self.readable_len(&inner.entries, cutoff_lsn);
+        inner.rolled_back_within(readable)
     }
 
     /// [`PartitionWal::retain_replayable`] with the cancelled-transaction
@@ -831,7 +973,7 @@ impl PartitionWal {
         from_lsn: u64,
         bound: &ReplayBound,
         cutoff_lsn: Option<u64>,
-        rolled_back: &std::collections::HashSet<TxnId>,
+        rolled_back: &HashSet<TxnId>,
     ) -> usize {
         let mut inner = self.folded();
         let before = inner.entries.len();
@@ -849,10 +991,16 @@ impl PartitionWal {
                 _ => true,
             }
         });
-        before - inner.entries.len()
+        let removed = before - inner.entries.len();
+        if removed > 0 && !inner.votes.is_empty() {
+            // A purged write-set may have been a vote's only resolution.
+            inner.reindex();
+        }
+        removed
     }
 
-    /// Number of entries appended so far.
+    /// Number of entries this copy retains (appended and not yet drained by
+    /// a fold).
     pub fn len(&self) -> usize {
         self.folded().entries.len()
     }
@@ -872,7 +1020,19 @@ impl PartitionWal {
         // Pending segments are received-but-unfolded disk contents: the disk
         // is gone, so they go with it (never resurrected by a later fold).
         inner.pending.clear();
+        inner.rolled_back.clear();
+        inner.votes.clear();
         dropped
+    }
+
+    /// The authoritative content a repair copies to other replicas: the
+    /// retained entries and the truncation point below them.
+    pub(crate) fn authority(&self) -> (Vec<LogEntry>, u64) {
+        let inner = self.folded();
+        (
+            inner.entries.iter().cloned().collect(),
+            inner.truncated_before,
+        )
     }
 
     /// Replace this replica's entries wholesale with an authoritative copy
@@ -880,32 +1040,47 @@ impl PartitionWal {
     /// [`crate::ReplicatedLog::repair_replicas`]). Entries keep their
     /// original LSNs and append times, so durability checks still reflect
     /// when the record was originally written.
-    pub(crate) fn replace_entries(&self, entries: Vec<LogEntry>, next_lsn: u64) {
+    pub(crate) fn replace_entries(
+        &self,
+        entries: Vec<LogEntry>,
+        truncated_before: u64,
+        next_lsn: u64,
+    ) {
         let mut inner = self.inner.lock();
-        inner.entries = entries;
+        inner.entries = entries.into();
+        inner.truncated_before = truncated_before;
         // The authoritative copy supersedes anything still unfolded.
         inner.pending.clear();
         inner.next_lsn = next_lsn.max(inner.next_lsn);
+        inner.reindex();
     }
 
-    /// Truncate the log up to (and excluding) `lsn` after a checkpoint.
-    /// Returns the number of entries removed.
-    pub fn truncate_before(&self, lsn: u64) -> usize {
+    /// Drain every retained entry below `lsn` off the front of the log —
+    /// the caller folded them into the checkpoint image, so they were
+    /// durable. Returns the drained entries so the caller can drop them
+    /// (and free their payloads) outside its own locks.
+    pub(crate) fn drain_before(&self, lsn: u64) -> Vec<LogEntry> {
         let mut inner = self.folded();
-        let before = inner.entries.len();
-        inner.entries.retain(|e| e.lsn >= lsn);
-        before - inner.entries.len()
-    }
-
-    /// Truncate everything already folded into the newest **durable**
-    /// checkpoint. Entries folded into a checkpoint that is still within its
-    /// persist delay are retained, so a crash immediately after a checkpoint
-    /// can always fall back to the previous durable image plus the log.
-    pub fn truncate_to_durable_checkpoint(&self) -> usize {
-        match self.latest_durable_checkpoint(None) {
-            Some(image) => self.truncate_before(image.base_lsn),
-            None => 0,
+        let n = inner.position(lsn);
+        let drained: Vec<LogEntry> = inner.entries.drain(..n).collect();
+        if !inner.rolled_back.is_empty() || !inner.votes.is_empty() {
+            for e in &drained {
+                match e.payload.as_ref() {
+                    LogPayload::TxnRolledBack { txn }
+                        if inner.rolled_back.get(txn) == Some(&e.lsn) =>
+                    {
+                        inner.rolled_back.remove(txn);
+                    }
+                    LogPayload::CommitVote { txn, .. } => {
+                        inner.votes.remove(txn);
+                    }
+                    _ => {}
+                }
+            }
         }
+        let drained_to = lsn.min(inner.next_lsn);
+        inner.truncated_before = inner.truncated_before.max(drained_to);
+        drained
     }
 }
 
@@ -1015,7 +1190,7 @@ mod tests {
         for i in 0..10u64 {
             wal.append(LogPayload::Watermark { wp: i });
         }
-        assert_eq!(wal.truncate_before(5), 5);
+        assert_eq!(wal.drain_before(5).len(), 5);
         assert_eq!(wal.len(), 5);
         assert_eq!(wal.partition(), PartitionId(1));
     }
@@ -1053,37 +1228,6 @@ mod tests {
         assert!(!image.records.contains_key(&(TableId(0), 2)));
         assert_eq!(image.len(), 1);
         assert!(!image.is_empty());
-    }
-
-    #[test]
-    fn latest_durable_checkpoint_respects_cutoff() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        let old = Arc::new(CheckpointImage {
-            up_to_ts: 1,
-            base_lsn: 0,
-            records: BTreeMap::new(),
-        });
-        let new = Arc::new(CheckpointImage {
-            up_to_ts: 9,
-            base_lsn: 1,
-            records: BTreeMap::new(),
-        });
-        let old_lsn = wal.append(LogPayload::Checkpoint {
-            image: Arc::clone(&old),
-        });
-        wal.append(LogPayload::Checkpoint {
-            image: Arc::clone(&new),
-        });
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_checkpoint(None).unwrap().up_to_ts, 9);
-        // A cutoff below the newer checkpoint falls back to the older image.
-        assert_eq!(
-            wal.latest_durable_checkpoint(Some(old_lsn))
-                .unwrap()
-                .up_to_ts,
-            1
-        );
-        assert_eq!(wal.latest_checkpoint().unwrap().1.up_to_ts, 9);
     }
 
     #[test]
@@ -1128,7 +1272,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_stop_lsn_matches_the_cloneful_scan() {
+    fn fold_scan_stops_at_uncovered_write_sets_and_the_durable_horizon() {
         let wal = PartitionWal::new(PartitionId(0), 0);
         wal.append(LogPayload::TxnWrites {
             txn: txn(1),
@@ -1142,11 +1286,96 @@ mod tests {
             writes: writes(2),
         });
         wal.append(LogPayload::Watermark { wp: 60 });
-        std::thread::sleep(Duration::from_millis(1));
+        let all =
+            |bound: ReplayBound, durable: u64| wal.fold_scan(0, &bound, durable, usize::MAX, 0);
         // Stops at the first uncovered TxnWrites, folding past control
         // entries before it.
-        assert_eq!(wal.fold_stop_lsn(0, &ReplayBound::Ts(10)), uncovered);
-        assert_eq!(wal.fold_stop_lsn(0, &ReplayBound::Ts(100)), wal.end_lsn());
+        let chunk = all(ReplayBound::Ts(10), u64::MAX);
+        assert_eq!(chunk.stop_lsn, uncovered);
+        assert_eq!(chunk.writes.len(), 1);
+        assert_eq!(chunk.writes[0].0, 2);
+        assert_eq!(all(ReplayBound::Ts(100), u64::MAX).stop_lsn, wal.end_lsn());
+        // Never past the caller's durable horizon.
+        assert_eq!(all(ReplayBound::Ts(100), 1).stop_lsn, 2);
+        // A chunk walks at most `max_entries` entries and leaves `keep`.
+        let chunk = wal.fold_scan(0, &ReplayBound::Ts(100), u64::MAX, 1, 0);
+        assert_eq!(chunk.stop_lsn, 1);
+        let chunk = wal.fold_scan(0, &ReplayBound::Ts(100), u64::MAX, usize::MAX, 3);
+        assert_eq!(chunk.stop_lsn, 1);
+        // The scan starts where the last one stopped.
+        let chunk = wal.fold_scan(1, &ReplayBound::Ts(100), u64::MAX, usize::MAX, 0);
+        assert_eq!(chunk.writes.len(), 1);
+        assert_eq!(chunk.writes[0].0, 50);
+    }
+
+    #[test]
+    fn fold_scan_keeps_a_vote_until_its_outcome_is_durable() {
+        let wal = PartitionWal::new(PartitionId(0), 0);
+        let vote = |t: TxnId| LogPayload::CommitVote {
+            txn: t,
+            coordinator: PartitionId(0),
+            commit: true,
+        };
+        wal.append(LogPayload::Watermark { wp: 1 });
+        let resolved_vote = wal.append(vote(txn(1)));
+        let decision = wal.append(LogPayload::CommitDecision {
+            txn: txn(1),
+            commit: true,
+        });
+        let in_doubt = wal.append(vote(txn(2)));
+        wal.append(LogPayload::Watermark { wp: 2 });
+        let scan = |durable: u64| {
+            wal.fold_scan(0, &ReplayBound::Lsn(u64::MAX), durable, usize::MAX, 0)
+                .stop_lsn
+        };
+        // The in-doubt vote (no decision, write-set or rollback) stops the
+        // fold however durable it is.
+        assert_eq!(scan(u64::MAX), in_doubt);
+        // A vote whose decision is appended but not yet durable stays too.
+        assert_eq!(scan(decision - 1), resolved_vote);
+        // Resolving the in-doubt vote lets the fold pass it.
+        wal.append(LogPayload::CommitDecision {
+            txn: txn(2),
+            commit: false,
+        });
+        assert_eq!(scan(u64::MAX), wal.end_lsn());
+    }
+
+    #[test]
+    fn drain_keeps_the_durable_horizon_and_forgets_drained_markers() {
+        let wal = PartitionWal::new(PartitionId(0), 0);
+        wal.append(LogPayload::TxnWrites {
+            txn: txn(1),
+            ts: 5,
+            writes: writes(1),
+        });
+        wal.append(LogPayload::TxnRolledBack { txn: txn(1) });
+        wal.append(LogPayload::CommitVote {
+            txn: txn(2),
+            coordinator: PartitionId(0),
+            commit: true,
+        });
+        let last = wal.append(LogPayload::CommitDecision {
+            txn: txn(2),
+            commit: true,
+        });
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(wal.drain_before(last + 1).len(), 4);
+        assert!(wal.is_empty());
+        assert_eq!(
+            wal.durable_lsn(),
+            Some(last),
+            "drained entries were durable: the horizon must not fall back to None"
+        );
+        assert!(wal.rolled_back_txns().is_empty());
+        assert_eq!(wal.end_lsn(), last + 1, "the LSN counter survives");
+        // A copy with a slow disk: the drained prefix still counts.
+        let slow = PartitionWal::new(PartitionId(0), 60_000);
+        slow.append(LogPayload::Watermark { wp: 1 });
+        slow.append(LogPayload::Watermark { wp: 2 });
+        assert_eq!(slow.durable_lsn(), None);
+        slow.drain_before(1);
+        assert_eq!(slow.durable_lsn(), Some(0));
     }
 
     #[test]
@@ -1169,8 +1398,11 @@ mod tests {
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].0, txn(1));
         // The fold scan advances past the cancelled entry instead of
-        // stopping on it, even under a bound that does not cover it.
-        assert_eq!(wal.fold_stop_lsn(0, &ReplayBound::Ts(6)), wal.end_lsn());
+        // stopping on it, even under a bound that does not cover it — and
+        // never hands it to the image.
+        let chunk = wal.fold_scan(0, &ReplayBound::Ts(6), u64::MAX, usize::MAX, 0);
+        assert_eq!(chunk.stop_lsn, wal.end_lsn());
+        assert_eq!(chunk.writes.len(), 1);
         // Log repair drops the cancelled entry but keeps the marker.
         let removed = wal.retain_replayable(0, &ReplayBound::Ts(u64::MAX), Some(wal.end_lsn()));
         assert_eq!(removed, 1);

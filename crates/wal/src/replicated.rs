@@ -31,7 +31,7 @@
 //!   [`ReplicatedLog::durable_lsn`] is the **quorum-acked** LSN: the highest
 //!   LSN persisted by a majority of replicas (the median replica for RF 3).
 //!   Every durable read — watermark lookup, checkpoint restore, bounded
-//!   replay, checkpoint folding, truncation — is clamped to that horizon,
+//!   replay, checkpoint folding — is clamped to that horizon,
 //!   so nothing is ever treated as durable that a quorum could not
 //!   reproduce. With RF 1 the quorum is the single copy and behaviour is
 //!   identical to the old `PartitionWal`.
@@ -51,8 +51,24 @@
 //!   from the elected leader's log ([`ReplicatedLog::repair_replicas`]), so
 //!   the replica set returns to full strength and can absorb further
 //!   crashes.
+//! * **Retention: the rolling checkpoint image.** The log owns the
+//!   partition's [`CheckpointImage`] and bounds itself by folding into it
+//!   ([`ReplicatedLog::fold`]): the quorum-durable prefix the group-commit
+//!   scheme vouches for is applied to the image **in place** and drained off
+//!   the front of every replica, a bounded chunk per call. The image only
+//!   ever absorbs quorum-durable, never-to-be-rolled-back entries, so every
+//!   intact replica could rebuild the identical image from its own copy —
+//!   the simulation keeps one, exactly as it shares one payload allocation
+//!   between the replicas' entries. Losing the leader's disk therefore
+//!   loses nothing of the image while any replica survives; when the last
+//!   intact copy is wiped the image goes with it. A fold is atomic with
+//!   respect to the crash-time horizon ([`ReplicatedLog::crash_horizon`]):
+//!   a crash sees the image and the log either before or after a chunk.
 
-use crate::log::{CheckpointImage, LogEntry, LogPayload, PartitionWal, ReplayBound, ReplayedTxn};
+use crate::log::{
+    CheckpointImage, ImageSummary, LogEntry, LogPayload, PartitionWal, ReplayBound, ReplayedTxn,
+    FOLD_CHUNK, RETENTION_TARGET,
+};
 use parking_lot::{Condvar, Mutex};
 use primo_common::config::WalConfig;
 use primo_common::sim_time::now_us;
@@ -78,6 +94,31 @@ const PUMP_TICK: Duration = Duration::from_millis(2);
 /// snapshot-horizon read — it must not allocate).
 const INLINE_VOTES: usize = 16;
 
+/// How much one [`ReplicatedLog::fold`] pass may absorb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldScope {
+    /// At most [`FOLD_CHUNK`] entries, never below [`RETENTION_TARGET`]
+    /// retained, and only if no other fold is running — the self-driven
+    /// step a committing worker takes when [`ReplicatedLog::fold_due`].
+    Chunk,
+    /// Everything foldable right now (explicit checkpoints).
+    Everything,
+}
+
+/// What one [`ReplicatedLog::fold`] pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldStats {
+    /// Committed transactions applied to the image.
+    pub folded_txns: usize,
+    /// Entries drained off the leader's copy (every replica drains the same
+    /// prefix).
+    pub truncated_entries: usize,
+    /// Records in the image after the pass.
+    pub image_records: usize,
+    /// The image's coverage bound after the pass.
+    pub up_to_ts: Ts,
+}
+
 /// Quorum-durable replicated log of one partition. See the module docs.
 pub struct ReplicatedLog {
     core: Arc<LogCore>,
@@ -88,13 +129,29 @@ pub struct ReplicatedLog {
 /// Shared state of the replica set — everything both the callers (through
 /// [`ReplicatedLog`]'s delegating methods) and the replication pump touch.
 ///
-/// Lock order: `ship_lock` → `ring` → a replica's inner log lock. The
-/// sequencer (stage 1) takes only `ring`; the pump and every drain-before-
-/// read path take `ship_lock` first, so a drain observed by one caller is
-/// complete before the next begins and batches reach the followers in LSN
-/// order.
+/// Lock order: `image` → `ship_lock` → `ring` → a replica's inner log lock.
+/// The sequencer (stage 1) takes only `ring`; the pump and every drain-
+/// before-read path take `ship_lock` first, so a drain observed by one
+/// caller is complete before the next begins and batches reach the
+/// followers in LSN order.
 struct LogCore {
     partition: PartitionId,
+    /// The partition's rolling checkpoint image (`None` until a base image
+    /// is installed, and again once every replica lost its disk). The lock
+    /// doubles as the fold lock: a fold holds it from choosing its chunk to
+    /// draining it, and so do the crash-time horizon read and every
+    /// operation that can discard a replica, which makes a chunk atomic for
+    /// all of them.
+    image: Mutex<Option<CheckpointImage>>,
+    /// `image.base_lsn` mirrored for the lock-free [`ReplicatedLog::fold_due`]
+    /// check (`u64::MAX` while there is no image, so nothing looks due).
+    image_base: AtomicU64,
+    /// The sequencer's next LSN mirrored for the same check.
+    end_hint: AtomicU64,
+    /// After a self-driven pass that could fold nothing (the scheme's bound
+    /// or the quorum stalled), the log end at which it is worth trying
+    /// again; 0 otherwise.
+    fold_retry_at: AtomicU64,
     /// The replica set; index 0 is the initial leader's local copy.
     replicas: Vec<Arc<PartitionWal>>,
     /// Replicas whose disk was discarded and not yet repaired. A wiped
@@ -215,6 +272,10 @@ impl ReplicatedLog {
             .collect();
         let core = Arc::new(LogCore {
             partition,
+            image: Mutex::new(None),
+            image_base: AtomicU64::new(u64::MAX),
+            end_hint: AtomicU64::new(0),
+            fold_retry_at: AtomicU64::new(0),
             replicas,
             wiped: (0..rf).map(|_| AtomicBool::new(false)).collect(),
             quorum,
@@ -387,23 +448,159 @@ impl ReplicatedLog {
             .latest_durable_watermark_at(Some(cut))
     }
 
-    /// The newest checkpoint image that is quorum-durable and at or below
-    /// `cutoff_lsn`.
-    pub fn latest_durable_checkpoint(
-        &self,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<Arc<CheckpointImage>> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .latest_durable_checkpoint(Some(cut))
+    /// Install `image` as the partition's base checkpoint image, replacing
+    /// any existing one: a [`LogPayload::Checkpoint`] marker is appended and
+    /// the image starts covering the log from the marker on (everything
+    /// logged before it is considered covered by the image). Recovery may
+    /// restore the image once the marker is quorum-durable. Returns the
+    /// marker's LSN.
+    pub fn install_base_image(&self, mut image: CheckpointImage) -> u64 {
+        let mut slot = self.core.image.lock();
+        let lsn = self.append(LogPayload::Checkpoint {
+            up_to_ts: image.up_to_ts,
+        });
+        image.installed_lsn = lsn;
+        image.base_lsn = lsn;
+        *slot = Some(image);
+        self.core.image_base.store(lsn, Ordering::Relaxed);
+        self.core.fold_retry_at.store(0, Ordering::Relaxed);
+        lsn
     }
 
-    /// The latest (checkpoint-entry LSN, image) pair regardless of
-    /// durability — the checkpoint writer folds forward from here.
-    pub fn latest_checkpoint(&self) -> Option<(u64, Arc<CheckpointImage>)> {
-        self.core.sync_replicas();
-        self.core.leader_replica().latest_checkpoint()
+    /// Read the rolling image, regardless of durability (`None` while the
+    /// partition has none). Waits out a fold in progress.
+    pub fn with_image<R>(&self, read: impl FnOnce(&CheckpointImage) -> R) -> Option<R> {
+        self.core.image.lock().as_ref().map(read)
+    }
+
+    /// Read the rolling image if it is restorable at `cutoff_lsn`: its
+    /// install marker was quorum-durable at the cutoff (recovery passes the
+    /// crash-time quorum LSN). Everything folded since was quorum-durable
+    /// when it was folded, and folds are atomic with respect to
+    /// [`ReplicatedLog::crash_horizon`], so the image never runs ahead of a
+    /// cutoff captured there.
+    pub fn with_durable_image<R>(
+        &self,
+        cutoff_lsn: Option<u64>,
+        read: impl FnOnce(&CheckpointImage) -> R,
+    ) -> Option<R> {
+        let slot = self.core.image.lock();
+        let image = slot.as_ref()?;
+        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
+        (image.installed_lsn <= cut).then(|| read(image))
+    }
+
+    /// The rolling image's (install-marker LSN, coverage) regardless of
+    /// durability.
+    pub fn latest_checkpoint(&self) -> Option<(u64, ImageSummary)> {
+        self.with_image(|image| (image.installed_lsn, image.summary()))
+    }
+
+    /// The quorum-acked LSN as a crash must capture it: read while no fold
+    /// is between applying a chunk to the image and draining it from the
+    /// replicas, so recovery sees the image and the log either before or
+    /// after the chunk.
+    pub fn crash_horizon(&self) -> Option<u64> {
+        let _image = self.core.image.lock();
+        self.core.durable_lsn()
+    }
+
+    /// Whether a self-driven fold step is worth taking: more than twice
+    /// [`RETENTION_TARGET`] entries are retained past the image, and the
+    /// last attempt did not just come back empty-handed. Three relaxed
+    /// loads — cheap enough to ask after every commit.
+    #[inline]
+    pub fn fold_due(&self) -> bool {
+        let end = self.core.end_hint.load(Ordering::Relaxed);
+        let retained = end.saturating_sub(self.core.image_base.load(Ordering::Relaxed));
+        retained > 2 * RETENTION_TARGET as u64
+            && end >= self.core.fold_retry_at.load(Ordering::Relaxed)
+    }
+
+    /// Fold the covered quorum-durable log prefix into the rolling image
+    /// and drain it from every replica — the one retention path: the
+    /// self-driven commit-path step ([`FoldScope::Chunk`]) and explicit
+    /// checkpoints ([`FoldScope::Everything`]) differ only in how much they
+    /// take.
+    ///
+    /// `bound` is what the group-commit scheme vouches will never be rolled
+    /// back ([`crate::GroupCommit::checkpoint_bound`]). The fold stops at
+    /// the quorum horizon, at the first write-set `bound` does not cover and
+    /// at the oldest [`LogPayload::CommitVote`] whose outcome is not durably
+    /// known; it skips write-sets cancelled by a rollback marker. The cost
+    /// is proportional to the entries folded, not to the image or the
+    /// retained log: the chunk is located by binary search, its payload
+    /// handles are copied under the leader copy's lock, the writes are
+    /// applied to the image in place with no log lock held, and the prefix
+    /// is popped off each replica's deque. Write-sets are applied in log
+    /// order — per key that *is* commit order, because a write-set is
+    /// appended while its write locks are held.
+    ///
+    /// `leader_up` is asked once the fold holds the image lock: a crashed
+    /// or recovering partition must not fold (the recovery is pinned to the
+    /// crash-time horizon), and asking under the lock closes the window
+    /// between the caller's own check and [`ReplicatedLog::crash_horizon`].
+    ///
+    /// Returns `None` when nothing ran: the leader is down, there is no
+    /// base image, or (chunk scope) another fold holds the image.
+    pub fn fold(
+        &self,
+        bound: &ReplayBound,
+        scope: FoldScope,
+        leader_up: impl FnOnce() -> bool,
+    ) -> Option<FoldStats> {
+        let core = &self.core;
+        let mut slot = match scope {
+            FoldScope::Chunk => core.image.try_lock()?,
+            FoldScope::Everything => core.image.lock(),
+        };
+        if !leader_up() {
+            return None;
+        }
+        let image = slot.as_mut()?;
+        let (max_entries, keep) = match scope {
+            FoldScope::Chunk => (FOLD_CHUNK, RETENTION_TARGET),
+            FoldScope::Everything => (usize::MAX, 0),
+        };
+        let mut stats = FoldStats::default();
+        // The applied handles and the drained entries (and with them the
+        // payloads) are dropped after the image lock is released.
+        let mut applied = Vec::new();
+        let mut drained = Vec::new();
+        let mut progressed = false;
+        if let Some(durable) = core.durable_lsn() {
+            let chunk =
+                core.leader_replica()
+                    .fold_scan(image.base_lsn, bound, durable, max_entries, keep);
+            for (ts, writes) in &chunk.writes {
+                image.apply(*ts, writes);
+            }
+            stats.folded_txns = chunk.writes.len();
+            if chunk.stop_lsn > image.base_lsn {
+                progressed = true;
+                image.base_lsn = chunk.stop_lsn;
+                core.image_base.store(chunk.stop_lsn, Ordering::Relaxed);
+                drained = core.drain_replicas(chunk.stop_lsn);
+                stats.truncated_entries = drained[core.leader.load(Ordering::Acquire)].len();
+            }
+            applied = chunk.writes;
+        }
+        if let ReplayBound::Ts(b) = bound {
+            // The image provably covers everything below the ts bound, even
+            // if the folded prefix happened to stop earlier.
+            image.up_to_ts = image.up_to_ts.max(b.saturating_sub(1));
+        }
+        stats.image_records = image.len();
+        stats.up_to_ts = image.up_to_ts;
+        let retry_at = if progressed || scope == FoldScope::Everything {
+            0
+        } else {
+            core.end_hint.load(Ordering::Relaxed) + FOLD_CHUNK as u64
+        };
+        core.fold_retry_at.store(retry_at, Ordering::Relaxed);
+        drop(slot);
+        drop((applied, drained));
+        Some(stats)
     }
 
     /// LSN of the newest quorum-durable epoch boundary with epoch at most
@@ -509,21 +706,6 @@ impl ReplicatedLog {
         self.core.leader_replica().entries_from(from_lsn)
     }
 
-    /// First LSN at or after `from_lsn` that a checkpoint fold may **not**
-    /// absorb — bounded additionally by the quorum horizon, so images never
-    /// bake in an entry a quorum could not reproduce.
-    pub fn fold_stop_lsn(&self, from_lsn: u64, bound: &ReplayBound) -> u64 {
-        match self.durable_lsn() {
-            Some(q) => self
-                .core
-                .leader_replica()
-                .fold_stop_lsn(from_lsn, bound)
-                .min(q + 1)
-                .max(from_lsn),
-            None => from_lsn,
-        }
-    }
-
     /// Recovery-time log repair on **every replica**: drop the write-sets
     /// replay did not apply so no later fold can resurrect them. The
     /// cancelled-transaction set is computed once, from the leader's view
@@ -552,31 +734,6 @@ impl ReplicatedLog {
         })
     }
 
-    /// Truncate every replica up to (and excluding) `lsn`. Returns the
-    /// number of entries removed from the leader's copy.
-    pub fn truncate_before(&self, lsn: u64) -> usize {
-        self.core.with_sequencer_flushed(|core| {
-            let leader = core.leader.load(Ordering::Acquire);
-            let mut removed = 0;
-            for (i, replica) in core.replicas.iter().enumerate() {
-                let n = replica.truncate_before(lsn);
-                if i == leader {
-                    removed = n;
-                }
-            }
-            removed
-        })
-    }
-
-    /// Truncate everything covered by the newest **quorum-durable**
-    /// checkpoint, on every replica.
-    pub fn truncate_to_durable_checkpoint(&self) -> usize {
-        match self.latest_durable_checkpoint(None) {
-            Some(image) => self.truncate_before(image.base_lsn),
-            None => 0,
-        }
-    }
-
     /// Discard one replica's disk (entries dropped, LSN counter kept so the
     /// replica stays aligned for future appends). It stops voting on quorum
     /// durability and standing for election until repaired. The staging
@@ -584,8 +741,9 @@ impl ReplicatedLog {
     /// is then dropped with the rest of the disk), never resurrected by a
     /// later drain.
     pub fn wipe_replica(&self, idx: usize) -> usize {
+        let mut image = self.core.image.lock();
         self.core
-            .with_sequencer_flushed(|core| core.wipe_replica(idx))
+            .with_sequencer_flushed(|core| core.wipe_replica(idx, &mut image))
     }
 
     /// Bump the leadership term and hand leadership to the deterministic
@@ -599,10 +757,13 @@ impl ReplicatedLog {
     /// then wiped (the crash lost its disk, not just its memory), so the
     /// successor is always a surviving copy. Returns the new leader index.
     pub fn fail_over(&self, discard_leader_disk: bool) -> usize {
+        // Image lock first: a fold in progress finishes its chunk on every
+        // replica before any disk is discarded or the leader changes.
+        let mut image = self.core.image.lock();
         self.core.with_sequencer_flushed(|core| {
             let old = core.leader.load(Ordering::Acquire);
             if discard_leader_disk {
-                core.wipe_replica(old);
+                core.wipe_replica(old, &mut image);
             }
             let term = core.term.fetch_add(1, Ordering::AcqRel) + 1;
             let new = core.elect_successor(old);
@@ -626,7 +787,7 @@ impl ReplicatedLog {
     pub fn repair_replicas(&self) -> usize {
         self.core.with_sequencer_flushed(|core| {
             let leader = core.leader.load(Ordering::Acquire);
-            let authority = core.replicas[leader].entries_from(0);
+            let (authority, truncated_before) = core.replicas[leader].authority();
             let next_lsn = core.replicas[leader].end_lsn();
             let mut repaired = 0;
             for (i, replica) in core.replicas.iter().enumerate() {
@@ -646,7 +807,7 @@ impl ReplicatedLog {
                 // lagging) and longer (a copy that somehow kept entries the
                 // leader dropped) alike.
                 if core.wiped[i].load(Ordering::Acquire) || replica.len() != authority.len() {
-                    replica.replace_entries(authority.clone(), next_lsn);
+                    replica.replace_entries(authority.clone(), truncated_before, next_lsn);
                     core.wiped[i].store(false, Ordering::Release);
                     repaired += 1;
                 }
@@ -702,7 +863,9 @@ impl LogCore {
         let term = self.term.load(Ordering::Acquire);
         if self.replicas.len() == 1 {
             let leader = self.leader.load(Ordering::Acquire);
-            return self.replicas[leader].append_in_term(term, payload);
+            let lsn = self.replicas[leader].append_in_term(term, payload);
+            self.end_hint.store(lsn + 1, Ordering::Relaxed);
+            return lsn;
         }
         let entry = LogEntry {
             lsn: seq.next_lsn,
@@ -711,6 +874,7 @@ impl LogCore {
             payload,
         };
         seq.next_lsn += 1;
+        self.end_hint.store(seq.next_lsn, Ordering::Relaxed);
         let lsn = entry.lsn;
         // Stage only; the pump picks the entry up on its next tick. No
         // signal — a wake-up here costs a syscall on the commit path.
@@ -732,6 +896,7 @@ impl LogCore {
             for payload in payloads {
                 let lsn = self.replicas[leader].append_in_term(term, Arc::new(payload));
                 first.get_or_insert(lsn);
+                self.end_hint.store(lsn + 1, Ordering::Relaxed);
             }
             return first;
         }
@@ -747,6 +912,7 @@ impl LogCore {
             first.get_or_insert(entry.lsn);
             seq.staged.push(entry);
         }
+        self.end_hint.store(seq.next_lsn, Ordering::Relaxed);
         first
     }
 
@@ -858,12 +1024,31 @@ impl LogCore {
         self.ship(batch);
         let result = f(self);
         seq.next_lsn = self.leader_replica().end_lsn();
+        self.end_hint.store(seq.next_lsn, Ordering::Relaxed);
         result
     }
 
-    fn wipe_replica(&self, idx: usize) -> usize {
+    /// Caller holds the image lock (`image` is its content): the image is
+    /// as replicated as the log, so it survives until the last intact copy
+    /// is wiped and is lost with it.
+    fn wipe_replica(&self, idx: usize, image: &mut Option<CheckpointImage>) -> usize {
         self.wiped[idx].store(true, Ordering::Release);
+        if self.wiped.iter().all(|w| w.load(Ordering::Acquire)) {
+            *image = None;
+            self.image_base.store(u64::MAX, Ordering::Relaxed);
+        }
         self.replicas[idx].wipe_log()
+    }
+
+    /// Drain the prefix below `lsn` off every replica (wiped ones included:
+    /// they keep receiving appends and must not outgrow their peers).
+    /// `ship_lock` keeps the replica set still meanwhile — no pump delivery,
+    /// election or repair observes some replicas drained and others not.
+    /// Returns each replica's drained entries for the caller to drop outside
+    /// its locks. Caller holds the image lock.
+    fn drain_replicas(&self, lsn: u64) -> Vec<Vec<LogEntry>> {
+        let _ship = self.ship_lock.lock();
+        self.replicas.iter().map(|r| r.drain_before(lsn)).collect()
     }
 
     /// The quorum-acked LSN (see [`ReplicatedLog::durable_lsn`]).
@@ -1198,7 +1383,111 @@ mod tests {
         assert_eq!(log.fail_over(false), 0, "a ring of one elects itself");
         assert_eq!(log.leader_changes(), 0);
         assert!(!log.is_empty());
-        assert_eq!(log.truncate_before(1), 1);
+    }
+
+    #[test]
+    fn fold_applies_the_covered_prefix_in_place_and_drains_every_replica() {
+        let log = rf3(0, 0, 0);
+        assert!(
+            log.fold(&ReplayBound::Lsn(u64::MAX), FoldScope::Everything, || true)
+                .is_none(),
+            "nothing to fold into before a base image exists"
+        );
+        let marker = log.install_base_image(CheckpointImage::default());
+        log.append(put(1, 5));
+        log.append(LogPayload::Watermark { wp: 6 });
+        let uncovered = log.append(put(2, 50));
+        std::thread::sleep(Duration::from_millis(2));
+        // A down leader folds nothing.
+        assert!(log
+            .fold(&ReplayBound::Ts(10), FoldScope::Everything, || false)
+            .is_none());
+        let stats = log
+            .fold(&ReplayBound::Ts(10), FoldScope::Everything, || true)
+            .expect("fold ran");
+        assert_eq!(stats.folded_txns, 1);
+        assert_eq!(stats.truncated_entries, 3, "marker, write-set, watermark");
+        assert_eq!(stats.image_records, 1);
+        for i in 0..3 {
+            assert_eq!(
+                log.replica(i).len(),
+                1,
+                "replica {i} keeps the uncovered entry"
+            );
+        }
+        let (installed, image) = log.latest_checkpoint().expect("image");
+        assert_eq!(installed, marker);
+        assert_eq!(image.base_lsn, uncovered);
+        // The drained prefix still counts as durable, and the image is
+        // restorable at any horizon at or past its install marker.
+        assert_eq!(log.crash_horizon(), Some(uncovered));
+        assert!(log.with_durable_image(Some(marker), |_| ()).is_some());
+        // Nothing left that the bound covers: a pass that folds nothing.
+        let again = log
+            .fold(&ReplayBound::Ts(10), FoldScope::Everything, || true)
+            .expect("fold ran");
+        assert_eq!((again.folded_txns, again.truncated_entries), (0, 0));
+    }
+
+    #[test]
+    fn the_image_survives_a_lost_leader_disk_and_dies_with_the_last_copy() {
+        let log = rf3(0, 0, 0);
+        log.install_base_image(CheckpointImage::default());
+        log.append(put(1, 5));
+        std::thread::sleep(Duration::from_millis(2));
+        log.fold(&ReplayBound::Lsn(u64::MAX), FoldScope::Everything, || true)
+            .expect("fold ran");
+        let horizon = log.crash_horizon();
+        log.fail_over(true); // the leader's disk is gone
+        assert_eq!(
+            log.with_durable_image(horizon, CheckpointImage::len),
+            Some(1),
+            "every intact replica holds the same image"
+        );
+        log.fail_over(true);
+        log.fail_over(true); // ... until no copy is left
+        assert!(log.latest_checkpoint().is_none());
+        assert!(!log.fold_due());
+    }
+
+    #[test]
+    fn chunk_folds_start_above_twice_the_target_and_back_off_when_stalled() {
+        let log = ReplicatedLog::single(PartitionId(0), 0);
+        log.install_base_image(CheckpointImage::default());
+        // The install marker is the first retained entry.
+        for seq in 1..2 * RETENTION_TARGET as u64 {
+            log.append(put(seq, seq + 1));
+        }
+        assert!(!log.fold_due(), "at twice the target nothing is due yet");
+        log.append(put(u64::MAX, 1));
+        assert!(log.fold_due());
+        std::thread::sleep(Duration::from_millis(2));
+        // A stalled bound: the pass folds nothing and is not retried until
+        // another chunk's worth of entries arrived.
+        let stalled = log
+            .fold(&ReplayBound::Ts(0), FoldScope::Chunk, || true)
+            .expect("fold ran");
+        assert_eq!(stalled.truncated_entries, 1, "only the install marker");
+        let stalled = log
+            .fold(&ReplayBound::Ts(0), FoldScope::Chunk, || true)
+            .expect("fold ran");
+        assert_eq!(stalled.truncated_entries, 0);
+        assert!(!log.fold_due());
+        for seq in 0..FOLD_CHUNK as u64 {
+            log.append(put(1 << 40 | seq, 1));
+        }
+        assert!(log.fold_due());
+        // The bound moves again: one chunk per pass, never below the target.
+        let before = log.len();
+        let stats = log
+            .fold(&ReplayBound::Lsn(u64::MAX), FoldScope::Chunk, || true)
+            .expect("fold ran");
+        assert_eq!(stats.truncated_entries, FOLD_CHUNK);
+        assert_eq!(log.len(), before - FOLD_CHUNK);
+        while log.fold_due() {
+            log.fold(&ReplayBound::Lsn(u64::MAX), FoldScope::Chunk, || true);
+        }
+        assert!(log.len() > RETENTION_TARGET && log.len() <= 2 * RETENTION_TARGET);
     }
 
     #[test]

@@ -16,32 +16,35 @@ pub fn encode_fields(fields: &[u64], filler: usize) -> Value {
 
 /// Decode the `u64` fields of a row encoded with [`encode_fields`].
 pub fn decode_fields(value: &Value, n: usize) -> Vec<u64> {
-    let bytes = value.as_bytes();
-    (0..n)
-        .map(|i| {
-            let start = i * 8;
-            if bytes.len() >= start + 8 {
-                u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap())
-            } else {
-                0
-            }
-        })
-        .collect()
+    (0..n).map(|i| field(value, i)).collect()
 }
 
-/// Read one field without decoding the whole row.
+/// Read one field in place (0 when the row is too short to hold it).
+#[inline]
 pub fn field(value: &Value, idx: usize) -> u64 {
-    decode_fields(value, idx + 1)[idx]
+    let start = idx * 8;
+    value.as_bytes().get(start..start + 8).map_or(0, |b| {
+        u64::from_le_bytes(b.try_into().expect("8-byte slice"))
+    })
 }
 
 /// Return a copy of the row with one field replaced.
 pub fn with_field(value: &Value, idx: usize, new: u64) -> Value {
+    with_fields(value, &[(idx, new)])
+}
+
+/// Return a copy of the row with every `(idx, new)` field replaced — one
+/// copy however many fields change (a row too short for a field is
+/// extended with zeroes).
+pub fn with_fields(value: &Value, updates: &[(usize, u64)]) -> Value {
     let mut bytes = value.as_bytes().to_vec();
-    let start = idx * 8;
-    if bytes.len() < start + 8 {
-        bytes.resize(start + 8, 0);
+    for &(idx, new) in updates {
+        let start = idx * 8;
+        if bytes.len() < start + 8 {
+            bytes.resize(start + 8, 0);
+        }
+        bytes[start..start + 8].copy_from_slice(&new.to_le_bytes());
     }
-    bytes[start..start + 8].copy_from_slice(&new.to_le_bytes());
     Value::new(bytes)
 }
 
@@ -64,6 +67,17 @@ mod tests {
         assert_eq!(field(&v2, 1), 99);
         assert_eq!(field(&v2, 0), 10);
         assert_eq!(field(&v2, 2), 30);
+    }
+
+    #[test]
+    fn with_fields_equals_chained_with_field() {
+        let v = encode_fields(&[10, 20, 30, 40], 5);
+        let chained = with_field(&with_field(&with_field(&v, 0, 1), 2, 3), 3, 4);
+        assert_eq!(with_fields(&v, &[(0, 1), (2, 3), (3, 4)]), chained);
+        assert_eq!(with_fields(&v, &[]), v);
+        // Extends a short row like `with_field` does.
+        let short = with_fields(&Value::new(vec![]), &[(2, 5), (0, 1)]);
+        assert_eq!(decode_fields(&short, 3), vec![1, 0, 5]);
     }
 
     #[test]

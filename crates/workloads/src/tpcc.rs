@@ -11,7 +11,7 @@
 //! contention behaviour is governed by warehouses/districts, which follow the
 //! spec exactly.
 
-use crate::codec::{encode_fields, field, with_field};
+use crate::codec::{encode_fields, field, with_field, with_fields};
 use primo_common::{FastRng, Key, PartitionId, TableId, TxnResult};
 use primo_runtime::txn::{TxnContext, TxnProgram, Workload};
 use primo_storage::PartitionStore;
@@ -217,12 +217,16 @@ impl TpccTxn {
             } else {
                 s_qty + 91 - qty
             };
-            let mut updated = with_field(&stock, S_QUANTITY, new_qty);
-            updated = with_field(&updated, S_YTD, field(&stock, S_YTD) + qty);
-            updated = with_field(&updated, S_ORDER_CNT, field(&stock, S_ORDER_CNT) + 1);
-            if *supply_w != self.w_id {
-                updated = with_field(&updated, S_REMOTE_CNT, field(&stock, S_REMOTE_CNT) + 1);
-            }
+            let remote = u64::from(*supply_w != self.w_id);
+            let updated = with_fields(
+                &stock,
+                &[
+                    (S_QUANTITY, new_qty),
+                    (S_YTD, field(&stock, S_YTD) + qty),
+                    (S_ORDER_CNT, field(&stock, S_ORDER_CNT) + 1),
+                    (S_REMOTE_CNT, field(&stock, S_REMOTE_CNT) + remote),
+                ],
+            );
             ctx.write(sp, STOCK, sk, updated)?;
             let amount = price * qty;
             total += amount;
@@ -263,17 +267,17 @@ impl TpccTxn {
         let cp = self.part(self.c_w_id);
         let ck = cfg.customer_key(self.c_w_id, self.c_d_id, self.c_id);
         let customer = ctx.read(cp, CUSTOMER, ck)?;
-        let mut updated = with_field(
+        let updated = with_fields(
             &customer,
-            C_BALANCE,
-            field(&customer, C_BALANCE).wrapping_sub(self.amount),
+            &[
+                (
+                    C_BALANCE,
+                    field(&customer, C_BALANCE).wrapping_sub(self.amount),
+                ),
+                (C_YTD_PAYMENT, field(&customer, C_YTD_PAYMENT) + self.amount),
+                (C_PAYMENT_CNT, field(&customer, C_PAYMENT_CNT) + 1),
+            ],
         );
-        updated = with_field(
-            &updated,
-            C_YTD_PAYMENT,
-            field(&customer, C_YTD_PAYMENT) + self.amount,
-        );
-        updated = with_field(&updated, C_PAYMENT_CNT, field(&customer, C_PAYMENT_CNT) + 1);
         ctx.write(cp, CUSTOMER, ck, updated)?;
         // History insert (blind insert, unique key).
         ctx.insert(

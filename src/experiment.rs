@@ -329,10 +329,12 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Fold the durable log into a fresh checkpoint image every `ms`
-    /// milliseconds during the run (a base checkpoint after loading is
-    /// always taken). Shorter intervals bound recovery replay — and log
-    /// growth — more tightly.
+    /// Run an explicit checkpoint every `ms` milliseconds during the run:
+    /// fold everything foldable into the rolling images and sweep the
+    /// version chains (a base checkpoint after loading is always taken, and
+    /// the logs bound themselves from the commit path either way). Shorter
+    /// intervals bound recovery replay more tightly than the retention
+    /// target does.
     pub fn checkpoint_interval_ms(mut self, ms: u64) -> Self {
         self.checkpoint_interval = Some(Duration::from_millis(ms));
         self

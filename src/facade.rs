@@ -321,9 +321,11 @@ impl Primo {
     }
 
     /// Checkpoint every partition: a quiescent base image if none exists
-    /// yet, then log-fold checkpoints that also truncate what the newest
-    /// durable image covers. Call once after loading data through
-    /// [`Session::load`] so a later crash can rebuild it.
+    /// yet, otherwise fold everything foldable right now into the rolling
+    /// image and drain it from the log. Call once after loading data through
+    /// [`Session::load`] so a later crash can rebuild it; afterwards the
+    /// logs bound themselves from the commit path, so calling it again is
+    /// only ever an optimisation (a shorter replay, the version-chain GC).
     pub fn checkpoint_all(&self) -> Vec<primo_recovery::CheckpointStats> {
         self.cluster.checkpoint_all()
     }
