@@ -11,14 +11,12 @@
 //! barriers (`wait_batch`) and the sequencing delay (`sequence`) sit squarely
 //! on the latency path, which is what Fig 4c/5c show.
 
-use crate::common::{BaselineCtx, ReadGuard};
 use parking_lot::{Condvar, Mutex};
 use primo_common::sim_time::{now_us, wait_until};
-use primo_common::{
-    AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnError, TxnId, TxnResult,
-};
+use primo_common::{AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnId, TxnResult};
 use primo_runtime::access::WriteKind;
 use primo_runtime::cluster::Cluster;
+use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::durability::log_txn_writes;
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
@@ -169,11 +167,9 @@ impl Protocol for AriaProtocol {
         timers.time(Phase::Sequence, || wait_until(batch.open_until_us));
 
         // ---- Execution phase: run against the current snapshot, no locks. ----
-        let mut ctx =
-            BaselineCtx::new(cluster, txn, home, ReadGuard::Optimistic).with_fanout(fanout);
-        let exec = timers.time(Phase::Execute, || program.execute(&mut ctx));
-        let exec_failed = exec.is_err() || ctx.dead.is_some();
-        if !exec_failed {
+        let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
+        let exec = ctx.run_body(program, timers);
+        if exec.is_ok() {
             // Record write reservations (smallest priority wins).
             let mut res = batch.reservations.lock();
             for w in &ctx.access.writes {
@@ -204,12 +200,8 @@ impl Protocol for AriaProtocol {
         }
 
         // ---- Commit phase: deterministic conflict checks, then install. ----
-        let decision: TxnResult<CommittedTxn> = if exec_failed {
-            let reason = ctx
-                .dead
-                .or(exec.err().map(|e| e.reason()))
-                .unwrap_or(AbortReason::UserAbort);
-            Err(TxnError::Aborted(reason))
+        let decision: TxnResult<CommittedTxn> = if let Err(e) = exec {
+            Err(e)
         } else {
             let conflict = timers.time(Phase::Commit, || {
                 let res = batch.reservations.lock();
@@ -247,7 +239,7 @@ impl Protocol for AriaProtocol {
                 Ok(())
             });
             match conflict {
-                Err(reason) => Err(TxnError::Aborted(reason)),
+                Err(reason) => Err(reason.into()),
                 Ok(()) => {
                     let ops = ctx.access.ops();
                     let distributed = ctx.access.is_distributed(home);

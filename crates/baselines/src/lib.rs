@@ -10,11 +10,16 @@
 //! * [`tapir`]  — TAPIR-style: OCC with inconsistent replication; one
 //!   consolidated prepare round, no group-commit wait.
 //!
+//! Each is a [`ReadPolicy`](primo_runtime::context::ReadPolicy) for the
+//! shared access context plus a
+//! [`CommitSpec`](primo_runtime::pipeline::CommitSpec) for the shared commit
+//! pipeline — a few lines per protocol; only Aria, which neither locks nor
+//! validates at commit time, brings a commit routine of its own.
+//!
 //! All of them pair with the group-commit schemes in `primo-wal` exactly like
 //! Primo does, which is what Figs 4, 5, 11 and 14 measure.
 
 pub mod aria;
-pub mod common;
 pub mod silo;
 pub mod sundial;
 pub mod tapir;
@@ -25,25 +30,3 @@ pub use silo::SiloProtocol;
 pub use sundial::SundialProtocol;
 pub use tapir::TapirProtocol;
 pub use twopl::TwoPlProtocol;
-
-use primo_common::config::ProtocolKind;
-use primo_runtime::protocol::Protocol;
-use std::sync::Arc;
-
-/// Build a protocol instance by [`ProtocolKind`]. The Primo variants are
-/// constructed in `primo-core`; this helper covers the baselines and panics
-/// for the Primo kinds to avoid a dependency cycle (use the bench crate's
-/// `build_protocol` for the full set).
-pub fn build_baseline(kind: ProtocolKind) -> Arc<dyn Protocol> {
-    match kind {
-        ProtocolKind::TwoPlNoWait => Arc::new(TwoPlProtocol::no_wait()),
-        ProtocolKind::TwoPlWaitDie => Arc::new(TwoPlProtocol::wait_die()),
-        ProtocolKind::Silo => Arc::new(SiloProtocol::new()),
-        ProtocolKind::Sundial => Arc::new(SundialProtocol::new()),
-        ProtocolKind::Aria => Arc::new(AriaProtocol::new(Default::default())),
-        ProtocolKind::Tapir => Arc::new(TapirProtocol::new()),
-        ProtocolKind::Primo | ProtocolKind::PrimoNoWm | ProtocolKind::PrimoNoWcfNoWm => {
-            panic!("Primo variants are built by primo-core, not primo-baselines")
-        }
-    }
-}

@@ -3,17 +3,25 @@
 //! the read set validated (unchanged versions, no foreign locks) as part of
 //! the 2PC prepare round; the decision round releases the locks.
 
-use crate::common::{
-    abort_round, commit_round, install_locked_writes, lock_write_set, prepare_round,
-    reclaim_deletes, BaselineCtx, ReadGuard,
-};
-use primo_common::{AbortReason, Phase, PhaseTimers, TxnError, TxnId, TxnResult};
+use primo_common::{PhaseTimers, TxnId, TxnResult};
 use primo_runtime::cluster::Cluster;
+use primo_runtime::context::{AccessCtx, ReadPolicy};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
 use primo_storage::LockPolicy;
 use primo_wal::TxnTicket;
+
+/// Silo's commit inside the 2PC rounds: lock the write set (abort at once on
+/// a conflict), require every read version unchanged and unlocked, install
+/// as a version bump.
+const SILO: CommitSpec = CommitSpec {
+    write_locks: LockPolicy::NoWait,
+    timestamp: TsRule::Sequence,
+    validation: ReadValidation::Unchanged,
+    decision: Decision::Round,
+};
 
 /// Distributed Silo (OCC).
 #[derive(Debug, Clone, Default)]
@@ -33,87 +41,16 @@ impl Protocol for SiloProtocol {
     fn execute_once(
         &self,
         cluster: &Cluster,
-        txn: TxnId,
+        _txn: TxnId,
         program: &dyn TxnProgram,
         ticket: &TxnTicket,
         timers: &mut PhaseTimers,
         fanout: &ReadFanout,
     ) -> TxnResult<CommittedTxn> {
         let home = program.home_partition();
-        let mut ctx =
-            BaselineCtx::new(cluster, txn, home, ReadGuard::Optimistic).with_fanout(fanout);
-
-        // Execution phase: optimistic reads, buffered writes.
-        let exec = timers.time(Phase::Execute, || program.execute(&mut ctx));
-        if let Err(e) = exec {
-            let reason = ctx.dead.unwrap_or(e.reason());
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-        let distributed = ctx.access.is_distributed(home);
-
-        // Prepare round: ship write-sets + validation requests.
-        let parts = match timers.time(Phase::TwoPc, || prepare_round(&ctx, ticket)) {
-            Ok(p) => p,
-            Err(reason) => {
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
-        };
-
-        // Phase 1 of Silo's commit: lock the write set.
-        let locked = match timers.time(Phase::Commit, || lock_write_set(&ctx, LockPolicy::NoWait)) {
-            Ok(l) => l,
-            Err(reason) => {
-                abort_round(&ctx, &parts);
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
-        };
-
-        // Phase 2: validate the read set — every read record must still carry
-        // the observed version and must not be locked by another transaction.
-        let validation = timers.time(Phase::Commit, || {
-            for r in &ctx.access.reads {
-                let in_write_set = ctx.access.find_write(r.partition, r.table, r.key).is_some();
-                let (wts_now, _) = r.record.timestamps();
-                if wts_now != r.wts {
-                    return Err(AbortReason::Validation);
-                }
-                if !in_write_set && r.record.lock().exclusively_locked_by_other(txn) {
-                    return Err(AbortReason::Validation);
-                }
-            }
-            Ok(())
-        });
-        if let Err(reason) = validation {
-            // Unwind materialised insert records before their locks drop so
-            // no other transaction can claim the slot in between.
-            ctx.access.undo.unwind();
-            locked.release(txn);
-            abort_round(&ctx, &parts);
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-
-        // Phase 3: log the write-set under the locks, then install (version
-        // bump; deletes tombstone).
-        let ops = ctx.access.ops();
-        let ts = timers.time(Phase::Commit, || {
-            install_locked_writes(&ctx, ticket, &locked, None)
-        });
-
-        // Decision round, then unlock and reclaim installed tombstones.
-        timers.time(Phase::TwoPc, || commit_round(&ctx, &parts));
-        locked.release(txn);
-        ctx.access.release_all_locks(txn);
-        reclaim_deletes(&ctx);
-
-        Ok(CommittedTxn {
-            ts,
-            ops,
-            distributed,
-        })
+        let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
+        ctx.run_body(program, timers)?;
+        commit_locked(&mut ctx, &SILO, timers)
     }
 }
 
@@ -122,7 +59,7 @@ mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
     use primo_common::{PartitionId, TableId, Value};
-    use primo_runtime::txn::{IncrementProgram, TxnContext};
+    use primo_runtime::txn::IncrementProgram;
     use primo_runtime::worker::run_single_txn;
     use std::sync::Arc;
 
@@ -164,64 +101,6 @@ mod tests {
                 1
             );
         }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn silo_validation_detects_stale_read() {
-        struct StaleRead;
-        impl TxnProgram for StaleRead {
-            fn execute(&self, ctx: &mut dyn TxnContext) -> TxnResult<()> {
-                let v = ctx.read(PartitionId(0), TableId(0), 3)?;
-                // Simulate a long computation during which another txn
-                // overwrites the record — done by the test below between
-                // execute and commit is impossible here, so instead the test
-                // mutates the record via a second protocol run. This program
-                // just does a plain RMW.
-                ctx.write(
-                    PartitionId(0),
-                    TableId(0),
-                    3,
-                    Value::from_u64(v.as_u64() + 1),
-                )
-            }
-            fn home_partition(&self) -> PartitionId {
-                PartitionId(0)
-            }
-        }
-        let cluster = loaded(1);
-        let protocol = SiloProtocol::new();
-        // Warm-up commit to bump the version.
-        run_single_txn(&cluster, &protocol, &StaleRead).unwrap();
-        // Direct validation check: read then externally modify then commit.
-        let txn = cluster.next_txn_id(PartitionId(0));
-        let ticket = cluster.group_commit.begin_txn(PartitionId(0), txn);
-        let mut ctx = BaselineCtx::new(&cluster, txn, PartitionId(0), ReadGuard::Optimistic);
-        ctx.read(PartitionId(0), TableId(0), 3).unwrap();
-        ctx.write(PartitionId(0), TableId(0), 3, Value::from_u64(99))
-            .unwrap();
-        // External writer changes the record's version under us.
-        cluster
-            .partition(PartitionId(0))
-            .store
-            .get(TableId(0), 3)
-            .unwrap()
-            .install_next_version(Value::from_u64(1000));
-        // Now finish the attempt through the protocol's commit logic by
-        // replaying the same accesses in a fresh attempt — the stale ctx is
-        // validated manually here.
-        let locked = lock_write_set(&ctx, LockPolicy::NoWait).unwrap();
-        let stale = ctx.access.reads[0].wts
-            != cluster
-                .partition(PartitionId(0))
-                .store
-                .get(TableId(0), 3)
-                .unwrap()
-                .wts();
-        assert!(stale, "version must have changed");
-        locked.release(txn);
-        ctx.abort_cleanup();
-        let _ = ticket;
         cluster.shutdown();
     }
 

@@ -7,17 +7,25 @@
 //! read-validation aborts occur; but it still needs the 2PC prepare/commit
 //! rounds that Primo eliminates.
 
-use crate::common::{
-    abort_round, commit_round, install_locked_writes, lock_write_set, prepare_round,
-    reclaim_deletes, BaselineCtx, ReadGuard,
-};
-use primo_common::{AbortReason, Phase, PhaseTimers, Ts, TxnError, TxnId, TxnResult};
+use primo_common::{PhaseTimers, TxnId, TxnResult};
 use primo_runtime::cluster::Cluster;
+use primo_runtime::context::{AccessCtx, ReadPolicy};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
 use primo_storage::LockPolicy;
 use primo_wal::TxnTicket;
+
+/// Sundial's commit inside the 2PC rounds: lock the write set, take the
+/// TicToc timestamp from the observed leases and validate by *renewing*
+/// them, install at that timestamp.
+const SUNDIAL: CommitSpec = CommitSpec {
+    write_locks: LockPolicy::NoWait,
+    timestamp: TsRule::Lease,
+    validation: ReadValidation::RenewLease,
+    decision: Decision::Round,
+};
 
 /// Sundial: TicToc leases + 2PC.
 #[derive(Debug, Clone, Default)]
@@ -37,112 +45,16 @@ impl Protocol for SundialProtocol {
     fn execute_once(
         &self,
         cluster: &Cluster,
-        txn: TxnId,
+        _txn: TxnId,
         program: &dyn TxnProgram,
         ticket: &TxnTicket,
         timers: &mut PhaseTimers,
         fanout: &ReadFanout,
     ) -> TxnResult<CommittedTxn> {
         let home = program.home_partition();
-        let mut ctx =
-            BaselineCtx::new(cluster, txn, home, ReadGuard::Optimistic).with_fanout(fanout);
-
-        // Execution: lease-based reads (no locks), buffered writes.
-        let exec = timers.time(Phase::Execute, || program.execute(&mut ctx));
-        if let Err(e) = exec {
-            let reason = ctx.dead.unwrap_or(e.reason());
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-        let distributed = ctx.access.is_distributed(home);
-
-        // Prepare round (write-set shipping + lease renewal requests).
-        let parts = match timers.time(Phase::TwoPc, || prepare_round(&ctx, ticket)) {
-            Ok(p) => p,
-            Err(reason) => {
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
-        };
-
-        // Lock the write set.
-        let locked = match timers.time(Phase::Commit, || lock_write_set(&ctx, LockPolicy::NoWait)) {
-            Ok(l) => l,
-            Err(reason) => {
-                abort_round(&ctx, &parts);
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
-        };
-
-        // Compute the commit timestamp from the observed leases and the
-        // current state of the write records (TicToc rules), then reserve it
-        // with the group-commit scheme: the reservation applies the
-        // coordinator's watermark floor atomically and pins the watermark
-        // below `ts` until `txn_committed`, so the write-set logged below
-        // can never land under an already-published (durability-claiming)
-        // watermark.
-        let ts = timers.time(Phase::Timestamp, || {
-            let mut ts: Ts = 0;
-            for r in &ctx.access.reads {
-                ts = ts.max(r.wts);
-            }
-            for (_, record) in &locked.records {
-                let (_, rts) = record.timestamps();
-                ts = ts.max(rts + 1);
-            }
-            cluster.group_commit.reserve_commit_ts(ticket, ts)
-        });
-        cluster.group_commit.update_ts(ticket, ts);
-
-        // Validate by lease renewal: every read record must be extensible to
-        // cover `ts` (version unchanged, or already valid at ts; foreign
-        // exclusive locks block renewal).
-        let validation = timers.time(Phase::Commit, || {
-            for r in &ctx.access.reads {
-                if r.rts >= ts {
-                    continue;
-                }
-                let in_write_set = ctx.access.find_write(r.partition, r.table, r.key).is_some();
-                let (wts_now, _) = r.record.timestamps();
-                if wts_now != r.wts {
-                    return Err(AbortReason::Validation);
-                }
-                if !in_write_set && r.record.lock().exclusively_locked_by_other(txn) {
-                    return Err(AbortReason::Validation);
-                }
-                r.record.extend_rts(ts);
-            }
-            Ok(())
-        });
-        if let Err(reason) = validation {
-            // Unwind materialised insert records before their locks drop so
-            // no other transaction can claim the slot in between.
-            ctx.access.undo.unwind();
-            locked.release(txn);
-            abort_round(&ctx, &parts);
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-
-        // Log the write-set under the locks, then install at ts (deletes
-        // tombstone at ts).
-        let ops = ctx.access.ops();
-        timers.time(Phase::Commit, || {
-            install_locked_writes(&ctx, ticket, &locked, Some(ts));
-        });
-
-        // Decision round, release, reclaim installed tombstones.
-        timers.time(Phase::TwoPc, || commit_round(&ctx, &parts));
-        locked.release(txn);
-        ctx.access.release_all_locks(txn);
-        reclaim_deletes(&ctx);
-
-        Ok(CommittedTxn {
-            ts,
-            ops,
-            distributed,
-        })
+        let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
+        ctx.run_body(program, timers)?;
+        commit_locked(&mut ctx, &SUNDIAL, timers)
     }
 }
 

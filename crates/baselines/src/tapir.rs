@@ -10,17 +10,27 @@
 //! the client retries — which is exactly the behaviour §6.6 contrasts with
 //! Primo (TAPIR has the lower latency, Primo the higher throughput).
 
-use crate::common::{
-    abort_round, install_locked_writes, lock_write_set, prepare_round, reclaim_deletes,
-    seal_consolidated_commit, BaselineCtx, ReadGuard,
-};
-use primo_common::{AbortReason, Phase, PhaseTimers, TxnError, TxnId, TxnResult};
+use primo_common::{PhaseTimers, TxnId, TxnResult};
 use primo_runtime::cluster::Cluster;
+use primo_runtime::context::{AccessCtx, ReadPolicy};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
 use primo_storage::LockPolicy;
 use primo_wal::TxnTicket;
+
+/// OCC validation at the participants inside one consolidated round to every
+/// replica group (the fast path of inconsistent replication): the round's
+/// response is the decision, and it covers durability too, so nothing is
+/// charged afterwards — the commit layer only seals the verdict (durable
+/// decision entries under Paxos Commit, a no-op under 2PC).
+const TAPIR: CommitSpec = CommitSpec {
+    write_locks: LockPolicy::NoWait,
+    timestamp: TsRule::Sequence,
+    validation: ReadValidation::Unchanged,
+    decision: Decision::Sealed,
+};
 
 /// TAPIR-style OCC with inconsistent replication.
 #[derive(Debug, Clone, Default)]
@@ -45,88 +55,16 @@ impl Protocol for TapirProtocol {
     fn execute_once(
         &self,
         cluster: &Cluster,
-        txn: TxnId,
+        _txn: TxnId,
         program: &dyn TxnProgram,
         ticket: &TxnTicket,
         timers: &mut PhaseTimers,
         fanout: &ReadFanout,
     ) -> TxnResult<CommittedTxn> {
         let home = program.home_partition();
-        let mut ctx =
-            BaselineCtx::new(cluster, txn, home, ReadGuard::Optimistic).with_fanout(fanout);
-
-        // Execution: optimistic reads, buffered writes.
-        let exec = timers.time(Phase::Execute, || program.execute(&mut ctx));
-        if let Err(e) = exec {
-            let reason = ctx.dead.unwrap_or(e.reason());
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-        let distributed = ctx.access.is_distributed(home);
-
-        // One consolidated prepare round to every participant's replica group
-        // (the fast path of inconsistent replication). The same round also
-        // covers durability, so nothing else is charged afterwards.
-        let parts = match timers.time(Phase::TwoPc, || prepare_round(&ctx, ticket)) {
-            Ok(p) => p,
-            Err(reason) => {
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
-        };
-
-        // OCC validation at the participants: lock write set, verify read
-        // versions, install.
-        let locked = match timers.time(Phase::Commit, || lock_write_set(&ctx, LockPolicy::NoWait)) {
-            Ok(l) => l,
-            Err(reason) => {
-                abort_round(&ctx, &parts);
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
-        };
-        let validation = timers.time(Phase::Commit, || {
-            for r in &ctx.access.reads {
-                let in_write_set = ctx.access.find_write(r.partition, r.table, r.key).is_some();
-                let (wts_now, _) = r.record.timestamps();
-                if wts_now != r.wts {
-                    return Err(AbortReason::Validation);
-                }
-                if !in_write_set && r.record.lock().exclusively_locked_by_other(txn) {
-                    return Err(AbortReason::Validation);
-                }
-            }
-            Ok(())
-        });
-        if let Err(reason) = validation {
-            // Unwind materialised insert records before their locks drop so
-            // no other transaction can claim the slot in between.
-            ctx.access.undo.unwind();
-            locked.release(txn);
-            abort_round(&ctx, &parts);
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-
-        let ops = ctx.access.ops();
-        let ts = timers.time(Phase::Commit, || {
-            install_locked_writes(&ctx, ticket, &locked, None)
-        });
-
-        // The commit decision reaches participants asynchronously; the client
-        // considers the transaction committed after the single round. The
-        // commit layer still seals the verdict it decided inside that round
-        // (durable decision entries under Paxos Commit, a no-op under 2PC).
-        seal_consolidated_commit(&ctx, &parts);
-        locked.release(txn);
-        ctx.access.release_all_locks(txn);
-        reclaim_deletes(&ctx);
-
-        Ok(CommittedTxn {
-            ts,
-            ops,
-            distributed,
-        })
+        let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
+        ctx.run_body(program, timers)?;
+        commit_locked(&mut ctx, &TAPIR, timers)
     }
 }
 

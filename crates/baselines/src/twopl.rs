@@ -5,16 +5,14 @@
 //! Two deadlock-handling variants, as in the paper: NO_WAIT (abort on any
 //! conflict) and WAIT_DIE (older transactions wait).
 
-use crate::common::{
-    abort_round, commit_round, install_locked_writes, lock_write_set, prepare_round,
-    reclaim_deletes, BaselineCtx, ReadGuard,
-};
-use primo_common::{Phase, PhaseTimers, TxnError, TxnId, TxnResult};
+use primo_common::{PhaseTimers, TxnId, TxnResult};
 use primo_runtime::cluster::Cluster;
+use primo_runtime::context::{AccessCtx, ReadPolicy};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
-use primo_storage::LockPolicy;
+use primo_storage::{LockMode, LockPolicy};
 use primo_wal::TxnTicket;
 
 /// 2PL + 2PC.
@@ -52,65 +50,27 @@ impl Protocol for TwoPlProtocol {
     fn execute_once(
         &self,
         cluster: &Cluster,
-        txn: TxnId,
+        _txn: TxnId,
         program: &dyn TxnProgram,
         ticket: &TxnTicket,
         timers: &mut PhaseTimers,
         fanout: &ReadFanout,
     ) -> TxnResult<CommittedTxn> {
-        let home = program.home_partition();
-        let mut ctx = BaselineCtx::new(cluster, txn, home, ReadGuard::SharedLock(self.policy))
-            .with_fanout(fanout);
-
-        // Execution phase: shared-lock reads, buffered writes.
-        let exec = timers.time(Phase::Execute, || program.execute(&mut ctx));
-        if let Err(e) = exec {
-            let reason = ctx.dead.unwrap_or(e.reason());
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-        // Remote participants were contacted during execution; the group
-        // commit needs to know about them for watermark bookkeeping.
-        let distributed = ctx.access.is_distributed(home);
-
-        // Commit phase = 2PC.
-        // Prepare: ship write-sets, upgrade to exclusive locks, install.
-        let parts = match timers.time(Phase::TwoPc, || prepare_round(&ctx, ticket)) {
-            Ok(p) => p,
-            Err(reason) => {
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
+        let policy = ReadPolicy::Locked {
+            mode: LockMode::Shared,
+            policy: self.policy,
         };
-        let locked = match timers.time(Phase::TwoPc, || lock_write_set(&ctx, self.policy)) {
-            Ok(l) => l,
-            Err(reason) => {
-                abort_round(&ctx, &parts);
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
+        let mut ctx = AccessCtx::new(cluster, ticket, program.home_partition(), policy, fanout);
+        ctx.run_body(program, timers)?;
+        // Reads hold their shared locks to the end, so the vote round only
+        // has to upgrade the write set; there is nothing to validate.
+        let spec = CommitSpec {
+            write_locks: self.policy,
+            timestamp: TsRule::Sequence,
+            validation: ReadValidation::None,
+            decision: Decision::Round,
         };
-
-        // Install the writes (participants do the same when they vote YES);
-        // deletes become tombstones. The write-set is logged first, under
-        // the locks, at the finalized commit timestamp.
-        let ops = ctx.access.ops();
-        let ts = timers.time(Phase::Commit, || {
-            install_locked_writes(&ctx, ticket, &locked, None)
-        });
-
-        // Commit round: propagate the decision, then release every lock and
-        // reclaim the tombstones this transaction installed.
-        timers.time(Phase::TwoPc, || commit_round(&ctx, &parts));
-        locked.release(txn);
-        ctx.access.release_all_locks(txn);
-        reclaim_deletes(&ctx);
-
-        Ok(CommittedTxn {
-            ts,
-            ops,
-            distributed,
-        })
+        commit_locked(&mut ctx, &spec, timers)
     }
 }
 

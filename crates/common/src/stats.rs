@@ -639,20 +639,27 @@ mod tests {
     fn percentiles_monotone_under_concurrent_recording() {
         // Property check for the satellite requirement: with many threads
         // hammering record_us, any percentile query ordering stays monotone
-        // and the final counts are exact (no lost updates).
+        // and the final counts are exact (no lost updates). The mid-run
+        // check queries ONE snapshot of the counters: six `percentile_us`
+        // calls read the live buckets at six different instants, between
+        // which other threads add samples below the earlier answers — not
+        // monotone by construction.
         let h = std::sync::Arc::new(Histogram::new());
+        let empty = std::sync::Arc::new(h.counts());
         let threads = 8;
         let per_thread = 5_000u64;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let h = std::sync::Arc::clone(&h);
+                let empty = std::sync::Arc::clone(&empty);
                 std::thread::spawn(move || {
                     for i in 0..per_thread {
                         h.record_us(1 + (i * 7 + t * 13) % 10_000);
                         if i % 512 == 0 {
+                            let now = h.counts();
                             let qs: Vec<u64> = [0.0, 0.25, 0.5, 0.9, 0.99, 1.0]
                                 .iter()
-                                .map(|q| h.percentile_us(*q))
+                                .map(|q| now.percentile_us_since(&empty, *q))
                                 .collect();
                             assert!(
                                 qs.windows(2).all(|w| w[0] <= w[1]),

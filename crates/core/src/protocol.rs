@@ -1,18 +1,44 @@
 //! The Primo protocol: execution + commit paths (Algorithm 1 of the paper).
+//!
+//! Execution runs on the shared [`AccessCtx`] under
+//! [`ReadPolicy::SwitchOnRemote`]. A transaction that stayed local commits
+//! through the shared pipeline as plain TicToc (`LOCAL_TICTOC`); a
+//! distributed one commits vote-free under WCF (`commit_wcf`, the one commit
+//! routine that is Primo's own) or, with WCF off, through the pipeline with
+//! a vote round (`TICTOC_2PC`).
 
-use crate::context::{Mode, PrimoCtx};
-use primo_common::{AbortReason, Phase, PhaseTimers, Ts, TxnError, TxnId, TxnResult};
-use primo_runtime::access::{recheck_locked_record, resolve_write_record, AccessSet, WriteKind};
+use primo_common::{PartitionId, Phase, PhaseTimers, Ts, TxnId, TxnResult};
 use primo_runtime::cluster::Cluster;
-use primo_runtime::commit::PrepareOutcome;
+use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::durability::log_txn_writes;
+use primo_runtime::pipeline::{
+    commit_epilogue, commit_locked, install_write, reserve_lease_ts, CommitSpec, Decision,
+    ReadValidation, TsRule,
+};
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
-use primo_storage::{LockMode, LockPolicy, LockRequestResult, Record};
-use primo_trace::TraceEventKind;
+use primo_storage::LockPolicy;
 use primo_wal::TxnTicket;
-use std::sync::Arc;
+
+/// A purely local transaction: TicToc (§4.2.1) — abort at once on a write
+/// conflict, renew the leases of the unlocked reads.
+const LOCAL_TICTOC: CommitSpec = CommitSpec {
+    write_locks: LockPolicy::NoWait,
+    timestamp: TsRule::Lease,
+    validation: ReadValidation::RenewLease,
+    decision: Decision::Local,
+};
+
+/// A distributed transaction without WCF (the ablation and the read-heavy
+/// fallback): reads hold shared locks since the mode switch, the write locks
+/// are taken under WAIT_DIE between a vote and a decision round, and the
+/// timestamp stays TicToc so local transactions can still commit around it.
+const TICTOC_2PC: CommitSpec = CommitSpec {
+    write_locks: LockPolicy::WaitDie,
+    decision: Decision::Round,
+    ..LOCAL_TICTOC
+};
 
 /// Primo (optionally with WCF disabled, which is the "Primo w/o WM & WCF"
 /// ablation of Fig 4b/5b: TicToc for local transactions, classic 2PL + 2PC
@@ -86,427 +112,70 @@ impl PrimoProtocol {
         }
     }
 
-    /// Compute the TicToc commit timestamp for the access set (Algorithm 1
-    /// line 17) and reserve it with the group-commit scheme, which applies
-    /// the watermark floor (rule R2, coordinator side) atomically and pins
-    /// the watermark below the result until `txn_committed` — so the
-    /// write-set this transaction is about to log can never end up below a
-    /// published (durability-claiming) `Wp`. Assumes write records are
-    /// already covered by read entries (dummy reads) in WCF mode or locked
-    /// separately otherwise.
-    fn compute_ts(cluster: &Cluster, ticket: &TxnTicket, access: &AccessSet) -> Ts {
-        let mut ts = 0;
-        for r in &access.reads {
-            if !r.dummy {
-                ts = ts.max(r.wts);
-            }
-        }
-        for w in &access.writes {
-            if let Some(i) = access.find_read(w.partition, w.table, w.key) {
-                let (_, rts) = access.reads[i].record.timestamps();
-                ts = ts.max(rts + 1);
-            }
-        }
-        let ts = cluster.group_commit.reserve_commit_ts(ticket, ts);
-        cluster.recorder.emit(
-            Some(ticket.txn),
-            Some(ticket.coordinator),
-            TraceEventKind::CommitTsReserved { ts },
-        );
-        ts
-    }
-
-    /// Commit a purely local transaction with TicToc (§4.2.1).
-    fn commit_local_tictoc(
-        &self,
-        cluster: &Cluster,
-        txn: TxnId,
-        ticket: &TxnTicket,
-        ctx: &mut PrimoCtx<'_>,
-        timers: &mut PhaseTimers,
-    ) -> TxnResult<CommittedTxn> {
-        // 1. Resolve and lock the write set (abort immediately on conflict,
-        //    as TicToc / Silo do). `resolved` keeps the record of every
-        //    write so installation cannot race a concurrent unlink;
-        //    `locked` remembers which locks this phase acquired.
-        let mut resolved: Vec<Arc<Record>> = Vec::new();
-        let mut locked: Vec<Arc<Record>> = Vec::new();
-        let lock_result = timers.time(Phase::Commit, || {
-            for w in &ctx.access.writes {
-                let store = &cluster.partition(w.partition).store;
-                let record = resolve_write_record(store, w, txn, &ctx.access.undo)?;
-                let read = ctx.access.find_read(w.partition, w.table, w.key);
-                if read.is_none_or(|i| ctx.access.reads[i].locked.is_none()) {
-                    if record.acquire(txn, LockMode::Exclusive, LockPolicy::NoWait)
-                        != LockRequestResult::Granted
-                    {
-                        if let Some(owner) = record.lock().holder() {
-                            cluster.recorder.emit(
-                                Some(txn),
-                                Some(w.partition),
-                                TraceEventKind::LockWait { owner },
-                            );
-                        }
-                        return Err(AbortReason::Validation);
-                    }
-                    locked.push(Arc::clone(&record));
-                    // The record may have been tombstoned between resolution
-                    // and lock acquisition (an insert's bounce is retryable;
-                    // the helper reclaims the tombstone our lock pinned).
-                    recheck_locked_record(&record, txn, w.kind, &store.table(w.table), w.key)?;
-                }
-                resolved.push(record);
-            }
-            Ok(())
-        });
-        if let Err(reason) = lock_result {
-            ctx.access.undo.unwind();
-            for r in &locked {
-                r.release(txn);
-            }
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-
-        // 2. Compute and reserve the commit timestamp. The raise for
-        //    blind-write records (locked above, no read entry) happens after
-        //    the reservation: the watermark pin stays at the reserved
-        //    (lower) value, which is conservative and therefore still sound.
-        let mut ts = timers.time(Phase::Timestamp, || {
-            Self::compute_ts(cluster, ticket, &ctx.access)
-        });
-        for r in &locked {
-            let (_, rts) = r.timestamps();
-            ts = ts.max(rts + 1);
-        }
-
-        // 3. Validate the read set (extend rts where needed).
-        cluster
-            .recorder
-            .emit(Some(txn), Some(ctx.home), TraceEventKind::ValidationStart);
-        let validation = timers.time(Phase::Commit, || {
-            for r in &ctx.access.reads {
-                if r.dummy {
-                    continue;
-                }
-                let in_write_set = ctx.access.find_write(r.partition, r.table, r.key).is_some();
-                if r.rts >= ts {
-                    continue;
-                }
-                // Need to extend the valid interval of this record to ts.
-                let (wts_now, _) = r.record.timestamps();
-                if wts_now != r.wts {
-                    return Err(AbortReason::Validation);
-                }
-                if !in_write_set && r.record.lock().exclusively_locked_by_other(txn) {
-                    return Err(AbortReason::Validation);
-                }
-                r.record.extend_rts(ts);
-            }
-            Ok(())
-        });
-        cluster.recorder.emit(
-            Some(txn),
-            Some(ctx.home),
-            TraceEventKind::ValidationOutcome {
-                ok: validation.is_ok(),
-                reason: validation.err(),
-            },
-        );
-        if let Err(reason) = validation {
-            ctx.access.undo.unwind();
-            for r in &locked {
-                r.release(txn);
-            }
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-
-        // 4. Log the write-set (while the locks are held, so the log is
-        //    ahead of the store), install the writes (deletes become
-        //    tombstones) and release.
-        let ops = ctx.access.ops();
-        timers.time(Phase::Commit, || {
-            log_txn_writes(cluster, txn, ts, &ctx.access.writes);
-            for (w, record) in ctx.access.writes.iter().zip(&resolved) {
-                match w.kind {
-                    WriteKind::Delete => record.install_tombstone(ts),
-                    _ => record.install(w.value.clone(), ts),
-                }
-            }
-            for r in &locked {
-                r.release(txn);
-            }
-        });
-        ctx.access.release_all_locks(txn);
-        Self::commit_epilogue(cluster, ctx);
-        Ok(CommittedTxn {
-            ts,
-            ops,
-            distributed: false,
-        })
-    }
-
-    /// Post-commit pass shared by every commit path: physically reclaim the
-    /// tombstones this transaction installed (deferred reclamation on the
-    /// table shard) and unwind any record that was materialised for an
-    /// insert but never installed (an insert cancelled by a later delete of
-    /// the same key in this transaction).
-    fn commit_epilogue(cluster: &Cluster, ctx: &mut PrimoCtx<'_>) {
-        for w in &ctx.access.writes {
-            if w.kind == WriteKind::Delete {
-                cluster
-                    .partition(w.partition)
-                    .store
-                    .table(w.table)
-                    .reclaim(w.key);
-            }
-        }
-        ctx.access.undo.unwind();
-    }
-
     /// Commit a distributed transaction under WCF (Algorithm 1 commit phase):
-    /// no prepare round, no possibility of conflict.
-    fn commit_wcf(
-        &self,
-        cluster: &Cluster,
-        txn: TxnId,
-        ticket: &TxnTicket,
-        ctx: &mut PrimoCtx<'_>,
-        timers: &mut PhaseTimers,
-    ) -> TxnResult<CommittedTxn> {
-        let home = ctx.home;
+    /// no vote round and no possibility of conflict — every record read or
+    /// written is already exclusively locked, the dummy reads made
+    /// write-set ⊆ read-set.
+    fn commit_wcf(ctx: &mut AccessCtx<'_>, timers: &mut PhaseTimers) -> CommittedTxn {
+        let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
+        let access = &ctx.access;
         let ts = timers.time(Phase::Timestamp, || {
-            Self::compute_ts(cluster, ticket, &ctx.access)
+            let written = access.writes.iter().filter_map(|w| {
+                let i = access.find_read(w.partition, w.table, w.key)?;
+                Some(&access.reads[i].record)
+            });
+            reserve_lease_ts(ctx, written)
         });
-        cluster.group_commit.update_ts(ticket, ts);
-        let ops = ctx.access.ops();
-        let participants = ctx.access.participants(home);
+        cluster.group_commit.update_ts(ctx.ticket, ts);
+        let ops = access.ops();
+        let participants = access.participants(home);
 
         timers.time(Phase::Commit, || {
             // Durability first: every involved partition logs the write-set
-            // while the WCF exclusive locks (taken by the dummy reads) are
-            // still held. Shipping the set to the participant's log rides
-            // the same one-way batch charged below.
+            // while the exclusive locks are still held. Shipping the set to
+            // the participant's log rides the one-way batch charged below.
             log_txn_writes(cluster, txn, ts, &ctx.access.writes);
-            // Local part: prolong valid intervals of reads, install writes,
-            // release locks — all without any communication.
-            for r in &ctx.access.reads {
-                if r.partition == home
-                    && ctx.access.find_write(r.partition, r.table, r.key).is_none()
-                {
-                    r.record.extend_rts(ts);
-                }
-            }
-            for w in &ctx.access.writes {
-                if w.partition == home {
-                    Self::install_write(cluster, w, ts);
-                }
-            }
-            for r in &mut ctx.access.reads {
-                if r.partition == home && r.locked.is_some() {
-                    r.record.release(txn);
-                    r.locked = None;
-                }
-            }
-
-            // Remote part: ship the write-set (with ts) to each participant in
-            // one one-way batch; no acknowledgement and no further round trip
-            // is needed because the exclusive locks are already held there.
+            // Home part: prolong the valid intervals of reads, install the
+            // writes, release the locks — all without any communication.
+            Self::finish_partition(ctx, home, ts);
+            // Remote part: ship the write-set (with ts) to each participant
+            // in one one-way batch; no acknowledgement and no further round
+            // trip is needed because the exclusive locks are held there.
             if !participants.is_empty() {
                 cluster.net.one_way_multi(home, &participants);
             }
             for p in &participants {
-                for r in &ctx.access.reads {
-                    if r.partition == *p
-                        && ctx.access.find_write(r.partition, r.table, r.key).is_none()
-                    {
-                        r.record.extend_rts(ts);
-                    }
-                }
-                for w in &ctx.access.writes {
-                    if w.partition == *p {
-                        Self::install_write(cluster, w, ts);
-                    }
-                }
-                for r in &mut ctx.access.reads {
-                    if r.partition == *p && r.locked.is_some() {
-                        r.record.release(txn);
-                        r.locked = None;
-                    }
-                }
+                Self::finish_partition(ctx, *p, ts);
             }
         });
-        Self::commit_epilogue(cluster, ctx);
-
-        Ok(CommittedTxn {
+        commit_epilogue(ctx);
+        CommittedTxn {
             ts,
             ops,
             distributed: true,
-        })
+        }
     }
 
-    /// Commit a distributed transaction with classic 2PC (shared-lock reads
-    /// during execution): the ablation path and the read-heavy fallback.
-    fn commit_2pc(
-        &self,
-        cluster: &Cluster,
-        txn: TxnId,
-        ticket: &TxnTicket,
-        ctx: &mut PrimoCtx<'_>,
-        timers: &mut PhaseTimers,
-    ) -> TxnResult<CommittedTxn> {
-        let home = ctx.home;
-        let participants = ctx.access.participants(home);
-
-        // Prepare round through the cluster's atomic-commit layer: ship
-        // write-sets, acquire exclusive locks everywhere (upgrading shared
-        // read locks), wait for every participant's vote (under Paxos Commit
-        // the votes are additionally logged quorum-durably).
-        let prepared = match timers.time(Phase::TwoPc, || {
-            cluster
-                .atomic_commit()
-                .prepare(cluster, txn, home, &participants)
-        }) {
-            PrepareOutcome::Prepared(at) => at,
-            PrepareOutcome::Aborted(reason) => {
-                ctx.abort_cleanup();
-                return Err(TxnError::Aborted(reason));
-            }
-            PrepareOutcome::Orphaned => {
-                // Classic 2PC's blocking failure: the coordinator died with
-                // the votes in hand and nobody can decide — nothing is
-                // cleaned up, the participants stay blocked on this
-                // attempt's locks.
-                return Err(TxnError::Aborted(AbortReason::CoordinatorCrash));
-            }
-        };
-
-        let mut locked: Vec<Arc<Record>> = Vec::new();
-        let lock_result = timers.time(Phase::TwoPc, || {
-            for w in &ctx.access.writes {
-                let store = &cluster.partition(w.partition).store;
-                let record = resolve_write_record(store, w, txn, &ctx.access.undo)?;
-                if record.acquire(txn, LockMode::Exclusive, LockPolicy::WaitDie)
-                    != LockRequestResult::Granted
-                {
-                    if let Some(owner) = record.lock().holder() {
-                        cluster.recorder.emit(
-                            Some(txn),
-                            Some(w.partition),
-                            TraceEventKind::LockWait { owner },
-                        );
-                    }
-                    return Err(AbortReason::LockConflict);
-                }
-                locked.push(Arc::clone(&record));
-                recheck_locked_record(&record, txn, w.kind, &store.table(w.table), w.key)?;
-            }
-            Ok(())
-        });
-        if let Err(reason) = lock_result {
-            ctx.access.undo.unwind();
-            for r in &locked {
-                r.release(txn);
-            }
-            // Abort decision still needs to reach the participants.
-            cluster
-                .atomic_commit()
-                .decide_abort(cluster, txn, home, &participants);
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-
-        // Timestamp + read validation (TicToc-style, so local transactions
-        // can still commit around us).
-        let ts = timers.time(Phase::Timestamp, || {
-            Self::compute_ts(cluster, ticket, &ctx.access)
-        });
-        cluster.group_commit.update_ts(ticket, ts);
-        cluster
-            .recorder
-            .emit(Some(txn), Some(home), TraceEventKind::ValidationStart);
-        let validation = timers.time(Phase::Commit, || {
-            for r in &ctx.access.reads {
-                if r.dummy {
-                    continue;
-                }
-                if r.rts >= ts {
-                    continue;
-                }
-                let (wts_now, _) = r.record.timestamps();
-                if wts_now != r.wts {
-                    return Err(AbortReason::Validation);
-                }
+    /// What partition `p` does when the WCF write-set reaches it: extend the
+    /// leases of the records only read, install the writes into the records
+    /// their dummy reads pinned, release every lock held there.
+    fn finish_partition(ctx: &mut AccessCtx<'_>, p: PartitionId, ts: Ts) {
+        let (txn, access) = (ctx.txn(), &mut ctx.access);
+        for r in access.reads.iter().filter(|r| r.partition == p) {
+            if access.find_write(p, r.table, r.key).is_none() {
                 r.record.extend_rts(ts);
             }
-            Ok(())
-        });
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::ValidationOutcome {
-                ok: validation.is_ok(),
-                reason: validation.err(),
-            },
-        );
-        if let Err(reason) = validation {
-            ctx.access.undo.unwind();
-            for r in &locked {
-                r.release(txn);
-            }
-            cluster
-                .atomic_commit()
-                .decide_abort(cluster, txn, home, &participants);
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
         }
-
-        // Log the write-set under the locks, then install into the
-        // resolved-and-locked records.
-        let ops = ctx.access.ops();
-        timers.time(Phase::Commit, || {
-            log_txn_writes(cluster, txn, ts, &ctx.access.writes);
-            for (w, record) in ctx.access.writes.iter().zip(&locked) {
-                match w.kind {
-                    WriteKind::Delete => record.install_tombstone(ts),
-                    _ => record.install(w.value.clone(), ts),
-                }
-            }
-        });
-
-        // Commit round: propagate the decision, then release all locks.
-        timers.time(Phase::TwoPc, || {
-            cluster
-                .atomic_commit()
-                .decide_commit(cluster, txn, home, &participants, prepared);
-        });
-        for r in &locked {
-            r.release(txn);
+        for w in access.writes.iter().filter(|w| w.partition == p) {
+            let i = access
+                .find_read(p, w.table, w.key)
+                .expect("WCF: write-set is a subset of the read-set");
+            install_write(&access.reads[i].record, w, ts, TsRule::Lease);
         }
-        ctx.access.release_all_locks(txn);
-        Self::commit_epilogue(cluster, ctx);
-
-        Ok(CommittedTxn {
-            ts,
-            ops,
-            distributed: true,
-        })
-    }
-
-    /// WCF-mode install: the dummy read pre-locked (and, for inserts,
-    /// materialised) the record, so it is fetched and written in place;
-    /// deletes become tombstones.
-    fn install_write(cluster: &Cluster, w: &primo_runtime::access::WriteEntry, ts: Ts) {
-        let store = &cluster.partition(w.partition).store;
-        let Some(record) = store.get(w.table, w.key) else {
-            // Unreachable in practice: every WCF write is covered by a
-            // dummy read that pinned the record under an exclusive lock.
-            return;
-        };
-        match w.kind {
-            WriteKind::Delete => record.install_tombstone(ts),
-            _ => record.install(w.value.clone(), ts),
+        for r in access.reads.iter_mut().filter(|r| r.partition == p) {
+            if r.locked.take().is_some() {
+                r.record.release(txn);
+            }
         }
     }
 }
@@ -519,38 +188,20 @@ impl Protocol for PrimoProtocol {
     fn execute_once(
         &self,
         cluster: &Cluster,
-        txn: TxnId,
+        _txn: TxnId,
         program: &dyn TxnProgram,
         ticket: &TxnTicket,
         timers: &mut PhaseTimers,
         fanout: &ReadFanout,
     ) -> TxnResult<CommittedTxn> {
-        let home = program.home_partition();
         let wcf = self.use_wcf_for(program);
-        let mut ctx = PrimoCtx::new(cluster, ticket, txn, home, wcf).with_fanout(fanout);
-
-        // Execution phase: run the program (reads lock per mode, writes are
-        // buffered).
-        let exec = timers.time(Phase::Execute, || program.execute(&mut ctx));
-        if let Err(e) = exec {
-            let reason = ctx.dead.unwrap_or(e.reason());
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-        if let Some(reason) = ctx.dead {
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
-        }
-
-        match ctx.mode() {
-            Mode::Local => self.commit_local_tictoc(cluster, txn, ticket, &mut ctx, timers),
-            Mode::Distributed => {
-                if wcf {
-                    self.commit_wcf(cluster, txn, ticket, &mut ctx, timers)
-                } else {
-                    self.commit_2pc(cluster, txn, ticket, &mut ctx, timers)
-                }
-            }
+        let policy = ReadPolicy::SwitchOnRemote { wcf };
+        let mut ctx = AccessCtx::new(cluster, ticket, program.home_partition(), policy, fanout);
+        ctx.run_body(program, timers)?;
+        match (ctx.switched(), wcf) {
+            (false, _) => commit_locked(&mut ctx, &LOCAL_TICTOC, timers),
+            (true, true) => Ok(Self::commit_wcf(&mut ctx, timers)),
+            (true, false) => commit_locked(&mut ctx, &TICTOC_2PC, timers),
         }
     }
 }
@@ -559,9 +210,10 @@ impl Protocol for PrimoProtocol {
 mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
-    use primo_common::{PartitionId, TableId, Value};
+    use primo_common::{AbortReason, TableId, TxnError, Value};
     use primo_runtime::txn::{IncrementProgram, TxnContext};
     use primo_runtime::worker::run_single_txn;
+    use std::sync::Arc;
 
     fn loaded_cluster(n: usize) -> Arc<Cluster> {
         let cluster = Cluster::new(ClusterConfig::for_tests(n));

@@ -2,17 +2,21 @@
 //! experiment driver.
 //!
 //! The runtime is protocol-agnostic. A [`Protocol`]
-//! implements one *attempt* of a transaction; the [`worker`] loop supplies
-//! retries with exponential back-off, ties the attempt to the group-commit
-//! scheme and records metrics; the [`experiment`] driver assembles a cluster,
-//! loads a workload, runs workers for a fixed duration and returns a
-//! [`primo_common::MetricsSnapshot`].
+//! implements one *attempt* of a transaction — by handing the program the one
+//! [`AccessCtx`] under its [`ReadPolicy`] and committing through the one
+//! [`pipeline`] under its [`CommitSpec`](pipeline::CommitSpec); the
+//! [`worker`] loop supplies retries with exponential back-off, ties the
+//! attempt to the group-commit scheme and records metrics; the
+//! [`experiment`] driver assembles a cluster, loads a workload, runs workers
+//! for a fixed duration and returns a [`primo_common::MetricsSnapshot`].
 
 pub mod access;
 pub mod cluster;
 pub mod commit;
+pub mod context;
 pub mod durability;
 pub mod experiment;
+pub mod pipeline;
 pub mod prefetch;
 pub mod protocol;
 pub mod snapshot;
@@ -22,6 +26,7 @@ pub mod worker;
 pub use access::{AccessSet, ReadEntry, WriteEntry, WriteKind};
 pub use cluster::{Cluster, Partition};
 pub use commit::{AtomicCommit, ClassicTwoPc, PaxosCommit, PrepareOutcome, PreparedAt};
+pub use context::{AccessCtx, ReadPolicy};
 pub use durability::log_txn_writes;
 pub use experiment::{run_experiment, run_on_cluster, CrashPlan, ExperimentOptions};
 pub use prefetch::{Footprint, PrefetchOutcome, ReadFanout};

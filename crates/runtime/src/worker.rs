@@ -8,10 +8,10 @@
 
 use crate::cluster::Cluster;
 use crate::prefetch::{Footprint, ReadFanout};
-use crate::protocol::Protocol;
-use crate::txn::Workload;
+use crate::protocol::{CommittedTxn, Protocol};
+use crate::txn::{TxnProgram, Workload};
 use primo_common::sim_time::charge_latency_us;
-use primo_common::{AbortReason, FastRng, Metrics, PartitionId, Phase, PhaseTimers};
+use primo_common::{AbortReason, FastRng, Metrics, PartitionId, Phase, PhaseTimers, TxnId};
 use primo_trace::TraceEventKind;
 use primo_wal::{CommitOutcome, CommitWaiter};
 use std::collections::VecDeque;
@@ -120,6 +120,76 @@ fn back_off(rng: &mut FastRng, backoff_us: &mut u64, max_us: u64) {
     *backoff_us = (*backoff_us * 2).min(max_us);
 }
 
+/// What one attempt of a transaction runs against. The per-attempt lifecycle
+/// exists once, in [`Attempt::run`], for the worker loop and for
+/// [`run_single_txn`] (every facade session) alike.
+struct Attempt<'a> {
+    cluster: &'a Cluster,
+    protocol: &'a dyn Protocol,
+    program: &'a dyn TxnProgram,
+    home: PartitionId,
+}
+
+impl Attempt<'_> {
+    /// The first attempt's prefetch plan: the program's static hint (nothing
+    /// when batching is off — an empty plan never fans out and never learns).
+    fn initial_plan(&self) -> Footprint {
+        if self.cluster.config.batch_remote_reads {
+            Footprint::from_keys(self.home, self.program.read_hint())
+        } else {
+            Footprint::default()
+        }
+    }
+
+    /// One attempt under `txn`: open a ticket, resolve the batched read
+    /// fan-out `plan` describes, run the protocol, tell the group commit how
+    /// it ended and leave `Begin` + `Committed` / `Abort` in the flight
+    /// recorder. A commit also takes the log-retention step (its locks are
+    /// released); an abort leaves its observed remote footprint in `plan`
+    /// for the retry.
+    fn run(
+        &self,
+        txn: TxnId,
+        attempt: u32,
+        plan: &mut Footprint,
+        timers: &mut PhaseTimers,
+    ) -> Result<(CommittedTxn, CommitWaiter), AbortReason> {
+        let (cluster, home) = (self.cluster, self.home);
+        let trace = |kind| cluster.recorder.emit(Some(txn), Some(home), kind);
+        trace(TraceEventKind::Begin { attempt });
+        let ticket = cluster.group_commit.begin_txn(home, txn);
+        let mut fanout = ReadFanout::empty();
+        if !plan.is_empty() {
+            timers.time(Phase::Execute, || fanout.resolve(cluster, home, txn, plan));
+        }
+        match self
+            .protocol
+            .execute_once(cluster, txn, self.program, &ticket, timers, &fanout)
+        {
+            Ok(commit) => {
+                let waiter = cluster
+                    .group_commit
+                    .txn_committed(&ticket, commit.ts, commit.ops);
+                trace(TraceEventKind::Committed { ts: commit.ts });
+                cluster.fold_due_logs();
+                Ok((commit, waiter))
+            }
+            Err(e) => {
+                cluster.group_commit.txn_aborted(&ticket);
+                let reason = e.reason();
+                trace(TraceEventKind::Abort { reason });
+                if cluster.config.batch_remote_reads {
+                    let learned = fanout.learned(home);
+                    if !learned.is_empty() {
+                        *plan = learned;
+                    }
+                }
+                Err(reason)
+            }
+        }
+    }
+}
+
 /// Run the worker loop until the stop flag is raised.
 pub fn worker_loop(ctx: WorkerContext) {
     let mut rng = FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5);
@@ -188,54 +258,24 @@ pub fn worker_loop(ctx: WorkerContext) {
         // attempt, then each aborted attempt's observed access set for the
         // retry (reconnaissance-style), so even hint-less programs converge
         // to one batched fan-out per attempt.
-        let batching = ctx.cluster.config.batch_remote_reads;
-        let mut plan = if batching {
-            Footprint::from_keys(ctx.home, program.read_hint())
-        } else {
-            Footprint::default()
+        let attempt = Attempt {
+            cluster: &ctx.cluster,
+            protocol: ctx.protocol.as_ref(),
+            program: program.as_ref(),
+            home: ctx.home,
         };
+        let mut plan = attempt.initial_plan();
 
         let mut attempts = 0;
-        'attempts: while attempts < MAX_ATTEMPTS && !ctx.stop.load(Ordering::Relaxed) {
+        while attempts < MAX_ATTEMPTS && !ctx.stop.load(Ordering::Relaxed) {
             attempts += 1;
-            ctx.cluster.recorder.emit(
-                Some(txn),
-                Some(ctx.home),
-                TraceEventKind::Begin {
-                    attempt: attempts as u32,
-                },
-            );
             if slowdown > 0 {
                 // Simulated slow partition (Fig 13b): extra CPU time per
                 // attempt, charged as execution time.
                 timers.time(Phase::Execute, || charge_latency_us(slowdown));
             }
-            let ticket = ctx.cluster.group_commit.begin_txn(ctx.home, txn);
-            let mut fanout = ReadFanout::empty();
-            if batching && !plan.is_empty() {
-                timers.time(Phase::Execute, || {
-                    fanout.resolve(&ctx.cluster, ctx.home, txn, &plan)
-                });
-            }
-            let result = ctx.protocol.execute_once(
-                &ctx.cluster,
-                txn,
-                program.as_ref(),
-                &ticket,
-                &mut timers,
-                &fanout,
-            );
-            match result {
-                Ok(commit) => {
-                    let waiter = ctx
-                        .cluster
-                        .group_commit
-                        .txn_committed(&ticket, commit.ts, commit.ops);
-                    ctx.cluster.recorder.emit(
-                        Some(txn),
-                        Some(ctx.home),
-                        TraceEventKind::Committed { ts: commit.ts },
-                    );
+            match attempt.run(txn, attempts as u32, &mut plan, &mut timers) {
+                Ok((commit, waiter)) => {
                     if ctx.protocol.manages_durability() {
                         if ctx.recording.load(Ordering::Relaxed) {
                             let latency_us = started.elapsed().as_micros() as u64;
@@ -253,18 +293,9 @@ pub fn worker_loop(ctx: WorkerContext) {
                             distributed: commit.distributed,
                         });
                     }
-                    // Locks are released: take the log-retention step.
-                    ctx.cluster.fold_due_logs();
-                    break 'attempts;
+                    break;
                 }
-                Err(e) => {
-                    ctx.cluster.group_commit.txn_aborted(&ticket);
-                    let reason = e.reason();
-                    ctx.cluster.recorder.emit(
-                        Some(txn),
-                        Some(ctx.home),
-                        TraceEventKind::Abort { reason },
-                    );
+                Err(reason) => {
                     if ctx.recording.load(Ordering::Relaxed) {
                         ctx.metrics.record_abort(reason);
                     }
@@ -272,15 +303,7 @@ pub fn worker_loop(ctx: WorkerContext) {
                         if ctx.recording.load(Ordering::Relaxed) {
                             ctx.metrics.record_abandoned();
                         }
-                        break 'attempts;
-                    }
-                    if batching {
-                        // Learn the aborted attempt's remote footprint as the
-                        // retry's prefetch plan.
-                        let learned = fanout.learned(ctx.home);
-                        if !learned.is_empty() {
-                            plan = learned;
-                        }
+                        break;
                     }
                 }
             }
@@ -343,7 +366,7 @@ pub fn spawn_workers(
 pub fn run_single_txn(
     cluster: &Arc<Cluster>,
     protocol: &dyn Protocol,
-    program: &dyn crate::txn::TxnProgram,
+    program: &dyn TxnProgram,
 ) -> Result<usize, AbortReason> {
     let home = program.home_partition();
     // The same snapshot dispatch the worker loop uses: a declared read-only
@@ -355,59 +378,32 @@ pub fn run_single_txn(
             crate::snapshot::SnapshotOutcome::Fallback => {}
         }
     }
+    let attempt = Attempt {
+        cluster,
+        protocol,
+        program,
+        home,
+    };
     let mut attempts = 0;
     let mut backoff_us = cluster.config.backoff_initial_us;
     // When MAX_ATTEMPTS runs out, report what actually aborted the last
     // attempt rather than a blanket LockConflict.
     let mut last_reason = AbortReason::LockConflict;
-    // Same prefetch plan lifecycle as the worker loop: static hint first,
-    // then the aborted attempt's learned footprint.
-    let batching = cluster.config.batch_remote_reads;
-    let mut plan = if batching {
-        Footprint::from_keys(home, program.read_hint())
-    } else {
-        Footprint::default()
-    };
+    let mut plan = attempt.initial_plan();
     loop {
         attempts += 1;
         if attempts > MAX_ATTEMPTS {
             return Err(last_reason);
         }
         let txn = cluster.next_txn_id(home);
-        let ticket = cluster.group_commit.begin_txn(home, txn);
-        let mut timers = PhaseTimers::new();
-        let mut fanout = ReadFanout::empty();
-        if batching && !plan.is_empty() {
-            timers.time(Phase::Execute, || fanout.resolve(cluster, home, txn, &plan));
-        }
-        match protocol.execute_once(cluster, txn, program, &ticket, &mut timers, &fanout) {
-            Ok(commit) => {
-                let waiter = cluster
-                    .group_commit
-                    .txn_committed(&ticket, commit.ts, commit.ops);
-                // Locks are released: take the log-retention step.
-                cluster.fold_due_logs();
-                if protocol.manages_durability() {
-                    return Ok(attempts);
-                }
-                match cluster.group_commit.wait_durable(&waiter) {
-                    CommitOutcome::Committed => return Ok(attempts),
-                    CommitOutcome::CrashAborted => last_reason = AbortReason::CrashAbort,
-                }
-            }
-            Err(e) => {
-                cluster.group_commit.txn_aborted(&ticket);
-                if !e.reason().is_retryable() {
-                    return Err(e.reason());
-                }
-                last_reason = e.reason();
-                if batching {
-                    let learned = fanout.learned(home);
-                    if !learned.is_empty() {
-                        plan = learned;
-                    }
-                }
-            }
+        match attempt.run(txn, attempts as u32, &mut plan, &mut PhaseTimers::new()) {
+            Ok(_) if protocol.manages_durability() => return Ok(attempts),
+            Ok((_, waiter)) => match cluster.group_commit.wait_durable(&waiter) {
+                CommitOutcome::Committed => return Ok(attempts),
+                CommitOutcome::CrashAborted => last_reason = AbortReason::CrashAbort,
+            },
+            Err(reason) if !reason.is_retryable() => return Err(reason),
+            Err(reason) => last_reason = reason,
         }
         // Jitter seeded by the failed attempt's id.
         let mut rng = FastRng::new(txn.pack());

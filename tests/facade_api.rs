@@ -197,3 +197,50 @@ fn custom_registry_flows_through_the_builders() {
         .run();
     assert!(snap.committed > 0);
 }
+
+/// Regression: facade transactions used to run a private copy of the worker
+/// loop's attempt lifecycle that emitted no lifecycle events, so nothing a
+/// `Session` did could be explained from the flight recorder.
+#[test]
+fn facade_transactions_leave_their_lifecycle_in_the_flight_recorder() {
+    use primo_repro::{AbortReason, TraceEventKind, TxnError};
+    for kind in ALL_KINDS {
+        let primo = Primo::builder()
+            .partitions(2)
+            .protocol(kind)
+            .fast_local()
+            .build();
+        let session = primo.session();
+        session.load(PartitionId(0), TableId(0), 1, Value::from_u64(9));
+        session
+            .transaction(PartitionId(0), |ctx| {
+                ctx.write(PartitionId(0), TableId(0), 1, Value::from_u64(10))
+            })
+            .unwrap();
+        let err = session.transaction(PartitionId(0), |ctx| {
+            ctx.write(PartitionId(0), TableId(0), 1, Value::from_u64(11))?;
+            Err(TxnError::Aborted(AbortReason::UserAbort))
+        });
+        assert_eq!(err, Err(AbortReason::UserAbort));
+
+        let timeline = primo.cluster().recorder.merge();
+        let txns_with = |pred: fn(&TraceEventKind) -> bool| -> Vec<_> {
+            let hits = timeline.of_kind(pred);
+            hits.events().iter().filter_map(|e| e.txn).collect()
+        };
+        let begun = txns_with(|k| matches!(k, TraceEventKind::Begin { attempt: 1 }));
+        let committed = txns_with(|k| matches!(k, TraceEventKind::Committed { .. }));
+        let aborted = txns_with(|k| {
+            matches!(
+                k,
+                TraceEventKind::Abort {
+                    reason: AbortReason::UserAbort
+                }
+            )
+        });
+        assert_eq!(begun.len(), 2, "{kind:?}: one Begin per transaction");
+        assert_eq!(committed, vec![begun[0]], "{kind:?}: the commit's outcome");
+        assert_eq!(aborted, vec![begun[1]], "{kind:?}: the abort's outcome");
+        primo.shutdown();
+    }
+}
