@@ -261,7 +261,13 @@ impl Protocol for AriaProtocol {
                     }
                     let ts = cluster.group_commit.finalize_commit_ts(ticket, 0);
                     timers.time(Phase::Commit, || {
-                        log_txn_writes(cluster, txn, ts, &ctx.access.writes);
+                        // Nothing is locked at Aria's install: look each
+                        // record up once, for its before-image.
+                        let records: Vec<_> = (ctx.access.writes.iter())
+                            .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
+                            .collect();
+                        let records = records.iter().map(Option::as_ref);
+                        log_txn_writes(cluster, txn, ts, ctx.access.writes.iter().zip(records));
                         for w in &ctx.access.writes {
                             // The commit decision is already made, so inserts
                             // create their record directly (install flips it

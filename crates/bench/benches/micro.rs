@@ -308,10 +308,17 @@ fn bench_log_txn_writes() {
             )
         })
         .collect();
+    // The commit path holds every written record locked; so does the bench.
+    let records: Vec<_> = writes
+        .iter()
+        .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
+        .collect();
     let mut seq = 1_000_000u64;
     bench("durability/log_txn_writes_16w_4p", || {
         seq += 1;
-        log_txn_writes(&cluster, TxnId::new(PartitionId(0), seq), seq, &writes);
+        let txn = TxnId::new(PartitionId(0), seq);
+        let records = records.iter().map(Option::as_ref);
+        log_txn_writes(&cluster, txn, seq, writes.iter().zip(records));
     });
     cluster.shutdown();
 }

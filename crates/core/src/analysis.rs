@@ -1,5 +1,7 @@
 //! Appendix A of the paper: an analytical model of the conflict rate of a
-//! local transaction under Primo versus a 2PC-based scheme.
+//! local transaction under Primo versus a 2PC-based scheme — plus the two
+//! models this reproduction measures itself against: remote-read messages
+//! and the group commit's release lag / closed-loop ceiling.
 //!
 //! The model is used by the `appendixA` harness (and by tests) to check the
 //! paper's analytical conclusions: Primo wins whenever the read ratio is not
@@ -170,9 +172,67 @@ pub fn batching_advantage(p: &ModelParams) -> f64 {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Group-commit model (closed-loop ceiling, release lag in message delays).
+//
+// The two blocks above are about what a transaction costs *until it
+// commits*; this one is about how long its client then waits for the
+// watermark, and what that wait does to a closed loop's throughput.
+// ---------------------------------------------------------------------------
+
+/// Little's law for the benchmark's closed loop: `clients` outstanding
+/// transactions (workers x `MAX_PENDING_COMMITS`), each occupying its slot
+/// for `commit_latency_s`, complete at most `clients / commit_latency_s`
+/// per second — whatever the engine's CPU capacity.
+pub fn closed_loop_ceiling_tps(clients: usize, commit_latency_s: f64) -> f64 {
+    clients as f64 / commit_latency_s
+}
+
+/// How long a *blocked* client waits for the watermark that covers its
+/// commit, microseconds, by who has to generate one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReleaseLag {
+    /// Every peer's advertised `Wp` already covers the commit: the
+    /// coordinator's agent wakes, generates and waits out one quorum
+    /// acknowledgement — no message.
+    pub own: u64,
+    /// A peer has to be asked: the demand travels one bus delay, the peer's
+    /// watermark one quorum acknowledgement later another one back.
+    pub peer_asked: u64,
+}
+
+/// The demand-driven release lag in the unit Chockler & Gotsman (*Multi-Shot
+/// Distributed Transaction Commit*) count in: `wake + quorum_ack` plus zero
+/// or two message delays. A client that does *not* block is not modelled
+/// here — it is released by the interval heartbeat, up to `t_m` later.
+pub fn release_lag_us(wake_us: u64, quorum_ack_us: u64, bus_us: u64) -> ReleaseLag {
+    let own = wake_us + quorum_ack_us;
+    ReleaseLag {
+        own,
+        peer_asked: own + 2 * bus_us,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ceiling_reproduces_the_interval_paced_benchmark() {
+        // 2 workers x 512 clients released once per 20 ms interval: the
+        // 51.2k TPS `ycsb_local` sat on before releases followed demand.
+        assert!((closed_loop_ceiling_tps(1_024, 0.020) - 51_200.0).abs() < 1e-6);
+        // The same population at a 6 ms commit latency has room for 170k:
+        // the engine's CPU, not the loop, is then the limit.
+        assert!(closed_loop_ceiling_tps(1_024, 0.006) > 150_000.0);
+    }
+
+    #[test]
+    fn asking_a_peer_costs_two_message_delays() {
+        let lag = release_lag_us(50, 600, 100);
+        assert_eq!(lag.own, 650);
+        assert_eq!(lag.peer_asked - lag.own, 200);
+    }
 
     #[test]
     fn primo_wins_at_moderate_read_ratio() {

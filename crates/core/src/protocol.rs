@@ -7,10 +7,11 @@
 //! routine that is Primo's own) or, with WCF off, through the pipeline with
 //! a vote round (`TICTOC_2PC`).
 
-use primo_common::{PartitionId, Phase, PhaseTimers, Ts, TxnId, TxnResult};
+use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnError, TxnId, TxnResult};
+use primo_runtime::access::{AccessSet, WriteEntry};
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
-use primo_runtime::durability::log_txn_writes;
+use primo_runtime::durability::{log_txn_writes, straddles_crash};
 use primo_runtime::pipeline::{
     commit_epilogue, commit_locked, install_write, reserve_lease_ts, CommitSpec, Decision,
     ReadValidation, TsRule,
@@ -18,8 +19,9 @@ use primo_runtime::pipeline::{
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
-use primo_storage::LockPolicy;
+use primo_storage::{LockPolicy, Record};
 use primo_wal::TxnTicket;
+use std::sync::Arc;
 
 /// A purely local transaction: TicToc (§4.2.1) — abort at once on a write
 /// conflict, renew the leases of the unlocked reads.
@@ -39,6 +41,15 @@ const TICTOC_2PC: CommitSpec = CommitSpec {
     decision: Decision::Round,
     ..LOCAL_TICTOC
 };
+
+/// Every buffered write with the record its (dummy) read pinned — under WCF
+/// the write-set is a subset of the read-set, so that is every write.
+fn pinned_writes(access: &AccessSet) -> impl Iterator<Item = (&WriteEntry, Option<&Arc<Record>>)> {
+    access.writes.iter().map(|w| {
+        let i = access.find_read(w.partition, w.table, w.key);
+        (w, i.map(|i| &access.reads[i].record))
+    })
+}
 
 /// Primo (optionally with WCF disabled, which is the "Primo w/o WM & WCF"
 /// ablation of Fig 4b/5b: TicToc for local transactions, classic 2PL + 2PC
@@ -116,25 +127,30 @@ impl PrimoProtocol {
     /// no vote round and no possibility of conflict — every record read or
     /// written is already exclusively locked, the dummy reads made
     /// write-set ⊆ read-set.
-    fn commit_wcf(ctx: &mut AccessCtx<'_>, timers: &mut PhaseTimers) -> CommittedTxn {
+    fn commit_wcf(ctx: &mut AccessCtx<'_>, timers: &mut PhaseTimers) -> TxnResult<CommittedTxn> {
         let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
         let access = &ctx.access;
         let ts = timers.time(Phase::Timestamp, || {
-            let written = access.writes.iter().filter_map(|w| {
-                let i = access.find_read(w.partition, w.table, w.key)?;
-                Some(&access.reads[i].record)
-            });
-            reserve_lease_ts(ctx, written)
+            reserve_lease_ts(ctx, pinned_writes(access).filter_map(|(_, r)| r))
         });
         cluster.group_commit.update_ts(ctx.ticket, ts);
         let ops = access.ops();
         let participants = access.participants(home);
 
+        // Durability first: every involved partition logs the write-set
+        // while the exclusive locks are still held. Shipping the set to
+        // the participant's log rides the one-way batch charged below.
+        // With no vote round, this is also the only place left to notice
+        // that a partition died since its records were locked.
+        let straddles = timers.time(Phase::Commit, || {
+            log_txn_writes(cluster, txn, ts, pinned_writes(&ctx.access));
+            straddles_crash(cluster, txn, home, &participants, &ctx.access.writes)
+        });
+        if straddles {
+            ctx.abort_cleanup();
+            return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
+        }
         timers.time(Phase::Commit, || {
-            // Durability first: every involved partition logs the write-set
-            // while the exclusive locks are still held. Shipping the set to
-            // the participant's log rides the one-way batch charged below.
-            log_txn_writes(cluster, txn, ts, &ctx.access.writes);
             // Home part: prolong the valid intervals of reads, install the
             // writes, release the locks — all without any communication.
             Self::finish_partition(ctx, home, ts);
@@ -149,11 +165,11 @@ impl PrimoProtocol {
             }
         });
         commit_epilogue(ctx);
-        CommittedTxn {
+        Ok(CommittedTxn {
             ts,
             ops,
             distributed: true,
-        }
+        })
     }
 
     /// What partition `p` does when the WCF write-set reaches it: extend the
@@ -200,7 +216,7 @@ impl Protocol for PrimoProtocol {
         ctx.run_body(program, timers)?;
         match (ctx.switched(), wcf) {
             (false, _) => commit_locked(&mut ctx, &LOCAL_TICTOC, timers),
-            (true, true) => Ok(Self::commit_wcf(&mut ctx, timers)),
+            (true, true) => Self::commit_wcf(&mut ctx, timers),
             (true, false) => commit_locked(&mut ctx, &TICTOC_2PC, timers),
         }
     }

@@ -22,6 +22,10 @@ use std::time::Duration;
 pub enum BusMessage {
     /// A partition advertises its partition-watermark `Wp` (§5.1).
     PartitionWatermark { from: PartitionId, wp: u64 },
+    /// A client of the sender is blocked on a commit at `ts` and the
+    /// receiver's last advertised `Wp` does not cover it: the receiver is
+    /// asked to generate a watermark now instead of at its next interval.
+    WatermarkDemand { ts: u64 },
     /// COCO group-prepare for an epoch (coordinator -> all).
     EpochPrepare { epoch: u64 },
     /// COCO group-ready response (partition -> coordinator).

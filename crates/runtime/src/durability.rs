@@ -28,19 +28,20 @@
 use crate::access::{WriteEntry, WriteKind};
 use crate::cluster::Cluster;
 use primo_common::{PartitionId, Ts, TxnId};
-use primo_storage::LifecycleState;
+use primo_storage::{LifecycleState, Record};
 use primo_trace::TraceEventKind;
 use primo_wal::{LogPayload, LoggedOp, LoggedWrite};
+use std::sync::Arc;
 
 /// The committed before-image of the record a write is about to install
 /// into: `Some(value)` for a `Visible` record, `None` when the key has no
-/// committed value — the slot is absent, a tombstone, or this transaction's
-/// own uncommitted insert (created or revived ahead of the commit decision).
-/// Must be called while the write locks are held, so the observed value is
-/// exactly what compensation has to restore if a crash rolls the
-/// transaction back on a surviving partition.
-fn before_image(cluster: &Cluster, w: &WriteEntry, txn: TxnId) -> Option<primo_common::Value> {
-    let record = cluster.partition(w.partition).store.get(w.table, w.key)?;
+/// committed value — the slot is absent (`record` is `None`), a tombstone, or
+/// this transaction's own uncommitted insert (created or revived ahead of
+/// the commit decision). Must be called while the write locks are held, so
+/// the observed value is exactly what compensation has to restore if a crash
+/// rolls the transaction back on a surviving partition.
+fn before_image(record: Option<&Arc<Record>>, txn: TxnId) -> Option<primo_common::Value> {
+    let record = record?;
     match record.state() {
         LifecycleState::Visible => Some(record.read().value),
         LifecycleState::UncommittedInsert { owner } => {
@@ -55,12 +56,14 @@ fn before_image(cluster: &Cluster, w: &WriteEntry, txn: TxnId) -> Option<primo_c
 }
 
 /// Append one `TxnWrites` entry per involved partition for a transaction
-/// committing at `ts`. Deletes are logged as [`LoggedOp::Delete`]; puts and
-/// inserts both log the installed value (replay is create-if-absent either
-/// way). Every write also captures its committed before-image — the
-/// `Visible` value observed under the held write lock, or `None` when the
-/// key has no committed value — so a crash-abort can be compensated on
-/// surviving partitions.
+/// committing at `ts`. Each write comes with the record it is about to
+/// install into — the one the commit path already holds locked (`None`: the
+/// key has no record yet), so nothing is looked up a second time. Deletes
+/// are logged as [`LoggedOp::Delete`]; puts and inserts both log the
+/// installed value (replay is create-if-absent either way). Every write also
+/// captures its committed before-image — the `Visible` value observed under
+/// the held write lock, or `None` when the key has no committed value — so a
+/// crash-abort can be compensated on surviving partitions.
 ///
 /// The write-set is grouped by partition in a single pass (write-sets are
 /// small, so group lookup is a short `Vec` scan, not a hash map), so a
@@ -69,12 +72,14 @@ fn before_image(cluster: &Cluster, w: &WriteEntry, txn: TxnId) -> Option<primo_c
 /// the fan-out to follower replicas happens off this critical section in
 /// the log's replication pump (see the append pipeline in
 /// `primo_wal::replicated`).
-pub fn log_txn_writes(cluster: &Cluster, txn: TxnId, ts: Ts, writes: &[WriteEntry]) {
-    if writes.is_empty() {
-        return;
-    }
+pub fn log_txn_writes<'a>(
+    cluster: &Cluster,
+    txn: TxnId,
+    ts: Ts,
+    writes: impl IntoIterator<Item = (&'a WriteEntry, Option<&'a Arc<Record>>)>,
+) {
     let mut groups: Vec<(PartitionId, Vec<LoggedWrite>)> = Vec::new();
-    for w in writes {
+    for (w, record) in writes {
         let logged = LoggedWrite {
             table: w.table,
             key: w.key,
@@ -82,7 +87,7 @@ pub fn log_txn_writes(cluster: &Cluster, txn: TxnId, ts: Ts, writes: &[WriteEntr
                 WriteKind::Delete => LoggedOp::Delete,
                 WriteKind::Put | WriteKind::Insert => LoggedOp::Put(w.value.clone()),
             },
-            prev: before_image(cluster, w, txn),
+            prev: before_image(record, txn),
         };
         match groups.iter_mut().find(|(p, _)| *p == w.partition) {
             Some((_, group)) => group.push(logged),
@@ -107,12 +112,60 @@ pub fn log_txn_writes(cluster: &Cluster, txn: TxnId, ts: Ts, writes: &[WriteEntr
     }
 }
 
+/// The crash check of a commit that spans partitions: call after
+/// [`log_txn_writes`], before the first install.
+///
+/// A partition crash is made atomic across partitions by one compensation
+/// scan of every survivor's log, taken right after the network marks the
+/// partition down. A commit that already holds its locks on the dying
+/// partition can still append *after* that scan: the scheme then reports it
+/// `Committed`, its half on the survivor stays, its half on the crashed
+/// partition is past the replay bound — half a transaction. So the commit
+/// looks at its partitions' health once its write-set is in the logs. All
+/// up: the append preceded the mark and therefore the scan, and compensation
+/// owns the transaction from here. One down (`true`): the caller must give
+/// up without installing anything; what it logged on the partitions still
+/// up is sealed here with `TxnRolledBack` markers, so no replay and no fold
+/// ever applies it (the crashed partition's recovery drops its own copy).
+pub fn straddles_crash(
+    cluster: &Cluster,
+    txn: TxnId,
+    home: PartitionId,
+    participants: &[PartitionId],
+    writes: &[WriteEntry],
+) -> bool {
+    let mut involved = participants.iter().chain([&home]);
+    if !involved.any(|p| cluster.net.is_crashed(*p)) {
+        return false;
+    }
+    let mut sealed: Vec<PartitionId> = Vec::new();
+    for w in writes {
+        if !sealed.contains(&w.partition) && !cluster.net.is_crashed(w.partition) {
+            sealed.push(w.partition);
+            let log = &cluster.partition(w.partition).log;
+            log.append(LogPayload::TxnRolledBack { txn });
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
     use primo_common::{PartitionId, TableId, Value};
     use primo_wal::ReplayBound;
+
+    /// Log `writes` the way a commit path does: each with the record the
+    /// store holds for its key right now.
+    fn log_resolved(cluster: &Cluster, txn: TxnId, ts: Ts, writes: &[WriteEntry]) {
+        let records: Vec<Option<Arc<Record>>> = writes
+            .iter()
+            .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
+            .collect();
+        let records = records.iter().map(Option::as_ref);
+        log_txn_writes(cluster, txn, ts, writes.iter().zip(records));
+    }
 
     #[test]
     fn write_sets_are_grouped_per_partition() {
@@ -123,11 +176,16 @@ mod tests {
             WriteEntry::delete(PartitionId(1), TableId(0), 2),
             WriteEntry::insert(PartitionId(0), TableId(1), 3, Value::from_u64(3)),
         ];
-        let base0 = cluster.partition(PartitionId(0)).log.len();
-        let base1 = cluster.partition(PartitionId(1)).log.len();
-        log_txn_writes(&cluster, txn, 7, &writes);
-        assert_eq!(cluster.partition(PartitionId(0)).log.len(), base0 + 1);
-        assert_eq!(cluster.partition(PartitionId(1)).log.len(), base1 + 1);
+        log_resolved(&cluster, txn, 7, &writes);
+        // One append per involved partition (the agents' watermark records
+        // land in the same logs, so the log length cannot say it).
+        let appends = cluster.recorder.merge().for_txn(txn);
+        let appended_on = |p: u32| {
+            let on_p = appends.for_partition(PartitionId(p));
+            on_p.of_kind(|k| matches!(k, TraceEventKind::WalAppend { .. }))
+                .len()
+        };
+        assert_eq!((appended_on(0), appended_on(1)), (1, 1));
 
         std::thread::sleep(std::time::Duration::from_millis(60));
         let replayed =
@@ -166,7 +224,7 @@ mod tests {
             WriteEntry::delete(p, TableId(0), 2),
             WriteEntry::insert(p, TableId(0), 3, Value::from_u64(33)),
         ];
-        log_txn_writes(&cluster, txn, 5, &writes);
+        log_resolved(&cluster, txn, 5, &writes);
         std::thread::sleep(std::time::Duration::from_millis(60));
         let replayed = cluster
             .partition(p)
@@ -191,12 +249,34 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_that_finds_a_partition_down_seals_its_survivor_entries() {
+        let cluster = Cluster::new(ClusterConfig::for_tests(2));
+        let (p0, p1) = (PartitionId(0), PartitionId(1));
+        let writes = vec![
+            WriteEntry::insert(p0, TableId(0), 1, Value::from_u64(1)),
+            WriteEntry::insert(p1, TableId(0), 1, Value::from_u64(1)),
+        ];
+        let txn = cluster.next_txn_id(p0);
+        log_resolved(&cluster, txn, 7, &writes);
+        assert!(!straddles_crash(&cluster, txn, p0, &[p1], &writes));
+        assert!(cluster.partition(p0).log.rolled_back_txns().is_empty());
+        // The participant dies between the append and the install.
+        cluster.net.set_crashed(p1, true);
+        assert!(straddles_crash(&cluster, txn, p0, &[p1], &writes));
+        assert!(cluster.partition(p0).log.rolled_back_txns().contains(&txn));
+        assert!(
+            cluster.partition(p1).log.rolled_back_txns().is_empty(),
+            "a dead leader appends nothing; its recovery drops the entry"
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
     fn empty_write_sets_log_nothing() {
         let cluster = Cluster::new(ClusterConfig::for_tests(1));
         let txn = cluster.next_txn_id(PartitionId(0));
-        let before = cluster.partition(PartitionId(0)).log.len();
-        log_txn_writes(&cluster, txn, 1, &[]);
-        assert_eq!(cluster.partition(PartitionId(0)).log.len(), before);
+        log_resolved(&cluster, txn, 1, &[]);
+        assert!(cluster.recorder.merge().for_txn(txn).is_empty());
         cluster.shutdown();
     }
 }

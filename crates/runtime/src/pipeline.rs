@@ -12,7 +12,7 @@
 use crate::access::{recheck_locked_record, resolve_write_record, WriteEntry, WriteKind};
 use crate::commit::{PrepareOutcome, PreparedAt};
 use crate::context::AccessCtx;
-use crate::durability::log_txn_writes;
+use crate::durability::{log_txn_writes, straddles_crash};
 use crate::protocol::CommittedTxn;
 use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnError, TxnId, TxnResult};
 use primo_storage::{LockMode, LockPolicy, Record};
@@ -305,11 +305,25 @@ pub fn commit_locked(
             ctx.trace(TraceEventKind::CommitTsReserved { ts });
             ts
         });
-        log_txn_writes(cluster, txn, ts, &ctx.access.writes);
+        let writes = ctx.access.writes.iter().zip(&locked);
+        log_txn_writes(cluster, txn, ts, writes.map(|(w, r)| (w, Some(r))));
+        ts
+    });
+    if let Some((parts, _)) = &round {
+        if straddles_crash(cluster, txn, home, parts, &ctx.access.writes) {
+            cluster
+                .atomic_commit()
+                .decide_abort(cluster, txn, home, parts);
+            ctx.access.undo.unwind();
+            release_all(&locked, txn);
+            ctx.abort_cleanup();
+            return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
+        }
+    }
+    timers.time(Phase::Commit, || {
         for (w, record) in ctx.access.writes.iter().zip(&locked) {
             install_write(record, w, ts, spec.timestamp);
         }
-        ts
     });
 
     if let Some((parts, prepared)) = &round {

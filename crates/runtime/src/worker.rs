@@ -23,10 +23,12 @@ use std::time::{Duration, Instant};
 /// never wedge a worker forever.
 const MAX_ATTEMPTS: usize = 1_000;
 
-/// How many transactions a worker may have waiting for the group commit
-/// before it applies back-pressure (blocks on the oldest). Mirrors the
-/// paper's setup where a worker "initiates a new transaction when the running
-/// transaction is waiting" (§6.1.3) — the client waits, the worker does not.
+/// The closed loop's client population per worker: how many transactions may
+/// be waiting for the group commit at once. The paper's DBx1000 method
+/// (§6.1.3) has a worker "initiate a new transaction when the running
+/// transaction is waiting" — each waiting transaction is a client whose
+/// result is outstanding, and a worker that has this many outstanding blocks
+/// on the oldest. By Little's law `tps <= workers x 512 / commit latency`.
 const MAX_PENDING_COMMITS: usize = 512;
 
 /// A transaction whose write-set is installed but whose result has not yet
@@ -51,64 +53,48 @@ pub struct WorkerContext {
     pub recording: Arc<AtomicBool>,
 }
 
-/// Resolve (without blocking) every pending transaction whose group-commit
-/// outcome is now known.
-fn drain_pending(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
-    while let Some(front) = pending.front() {
-        match ctx.cluster.group_commit.try_outcome(&front.waiter) {
-            Some(outcome) => {
-                let mut done = pending.pop_front().unwrap();
-                done.timers.add(Phase::Return, done.committed_at.elapsed());
-                ctx.cluster.recorder.emit(
-                    Some(done.waiter.txn),
-                    Some(done.waiter.coordinator),
-                    TraceEventKind::GroupCommitRelease {
-                        committed: matches!(outcome, CommitOutcome::Committed),
-                    },
-                );
-                if ctx.recording.load(Ordering::Relaxed) {
-                    match outcome {
-                        CommitOutcome::Committed => {
-                            let latency_us = done.started.elapsed().as_micros() as u64;
-                            ctx.metrics
-                                .record_commit(latency_us, &done.timers, done.distributed);
-                        }
-                        CommitOutcome::CrashAborted => {
-                            ctx.metrics.record_abort(AbortReason::CrashAbort);
-                        }
-                    }
-                }
+/// The group commit decided `done`: close its `Return` phase, trace the
+/// release and count the result.
+fn resolve(ctx: &WorkerContext, mut done: PendingCommit, outcome: CommitOutcome) {
+    done.timers.add(Phase::Return, done.committed_at.elapsed());
+    ctx.cluster.recorder.emit(
+        Some(done.waiter.txn),
+        Some(done.waiter.coordinator),
+        TraceEventKind::GroupCommitRelease {
+            committed: matches!(outcome, CommitOutcome::Committed),
+        },
+    );
+    if ctx.recording.load(Ordering::Relaxed) {
+        match outcome {
+            CommitOutcome::Committed => {
+                let latency_us = done.started.elapsed().as_micros() as u64;
+                ctx.metrics
+                    .record_commit(latency_us, &done.timers, done.distributed);
             }
-            None => break,
+            CommitOutcome::CrashAborted => ctx.metrics.record_abort(AbortReason::CrashAbort),
         }
     }
 }
 
-/// Block on the oldest pending transaction (back-pressure when the group
-/// commit falls far behind execution).
+/// Resolve (without blocking) every pending transaction whose group-commit
+/// outcome is now known.
+fn drain_pending(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
+    while let Some(outcome) = pending
+        .front()
+        .and_then(|front| ctx.cluster.group_commit.try_outcome(&front.waiter))
+    {
+        let done = pending.pop_front().expect("front was just probed");
+        resolve(ctx, done, outcome);
+    }
+}
+
+/// Block on the oldest pending transaction: back-pressure at the client
+/// ceiling, and — the wait being the group commit's demand signal — what
+/// closes the group early under the watermark scheme.
 fn block_on_oldest(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
-    if let Some(mut oldest) = pending.pop_front() {
+    if let Some(oldest) = pending.pop_front() {
         let outcome = ctx.cluster.group_commit.wait_durable(&oldest.waiter);
-        oldest
-            .timers
-            .add(Phase::Return, oldest.committed_at.elapsed());
-        ctx.cluster.recorder.emit(
-            Some(oldest.waiter.txn),
-            Some(oldest.waiter.coordinator),
-            TraceEventKind::GroupCommitRelease {
-                committed: matches!(outcome, CommitOutcome::Committed),
-            },
-        );
-        if ctx.recording.load(Ordering::Relaxed) {
-            match outcome {
-                CommitOutcome::Committed => {
-                    let latency_us = oldest.started.elapsed().as_micros() as u64;
-                    ctx.metrics
-                        .record_commit(latency_us, &oldest.timers, oldest.distributed);
-                }
-                CommitOutcome::CrashAborted => ctx.metrics.record_abort(AbortReason::CrashAbort),
-            }
-        }
+        resolve(ctx, oldest, outcome);
     }
 }
 
@@ -313,11 +299,11 @@ pub fn worker_loop(ctx: WorkerContext) {
         }
     }
 
-    // Resolve whatever is still in flight so late commits are counted.
+    // Resolve whatever is still in flight so late commits are counted:
+    // block on one waiter after the other until the deadline.
     let deadline = Instant::now() + Duration::from_millis(200);
     while !pending.is_empty() && Instant::now() < deadline {
-        drain_pending(&ctx, &mut pending);
-        std::thread::sleep(Duration::from_millis(1));
+        block_on_oldest(&ctx, &mut pending);
     }
 }
 
@@ -439,13 +425,13 @@ mod tests {
             _fanout: &ReadFanout,
         ) -> primo_common::TxnResult<CommittedTxn> {
             let ts = cluster.group_commit.finalize_commit_ts(ticket, 0);
-            let writes = vec![WriteEntry::insert(
+            let writes = [WriteEntry::insert(
                 PartitionId(0),
                 TableId(0),
                 1,
                 Value::from_u64(txn.seq),
             )];
-            crate::durability::log_txn_writes(cluster, txn, ts, &writes);
+            crate::durability::log_txn_writes(cluster, txn, ts, writes.iter().map(|w| (w, None)));
             Ok(CommittedTxn {
                 ts,
                 ops: 1,

@@ -14,6 +14,17 @@ pub(crate) const NO_TXN: u64 = u64::MAX;
 /// Sentinel for "no partition" in the packed partition half-word.
 pub(crate) const NO_PARTITION: u32 = u32::MAX;
 
+/// Why a watermark agent closed a group (generated a partition watermark).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WatermarkCause {
+    /// The interval `t_m` elapsed (the heartbeat).
+    Interval,
+    /// A peer's `Wp` showed this idle partition holding `Wg` back.
+    IdleLag,
+    /// A client is blocked on a commit the last watermark does not cover.
+    Demand,
+}
+
 /// What happened. One variant per instrumentation point in the transaction
 /// lifecycle; payloads are the few words a post-mortem actually needs
 /// (owners, timestamps, LSNs, horizons), not full payload dumps.
@@ -56,6 +67,14 @@ pub enum TraceEventKind {
     SnapshotRead { horizon: Ts },
     /// The watermark scheme published a new group watermark (Wg).
     WatermarkPublish { wg: Ts },
+    /// A watermark agent generated the partition watermark `wp` (published
+    /// one quorum-ack delay later). `demanded` is the highest commit
+    /// timestamp a blocked client was waiting for at that moment, 0 if none.
+    WatermarkGenerate {
+        wp: Ts,
+        cause: WatermarkCause,
+        demanded: Ts,
+    },
     /// The COCO-style scheme sealed an epoch.
     EpochSealed { epoch: u64 },
     /// The CLV scheme advanced its cut (committed-LSN vector decision).
@@ -172,13 +191,18 @@ impl TraceEventKind {
             PrefetchIssued { partitions, keys } => (26, partitions as u64, keys as u64, 0),
             PrefetchHit => (27, 0, 0, 0),
             PrefetchStale => (28, 0, 0, 0),
+            WatermarkGenerate {
+                wp,
+                cause,
+                demanded,
+            } => (29, wp, cause as u64, demanded),
         }
     }
 
     /// Inverse of [`TraceEventKind::encode`]. `None` for a torn / garbage
     /// slot (possible only if a reader raced a wrap, which the seqlock
     /// already filters; kept defensive anyway).
-    pub(crate) fn decode(d: u64, a: u64, b: u64, _c: u64) -> Option<Self> {
+    pub(crate) fn decode(d: u64, a: u64, b: u64, c: u64) -> Option<Self> {
         use TraceEventKind::*;
         Some(match d {
             0 => Begin { attempt: a as u32 },
@@ -240,6 +264,16 @@ impl TraceEventKind {
             },
             27 => PrefetchHit,
             28 => PrefetchStale,
+            29 => WatermarkGenerate {
+                wp: a,
+                cause: match b {
+                    0 => WatermarkCause::Interval,
+                    1 => WatermarkCause::IdleLag,
+                    2 => WatermarkCause::Demand,
+                    _ => return None,
+                },
+                demanded: c,
+            },
             _ => return None,
         })
     }
@@ -295,6 +329,14 @@ impl fmt::Display for TraceEventKind {
             }
             PrefetchHit => write!(f, "prefetch-hit"),
             PrefetchStale => write!(f, "prefetch-stale"),
+            WatermarkGenerate {
+                wp,
+                cause,
+                demanded,
+            } => write!(
+                f,
+                "watermark-generate wp={wp} cause={cause:?} demanded={demanded}"
+            ),
         }
     }
 }
@@ -396,6 +438,16 @@ mod tests {
             },
             TraceEventKind::PrefetchHit,
             TraceEventKind::PrefetchStale,
+            TraceEventKind::WatermarkGenerate {
+                wp: 91,
+                cause: WatermarkCause::Demand,
+                demanded: 90,
+            },
+            TraceEventKind::WatermarkGenerate {
+                wp: 92,
+                cause: WatermarkCause::IdleLag,
+                demanded: 0,
+            },
         ];
         for kind in all {
             let (d, a, b, c) = kind.encode();

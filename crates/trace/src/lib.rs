@@ -27,7 +27,7 @@ mod recorder;
 mod ring;
 mod timeline;
 
-pub use event::{TraceEvent, TraceEventKind};
+pub use event::{TraceEvent, TraceEventKind, WatermarkCause};
 pub use recorder::{FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use ring::TraceRing;
 pub use timeline::Timeline;

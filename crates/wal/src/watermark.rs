@@ -2,17 +2,46 @@
 //!
 //! Each partition leader runs a lightweight agent that
 //!
-//! 1. every `t_m` generates a partition watermark `Wp` — the minimum logical
-//!    timestamp (or lower bound `lts`) of the transactions still active on
-//!    that partition (rule R1);
+//! 1. every `t_m`, or as soon as a client is blocked on it, generates a
+//!    partition watermark `Wp` — the minimum logical timestamp (or lower
+//!    bound `lts`) of the transactions still active on that partition
+//!    (rule R1);
 //! 2. publishes `Wp` only after the simulated log-persist/replication delay,
 //!    so `Wp` never claims durability it does not have;
 //! 3. receives other partitions' watermarks over the (delayed, asynchronous)
 //!    control bus, maintains the global watermark `Wg = min(all Wp)` and wakes
 //!    transactions waiting for their result to become returnable.
 //!
-//! The agent blocks in its bus mailbox until a peer's `Wp`, its next
-//! generation or its next publication is due — no polling tick.
+//! The agent blocks in its bus mailbox until a peer's message, its next
+//! generation or the publication in flight is due — no polling tick.
+//!
+//! **The group closes on demand or on time, whichever comes first.** A
+//! client that has to *block* in [`GroupCommit::wait_durable`] (`Wg <= ts`)
+//! leaves `ts` in its coordinator's `PartitionWm::demand` and interrupts
+//! that agent's mailbox wait. The agent then runs its one generation step
+//! at once instead of at the next interval and — because `Wg` is the minimum
+//! over *all* `Wp` — asks every peer whose last advertised `Wp` does not
+//! cover `ts` with a [`BusMessage::WatermarkDemand`], which pays the normal
+//! bus delay; the peer adopts `ts` as a timestamp it has seen (a Lamport
+//! step, so its next watermark can pass it) and does the same. At most one
+//! generated watermark is unpublished per partition: a demand arriving
+//! meanwhile is remembered by timestamp and served right after that
+//! publication if still uncovered, so any number of concurrent waiters cost
+//! one generation per quorum-ack delay (leader-flushes-when-someone-waits
+//! group commit). Clients that never block — workers below their pending
+//! ceiling — raise no demand and stay interval-paced.
+//!
+//! Soundness does not depend on *when* a watermark is generated: demand only
+//! moves the moment the generation step runs, never what its candidate may
+//! cover. The candidate is still capped by the active table under its lock
+//! (rule R1 participants, reserved coordinator commits), new transactions
+//! are still forced above it by the floor (rule R2), and it still publishes
+//! one quorum-ack delay after generation — see the comment in the step.
+//!
+//! Lock order of the demand path: the waiter touches `demand` (an atomic)
+//! and the mailbox lock (`interrupt`) *before* it takes `wg`; the agent
+//! never holds the mailbox lock outside `recv_until` and takes `table`,
+//! `active` and `wg` one at a time, so nothing nests.
 //!
 //! Rule R2 (new transactions must exceed the freshly generated `Wp`) is
 //! exposed through [`GroupCommit::ts_floor`]; Primo's coordinator adds the
@@ -30,8 +59,8 @@ use primo_common::config::WalConfig;
 use primo_common::sim_time::now_us;
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_net::{BusMessage, DelayedBus};
-use primo_trace::{FlightRecorder, TraceEventKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use primo_trace::{FlightRecorder, TraceEventKind, WatermarkCause};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -62,6 +91,10 @@ struct PartitionWm {
     /// lets an idle partition's watermark jump straight past everything it
     /// has already processed instead of creeping one tick at a time.
     max_seen_ts: AtomicU64,
+    /// Highest commit timestamp a client of this partition has blocked on
+    /// (0: none yet). Only ever raised; it is an open demand while the
+    /// watermarks do not cover it.
+    demand: AtomicU64,
     /// Latest watermark received from every partition (including self).
     table: Mutex<Vec<Ts>>,
     /// Global-watermark view and crash-rollback bookkeeping.
@@ -78,6 +111,7 @@ impl PartitionWm {
             wp_published: AtomicU64::new(0),
             force_floor: AtomicU64::new(0),
             max_seen_ts: AtomicU64::new(0),
+            demand: AtomicU64::new(0),
             table: Mutex::new(vec![0; n]),
             wg: Mutex::new(WgState::default()),
             wg_cond: Condvar::new(),
@@ -180,12 +214,11 @@ impl WatermarkCommit {
             let bus = Arc::clone(&self.bus);
             let stop = Arc::clone(&self.stop);
             let cfg = self.cfg;
-            let all: Vec<Arc<PartitionWm>> = self.parts.clone();
             let wal = Arc::clone(&self.wals[p]);
             let recorder = Arc::clone(&self.recorder);
             let handle = std::thread::Builder::new()
                 .name(format!("wm-agent-{p}"))
-                .spawn(move || agent_loop(part, all, bus, wal, cfg, stop, recorder))
+                .spawn(move || agent_loop(part, bus, wal, cfg, stop, recorder))
                 .expect("spawn watermark agent");
             agents.push(handle);
         }
@@ -210,9 +243,10 @@ impl WatermarkCommit {
     }
 }
 
+/// One partition's watermark agent. It owns `me` and nothing of any other
+/// partition: what it knows of its peers arrived as a [`BusMessage`].
 fn agent_loop(
     me: Arc<PartitionWm>,
-    all: Vec<Arc<PartitionWm>>,
     bus: Arc<DelayedBus>,
     wal: Arc<ReplicatedLog>,
     cfg: WalConfig,
@@ -220,54 +254,118 @@ fn agent_loop(
     recorder: Arc<OnceLock<Arc<FlightRecorder>>>,
 ) {
     let interval_us = cfg.interval_ms * 1000;
+    let partitions = me.table.lock().len();
+    let peers: Vec<usize> = (0..partitions).filter(|i| *i != me.id.idx()).collect();
     let mut next_generate_us = now_us();
     // `max_seen_ts` at the last generation: unchanged means idle since.
     let mut seen_at_generate = 0;
-    // Generated watermarks waiting out the quorum-ack delay: (ready at, Wp).
-    let mut pending_publish: VecDeque<(u64, Ts)> = VecDeque::new();
+    // The generated watermark waiting out the quorum-ack delay: (ready at,
+    // Wp). At most one — nothing is generated while it is in flight.
+    let mut in_flight: Option<(u64, Ts)> = None;
+    // Highest timestamp a peer's blocked client asked this partition to
+    // cover, and the highest own demand already passed on to the peers.
+    let mut peer_demand: Ts = 0;
+    let mut forwarded: Ts = 0;
     loop {
-        // Block until a peer's `Wp`, the next generation or the next
-        // publication (`shutdown` / `on_partition_recover` interrupt).
-        let next_publish_us = pending_publish.front().map_or(u64::MAX, |p| p.0);
-        let wake_at = next_generate_us.min(next_publish_us);
+        // Block until a peer's message, the publication in flight or — with
+        // nothing in flight — the next generation (a blocked client,
+        // `shutdown` and `on_partition_recover` interrupt).
+        let wake_at = in_flight.map_or(next_generate_us, |(ready_at, _)| ready_at);
         let first = bus.recv_until(me.id, wake_at);
         if stop.load(Ordering::Acquire) {
             break;
         }
         let now = now_us();
 
-        // 1. Fold every delivered control message into the watermark table.
+        // 1. Fold every delivered control message into the watermark table;
+        //    a demanded timestamp counts as seen here from now on, so the
+        //    next candidate can pass it and new transactions start above it.
         if first.is_some() {
             let mut table = me.table.lock();
             for m in first.into_iter().chain(bus.drain(me.id)) {
-                if let BusMessage::PartitionWatermark { from, wp } = m {
-                    let slot = &mut table[from.idx()];
-                    if *slot < wp {
-                        *slot = wp;
+                match m {
+                    BusMessage::PartitionWatermark { from, wp } => {
+                        let slot = &mut table[from.idx()];
+                        if *slot < wp {
+                            *slot = wp;
+                        }
                     }
+                    BusMessage::WatermarkDemand { ts } => {
+                        peer_demand = peer_demand.max(ts);
+                        me.max_seen_ts.fetch_max(ts, Ordering::AcqRel);
+                    }
+                    _ => {}
                 }
             }
         }
 
-        // 2. Generate a new partition watermark every t_m — and at once when
-        //    a peer's `Wp` shows this partition lagging while it has processed
-        //    nothing since its last generation (it only holds `Wg` back).
+        // 2. Publish the watermark in flight once its persist delay elapsed.
+        if let Some((_, wp)) = in_flight.take_if(|(ready_at, _)| *ready_at <= now) {
+            if wp > me.wp_published.load(Ordering::Acquire) {
+                me.wp_published.store(wp, Ordering::Release);
+                me.table.lock()[me.id.idx()] = wp;
+                // The watermark is itself a log record (§5.1): append it
+                // so a recovering leader can retrieve the latest Wp.
+                wal.append(LogPayload::Watermark { wp });
+                bus.broadcast(me.id, BusMessage::PartitionWatermark { from: me.id, wp });
+                if let Some(rec) = recorder.get() {
+                    rec.emit(
+                        None,
+                        Some(me.id),
+                        TraceEventKind::WatermarkPublish { wg: wp },
+                    );
+                }
+            }
+        }
+
+        // 3. A client of this partition is blocked on `wanted`, and
+        //    `Wg = min(all Wp)`: ask — once per timestamp — every peer whose
+        //    last advertised `Wp` does not cover it. The peer learns of the
+        //    demand from this message alone, one bus delay from now. What it
+        //    is asked to cover is the whole group being closed here (every
+        //    timestamp processed so far), not just its oldest member, so one
+        //    answer releases everything the blocked client has queued.
+        let wanted = me.demand.load(Ordering::Acquire);
+        let max_seen = me.max_seen_ts.load(Ordering::Acquire);
+        if wanted > forwarded {
+            forwarded = wanted;
+            let table = me.table.lock();
+            let lagging: Vec<usize> = peers
+                .iter()
+                .copied()
+                .filter(|i| table[*i] <= wanted)
+                .collect();
+            drop(table);
+            let group_top = max_seen.max(wanted);
+            for i in lagging {
+                let msg = BusMessage::WatermarkDemand { ts: group_top };
+                bus.send(me.id, PartitionId(i as u32), msg);
+            }
+        }
+
+        // 4. Generate a new partition watermark every t_m — at once when a
+        //    blocked client (here or, by message, on a peer) waits on a
+        //    timestamp the last generation does not cover, or when a peer's
+        //    `Wp` shows this partition lagging while it has processed nothing
+        //    since (it only holds `Wg` back) — but never while one is still
+        //    in flight: whatever asks meanwhile is served right after the
+        //    publication, one generation for all of them.
         let prev = me.wp_generated.load(Ordering::Acquire);
         // Cluster average for the force-update rule, computed before the
         // active-table lock so the two locks never nest.
-        let force_avg = (cfg.force_update && all.len() > 1).then(|| {
+        let force_avg = (cfg.force_update && !peers.is_empty()).then(|| {
             let table = me.table.lock();
-            let others = (0..all.len()).filter(|i| *i != me.id.idx());
-            others.map(|i| table[i]).sum::<Ts>() / (all.len() - 1) as Ts
+            peers.iter().map(|i| table[*i]).sum::<Ts>() / peers.len() as Ts
         });
-        let max_seen = me.max_seen_ts.load(Ordering::Acquire);
         let due = now >= next_generate_us;
         let idle_and_lagging =
             max_seen == seen_at_generate && force_avg.is_some_and(|avg| prev < avg);
-        if due {
-            next_generate_us = (next_generate_us + interval_us).max(now);
-        }
-        if due || idle_and_lagging {
+        let open_demand = wanted.max(peer_demand);
+        let demanded = open_demand > 0 && open_demand >= prev;
+        if in_flight.is_none() && (due || idle_and_lagging || demanded) {
+            if due {
+                next_generate_us = (next_generate_us + interval_us).max(now);
+            }
             seen_at_generate = max_seen;
             let candidate = {
                 // The watermark chases the highest timestamp this partition
@@ -284,9 +382,10 @@ fn agent_loop(
                 // the floor (rule R2). Candidate selection, the
                 // `wp_generated` store and `reserve_commit_ts` all run under
                 // the active-table lock, so no reservation can slip between
-                // the cap check and the floor becoming visible. `+ 1`
-                // because releasing needs `Wg > ts`: this generation, not the
-                // next, covers the newest processed commit.
+                // the cap check and the floor becoming visible. None of this
+                // depends on what made the step run now. `+ 1` because
+                // releasing needs `Wg > ts`: this generation, not the next,
+                // covers the newest processed commit.
                 let target = prev.max(max_seen) + 1;
                 let active = me.active.lock();
                 let mut candidate = match active.values().copied().min() {
@@ -319,34 +418,32 @@ fn agent_loop(
             // commit latency. The pipelined append changes none of this:
             // follower copies inherit the sequencer's append timestamp, so
             // quorum durability elapses on the same clock whether the pump
-            // has shipped the record yet or not.
-            pending_publish.push_back((now + wal.quorum_ack_delay_us(), candidate));
-        }
-
-        // 3. Publish watermarks whose persist delay has elapsed.
-        while let Some((ready_at, wp)) = pending_publish.front().copied() {
-            if ready_at > now {
-                break;
-            }
-            pending_publish.pop_front();
-            if wp > me.wp_published.load(Ordering::Acquire) {
-                me.wp_published.store(wp, Ordering::Release);
-                me.table.lock()[me.id.idx()] = wp;
-                // The watermark is itself a log record (§5.1): append it
-                // so a recovering leader can retrieve the latest Wp.
-                wal.append(LogPayload::Watermark { wp });
-                bus.broadcast(me.id, BusMessage::PartitionWatermark { from: me.id, wp });
-                if let Some(rec) = recorder.get() {
-                    rec.emit(
-                        None,
-                        Some(me.id),
-                        TraceEventKind::WatermarkPublish { wg: wp },
-                    );
-                }
+            // has shipped the record yet or not. A candidate a pin held at
+            // `prev` publishes nothing, but still occupies the slot: an
+            // uncovered demand is retried once per quorum-ack delay, not in
+            // a loop.
+            in_flight = Some((now + wal.quorum_ack_delay_us(), candidate));
+            if let Some(rec) = recorder.get() {
+                let (cause, demanded) = if demanded {
+                    (WatermarkCause::Demand, open_demand)
+                } else if due {
+                    (WatermarkCause::Interval, 0)
+                } else {
+                    (WatermarkCause::IdleLag, 0)
+                };
+                rec.emit(
+                    None,
+                    Some(me.id),
+                    TraceEventKind::WatermarkGenerate {
+                        wp: candidate,
+                        cause,
+                        demanded,
+                    },
+                );
             }
         }
 
-        // 4. Recompute `Wg` last: a peer's `Wp` and our own take effect at once.
+        // 5. Recompute `Wg` last: a peer's `Wp` and our own take effect at once.
         let min = me.table.lock().iter().copied().min().unwrap_or(0);
         let mut wg = me.wg.lock();
         if min > wg.wg {
@@ -455,7 +552,15 @@ impl GroupCommit for WatermarkCommit {
     }
 
     fn wait_durable(&self, waiter: &CommitWaiter) -> CommitOutcome {
+        if let Some(outcome) = self.try_outcome(waiter) {
+            return outcome;
+        }
+        // About to block: that is the demand. Leave the timestamp with the
+        // coordinator's agent and wake it, so the group closes now rather
+        // than at the next interval.
         let part = &self.parts[waiter.coordinator.idx()];
+        part.demand.fetch_max(waiter.ts, Ordering::AcqRel);
+        self.bus.interrupt(part.id);
         let mut wg = part.wg.lock();
         loop {
             // Compensation undid this transaction's installed writes: the

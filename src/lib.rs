@@ -76,7 +76,7 @@ pub use primo_runtime::prefetch::{Footprint, PrefetchOutcome, ReadFanout};
 pub use primo_runtime::protocol::{CommittedTxn, Protocol};
 pub use primo_runtime::snapshot::{execute_snapshot, SnapshotOutcome, SnapshotSession};
 pub use primo_runtime::txn::{ClosureProgram, TxnContext, TxnProgram, Workload};
-pub use primo_trace::{FlightRecorder, Timeline, TraceEvent, TraceEventKind};
+pub use primo_trace::{FlightRecorder, Timeline, TraceEvent, TraceEventKind, WatermarkCause};
 pub use primo_workloads::{
     SmallbankConfig, SmallbankWorkload, TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload,
 };

@@ -20,12 +20,16 @@
 //! stubs every scheme's horizon to "latest commit timestamp" — and asserts
 //! the same loop DOES observe violations: the suite genuinely discriminates
 //! a sound horizon from a plausible-but-wrong one, and the durability wait
-//! the real horizon encodes is load-bearing.
+//! the real horizon encodes is load-bearing. Its writers commit the way
+//! workers do, without waiting for each result, so the crash lands on
+//! installed-but-undurable commits however quickly the group commit releases
+//! a client that does wait.
 
+use primo_repro::common::PhaseTimers;
 use primo_repro::runtime::{execute_snapshot, SnapshotOutcome};
 use primo_repro::{
-    AbortReason, ClosureProgram, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind, TableId,
-    TraceEventKind, TxnId, Value,
+    AbortReason, ClosureProgram, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
+    ReadFanout, TableId, TraceEventKind, TxnId, TxnProgram, Value,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -111,7 +115,26 @@ fn crash_rollback_trace_dump(primo: &Primo) -> String {
     primo.cluster().recorder.failure_report(&doomed)
 }
 
-/// Run one seeded crash case and report what the snapshot readers saw.
+/// One attempt of `program`, handed to the group commit without waiting for
+/// the durable outcome — how a worker commits. Nobody blocks, so nothing asks
+/// the watermark agents to hurry: commits stay undurable for up to an
+/// interval.
+fn commit_without_waiting(primo: &Primo, program: &dyn TxnProgram) {
+    let cluster = primo.cluster();
+    let home = program.home_partition();
+    let txn = cluster.next_txn_id(home);
+    let ticket = cluster.group_commit.begin_txn(home, txn);
+    let fanout = ReadFanout::empty();
+    let mut timers = PhaseTimers::new();
+    match (primo.protocol()).execute_once(cluster, txn, program, &ticket, &mut timers, &fanout) {
+        Ok(c) => drop(cluster.group_commit.txn_committed(&ticket, c.ts, c.ops)),
+        Err(_) => cluster.group_commit.txn_aborted(&ticket),
+    }
+}
+
+/// Run one seeded crash case and report what the snapshot readers saw. With
+/// `unsafe_horizon` (the falsification) the writers do not wait for their
+/// results.
 fn run_case(
     kind: ProtocolKind,
     scheme: LoggingScheme,
@@ -146,7 +169,7 @@ fn run_case(
 
     std::thread::scope(|s| {
         for w in 0..2u64 {
-            let session = primo.session();
+            let (primo, session) = (&primo, primo.session());
             let stop_writers = &stop_writers;
             s.spawn(move || {
                 let mut rng = FastRng::new(seed.wrapping_mul(0x9E37) + w);
@@ -158,7 +181,7 @@ fn run_case(
                     // ~30 % distributed increments, so the crash leaves
                     // residue on the survivor that compensation must undo.
                     let distributed = rng.next_below(10) < 3;
-                    let _ = session.run_program(&ClosureProgram::new(p, move |ctx| {
+                    let increment = ClosureProgram::new(p, move |ctx| {
                         let v = ctx.read(p, T, k)?.as_u64();
                         ctx.write(p, T, k, Value::from_u64(v + 1))?;
                         if distributed {
@@ -166,7 +189,12 @@ fn run_case(
                             ctx.write(other, T, ok, Value::from_u64(w + 1))?;
                         }
                         Ok(())
-                    }));
+                    });
+                    if unsafe_horizon {
+                        commit_without_waiting(primo, &increment);
+                    } else {
+                        let _ = session.run_program(&increment);
+                    }
                 }
             });
         }
@@ -302,11 +330,12 @@ fn snapshot_reads_survive_crashes_under_all_protocols_and_schemes() {
 fn latest_commit_horizon_stub_is_caught_by_the_suite() {
     // Falsification: with the horizon stubbed to "latest commit timestamp"
     // (no durability wait, no crash cap) the same loop must detect readers
-    // observing values the crash rolls back. Watermark publishes durability
-    // one interval behind commit, so the window between "committed" and
-    // "durable" is wide open; a handful of seeds is ample to land a crash
-    // inside it. If this test ever fails, the suite above has lost its
-    // teeth, not the horizon its soundness.
+    // observing values the crash rolls back. The writers here commit without
+    // waiting for their results, so nobody asks for a watermark and every
+    // commit of the last interval is installed, snapshot-visible through the
+    // stub and not yet durable when the crash lands — at any release pace.
+    // If this test ever fails, the suite above has lost its teeth, not the
+    // horizon its soundness.
     let mut violations = 0usize;
     let mut dumps = String::new();
     for seed in 0..8u64 {
