@@ -282,6 +282,7 @@ impl Protocol for AriaProtocol {
                                 WriteKind::Delete => {
                                     if let Some(record) = table.get(w.key) {
                                         record.install_tombstone_next_version_at(ts);
+                                        cluster.note_installed(w.partition, &record, ts);
                                         table.reclaim(w.key);
                                     }
                                 }
@@ -300,6 +301,7 @@ impl Protocol for AriaProtocol {
                                         }
                                     };
                                     record.install_next_version_at(w.value.clone(), ts);
+                                    cluster.note_installed(w.partition, &record, ts);
                                 }
                             }
                         }

@@ -197,7 +197,7 @@ pub struct TimelineWindow {
 /// compile time instead of silently reporting 0 in every figure.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
-    /// Superseded record versions garbage-collected at checkpoints.
+    /// Superseded record versions reclaimed at the snapshot horizon.
     pub pruned_versions: u64,
     /// Throughput between recovery completion and the measurement end.
     pub post_recovery_tps: f64,
@@ -483,7 +483,7 @@ pub struct MetricsSnapshot {
     pub snapshot_reads: u64,
     /// Snapshot-served read-only transactions per second.
     pub snapshot_read_tps: f64,
-    /// Superseded record versions garbage-collected at checkpoints (filled
+    /// Superseded record versions reclaimed at the snapshot horizon (filled
     /// in by the experiment driver from the cluster).
     pub pruned_versions: u64,
     /// Throughput over the window between recovery completion and the end of

@@ -1,7 +1,9 @@
 //! Appendix A of the paper: an analytical model of the conflict rate of a
-//! local transaction under Primo versus a 2PC-based scheme — plus the two
-//! models this reproduction measures itself against: remote-read messages
-//! and the group commit's release lag / closed-loop ceiling.
+//! local transaction under Primo versus a 2PC-based scheme — plus the models
+//! this reproduction measures itself against: remote-read messages, the
+//! group commit's release lag / closed-loop ceiling, and a worker that
+//! overlaps its clients' round trips (throughput, and the message delays a
+//! distributed commit keeps it occupied for).
 //!
 //! The model is used by the `appendixA` harness (and by tests) to check the
 //! paper's analytical conclusions: Primo wins whenever the read ratio is not
@@ -213,6 +215,71 @@ pub fn release_lag_us(wake_us: u64, quorum_ack_us: u64, bus_us: u64) -> ReleaseL
     }
 }
 
+// ---------------------------------------------------------------------------
+// Overlapped-worker model (what a round trip costs a worker, and a client).
+//
+// Didona et al. (*Distributed Transactional Systems Cannot Be Fast*) show the
+// read round trip cannot be taken out of a transaction's latency; what a
+// worker can do is spend it on other clients. These two functions say what
+// that buys, and what is left on the wire per commit protocol.
+// ---------------------------------------------------------------------------
+
+/// Throughput of one worker that keeps up to `clients` transactions in
+/// flight, each needing `flight_us` on the wire (its batched read round
+/// trip) and `service_us` of the worker's own time, transactions per second:
+/// the worker's CPU (`1 / service`) or Little's law on the wire
+/// (`clients / (flight + service)`), whichever binds. One client is the
+/// worker that waits out every round trip itself, `1 / (flight + service)`.
+pub fn overlapped_worker_tps(service_us: f64, flight_us: f64, clients: usize) -> f64 {
+    let cpu_bound = 1e6 / service_us;
+    let wire_bound = clients as f64 * 1e6 / (flight_us + service_us);
+    cpu_bound.min(wire_bound)
+}
+
+/// How a distributed transaction commits, for
+/// [`dist_critical_path_delays`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DistCommit {
+    /// Primo's vote-free WCF commit: every record is locked by the reads.
+    PrimoWcf,
+    /// Classic two-phase commit: a vote round and an acknowledged decision.
+    ClassicTwoPc,
+    /// Paxos Commit: a vote round; the decision is a durable log entry,
+    /// announced one-way.
+    PaxosCommit,
+}
+
+/// Message delays between a distributed transaction's first remote access
+/// and its coordinator being free of it, with batched reads and no conflict:
+/// one round trip (2 delays) for the read fan-out, plus the rounds of the
+/// commit protocol the coordinator waits for.
+///
+/// * Primo WCF: **2**. The write-set is installed by a one-way message the
+///   coordinator never waits for (one more delay until the participants'
+///   locks are free, off the client's path).
+/// * Classic 2PC: **6** — read, prepare and decide are a round trip each,
+///   because locks are held until the decision is acknowledged.
+/// * Paxos Commit: **4** — the decision is announced one-way.
+///
+/// Gray & Lamport (*Consensus on Transaction Commit*) count the commit alone
+/// at 4 delays for 2PC and 5 for Paxos Commit (4 with acceptors co-located),
+/// from a resource manager's request until every participant knows; here the
+/// coordinator is the requester, which takes one delay off, and only what
+/// it waits for is counted. Chockler & Gotsman (*Multi-Shot Distributed
+/// Transaction Commit*) count the same way from the client: a vote-collecting
+/// certification cannot decide in less than the one round trip WCF's reads
+/// already are. These are model figures: the benchmark's
+/// `protocol.dist_critical_path_delays` holds the measured one against them.
+pub fn dist_critical_path_delays(commit: DistCommit) -> u32 {
+    const READ_FANOUT: u32 = 2;
+    READ_FANOUT
+        + match commit {
+            DistCommit::PrimoWcf => 0,
+            DistCommit::ClassicTwoPc => 2 + 2,
+            DistCommit::PaxosCommit => 2,
+        }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +292,35 @@ mod tests {
         // The same population at a 6 ms commit latency has room for 170k:
         // the engine's CPU, not the loop, is then the limit.
         assert!(closed_loop_ceiling_tps(1_024, 0.006) > 150_000.0);
+    }
+
+    #[test]
+    fn one_client_per_worker_is_the_blocking_worker() {
+        // The parent of the overlap: ~35 us of work behind a 220 us round
+        // trip, one transaction at a time.
+        let blocking = overlapped_worker_tps(35.0, 220.0, 1);
+        assert!((blocking - 1e6 / 255.0).abs() < 1e-6);
+        // A second client doubles it; the wire still binds.
+        assert!((overlapped_worker_tps(35.0, 220.0, 2) - 2.0 * blocking).abs() < 1e-6);
+    }
+
+    #[test]
+    fn enough_clients_leave_only_the_cpu() {
+        // 220 / 35 + 1 clients cover a flight: from there on the worker is
+        // CPU-bound and more clients buy nothing.
+        let cpu_bound = 1e6 / 35.0;
+        assert!(overlapped_worker_tps(35.0, 220.0, 7) < cpu_bound);
+        assert_eq!(overlapped_worker_tps(35.0, 220.0, 8), cpu_bound);
+        assert_eq!(overlapped_worker_tps(35.0, 220.0, 512), cpu_bound);
+        // Nothing on the wire: one client is enough.
+        assert_eq!(overlapped_worker_tps(35.0, 0.0, 1), cpu_bound);
+    }
+
+    #[test]
+    fn wcf_keeps_the_coordinator_for_the_read_round_trip_only() {
+        assert_eq!(dist_critical_path_delays(DistCommit::PrimoWcf), 2);
+        assert_eq!(dist_critical_path_delays(DistCommit::PaxosCommit), 4);
+        assert_eq!(dist_critical_path_delays(DistCommit::ClassicTwoPc), 6);
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl PrimoProtocol {
     /// leases of the records only read, install the writes into the records
     /// their dummy reads pinned, release every lock held there.
     fn finish_partition(ctx: &mut AccessCtx<'_>, p: PartitionId, ts: Ts) {
-        let (txn, access) = (ctx.txn(), &mut ctx.access);
+        let (cluster, txn, access) = (ctx.cluster, ctx.txn(), &mut ctx.access);
         for r in access.reads.iter().filter(|r| r.partition == p) {
             if access.find_write(p, r.table, r.key).is_none() {
                 r.record.extend_rts(ts);
@@ -186,7 +186,7 @@ impl PrimoProtocol {
             let i = access
                 .find_read(p, w.table, w.key)
                 .expect("WCF: write-set is a subset of the read-set");
-            install_write(&access.reads[i].record, w, ts, TsRule::Lease);
+            install_write(cluster, &access.reads[i].record, w, ts, TsRule::Lease);
         }
         for r in access.reads.iter_mut().filter(|r| r.partition == p) {
             if r.locked.take().is_some() {

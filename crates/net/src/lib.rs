@@ -9,7 +9,10 @@
 //! Two communication styles are provided:
 //!
 //! * [`SimNetwork`] — synchronous RPC-style charging (`round_trip`,
-//!   `one_way`) plus message counting and per-partition crash flags.
+//!   `one_way`) plus message counting and per-partition crash flags. A
+//!   fan-out can also be sent without waiting
+//!   (`begin_round_trip_multi` returns the [`RoundTrip`]'s deadline), so a
+//!   worker runs other clients while one's reads are on the wire.
 //! * [`DelayedBus`] — asynchronous delivery of control messages (partition
 //!   watermarks, epoch coordination) after a configurable delay, used by the
 //!   group-commit schemes.
@@ -18,4 +21,4 @@ pub mod bus;
 pub mod network;
 
 pub use bus::{BusMessage, DelayedBus};
-pub use network::{PartitionHealth, SimNetwork};
+pub use network::{PartitionHealth, RoundTrip, SimNetwork};

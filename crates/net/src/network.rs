@@ -2,7 +2,7 @@
 
 use parking_lot::RwLock;
 use primo_common::config::NetConfig;
-use primo_common::sim_time::charge_latency_us;
+use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{FastRng, PartitionId};
 use primo_trace::{FlightRecorder, TraceEventKind};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -43,11 +43,24 @@ impl PartitionHealth {
     }
 }
 
+/// A request/response exchange that has been *sent*: counted, traced and
+/// given its deadline, but not waited for
+/// ([`SimNetwork::begin_round_trip_multi`]). Whoever reads the replies waits
+/// for [`RoundTrip::ready_at_us`] first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundTrip {
+    /// Every destination was up when the requests left.
+    pub ok: bool,
+    /// [`now_us`] at which the slowest reply is back.
+    pub ready_at_us: u64,
+}
+
 /// The simulated network connecting all partitions.
 ///
 /// All methods are cheap and thread-safe; latency is charged by blocking the
 /// calling thread for the configured duration
-/// ([`primo_common::sim_time::charge_latency_us`]).
+/// ([`primo_common::sim_time::charge_latency_us`]) — or, for a round trip
+/// that was only begun, by the deadline its caller waits for.
 #[derive(Debug)]
 pub struct SimNetwork {
     cfg: RwLock<NetConfig>,
@@ -219,30 +232,39 @@ impl SimNetwork {
         true
     }
 
-    /// Charge one round trip that fans out to several destinations in
-    /// parallel (e.g. a 2PC prepare to all participants): the cost is the
-    /// slowest destination, not the sum. Returns `false` if any destination
-    /// is crashed.
-    pub fn round_trip_multi(&self, from: PartitionId, to: &[PartitionId]) -> bool {
-        let remote: Vec<_> = to.iter().copied().filter(|p| *p != from).collect();
-        if remote.is_empty() {
-            return true;
-        }
-        self.messages
-            .fetch_add(2 * remote.len() as u64, Ordering::Relaxed);
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-        let mut max_us = 0;
-        let mut ok = true;
-        for p in &remote {
-            self.trace_hop(from, *p);
-            self.trace_hop(*p, from);
-            max_us = max_us.max(self.one_way_latency_us(from, *p));
-            if self.is_crashed(*p) {
-                ok = false;
+    /// Send one round trip that fans out to several destinations in parallel
+    /// (a batched read fan-out, a 2PC prepare to all participants) without
+    /// waiting for it: messages and the round trip are counted, the hops
+    /// traced and every destination's health sampled now, and the replies
+    /// are back at `now + 2 x` the slowest destination's one-way latency —
+    /// the slowest, not the sum. `ok` is `false` if any destination is
+    /// crashed.
+    pub fn begin_round_trip_multi(&self, from: PartitionId, to: &[PartitionId]) -> RoundTrip {
+        let remote = || to.iter().copied().filter(|p| *p != from);
+        let hops = 2 * remote().count() as u64;
+        let (mut ok, mut max_us) = (true, 0);
+        if hops > 0 {
+            self.messages.fetch_add(hops, Ordering::Relaxed);
+            self.round_trips.fetch_add(1, Ordering::Relaxed);
+            for p in remote() {
+                self.trace_hop(from, p);
+                self.trace_hop(p, from);
+                max_us = max_us.max(self.one_way_latency_us(from, p));
+                ok &= !self.is_crashed(p);
             }
         }
-        charge_latency_us(2 * max_us);
-        ok
+        RoundTrip {
+            ok,
+            ready_at_us: now_us() + 2 * max_us,
+        }
+    }
+
+    /// [`SimNetwork::begin_round_trip_multi`], then wait for the replies.
+    /// Returns `false` if any destination is crashed.
+    pub fn round_trip_multi(&self, from: PartitionId, to: &[PartitionId]) -> bool {
+        let trip = self.begin_round_trip_multi(from, to);
+        wait_until(trip.ready_at_us);
+        trip.ok
     }
 
     /// One-way fan-out (e.g. Primo's write-set dissemination, which needs no
@@ -383,6 +405,29 @@ mod tests {
         assert!(el >= 190, "elapsed {el}us");
         assert!(el < 450, "fan-out should be parallel, elapsed {el}us");
         assert_eq!(n.messages_sent(), 6);
+    }
+
+    #[test]
+    fn a_begun_round_trip_is_counted_at_once_and_due_two_delays_later() {
+        let n = net(5_000);
+        let start = Instant::now();
+        let sent_at = now_us();
+        let trip = n.begin_round_trip_multi(PartitionId(0), &[PartitionId(1), PartitionId(2)]);
+        assert!(start.elapsed().as_millis() < 3, "sending does not wait");
+        assert!(trip.ok);
+        assert!((sent_at + 10_000..sent_at + 13_000).contains(&trip.ready_at_us));
+        assert_eq!((n.messages_sent(), n.round_trips_charged()), (4, 1));
+        // The health sample is the send's: a later crash does not change it,
+        // and a destination already down is reported without waiting.
+        n.set_crashed(PartitionId(2), true);
+        assert!(
+            !n.begin_round_trip_multi(PartitionId(0), &[PartitionId(2)])
+                .ok
+        );
+        // Nothing remote: nothing counted, due now.
+        let local = n.begin_round_trip_multi(PartitionId(0), &[PartitionId(0)]);
+        assert!(local.ok && local.ready_at_us <= now_us());
+        assert_eq!(n.round_trips_charged(), 2);
     }
 
     #[test]

@@ -11,10 +11,10 @@ use primo_recovery::{
     compensate_survivors, CheckpointStats, Checkpointer, CrashContext, RecoveryManager,
     RecoveryReport,
 };
-use primo_storage::PartitionStore;
+use primo_storage::{PartitionStore, Record};
 use primo_trace::{FlightRecorder, TraceEventKind};
 use primo_wal::{build_group_commit, FoldScope, GroupCommit, ReplicatedLog};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,6 +31,26 @@ pub struct Partition {
     /// Extra per-transaction execution delay, microseconds. Simulates a slow
     /// partition ("masked cores", Fig 13b).
     slowdown_us: AtomicU64,
+    /// Records a commit installed a new version into, with that version's
+    /// commit timestamp, in install order: what each install superseded is
+    /// dead once the snapshot horizon reaches the timestamp
+    /// ([`Cluster::note_installed`]).
+    superseded: Mutex<VecDeque<(Arc<Record>, Ts)>>,
+    /// The snapshot horizon when somebody last saw the group commit release
+    /// a result ([`Cluster::horizon_moved`]): the bound the install path
+    /// reclaims superseded versions against. The horizon is monotone, so a
+    /// stale value is a smaller bound — it reclaims later, never wrongly —
+    /// and the word publishes nothing but itself (`Relaxed`). One copy per
+    /// partition, beside the queue it is read with.
+    version_horizon: AtomicU64,
+    /// Superseded versions reclaimed from this partition's records.
+    pruned_versions: AtomicU64,
+}
+
+/// The front of a reclamation queue, if the horizon has reached it.
+fn pop_due(queue: &mut VecDeque<(Arc<Record>, Ts)>, horizon: Ts) -> Option<Arc<Record>> {
+    let due = queue.front().is_some_and(|(_, cts)| *cts <= horizon);
+    due.then(|| queue.pop_front().expect("front was just seen").0)
 }
 
 impl Partition {
@@ -41,6 +61,9 @@ impl Partition {
             log,
             next_seq: AtomicU64::new(1),
             slowdown_us: AtomicU64::new(0),
+            superseded: Mutex::new(VecDeque::new()),
+            version_horizon: AtomicU64::new(0),
+            pruned_versions: AtomicU64::new(0),
         }
     }
 
@@ -64,6 +87,23 @@ impl Partition {
     /// Number of transactions this partition has coordinated.
     pub fn coordinated_txns(&self) -> u64 {
         self.next_seq.load(Ordering::Relaxed) - 1
+    }
+
+    /// Installs on this partition whose superseded versions are still
+    /// retained for snapshot readers below their commit timestamp.
+    pub fn versions_awaiting_horizon(&self) -> usize {
+        self.superseded.lock().len()
+    }
+
+    /// Drop from `records` every version the horizon has passed.
+    fn prune(&self, records: impl IntoIterator<Item = Arc<Record>>, horizon: Ts) {
+        let pruned: usize = (records.into_iter())
+            .map(|r| r.prune_versions(horizon))
+            .sum();
+        if pruned > 0 {
+            self.pruned_versions
+                .fetch_add(pruned as u64, Ordering::Relaxed);
+        }
     }
 }
 
@@ -105,10 +145,6 @@ pub struct Cluster {
     /// Total crash-rolled-back transactions whose surviving-partition
     /// residue was compensated (see [`Cluster::crash_partition`]).
     compensated_txns: AtomicU64,
-    /// Superseded record versions garbage-collected at explicit checkpoints
-    /// (the version-chain sweep piggybacks on
-    /// [`Cluster::checkpoint_partition`]).
-    pruned_versions: AtomicU64,
     /// Batched remote-read fan-outs issued (one per resolved non-empty
     /// [`Footprint`](crate::prefetch::Footprint)).
     prefetch_fanouts: AtomicU64,
@@ -196,7 +232,6 @@ impl Cluster {
             global_seq: AtomicU64::new(1),
             pending_crashes: Mutex::new(HashMap::new()),
             compensated_txns: AtomicU64::new(0),
-            pruned_versions: AtomicU64::new(0),
             prefetch_fanouts: AtomicU64::new(0),
             prefetch_hits: AtomicU64::new(0),
             prefetch_stale: AtomicU64::new(0),
@@ -505,6 +540,9 @@ impl Cluster {
             return None;
         };
         let partition = self.partition(p);
+        // The wipe detaches every record of the store: nothing queued for
+        // reclamation is reachable by a reader any more.
+        partition.superseded.lock().clear();
         let report = RecoveryManager::recover_with_fault(
             &partition.store,
             &partition.log,
@@ -574,24 +612,69 @@ impl Cluster {
         } else {
             self.fold_log(p, FoldScope::Everything)?
         };
-        // The version-chain sweep rides on the explicit checkpoint only (the
-        // commit-path fold never walks a table; chains are bounded by
-        // `max_versions` anyway): history versions shadowed at or below the
-        // current snapshot horizon can no longer be requested (the published
-        // horizon is monotone), so they are reclaimed here rather than by a
-        // dedicated vacuum thread.
-        let bound = self.group_commit.snapshot_horizon(p);
-        let pruned = partition.store.prune_versions(bound);
-        self.pruned_versions
-            .fetch_add(pruned as u64, Ordering::Relaxed);
+        self.reclaim_due_versions();
         Some(stats)
     }
 
-    /// Total superseded record versions reclaimed by checkpoint-time GC
-    /// (reported as `pruned_versions` in
+    /// A commit at `cts` installed a new version into `record` on partition
+    /// `p`: the version-chain GC. What the install superseded stays in the
+    /// record's chain for snapshot readers below `cts`, and is dead once the
+    /// snapshot horizon reaches `cts` — the horizon is monotone, so it can
+    /// never be read again. The install queues behind the partition's earlier
+    /// ones (install order is commit order but for concurrent committers; one
+    /// out of order only waits behind its elders), and takes up to two whose
+    /// timestamps the horizon has reached off the front and prunes their
+    /// records: two out for one in, so the backlog a horizon step releases
+    /// drains over the next writes instead of in one burst, a write costs
+    /// O(1), and what is retained is what is younger than the horizon —
+    /// however many writes a run performs. No thread, no table walk; the
+    /// horizon stays capped below an open crash agreement
+    /// ([`GroupCommit::snapshot_horizon`]), so nothing compensation still has
+    /// to revert is touched.
+    pub fn note_installed(&self, p: PartitionId, record: &Arc<Record>, cts: Ts) {
+        let partition = self.partition(p);
+        let horizon = partition.version_horizon.load(Ordering::Relaxed);
+        let due = {
+            let mut queue = partition.superseded.lock();
+            queue.push_back((Arc::clone(record), cts));
+            [pop_due(&mut queue, horizon), pop_due(&mut queue, horizon)]
+        };
+        partition.prune(due.into_iter().flatten(), horizon);
+    }
+
+    /// The group commit released a result, so its horizon has moved: re-read
+    /// it for [`Cluster::note_installed`]. Called by whoever saw the release
+    /// (a worker draining its acknowledgements, a session back from
+    /// `wait_durable`) — once per release, not once per commit.
+    pub fn horizon_moved(&self) -> Ts {
+        let horizon = self.snapshot_horizon();
+        for partition in &self.partitions {
+            (partition.version_horizon).fetch_max(horizon, Ordering::Relaxed);
+        }
+        horizon
+    }
+
+    /// Reclaim every version that is due right now, on every partition:
+    /// what [`Cluster::note_installed`] would get to over the next writes,
+    /// for when there may be none — a worker that stops, an explicit
+    /// checkpoint.
+    pub fn reclaim_due_versions(&self) {
+        let horizon = self.horizon_moved();
+        for partition in &self.partitions {
+            let due: Vec<_> = {
+                let mut queue = partition.superseded.lock();
+                std::iter::from_fn(|| pop_due(&mut queue, horizon)).collect()
+            };
+            partition.prune(due, horizon);
+        }
+    }
+
+    /// Total superseded record versions reclaimed at the horizon (reported
+    /// as `pruned_versions` in
     /// [`MetricsSnapshot`](primo_common::MetricsSnapshot)).
     pub fn pruned_versions(&self) -> u64 {
-        self.pruned_versions.load(Ordering::Relaxed)
+        let pruned = |p: &Arc<Partition>| p.pruned_versions.load(Ordering::Relaxed);
+        self.partitions.iter().map(pruned).sum()
     }
 
     /// The cluster-wide MVCC snapshot timestamp: the minimum of every

@@ -220,10 +220,7 @@ impl<'a> AccessCtx<'a> {
     }
 
     /// [`ReadPolicy::SwitchOnRemote`] before the switch: plain single-node
-    /// TicToc against the home store, which never consults the network —
-    /// not even its health map, so a worker whose own partition is marked
-    /// crashed keeps committing into the store recovery is about to replace
-    /// (the snapshot falsification suite relies on exactly these zombies).
+    /// TicToc against the home store, no lock held and no message sent.
     fn local_mode(&self) -> bool {
         !self.switched && matches!(self.policy, ReadPolicy::SwitchOnRemote { .. })
     }
@@ -290,11 +287,14 @@ impl<'a> AccessCtx<'a> {
         key: Key,
         dummy: Option<WriteKind>,
     ) -> Result<Value, AbortReason> {
+        // A coordinator whose own partition is down serves nobody, in any
+        // mode: what it committed would land in a store recovery wipes.
+        if self.cluster.net.is_crashed(self.home) {
+            return Err(AbortReason::RemoteUnavailable);
+        }
         let remote = p != self.home;
         if remote {
             self.charge_remote(p, table, key, dummy.is_some())?;
-        } else if !self.local_mode() && self.cluster.net.is_crashed(p) {
-            return Err(AbortReason::RemoteUnavailable);
         }
         let slots = self.cluster.partition(p).store.table(table);
         let record = if dummy == Some(WriteKind::Insert) {

@@ -173,8 +173,9 @@ pub struct ExperimentOptions {
     pub slow_partition: Option<(PartitionId, u64)>,
     /// Periodic explicit-checkpoint interval. A base checkpoint is always
     /// taken after loading and the logs bound themselves from the commit
-    /// path; `Some(iv)` additionally folds everything foldable and sweeps
-    /// the version chains every `iv` (a tighter bound on recovery replay).
+    /// path, and version chains are reclaimed from it too; `Some(iv)`
+    /// additionally folds everything foldable every `iv` (a tighter bound
+    /// on recovery replay).
     pub checkpoint_interval: Option<Duration>,
 }
 

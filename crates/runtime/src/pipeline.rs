@@ -10,6 +10,7 @@
 //! own on top of the helpers exported here.
 
 use crate::access::{recheck_locked_record, resolve_write_record, WriteEntry, WriteKind};
+use crate::cluster::Cluster;
 use crate::commit::{PrepareOutcome, PreparedAt};
 use crate::context::AccessCtx;
 use crate::durability::{log_txn_writes, straddles_crash};
@@ -187,8 +188,15 @@ fn validate_reads(
 }
 
 /// Install one buffered write into its exclusively locked record at `ts`;
-/// deletes install a tombstone.
-pub fn install_write(record: &Record, w: &WriteEntry, ts: Ts, rule: TsRule) {
+/// deletes install a tombstone. The version this supersedes is left to the
+/// cluster's reclamation queue.
+pub fn install_write(
+    cluster: &Cluster,
+    record: &Arc<Record>,
+    w: &WriteEntry,
+    ts: Ts,
+    rule: TsRule,
+) {
     match (w.kind, rule) {
         (WriteKind::Delete, TsRule::Lease) => record.install_tombstone(ts),
         (WriteKind::Delete, TsRule::Sequence) => {
@@ -198,6 +206,10 @@ pub fn install_write(record: &Record, w: &WriteEntry, ts: Ts, rule: TsRule) {
         (_, TsRule::Sequence) => {
             record.install_next_version_at(w.value.clone(), ts);
         }
+    }
+    // (The first version of a freshly inserted record supersedes nothing.)
+    if w.kind != WriteKind::Insert || record.version_chain_len() > 0 {
+        cluster.note_installed(w.partition, record, ts);
     }
 }
 
@@ -322,7 +334,7 @@ pub fn commit_locked(
     }
     timers.time(Phase::Commit, || {
         for (w, record) in ctx.access.writes.iter().zip(&locked) {
-            install_write(record, w, ts, spec.timestamp);
+            install_write(cluster, record, w, ts, spec.timestamp);
         }
     });
 
@@ -346,7 +358,6 @@ pub fn commit_locked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Cluster;
     use crate::context::ReadPolicy;
     use crate::prefetch::ReadFanout;
     use crate::txn::TxnContext;

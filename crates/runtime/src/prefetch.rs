@@ -6,9 +6,18 @@
 //! record, *sequentially*. This module turns the per-record round trips into
 //! **one parallel fan-out per attempt**: a [`Footprint`] (the remote keys the
 //! attempt expects to touch) is resolved with a single batched fetch per
-//! involved partition, charged via `SimNetwork::round_trip_multi` (cost =
-//! slowest partition, not the sum), and the observed record versions are
-//! parked in a per-attempt [`ReadFanout`] buffer.
+//! involved partition, charged via `SimNetwork::begin_round_trip_multi`
+//! (cost = slowest partition, not the sum), and the observed record versions
+//! are parked in a per-attempt [`ReadFanout`] buffer.
+//!
+//! The fan-out has two halves. [`ReadFanout::begin`] *sends* it: the
+//! requests are counted and their replies are due one round trip later, but
+//! nobody waits. [`ReadFanout::complete`] *takes it up*: it waits out
+//! whatever is left of the flight and only then looks at the records, so a
+//! reply is never read before its deadline. [`ReadFanout::resolve`] is the
+//! two in sequence — what a retry, a facade session and every probe use.
+//! The worker loop puts other clients between the halves: between the two a
+//! fan-out is a deadline and a key list, and holds nothing on any partition.
 //!
 //! Footprints come from two sources:
 //!
@@ -28,7 +37,9 @@
 
 use crate::cluster::Cluster;
 use parking_lot::Mutex;
+use primo_common::sim_time::{now_us, wait_until};
 use primo_common::{Key, PartitionId, TableId, Ts, TxnId};
+use primo_net::RoundTrip;
 use primo_trace::TraceEventKind;
 use std::collections::HashMap;
 
@@ -75,19 +86,32 @@ pub enum PrefetchOutcome {
     Miss,
 }
 
-/// Per-attempt prefetch buffer filled by [`ReadFanout::resolve`] and
-/// consulted by the protocol contexts before paying a per-record round trip.
+/// A fan-out between [`ReadFanout::begin`] and [`ReadFanout::complete`].
+#[derive(Debug)]
+struct Sent {
+    /// How many partitions were asked (those up when the plan was read).
+    partitions: u32,
+    sent_at_us: u64,
+    trip: RoundTrip,
+}
+
+/// Per-attempt prefetch buffer filled by [`ReadFanout::resolve`] (or its
+/// halves) and consulted by the protocol contexts before paying a per-record
+/// round trip.
 ///
 /// Also the learning tap: contexts report every remote access through
 /// [`ReadFanout::observe`], and the worker turns the observations of an
 /// aborted attempt into the retry's [`Footprint`].
 #[derive(Debug, Default)]
 pub struct ReadFanout {
-    /// `(partition, table, key)` → record `wts` observed at fan-out time
-    /// (`None` = no record existed on the owner at that point).
+    /// `(partition, table, key)` → record `wts` observed at take-up
+    /// (`None` = no record existed on the owner at that point). While the
+    /// fan-out is on the wire: the keys asked for, nothing observed yet.
     entries: HashMap<(PartitionId, TableId, Key), Option<Ts>>,
     /// Remote keys this attempt actually touched, in access order.
     observed: Mutex<Vec<(PartitionId, TableId, Key)>>,
+    /// The batch on the wire, until [`ReadFanout::complete`] takes it up.
+    sent: Option<Sent>,
 }
 
 impl ReadFanout {
@@ -97,12 +121,13 @@ impl ReadFanout {
         Self::default()
     }
 
-    /// Execute the plan: one batched fetch per involved remote partition,
-    /// charged as a single `round_trip_multi` (the slowest partition bounds
-    /// the stall, not the sum). Crashed or out-of-range partitions are
-    /// skipped — their keys simply stay Miss and the read path reports
-    /// `RemoteUnavailable` exactly as it would without batching.
-    pub fn resolve(&mut self, cluster: &Cluster, home: PartitionId, txn: TxnId, plan: &Footprint) {
+    /// Send the plan: one batched fetch per involved remote partition,
+    /// charged as a single round trip (the slowest partition bounds the
+    /// flight, not the sum) — and do not wait for it. Crashed or
+    /// out-of-range partitions are skipped — their keys simply stay Miss and
+    /// the read path reports `RemoteUnavailable` exactly as it would without
+    /// batching — and a crashed home sends nothing at all.
+    pub fn begin(&mut self, cluster: &Cluster, home: PartitionId, plan: &Footprint) {
         let mut parts: Vec<PartitionId> = Vec::new();
         for (p, _, _) in &plan.keys {
             if *p != home
@@ -113,32 +138,66 @@ impl ReadFanout {
                 parts.push(*p);
             }
         }
-        if parts.is_empty() {
+        if parts.is_empty() || cluster.net.is_crashed(home) {
             return;
         }
-        if !cluster.net.round_trip_multi(home, &parts) {
-            // A partition crashed between the filter and the charge: the
+        let sent_at_us = now_us();
+        let trip = cluster.net.begin_round_trip_multi(home, &parts);
+        let asked = plan.keys.iter().filter(|(p, _, _)| parts.contains(p));
+        self.entries.extend(asked.map(|key| (*key, None)));
+        self.sent = Some(Sent {
+            partitions: parts.len() as u32,
+            sent_at_us,
+            trip,
+        });
+    }
+
+    /// When the replies of a begun fan-out are back (0: nothing is on the
+    /// wire).
+    pub fn ready_at_us(&self) -> u64 {
+        self.sent.as_ref().map_or(0, |s| s.trip.ready_at_us)
+    }
+
+    /// How long a begun fan-out spends on the wire (0: nothing is).
+    pub fn flight_us(&self) -> u64 {
+        (self.sent.as_ref()).map_or(0, |s| s.trip.ready_at_us - s.sent_at_us)
+    }
+
+    /// Take up what [`ReadFanout::begin`] sent: wait out the rest of the
+    /// flight, then observe every asked record's version — after the
+    /// deadline, never before. A no-op if nothing was sent.
+    pub fn complete(&mut self, cluster: &Cluster, home: PartitionId, txn: TxnId) {
+        let Some(sent) = self.sent.take() else {
+            return;
+        };
+        wait_until(sent.trip.ready_at_us);
+        if !sent.trip.ok {
+            // A partition crashed between the filter and the send: the
             // fan-out was paid but nothing trustworthy came back.
+            self.entries.clear();
             return;
         }
-        let mut keys = 0u32;
-        for (p, t, k) in &plan.keys {
-            if !parts.contains(p) {
-                continue;
-            }
-            let wts = cluster.partition(*p).store.get(*t, *k).map(|r| r.wts());
-            self.entries.insert((*p, *t, *k), wts);
-            keys += 1;
+        for ((p, t, k), wts) in &mut self.entries {
+            *wts = cluster.partition(*p).store.get(*t, *k).map(|r| r.wts());
         }
         cluster.note_prefetch_fanout();
         cluster.recorder.emit(
             Some(txn),
             Some(home),
             TraceEventKind::PrefetchIssued {
-                partitions: parts.len() as u32,
-                keys,
+                partitions: sent.partitions,
+                keys: self.entries.len() as u32,
+                sent_us_ago: now_us() - sent.sent_at_us,
+                flight_us: sent.trip.ready_at_us - sent.sent_at_us,
             },
         );
+    }
+
+    /// Execute the plan, blocking for its round trip: [`ReadFanout::begin`],
+    /// then [`ReadFanout::complete`].
+    pub fn resolve(&mut self, cluster: &Cluster, home: PartitionId, txn: TxnId, plan: &Footprint) {
+        self.begin(cluster, home, plan);
+        self.complete(cluster, home, txn);
     }
 
     /// Consult the buffer for a value-carrying remote read: a hit requires
@@ -250,6 +309,37 @@ mod tests {
             fanout.check_value(&cluster, PartitionId(2), T, 7),
             PrefetchOutcome::Miss
         );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_sent_fanout_is_charged_at_once_and_read_at_its_deadline() {
+        let mut config = ClusterConfig::for_tests(2);
+        config.net.one_way_us = 2_000;
+        let cluster = Cluster::new(config);
+        let store = &cluster.partition(PartitionId(1)).store;
+        let record = store.insert(T, 1, Value::from_u64(1));
+        let txn = cluster.next_txn_id(PartitionId(0));
+        let plan = Footprint::from_keys(PartitionId(0), vec![(PartitionId(1), T, 1)]);
+
+        let sent_at = now_us();
+        let mut fanout = ReadFanout::empty();
+        fanout.begin(&cluster, PartitionId(0), &plan);
+        assert!(now_us() - sent_at < 1_500, "sending does not wait");
+        assert_eq!(cluster.net.round_trips_charged(), 1);
+        assert!((4_000..4_500).contains(&fanout.flight_us()));
+        assert!(fanout.ready_at_us() >= sent_at + 4_000);
+        // What is observed is the record as it is when the replies are due —
+        // a version installed during the flight included — and not before.
+        record.install(Value::from_u64(2), 77);
+        fanout.complete(&cluster, PartitionId(0), txn);
+        assert!(now_us() >= sent_at + 4_000, "read before the deadline");
+        assert_eq!(cluster.net.round_trips_charged(), 1);
+        assert_eq!(
+            fanout.check_value(&cluster, PartitionId(1), T, 1),
+            PrefetchOutcome::Hit
+        );
+        assert_eq!((fanout.ready_at_us(), fanout.flight_us()), (0, 0));
         cluster.shutdown();
     }
 

@@ -1,16 +1,30 @@
-//! The worker loop: generate → attempt → (back-off & retry) → group commit →
-//! record metrics.
+//! The worker loop: generate → send the read fan-out → (run other clients
+//! while it flies) → attempt → (back-off & retry) → group commit → record
+//! metrics.
 //!
 //! Mirrors the paper's DBx1000 setup (§6.1.3): each partition leader runs a
-//! fixed number of worker threads; an aborted transaction backs off
+//! fixed number of worker threads; a worker "initiates a new transaction when
+//! the running transaction is waiting"; an aborted transaction backs off
 //! exponentially starting at 0.5 ms and is retried with the *same* TID (so
 //! WAIT_DIE priorities age and starvation is avoided).
+//!
+//! A transaction waits twice, and the worker waits neither time. While the
+//! group commit makes a result durable the client sits in `pending`
+//! (`MAX_PENDING_COMMITS`). While a client's batched read fan-out is on
+//! the wire it sits in a FIFO of `Prepared` clients — generated, sent, and
+//! holding nothing else — and the worker runs whoever is ready: a client
+//! with nothing to fetch at once, the oldest queued one when its replies are
+//! due. Bodies, locks and commits of one worker stay strictly sequential;
+//! only the round trip of one client overlaps the work of others. How many
+//! clients are kept on the wire is Little's law on two measured quantities
+//! (`Pace`), not a setting: a local-only workload runs at depth 0 through
+//! the same loop.
 
 use crate::cluster::Cluster;
 use crate::prefetch::{Footprint, ReadFanout};
 use crate::protocol::{CommittedTxn, Protocol};
 use crate::txn::{TxnProgram, Workload};
-use primo_common::sim_time::charge_latency_us;
+use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{AbortReason, FastRng, Metrics, PartitionId, Phase, PhaseTimers, TxnId};
 use primo_trace::TraceEventKind;
 use primo_wal::{CommitOutcome, CommitWaiter};
@@ -24,7 +38,8 @@ use std::time::{Duration, Instant};
 const MAX_ATTEMPTS: usize = 1_000;
 
 /// The closed loop's client population per worker: how many transactions may
-/// be waiting for the group commit at once. The paper's DBx1000 method
+/// be outstanding at once — generated and waiting for their reads, or
+/// committed and waiting for the group commit. The paper's DBx1000 method
 /// (§6.1.3) has a worker "initiate a new transaction when the running
 /// transaction is waiting" — each waiting transaction is a client whose
 /// result is outstanding, and a worker that has this many outstanding blocks
@@ -41,6 +56,70 @@ struct PendingCommit {
     distributed: bool,
 }
 
+/// A client the worker has taken up and not run yet: its transaction is
+/// generated and the read fan-out its plan describes is sent. That is all it
+/// holds — no transaction id, no ticket, no lock, nothing registered on any
+/// partition, no pin on any watermark — so dropping it (the stop flag, a
+/// crashed home) or making it wait (a COCO gate, a recovery) costs nothing.
+struct Prepared {
+    program: Box<dyn TxnProgram>,
+    /// Taken at generate: the client's latency pays for every microsecond it
+    /// is queued.
+    started: Instant,
+    plan: Footprint,
+    fanout: ReadFanout,
+}
+
+/// The two measured quantities that decide how many clients a worker keeps
+/// on the wire.
+struct Pace {
+    /// Worker time one client takes, nanoseconds: from the end of one run to
+    /// the end of the next — taking clients up, running one, reporting
+    /// results — less the wait for its replies. An EWMA (1/8, the decay
+    /// `sim_time`'s sleep overshoot uses); until the first run it is taken
+    /// to last for ever, so nothing is queued on a guess.
+    service_ns: u64,
+    /// How long the last fan-out sent spends on the wire, nanoseconds.
+    flight_ns: u64,
+    /// When the last run ended.
+    last_ran: Instant,
+}
+
+impl Pace {
+    fn new() -> Self {
+        Pace {
+            service_ns: u64::MAX,
+            flight_ns: 0,
+            last_ran: Instant::now(),
+        }
+    }
+
+    /// Little's law, asked right where it matters: would a fan-out sent now
+    /// be back before the worker has run the `queued` clients ahead of it?
+    /// The head is about to run either way, so it is the others whose runs
+    /// must cover a flight; while they do not, the worker would end up
+    /// waiting on the wire, and takes up another client instead. The rule
+    /// shrinks the queue as readily as it grows it: when runs get longer
+    /// (2PC rounds, back-offs) fewer clients cover the same flight, and
+    /// every client queued beyond need only adds its wait to its latency.
+    fn wants_another(&self, queued: usize) -> bool {
+        let behind_head = queued.saturating_sub(1) as u64;
+        behind_head.saturating_mul(self.service_ns) < self.flight_ns
+    }
+
+    /// A run has just ended; the worker waited `waited_us` for its replies
+    /// first.
+    fn ran(&mut self, waited_us: u64) {
+        let now = Instant::now();
+        let ns = ((now - self.last_ran).as_nanos() as u64).saturating_sub(waited_us * 1_000);
+        self.last_ran = now;
+        self.service_ns = match self.service_ns {
+            u64::MAX => ns,
+            service => service - service / 8 + ns / 8,
+        };
+    }
+}
+
 /// Everything a worker thread needs.
 pub struct WorkerContext {
     pub cluster: Arc<Cluster>,
@@ -51,6 +130,21 @@ pub struct WorkerContext {
     pub worker_idx: u32,
     pub stop: Arc<AtomicBool>,
     pub recording: Arc<AtomicBool>,
+}
+
+impl WorkerContext {
+    fn attempt<'a>(&'a self, program: &'a dyn TxnProgram) -> Attempt<'a> {
+        Attempt {
+            cluster: &self.cluster,
+            protocol: self.protocol.as_ref(),
+            program,
+            home: self.home,
+        }
+    }
+
+    fn recording(&self) -> bool {
+        self.recording.load(Ordering::Relaxed)
+    }
 }
 
 /// The group commit decided `done`: close its `Return` phase, trace the
@@ -64,7 +158,7 @@ fn resolve(ctx: &WorkerContext, mut done: PendingCommit, outcome: CommitOutcome)
             committed: matches!(outcome, CommitOutcome::Committed),
         },
     );
-    if ctx.recording.load(Ordering::Relaxed) {
+    if ctx.recording() {
         match outcome {
             CommitOutcome::Committed => {
                 let latency_us = done.started.elapsed().as_micros() as u64;
@@ -76,9 +170,20 @@ fn resolve(ctx: &WorkerContext, mut done: PendingCommit, outcome: CommitOutcome)
     }
 }
 
-/// Resolve (without blocking) every pending transaction whose group-commit
-/// outcome is now known.
-fn drain_pending(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
+/// Report every pending transaction whose group-commit outcome is known —
+/// after blocking on the oldest, if `block`: back-pressure at the client
+/// ceiling, and (the wait being the group commit's demand signal) what
+/// closes the group early under the watermark scheme. A result released is
+/// the scheme saying its horizon moved, which the version-chain GC wants to
+/// know: once per release, not once per commit.
+fn release_pending(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>, block: bool) {
+    let outstanding = pending.len();
+    if block {
+        if let Some(oldest) = pending.pop_front() {
+            let outcome = ctx.cluster.group_commit.wait_durable(&oldest.waiter);
+            resolve(ctx, oldest, outcome);
+        }
+    }
     while let Some(outcome) = pending
         .front()
         .and_then(|front| ctx.cluster.group_commit.try_outcome(&front.waiter))
@@ -86,15 +191,8 @@ fn drain_pending(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
         let done = pending.pop_front().expect("front was just probed");
         resolve(ctx, done, outcome);
     }
-}
-
-/// Block on the oldest pending transaction: back-pressure at the client
-/// ceiling, and — the wait being the group commit's demand signal — what
-/// closes the group early under the watermark scheme.
-fn block_on_oldest(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>) {
-    if let Some(oldest) = pending.pop_front() {
-        let outcome = ctx.cluster.group_commit.wait_durable(&oldest.waiter);
-        resolve(ctx, oldest, outcome);
+    if pending.len() < outstanding {
+        ctx.cluster.horizon_moved();
     }
 }
 
@@ -127,27 +225,36 @@ impl Attempt<'_> {
         }
     }
 
-    /// One attempt under `txn`: open a ticket, resolve the batched read
-    /// fan-out `plan` describes, run the protocol, tell the group commit how
-    /// it ended and leave `Begin` + `Committed` / `Abort` in the flight
-    /// recorder. A commit also takes the log-retention step (its locks are
-    /// released); an abort leaves its observed remote footprint in `plan`
-    /// for the retry.
+    /// Put the read fan-out `plan` describes on the wire.
+    fn send(&self, plan: &Footprint) -> ReadFanout {
+        let mut fanout = ReadFanout::empty();
+        fanout.begin(self.cluster, self.home, plan);
+        fanout
+    }
+
+    /// One attempt under `txn`: open a ticket, take up the batched read
+    /// fan-out `plan` describes — `sent` if the worker put it on the wire
+    /// when it generated the client, sent here and waited for otherwise —
+    /// run the protocol, tell the group commit how it ended and leave
+    /// `Begin` + `Committed` / `Abort` in the flight recorder. A commit also
+    /// takes the log-retention step (its locks are released) — and, if the
+    /// protocol releases results itself, tells the version GC so: nobody
+    /// waits for this commit, so nobody would later. An abort leaves its
+    /// observed remote footprint in `plan` for the retry.
     fn run(
         &self,
         txn: TxnId,
         attempt: u32,
         plan: &mut Footprint,
+        sent: Option<ReadFanout>,
         timers: &mut PhaseTimers,
     ) -> Result<(CommittedTxn, CommitWaiter), AbortReason> {
         let (cluster, home) = (self.cluster, self.home);
         let trace = |kind| cluster.recorder.emit(Some(txn), Some(home), kind);
         trace(TraceEventKind::Begin { attempt });
         let ticket = cluster.group_commit.begin_txn(home, txn);
-        let mut fanout = ReadFanout::empty();
-        if !plan.is_empty() {
-            timers.time(Phase::Execute, || fanout.resolve(cluster, home, txn, plan));
-        }
+        let mut fanout = sent.unwrap_or_else(|| self.send(plan));
+        timers.time(Phase::Execute, || fanout.complete(cluster, home, txn));
         match self
             .protocol
             .execute_once(cluster, txn, self.program, &ticket, timers, &fanout)
@@ -158,6 +265,9 @@ impl Attempt<'_> {
                     .txn_committed(&ticket, commit.ts, commit.ops);
                 trace(TraceEventKind::Committed { ts: commit.ts });
                 cluster.fold_due_logs();
+                if self.protocol.manages_durability() {
+                    cluster.horizon_moved();
+                }
                 Ok((commit, waiter))
             }
             Err(e) => {
@@ -176,19 +286,151 @@ impl Attempt<'_> {
     }
 }
 
+/// Take up a new client: generate its transaction and put its read fan-out
+/// on the wire. `None` if it was served on the spot — a declared read-only
+/// transaction, from the MVCC snapshot at the durable group-commit horizon:
+/// no ticket, no locks, no validation, no group-commit wait, the result is
+/// final the moment execution ends. An unanswerable read (bounded chain
+/// outran the horizon) falls back to the protocol path like any other
+/// client.
+fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
+    let program = ctx.workload.generate(rng, ctx.home);
+    let started = Instant::now();
+    if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(&ctx.cluster) {
+        let mut timers = PhaseTimers::new();
+        let done = timers.time(Phase::Execute, || {
+            match crate::snapshot::execute_snapshot(&ctx.cluster, program.as_ref()) {
+                crate::snapshot::SnapshotOutcome::Done(result) => Some(result),
+                crate::snapshot::SnapshotOutcome::Fallback => None,
+            }
+        });
+        if let Some(result) = done {
+            if ctx.recording() {
+                match result {
+                    Ok(()) => {
+                        let latency_us = started.elapsed().as_micros() as u64;
+                        // Snapshot reads pay no remote round trips and
+                        // never enter the protocol path, so they stay
+                        // out of the distributed-latency histogram.
+                        ctx.metrics.record_commit(latency_us, &timers, false);
+                        ctx.metrics.record_snapshot_read();
+                    }
+                    Err(e) => {
+                        // Program-level abort (e.g. NotFound at the
+                        // snapshot): final, never retried.
+                        ctx.metrics.record_abort(e.reason());
+                        ctx.metrics.record_abandoned();
+                    }
+                }
+            }
+            return None;
+        }
+    }
+    // The remote-read plan: the program's static hint for the first
+    // attempt, then each aborted attempt's observed access set for the
+    // retry (reconnaissance-style), so even hint-less programs converge
+    // to one batched fan-out per attempt.
+    let attempt = ctx.attempt(program.as_ref());
+    let plan = attempt.initial_plan();
+    let fanout = attempt.send(&plan);
+    Some(Prepared {
+        program,
+        started,
+        plan,
+        fanout,
+    })
+}
+
+/// Run one client's transaction to its end: attempt, back off and retry
+/// until it commits, aborts for good or the worker is stopped. The caller
+/// has waited for the client's fan-out.
+fn run_client(
+    ctx: &WorkerContext,
+    rng: &mut FastRng,
+    pending: &mut VecDeque<PendingCommit>,
+    client: Prepared,
+) {
+    let Prepared {
+        program,
+        started,
+        mut plan,
+        fanout,
+    } = client;
+    let mut timers = PhaseTimers::new();
+    // The flight and the queue are where this client's reads were executed.
+    timers.add(Phase::Execute, started.elapsed());
+    let txn = ctx.cluster.next_txn_id(ctx.home);
+    let mut backoff_us = ctx.cluster.config.backoff_initial_us;
+    let slowdown = ctx.cluster.partition(ctx.home).slowdown_us();
+    let attempt = ctx.attempt(program.as_ref());
+    let mut sent = Some(fanout);
+
+    let mut attempts = 0;
+    while attempts < MAX_ATTEMPTS && !ctx.stop.load(Ordering::Relaxed) {
+        attempts += 1;
+        if slowdown > 0 {
+            // Simulated slow partition (Fig 13b): extra CPU time per
+            // attempt, charged as execution time.
+            timers.time(Phase::Execute, || charge_latency_us(slowdown));
+        }
+        match attempt.run(txn, attempts as u32, &mut plan, sent.take(), &mut timers) {
+            Ok((commit, waiter)) => {
+                if ctx.protocol.manages_durability() {
+                    if ctx.recording() {
+                        let latency_us = started.elapsed().as_micros() as u64;
+                        ctx.metrics
+                            .record_commit(latency_us, &timers, commit.distributed);
+                    }
+                } else {
+                    // The client keeps waiting for the watermark / epoch;
+                    // the worker moves on to the next transaction.
+                    pending.push_back(PendingCommit {
+                        waiter,
+                        started,
+                        committed_at: Instant::now(),
+                        timers,
+                        distributed: commit.distributed,
+                    });
+                }
+                return;
+            }
+            Err(reason) => {
+                if ctx.recording() {
+                    ctx.metrics.record_abort(reason);
+                }
+                if !reason.is_retryable() {
+                    if ctx.recording() {
+                        ctx.metrics.record_abandoned();
+                    }
+                    return;
+                }
+            }
+        }
+        let backoff_max = ctx.cluster.config.backoff_max_us;
+        timers.time(Phase::Backoff, || {
+            back_off(rng, &mut backoff_us, backoff_max)
+        });
+    }
+}
+
 /// Run the worker loop until the stop flag is raised.
 pub fn worker_loop(ctx: WorkerContext) {
     let mut rng = FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5);
-    let backoff_initial = ctx.cluster.config.backoff_initial_us;
-    let backoff_max = ctx.cluster.config.backoff_max_us;
     let mut pending: VecDeque<PendingCommit> = VecDeque::new();
+    let mut queued: VecDeque<Prepared> = VecDeque::new();
+    let mut pace = Pace::new();
+    // A new client was taken up while the head's replies were already back:
+    // the head is not passed over a second time.
+    let mut passed_over = false;
 
     while !ctx.stop.load(Ordering::Relaxed) {
         // Report results of transactions whose group commit finished while we
         // were executing newer ones.
-        drain_pending(&ctx, &mut pending);
-        if pending.len() >= MAX_PENDING_COMMITS {
-            block_on_oldest(&ctx, &mut pending);
+        release_pending(&ctx, &mut pending, false);
+        debug_assert!(queued.len() + pending.len() <= MAX_PENDING_COMMITS);
+        let full = queued.len() + pending.len() >= MAX_PENDING_COMMITS;
+        if full && queued.is_empty() {
+            release_pending(&ctx, &mut pending, true);
         }
 
         // COCO-style schemes may briefly forbid starting new transactions.
@@ -196,115 +438,68 @@ pub fn worker_loop(ctx: WorkerContext) {
         if ctx.stop.load(Ordering::Relaxed) {
             break;
         }
-
-        let program = ctx.workload.generate(&mut rng, ctx.home);
-        let mut timers = PhaseTimers::new();
-        let started = Instant::now();
-
-        // Declared read-only transactions are served from the MVCC snapshot
-        // at the durable group-commit horizon: no ticket, no locks, no
-        // validation, no group-commit wait — the result is final the moment
-        // execution ends. An unanswerable read (bounded chain outran the
-        // horizon) falls back to the protocol path below.
-        if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(&ctx.cluster) {
-            let done = timers.time(Phase::Execute, || {
-                match crate::snapshot::execute_snapshot(&ctx.cluster, program.as_ref()) {
-                    crate::snapshot::SnapshotOutcome::Done(result) => Some(result),
-                    crate::snapshot::SnapshotOutcome::Fallback => None,
-                }
-            });
-            if let Some(result) = done {
-                if ctx.recording.load(Ordering::Relaxed) {
-                    match result {
-                        Ok(()) => {
-                            let latency_us = started.elapsed().as_micros() as u64;
-                            // Snapshot reads pay no remote round trips and
-                            // never enter the protocol path, so they stay
-                            // out of the distributed-latency histogram.
-                            ctx.metrics.record_commit(latency_us, &timers, false);
-                            ctx.metrics.record_snapshot_read();
-                        }
-                        Err(e) => {
-                            // Program-level abort (e.g. NotFound at the
-                            // snapshot): final, never retried.
-                            ctx.metrics.record_abort(e.reason());
-                            ctx.metrics.record_abandoned();
-                        }
-                    }
-                }
-                continue;
-            }
+        // A dead leader serves no clients. The queued ones hold nothing and
+        // go with it; the worker waits as after a retryable abort (the
+        // longest back-off: a recovery takes that long at least).
+        if ctx.cluster.net.is_crashed(ctx.home) {
+            queued.clear();
+            let mut backoff_us = ctx.cluster.config.backoff_max_us;
+            back_off(&mut rng, &mut backoff_us, ctx.cluster.config.backoff_max_us);
+            continue;
         }
 
-        let txn = ctx.cluster.next_txn_id(ctx.home);
-        let mut backoff_us = backoff_initial;
-        let slowdown = ctx.cluster.partition(ctx.home).slowdown_us();
-
-        // The remote-read plan: the program's static hint for the first
-        // attempt, then each aborted attempt's observed access set for the
-        // retry (reconnaissance-style), so even hint-less programs converge
-        // to one batched fan-out per attempt.
-        let attempt = Attempt {
-            cluster: &ctx.cluster,
-            protocol: ctx.protocol.as_ref(),
-            program: program.as_ref(),
-            home: ctx.home,
+        // Take up a new client or run the oldest queued one. A new one while
+        // the queue does not cover a flight ([`Pace::wants_another`]) and the
+        // population has room — but a head whose replies are back is passed
+        // over by at most one new client, so nothing starves behind a stream
+        // of clients that have nothing to fetch.
+        let head_due = queued
+            .front()
+            .map(|head| head.fanout.ready_at_us() <= now_us());
+        let take_new = match head_due {
+            None => true,
+            Some(due) => !full && pace.wants_another(queued.len()) && !(due && passed_over),
         };
-        let mut plan = attempt.initial_plan();
-
-        let mut attempts = 0;
-        while attempts < MAX_ATTEMPTS && !ctx.stop.load(Ordering::Relaxed) {
-            attempts += 1;
-            if slowdown > 0 {
-                // Simulated slow partition (Fig 13b): extra CPU time per
-                // attempt, charged as execution time.
-                timers.time(Phase::Execute, || charge_latency_us(slowdown));
+        let next = if take_new {
+            passed_over = head_due == Some(true);
+            match take_up(&ctx, &mut rng) {
+                Some(client) => match client.fanout.flight_us() {
+                    // Nothing to wait for: run it now, never behind the wire.
+                    0 => Some(client),
+                    flight_us => {
+                        pace.flight_ns = flight_us * 1_000;
+                        queued.push_back(client);
+                        None
+                    }
+                },
+                None => None,
             }
-            match attempt.run(txn, attempts as u32, &mut plan, &mut timers) {
-                Ok((commit, waiter)) => {
-                    if ctx.protocol.manages_durability() {
-                        if ctx.recording.load(Ordering::Relaxed) {
-                            let latency_us = started.elapsed().as_micros() as u64;
-                            ctx.metrics
-                                .record_commit(latency_us, &timers, commit.distributed);
-                        }
-                    } else {
-                        // The client keeps waiting for the watermark / epoch;
-                        // the worker moves on to the next transaction.
-                        pending.push_back(PendingCommit {
-                            waiter,
-                            started,
-                            committed_at: Instant::now(),
-                            timers: std::mem::take(&mut timers),
-                            distributed: commit.distributed,
-                        });
-                    }
-                    break;
-                }
-                Err(reason) => {
-                    if ctx.recording.load(Ordering::Relaxed) {
-                        ctx.metrics.record_abort(reason);
-                    }
-                    if !reason.is_retryable() {
-                        if ctx.recording.load(Ordering::Relaxed) {
-                            ctx.metrics.record_abandoned();
-                        }
-                        break;
-                    }
-                }
-            }
-            timers.time(Phase::Backoff, || {
-                back_off(&mut rng, &mut backoff_us, backoff_max)
-            });
+        } else {
+            passed_over = false;
+            queued.pop_front()
+        };
+        if let Some(client) = next {
+            // What is left of its flight is the only time that is not the
+            // worker's own.
+            let left_us = match client.fanout.ready_at_us() {
+                0 => 0,
+                ready_at_us => ready_at_us.saturating_sub(now_us()),
+            };
+            wait_until(client.fanout.ready_at_us());
+            run_client(&ctx, &mut rng, &mut pending, client);
+            pace.ran(left_us);
         }
     }
 
     // Resolve whatever is still in flight so late commits are counted:
-    // block on one waiter after the other until the deadline.
+    // block on one waiter after the other until the deadline. Clients still
+    // queued are dropped: they hold nothing.
     let deadline = Instant::now() + Duration::from_millis(200);
     while !pending.is_empty() && Instant::now() < deadline {
-        block_on_oldest(&ctx, &mut pending);
+        release_pending(&ctx, &mut pending, true);
     }
+    // No write of this worker will come by to reclaim what these covered.
+    ctx.cluster.reclaim_due_versions();
 }
 
 /// Spawn all worker threads for an experiment. Returns their join handles.
@@ -382,10 +577,19 @@ pub fn run_single_txn(
             return Err(last_reason);
         }
         let txn = cluster.next_txn_id(home);
-        match attempt.run(txn, attempts as u32, &mut plan, &mut PhaseTimers::new()) {
+        match attempt.run(
+            txn,
+            attempts as u32,
+            &mut plan,
+            None,
+            &mut PhaseTimers::new(),
+        ) {
             Ok(_) if protocol.manages_durability() => return Ok(attempts),
             Ok((_, waiter)) => match cluster.group_commit.wait_durable(&waiter) {
-                CommitOutcome::Committed => return Ok(attempts),
+                CommitOutcome::Committed => {
+                    cluster.horizon_moved();
+                    return Ok(attempts);
+                }
                 CommitOutcome::CrashAborted => last_reason = AbortReason::CrashAbort,
             },
             Err(reason) if !reason.is_retryable() => return Err(reason),
@@ -438,6 +642,32 @@ mod tests {
                 distributed: false,
             })
         }
+    }
+
+    #[test]
+    fn the_depth_rule_covers_one_flight_and_shrinks_when_runs_get_longer() {
+        let mut pace = Pace::new();
+        pace.flight_ns = 220_000;
+        // No run measured yet: one client beside the head, no more.
+        assert!(pace.wants_another(1) && !pace.wants_another(2));
+        // 40 us runs: six of them behind the head cover a 220 us flight.
+        pace.service_ns = 40_000;
+        assert!(pace.wants_another(6) && !pace.wants_another(7));
+        // Runs longer than a flight (2PC rounds, back-offs): one is enough.
+        pace.service_ns = 250_000;
+        assert!(pace.wants_another(1) && !pace.wants_another(2));
+        // The estimate follows the runs: an eighth of the way each time.
+        pace.last_ran = Instant::now() - Duration::from_micros(410);
+        pace.ran(0);
+        assert!(
+            (268_000..275_000).contains(&pace.service_ns),
+            "{}",
+            pace.service_ns
+        );
+        // Time spent waiting for replies is not the worker's.
+        pace.last_ran = Instant::now() - Duration::from_micros(500);
+        pace.ran(500);
+        assert!(pace.service_ns < 245_000, "{}", pace.service_ns);
     }
 
     /// Regression: a crash-aborted-then-committed transaction must log its

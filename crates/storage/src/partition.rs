@@ -107,16 +107,6 @@ impl PartitionStore {
     pub fn restore(&self, table: TableId, key: Key, value: Value, ts: u64) -> Arc<Record> {
         self.table(table).restore(key, value, ts)
     }
-
-    /// Version-chain GC across all tables: drop history versions shadowed by
-    /// a newer version committed at or below `bound`. Returns how many
-    /// versions were pruned.
-    pub fn prune_versions(&self, bound: u64) -> usize {
-        self.tables()
-            .into_iter()
-            .map(|(_, t)| t.prune_versions(bound))
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -463,11 +463,21 @@ impl Record {
     /// Crash compensation: reinstate the before-image `prev` in place of the
     /// rolled-back version committed at `ts`. Every version with `cts >= ts`
     /// is purged from the chain (it belongs to a crash-aborted transaction);
-    /// the before-image's original history entry, where still retained,
-    /// keeps serving snapshot horizons below `ts`.
+    /// the before-image's original history entry keeps serving snapshot
+    /// horizons below `ts`. Where that entry is gone — reclaimed or evicted
+    /// while the before-image was the current version, with the rolled-back
+    /// install never made over it (a commit that logged, then saw the crash)
+    /// or made and unmade since — nothing in the chain knows when `prev` was
+    /// committed, so nothing below `ts` is answered any more: a reader there
+    /// gets a *miss* and takes the protocol path, never an older version or
+    /// an absence.
     pub fn revert(&self, prev: Value, ts: u64) {
         let mut d = self.data.lock();
         d.history.retain(|v| v.cts < ts);
+        if d.history.last().and_then(|v| v.value.as_ref()) != Some(&prev) {
+            d.history.clear();
+            d.floor_cts = d.floor_cts.max(ts);
+        }
         d.value = prev;
         d.wts = ts;
         d.rts = ts;
@@ -771,6 +781,21 @@ mod tests {
         assert_eq!(r.read_at(9), SnapshotRead::Value(Value::from_u64(2)));
         assert_eq!(r.read_at(8), SnapshotRead::Value(Value::from_u64(2)));
         assert_eq!(r.read_at(4), SnapshotRead::Value(Value::from_u64(1)));
+        // The before-image's own entry was reclaimed while it was current
+        // and the rolled-back version never installed over it: below `ts`
+        // the chain vouches for nothing — a miss, not an absence, and not
+        // the older version a longer chain would still hold.
+        for reclaimed in [true, false] {
+            let r = Record::new(Value::from_u64(1));
+            r.install(Value::from_u64(2), 5);
+            if reclaimed {
+                assert_eq!(r.prune_versions(6), 1);
+            }
+            r.revert(Value::from_u64(2), 9);
+            assert_eq!(r.read_at(9), SnapshotRead::Value(Value::from_u64(2)));
+            assert_eq!(r.read_at(8), SnapshotRead::Miss);
+            assert_eq!(r.read_at(4), SnapshotRead::Miss);
+        }
         // Rolled-back insert reverts to a tombstone.
         let s = Record::new(Value::from_u64(7));
         s.install(Value::from_u64(8), 4); // crash-rolled-back

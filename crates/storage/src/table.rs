@@ -263,19 +263,6 @@ impl Table {
         rec
     }
 
-    /// Version-chain GC over every record: drop history versions shadowed by
-    /// a newer version committed at or below `bound` (see
-    /// [`Record::prune_versions`]). Returns how many versions were pruned.
-    pub fn prune_versions(&self, bound: u64) -> usize {
-        let mut pruned = 0;
-        for shard in &self.shards {
-            for r in shard.read().values() {
-                pruned += r.prune_versions(bound);
-            }
-        }
-        pruned
-    }
-
     /// Drop every record (the crashed partition's volatile state is gone).
     /// Returns how many slots were removed. Records still referenced by
     /// in-flight transactions become detached: installing into them no

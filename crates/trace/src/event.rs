@@ -103,9 +103,18 @@ pub enum TraceEventKind {
     /// The coordinating worker was killed between prepare and decision
     /// (worker-granularity crash injection, not a partition crash).
     CoordinatorCrashed,
-    /// A batched remote-read fan-out was issued: `keys` keys fetched from
-    /// `partitions` remote partitions in one parallel round trip.
-    PrefetchIssued { partitions: u32, keys: u32 },
+    /// A batched remote-read fan-out was taken up: `keys` keys fetched from
+    /// `partitions` remote partitions in one parallel round trip that was
+    /// sent `sent_us_ago` before this event and took `flight_us` on the wire.
+    /// The difference is how long the replies sat in the worker's queue, and
+    /// the spans `[at - sent_us_ago, at]` of one worker's events add up to
+    /// its queue depth over time.
+    PrefetchIssued {
+        partitions: u32,
+        keys: u32,
+        sent_us_ago: u64,
+        flight_us: u64,
+    },
     /// A remote read was served from the attempt's prefetch buffer (no
     /// round trip charged).
     PrefetchHit,
@@ -188,7 +197,17 @@ impl TraceEventKind {
             VoteQuorumDurable { lsn } => (23, lsn, 0, 0),
             DecisionReached { commit, in_doubt } => (24, commit as u64, in_doubt as u64, 0),
             CoordinatorCrashed => (25, 0, 0, 0),
-            PrefetchIssued { partitions, keys } => (26, partitions as u64, keys as u64, 0),
+            PrefetchIssued {
+                partitions,
+                keys,
+                sent_us_ago,
+                flight_us,
+            } => (
+                26,
+                u64::from(partitions) << 32 | u64::from(keys),
+                sent_us_ago,
+                flight_us,
+            ),
             PrefetchHit => (27, 0, 0, 0),
             PrefetchStale => (28, 0, 0, 0),
             WatermarkGenerate {
@@ -259,8 +278,10 @@ impl TraceEventKind {
             },
             25 => CoordinatorCrashed,
             26 => PrefetchIssued {
-                partitions: a as u32,
-                keys: b as u32,
+                partitions: (a >> 32) as u32,
+                keys: a as u32,
+                sent_us_ago: b,
+                flight_us: c,
             },
             27 => PrefetchHit,
             28 => PrefetchStale,
@@ -324,9 +345,16 @@ impl fmt::Display for TraceEventKind {
                 write!(f, "decision-reached commit={commit} in-doubt={in_doubt}")
             }
             CoordinatorCrashed => write!(f, "coordinator-crashed"),
-            PrefetchIssued { partitions, keys } => {
-                write!(f, "prefetch-issued partitions={partitions} keys={keys}")
-            }
+            PrefetchIssued {
+                partitions,
+                keys,
+                sent_us_ago,
+                flight_us,
+            } => write!(
+                f,
+                "prefetch-issued partitions={partitions} keys={keys} \
+                 sent={sent_us_ago}us-ago flight={flight_us}us"
+            ),
             PrefetchHit => write!(f, "prefetch-hit"),
             PrefetchStale => write!(f, "prefetch-stale"),
             WatermarkGenerate {
@@ -435,6 +463,8 @@ mod tests {
             TraceEventKind::PrefetchIssued {
                 partitions: 2,
                 keys: 7,
+                sent_us_ago: 2_450,
+                flight_us: 2_020,
             },
             TraceEventKind::PrefetchHit,
             TraceEventKind::PrefetchStale,

@@ -52,6 +52,6 @@ fn main() {
     }
     println!(
         "(snap reads = read-only txns served lock-free from the version chains at the\n\
-         group-commit horizon; pruned = history versions GC'd by the checkpointer)"
+         group-commit horizon; pruned = history versions reclaimed at that horizon)"
     );
 }

@@ -325,7 +325,7 @@ impl Primo {
     /// image and drain it from the log. Call once after loading data through
     /// [`Session::load`] so a later crash can rebuild it; afterwards the
     /// logs bound themselves from the commit path, so calling it again is
-    /// only ever an optimisation (a shorter replay, the version-chain GC).
+    /// only ever an optimisation (a shorter replay).
     pub fn checkpoint_all(&self) -> Vec<primo_recovery::CheckpointStats> {
         self.cluster.checkpoint_all()
     }
