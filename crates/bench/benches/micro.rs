@@ -14,7 +14,7 @@
 
 use primo_repro::recovery::apply_replay;
 use primo_repro::storage::{InsertSlot, LockMode, LockPolicy, PartitionStore, Record, Table};
-use primo_repro::wal::{LogPayload, LoggedWrite, PartitionWal, ReplayBound, ReplicatedLog};
+use primo_repro::wal::{LogPayload, LoggedWrite, ReplayBound, ReplicatedLog};
 use primo_repro::{
     ClosureProgram, FastRng, PartitionId, Primo, ProtocolKind, TableId, TxnId, Value, ZipfGen,
 };
@@ -85,7 +85,7 @@ fn bench_zipf() {
 }
 
 fn bench_wal_append() {
-    let wal = PartitionWal::new(PartitionId(0), 500);
+    let wal = ReplicatedLog::single(PartitionId(0), 500);
     let mut wp = 0u64;
     bench("wal/append_watermark", || {
         wp += 1;
@@ -106,21 +106,20 @@ fn bench_wal_append() {
     });
 }
 
-/// Tentpole of PR 7: [`ReplicatedLog::append`] is a two-stage pipeline —
-/// the commit critical section only sequences (leader append + staging-ring
-/// push under one lock) while a background pump ships staged entries to the
-/// followers in batches. The pre-PR shape — fan-out to every replica under
-/// the one append lock — is reproduced here verbatim so the two critical
-/// sections race on identical replica sets (RF 3, realistic delays) at
-/// 1 / 4 / 16 appender threads.
+/// [`ReplicatedLog::append`] pushes into the leader's copy only, at every
+/// replication factor; followers catch up from the leader's tail off the
+/// commit critical section. The shape it replaced in PR 7 — an append to
+/// every replica under the one append lock — is rebuilt here from
+/// single-copy logs under one outer lock (each copy takes its own clone of
+/// the payload), so the two critical sections race on the same replica
+/// count (RF 3, realistic delays) at 1 / 4 / 16 appender threads.
 fn bench_contended_append() {
     use std::time::Instant;
 
-    /// The pre-pipeline append path: one lock, `RF` replica appends inside
-    /// it (exactly the old `ReplicatedLog::append` body).
+    /// The synchronous fan-out: one lock, `RF` copy appends inside it.
     struct OldFanout {
         lock: std::sync::Mutex<()>,
-        replicas: Vec<PartitionWal>,
+        replicas: Vec<ReplicatedLog>,
     }
 
     impl OldFanout {
@@ -128,18 +127,17 @@ fn bench_contended_append() {
             OldFanout {
                 lock: std::sync::Mutex::new(()),
                 replicas: (0..3)
-                    .map(|i| PartitionWal::new(PartitionId(0), if i == 0 { 100 } else { 700 }))
+                    .map(|i| ReplicatedLog::single(PartitionId(0), if i == 0 { 100 } else { 700 }))
                     .collect(),
             }
         }
 
         fn append(&self, payload: LogPayload) -> u64 {
-            let payload = Arc::new(payload);
             let _guard = self.lock.lock().unwrap();
             for replica in &self.replicas[1..] {
-                replica.append_in_term(0, Arc::clone(&payload));
+                replica.append(payload.clone());
             }
-            self.replicas[0].append_in_term(0, payload)
+            self.replicas[0].append(payload)
         }
     }
 
@@ -204,36 +202,6 @@ fn bench_contended_append() {
     }
 }
 
-/// Stage 2 of the append pipeline in isolation: delivering 64 sequenced
-/// entries to one follower replica as a single batch
-/// ([`PartitionWal::append_entries`], one lock acquisition) vs. the old
-/// per-entry fan-out (64 acquisitions). Both passes pay for a fresh target
-/// replica, so the difference is pure delivery cost.
-fn bench_fanout_batching() {
-    const BATCH: u64 = 64;
-    let source = PartitionWal::new(PartitionId(0), 500);
-    for seq in 0..BATCH {
-        source.append(LogPayload::TxnWrites {
-            txn: TxnId::new(PartitionId(0), seq),
-            ts: seq + 1,
-            writes: vec![LoggedWrite::put(TableId(0), seq, Value::from_u64(seq))],
-        });
-    }
-    let batch = source.entries_from(0);
-    bench("wal/fanout_64_batched", || {
-        let target = PartitionWal::new(PartitionId(0), 500);
-        target.append_entries(&batch);
-        std::hint::black_box(target.end_lsn());
-    });
-    bench("wal/fanout_64_per_entry", || {
-        let target = PartitionWal::new(PartitionId(0), 500);
-        for e in &batch {
-            target.append_in_term(e.term, Arc::clone(&e.payload));
-        }
-        std::hint::black_box(target.end_lsn());
-    });
-}
-
 fn bench_wal_durable_boundary() {
     // Satellite of the replicated-WAL refactor: the durable-boundary
     // lookups (`durable_lsn`, `latest_durable_watermark_at`) used to
@@ -249,7 +217,7 @@ fn bench_wal_durable_boundary() {
     // A huge persist delay keeps the whole log volatile: the worst case for
     // the naive scan (it walks all 100k entries before giving up) and the
     // realistic shape of a hot log right after a burst of appends.
-    let wal = PartitionWal::new(PartitionId(0), u64::MAX / 4);
+    let wal = ReplicatedLog::single(PartitionId(0), u64::MAX / 4);
     for seq in 0..ENTRIES {
         wal.append(LogPayload::TxnWrites {
             txn: TxnId::new(PartitionId(0), seq),
@@ -265,7 +233,7 @@ fn bench_wal_durable_boundary() {
         std::hint::black_box(wal.durable_lsn());
     });
     let entries = wal.entries_from(0);
-    let delay = wal.persist_delay_us();
+    let delay = wal.quorum_ack_delay_us();
     bench("wal/durable_lsn_100k_naive_rev_scan", || {
         let now = now_us();
         std::hint::black_box(
@@ -543,7 +511,6 @@ fn main() {
     bench_zipf();
     bench_wal_append();
     bench_contended_append();
-    bench_fanout_batching();
     bench_wal_durable_boundary();
     bench_log_txn_writes();
     bench_checkpoint_and_replay();

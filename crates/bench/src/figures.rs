@@ -479,7 +479,7 @@ pub fn fig12(scale: &Scale) {
          installed writes on surviving partitions were undone via before-images.\n\
          ldr-chg = replicated-log leader hand-offs; repl-lag = append-to-quorum-ack delay,\n\
          the local persist delay when the log is single-copy. app-wait = total time committers\n\
-         spent blocked on a log sequencer; batch = mean replication-pump batch length)"
+         spent blocked on a log sequencer; batch = mean entries per follower catch-up)"
     );
 
     header("Fig 12c: atomic-commit mode under a coordinator crash (2PL(NW), 3 log replicas)");

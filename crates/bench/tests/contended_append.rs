@@ -1,11 +1,13 @@
-//! Release-mode regression gate for the pipelined WAL append (PR 7).
+//! Release-mode regression gate for the WAL append: what a committer pays
+//! must not grow with the replication factor.
 //!
 //! Re-measures the contended RF 3 append against an in-test reconstruction
-//! of the pre-pipeline shape (synchronous fan-out to every replica under
-//! the append lock) and fails if the pipeline's advantage erodes below a
-//! conservative floor. The comparison is a *ratio* on the same machine in
-//! the same process, so it is robust to how fast the CI runner happens to
-//! be — unlike an absolute ns bound.
+//! of the shape PR 7 replaced (a synchronous append to every replica under
+//! the append lock, rebuilt from single-copy logs under one outer lock) and
+//! fails if the advantage of appending to the leader's copy only erodes
+//! below a conservative floor. The comparison is a *ratio* on the same
+//! machine in the same process, so it is robust to how fast the CI runner
+//! happens to be — unlike an absolute ns bound.
 //!
 //! Timing-sensitive, so `#[ignore]` by default; debug builds would measure
 //! the optimizer, not the code. CI runs it explicitly:
@@ -14,16 +16,16 @@
 //! cargo test --release -p primo-bench --test contended_append -- --ignored
 //! ```
 
-use primo_repro::wal::{LogPayload, LoggedWrite, PartitionWal, ReplicatedLog};
+use primo_repro::wal::{LogPayload, LoggedWrite, ReplicatedLog};
 use primo_repro::{PartitionId, TableId, TxnId, Value, WalConfig};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The pre-PR-7 append shape: one lock held across the whole replica
-/// fan-out, every appender paying one `append_in_term` per replica.
+/// fan-out, every appender paying one append per replica (and each copy
+/// its own clone of the payload).
 struct OldFanout {
     lock: std::sync::Mutex<()>,
-    replicas: Vec<PartitionWal>,
+    replicas: Vec<ReplicatedLog>,
 }
 
 impl OldFanout {
@@ -31,18 +33,17 @@ impl OldFanout {
         OldFanout {
             lock: std::sync::Mutex::new(()),
             replicas: (0..3)
-                .map(|i| PartitionWal::new(PartitionId(0), if i == 0 { 100 } else { 700 }))
+                .map(|i| ReplicatedLog::single(PartitionId(0), if i == 0 { 100 } else { 700 }))
                 .collect(),
         }
     }
 
     fn append(&self, payload: LogPayload) -> u64 {
-        let payload = Arc::new(payload);
         let _guard = self.lock.lock().unwrap();
         for replica in &self.replicas[1..] {
-            replica.append_in_term(0, Arc::clone(&payload));
+            replica.append(payload.clone());
         }
-        self.replicas[0].append_in_term(0, payload)
+        self.replicas[0].append(payload)
     }
 }
 

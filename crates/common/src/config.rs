@@ -168,6 +168,7 @@ pub struct WalConfig {
     /// through Raft, §5.2). 1 keeps the single-copy log; with `n > 1` a log
     /// record is *durable* once a majority quorum of replicas persisted it,
     /// so recovery tolerates losing the leader's disk, not just its memory.
+    /// At most 16: `ReplicatedLog::new` rejects a larger replica set.
     pub replication_factor: usize,
     /// Persist delay of the non-leader replicas' disks, in microseconds.
     /// `None` means same as `persist_delay_us`. The one-way network latency

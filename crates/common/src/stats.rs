@@ -209,7 +209,7 @@ pub struct ClusterStats {
     pub replication_lag_us: u64,
     /// Total microseconds committers spent blocked on log sequencers.
     pub wal_append_wait_us: u64,
-    /// Mean log entries shipped per replication-pump batch.
+    /// Mean log entries per follower catch-up.
     pub replication_batch_len: f64,
     /// In-doubt atomic commits terminated from the durable vote set (live
     /// Paxos Commit resolution plus recovery-time sealing).
@@ -503,16 +503,16 @@ pub struct MetricsSnapshot {
     /// quorum-ack delay, microseconds). Equals the local persist delay when
     /// `replication_factor` is 1; filled in by the experiment driver.
     pub replication_lag_us: u64,
-    /// Total microseconds committers spent blocked on a partition
-    /// sequencer (stage 1 of the append pipeline) across all partitions —
+    /// Total microseconds committers spent blocked on a partition's log
+    /// sequencer across all partitions —
     /// contention on the commit critical section itself, zero when every
     /// append found the sequencer free. Filled in by the experiment driver.
     pub wal_append_wait_us: u64,
-    /// Mean number of log entries the replication pump shipped to the
-    /// follower replicas per drained batch (stage 2 of the append
-    /// pipeline). 0 for single-copy logs, 1.0 when every entry was drained
-    /// alone; larger values mean the pump amortized follower lock
-    /// acquisitions across committers. Filled in by the experiment driver.
+    /// Mean number of log entries one follower catch-up carried: followers
+    /// take the leader's tail whenever something is about to consult them,
+    /// in the steady state once per fold step. 0 for single-copy logs (no
+    /// follower to feed), 1.0 when every entry was carried alone. Filled in
+    /// by the experiment driver.
     pub replication_batch_len: f64,
     /// In-doubt atomic commits terminated from the durable vote set: the
     /// coordinator died between the vote round and the decision, and the

@@ -296,7 +296,7 @@ impl SimNetwork {
 
     /// Attribute `n` already-charged one-way hops to the atomic-commit
     /// layer's vote/decision fan-out. Call this *alongside* the charging
-    /// send (`round_trip_multi` / `one_way_multi` / the replication pump's
+    /// send (`round_trip_multi` / `one_way_multi` / the replicated log's
     /// `note_background_messages`), never instead of it: this increments
     /// only the breakdown counter, not the message total.
     pub fn note_commit_messages(&self, n: u64) {

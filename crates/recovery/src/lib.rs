@@ -15,7 +15,7 @@
 //!   store, restore the checkpoint image if it was durable at the crash,
 //!   replay the retained durable log up to the per-scheme
 //!   [`ReplayBound`](primo_wal::ReplayBound) — the recovered watermark
-//!   (Watermark), the last durable epoch boundary (COCO) or the durable LSN
+//!   (Watermark), the last committed epoch's boundary (COCO) or the durable LSN
 //!   (CLV / sync) — re-seed the partition's watermark state, and only then
 //!   mark the partition reachable again.
 //! * [`compensate_survivors`] makes the crash-abort atomic across

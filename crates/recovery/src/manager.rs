@@ -175,8 +175,8 @@ impl RecoveryManager {
             let (restored, txns) = match crash.durable_lsn {
                 None => {
                     // The whole log was volatile; every write-set in it is
-                    // lost.
-                    log.retain_replayable(0, &primo_wal::ReplayBound::Lsn(0), None);
+                    // lost (a bound that covers nothing; the cut is moot).
+                    log.retain_replayable(0, &primo_wal::ReplayBound::Lsn(0), 0);
                     (0, Vec::new())
                 }
                 Some(cutoff) => {
@@ -188,7 +188,7 @@ impl RecoveryManager {
                             (image.len(), image.base_lsn)
                         })
                         .unwrap_or((0, 0));
-                    let bound = gc.replay_bound(crash.token, log, crash.durable_lsn);
+                    let bound = gc.replay_bound(crash.token, log);
                     let txns = log.replay_range(replay_base, &bound, Some(cutoff));
                     apply_replay(store, &txns);
                     // Log repair: drop every write-set replay did not apply
@@ -196,7 +196,7 @@ impl RecoveryManager {
                     // later checkpoint fold — whose bound keeps advancing
                     // after recovery — cannot resurrect a transaction that
                     // was reported crash-aborted.
-                    log.retain_replayable(replay_base, &bound, Some(cutoff));
+                    log.retain_replayable(replay_base, &bound, cutoff);
                     (restored, txns)
                 }
             };

@@ -424,9 +424,9 @@ impl Cluster {
         // fold chunks, and with the partition already marked down so no
         // later chunk starts — **before** the hand-off wipes the dead
         // leader's disk: everything quorum-durable at the crash instant is
-        // physically present on every replica (the capture itself drains
-        // the append pipeline's staging ring, and the fail-over flushes
-        // whatever is sequenced after that), so the surviving copies can
+        // physically present on every replica (the capture itself brings
+        // the followers up to the leader's end, and the fail-over carries
+        // over whatever is appended after that), so the surviving copies can
         // reproduce it — whereas capturing after
         // the wipe would drop the dead leader's vote and, at replication
         // factor 2, misreport fully-acknowledged history as lost. The
@@ -491,16 +491,15 @@ impl Cluster {
     }
 
     /// Total microseconds committers spent blocked on a partition's log
-    /// sequencer — stage-1 contention on the append pipeline's commit
-    /// critical section (reported as `wal_append_wait_us` in
+    /// sequencer — contention on the append's commit critical section
+    /// (reported as `wal_append_wait_us` in
     /// [`MetricsSnapshot`](primo_common::MetricsSnapshot)).
     pub fn wal_append_wait_us(&self) -> u64 {
         self.partitions.iter().map(|p| p.log.append_wait_us()).sum()
     }
 
-    /// Mean entries per replication-pump batch across all partitions —
-    /// stage-2 amortization of the append pipeline (reported as
-    /// `replication_batch_len`; 0 when nothing was replicated, e.g. at
+    /// Mean entries per follower catch-up across all partitions (reported
+    /// as `replication_batch_len`; 0 when nothing was replicated, e.g. at
     /// replication factor 1).
     pub fn replication_batch_len(&self) -> f64 {
         let (entries, batches) = self.partitions.iter().fold((0u64, 0u64), |(e, b), p| {

@@ -133,6 +133,12 @@ impl<'a> AccessCtx<'a> {
         program: &dyn TxnProgram,
         timers: &mut PhaseTimers,
     ) -> TxnResult<()> {
+        // A body made only of blind local writes reads nothing, so the
+        // read-time fence in `guarded_read` never sees it: a coordinator
+        // whose own partition is down starts no body at all.
+        if self.cluster.net.is_crashed(self.home) {
+            return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
+        }
         let exec = timers.time(Phase::Execute, || program.execute(self));
         match self.dead.or(exec.err().map(|e| e.reason())) {
             None => Ok(()),

@@ -68,10 +68,9 @@ fn before_image(record: Option<&Arc<Record>>, txn: TxnId) -> Option<primo_common
 /// The write-set is grouped by partition in a single pass (write-sets are
 /// small, so group lookup is a short `Vec` scan, not a hash map), so a
 /// cross-partition commit acquires each involved partition's log sequencer
-/// **exactly once** — all of a partition's writes travel in one entry, and
-/// the fan-out to follower replicas happens off this critical section in
-/// the log's replication pump (see the append pipeline in
-/// `primo_wal::replicated`).
+/// **exactly once** — all of a partition's writes travel in one entry into
+/// the leader's copy, and the follower replicas take it from there off this
+/// critical section (see the append path in `primo_wal::replicated`).
 pub fn log_txn_writes<'a>(
     cluster: &Cluster,
     txn: TxnId,

@@ -50,11 +50,12 @@ pub enum TraceEventKind {
     Vote { ok: bool },
     /// One `TxnWrites` entry appended to a partition's replicated log.
     WalAppend { lsn: u64, term: u64 },
-    /// A committer blocked on the partition's log sequencer (stage 1 of the
-    /// append pipeline) for `wait_us` before acquiring it.
+    /// A committer blocked on the partition's log sequencer for `wait_us`
+    /// before acquiring it.
     SequencerWait { wait_us: u64 },
-    /// The replication pump shipped a drained batch to the followers
-    /// (stage 2); `durable_lsn` is the quorum-durable LSN after the ship.
+    /// A catch-up carried `entries` entries of the leader's tail to the
+    /// followers; `durable_lsn` is the last LSN it carried, which bounds
+    /// what it can make quorum-durable.
     QuorumAck { entries: u64, durable_lsn: u64 },
     /// The group-commit scheme released the transaction to the client.
     GroupCommitRelease { committed: bool },

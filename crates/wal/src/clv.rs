@@ -57,9 +57,9 @@ impl ClvCommit {
     pub fn new(num_partitions: usize, cfg: WalConfig, logs: Vec<Arc<ReplicatedLog>>) -> Self {
         // CLV acknowledges a commit when its log records (and its
         // dependencies') are quorum-durable. The delay is a property of the
-        // replica set's disks and hops — the append pipeline's pump stamps
-        // followers with the sequencer's append instant, so this constant
-        // is exact regardless of when staged entries actually ship.
+        // replica set's disks and hops — followers keep the leader's append
+        // instant on every entry, so this constant is exact regardless of
+        // when they actually catch up.
         let ack_delay_us = crate::max_quorum_ack_delay_us(&logs, cfg.persist_delay_us);
         ClvCommit {
             num_partitions,

@@ -66,8 +66,9 @@ pub struct CocoCommit {
     cond: Condvar,
     /// Per-partition replicated durable logs: a committed epoch appends an
     /// [`LogPayload::EpochBoundary`] marker to each of them, which is what
-    /// bounds recovery replay (everything before the last quorum-durable
-    /// boundary belongs to a committed epoch).
+    /// bounds recovery replay and survivor rollback alike (everything in
+    /// front of the last committed epoch's boundary belongs to a committed
+    /// epoch).
     wals: Vec<Arc<ReplicatedLog>>,
     /// Commit-timestamp sequence for protocols without logical timestamps.
     seq_ts: SeqTsSource,
@@ -185,9 +186,9 @@ impl CocoCommit {
             // The epoch's log batch must be *quorum*-durable before the
             // coordinator can confirm it: under replication the slowest
             // quorum replica, not the local disk, sets the floor. (The
-            // append pipeline keeps this floor exact — staged entries reach
-            // the followers stamped with their original append instant, so
-            // the ack delay measures replication, never pump scheduling.)
+            // floor is exact — entries reach the followers stamped with
+            // their original append instant, so the ack delay measures
+            // replication, never when a follower happened to catch up.)
             let mut sync_us = 2 * max_extra
                 + self.ack_delay_us
                 + PER_PARTITION_COORD_US * self.num_partitions as u64;
@@ -371,21 +372,21 @@ impl GroupCommit for CocoCommit {
         epoch
     }
 
-    fn replay_bound(
-        &self,
-        crash_token: Ts,
-        log: &ReplicatedLog,
-        cutoff_lsn: Option<u64>,
-    ) -> ReplayBound {
+    fn replay_bound(&self, crash_token: Ts, log: &ReplicatedLog) -> ReplayBound {
         // `crash_token` is the aborted epoch: replay exactly the entries
-        // sealed by a quorum-durable boundary of an *earlier* (committed)
-        // epoch. The boundary is looked up at the crash-time quorum cutoff
-        // so a quorum broken mid-recovery cannot erase it.
+        // in front of the boundary of the last *earlier* (committed) epoch
+        // — the same boundary, durable or not, the survivors roll back
+        // from, so both sides of a cross-partition commit agree on which
+        // epochs stand. An epoch is acknowledged when its boundary is
+        // *appended* (its write-sets were quorum-durable by then; the
+        // boundary itself takes one more ack delay), so a partition dying
+        // inside that delay must not fall back to the boundary before it.
+        // The replay itself stays clamped to the crash-time cutoff; the
+        // boundary only marks where the aborted epoch begins, and since
+        // durability is a prefix of the log, nothing behind a boundary that
+        // was not durable at the crash was durable either.
         let bound = crash_token.saturating_sub(1);
-        ReplayBound::Lsn(
-            log.latest_durable_epoch_boundary(bound, cutoff_lsn)
-                .unwrap_or(0),
-        )
+        ReplayBound::Lsn(log.latest_epoch_boundary(bound).unwrap_or(0))
     }
 
     fn survivor_rollback_bound(&self, crash_token: Ts, wal: &ReplicatedLog) -> ReplayBound {
@@ -399,10 +400,7 @@ impl GroupCommit for CocoCommit {
 
     fn checkpoint_bound(&self, _p: PartitionId, log: &ReplicatedLog) -> ReplayBound {
         let committed = self.committed_epoch();
-        ReplayBound::Lsn(
-            log.latest_durable_epoch_boundary(committed, None)
-                .unwrap_or(0),
-        )
+        ReplayBound::Lsn(log.latest_durable_epoch_boundary(committed).unwrap_or(0))
     }
 
     fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
@@ -491,11 +489,11 @@ mod tests {
         let committed = gc.committed_epoch();
         for wal in &wals {
             let lsn = wal
-                .latest_durable_epoch_boundary(committed, None)
+                .latest_durable_epoch_boundary(committed)
                 .expect("boundary sealed");
             // The replay bound for a crash in the next epoch covers the
             // sealed prefix.
-            match gc.replay_bound(committed + 1, wal, None) {
+            match gc.replay_bound(committed + 1, wal) {
                 crate::ReplayBound::Lsn(l) => assert!(l >= lsn),
                 other => panic!("unexpected bound {other:?}"),
             }

@@ -227,19 +227,14 @@ pub trait GroupCommit: Send + Sync {
 
     /// Translate the token returned by [`GroupCommit::on_partition_crash`]
     /// into the bound recovery must respect when replaying `log`: the
-    /// recovered watermark (Watermark), the last quorum-durable committed
-    /// epoch boundary (COCO), or everything quorum-durable at crash time
+    /// recovered watermark (Watermark), the boundary of the last committed
+    /// epoch (COCO), or everything quorum-durable at crash time
     /// (CLV / sync, where the quorum-LSN cutoff captured at the crash
-    /// instant is the only limit). `cutoff_lsn` is that crash-time quorum
-    /// LSN — schemes whose bound reads durable log state must evaluate it
-    /// at the cutoff, not against the live quorum, which may be broken by
-    /// the time recovery (or a restarted recovery pass) runs.
-    fn replay_bound(
-        &self,
-        _crash_token: Ts,
-        _log: &ReplicatedLog,
-        _cutoff_lsn: Option<u64>,
-    ) -> ReplayBound {
+    /// instant is the only limit). Recovery clamps the replay to that
+    /// crash-time cutoff itself; a bound never reads the live quorum, which
+    /// may be broken by the time recovery (or a restarted recovery pass)
+    /// runs.
+    fn replay_bound(&self, _crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
         ReplayBound::Lsn(u64::MAX)
     }
 

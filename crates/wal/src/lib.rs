@@ -1,12 +1,14 @@
 //! Durability layer: replicated write-ahead logging and the distributed
 //! group-commit schemes compared in the paper.
 //!
-//! * [`replicated`] — the [`ReplicatedLog`]: a per-partition replica set of
-//!   [`PartitionWal`] copies where durability means a **majority quorum**
-//!   persisted the record, with leadership terms and deterministic leader
-//!   hand-off (the paper replicates each partition's log through Raft,
-//!   §5.2).
-//!
+//! * [`replicated`] — the [`ReplicatedLog`], the one public log: a
+//!   per-partition replica set of physical copies where the leader's copy
+//!   takes every append, followers catch up from it, and durability means a
+//!   **majority quorum** persisted the record, with leadership terms and
+//!   deterministic leader hand-off (the paper replicates each partition's
+//!   log through Raft, §5.2).
+//! * [`log`] — what the log is made of: the records, the rolling checkpoint
+//!   image, replay bounds, and the crate-private copy a replica stores.
 //! * [`watermark`] — Primo's **watermark-based asynchronous group commit**
 //!   (§5): partitions persist logs independently, publish partition
 //!   watermarks `Wp`, and a transaction's result is returned once the global
@@ -34,7 +36,7 @@ pub mod watermark;
 pub use group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 pub use log::{
     CheckpointImage, ImageSummary, LogEntry, LogPayload, LoggedOp, LoggedWrite, LoggedWrites,
-    PartitionWal, ReplayBound, ReplayedTxn, FOLD_CHUNK, RETENTION_TARGET,
+    ReplayBound, ReplayedTxn, FOLD_CHUNK, RETENTION_TARGET,
 };
 pub use replicated::{FoldScope, FoldStats, ReplicatedLog};
 pub use watermark::WatermarkCommit;

@@ -1,13 +1,19 @@
-//! Per-partition write-ahead log with simulated asynchronous persistence.
+//! What a partition's log is made of: its records, the rolling checkpoint
+//! image they fold into, and one physical **copy** of the log.
 //!
 //! The paper's partitions replicate their log through Raft and persist it to
-//! local SSD; here a record appended at time `t` becomes durable at
-//! `t + persist_delay`. The log is the partition's durability story end to
+//! local SSD; here a record appended at time `t` is on a copy's disk at
+//! `t + persist delay`. The log is the partition's durability story end to
 //! end: protocols append committed write-sets ([`LogPayload::TxnWrites`]),
 //! the group-commit schemes append their control records
 //! ([`LogPayload::Watermark`] / [`LogPayload::EpochBoundary`]), and the
 //! recovery manager rebuilds a crashed partition's store from
 //! `rolling checkpoint image + bounded replay` (see `primo-recovery`).
+//!
+//! The one public log is [`crate::ReplicatedLog`]; the copy in this module
+//! (`LogCopy`) is its crate-private storage — the entries, the
+//! rolled-back and vote indexes, and scans over an LSN cut the replicated
+//! log hands it. A copy never decides what is durable.
 //!
 //! **Retention is the log's own job.** A log copy keeps only a tail of
 //! entries: the quorum-durable, scheme-covered prefix is *folded* into the
@@ -224,69 +230,56 @@ pub enum LogPayload {
     CommitDecision { txn: TxnId, commit: bool },
 }
 
-/// One record in the log. The payload sits behind an `Arc` so the
-/// replicated fan-out shares one allocation across every replica's entry
-/// (only the per-replica metadata — LSN, append time, term — is owned).
+/// One record in the log. The payload sits behind an `Arc` so every copy's
+/// entry shares one allocation (only the metadata — LSN, append time, term —
+/// is owned per copy).
 #[derive(Debug, Clone)]
 pub struct LogEntry {
     pub lsn: u64,
     pub appended_at_us: u64,
-    /// Leadership term of the replicated log at append time (0 for a
-    /// standalone single-copy log). Every crash bumps the term and moves
-    /// leadership to the deterministic successor replica, so entries carry
-    /// which leader produced them — the replicated-log equivalent of a Raft
-    /// term on each record.
+    /// Leadership term of the replicated log at append time. Every crash
+    /// bumps the term and moves leadership to the deterministic successor
+    /// replica, so entries carry which leader produced them — the
+    /// replicated-log equivalent of a Raft term on each record.
     pub term: u64,
     pub payload: Arc<LogPayload>,
 }
 
+/// A retained [`LogPayload::CommitVote`]: where it sits, and the LSN of the
+/// first entry after it that resolves it (decision, installed write-set or
+/// rollback marker) — `None` while the outcome is unknown.
+#[derive(Debug, Clone, Copy)]
+struct Vote {
+    lsn: u64,
+    resolved_at: Option<u64>,
+}
+
 #[derive(Debug, Default)]
-struct WalInner {
+struct CopyInner {
     /// The retained tail, ascending by LSN. LSNs are dense except where
-    /// recovery-time repair ([`PartitionWal::retain_replayable`]) removed
+    /// recovery-time repair ([`LogCopy::retain_replayable`]) removed
     /// write-sets, so positions are found by binary search on the LSN.
     entries: VecDeque<LogEntry>,
-    /// Replication segments received ([`PartitionWal::receive_segment`]) but
-    /// not yet folded into `entries`. Delivery is O(1) per segment — the
-    /// `Arc` is shared by every replica of the partition — and the copy into
-    /// this replica's own `entries` happens lazily, on the first read that
-    /// needs them ([`WalInner::fold_pending`]). `next_lsn` always accounts
-    /// for pending segments, so appends and `end_lsn` stay exact without
-    /// folding.
-    pending: Vec<Arc<[LogEntry]>>,
     next_lsn: u64,
     /// Every LSN below this was drained after a fold absorbed it, so it was
     /// durable: the durable horizon never falls below `truncated_before - 1`
     /// even when the retained tail is empty.
     truncated_before: u64,
+    /// This copy's disk was discarded and not yet repaired. It keeps
+    /// receiving entries (LSN-aligned with its peers) but has a hole in its
+    /// history, so it neither votes on quorum durability nor stands for
+    /// election until [`LogCopy::restart_if_diverged`] re-seeds it.
+    wiped: bool,
     /// Transactions cancelled by a retained [`LogPayload::TxnRolledBack`]
     /// marker, with the (first) marker's LSN. Kept current as entries arrive
     /// and leave, so no reader re-scans the log for markers.
     rolled_back: HashMap<TxnId, u64>,
-    /// Transactions with a retained [`LogPayload::CommitVote`], with the LSN
-    /// of the first entry resolving the vote (decision, installed write-set
-    /// or rollback marker) — `None` while the outcome is unknown.
-    votes: HashMap<TxnId, Option<u64>>,
+    /// Transactions with a retained [`LogPayload::CommitVote`] (the first
+    /// one), kept current the same way.
+    votes: HashMap<TxnId, Vote>,
 }
 
-impl WalInner {
-    /// Materialise received-but-unfolded segments into `entries`. Amortised
-    /// O(1) per entry over the log's lifetime; the hot no-op case is one
-    /// branch.
-    #[inline]
-    fn fold_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let total: usize = self.pending.iter().map(|s| s.len()).sum();
-        self.entries.reserve(total);
-        for seg in std::mem::take(&mut self.pending) {
-            for entry in seg.iter() {
-                self.push(entry.clone());
-            }
-        }
-    }
-
+impl CopyInner {
     /// Add one entry to the retained tail, keeping the marker and vote
     /// indexes current.
     #[inline]
@@ -305,7 +298,10 @@ impl WalInner {
                 self.resolve_vote(*txn, entry.lsn);
             }
             LogPayload::CommitVote { txn, .. } => {
-                self.votes.entry(*txn).or_insert(None);
+                self.votes.entry(*txn).or_insert(Vote {
+                    lsn: entry.lsn,
+                    resolved_at: None,
+                });
             }
             _ => {}
         }
@@ -315,8 +311,8 @@ impl WalInner {
     fn resolve_vote(&mut self, txn: TxnId, lsn: u64) {
         // Empty (a lookup that does not even hash) unless Paxos Commit is
         // logging votes.
-        if let Some(resolved @ None) = self.votes.get_mut(&txn) {
-            *resolved = Some(lsn);
+        if let Some(vote) = self.votes.get_mut(&txn) {
+            vote.resolved_at.get_or_insert(lsn);
         }
     }
 
@@ -338,15 +334,11 @@ impl WalInner {
         self.entries.partition_point(|e| e.lsn < from_lsn)
     }
 
-    /// Transactions cancelled by a marker inside the readable prefix
-    /// `entries[..readable]`.
-    fn rolled_back_within(&self, readable: usize) -> HashSet<TxnId> {
-        let Some(horizon) = readable.checked_sub(1).map(|i| self.entries[i].lsn) else {
-            return HashSet::new();
-        };
+    /// Transactions cancelled by a marker at or below `cut`.
+    fn rolled_back_through(&self, cut: u64) -> HashSet<TxnId> {
         self.rolled_back
             .iter()
-            .filter(|(_, marker_lsn)| **marker_lsn <= horizon)
+            .filter(|(_, marker_lsn)| **marker_lsn <= cut)
             .map(|(txn, _)| *txn)
             .collect()
     }
@@ -381,8 +373,8 @@ struct Picked {
     payload: Arc<LogPayload>,
 }
 
-/// What [`PartitionWal::fold_scan`] found: the first LSN the fold may not
-/// pass, and the covered write-sets below it in log order.
+/// What [`LogCopy::fold_scan`] found: the first LSN the fold may not pass,
+/// and the covered write-sets below it in log order.
 #[derive(Debug)]
 pub(crate) struct FoldChunk {
     pub stop_lsn: u64,
@@ -391,7 +383,7 @@ pub(crate) struct FoldChunk {
 
 /// How far a recovery (or checkpoint fold) may read into the log. Every
 /// group-commit scheme translates its own agreement — recovered watermark,
-/// last durable epoch boundary, durable LSN — into one of these (see
+/// last committed epoch's boundary, durable LSN — into one of these (see
 /// [`crate::GroupCommit::replay_bound`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayBound {
@@ -399,8 +391,7 @@ pub enum ReplayBound {
     /// watermark scheme's recovered `Wp`).
     Ts(Ts),
     /// Entries with LSN strictly below the bound (COCO: the LSN of the last
-    /// durable committed epoch boundary; CLV / sync: one past the durable
-    /// LSN).
+    /// committed epoch's boundary; CLV / sync: one past the durable LSN).
     Lsn(u64),
     /// Entries whose persist window *spans* the given simulated instant are
     /// **not** covered (CLV's crash-rollback rule on *surviving*
@@ -415,327 +406,200 @@ pub enum ReplayBound {
 
 impl ReplayBound {
     /// Whether a `TxnWrites` entry at `(ts, lsn)`, appended at
-    /// `appended_at_us` into a log with persist delay `persist_delay_us`,
+    /// `appended_at_us` into a log that acknowledges after `ack_delay_us`,
     /// falls under this bound.
     #[inline]
-    pub fn covers(&self, ts: Ts, lsn: u64, appended_at_us: u64, persist_delay_us: u64) -> bool {
+    pub fn covers(&self, ts: Ts, lsn: u64, appended_at_us: u64, ack_delay_us: u64) -> bool {
         match self {
             ReplayBound::Ts(bound) => ts < *bound,
             ReplayBound::Lsn(bound) => lsn < *bound,
             ReplayBound::PersistWindow(instant) => {
-                appended_at_us + persist_delay_us <= *instant || appended_at_us > *instant
+                appended_at_us + ack_delay_us <= *instant || appended_at_us > *instant
             }
         }
     }
 }
 
-/// The write-ahead log of one partition — or, under replication, of **one
-/// replica** of one partition (see [`crate::ReplicatedLog`]).
+/// One physical copy of a partition's log: the storage of one replica of a
+/// [`crate::ReplicatedLog`]. The leader's copy takes appends; the others
+/// are fed from it. A copy knows when *its own disk* persisted an entry and
+/// answers scans over an explicit LSN cut — what counts as durable is the
+/// replicated log's decision, made once for every replication factor.
 #[derive(Debug)]
-pub struct PartitionWal {
-    partition: PartitionId,
+pub(crate) struct LogCopy {
+    /// Delay after which an entry is on this copy's disk.
     persist_delay_us: u64,
-    /// The delay after which an appended record counts as *acknowledged*
-    /// for [`ReplayBound::PersistWindow`] coverage. Equals
-    /// `persist_delay_us` for a standalone single-copy log; a replicated
-    /// log sets it to the quorum-ack delay on every replica, so window
-    /// checks agree with when the scheme actually acknowledged the commit.
+    /// The replica set's quorum-ack delay: after it an appended record
+    /// counts as *acknowledged* for [`ReplayBound::PersistWindow`] coverage,
+    /// so window checks agree with when the scheme acknowledged the commit
+    /// whichever copy answers.
     ack_delay_us: u64,
-    inner: Mutex<WalInner>,
+    inner: Mutex<CopyInner>,
 }
 
-impl PartitionWal {
-    pub fn new(partition: PartitionId, persist_delay_us: u64) -> Self {
-        Self::with_ack_delay(partition, persist_delay_us, persist_delay_us)
-    }
-
-    /// A replica whose local persist delay and acknowledgement horizon
-    /// differ (quorum replication: records are acknowledged at the quorum
-    /// delay, not this replica's own).
-    pub fn with_ack_delay(
-        partition: PartitionId,
-        persist_delay_us: u64,
-        ack_delay_us: u64,
-    ) -> Self {
-        PartitionWal {
-            partition,
+impl LogCopy {
+    pub(crate) fn new(persist_delay_us: u64, ack_delay_us: u64) -> Self {
+        LogCopy {
             persist_delay_us,
             ack_delay_us,
-            inner: Mutex::new(WalInner::default()),
+            inner: Mutex::new(CopyInner::default()),
         }
     }
 
-    pub fn partition(&self) -> PartitionId {
-        self.partition
-    }
-
-    /// Simulated persist delay of this log copy.
-    pub fn persist_delay_us(&self) -> u64 {
-        self.persist_delay_us
-    }
-
-    /// Append a record; returns its LSN. Appending never blocks on I/O —
-    /// persistence happens in the background (that is the whole point of
-    /// taking durability off the critical path).
-    pub fn append(&self, payload: LogPayload) -> u64 {
-        self.append_in_term(0, Arc::new(payload))
-    }
-
-    /// [`PartitionWal::append`] stamped with the replicated log's current
-    /// leadership term. Takes the payload behind an `Arc` so a replicated
-    /// fan-out appends the same allocation to every replica instead of
-    /// deep-cloning the write-set per copy.
-    pub fn append_in_term(&self, term: u64, payload: Arc<LogPayload>) -> u64 {
-        self.append_entry_in_term(term, payload).lsn
-    }
-
-    /// [`PartitionWal::append_in_term`], returning the full entry (LSN,
-    /// append timestamp, term) instead of just the LSN. The replicated
-    /// log's sequencer stages this exact entry for the replication pump, so
-    /// follower copies later receive the **same** `appended_at_us` — their
-    /// durability clocks run from the original append instant, not from
-    /// when the pump happened to drain.
-    pub fn append_entry_in_term(&self, term: u64, payload: Arc<LogPayload>) -> LogEntry {
-        let mut inner = self.folded();
+    /// The leader's append: take the next LSN, stamp the append instant and
+    /// `term`, push. Never blocks on I/O — persistence happens in the
+    /// background (that is the whole point of taking durability off the
+    /// critical path). Stamping under the copy's lock keeps
+    /// `appended_at_us` monotone along the log.
+    pub(crate) fn append_in_term(&self, term: u64, payload: Arc<LogPayload>) -> u64 {
+        let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let entry = LogEntry {
+        inner.push(LogEntry {
             lsn,
             appended_at_us: now_us(),
             term,
             payload,
-        };
-        inner.push(entry.clone());
-        entry
+        });
+        lsn
     }
 
-    /// Deliver a batch of already-sequenced entries to this replica under
-    /// **one** lock acquisition — stage 2 of the replicated append
-    /// pipeline. Entries keep the LSN, append timestamp and term the
-    /// sequencer stamped, so the copy is byte-identical to the leader's and
-    /// durability timing is independent of when the pump ran. The batch
-    /// must continue this replica's log (`entries` are the next LSNs in
-    /// order); that invariant is upheld by the replicated log, which
-    /// serializes sequencing, draining and every replica-set mutation.
-    pub fn append_entries(&self, entries: &[LogEntry]) {
-        if entries.is_empty() {
-            return;
-        }
-        let mut inner = self.folded();
-        debug_assert_eq!(
-            entries[0].lsn, inner.next_lsn,
-            "replication batch must continue the replica's log"
+    /// A follower's catch-up: take the leader's tail
+    /// ([`LogCopy::tail_from`] this copy's end) as is. Entries keep the LSN,
+    /// append instant and term the leader stamped, so the copy is identical
+    /// to the leader's and its persist clock runs from the original append,
+    /// not from when it was fed.
+    pub(crate) fn append_entries(&self, entries: Vec<LogEntry>, end_lsn: u64) {
+        let mut inner = self.inner.lock();
+        debug_assert!(
+            entries.first().is_none_or(|e| e.lsn >= inner.next_lsn),
+            "a catch-up must continue the copy's log"
         );
+        inner.entries.reserve(entries.len());
         for entry in entries {
-            inner.push(entry.clone());
+            inner.push(entry);
         }
-        inner.next_lsn = entries[entries.len() - 1].lsn + 1;
+        inner.next_lsn = end_lsn;
     }
 
-    /// Receive one replication segment: O(1) — the segment `Arc` is shared
-    /// by every replica of the partition, and the per-entry copy into this
-    /// replica's own storage is deferred to the first read that needs it.
-    /// The entries keep the LSN, append timestamp and term the sequencer
-    /// stamped, so the folded copy is byte-identical to every peer's and
-    /// durability timing is independent of when the replication pump ran.
-    /// The segment must continue this replica's log; the replicated log's
-    /// sequencer upholds that by serializing sequencing, draining and every
-    /// replica-set mutation.
-    pub fn receive_segment(&self, segment: Arc<[LogEntry]>) {
-        let Some(last) = segment.last() else { return };
-        let mut inner = self.inner.lock();
-        debug_assert_eq!(
-            segment[0].lsn, inner.next_lsn,
-            "replication segment must continue the replica's log"
-        );
-        inner.next_lsn = last.lsn + 1;
-        inner.pending.push(segment);
-    }
-
-    /// Lock the log and fold any pending replication segments first — every
-    /// path that reads or rewrites `entries` goes through here, so readers
-    /// always observe the fully delivered log.
-    fn folded(&self) -> parking_lot::MutexGuard<'_, WalInner> {
-        let mut inner = self.inner.lock();
-        inner.fold_pending();
-        inner
-    }
-
-    /// The LSN the next append will receive.
-    pub fn end_lsn(&self) -> u64 {
+    /// The LSN the next entry will receive.
+    pub(crate) fn end_lsn(&self) -> u64 {
         self.inner.lock().next_lsn
     }
 
-    /// Number of entries in the durable prefix at `now`: `appended_at_us` is
-    /// monotone per log (appends are serialized under the log lock and stamp
-    /// a monotonic clock), so the durable boundary is found by binary search
-    /// instead of a reverse scan over the whole log.
-    #[inline]
-    fn durable_prefix_len(entries: &VecDeque<LogEntry>, persist_delay_us: u64, now: u64) -> usize {
-        entries.partition_point(|e| e.appended_at_us + persist_delay_us <= now)
+    /// The retained entries with `lsn >= from_lsn`, and the copy's end LSN
+    /// read under the same lock.
+    pub(crate) fn tail_from(&self, from_lsn: u64) -> (Vec<LogEntry>, u64) {
+        let inner = self.inner.lock();
+        let tail = inner
+            .entries
+            .range(inner.position(from_lsn)..)
+            .cloned()
+            .collect();
+        (tail, inner.next_lsn)
     }
 
-    /// Length of the prefix the durable scans may read. An explicit
-    /// `cutoff_lsn` **is** a durability horizon the caller already computed
-    /// (this log's — or, through [`crate::ReplicatedLog`], the quorum's —
-    /// durable LSN): entries at or below it are durable by construction, so
-    /// this copy's own disk delay must not filter further. Otherwise an
-    /// elected leader with a disk slower than the quorum-ack delay would
-    /// hide quorum-acknowledged entries from recovery. Without a cutoff,
-    /// the copy's local persist delay decides.
-    #[inline]
-    fn readable_len(&self, entries: &VecDeque<LogEntry>, cutoff_lsn: Option<u64>) -> usize {
-        match cutoff_lsn {
-            Some(cut) => entries.partition_point(|e| e.lsn <= cut),
-            None => Self::durable_prefix_len(entries, self.persist_delay_us, now_us()),
-        }
-    }
-
-    /// Highest LSN that is durable "now" (append time + persist delay has
-    /// elapsed). Entries a fold already drained were durable, so the
-    /// horizon never falls below the truncation point. Returns `None` if
-    /// nothing is durable yet.
-    pub fn durable_lsn(&self) -> Option<u64> {
+    /// Highest LSN on this copy's disk now (append instant + persist delay
+    /// has elapsed) — its vote on quorum durability. `appended_at_us` is
+    /// monotone along the log, so the boundary is a binary search. Entries a
+    /// fold already drained were durable, so the answer never falls below
+    /// the truncation point. `None` if nothing is durable yet, and from a
+    /// wiped copy: its newest entry says nothing about the hole below it.
+    pub(crate) fn durable_lsn(&self) -> Option<u64> {
         let now = now_us();
-        let inner = self.folded();
-        let durable = Self::durable_prefix_len(&inner.entries, self.persist_delay_us, now);
+        let inner = self.inner.lock();
+        if inner.wiped {
+            return None;
+        }
+        let durable = inner
+            .entries
+            .partition_point(|e| e.appended_at_us + self.persist_delay_us <= now);
         match durable.checked_sub(1) {
             Some(last) => Some(inner.entries[last].lsn),
             None => inner.truncated_before.checked_sub(1),
         }
     }
 
-    /// Whether a specific LSN is durable.
-    pub fn is_durable(&self, lsn: u64) -> bool {
-        self.durable_lsn().map(|d| d >= lsn).unwrap_or(false)
+    /// The newest entry at or below `cut` that `pick` accepts. The cut **is**
+    /// the durability horizon (the quorum's, computed by the caller): this
+    /// copy's own disk delay must not filter further, or an elected leader
+    /// with a disk slower than the quorum-ack delay would hide
+    /// quorum-acknowledged entries from recovery.
+    pub(crate) fn latest<R>(&self, cut: u64, pick: impl Fn(&LogEntry) -> Option<R>) -> Option<R> {
+        let inner = self.inner.lock();
+        let readable = inner.position(cut.saturating_add(1));
+        inner.entries.range(..readable).rev().find_map(pick)
     }
 
-    /// The latest durable watermark record, if any (recovery reads this —
-    /// §5.2 "the new leader retrieves the latest Wp in its Raft log").
-    pub fn latest_durable_watermark(&self) -> Option<Ts> {
-        self.latest_durable_watermark_at(None)
-    }
-
-    /// [`PartitionWal::latest_durable_watermark`] restricted to entries at
-    /// or below `cutoff_lsn` — recovery passes the durable LSN captured at
-    /// crash time so a `Wp` record that was still volatile when the
-    /// partition died (or was appended by the dead leader's agent during
-    /// the outage) is never recovered from.
-    pub fn latest_durable_watermark_at(&self, cutoff_lsn: Option<u64>) -> Option<Ts> {
-        let inner = self.folded();
-        let readable = self.readable_len(&inner.entries, cutoff_lsn);
-        inner
-            .entries
-            .range(..readable)
-            .rev()
-            .find_map(|e| match *e.payload {
-                LogPayload::Watermark { wp } => Some(wp),
-                _ => None,
-            })
-    }
-
-    /// LSN of the newest durable [`LogPayload::EpochBoundary`] whose epoch is
-    /// at most `max_epoch` and whose LSN does not exceed `cutoff_lsn` (COCO
-    /// recovery / checkpoint bound; the replicated log passes its quorum
-    /// LSN as the cutoff).
-    pub fn latest_durable_epoch_boundary(
-        &self,
-        max_epoch: u64,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<u64> {
-        let inner = self.folded();
-        let readable = self.readable_len(&inner.entries, cutoff_lsn);
-        inner
-            .entries
-            .range(..readable)
-            .rev()
-            .find_map(|e| match *e.payload {
-                LogPayload::EpochBoundary { epoch } if epoch <= max_epoch => Some(e.lsn),
-                _ => None,
-            })
-    }
-
-    /// LSN of the newest [`LogPayload::EpochBoundary`] with epoch at most
-    /// `max_epoch`, regardless of durability. A *surviving* partition's log
-    /// lost nothing, so when COCO rolls back the crashed epoch the boundary
-    /// of the last committed epoch separates committed write-sets from
-    /// rolled-back ones even while it is still inside its persist window.
-    pub fn latest_epoch_boundary(&self, max_epoch: u64) -> Option<u64> {
-        let inner = self.folded();
-        inner.entries.iter().rev().find_map(|e| match *e.payload {
-            LogPayload::EpochBoundary { epoch } if epoch <= max_epoch => Some(e.lsn),
-            _ => None,
-        })
-    }
-
-    /// Replay all durable transaction writes with `ts < up_to`.
+    /// The transaction writes in `from_lsn..=cut` that `bound` covers.
     ///
     /// The output is **commit-timestamp-sorted** (ties broken by LSN, i.e.
     /// append order) and **deduplicated by transaction id** (the entry with
     /// the highest LSN wins), so applying it left-to-right with last-writer-
     /// wins semantics is deterministic and replaying any prefix twice equals
-    /// replaying it once. Everything at or above `up_to` is rolled back
-    /// (i.e. simply not replayed).
-    pub fn replay_prefix(&self, up_to: Ts) -> Vec<ReplayedTxn> {
-        self.replay_range(0, &ReplayBound::Ts(up_to), None)
-    }
-
-    /// Replay durable transaction writes with `lsn >= from_lsn`, restricted
-    /// to `bound` and (when given) to entries at or below `cutoff_lsn` — the
-    /// durable LSN captured at crash time, so entries that were still
-    /// volatile when the partition died are treated as lost.
+    /// replaying it once.
     ///
-    /// Transactions cancelled by a durable [`LogPayload::TxnRolledBack`]
-    /// marker (a crash rolled them back and compensation undid their
-    /// installed writes) are never replayed, whatever the bound says — the
-    /// bound keeps advancing after the crash, the rollback decision does not.
-    /// Markers cancel entries *behind* them (lower LSNs), so every marker in
-    /// the readable prefix counts, with the same durability and crash-cutoff
-    /// rule as the entries themselves.
-    ///
-    /// Sorted and deduplicated exactly like [`PartitionWal::replay_prefix`].
-    /// The write-sets are shared with the log's entries, not copied.
-    pub fn replay_range(
+    /// Transactions cancelled by a [`LogPayload::TxnRolledBack`] marker (a
+    /// crash rolled them back and compensation undid their installed
+    /// writes) are never replayed, whatever the bound says — the bound keeps
+    /// advancing after the crash, the rollback decision does not. Markers
+    /// cancel entries *behind* them (lower LSNs), so every marker at or
+    /// below `cut` counts. The write-sets are shared with the log's entries,
+    /// not copied.
+    pub(crate) fn replay_range(
         &self,
         from_lsn: u64,
         bound: &ReplayBound,
-        cutoff_lsn: Option<u64>,
+        cut: u64,
     ) -> Vec<ReplayedTxn> {
-        let picked: Vec<Picked> = {
-            let inner = self.folded();
-            let readable = self.readable_len(&inner.entries, cutoff_lsn);
-            let start = inner.position(from_lsn).min(readable);
-            let cancelled = inner.rolled_back_within(readable);
-            inner
-                .entries
-                .range(start..readable)
-                .filter_map(|e| match e.payload.as_ref() {
-                    LogPayload::TxnWrites { txn, ts, .. }
-                        if bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us)
-                            && !cancelled.contains(txn) =>
-                    {
-                        Some(Picked {
-                            ts: *ts,
-                            lsn: e.lsn,
-                            txn: *txn,
-                            payload: Arc::clone(&e.payload),
-                        })
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
+        let inner = self.inner.lock();
+        let readable = inner.position(cut.saturating_add(1));
+        let start = inner.position(from_lsn).min(readable);
+        let cancelled = inner.rolled_back_through(cut);
+        let picked = inner
+            .entries
+            .range(start..readable)
+            .filter_map(|e| {
+                self.pick_if(e, bound, |txn, covered| covered && !cancelled.contains(txn))
+            })
+            .collect();
+        drop(inner);
         Self::sort_dedup_by_txn(picked)
+    }
+
+    /// `e` as a [`Picked`] write-set if `want(txn, bound covers it)`.
+    #[inline]
+    fn pick_if(
+        &self,
+        e: &LogEntry,
+        bound: &ReplayBound,
+        want: impl FnOnce(&TxnId, bool) -> bool,
+    ) -> Option<Picked> {
+        match e.payload.as_ref() {
+            LogPayload::TxnWrites { txn, ts, .. }
+                if want(
+                    txn,
+                    bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us),
+                ) =>
+            {
+                Some(Picked {
+                    ts: *ts,
+                    lsn: e.lsn,
+                    txn: *txn,
+                    payload: Arc::clone(&e.payload),
+                })
+            }
+            _ => None,
+        }
     }
 
     /// Deduplicate picked entries by transaction id, keeping the
     /// highest-LSN entry (a transaction logs one entry per partition, so
     /// later duplicates — if a caller ever re-appends — supersede earlier
     /// ones), then order by `(ts, lsn)`. Shared by
-    /// [`PartitionWal::replay_range`] and
-    /// [`PartitionWal::collect_rolled_back`] so the set of transactions
-    /// replayed and the set compensated can never diverge on the
-    /// ordering/dedup rule.
+    /// [`LogCopy::replay_range`] and [`LogCopy::collect_rolled_back`] so the
+    /// set of transactions replayed and the set compensated can never
+    /// diverge on the ordering/dedup rule.
     fn sort_dedup_by_txn(mut picked: Vec<Picked>) -> Vec<ReplayedTxn> {
         picked.sort_unstable_by_key(|p| std::cmp::Reverse((p.txn, p.lsn)));
         picked.dedup_by_key(|p| p.txn);
@@ -746,126 +610,60 @@ impl PartitionWal {
             .collect()
     }
 
-    /// All transaction ids with a rollback marker in this log, regardless of
-    /// durability (exposed for compensation and tests).
-    pub fn rolled_back_txns(&self) -> HashSet<TxnId> {
-        self.folded().rolled_back.keys().copied().collect()
+    /// All transaction ids with a retained rollback marker.
+    pub(crate) fn rolled_back_txns(&self) -> HashSet<TxnId> {
+        self.inner.lock().rolled_back.keys().copied().collect()
     }
 
     /// The `TxnWrites` entries `bound` does **not** cover and no rollback
     /// marker cancels yet: the transactions a crash just rolled back on this
     /// *surviving* partition, whose installed writes compensation must undo.
-    /// No durability filter — this partition did not crash, so nothing in
-    /// its log is lost. Entries at or past `upper_cutoff` (the survivor's
-    /// log end captured right after the crash agreement) are excluded: they
+    /// No durability cut — this partition did not crash, so nothing in its
+    /// log is lost. Entries at or past `upper_cutoff` (the survivor's log
+    /// end captured right after the crash agreement) are excluded: they
     /// belong to transactions that committed *after* the agreement, which
-    /// every scheme reports `Committed`. Sorted by `(ts, lsn)` and
-    /// deduplicated by transaction exactly like
-    /// [`PartitionWal::replay_range`], so undoing the result in reverse
+    /// every scheme reports `Committed`. Sorted and deduplicated exactly
+    /// like [`LogCopy::replay_range`], so undoing the result in reverse
     /// restores the pre-transaction state.
-    pub fn collect_rolled_back(
+    pub(crate) fn collect_rolled_back(
         &self,
         bound: &ReplayBound,
         upper_cutoff: Option<u64>,
     ) -> Vec<ReplayedTxn> {
-        let picked: Vec<Picked> = {
-            let inner = self.folded();
-            let end = upper_cutoff.map_or(inner.entries.len(), |cut| inner.position(cut));
-            inner
-                .entries
-                .range(..end)
-                .filter_map(|e| match e.payload.as_ref() {
-                    LogPayload::TxnWrites { txn, ts, .. }
-                        if !bound.covers(*ts, e.lsn, e.appended_at_us, self.ack_delay_us)
-                            && !inner.rolled_back.contains_key(txn) =>
-                    {
-                        Some(Picked {
-                            ts: *ts,
-                            lsn: e.lsn,
-                            txn: *txn,
-                            payload: Arc::clone(&e.payload),
-                        })
-                    }
-                    _ => None,
+        let inner = self.inner.lock();
+        let end = upper_cutoff.map_or(inner.entries.len(), |cut| inner.position(cut));
+        let picked = inner
+            .entries
+            .range(..end)
+            .filter_map(|e| {
+                self.pick_if(e, bound, |txn, covered| {
+                    !covered && !inner.rolled_back.contains_key(txn)
                 })
-                .collect()
-        };
+            })
+            .collect();
+        drop(inner);
         Self::sort_dedup_by_txn(picked)
     }
 
-    /// The newest durable [`LogPayload::CommitDecision`] verdict for `txn`
-    /// at or below `cutoff_lsn`, if any.
-    pub fn commit_decision_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let inner = self.folded();
-        let readable = self.readable_len(&inner.entries, cutoff_lsn);
-        inner
-            .entries
-            .range(..readable)
-            .rev()
-            .find_map(|e| match *e.payload {
-                LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
-                _ => None,
-            })
-    }
-
-    /// The durable [`LogPayload::CommitVote`] for `txn` at or below
-    /// `cutoff_lsn`, if any (verdict assembly and tests).
-    pub fn commit_vote_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let inner = self.folded();
-        let readable = self.readable_len(&inner.entries, cutoff_lsn);
-        inner
-            .entries
-            .range(..readable)
-            .rev()
-            .find_map(|e| match *e.payload {
-                LogPayload::CommitVote { txn: t, commit, .. } if t == txn => Some(commit),
-                _ => None,
-            })
-    }
-
-    /// Transaction ids with a durable [`LogPayload::CommitVote`] at or below
-    /// `cutoff_lsn` but no resolution: no durable [`LogPayload::CommitDecision`],
-    /// no installed [`LogPayload::TxnWrites`] (evidence the commit round ran
-    /// to completion on this partition) and no [`LogPayload::TxnRolledBack`]
+    /// Transaction ids with a [`LogPayload::CommitVote`] at or below `cut`
+    /// and no resolution there: no [`LogPayload::CommitDecision`], no
+    /// installed [`LogPayload::TxnWrites`] (evidence the commit round ran to
+    /// completion on this partition) and no [`LogPayload::TxnRolledBack`]
     /// marker. These are the in-doubt transactions recovery must terminate;
     /// it seals each with a global abort decision (presumed abort). Returned
     /// in first-vote order. (A fold never drains a vote before its
     /// resolution is durable, so an in-doubt vote is always still retained.)
-    pub fn unresolved_commit_votes(&self, cutoff_lsn: Option<u64>) -> Vec<TxnId> {
-        let inner = self.folded();
-        let readable = self.readable_len(&inner.entries, cutoff_lsn);
-        let mut voted: Vec<TxnId> = Vec::new();
-        // txn -> resolved? A vote is recorded (in order) the first time its
-        // transaction is seen unresolved.
-        let mut resolved: HashMap<TxnId, bool> = HashMap::new();
-        for e in inner.entries.range(..readable) {
-            match e.payload.as_ref() {
-                LogPayload::CommitVote { txn, .. } => {
-                    resolved.entry(*txn).or_insert_with(|| {
-                        voted.push(*txn);
-                        false
-                    });
-                }
-                LogPayload::CommitDecision { txn, .. }
-                | LogPayload::TxnWrites { txn, .. }
-                | LogPayload::TxnRolledBack { txn } => {
-                    resolved.insert(*txn, true);
-                }
-                _ => {}
-            }
-        }
-        voted.retain(|t| !resolved[t]);
-        voted
-    }
-
-    /// Clone the suffix of the log starting at `from_lsn`.
-    pub fn entries_from(&self, from_lsn: u64) -> Vec<LogEntry> {
-        let inner = self.folded();
-        inner
-            .entries
-            .range(inner.position(from_lsn)..)
-            .cloned()
-            .collect()
+    pub(crate) fn unresolved_commit_votes(&self, cut: u64) -> Vec<TxnId> {
+        let inner = self.inner.lock();
+        let mut open: Vec<(u64, TxnId)> = inner
+            .votes
+            .iter()
+            .filter(|(_, v)| v.lsn <= cut && v.resolved_at.is_none_or(|at| at > cut))
+            .map(|(txn, v)| (v.lsn, *txn))
+            .collect();
+        drop(inner);
+        open.sort_unstable();
+        open.into_iter().map(|(_, txn)| txn).collect()
     }
 
     /// One fold step over this copy: starting at `from_lsn` (found by
@@ -894,7 +692,7 @@ impl PartitionWal {
         max_entries: usize,
         keep: usize,
     ) -> FoldChunk {
-        let inner = self.folded();
+        let inner = self.inner.lock();
         let start = inner.position(from_lsn);
         let end = inner
             .entries
@@ -919,10 +717,11 @@ impl PartitionWal {
                         .push((*ts, LoggedWrites(Arc::clone(&e.payload))));
                 }
                 LogPayload::CommitVote { txn, .. } => {
-                    let outcome_durable = matches!(
-                        inner.votes.get(txn),
-                        Some(Some(resolved_at)) if *resolved_at <= durable_lsn
-                    );
+                    let outcome_durable = inner
+                        .votes
+                        .get(txn)
+                        .and_then(|v| v.resolved_at)
+                        .is_some_and(|at| at <= durable_lsn);
                     if !outcome_durable {
                         break;
                     }
@@ -934,48 +733,29 @@ impl PartitionWal {
         chunk
     }
 
+    /// The transaction ids cancelled by a marker at or below `cut`.
+    pub(crate) fn rolled_back_through(&self, cut: u64) -> HashSet<TxnId> {
+        self.inner.lock().rolled_back_through(cut)
+    }
+
     /// Recovery-time log repair: remove every `TxnWrites` entry at or after
-    /// `from_lsn` that replay did **not** apply — entries past the
-    /// crash-time durable LSN (the lost volatile tail), durable entries
-    /// above the rollback bound (transactions reported `CrashAborted`), and
-    /// entries cancelled by a durable rollback marker (compensated after an
-    /// earlier crash of *another* partition). Without this, a later
-    /// checkpoint fold — whose bound keeps advancing after recovery — would
-    /// resurrect rolled-back transactions. Returns the number of entries
-    /// removed.
-    pub fn retain_replayable(
+    /// `from_lsn` that replay did **not** apply — entries past `cut` (the
+    /// lost volatile tail), entries above the rollback bound (transactions
+    /// reported `CrashAborted`), and entries of a transaction in
+    /// `rolled_back` (compensated after an earlier crash of *another*
+    /// partition). Without this, a later checkpoint fold — whose bound keeps
+    /// advancing after recovery — would resurrect rolled-back transactions.
+    /// The replicated log computes `rolled_back` once, from the leader, and
+    /// applies it to every copy, so the copies cannot diverge on what the
+    /// purge drops. Returns the number of entries removed.
+    pub(crate) fn retain_replayable(
         &self,
         from_lsn: u64,
         bound: &ReplayBound,
-        cutoff_lsn: Option<u64>,
-    ) -> usize {
-        let rolled_back = self.durable_rolled_back(cutoff_lsn);
-        self.retain_replayable_with(from_lsn, bound, cutoff_lsn, &rolled_back)
-    }
-
-    /// The transaction ids cancelled by a marker that is durable on *this*
-    /// log copy right now, restricted to markers at or below `cutoff_lsn`
-    /// (the cutoff is itself a durability horizon, see
-    /// [`PartitionWal::readable_len`]).
-    pub(crate) fn durable_rolled_back(&self, cutoff_lsn: Option<u64>) -> HashSet<TxnId> {
-        let inner = self.folded();
-        let readable = self.readable_len(&inner.entries, cutoff_lsn);
-        inner.rolled_back_within(readable)
-    }
-
-    /// [`PartitionWal::retain_replayable`] with the cancelled-transaction
-    /// set supplied by the caller. The replicated log computes the set once
-    /// from the leader and applies it to every replica, so replicas with
-    /// different persist delays cannot diverge on which markers count as
-    /// durable (and therefore on which entries the purge drops).
-    pub(crate) fn retain_replayable_with(
-        &self,
-        from_lsn: u64,
-        bound: &ReplayBound,
-        cutoff_lsn: Option<u64>,
+        cut: u64,
         rolled_back: &HashSet<TxnId>,
     ) -> usize {
-        let mut inner = self.folded();
+        let mut inner = self.inner.lock();
         let before = inner.entries.len();
         let delay = self.ack_delay_us;
         inner.entries.retain(|e| {
@@ -984,7 +764,7 @@ impl PartitionWal {
             }
             match e.payload.as_ref() {
                 LogPayload::TxnWrites { txn, ts, .. } => {
-                    cutoff_lsn.is_some_and(|cut| e.lsn <= cut)
+                    e.lsn <= cut
                         && bound.covers(*ts, e.lsn, e.appended_at_us, delay)
                         && !rolled_back.contains(txn)
                 }
@@ -1001,58 +781,56 @@ impl PartitionWal {
 
     /// Number of entries this copy retains (appended and not yet drained by
     /// a fold).
-    pub fn len(&self) -> usize {
-        self.folded().entries.len()
+    pub(crate) fn len(&self) -> usize {
+        self.inner.lock().entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// [`LogCopy::len`] as an election sees it: a wiped copy does not stand.
+    pub(crate) fn intact_len(&self) -> Option<usize> {
+        let inner = self.inner.lock();
+        (!inner.wiped).then(|| inner.entries.len())
     }
 
-    /// Discard this log copy's entries (a lost disk). The LSN counter is
-    /// preserved so the replica can keep receiving new appends aligned with
-    /// its peers; the history itself is gone until a repair pass copies it
-    /// back from the leader.
-    pub(crate) fn wipe_log(&self) -> usize {
+    /// Discard this copy's entries (a lost disk). The LSN counter is
+    /// preserved so the copy keeps receiving new entries aligned with its
+    /// peers; the history itself is gone until a repair copies it back from
+    /// the leader.
+    pub(crate) fn wipe(&self) -> usize {
         let mut inner = self.inner.lock();
-        let dropped = inner.entries.len() + inner.pending.iter().map(|s| s.len()).sum::<usize>();
+        let dropped = inner.entries.len();
         inner.entries.clear();
-        // Pending segments are received-but-unfolded disk contents: the disk
-        // is gone, so they go with it (never resurrected by a later fold).
-        inner.pending.clear();
         inner.rolled_back.clear();
         inner.votes.clear();
+        inner.wiped = true;
         dropped
     }
 
-    /// The authoritative content a repair copies to other replicas: the
-    /// retained entries and the truncation point below them.
-    pub(crate) fn authority(&self) -> (Vec<LogEntry>, u64) {
-        let inner = self.folded();
-        (
-            inner.entries.iter().cloned().collect(),
-            inner.truncated_before,
-        )
+    /// Repair, the elected leader's half: its content is the authority by
+    /// definition, so it is intact again whatever it holds.
+    pub(crate) fn mark_intact(&self) {
+        self.inner.lock().wiped = false;
     }
 
-    /// Replace this replica's entries wholesale with an authoritative copy
-    /// (repair after a wipe: the elected leader's log is the authority; see
-    /// [`crate::ReplicatedLog::repair_replicas`]). Entries keep their
-    /// original LSNs and append times, so durability checks still reflect
-    /// when the record was originally written.
-    pub(crate) fn replace_entries(
-        &self,
-        entries: Vec<LogEntry>,
-        truncated_before: u64,
-        next_lsn: u64,
-    ) {
+    /// Repair, a follower's half: if this copy was wiped or does not hold as
+    /// many entries as `leader`, forget what it holds and restart it at the
+    /// leader's truncation point — the next catch-up re-seeds it with the
+    /// leader's whole retained log, original LSNs and append instants
+    /// included. Returns whether it restarted.
+    pub(crate) fn restart_if_diverged(&self, leader: &LogCopy) -> bool {
+        let (leader_len, truncated_before) = {
+            let leader = leader.inner.lock();
+            (leader.entries.len(), leader.truncated_before)
+        };
         let mut inner = self.inner.lock();
-        inner.entries = entries.into();
-        inner.truncated_before = truncated_before;
-        // The authoritative copy supersedes anything still unfolded.
-        inner.pending.clear();
-        inner.next_lsn = next_lsn.max(inner.next_lsn);
-        inner.reindex();
+        if !inner.wiped && inner.entries.len() == leader_len {
+            return false;
+        }
+        *inner = CopyInner {
+            next_lsn: truncated_before,
+            truncated_before,
+            ..CopyInner::default()
+        };
+        true
     }
 
     /// Drain every retained entry below `lsn` off the front of the log —
@@ -1060,7 +838,7 @@ impl PartitionWal {
     /// durable. Returns the drained entries so the caller can drop them
     /// (and free their payloads) outside its own locks.
     pub(crate) fn drain_before(&self, lsn: u64) -> Vec<LogEntry> {
-        let mut inner = self.folded();
+        let mut inner = self.inner.lock();
         let n = inner.position(lsn);
         let drained: Vec<LogEntry> = inner.entries.drain(..n).collect();
         if !inner.rolled_back.is_empty() || !inner.votes.is_empty() {
@@ -1097,116 +875,89 @@ mod tests {
         vec![LoggedWrite::put(TableId(0), k, Value::from_u64(k))]
     }
 
-    #[test]
-    fn append_assigns_increasing_lsns() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        let a = wal.append(LogPayload::Watermark { wp: 1 });
-        let b = wal.append(LogPayload::Watermark { wp: 2 });
-        assert!(b > a);
-        assert_eq!(wal.len(), 2);
-        assert_eq!(wal.end_lsn(), 2);
+    /// A copy whose disk and whose quorum both take `delay_us`.
+    fn copy(delay_us: u64) -> LogCopy {
+        LogCopy::new(delay_us, delay_us)
     }
 
-    #[test]
-    fn durability_respects_persist_delay() {
-        let wal = PartitionWal::new(PartitionId(0), 20_000); // 20 ms
-        let lsn = wal.append(LogPayload::Watermark { wp: 5 });
-        assert!(!wal.is_durable(lsn));
-        assert!(wal.latest_durable_watermark().is_none());
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(wal.is_durable(lsn));
-        assert_eq!(wal.latest_durable_watermark(), Some(5));
-        assert_eq!(wal.persist_delay_us(), 20_000);
+    fn append(copy: &LogCopy, payload: LogPayload) -> u64 {
+        copy.append_in_term(0, Arc::new(payload))
     }
 
-    #[test]
-    fn replay_prefix_excludes_rolled_back_txns() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        for (seq, ts) in [(1, 5u64), (2, 9), (3, 15)] {
-            wal.append(LogPayload::TxnWrites {
+    fn put(copy: &LogCopy, seq: u64, ts: Ts) -> u64 {
+        append(
+            copy,
+            LogPayload::TxnWrites {
                 txn: txn(seq),
                 ts,
                 writes: writes(seq),
-            });
-        }
-        std::thread::sleep(Duration::from_millis(1));
-        let replayed = wal.replay_prefix(10);
-        assert_eq!(replayed.len(), 2);
-        assert!(replayed.iter().all(|(_, ts, _)| *ts < 10));
+            },
+        )
     }
+
+    const ALL: u64 = u64::MAX;
 
     #[test]
     fn replay_is_ts_sorted_and_deduplicated() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
+        let wal = copy(0);
         // Out-of-ts-order appends (two workers interleaving) plus a duplicate
         // entry for txn 1.
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 9,
-            writes: writes(2),
-        });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 5,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 5,
-            writes: writes(7),
-        });
-        std::thread::sleep(Duration::from_millis(1));
-        let replayed = wal.replay_prefix(100);
+        put(&wal, 2, 9);
+        put(&wal, 1, 5);
+        append(
+            &wal,
+            LogPayload::TxnWrites {
+                txn: txn(1),
+                ts: 5,
+                writes: writes(7),
+            },
+        );
+        let replayed = wal.replay_range(0, &ReplayBound::Ts(100), ALL);
         assert_eq!(replayed.len(), 2, "duplicate txn entries are merged");
         assert_eq!(replayed[0].1, 5);
         assert_eq!(replayed[1].1, 9);
         // The duplicate with the higher LSN wins.
         assert_eq!(replayed[0].2[0].key, 7);
+        // Everything at or above a ts bound is rolled back: not replayed.
+        assert_eq!(wal.replay_range(0, &ReplayBound::Ts(9), ALL).len(), 1);
     }
 
     #[test]
     fn replay_range_respects_lsn_cutoff_and_base() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
+        let wal = copy(0);
         for seq in 0..6u64 {
-            wal.append(LogPayload::TxnWrites {
-                txn: txn(seq),
-                ts: seq + 1,
-                writes: writes(seq),
-            });
+            put(&wal, seq, seq + 1);
         }
-        std::thread::sleep(Duration::from_millis(1));
         // Entries with lsn in [2, 4] only.
-        let replayed = wal.replay_range(2, &ReplayBound::Ts(u64::MAX), Some(4));
+        let replayed = wal.replay_range(2, &ReplayBound::Ts(u64::MAX), 4);
         assert_eq!(replayed.len(), 3);
         assert!(replayed.iter().all(|(t, _, _)| (2..=4).contains(&t.seq)));
         // Lsn bound is exclusive.
-        let replayed = wal.replay_range(0, &ReplayBound::Lsn(2), None);
+        let replayed = wal.replay_range(0, &ReplayBound::Lsn(2), ALL);
         assert_eq!(replayed.len(), 2);
+        // The cut is the caller's durability horizon: a copy whose own disk
+        // has persisted nothing yet still answers below it.
+        let slow = copy(60_000);
+        put(&slow, 1, 1);
+        assert_eq!(slow.durable_lsn(), None);
+        assert_eq!(slow.replay_range(0, &ReplayBound::Lsn(ALL), 0).len(), 1);
     }
 
     #[test]
-    fn truncate_drops_old_entries() {
-        let wal = PartitionWal::new(PartitionId(1), 0);
-        for i in 0..10u64 {
-            wal.append(LogPayload::Watermark { wp: i });
-        }
-        assert_eq!(wal.drain_before(5).len(), 5);
-        assert_eq!(wal.len(), 5);
-        assert_eq!(wal.partition(), PartitionId(1));
-    }
-
-    #[test]
-    fn latest_durable_watermark_takes_newest() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        wal.append(LogPayload::Watermark { wp: 3 });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 4,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::Watermark { wp: 8 });
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_watermark(), Some(8));
+    fn latest_takes_the_newest_accepted_entry_at_or_below_the_cut() {
+        let wal = copy(0);
+        let watermark = |e: &LogEntry| match *e.payload {
+            LogPayload::Watermark { wp } => Some(wp),
+            _ => None,
+        };
+        let early = append(&wal, LogPayload::Watermark { wp: 3 });
+        put(&wal, 1, 4);
+        append(&wal, LogPayload::Watermark { wp: 8 });
+        assert_eq!(wal.latest(ALL, watermark), Some(8));
+        // A Wp appended after the crash-time durable LSN is never recovered.
+        assert_eq!(wal.latest(early, watermark), Some(3));
+        assert_eq!(wal.latest(early, |e| Some(e.lsn)), Some(early));
+        assert_eq!(copy(0).latest(ALL, watermark), None);
     }
 
     #[test]
@@ -1232,60 +983,30 @@ mod tests {
 
     #[test]
     fn retain_replayable_purges_rolled_back_write_sets() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        let a = wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 5,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::Watermark { wp: 6 });
-        let b = wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 9, // above the rollback bound: reported CrashAborted
-            writes: writes(2),
-        });
-        let c = wal.append(LogPayload::TxnWrites {
-            txn: txn(3),
-            ts: 5, // covered, but past the durable cutoff: volatile, lost
-            writes: writes(3),
-        });
-        std::thread::sleep(Duration::from_millis(1));
-        let removed = wal.retain_replayable(0, &ReplayBound::Ts(8), Some(b));
+        let wal = copy(0);
+        put(&wal, 1, 5);
+        append(&wal, LogPayload::Watermark { wp: 6 });
+        // Above the rollback bound: reported CrashAborted.
+        let b = put(&wal, 2, 9);
+        // Covered, but past the durable cutoff: volatile, lost.
+        put(&wal, 3, 5);
+        let removed = wal.retain_replayable(0, &ReplayBound::Ts(8), b, &HashSet::new());
         assert_eq!(removed, 2);
-        let left = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+        let left = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), ALL);
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].0, txn(1));
-        // Control entries survive the purge.
-        assert_eq!(wal.latest_durable_watermark(), Some(6));
-        let _ = (a, c);
-    }
-
-    #[test]
-    fn watermark_lookup_respects_the_crash_cutoff() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        let early = wal.append(LogPayload::Watermark { wp: 3 });
-        wal.append(LogPayload::Watermark { wp: 8 });
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_watermark_at(None), Some(8));
-        // A Wp appended after the crash-time durable LSN is never recovered.
-        assert_eq!(wal.latest_durable_watermark_at(Some(early)), Some(3));
+        // Control entries survive the purge, and so does the LSN counter.
+        assert_eq!(wal.len(), 2);
+        assert_eq!(wal.end_lsn(), 4);
     }
 
     #[test]
     fn fold_scan_stops_at_uncovered_write_sets_and_the_durable_horizon() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 2,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::Watermark { wp: 3 });
-        let uncovered = wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 50,
-            writes: writes(2),
-        });
-        wal.append(LogPayload::Watermark { wp: 60 });
+        let wal = copy(0);
+        put(&wal, 1, 2);
+        append(&wal, LogPayload::Watermark { wp: 3 });
+        let uncovered = put(&wal, 2, 50);
+        append(&wal, LogPayload::Watermark { wp: 60 });
         let all =
             |bound: ReplayBound, durable: u64| wal.fold_scan(0, &bound, durable, usize::MAX, 0);
         // Stops at the first uncovered TxnWrites, folding past control
@@ -1310,20 +1031,23 @@ mod tests {
 
     #[test]
     fn fold_scan_keeps_a_vote_until_its_outcome_is_durable() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
+        let wal = copy(0);
         let vote = |t: TxnId| LogPayload::CommitVote {
             txn: t,
             coordinator: PartitionId(0),
             commit: true,
         };
-        wal.append(LogPayload::Watermark { wp: 1 });
-        let resolved_vote = wal.append(vote(txn(1)));
-        let decision = wal.append(LogPayload::CommitDecision {
-            txn: txn(1),
-            commit: true,
-        });
-        let in_doubt = wal.append(vote(txn(2)));
-        wal.append(LogPayload::Watermark { wp: 2 });
+        append(&wal, LogPayload::Watermark { wp: 1 });
+        let resolved_vote = append(&wal, vote(txn(1)));
+        let decision = append(
+            &wal,
+            LogPayload::CommitDecision {
+                txn: txn(1),
+                commit: true,
+            },
+        );
+        let in_doubt = append(&wal, vote(txn(2)));
+        append(&wal, LogPayload::Watermark { wp: 2 });
         let scan = |durable: u64| {
             wal.fold_scan(0, &ReplayBound::Lsn(u64::MAX), durable, usize::MAX, 0)
                 .stop_lsn
@@ -1334,69 +1058,112 @@ mod tests {
         // A vote whose decision is appended but not yet durable stays too.
         assert_eq!(scan(decision - 1), resolved_vote);
         // Resolving the in-doubt vote lets the fold pass it.
-        wal.append(LogPayload::CommitDecision {
-            txn: txn(2),
-            commit: false,
-        });
+        append(
+            &wal,
+            LogPayload::CommitDecision {
+                txn: txn(2),
+                commit: false,
+            },
+        );
         assert_eq!(scan(u64::MAX), wal.end_lsn());
     }
 
     #[test]
     fn drain_keeps_the_durable_horizon_and_forgets_drained_markers() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 5,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::TxnRolledBack { txn: txn(1) });
-        wal.append(LogPayload::CommitVote {
-            txn: txn(2),
-            coordinator: PartitionId(0),
-            commit: true,
-        });
-        let last = wal.append(LogPayload::CommitDecision {
-            txn: txn(2),
-            commit: true,
-        });
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.drain_before(last + 1).len(), 4);
-        assert!(wal.is_empty());
+        let wal = copy(0);
+        put(&wal, 1, 5);
+        append(&wal, LogPayload::TxnRolledBack { txn: txn(1) });
+        append(
+            &wal,
+            LogPayload::CommitVote {
+                txn: txn(2),
+                coordinator: PartitionId(0),
+                commit: true,
+            },
+        );
+        let last = append(
+            &wal,
+            LogPayload::CommitDecision {
+                txn: txn(2),
+                commit: true,
+            },
+        );
+        assert_eq!(wal.drain_before(2).len(), 2);
+        assert_eq!(wal.len(), 2);
+        assert_eq!(wal.drain_before(last + 1).len(), 2);
+        assert_eq!(wal.len(), 0);
         assert_eq!(
             wal.durable_lsn(),
             Some(last),
             "drained entries were durable: the horizon must not fall back to None"
         );
         assert!(wal.rolled_back_txns().is_empty());
+        assert!(wal.unresolved_commit_votes(ALL).is_empty());
         assert_eq!(wal.end_lsn(), last + 1, "the LSN counter survives");
         // A copy with a slow disk: the drained prefix still counts.
-        let slow = PartitionWal::new(PartitionId(0), 60_000);
-        slow.append(LogPayload::Watermark { wp: 1 });
-        slow.append(LogPayload::Watermark { wp: 2 });
+        let slow = copy(60_000);
+        append(&slow, LogPayload::Watermark { wp: 1 });
+        append(&slow, LogPayload::Watermark { wp: 2 });
         assert_eq!(slow.durable_lsn(), None);
         slow.drain_before(1);
         assert_eq!(slow.durable_lsn(), Some(0));
     }
 
     #[test]
+    fn a_copy_persists_after_its_own_delay_and_a_wiped_one_does_not_vote() {
+        let wal = copy(20_000); // 20 ms
+        let lsn = append(&wal, LogPayload::Watermark { wp: 5 });
+        assert_eq!(wal.durable_lsn(), None);
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(wal.durable_lsn(), Some(lsn));
+        // A lost disk: the entries go, the LSN counter stays, and whatever
+        // arrives afterwards sits above a hole — no vote, no candidacy.
+        assert_eq!(wal.wipe(), 1);
+        assert_eq!(wal.end_lsn(), lsn + 1);
+        append(&wal, LogPayload::Watermark { wp: 6 });
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(wal.durable_lsn(), None);
+        assert_eq!((wal.len(), wal.intact_len()), (1, None));
+        wal.mark_intact();
+        assert_eq!(wal.durable_lsn(), Some(lsn + 1));
+    }
+
+    #[test]
+    fn a_diverged_copy_restarts_at_the_leaders_truncation_point() {
+        let leader = copy(0);
+        for seq in 0..5u64 {
+            put(&leader, seq, seq + 1);
+        }
+        leader.drain_before(2);
+        let follower = copy(0);
+        let (tail, end) = leader.tail_from(follower.end_lsn());
+        follower.append_entries(tail, end);
+        assert!(
+            !follower.restart_if_diverged(&leader),
+            "a copy as long as the leader's is left alone"
+        );
+        follower.wipe();
+        assert!(follower.restart_if_diverged(&leader));
+        assert_eq!((follower.end_lsn(), follower.intact_len()), (2, Some(0)));
+        let (tail, end) = leader.tail_from(follower.end_lsn());
+        follower.append_entries(tail, end);
+        assert_eq!((follower.len(), follower.end_lsn()), (3, 5));
+        assert_eq!(follower.durable_lsn(), leader.durable_lsn());
+    }
+
+    #[test]
     fn rollback_markers_cancel_entries_everywhere() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 5,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 6,
-            writes: writes(2),
-        });
-        wal.append(LogPayload::TxnRolledBack { txn: txn(2) });
-        std::thread::sleep(Duration::from_millis(1));
-        // Replay skips the cancelled transaction whatever the bound says.
-        let replayed = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+        let wal = copy(0);
+        put(&wal, 1, 5);
+        put(&wal, 2, 6);
+        let marker = append(&wal, LogPayload::TxnRolledBack { txn: txn(2) });
+        // Replay skips the cancelled transaction whatever the bound says —
+        // once the cut reaches the marker.
+        let replayed = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), ALL);
         assert_eq!(replayed.len(), 1);
         assert_eq!(replayed[0].0, txn(1));
+        let before_marker = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), marker - 1);
+        assert_eq!(before_marker.len(), 2);
         // The fold scan advances past the cancelled entry instead of
         // stopping on it, even under a bound that does not cover it — and
         // never hands it to the image.
@@ -1404,30 +1171,20 @@ mod tests {
         assert_eq!(chunk.stop_lsn, wal.end_lsn());
         assert_eq!(chunk.writes.len(), 1);
         // Log repair drops the cancelled entry but keeps the marker.
-        let removed = wal.retain_replayable(0, &ReplayBound::Ts(u64::MAX), Some(wal.end_lsn()));
+        let cancelled = wal.rolled_back_through(ALL);
+        assert!(wal.rolled_back_through(marker - 1).is_empty());
+        let removed = wal.retain_replayable(0, &ReplayBound::Ts(u64::MAX), ALL, &cancelled);
         assert_eq!(removed, 1);
         assert!(wal.rolled_back_txns().contains(&txn(2)));
     }
 
     #[test]
     fn collect_rolled_back_returns_uncovered_unmarked_entries() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 5,
-            writes: writes(1),
-        });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 9,
-            writes: writes(2),
-        });
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(3),
-            ts: 12,
-            writes: writes(3),
-        });
-        wal.append(LogPayload::TxnRolledBack { txn: txn(3) });
+        let wal = copy(0);
+        put(&wal, 1, 5);
+        put(&wal, 2, 9);
+        put(&wal, 3, 12);
+        append(&wal, LogPayload::TxnRolledBack { txn: txn(3) });
         // ts >= 8 is rolled back; txn 3 was already compensated earlier.
         let doomed = wal.collect_rolled_back(&ReplayBound::Ts(8), None);
         assert_eq!(doomed.len(), 1);
@@ -1438,40 +1195,24 @@ mod tests {
             .collect_rolled_back(&ReplayBound::Ts(8), Some(1))
             .is_empty());
         // No durability filter: a volatile entry on a survivor still counts.
-        let wal = PartitionWal::new(PartitionId(0), 60_000);
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(7),
-            ts: 9,
-            writes: writes(7),
-        });
+        let wal = copy(60_000);
+        put(&wal, 7, 9);
         assert_eq!(wal.collect_rolled_back(&ReplayBound::Ts(8), None).len(), 1);
     }
 
     #[test]
     fn persist_window_bound_rolls_back_only_window_spanning_entries() {
-        let wal = PartitionWal::new(PartitionId(0), 30_000); // 30 ms persist
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(1),
-            ts: 1,
-            writes: writes(1),
-        });
+        let wal = copy(30_000); // acknowledged 30 ms after the append
+        put(&wal, 1, 1);
         std::thread::sleep(Duration::from_millis(40));
         // Entry 1 is durable now; entry 2 is inside its window at the crash
         // instant; entry 3 is appended after the crash (a post-crash commit
         // the scheme reports Committed).
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 2,
-            writes: writes(2),
-        });
+        put(&wal, 2, 2);
         std::thread::sleep(Duration::from_millis(2));
         let crash_instant = now_us();
         std::thread::sleep(Duration::from_millis(2));
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(3),
-            ts: 3,
-            writes: writes(3),
-        });
+        put(&wal, 3, 3);
         let doomed = wal.collect_rolled_back(&ReplayBound::PersistWindow(crash_instant), None);
         assert_eq!(doomed.len(), 1);
         assert_eq!(doomed[0].0, txn(2));
@@ -1479,91 +1220,90 @@ mod tests {
 
     #[test]
     fn unresolved_commit_votes_track_decisions_installs_and_rollbacks() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
+        let wal = copy(0);
         let vote = |t: TxnId, commit: bool| LogPayload::CommitVote {
             txn: t,
             coordinator: PartitionId(0),
             commit,
         };
+        // txn 4 votes first and stays in doubt; the answer is in first-vote
+        // order whatever the index's own order.
+        let in_doubt_lsn = append(&wal, vote(txn(4), true));
         // txn 1: voted, decided — resolved.
-        wal.append(vote(txn(1), true));
-        wal.append(LogPayload::CommitDecision {
-            txn: txn(1),
-            commit: true,
-        });
-        // txn 2: voted, writes installed — resolved (commit completed).
-        wal.append(vote(txn(2), true));
-        wal.append(LogPayload::TxnWrites {
-            txn: txn(2),
-            ts: 5,
-            writes: writes(2),
-        });
-        // txn 3: voted, rolled back by compensation — resolved.
-        wal.append(vote(txn(3), true));
-        wal.append(LogPayload::TxnRolledBack { txn: txn(3) });
-        // txn 4: voted, nothing else — in doubt.
-        let in_doubt_lsn = wal.append(vote(txn(4), true));
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.unresolved_commit_votes(None), vec![txn(4)]);
-        assert_eq!(wal.commit_vote_for(txn(4), None), Some(true));
-        assert_eq!(wal.commit_decision_for(txn(4), None), None);
-        assert_eq!(wal.commit_decision_for(txn(1), None), Some(true));
-        // Sealing the in-doubt vote with an abort decision resolves it.
-        wal.append(LogPayload::CommitDecision {
-            txn: txn(4),
-            commit: false,
-        });
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(wal.unresolved_commit_votes(None).is_empty());
-        assert_eq!(wal.commit_decision_for(txn(4), None), Some(false));
-        // A cutoff below the seal re-exposes the in-doubt vote (crash-time
-        // durable horizon), and one below the vote hides it entirely.
-        assert_eq!(
-            wal.unresolved_commit_votes(Some(in_doubt_lsn)),
-            vec![txn(4)]
+        append(&wal, vote(txn(1), true));
+        append(
+            &wal,
+            LogPayload::CommitDecision {
+                txn: txn(1),
+                commit: true,
+            },
         );
-        assert!(wal
-            .unresolved_commit_votes(Some(in_doubt_lsn - 1))
-            .is_empty());
+        // txn 2: voted, writes installed — resolved (commit completed).
+        append(&wal, vote(txn(2), true));
+        put(&wal, 2, 5);
+        // txn 3: voted, rolled back by compensation — resolved.
+        append(&wal, vote(txn(3), true));
+        append(&wal, LogPayload::TxnRolledBack { txn: txn(3) });
+        // txn 5: voted, nothing else — in doubt as well.
+        let second_lsn = append(&wal, vote(txn(5), false));
+        assert_eq!(wal.unresolved_commit_votes(ALL), vec![txn(4), txn(5)]);
+        // Sealing an in-doubt vote with an abort decision resolves it.
+        append(
+            &wal,
+            LogPayload::CommitDecision {
+                txn: txn(4),
+                commit: false,
+            },
+        );
+        assert_eq!(wal.unresolved_commit_votes(ALL), vec![txn(5)]);
+        // A cut below a resolution re-exposes the vote (crash-time durable
+        // horizon), and one below the vote hides it entirely.
+        assert_eq!(
+            wal.unresolved_commit_votes(second_lsn),
+            vec![txn(4), txn(5)]
+        );
+        assert_eq!(
+            wal.unresolved_commit_votes(in_doubt_lsn + 1),
+            vec![txn(4), txn(1)]
+        );
+        assert_eq!(wal.unresolved_commit_votes(in_doubt_lsn), vec![txn(4)]);
     }
 
     #[test]
     fn commit_votes_survive_log_repair() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        wal.append(LogPayload::CommitVote {
-            txn: txn(1),
-            coordinator: PartitionId(0),
-            commit: true,
-        });
-        wal.append(LogPayload::CommitDecision {
-            txn: txn(1),
-            commit: false,
-        });
-        std::thread::sleep(Duration::from_millis(1));
+        let wal = copy(0);
+        append(
+            &wal,
+            LogPayload::CommitVote {
+                txn: txn(1),
+                coordinator: PartitionId(0),
+                commit: true,
+            },
+        );
+        append(
+            &wal,
+            LogPayload::CommitDecision {
+                txn: txn(1),
+                commit: false,
+            },
+        );
+        // A vote resolved only by its installed write-set, which the purge
+        // is about to drop: the vote is in doubt again afterwards.
+        append(
+            &wal,
+            LogPayload::CommitVote {
+                txn: txn(2),
+                coordinator: PartitionId(0),
+                commit: true,
+            },
+        );
+        put(&wal, 2, 7);
+        assert!(wal.unresolved_commit_votes(ALL).is_empty());
         // Votes and decisions are control entries: the recovery-time purge
         // never drops them, whatever the bound.
-        let removed = wal.retain_replayable(0, &ReplayBound::Ts(0), Some(wal.end_lsn()));
-        assert_eq!(removed, 0);
-        assert_eq!(wal.commit_decision_for(txn(1), None), Some(false));
-    }
-
-    #[test]
-    fn epoch_boundary_lookup_filters_by_epoch() {
-        let wal = PartitionWal::new(PartitionId(0), 0);
-        let b1 = wal.append(LogPayload::EpochBoundary { epoch: 1 });
-        let b2 = wal.append(LogPayload::EpochBoundary { epoch: 2 });
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(wal.latest_durable_epoch_boundary(2, None), Some(b2));
-        assert_eq!(wal.latest_durable_epoch_boundary(1, None), Some(b1));
-        assert_eq!(wal.latest_durable_epoch_boundary(0, None), None);
-        // A cutoff below the newer boundary falls back to the older one.
-        assert_eq!(wal.latest_durable_epoch_boundary(2, Some(b1)), Some(b1));
-        // The durability-blind variant (survivor-side rollback bound) agrees
-        // here and also sees boundaries still inside their persist window.
-        assert_eq!(wal.latest_epoch_boundary(2), Some(b2));
-        let slow = PartitionWal::new(PartitionId(0), 60_000);
-        let b = slow.append(LogPayload::EpochBoundary { epoch: 1 });
-        assert_eq!(slow.latest_durable_epoch_boundary(1, None), None);
-        assert_eq!(slow.latest_epoch_boundary(1), Some(b));
+        let removed = wal.retain_replayable(0, &ReplayBound::Ts(0), ALL, &HashSet::new());
+        assert_eq!(removed, 1);
+        assert_eq!(wal.len(), 3);
+        assert_eq!(wal.unresolved_commit_votes(ALL), vec![txn(2)]);
     }
 }

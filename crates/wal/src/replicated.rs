@@ -1,56 +1,59 @@
-//! The replicated per-partition log: a replica set of [`PartitionWal`]s with
-//! quorum durability and deterministic leader hand-off.
+//! The replicated per-partition log — the one public log: a replica set of
+//! physical copies with quorum durability and deterministic leader hand-off.
 //!
 //! The paper's partitions replicate their log through Raft (§5.2: "the new
-//! leader retrieves the latest `Wp` in its Raft log"); the single-copy
-//! `PartitionWal` of earlier revisions could only survive losing a leader's
-//! *memory*, not its disk. [`ReplicatedLog`] closes that gap:
+//! leader retrieves the latest `Wp` in its Raft log"), where a leader
+//! appends to its own log and followers are fed from it. [`ReplicatedLog`]
+//! is that, at every replication factor:
 //!
 //! * **Replica set.** Each partition owns `replication_factor` log copies.
-//!   Replica 0 is the initial leader's local disk (persist delay
-//!   `persist_delay_us`); every other replica persists after the one-way
-//!   replication hop plus its own disk delay.
-//! * **Pipelined appends.** [`ReplicatedLog::append`] is a two-stage
-//!   pipeline. Stage 1 — the *sequencer*, the only part a committer pays
-//!   for while still holding its write locks — reserves the LSN, stamps
-//!   `appended_at_us` and pushes the entry into a staging ring, all under
-//!   one short lock and without touching any replica. Stage 2 — the
-//!   *replication pump*, a per-partition background thread — drains the
-//!   ring and ships the staged tail to **every** replica (leader included)
-//!   as one shared batch segment: O(1) delivery per replica per **batch**,
-//!   one batched message charge for the follower hops. Each replica folds
-//!   received segments into its own log storage lazily, on its next read.
-//!   Entries keep the sequencer's `appended_at_us` on every copy, so
-//!   durability clocks run from the original append instant and the
-//!   quorum math below is independent of when the pump ran. Every durable
-//!   read and every replica-set mutation drains the ring first, so the
-//!   pipeline is invisible outside this module (see ARCHITECTURE.md,
-//!   "Append pipeline"). A single-copy log (RF 1) skips the pipeline and
-//!   appends synchronously, exactly like the old `PartitionWal`.
+//!   Copy 0 is the initial leader's local disk (persist delay
+//!   `persist_delay_us`); every other copy persists after the one-way
+//!   replication hop plus its own disk delay. Copies are physical: each
+//!   holds its own entries and loses them for real when its disk goes.
+//! * **One append path.** [`ReplicatedLog::append`] takes the sequencer
+//!   lock, reserves the LSN, stamps `appended_at_us` and the term and
+//!   pushes the entry into the **leader's copy** — that is all a committer
+//!   pays while it holds its write locks, whatever the replication factor.
+//!   The leader's log *is* the replication queue: followers catch up from
+//!   its tail (the entries at or past their own end) exactly where
+//!   something is about to consult them — before a quorum vote or durable
+//!   read, and before any wipe, election, repair or retention. Three
+//!   invariants follow (see ARCHITECTURE.md, "Append pipeline"): entries
+//!   keep the leader's `appended_at_us` on every copy, so durability clocks
+//!   run from the append instant and the quorum math below does not depend
+//!   on when a follower was fed; nothing consults a follower that has not
+//!   caught up; a crash feeds the followers before it wipes. A single-copy
+//!   log (RF 1) is the same log with no follower to feed.
+//! * **Locks.** Order: `image` → `ship_lock` → `sequencer` → a copy's own
+//!   lock. An append takes `sequencer` and the leader's copy; a catch-up
+//!   takes `ship_lock` and one copy at a time, so it never stops appends;
+//!   everything that changes the replica set takes `ship_lock` and
+//!   `sequencer` (`with_sequencer_flushed`), so the leader cannot change
+//!   under an append or a catch-up.
 //! * **Quorum durability.** `append` returns an LSN immediately, but
 //!   [`ReplicatedLog::durable_lsn`] is the **quorum-acked** LSN: the highest
 //!   LSN persisted by a majority of replicas (the median replica for RF 3).
 //!   Every durable read — watermark lookup, checkpoint restore, bounded
-//!   replay, checkpoint folding — is clamped to that horizon,
-//!   so nothing is ever treated as durable that a quorum could not
-//!   reproduce. With RF 1 the quorum is the single copy and behaviour is
-//!   identical to the old `PartitionWal`.
+//!   replay, checkpoint folding — is clamped to that horizon, here and
+//!   nowhere else, so nothing is ever treated as durable that a quorum could
+//!   not reproduce. With RF 1 the quorum is the single copy.
 //! * **Terms and leader hand-off.** The log carries a leadership term,
 //!   stamped on every entry. A crash bumps the term and moves leadership to
 //!   the **deterministic successor**: the first replica after the failed
 //!   leader in ring order among the replicas holding the longest intact
-//!   log. A crash that also discards the leader's disk first flushes the
-//!   staging ring (the tail is physically on the survivors, exactly as
-//!   under the old synchronous fan-out — "lost" means *not quorum-acked*,
-//!   never *dropped from surviving disks*) and then wipes that replica, so
-//!   the successor is always a surviving copy — and recovery rebuilds the
-//!   store from it. A second crash landing mid-replay bumps the term again;
-//!   the recovery loop notices and restarts from the next successor (see
+//!   log. A crash that also discards the leader's disk first brings the
+//!   followers up to the leader's end (the tail is physically on the
+//!   survivors — "lost" means *not quorum-acked*, never *dropped from
+//!   surviving disks*) and then wipes that replica, so the successor is
+//!   always a surviving copy — and recovery rebuilds the store from it. A
+//!   second crash landing mid-replay bumps the term again; the recovery
+//!   loop notices and restarts from the next successor (see
 //!   `RecoveryManager`).
-//! * **Repair.** After recovery, lagging or wiped replicas are re-seeded
-//!   from the elected leader's log ([`ReplicatedLog::repair_replicas`]), so
-//!   the replica set returns to full strength and can absorb further
-//!   crashes.
+//! * **Repair.** After recovery, lagging or wiped replicas restart at the
+//!   elected leader's truncation point and catch up from there
+//!   ([`ReplicatedLog::repair_replicas`]), so the replica set returns to
+//!   full strength and can absorb further crashes.
 //! * **Retention: the rolling checkpoint image.** The log owns the
 //!   partition's [`CheckpointImage`] and bounds itself by folding into it
 //!   ([`ReplicatedLog::fold`]): the quorum-durable prefix the group-commit
@@ -66,30 +69,20 @@
 //!   a crash sees the image and the log either before or after a chunk.
 
 use crate::log::{
-    CheckpointImage, ImageSummary, LogEntry, LogPayload, PartitionWal, ReplayBound, ReplayedTxn,
+    CheckpointImage, ImageSummary, LogCopy, LogEntry, LogPayload, ReplayBound, ReplayedTxn,
     FOLD_CHUNK, RETENTION_TARGET,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use primo_common::config::WalConfig;
 use primo_common::sim_time::now_us;
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_net::SimNetwork;
 use primo_trace::{FlightRecorder, TraceEventKind};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
-/// How often the replication pump polls the staging ring. Appends never
-/// signal the pump — a wake-up per append would put a futex syscall back on
-/// the commit critical section and shrink every batch to one entry; instead
-/// the pump self-schedules on this tick and drains whatever accumulated.
-/// The tick bounds pump lag, which is invisible anyway: follower durability
-/// clocks run from the sequencer's `appended_at_us`, and every durable read
-/// drains the ring inline. Only shutdown notifies the condvar (prompt exit).
-const PUMP_TICK: Duration = Duration::from_millis(2);
-
-/// Replica counts up to this size collect quorum votes on the stack
+/// The largest replica set: quorum votes are collected on the stack
 /// ([`ReplicatedLog::durable_lsn`] runs on every watermark lookup and
 /// snapshot-horizon read — it must not allocate).
 const INLINE_VOTES: usize = 16;
@@ -121,20 +114,6 @@ pub struct FoldStats {
 
 /// Quorum-durable replicated log of one partition. See the module docs.
 pub struct ReplicatedLog {
-    core: Arc<LogCore>,
-    /// Stage-2 drainer; `None` for single-copy logs (nothing to replicate).
-    pump: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Shared state of the replica set — everything both the callers (through
-/// [`ReplicatedLog`]'s delegating methods) and the replication pump touch.
-///
-/// Lock order: `image` → `ship_lock` → `ring` → a replica's inner log lock.
-/// The sequencer (stage 1) takes only `ring`; the pump and every drain-
-/// before-read path take `ship_lock` first, so a drain observed by one
-/// caller is complete before the next begins and batches reach the
-/// followers in LSN order.
-struct LogCore {
     partition: PartitionId,
     /// The partition's rolling checkpoint image (`None` until a base image
     /// is installed, and again once every replica lost its disk). The lock
@@ -146,19 +125,14 @@ struct LogCore {
     /// `image.base_lsn` mirrored for the lock-free [`ReplicatedLog::fold_due`]
     /// check (`u64::MAX` while there is no image, so nothing looks due).
     image_base: AtomicU64,
-    /// The sequencer's next LSN mirrored for the same check.
+    /// The log's end LSN mirrored for the same check.
     end_hint: AtomicU64,
     /// After a self-driven pass that could fold nothing (the scheme's bound
     /// or the quorum stalled), the log end at which it is worth trying
     /// again; 0 otherwise.
     fold_retry_at: AtomicU64,
     /// The replica set; index 0 is the initial leader's local copy.
-    replicas: Vec<Arc<PartitionWal>>,
-    /// Replicas whose disk was discarded and not yet repaired. A wiped
-    /// replica keeps receiving new appends (LSN-aligned with its peers) but
-    /// has a hole in its history, so it must not vote on quorum durability
-    /// or stand for election until [`ReplicatedLog::repair_replicas`] runs.
-    wiped: Vec<AtomicBool>,
+    replicas: Vec<LogCopy>,
     /// Majority size: `replication_factor / 2 + 1`.
     quorum: usize,
     /// Delay between appending a record and its quorum acknowledgement: the
@@ -168,31 +142,24 @@ struct LogCore {
     leader: AtomicUsize,
     term: AtomicU64,
     leader_changes: AtomicU64,
-    /// The stage-1 sequencer lock **and** staging ring in one: appenders
-    /// serialize on this mutex, reserve the next LSN, stamp the append
-    /// instant and push the sequenced entry here — touching **no replica**;
-    /// the pump swaps the vector out wholesale and ships it as one shared
-    /// segment. One lock covers sequencing and staging, so the commit
-    /// critical section pays a single acquisition and no per-replica work.
-    /// (A single-copy log skips staging and appends straight to its one
-    /// replica under this same lock.)
-    ring: Mutex<Sequencer>,
-    /// Wakes the pump for shutdown only — appends never signal it (see
-    /// [`PUMP_TICK`]).
-    signal: Condvar,
-    /// Serializes stage-2 ships (pump drains, drain-before-read paths,
-    /// replica-set mutations) without blocking stage-1 appends.
+    /// Appenders serialize here: whoever holds it reads the leader and the
+    /// term and pushes into the leader's copy, so neither can change
+    /// between the read and the push.
+    sequencer: Mutex<()>,
+    /// Serializes follower catch-ups, fold drains and replica-set mutations
+    /// without blocking appends: the copies a quorum vote or an election
+    /// reads stand still while it holds this.
     ship_lock: Mutex<()>,
-    shutdown: AtomicBool,
-    /// Message accounting for the replication fan-out (latency is never
+    /// Message accounting for the replication traffic (latency is never
     /// charged to the appender — the cost shows up as quorum-ack delay).
     net: Option<Arc<SimNetwork>>,
     /// Total microseconds appenders spent blocked on the sequencer lock
     /// (`MetricsSnapshot::wal_append_wait_us`). Only contended acquisitions
     /// pay the two clock reads.
     append_wait_us: AtomicU64,
-    /// Stage-2 batches shipped / entries shipped — their ratio is the mean
-    /// replication batch length (`MetricsSnapshot::replication_batch_len`).
+    /// Follower catch-ups that carried entries / the entries they carried —
+    /// their ratio is the mean replication batch length
+    /// (`MetricsSnapshot::replication_batch_len`).
     shipped_batches: AtomicU64,
     shipped_entries: AtomicU64,
     /// Cluster flight recorder, injected once right after construction
@@ -202,39 +169,40 @@ struct LogCore {
     recorder: OnceLock<Arc<FlightRecorder>>,
 }
 
-/// Stage-1 state under the ring lock: the staged tail plus the partition's
-/// LSN counter. The counter — not any replica — is the allocation
-/// authority while replication runs pipelined; replica-set mutations
-/// (fail-over, truncation, repair) resynchronize it from the leader's log
-/// inside [`LogCore::with_sequencer_flushed`].
-#[derive(Default)]
-struct Sequencer {
-    staged: Vec<LogEntry>,
-    next_lsn: u64,
-}
-
 impl std::fmt::Debug for ReplicatedLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicatedLog")
-            .field("partition", &self.core.partition)
-            .field("replicas", &self.core.replicas.len())
-            .field("leader", &self.core.leader.load(Ordering::Relaxed))
-            .field("term", &self.core.term.load(Ordering::Relaxed))
+            .field("partition", &self.partition)
+            .field("replicas", &self.replicas.len())
+            .field("leader", &self.leader.load(Ordering::Relaxed))
+            .field("term", &self.term.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-impl Drop for ReplicatedLog {
-    fn drop(&mut self) {
-        if let Some(pump) = self.pump.take() {
-            self.core.shutdown.store(true, Ordering::Release);
-            // Lock the ring before notifying so the pump is either inside
-            // the wait (and receives the notification) or past its next
-            // shutdown check — never between the check and the wait.
-            drop(self.core.ring.lock());
-            self.core.signal.notify_all();
-            let _ = pump.join();
-        }
+/// What one replica's copy holds, read-only (tests and white-box
+/// assertions; see [`ReplicatedLog::replica`]).
+pub struct ReplicaView<'a>(&'a LogCopy);
+
+#[allow(clippy::len_without_is_empty)]
+impl ReplicaView<'_> {
+    /// Number of entries the copy retains.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Clone the suffix of the copy starting at `from_lsn`.
+    pub fn entries_from(&self, from_lsn: u64) -> Vec<LogEntry> {
+        self.0.tail_from(from_lsn).0
+    }
+}
+
+/// Picks the LSN of an [`LogPayload::EpochBoundary`] with epoch at most
+/// `max_epoch`.
+fn epoch_boundary_up_to(max_epoch: u64) -> impl Fn(&LogEntry) -> Option<u64> {
+    move |e| match *e.payload {
+        LogPayload::EpochBoundary { epoch } if epoch <= max_epoch => Some(e.lsn),
+        _ => None,
     }
 }
 
@@ -242,7 +210,10 @@ impl ReplicatedLog {
     /// Build the replica set for one partition. `replication_hop_us` is the
     /// one-way network latency a record pays to reach a non-leader replica
     /// (derived from the cluster's `NetConfig`); `net` receives message
-    /// accounting for the replication fan-out.
+    /// accounting for the replication traffic.
+    ///
+    /// # Panics
+    /// If `cfg.replication_factor` exceeds 16.
     pub fn new(
         partition: PartitionId,
         cfg: WalConfig,
@@ -250,6 +221,10 @@ impl ReplicatedLog {
         net: Option<Arc<SimNetwork>>,
     ) -> Self {
         let rf = cfg.replication_factor.max(1);
+        assert!(
+            rf <= INLINE_VOTES,
+            "replication factor {rf} exceeds the supported maximum of {INLINE_VOTES}"
+        );
         let replica_delay =
             replication_hop_us + cfg.replica_persist_delay_us.unwrap_or(cfg.persist_delay_us);
         let mut delays = vec![cfg.persist_delay_us];
@@ -260,51 +235,33 @@ impl ReplicatedLog {
             sorted.sort_unstable();
             sorted[quorum - 1]
         };
-        let replicas = delays
-            .iter()
-            .map(|&d| {
-                Arc::new(PartitionWal::with_ack_delay(
-                    partition,
-                    d,
-                    quorum_ack_delay_us,
-                ))
-            })
-            .collect();
-        let core = Arc::new(LogCore {
+        ReplicatedLog {
             partition,
             image: Mutex::new(None),
             image_base: AtomicU64::new(u64::MAX),
             end_hint: AtomicU64::new(0),
             fold_retry_at: AtomicU64::new(0),
-            replicas,
-            wiped: (0..rf).map(|_| AtomicBool::new(false)).collect(),
+            replicas: delays
+                .iter()
+                .map(|&d| LogCopy::new(d, quorum_ack_delay_us))
+                .collect(),
             quorum,
             quorum_ack_delay_us,
             leader: AtomicUsize::new(0),
             term: AtomicU64::new(0),
             leader_changes: AtomicU64::new(0),
-            ring: Mutex::new(Sequencer::default()),
-            signal: Condvar::new(),
+            sequencer: Mutex::new(()),
             ship_lock: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
             net,
             append_wait_us: AtomicU64::new(0),
             shipped_batches: AtomicU64::new(0),
             shipped_entries: AtomicU64::new(0),
             recorder: OnceLock::new(),
-        });
-        let pump = (rf > 1).then(|| {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name(format!("wal-pump-p{}", partition.0))
-                .spawn(move || core.pump_loop())
-                .expect("spawn replication pump")
-        });
-        ReplicatedLog { core, pump }
+        }
     }
 
-    /// A single-copy log (replication factor 1, no hop): the old
-    /// `PartitionWal` semantics, used by unit tests and RF-1 clusters.
+    /// A single-copy log (replication factor 1, no hop), used by unit tests
+    /// and RF-1 clusters.
     pub fn single(partition: PartitionId, persist_delay_us: u64) -> Self {
         ReplicatedLog::new(
             partition,
@@ -318,80 +275,85 @@ impl ReplicatedLog {
     }
 
     pub fn partition(&self) -> PartitionId {
-        self.core.partition
+        self.partition
     }
 
     /// Attach the cluster flight recorder (sequencer waits, replication
     /// quorum acks and leader changes become trace events). Idempotent;
     /// later calls are ignored.
     pub fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
-        let _ = self.core.recorder.set(recorder);
+        let _ = self.recorder.set(recorder);
     }
 
     pub fn replication_factor(&self) -> usize {
-        self.core.replicas.len()
+        self.replicas.len()
     }
 
     /// Majority size of the replica set.
     pub fn quorum(&self) -> usize {
-        self.core.quorum
+        self.quorum
     }
 
     /// Time between appending a record and its quorum acknowledgement — what
     /// the group-commit schemes wait out before acknowledging a commit, and
     /// what `MetricsSnapshot::replication_lag_us` reports.
     pub fn quorum_ack_delay_us(&self) -> u64 {
-        self.core.quorum_ack_delay_us
+        self.quorum_ack_delay_us
     }
 
     /// Current leadership term (bumped on every crash / hand-off).
     pub fn term(&self) -> u64 {
-        self.core.term.load(Ordering::Acquire)
+        self.term.load(Ordering::Acquire)
     }
 
     /// Index of the current leader replica.
     pub fn leader_index(&self) -> usize {
-        self.core.leader.load(Ordering::Acquire)
+        self.leader.load(Ordering::Acquire)
     }
 
     /// How many times leadership moved to a different replica.
     pub fn leader_changes(&self) -> u64 {
-        self.core.leader_changes.load(Ordering::Relaxed)
+        self.leader_changes.load(Ordering::Relaxed)
     }
 
-    /// Total microseconds appenders spent blocked on the stage-1 sequencer
-    /// lock (commit-critical-section contention; 0 when every append found
-    /// the sequencer free).
+    /// Total microseconds appenders spent blocked on the sequencer lock
+    /// (commit-critical-section contention; 0 when every append found the
+    /// sequencer free).
     pub fn append_wait_us(&self) -> u64 {
-        self.core.append_wait_us.load(Ordering::Relaxed)
+        self.append_wait_us.load(Ordering::Relaxed)
     }
 
-    /// Stage-2 batches shipped to the follower replicas so far.
+    /// Follower catch-ups that carried at least one entry so far (always 0
+    /// at RF 1).
     pub fn replication_batches(&self) -> u64 {
-        self.core.shipped_batches.load(Ordering::Relaxed)
+        self.shipped_batches.load(Ordering::Relaxed)
     }
 
-    /// Log entries shipped to the follower replicas so far (each batch
-    /// carries one or more).
+    /// Log entries those catch-ups carried, counted once per catch-up (not
+    /// once per follower).
     pub fn replicated_entries(&self) -> u64 {
-        self.core.shipped_entries.load(Ordering::Relaxed)
+        self.shipped_entries.load(Ordering::Relaxed)
     }
 
-    /// Direct access to one replica (tests and white-box assertions). The
-    /// staging ring is drained first, so the copy observed is exactly what
-    /// the old synchronous fan-out would have produced.
-    pub fn replica(&self, idx: usize) -> &Arc<PartitionWal> {
-        self.core.sync_replicas();
-        &self.core.replicas[idx]
+    /// What one replica's copy holds (tests and white-box assertions). The
+    /// followers are brought up to the leader's end first.
+    pub fn replica(&self, idx: usize) -> ReplicaView<'_> {
+        self.sync_replicas();
+        ReplicaView(&self.replicas[idx])
     }
 
     /// Append a record; returns its LSN (identical on all copies). Never
-    /// blocks on I/O or the network — stage 1 of the pipeline reserves the
-    /// LSN, stamps the append instant and stages the entry under one short
-    /// lock; the background replication pump later ships the staged tail to
-    /// every replica as one shared batch segment.
+    /// blocks on I/O or the network: under the sequencer lock the entry gets
+    /// its LSN, append instant and term and goes into the leader's copy;
+    /// followers take it from there at their next catch-up.
     pub fn append(&self, payload: LogPayload) -> u64 {
-        self.core.append(payload)
+        let payload = Arc::new(payload);
+        let _seq = self.lock_sequencer();
+        let lsn = self
+            .leader_replica()
+            .append_in_term(self.term.load(Ordering::Acquire), payload);
+        self.end_hint.store(lsn + 1, Ordering::Relaxed);
+        lsn
     }
 
     /// Append a batch of records under **one** sequencer acquisition;
@@ -400,18 +362,26 @@ impl ReplicatedLog {
     /// [`ReplicatedLog::append`] per payload with no other appender
     /// interleaving, at a fraction of the critical-section cost.
     pub fn append_batch(&self, payloads: Vec<LogPayload>) -> Option<u64> {
-        self.core.append_batch(payloads)
+        let _seq = self.lock_sequencer();
+        let term = self.term.load(Ordering::Acquire);
+        let leader = self.leader_replica();
+        let mut first = None;
+        for payload in payloads {
+            let lsn = leader.append_in_term(term, Arc::new(payload));
+            first.get_or_insert(lsn);
+            self.end_hint.store(lsn + 1, Ordering::Relaxed);
+        }
+        first
     }
 
-    /// The LSN the next append will receive. Exact without a drain: the
-    /// sequencer's counter is the allocation authority.
+    /// The LSN the next append will receive (the leader's end; every copy
+    /// has the same end whenever the leader can change).
     pub fn end_lsn(&self) -> u64 {
-        self.core.end_lsn()
+        self.leader_replica().end_lsn()
     }
 
     pub fn len(&self) -> usize {
-        self.core.sync_replicas();
-        self.core.leader_replica().len()
+        self.leader_replica().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -422,14 +392,33 @@ impl ReplicatedLog {
     /// replicas right now (`None` until a quorum persisted anything).
     /// Replicas with a discarded, not-yet-repaired disk do not vote — their
     /// history has a hole, so their highest durable entry says nothing
-    /// about the prefix below it.
+    /// about the prefix below it. Allocation-free: votes are collected and
+    /// sorted on the stack.
     pub fn durable_lsn(&self) -> Option<u64> {
-        self.core.durable_lsn()
+        self.sync_replicas();
+        let mut votes = [None; INLINE_VOTES];
+        for (vote, replica) in votes.iter_mut().zip(&self.replicas) {
+            *vote = replica.durable_lsn();
+        }
+        let votes = &mut votes[..self.replicas.len()];
+        votes.sort_unstable_by(|a, b| b.cmp(a)); // descending; None sorts last
+        votes[self.quorum - 1]
     }
 
     /// Whether a specific LSN is quorum-durable.
     pub fn is_durable(&self, lsn: u64) -> bool {
         self.durable_lsn().map(|d| d >= lsn).unwrap_or(false)
+    }
+
+    /// The newest quorum-durable entry at or below `cutoff_lsn` that `pick`
+    /// accepts, read from the leader's copy.
+    fn latest_durable<R>(
+        &self,
+        cutoff_lsn: Option<u64>,
+        pick: impl Fn(&LogEntry) -> Option<R>,
+    ) -> Option<R> {
+        let cut = self.quorum_cutoff(cutoff_lsn)?;
+        self.leader_replica().latest(cut, pick)
     }
 
     /// The latest quorum-durable watermark record (§5.2 — what the new
@@ -439,13 +428,15 @@ impl ReplicatedLog {
     }
 
     /// [`ReplicatedLog::latest_durable_watermark`] restricted to entries at
-    /// or below `cutoff_lsn` (recovery passes the quorum LSN captured at
-    /// crash time).
+    /// or below `cutoff_lsn` — recovery passes the quorum LSN captured at
+    /// crash time, so a `Wp` record that was still volatile when the
+    /// partition died (or was appended by the dead leader's agent during
+    /// the outage) is never recovered from.
     pub fn latest_durable_watermark_at(&self, cutoff_lsn: Option<u64>) -> Option<Ts> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .latest_durable_watermark_at(Some(cut))
+        self.latest_durable(cutoff_lsn, |e| match *e.payload {
+            LogPayload::Watermark { wp } => Some(wp),
+            _ => None,
+        })
     }
 
     /// Install `image` as the partition's base checkpoint image, replacing
@@ -455,22 +446,22 @@ impl ReplicatedLog {
     /// restore the image once the marker is quorum-durable. Returns the
     /// marker's LSN.
     pub fn install_base_image(&self, mut image: CheckpointImage) -> u64 {
-        let mut slot = self.core.image.lock();
+        let mut slot = self.image.lock();
         let lsn = self.append(LogPayload::Checkpoint {
             up_to_ts: image.up_to_ts,
         });
         image.installed_lsn = lsn;
         image.base_lsn = lsn;
         *slot = Some(image);
-        self.core.image_base.store(lsn, Ordering::Relaxed);
-        self.core.fold_retry_at.store(0, Ordering::Relaxed);
+        self.image_base.store(lsn, Ordering::Relaxed);
+        self.fold_retry_at.store(0, Ordering::Relaxed);
         lsn
     }
 
     /// Read the rolling image, regardless of durability (`None` while the
     /// partition has none). Waits out a fold in progress.
     pub fn with_image<R>(&self, read: impl FnOnce(&CheckpointImage) -> R) -> Option<R> {
-        self.core.image.lock().as_ref().map(read)
+        self.image.lock().as_ref().map(read)
     }
 
     /// Read the rolling image if it is restorable at `cutoff_lsn`: its
@@ -484,9 +475,9 @@ impl ReplicatedLog {
         cutoff_lsn: Option<u64>,
         read: impl FnOnce(&CheckpointImage) -> R,
     ) -> Option<R> {
-        let slot = self.core.image.lock();
+        let slot = self.image.lock();
         let image = slot.as_ref()?;
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
+        let cut = self.quorum_cutoff(cutoff_lsn)?;
         (image.installed_lsn <= cut).then(|| read(image))
     }
 
@@ -501,8 +492,8 @@ impl ReplicatedLog {
     /// replicas, so recovery sees the image and the log either before or
     /// after the chunk.
     pub fn crash_horizon(&self) -> Option<u64> {
-        let _image = self.core.image.lock();
-        self.core.durable_lsn()
+        let _image = self.image.lock();
+        self.durable_lsn()
     }
 
     /// Whether a self-driven fold step is worth taking: more than twice
@@ -511,10 +502,9 @@ impl ReplicatedLog {
     /// loads — cheap enough to ask after every commit.
     #[inline]
     pub fn fold_due(&self) -> bool {
-        let end = self.core.end_hint.load(Ordering::Relaxed);
-        let retained = end.saturating_sub(self.core.image_base.load(Ordering::Relaxed));
-        retained > 2 * RETENTION_TARGET as u64
-            && end >= self.core.fold_retry_at.load(Ordering::Relaxed)
+        let end = self.end_hint.load(Ordering::Relaxed);
+        let retained = end.saturating_sub(self.image_base.load(Ordering::Relaxed));
+        retained > 2 * RETENTION_TARGET as u64 && end >= self.fold_retry_at.load(Ordering::Relaxed)
     }
 
     /// Fold the covered quorum-durable log prefix into the rolling image
@@ -534,7 +524,10 @@ impl ReplicatedLog {
     /// applied to the image in place with no log lock held, and the prefix
     /// is popped off each replica's deque. Write-sets are applied in log
     /// order — per key that *is* commit order, because a write-set is
-    /// appended while its write locks are held.
+    /// appended while its write locks are held. Reading the quorum horizon
+    /// is also what feeds the followers in the steady state, when nothing
+    /// else reads the log: a catch-up carries about what the leader took in
+    /// since the last fold step.
     ///
     /// `leader_up` is asked once the fold holds the image lock: a crashed
     /// or recovering partition must not fold (the recovery is pinned to the
@@ -549,10 +542,9 @@ impl ReplicatedLog {
         scope: FoldScope,
         leader_up: impl FnOnce() -> bool,
     ) -> Option<FoldStats> {
-        let core = &self.core;
         let mut slot = match scope {
-            FoldScope::Chunk => core.image.try_lock()?,
-            FoldScope::Everything => core.image.lock(),
+            FoldScope::Chunk => self.image.try_lock()?,
+            FoldScope::Everything => self.image.lock(),
         };
         if !leader_up() {
             return None;
@@ -568,9 +560,9 @@ impl ReplicatedLog {
         let mut applied = Vec::new();
         let mut drained = Vec::new();
         let mut progressed = false;
-        if let Some(durable) = core.durable_lsn() {
+        if let Some(durable) = self.durable_lsn() {
             let chunk =
-                core.leader_replica()
+                self.leader_replica()
                     .fold_scan(image.base_lsn, bound, durable, max_entries, keep);
             for (ts, writes) in &chunk.writes {
                 image.apply(*ts, writes);
@@ -579,9 +571,9 @@ impl ReplicatedLog {
             if chunk.stop_lsn > image.base_lsn {
                 progressed = true;
                 image.base_lsn = chunk.stop_lsn;
-                core.image_base.store(chunk.stop_lsn, Ordering::Relaxed);
-                drained = core.drain_replicas(chunk.stop_lsn);
-                stats.truncated_entries = drained[core.leader.load(Ordering::Acquire)].len();
+                self.image_base.store(chunk.stop_lsn, Ordering::Relaxed);
+                drained = self.drain_replicas(chunk.stop_lsn);
+                stats.truncated_entries = drained[self.leader.load(Ordering::Acquire)].len();
             }
             applied = chunk.writes;
         }
@@ -595,57 +587,57 @@ impl ReplicatedLog {
         let retry_at = if progressed || scope == FoldScope::Everything {
             0
         } else {
-            core.end_hint.load(Ordering::Relaxed) + FOLD_CHUNK as u64
+            self.end_hint.load(Ordering::Relaxed) + FOLD_CHUNK as u64
         };
-        core.fold_retry_at.store(retry_at, Ordering::Relaxed);
+        self.fold_retry_at.store(retry_at, Ordering::Relaxed);
         drop(slot);
         drop((applied, drained));
         Some(stats)
     }
 
     /// LSN of the newest quorum-durable epoch boundary with epoch at most
-    /// `max_epoch`, at or below `cutoff_lsn` (COCO recovery / checkpoint
-    /// bound — recovery passes the crash-time quorum LSN so the lookup
-    /// stays valid even when the live quorum broke mid-recovery, exactly
-    /// like [`ReplicatedLog::replay_range`]).
-    pub fn latest_durable_epoch_boundary(
-        &self,
-        max_epoch: u64,
-        cutoff_lsn: Option<u64>,
-    ) -> Option<u64> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .latest_durable_epoch_boundary(max_epoch, Some(cut))
+    /// `max_epoch` (COCO's checkpoint bound: what a fold may absorb).
+    pub fn latest_durable_epoch_boundary(&self, max_epoch: u64) -> Option<u64> {
+        self.latest_durable(None, epoch_boundary_up_to(max_epoch))
     }
 
-    /// Durability-blind epoch-boundary lookup (survivor-side rollback
-    /// bound: a surviving partition's log lost nothing).
+    /// LSN of the newest epoch boundary with epoch at most `max_epoch`,
+    /// regardless of durability. A *surviving* partition's log lost nothing,
+    /// so when COCO rolls back the crashed epoch the boundary of the last
+    /// committed epoch separates committed write-sets from rolled-back ones
+    /// even while it is still inside its persist window.
     pub fn latest_epoch_boundary(&self, max_epoch: u64) -> Option<u64> {
-        self.core.sync_replicas();
-        self.core.leader_replica().latest_epoch_boundary(max_epoch)
+        self.leader_replica()
+            .latest(u64::MAX, epoch_boundary_up_to(max_epoch))
     }
 
-    /// Replay all quorum-durable transaction writes with `ts < up_to`.
+    /// Replay all quorum-durable transaction writes with `ts < up_to`;
+    /// everything at or above `up_to` is rolled back (i.e. simply not
+    /// replayed).
     pub fn replay_prefix(&self, up_to: Ts) -> Vec<ReplayedTxn> {
         self.replay_range(0, &ReplayBound::Ts(up_to), None)
     }
 
-    /// Quorum-bounded replay: like `PartitionWal::replay_range`, but only
-    /// entries at or below the quorum-acked LSN count as durable — an entry
-    /// the old leader persisted locally that never reached a majority is
-    /// honestly lost.
+    /// Replay the quorum-durable transaction writes with `lsn >= from_lsn`
+    /// that `bound` covers, restricted (when given) to entries at or below
+    /// `cutoff_lsn` — the quorum LSN captured at crash time, so entries that
+    /// were still volatile when the partition died are treated as lost, and
+    /// an entry the old leader persisted locally that never reached a
+    /// majority is honestly lost too.
+    ///
+    /// The output is commit-timestamp-sorted (ties by LSN) and deduplicated
+    /// by transaction id, so replaying any prefix twice equals replaying it
+    /// once; transactions cancelled by a [`LogPayload::TxnRolledBack`]
+    /// marker at or below the cut are never replayed, whatever the bound
+    /// says. The write-sets are shared with the log's entries, not copied.
     pub fn replay_range(
         &self,
         from_lsn: u64,
         bound: &ReplayBound,
         cutoff_lsn: Option<u64>,
     ) -> Vec<ReplayedTxn> {
-        match self.core.quorum_cutoff(cutoff_lsn) {
-            Some(cut) => self
-                .core
-                .leader_replica()
-                .replay_range(from_lsn, bound, Some(cut)),
+        match self.quorum_cutoff(cutoff_lsn) {
+            Some(cut) => self.leader_replica().replay_range(from_lsn, bound, cut),
             None => Vec::new(),
         }
     }
@@ -653,28 +645,28 @@ impl ReplicatedLog {
     /// The newest quorum-durable [`LogPayload::CommitDecision`] verdict for
     /// `txn` at or below `cutoff_lsn` (Paxos Commit verdict assembly).
     pub fn commit_decision_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core
-            .leader_replica()
-            .commit_decision_for(txn, Some(cut))
+        self.latest_durable(cutoff_lsn, |e| match *e.payload {
+            LogPayload::CommitDecision { txn: t, commit } if t == txn => Some(commit),
+            _ => None,
+        })
     }
 
     /// The quorum-durable [`LogPayload::CommitVote`] for `txn` at or below
     /// `cutoff_lsn`, if any.
     pub fn commit_vote_for(&self, txn: TxnId, cutoff_lsn: Option<u64>) -> Option<bool> {
-        let cut = self.core.quorum_cutoff(cutoff_lsn)?;
-        self.core.leader_replica().commit_vote_for(txn, Some(cut))
+        self.latest_durable(cutoff_lsn, |e| match *e.payload {
+            LogPayload::CommitVote { txn: t, commit, .. } if t == txn => Some(commit),
+            _ => None,
+        })
     }
 
     /// Transaction ids with a quorum-durable prepare vote but no resolution
-    /// at or below `cutoff_lsn` — the in-doubt set recovery terminates (see
-    /// [`PartitionWal::unresolved_commit_votes`]).
+    /// at or below `cutoff_lsn` — no decision, no installed write-set, no
+    /// rollback marker: the in-doubt set recovery terminates with the
+    /// presumed-abort verdict. In first-vote order.
     pub fn unresolved_commit_votes(&self, cutoff_lsn: Option<u64>) -> Vec<TxnId> {
-        match self.core.quorum_cutoff(cutoff_lsn) {
-            Some(cut) => self
-                .core
-                .leader_replica()
-                .unresolved_commit_votes(Some(cut)),
+        match self.quorum_cutoff(cutoff_lsn) {
+            Some(cut) => self.leader_replica().unresolved_commit_votes(cut),
             None => Vec::new(),
         }
     }
@@ -682,50 +674,44 @@ impl ReplicatedLog {
     /// Transaction ids with a rollback marker anywhere in the log,
     /// regardless of durability.
     pub fn rolled_back_txns(&self) -> HashSet<TxnId> {
-        self.core.sync_replicas();
-        self.core.leader_replica().rolled_back_txns()
+        self.leader_replica().rolled_back_txns()
     }
 
-    /// The `TxnWrites` entries `bound` does not cover and no marker cancels
-    /// yet — survivor-side compensation input. No durability filter (this
-    /// partition did not crash, so every replica holds the full log).
+    /// The `TxnWrites` entries below `upper_cutoff` that `bound` does not
+    /// cover and no marker cancels yet — survivor-side compensation input,
+    /// sorted and deduplicated like [`ReplicatedLog::replay_range`]. No
+    /// durability filter: this partition did not crash, so its leader's
+    /// copy holds the full log.
     pub fn collect_rolled_back(
         &self,
         bound: &ReplayBound,
         upper_cutoff: Option<u64>,
     ) -> Vec<ReplayedTxn> {
-        self.core.sync_replicas();
-        self.core
-            .leader_replica()
+        self.leader_replica()
             .collect_rolled_back(bound, upper_cutoff)
     }
 
     /// Clone the suffix of the (leader's) log starting at `from_lsn`.
     pub fn entries_from(&self, from_lsn: u64) -> Vec<LogEntry> {
-        self.core.sync_replicas();
-        self.core.leader_replica().entries_from(from_lsn)
+        self.leader_replica().tail_from(from_lsn).0
     }
 
-    /// Recovery-time log repair on **every replica**: drop the write-sets
-    /// replay did not apply so no later fold can resurrect them. The
-    /// cancelled-transaction set is computed once, from the leader's view
-    /// of marker durability, and applied uniformly — replicas with slower
-    /// disks must not keep entries the leader purged (they would end up
-    /// *longer* than the leader, confusing the longest-log election and
-    /// un-healable by repair). Returns the number of entries removed from
-    /// the leader's copy.
-    pub fn retain_replayable(
-        &self,
-        from_lsn: u64,
-        bound: &ReplayBound,
-        cutoff_lsn: Option<u64>,
-    ) -> usize {
-        self.core.with_sequencer_flushed(|core| {
-            let leader = core.leader.load(Ordering::Acquire);
-            let rolled_back = core.replicas[leader].durable_rolled_back(cutoff_lsn);
+    /// Recovery-time log repair on **every replica**: drop the write-sets at
+    /// or after `from_lsn` that replay did not apply — past `cutoff_lsn`
+    /// (the crash-time quorum LSN), not covered by `bound`, or cancelled by
+    /// a rollback marker at or below the cutoff — so no later fold can
+    /// resurrect them. The cancelled-transaction set is computed once, from
+    /// the leader, and applied uniformly — a replica must not keep entries
+    /// the leader purged (it would end up *longer* than the leader,
+    /// confusing the longest-log election). Returns the number of entries
+    /// removed from the leader's copy.
+    pub fn retain_replayable(&self, from_lsn: u64, bound: &ReplayBound, cutoff_lsn: u64) -> usize {
+        self.with_sequencer_flushed(|| {
+            let leader = self.leader.load(Ordering::Acquire);
+            let rolled_back = self.replicas[leader].rolled_back_through(cutoff_lsn);
             let mut removed = 0;
-            for (i, replica) in core.replicas.iter().enumerate() {
-                let n = replica.retain_replayable_with(from_lsn, bound, cutoff_lsn, &rolled_back);
+            for (i, replica) in self.replicas.iter().enumerate() {
+                let n = replica.retain_replayable(from_lsn, bound, cutoff_lsn, &rolled_back);
                 if i == leader {
                     removed = n;
                 }
@@ -736,42 +722,40 @@ impl ReplicatedLog {
 
     /// Discard one replica's disk (entries dropped, LSN counter kept so the
     /// replica stays aligned for future appends). It stops voting on quorum
-    /// durability and standing for election until repaired. The staging
-    /// ring is flushed first: a staged entry was physically delivered (and
-    /// is then dropped with the rest of the disk), never resurrected by a
-    /// later drain.
+    /// durability and standing for election until repaired. The followers
+    /// are brought up to the leader's end first: an appended entry was
+    /// physically delivered (and is then dropped with the rest of the disk),
+    /// never delivered late into the hole.
     pub fn wipe_replica(&self, idx: usize) -> usize {
-        let mut image = self.core.image.lock();
-        self.core
-            .with_sequencer_flushed(|core| core.wipe_replica(idx, &mut image))
+        let mut image = self.image.lock();
+        self.with_sequencer_flushed(|| self.wipe_copy(idx, &mut image))
     }
 
     /// Bump the leadership term and hand leadership to the deterministic
     /// successor: the first replica after the failed leader in ring order
-    /// among the non-wiped replicas holding the longest log. The staging
-    /// ring is flushed first — under the old synchronous fan-out the
-    /// not-yet-quorum-acked tail was physically present on every replica at
-    /// crash time, and the flush reproduces exactly that state (the tail
-    /// stays "lost" in the only sense that matters: below no quorum
-    /// horizon). With `discard_leader_disk` the failed leader's replica is
-    /// then wiped (the crash lost its disk, not just its memory), so the
-    /// successor is always a surviving copy. Returns the new leader index.
+    /// among the non-wiped replicas holding the longest log. The followers
+    /// are brought up to the leader's end first — the not-yet-quorum-acked
+    /// tail is physically present on every replica at crash time (it stays
+    /// "lost" in the only sense that matters: below no quorum horizon).
+    /// With `discard_leader_disk` the failed leader's replica is then wiped
+    /// (the crash lost its disk, not just its memory), so the successor is
+    /// always a surviving copy. Returns the new leader index.
     pub fn fail_over(&self, discard_leader_disk: bool) -> usize {
         // Image lock first: a fold in progress finishes its chunk on every
         // replica before any disk is discarded or the leader changes.
-        let mut image = self.core.image.lock();
-        self.core.with_sequencer_flushed(|core| {
-            let old = core.leader.load(Ordering::Acquire);
+        let mut image = self.image.lock();
+        self.with_sequencer_flushed(|| {
+            let old = self.leader.load(Ordering::Acquire);
             if discard_leader_disk {
-                core.wipe_replica(old, &mut image);
+                self.wipe_copy(old, &mut image);
             }
-            let term = core.term.fetch_add(1, Ordering::AcqRel) + 1;
-            let new = core.elect_successor(old);
+            let term = self.term.fetch_add(1, Ordering::AcqRel) + 1;
+            let new = self.elect_successor(old);
             if new != old {
-                core.leader.store(new, Ordering::Release);
-                core.leader_changes.fetch_add(1, Ordering::Relaxed);
+                self.leader.store(new, Ordering::Release);
+                self.leader_changes.fetch_add(1, Ordering::Relaxed);
             }
-            core.trace(TraceEventKind::LeaderChange {
+            self.trace(TraceEventKind::LeaderChange {
                 term,
                 leader: new as u32,
             });
@@ -781,45 +765,45 @@ impl ReplicatedLog {
 
     /// Re-seed wiped or lagging replicas from the elected leader's log (the
     /// authority after an election — replicas never diverge here, they can
-    /// only lose their disk wholesale). Returns how many replicas were
-    /// repaired. Run at the end of recovery so the replica set is back to
-    /// full strength before the partition serves again.
+    /// only lose their disk wholesale): each restarts at the leader's
+    /// truncation point and catches up from there like any follower.
+    /// Returns how many replicas were repaired. Run at the end of recovery
+    /// so the replica set is back to full strength before the partition
+    /// serves again.
     pub fn repair_replicas(&self) -> usize {
-        self.core.with_sequencer_flushed(|core| {
-            let leader = core.leader.load(Ordering::Acquire);
-            let (authority, truncated_before) = core.replicas[leader].authority();
-            let next_lsn = core.replicas[leader].end_lsn();
-            let mut repaired = 0;
-            for (i, replica) in core.replicas.iter().enumerate() {
-                if i == leader {
-                    // The elected leader's content is the authority by
-                    // definition. Clearing its wiped flag is only sound because
-                    // repair runs at the end of recovery, *after* the store and
-                    // the retained log were reconciled against this very copy —
-                    // if the leader itself was wiped (every replica lost its
-                    // disk), the missing history has just been adjudicated as
-                    // lost, and the flag must clear or the partition could
-                    // never acknowledge anything again.
-                    core.wiped[i].store(false, Ordering::Release);
-                    continue;
-                }
-                // Heal any divergence from the authority — shorter (wiped or
-                // lagging) and longer (a copy that somehow kept entries the
-                // leader dropped) alike.
-                if core.wiped[i].load(Ordering::Acquire) || replica.len() != authority.len() {
-                    replica.replace_entries(authority.clone(), truncated_before, next_lsn);
-                    core.wiped[i].store(false, Ordering::Release);
-                    repaired += 1;
-                }
-            }
+        self.with_sequencer_flushed(|| {
+            let leader = self.leader.load(Ordering::Acquire);
+            // The elected leader's content is the authority by definition.
+            // Clearing its wiped flag is only sound because repair runs at
+            // the end of recovery, *after* the store and the retained log
+            // were reconciled against this very copy — if the leader itself
+            // was wiped (every replica lost its disk), the missing history
+            // has just been adjudicated as lost, and the flag must clear or
+            // the partition could never acknowledge anything again.
+            self.replicas[leader].mark_intact();
+            // Heal any divergence from the authority — shorter (wiped or
+            // lagging) and longer (a copy that somehow kept entries the
+            // leader dropped) alike.
+            let repaired = self
+                .followers(leader)
+                .filter(|follower| follower.restart_if_diverged(&self.replicas[leader]))
+                .count();
+            self.feed_followers();
             repaired
         })
     }
-}
 
-impl LogCore {
-    fn leader_replica(&self) -> &Arc<PartitionWal> {
+    fn leader_replica(&self) -> &LogCopy {
         &self.replicas[self.leader.load(Ordering::Acquire)]
+    }
+
+    /// Every copy but `leader`'s.
+    fn followers(&self, leader: usize) -> impl Iterator<Item = &LogCopy> {
+        self.replicas
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| *i != leader)
+            .map(|(_, copy)| copy)
     }
 
     /// Record a partition-scoped (no transaction) trace event, if a
@@ -830,114 +814,36 @@ impl LogCore {
         }
     }
 
-    /// [`LogCore::trace`] with the timestamp supplied by the caller — for
-    /// hot paths that already hold a fresh clock reading.
+    /// [`ReplicatedLog::trace`] with the timestamp supplied by the caller —
+    /// for hot paths that already hold a fresh clock reading.
     fn trace_at(&self, at_us: u64, kind: TraceEventKind) {
         if let Some(rec) = self.recorder.get() {
             rec.emit_at(at_us, None, Some(self.partition), kind);
         }
     }
 
-    /// Next LSN to be assigned. The sequencer counter is authoritative
-    /// while replication runs pipelined; a single-copy log delegates to its
-    /// one replica (whose appends are synchronous).
-    fn end_lsn(&self) -> u64 {
-        let seq = self.ring.lock();
-        if self.replicas.len() == 1 {
-            self.leader_replica().end_lsn()
-        } else {
-            seq.next_lsn
-        }
-    }
-
-    /// Stage 1: sequence one payload under the ring lock — reserve the LSN,
-    /// stamp `appended_at_us`, stage the entry. No replica is touched: the
-    /// pump later ships the staged tail to **every** copy (leader included)
-    /// as one shared segment, carrying exactly this LSN, timestamp and
-    /// term, so durability clocks run from this instant regardless of when
-    /// the pump ran. A single-copy log appends straight to its one replica
-    /// instead (the old `PartitionWal` fast path).
-    fn append(&self, payload: LogPayload) -> u64 {
-        let payload = Arc::new(payload);
-        let mut seq = self.lock_sequencer();
-        let term = self.term.load(Ordering::Acquire);
-        if self.replicas.len() == 1 {
-            let leader = self.leader.load(Ordering::Acquire);
-            let lsn = self.replicas[leader].append_in_term(term, payload);
-            self.end_hint.store(lsn + 1, Ordering::Relaxed);
-            return lsn;
-        }
-        let entry = LogEntry {
-            lsn: seq.next_lsn,
-            appended_at_us: now_us(),
-            term,
-            payload,
-        };
-        seq.next_lsn += 1;
-        self.end_hint.store(seq.next_lsn, Ordering::Relaxed);
-        let lsn = entry.lsn;
-        // Stage only; the pump picks the entry up on its next tick. No
-        // signal — a wake-up here costs a syscall on the commit path.
-        seq.staged.push(entry);
-        lsn
-    }
-
-    /// Stage 1, batched: sequence every payload under **one** ring-lock
-    /// acquisition (dense LSNs, payload order preserved).
-    fn append_batch(&self, payloads: Vec<LogPayload>) -> Option<u64> {
-        if payloads.is_empty() {
-            return None;
-        }
-        let mut seq = self.lock_sequencer();
-        let term = self.term.load(Ordering::Acquire);
-        let mut first = None;
-        if self.replicas.len() == 1 {
-            let leader = self.leader.load(Ordering::Acquire);
-            for payload in payloads {
-                let lsn = self.replicas[leader].append_in_term(term, Arc::new(payload));
-                first.get_or_insert(lsn);
-                self.end_hint.store(lsn + 1, Ordering::Relaxed);
-            }
-            return first;
-        }
-        seq.staged.reserve(payloads.len());
-        for payload in payloads {
-            let entry = LogEntry {
-                lsn: seq.next_lsn,
-                appended_at_us: now_us(),
-                term,
-                payload: Arc::new(payload),
-            };
-            seq.next_lsn += 1;
-            first.get_or_insert(entry.lsn);
-            seq.staged.push(entry);
-        }
-        self.end_hint.store(seq.next_lsn, Ordering::Relaxed);
-        first
-    }
-
-    /// Take the sequencer lock, accounting contended waits (the metric the
-    /// pipeline exists to shrink). The uncontended fast path costs no clock
-    /// reads. A contended acquisition yields and retries instead of parking
-    /// outright: the critical section is a couple hundred nanoseconds, so a
-    /// yield usually hands the holder the time it needs and the next try
-    /// succeeds — without registering a waiter, which would also put a
-    /// futex wake on the holder's unlock path (the commit critical
-    /// section). After a bounded number of yields it parks for real.
-    fn lock_sequencer(&self) -> parking_lot::MutexGuard<'_, Sequencer> {
-        if let Some(guard) = self.ring.try_lock() {
+    /// Take the sequencer lock, accounting contended waits. The uncontended
+    /// fast path costs no clock reads. A contended acquisition yields and
+    /// retries instead of parking outright: the critical section is a
+    /// couple hundred nanoseconds, so a yield usually hands the holder the
+    /// time it needs and the next try succeeds — without registering a
+    /// waiter, which would also put a futex wake on the holder's unlock
+    /// path (the commit critical section). After a bounded number of yields
+    /// it parks for real.
+    fn lock_sequencer(&self) -> parking_lot::MutexGuard<'_, ()> {
+        if let Some(guard) = self.sequencer.try_lock() {
             return guard;
         }
         let blocked_at = now_us();
         let mut attempts = 0u32;
         let guard = loop {
             std::thread::yield_now();
-            if let Some(guard) = self.ring.try_lock() {
+            if let Some(guard) = self.sequencer.try_lock() {
                 break guard;
             }
             attempts += 1;
             if attempts >= 64 {
-                break self.ring.lock();
+                break self.sequencer.lock();
             }
         };
         let waited = now_us().saturating_sub(blocked_at);
@@ -957,133 +863,84 @@ impl LogCore {
         guard
     }
 
-    /// Stage 2: drain the staging ring and ship the batch to the follower
-    /// replicas. Called by the pump and by every drain-before-read path;
-    /// `ship_lock` serializes them so batches land in LSN order.
-    fn drain_staged(&self) {
-        if self.replicas.len() == 1 {
-            return;
+    /// Bring every follower up to the leader's end: each takes the leader's
+    /// entries at or past its own end, as they are. Only these deliveries
+    /// count as network messages (the leader's own push is local). Caller
+    /// holds `ship_lock`, so the leader cannot change meanwhile and
+    /// catch-ups reach a follower in LSN order; appends keep going, and what
+    /// lands behind a follower's read of the tail waits for the next
+    /// catch-up.
+    fn feed_followers(&self) {
+        let leader = self.leader.load(Ordering::Acquire);
+        let (mut sent, mut carried, mut last_lsn) = (0, 0, 0);
+        for follower in self.followers(leader) {
+            let (tail, end_lsn) = self.replicas[leader].tail_from(follower.end_lsn());
+            if let Some(last) = tail.last() {
+                sent += tail.len() as u64;
+                carried = carried.max(tail.len() as u64);
+                last_lsn = last_lsn.max(last.lsn);
+            }
+            follower.append_entries(tail, end_lsn);
         }
-        let _ship = self.ship_lock.lock();
-        let batch = std::mem::take(&mut self.ring.lock().staged);
-        self.ship(batch);
-    }
-
-    /// Deliver a drained batch to the replica set as **one shared segment**:
-    /// the batch is frozen into an `Arc<[LogEntry]>` (a move, not a clone)
-    /// and handed to every replica in O(1) each — replicas fold it into
-    /// their own storage lazily, on their next read. The leader's hand-off
-    /// is local; only the follower deliveries count as network messages,
-    /// charged once per batch. Caller holds `ship_lock` (directly or via
-    /// [`LogCore::with_sequencer_flushed`]), so the leader cannot change
-    /// mid-ship and segments arrive in LSN order.
-    fn ship(&self, batch: Vec<LogEntry>) {
-        if batch.is_empty() {
+        if sent == 0 {
             return;
-        }
-        let shipped = batch.len() as u64;
-        let segment: Arc<[LogEntry]> = batch.into();
-        for replica in &self.replicas {
-            replica.receive_segment(Arc::clone(&segment));
         }
         if let Some(net) = &self.net {
-            net.note_background_messages(shipped * (self.replicas.len() as u64 - 1));
+            net.note_background_messages(sent);
         }
         self.shipped_batches.fetch_add(1, Ordering::Relaxed);
-        self.shipped_entries.fetch_add(shipped, Ordering::Relaxed);
-        // The segment's own last LSN, deliberately not `durable_lsn()`:
-        // that read drains the ring, which needs the `ship_lock` this very
-        // caller is holding. The shipped tail bounds quorum durability for
-        // this batch anyway.
+        self.shipped_entries.fetch_add(carried, Ordering::Relaxed);
+        // The carried tail's last LSN, deliberately not `durable_lsn()`:
+        // that read feeds the followers, under the `ship_lock` this very
+        // caller is holding. What was carried bounds quorum durability for
+        // this catch-up anyway.
         self.trace(TraceEventKind::QuorumAck {
-            entries: shipped,
-            durable_lsn: segment.last().map(|e| e.lsn).unwrap_or(0),
+            entries: carried,
+            durable_lsn: last_lsn,
         });
     }
 
-    /// Make every replica current before a read that consults one (quorum
-    /// votes, durable scans, white-box replica access). No-op for RF 1,
-    /// whose appends are synchronous.
+    /// Make every follower current before a read that consults one (quorum
+    /// votes, white-box replica access).
     fn sync_replicas(&self) {
-        if self.replicas.len() > 1 {
-            self.drain_staged();
-        }
+        let _ship = self.ship_lock.lock();
+        self.feed_followers();
     }
 
-    /// Flush the staging ring and run `f` while holding both the ship lock
-    /// and the ring lock: no append can interleave and no pump drain is in
-    /// flight, so `f` sees (and may mutate) a fully consistent replica set.
-    /// Every replica-set mutation — fail-over, wipe, repair, retention,
-    /// truncation — goes through here; afterwards the sequencer's LSN
-    /// counter is resynchronized from the (possibly re-elected, possibly
-    /// truncated) leader's log.
-    fn with_sequencer_flushed<R>(&self, f: impl FnOnce(&Self) -> R) -> R {
+    /// Bring the followers up to the leader's end and run `f` while holding
+    /// both the ship lock and the sequencer: no append can interleave and no
+    /// catch-up is in flight, so `f` sees (and may mutate) a replica set
+    /// whose copies all end at the same LSN. Every replica-set mutation —
+    /// fail-over, wipe, repair, retention — goes through here.
+    fn with_sequencer_flushed<R>(&self, f: impl FnOnce() -> R) -> R {
         let _ship = self.ship_lock.lock();
-        let mut seq = self.ring.lock();
-        let batch = std::mem::take(&mut seq.staged);
-        self.ship(batch);
-        let result = f(self);
-        seq.next_lsn = self.leader_replica().end_lsn();
-        self.end_hint.store(seq.next_lsn, Ordering::Relaxed);
-        result
+        let _seq = self.sequencer.lock();
+        self.feed_followers();
+        f()
     }
 
     /// Caller holds the image lock (`image` is its content): the image is
     /// as replicated as the log, so it survives until the last intact copy
     /// is wiped and is lost with it.
-    fn wipe_replica(&self, idx: usize, image: &mut Option<CheckpointImage>) -> usize {
-        self.wiped[idx].store(true, Ordering::Release);
-        if self.wiped.iter().all(|w| w.load(Ordering::Acquire)) {
+    fn wipe_copy(&self, idx: usize, image: &mut Option<CheckpointImage>) -> usize {
+        let dropped = self.replicas[idx].wipe();
+        if self.replicas.iter().all(|r| r.intact_len().is_none()) {
             *image = None;
             self.image_base.store(u64::MAX, Ordering::Relaxed);
         }
-        self.replicas[idx].wipe_log()
+        dropped
     }
 
     /// Drain the prefix below `lsn` off every replica (wiped ones included:
-    /// they keep receiving appends and must not outgrow their peers).
-    /// `ship_lock` keeps the replica set still meanwhile — no pump delivery,
+    /// they keep receiving entries and must not outgrow their peers).
+    /// `ship_lock` keeps the replica set still meanwhile — no catch-up,
     /// election or repair observes some replicas drained and others not.
     /// Returns each replica's drained entries for the caller to drop outside
-    /// its locks. Caller holds the image lock.
+    /// its locks. Caller holds the image lock, and read the quorum horizon
+    /// (which fed the followers past `lsn`) under it.
     fn drain_replicas(&self, lsn: u64) -> Vec<Vec<LogEntry>> {
         let _ship = self.ship_lock.lock();
         self.replicas.iter().map(|r| r.drain_before(lsn)).collect()
-    }
-
-    /// The quorum-acked LSN (see [`ReplicatedLog::durable_lsn`]).
-    /// Allocation-free for replica sets up to [`INLINE_VOTES`]: votes are
-    /// collected and partially sorted on the stack — this runs on every
-    /// watermark lookup, snapshot-horizon read and replay bound.
-    fn durable_lsn(&self) -> Option<u64> {
-        self.sync_replicas();
-        let n = self.replicas.len();
-        if n <= INLINE_VOTES {
-            let mut votes = [None; INLINE_VOTES];
-            for (i, (replica, wiped)) in self.replicas.iter().zip(&self.wiped).enumerate() {
-                if !wiped.load(Ordering::Acquire) {
-                    votes[i] = replica.durable_lsn();
-                }
-            }
-            let votes = &mut votes[..n];
-            votes.sort_unstable_by(|a, b| b.cmp(a)); // descending; None sorts last
-            votes[self.quorum - 1]
-        } else {
-            let mut votes: Vec<Option<u64>> = self
-                .replicas
-                .iter()
-                .zip(&self.wiped)
-                .map(|(r, wiped)| {
-                    if wiped.load(Ordering::Acquire) {
-                        None
-                    } else {
-                        r.durable_lsn()
-                    }
-                })
-                .collect();
-            votes.sort_by(|a, b| b.cmp(a));
-            votes[self.quorum - 1]
-        }
     }
 
     /// Clamp a caller-supplied cutoff to the quorum horizon. `None` result
@@ -1112,52 +969,14 @@ impl LogCore {
     /// every replica is wiped (nothing better exists — RF 1 disk loss).
     fn elect_successor(&self, failed: usize) -> usize {
         let n = self.replicas.len();
-        let longest = self
-            .replicas
-            .iter()
-            .zip(&self.wiped)
-            .filter(|(_, w)| !w.load(Ordering::Acquire))
-            .map(|(r, _)| r.len())
-            .max();
-        let Some(longest) = longest else {
+        let standing = |i: usize| self.replicas[i].intact_len();
+        let Some(longest) = (0..n).filter_map(standing).max() else {
             return failed;
         };
-        for step in 1..=n {
-            let i = (failed + step) % n;
-            if !self.wiped[i].load(Ordering::Acquire) && self.replicas[i].len() == longest {
-                return i;
-            }
-        }
-        failed
-    }
-
-    /// Stage-2 drainer: poll the ring every [`PUMP_TICK`] (appends stage
-    /// silently; only shutdown signals), drain whatever accumulated — the
-    /// tick is what turns a stream of appends into a batch. On shutdown the
-    /// ring is drained one final
-    /// time — by then the owning [`ReplicatedLog`] is being dropped, so no
-    /// appender can race the flush.
-    fn pump_loop(&self) {
-        loop {
-            {
-                let mut ring = self.ring.lock();
-                if !self.shutdown.load(Ordering::Acquire) {
-                    // Sleep a full tick even when entries are already
-                    // staged: the tick is what turns a stream of appends
-                    // into a batch, and an always-ready pump would spin on
-                    // the sequencer lock against the committers it exists
-                    // to unburden. (The shutdown check happens under the
-                    // ring lock; `Drop` stores the flag before taking it,
-                    // so the pump is either warned here or already waiting
-                    // when the notification fires — never in between.)
-                    self.signal.wait_for(&mut ring, PUMP_TICK);
-                }
-            }
-            self.drain_staged();
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-        }
+        (1..=n)
+            .map(|step| (failed + step) % n)
+            .find(|&i| standing(i) == Some(longest))
+            .unwrap_or(failed)
     }
 }
 
@@ -1209,7 +1028,7 @@ mod tests {
         assert_eq!((a, b), (0, 1));
         for i in 0..3 {
             assert_eq!(log.replica(i).len(), 2, "replica {i}");
-            assert_eq!(log.replica(i).end_lsn(), 2, "replica {i}");
+            assert_eq!(log.replicas[i].end_lsn(), 2, "replica {i}");
         }
         assert_eq!(log.replication_factor(), 3);
         assert_eq!(log.quorum(), 2);
@@ -1231,7 +1050,7 @@ mod tests {
         let log = rf3(0, 30_000, 0); // leader durable instantly, remotes 30ms
         log.append(put(1, 5));
         std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(log.replica(0).durable_lsn(), Some(0), "leader persisted");
+        assert_eq!(log.replicas[0].durable_lsn(), Some(0), "leader persisted");
         assert_eq!(
             log.durable_lsn(),
             None,
@@ -1298,8 +1117,9 @@ mod tests {
         // New appends continue LSN-aligned on all replicas.
         let lsn = log.append(put(2, 12));
         assert_eq!(lsn, 2);
+        log.sync_replicas();
         for i in 0..3 {
-            assert_eq!(log.replica(i).end_lsn(), 3, "replica {i}");
+            assert_eq!(log.replicas[i].end_lsn(), 3, "replica {i}");
         }
     }
 
@@ -1373,16 +1193,40 @@ mod tests {
     }
 
     #[test]
-    fn single_replica_log_behaves_like_the_old_partition_wal() {
-        let log = ReplicatedLog::single(PartitionId(3), 0);
-        assert_eq!(log.partition(), PartitionId(3));
-        let lsn = log.append(put(1, 5));
+    fn lookups_on_a_single_copy_respect_the_cutoff_and_the_persist_delay() {
+        let log = ReplicatedLog::single(PartitionId(0), 0);
+        let early = log.append(LogPayload::Watermark { wp: 3 });
+        let b1 = log.append(LogPayload::EpochBoundary { epoch: 1 });
+        log.append(LogPayload::Watermark { wp: 8 });
+        let b2 = log.append(LogPayload::EpochBoundary { epoch: 2 });
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(log.durable_lsn(), Some(lsn));
-        assert_eq!(log.replay_prefix(10).len(), 1);
-        assert_eq!(log.fail_over(false), 0, "a ring of one elects itself");
-        assert_eq!(log.leader_changes(), 0);
-        assert!(!log.is_empty());
+        assert_eq!(log.latest_durable_watermark(), Some(8));
+        // A Wp appended after the crash-time durable LSN is never recovered.
+        assert_eq!(log.latest_durable_watermark_at(Some(early)), Some(3));
+        assert_eq!(log.latest_durable_epoch_boundary(2), Some(b2));
+        assert_eq!(log.latest_durable_epoch_boundary(1), Some(b1));
+        assert_eq!(log.latest_durable_epoch_boundary(0), None);
+        // The durability-blind variant (survivor-side rollback bound) agrees
+        // here and also sees boundaries still inside their persist window.
+        assert_eq!(log.latest_epoch_boundary(2), Some(b2));
+        let slow = ReplicatedLog::single(PartitionId(0), 60_000);
+        let b = slow.append(LogPayload::EpochBoundary { epoch: 1 });
+        assert_eq!(slow.latest_durable_epoch_boundary(1), None);
+        assert_eq!(slow.latest_epoch_boundary(1), Some(b));
+    }
+
+    #[test]
+    #[should_panic(expected = "replication factor 17")]
+    fn a_replica_set_larger_than_the_vote_array_is_rejected() {
+        ReplicatedLog::new(
+            PartitionId(0),
+            WalConfig {
+                replication_factor: INLINE_VOTES + 1,
+                ..WalConfig::default()
+            },
+            0,
+            None,
+        );
     }
 
     #[test]
@@ -1491,25 +1335,30 @@ mod tests {
     }
 
     #[test]
-    fn pump_ships_staged_entries_without_a_reader_drain() {
-        // The background pump alone must replicate — no durable read or
-        // white-box accessor forcing a drain. Poll the shipped-entry
-        // counter (a pure observer) until the pump has delivered.
+    fn followers_catch_up_when_something_consults_them_and_not_before() {
+        // Appends touch the leader's copy only; the first read that needs a
+        // quorum vote carries the whole tail to the followers in one go.
         let log = rf3(0, 0, 0);
         log.append(put(1, 5));
         log.append(put(2, 6));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while log.replicated_entries() < 2 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "pump never drained the staging ring"
-            );
-            std::thread::yield_now();
-        }
-        assert!(log.replication_batches() >= 1);
-        for i in 0..3 {
-            assert_eq!(log.replica(i).len(), 2, "replica {i}");
-        }
+        assert_eq!(log.len(), 2, "the leader holds what it appended");
+        assert_eq!((log.replicas[1].len(), log.replicas[2].len()), (0, 0));
+        assert_eq!(log.replicated_entries(), 0);
+        assert_eq!(log.durable_lsn(), Some(1));
+        assert_eq!((log.replicas[1].len(), log.replicas[2].len()), (2, 2));
+        assert_eq!(
+            (log.replication_batches(), log.replicated_entries()),
+            (1, 2)
+        );
+        // Nothing new: a read that finds the followers current carries
+        // nothing and counts nothing.
+        assert_eq!(log.durable_lsn(), Some(1));
+        assert_eq!(log.replication_batches(), 1);
+        // A single copy has nobody to feed.
+        let single = ReplicatedLog::single(PartitionId(0), 0);
+        single.append(put(1, 5));
+        assert_eq!(single.durable_lsn(), Some(0));
+        assert_eq!(single.replication_batches(), 0);
     }
 
     #[test]
@@ -1518,7 +1367,7 @@ mod tests {
         // appending concurrently (each yielding pseudo-randomly to vary the
         // interleaving), the pipeline must still produce (1) dense gap-free
         // LSNs, (2) per-key commit-ts order = log order, and (3) follower
-        // copies byte-identical to the leader after a drain.
+        // copies byte-identical to the leader once caught up.
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 200;
         let seed: u64 = std::env::var("PRIMO_APPEND_SEED")
@@ -1573,8 +1422,8 @@ mod tests {
                 panic!("unexpected payload");
             }
         }
-        // Followers byte-identical to the leader once drained (the
-        // `replica` accessor drains): same LSN, timestamp, term, and the
+        // Followers byte-identical to the leader once caught up (the
+        // `replica` accessor feeds them): same LSN, timestamp, term, and the
         // very same shared payload allocation.
         for r in 0..3 {
             let copy = log.replica(r).entries_from(0);
@@ -1593,12 +1442,11 @@ mod tests {
     }
 
     #[test]
-    fn staged_tail_is_flushed_on_fail_over_and_stays_below_the_quorum_horizon() {
-        // Entries sequenced but not yet quorum-replicated must be rolled
-        // back by a crash exactly like the old volatile tail: physically
-        // flushed to the survivors (so follower LSN counters stay aligned
-        // and repair works), but below no quorum horizon — bounded replay
-        // with the crash-time cutoff reproduces nothing.
+    fn the_unacked_tail_reaches_the_survivors_on_fail_over_and_stays_below_the_quorum_horizon() {
+        // Entries appended but not yet quorum-acknowledged are rolled back
+        // by a crash: physically on the survivors (so follower LSN counters
+        // stay aligned and repair works), but below no quorum horizon —
+        // bounded replay with the crash-time cutoff reproduces nothing.
         let log = rf3(0, 300_000, 0); // leader instant, followers 300ms out
         log.append(put(1, 5));
         log.append(put(2, 6));
@@ -1606,8 +1454,8 @@ mod tests {
         assert_eq!(cutoff, None, "no quorum inside the replication window");
         let new_leader = log.fail_over(true); // crash + disk loss
         assert_eq!(new_leader, 1);
-        // The staged tail was flushed before the wipe: both survivors
-        // physically hold the whole log…
+        // The followers were fed before the wipe: both survivors physically
+        // hold the whole log…
         assert_eq!(log.replica(1).len(), 2);
         assert_eq!(log.replica(2).len(), 2);
         assert_eq!(log.replica(0).len(), 0, "the wiped disk lost everything");

@@ -34,10 +34,10 @@ pub struct SyncCommit {
 impl SyncCommit {
     pub fn new(num_partitions: usize, cfg: WalConfig, logs: Vec<Arc<ReplicatedLog>>) -> Self {
         // A sync commit stalls the caller for the full quorum-ack window.
-        // Replication itself still runs through the append pipeline's
-        // background pump; since followers inherit the sequencer's append
-        // timestamp, waiting out this constant is exactly equivalent to
-        // waiting for the slowest quorum replica's persist.
+        // Followers catch up from the leader's log whenever something reads
+        // it; since they inherit the leader's append timestamp, waiting out
+        // this constant is exactly equivalent to waiting for the slowest
+        // quorum replica's persist.
         let ack_delay_us = crate::max_quorum_ack_delay_us(&logs, cfg.persist_delay_us);
         SyncCommit {
             num_partitions,

@@ -415,10 +415,10 @@ fn agent_loop(
             // quorum-durable (it is itself a log record, §5.1) — under
             // replication that is the quorum-ack delay, not the leader's
             // local persist delay, so replication cost shows up directly in
-            // commit latency. The pipelined append changes none of this:
-            // follower copies inherit the sequencer's append timestamp, so
-            // quorum durability elapses on the same clock whether the pump
-            // has shipped the record yet or not. A candidate a pin held at
+            // commit latency. Follower copies inherit the leader's append
+            // timestamp, so quorum durability elapses on the same clock
+            // whether a follower has caught up to the record yet or not —
+            // nothing reads the log here. A candidate a pin held at
             // `prev` publishes nothing, but still occupies the slot: an
             // uncovered demand is retried once per quorum-ack delay, not in
             // a loop.
@@ -692,12 +692,7 @@ impl GroupCommit for WatermarkCommit {
         }
     }
 
-    fn replay_bound(
-        &self,
-        crash_token: Ts,
-        _log: &ReplicatedLog,
-        _cutoff_lsn: Option<u64>,
-    ) -> ReplayBound {
+    fn replay_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
         // The agreed watermark from `on_partition_crash` separates durable
         // results (ts < Wp, already returned to clients) from rolled-back
         // ones (§5.2).
@@ -938,7 +933,7 @@ mod tests {
         wm.on_partition_recover(PartitionId(1), recovered);
         assert!(wm.partition_watermark(PartitionId(1)) >= recovered);
         assert_eq!(
-            wm.replay_bound(agreed, &wals[1], None),
+            wm.replay_bound(agreed, &wals[1]),
             crate::ReplayBound::Ts(agreed)
         );
         wm.shutdown();

@@ -69,8 +69,8 @@ fn main() {
             snap.leader_changes, snap.replication_lag_us
         );
         println!(
-            "    append pipeline: committers blocked {} us on the sequencer; \
-             pump batches averaged {:.1} entr(ies)",
+            "    log append: committers blocked {} us on the sequencer; \
+             follower catch-ups averaged {:.1} entr(ies)",
             snap.wal_append_wait_us, snap.replication_batch_len
         );
         println!(

@@ -371,6 +371,43 @@ fn a_crashed_partition_fails_remote_access_even_on_a_fanout_hit() {
 }
 
 #[test]
+fn a_write_only_transaction_on_a_crashed_home_commits_nothing() {
+    // Blind local writes are only buffered (no read, no dummy read before
+    // the mode switch), so nothing in the body ever looks at the home
+    // partition's health: the fence has to stand in front of the body.
+    let blind_writes = |ctx: &mut dyn TxnContext| {
+        ctx.write(P0, T, 1, Value::from_u64(1_001))?;
+        ctx.write(P0, T, 2, Value::from_u64(1_002))
+    };
+    for kind in ALL_KINDS {
+        let label = format!("{kind:?}");
+        let primo = loaded(kind);
+        let cluster = primo.cluster();
+        let before = snapshot(&primo);
+
+        cluster.net.set_crashed(P0, true);
+        assert_eq!(
+            attempt(&primo, blind_writes),
+            Err(AbortReason::RemoteUnavailable),
+            "{label}"
+        );
+        assert_eq!(snapshot(&primo), before, "{label}: nothing installed");
+        assert_no_residue(&primo, &label);
+
+        // Recovery marks the partition `Up`: the same program commits.
+        cluster.net.set_crashed(P0, false);
+        assert_eq!(attempt(&primo, blind_writes), Ok(()), "{label}: back up");
+        assert_eq!(
+            record(&primo, P0, 1).read().value.as_u64(),
+            1_001,
+            "{label}"
+        );
+        assert_no_residue(&primo, &label);
+        primo.shutdown();
+    }
+}
+
+#[test]
 fn every_abort_frees_every_lock_and_leaves_the_store_byte_identical() {
     for kind in ALL_KINDS {
         for target in BOTH {

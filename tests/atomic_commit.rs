@@ -269,6 +269,54 @@ fn votes_and_decisions_survive_leader_disk_loss() {
     primo.shutdown();
 }
 
+/// COCO's coordinator acknowledges an epoch — `committed = e`, its waiters
+/// released, the snapshot horizon advanced — in the very step that *appends*
+/// the epoch's `EpochBoundary`, one quorum-ack delay before that boundary is
+/// quorum-durable. A partition crashing inside the window must recover
+/// through the acknowledged epoch, like the survivors that roll back from
+/// the same boundary: recovering from the last *durable* boundary instead
+/// tore every acknowledged cross-partition commit of that epoch (`P0 = 1,
+/// P1 = 0`). A 10 ms replica disk makes the window wide enough to hit every
+/// time.
+#[test]
+fn an_acknowledged_coco_epoch_survives_a_crash_before_its_boundary_is_durable() {
+    for round in 0..10 {
+        let primo = Primo::builder()
+            .partitions(2)
+            .protocol(ProtocolKind::TwoPlNoWait)
+            .logging(LoggingScheme::CocoEpoch)
+            .replication_factor(3)
+            .replica_persist_delay_us(10_000)
+            .fast_local()
+            .seed(0xB0DA + round)
+            .build();
+        let session = primo.session();
+        for p in 0..2u32 {
+            session.load(PartitionId(p), T, 0, Value::from_u64(0));
+        }
+        primo.checkpoint_all();
+        // Returns once the group commit reported `Committed`.
+        session
+            .run_program(&PairIncrement {
+                home: PartitionId(0),
+                key: 0,
+            })
+            .expect("the increment commits");
+        primo.crash_partition_discarding_log(PartitionId(1));
+        primo
+            .recover_partition(PartitionId(1))
+            .expect("recovery ran");
+        let a = session.get(PartitionId(0), T, 0).unwrap().as_u64();
+        let b = session.get(PartitionId(1), T, 0).unwrap().as_u64();
+        assert_eq!(
+            (a, b),
+            (1, 1),
+            "round {round}: the acknowledged increment was torn or lost"
+        );
+        primo.shutdown();
+    }
+}
+
 /// The experiment driver's coordinator-crash plan end to end: the snapshot
 /// reports the in-doubt resolution and the commit-decision latency
 /// breakdown, and Paxos Commit orphans nothing.

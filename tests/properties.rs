@@ -7,7 +7,7 @@
 //! exactly.
 
 use primo_repro::storage::{LockMode, LockPolicy, LockRequestResult, Record};
-use primo_repro::wal::{LogPayload, LoggedWrite, PartitionWal};
+use primo_repro::wal::{LogPayload, LoggedWrite, ReplicatedLog};
 use primo_repro::{FastRng, PartitionId, Primo, TableId, TxnId, Value, ZipfGen};
 
 #[test]
@@ -120,7 +120,7 @@ fn wal_replay_is_a_prefix() {
     // The WAL replays exactly the prefix below the requested watermark.
     let mut rng = FastRng::new(0xA1);
     for _ in 0..40 {
-        let wal = PartitionWal::new(PartitionId(0), 0);
+        let wal = ReplicatedLog::single(PartitionId(0), 0);
         let num_entries = 1 + rng.next_below(40) as usize;
         let ts_list: Vec<u64> = (0..num_entries)
             .map(|_| 1 + rng.next_below(1_000))

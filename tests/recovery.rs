@@ -12,7 +12,7 @@
 use primo_repro::common::PhaseTimers;
 use primo_repro::storage::LifecycleState;
 use primo_repro::wal::{
-    CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, PartitionWal, ReplayBound,
+    CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, ReplayBound, ReplicatedLog,
 };
 use primo_repro::{
     AbortReason, CrashPlan, Experiment, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
@@ -525,7 +525,7 @@ fn replaying_any_durable_prefix_twice_equals_once() {
 
     let mut rng = FastRng::new(0x4ECC);
     for case in 0..40 {
-        let wal = PartitionWal::new(PartitionId(0), 0);
+        let wal = ReplicatedLog::single(PartitionId(0), 0);
         let num_txns = 1 + rng.next_below(30);
         for seq in 0..num_txns {
             let num_writes = 1 + rng.next_below(3) as usize;

@@ -311,19 +311,15 @@ fn reserved_commit_ts_pins_the_coordinator_watermark() {
 /// Engine crates whose waits must all go through `common::sim_time`.
 const ENGINE_CRATES: [&str; 6] = ["common", "net", "wal", "runtime", "core", "baselines"];
 
-/// Polling constants that are deliberate, with the reason.
-const ALLOWED_TICKS: [(&str, &str, &str); 1] = [(
-    "wal/src/replicated.rs",
-    "PUMP_TICK",
-    "the replication pump batches on a 2 ms tick on purpose: waking it per \
-     append puts a futex syscall on the commit path and shrinks every batch \
-     to one entry (PR 7)",
-)];
+/// The log owns no thread: nothing in these may spawn one.
+const THREADLESS: [&str; 2] = ["wal/src/log.rs", "wal/src/replicated.rs"];
 
 /// Timing-loop smells in one file's non-test source: a sub-millisecond raw
-/// sleep, or a `*_TICK*` polling constant.
+/// sleep, a `*_TICK*` polling constant — no exceptions — or, in the log, a
+/// spawned thread.
 fn timing_smells(path: &str, source: &str) -> Vec<String> {
     let engine = source.split("#[cfg(test)]").next().unwrap_or(source);
+    let threadless = THREADLESS.iter().any(|file| path.ends_with(file));
     let mut smells = Vec::new();
     for (i, line) in engine.lines().enumerate() {
         let code = line.split("//").next().unwrap_or(line);
@@ -332,14 +328,12 @@ fn timing_smells(path: &str, source: &str) -> Vec<String> {
         let tick = code
             .split_once("const ")
             .and_then(|(_, rest)| rest.split(':').next())
-            .filter(|name| name.contains("_TICK") || name.starts_with("TICK"))
-            .filter(|name| {
-                !ALLOWED_TICKS
-                    .iter()
-                    .any(|(file, allowed, _)| path.ends_with(file) && name.trim() == *allowed)
-            });
+            .filter(|name| name.contains("_TICK") || name.starts_with("TICK"));
         if fine_sleep {
             smells.push(format!("{path}:{}: sub-millisecond sleep", i + 1));
+        }
+        if threadless && (code.contains("thread::Builder") || code.contains("thread::spawn")) {
+            smells.push(format!("{path}:{}: the log spawns a thread", i + 1));
         }
         if let Some(name) = tick {
             smells.push(format!(
@@ -359,9 +353,16 @@ fn engine_code_waits_only_through_sim_time() {
     assert_eq!(timing_smells("net/src/bus.rs", old_bus).len(), 1);
     let old_agent = "const AGENT_TICK_US: u64 = 500;";
     assert_eq!(timing_smells("wal/src/watermark.rs", old_agent).len(), 1);
-    let allowed = "const PUMP_TICK: Duration = Duration::from_millis(2);";
-    assert!(timing_smells("crates/wal/src/replicated.rs", allowed).is_empty());
-    assert_eq!(timing_smells("crates/wal/src/log.rs", allowed).len(), 1);
+    let old_pump = "const PUMP_TICK: Duration = Duration::from_millis(2);\n\
+                    std::thread::Builder::new().spawn(move || core.pump_loop())";
+    assert_eq!(
+        timing_smells("crates/wal/src/replicated.rs", old_pump).len(),
+        2
+    );
+    assert_eq!(
+        timing_smells("crates/wal/src/watermark.rs", old_pump).len(),
+        1
+    );
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut smells = Vec::new();
