@@ -2,8 +2,8 @@
 //! local transaction under Primo versus a 2PC-based scheme — plus the models
 //! this reproduction measures itself against: remote-read messages, the
 //! group commit's release lag / closed-loop ceiling, and a worker that
-//! overlaps its clients' round trips (throughput, and the message delays a
-//! distributed commit keeps it occupied for).
+//! overlaps its clients' round trips and back-offs (throughput, and the
+//! message delays a distributed commit keeps it occupied for).
 //!
 //! The model is used by the `appendixA` harness (and by tests) to check the
 //! paper's analytical conclusions: Primo wins whenever the read ratio is not
@@ -220,8 +220,9 @@ pub fn release_lag_us(wake_us: u64, quorum_ack_us: u64, bus_us: u64) -> ReleaseL
 //
 // Didona et al. (*Distributed Transactional Systems Cannot Be Fast*) show the
 // read round trip cannot be taken out of a transaction's latency; what a
-// worker can do is spend it on other clients. These two functions say what
-// that buys, and what is left on the wire per commit protocol.
+// worker can do is spend it — and a retry's back-off — on other clients.
+// These functions say what that buys, and what is left on the wire per
+// commit protocol.
 // ---------------------------------------------------------------------------
 
 /// Throughput of one worker that keeps up to `clients` transactions in
@@ -234,6 +235,51 @@ pub fn overlapped_worker_tps(service_us: f64, flight_us: f64, clients: usize) ->
     let cpu_bound = 1e6 / service_us;
     let wire_bound = clients as f64 * 1e6 / (flight_us + service_us);
     cpu_bound.min(wire_bound)
+}
+
+/// Throughput of one worker whose clients abort and retry, transactions per
+/// second: `abort_rate` of all attempts abort (so a commit takes
+/// `1 / (1 - abort_rate)` of them, each `service_us` of the worker's own
+/// time: take-up, body, 2PC rounds), and every retry waits out a back-off of
+/// `backoff_us` and then its read fan-out's `flight_us`. `on_worker` says
+/// whose time that wait is: the worker's, which sits through both (the
+/// DBx1000 loop without its abort queue), or only the client's, parked
+/// while the worker runs others. The client's latency is the same either
+/// way; what is left off the worker is contention itself, the `service_us`
+/// of attempts that abort.
+///
+/// `ycsb_hot_2pc`, seed 7, before aborted clients were parked: 433 us of
+/// worker per commit (2 workers, 4 613 TPS) at an abort rate of 0.122, a
+/// mean back-off of ~430 us (375 at the first level, doubling) and a 215 us
+/// flight — 301 us per attempt of the worker's own:
+///
+/// ```
+/// use primo_core::analysis::retrying_worker_tps;
+/// let held = retrying_worker_tps(301.0, 0.122, 430.0, 215.0, true);
+/// assert!((1e6 / held - 433.0).abs() < 1.0);
+/// // Parked, the same attempts cost ~343 us per commit: x 1.26 ...
+/// let parked = retrying_worker_tps(301.0, 0.122, 430.0, 215.0, false);
+/// assert!((1e6 / parked - 343.0).abs() < 1.0);
+/// // ... and more at the abort rate the faster workers then reach (0.17:
+/// // more transactions are in flight on the same hot keys), were an
+/// // aborted attempt as long as a committed one — it is shorter, and the
+/// // measured figure is ~335 us.
+/// assert!(1e6 / retrying_worker_tps(301.0, 0.17, 430.0, 215.0, false) > 343.0);
+/// ```
+pub fn retrying_worker_tps(
+    service_us: f64,
+    abort_rate: f64,
+    backoff_us: f64,
+    flight_us: f64,
+    on_worker: bool,
+) -> f64 {
+    let attempts = 1.0 / (1.0 - abort_rate);
+    let held_us = if on_worker {
+        (attempts - 1.0) * (backoff_us + flight_us)
+    } else {
+        0.0
+    };
+    1e6 / (attempts * service_us + held_us)
 }
 
 /// How a distributed transaction commits, for

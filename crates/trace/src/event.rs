@@ -61,8 +61,13 @@ pub enum TraceEventKind {
     GroupCommitRelease { committed: bool },
     /// The transaction committed at `ts` (results returned to the client).
     Committed { ts: Ts },
-    /// The attempt aborted.
-    Abort { reason: AbortReason },
+    /// The attempt aborted. `backoff_us` is how long its client backs off
+    /// before the retry — the transaction's next `Begin` is at least that
+    /// much later — and 0 when the abort is final.
+    Abort {
+        reason: AbortReason,
+        backoff_us: u64,
+    },
     /// A read-only transaction was served lock-free from the MVCC snapshot
     /// at the durable group-commit horizon.
     SnapshotRead { horizon: Ts },
@@ -184,7 +189,7 @@ impl TraceEventKind {
             } => (9, entries, durable_lsn, 0),
             GroupCommitRelease { committed } => (10, committed as u64, 0, 0),
             Committed { ts } => (11, ts, 0, 0),
-            Abort { reason } => (12, abort_code(reason), 0, 0),
+            Abort { reason, backoff_us } => (12, abort_code(reason), backoff_us, 0),
             SnapshotRead { horizon } => (13, horizon, 0, 0),
             WatermarkPublish { wg } => (14, wg, 0, 0),
             EpochSealed { epoch } => (15, epoch, 0, 0),
@@ -249,6 +254,7 @@ impl TraceEventKind {
             11 => Committed { ts: a },
             12 => Abort {
                 reason: abort_from_code(a)?,
+                backoff_us: b,
             },
             13 => SnapshotRead { horizon: a },
             14 => WatermarkPublish { wg: a },
@@ -326,7 +332,9 @@ impl fmt::Display for TraceEventKind {
                 write!(f, "group-commit-release committed={committed}")
             }
             Committed { ts } => write!(f, "committed ts={ts}"),
-            Abort { reason } => write!(f, "abort reason={reason}"),
+            Abort { reason, backoff_us } => {
+                write!(f, "abort reason={reason} backoff={backoff_us}us")
+            }
             SnapshotRead { horizon } => write!(f, "snapshot-read horizon={horizon}"),
             WatermarkPublish { wg } => write!(f, "watermark-publish wg={wg}"),
             EpochSealed { epoch } => write!(f, "epoch-sealed epoch={epoch}"),
@@ -435,6 +443,7 @@ mod tests {
             TraceEventKind::Committed { ts: 1234 },
             TraceEventKind::Abort {
                 reason: AbortReason::WaitDie,
+                backoff_us: 375,
             },
             TraceEventKind::SnapshotRead { horizon: 55 },
             TraceEventKind::WatermarkPublish { wg: 90 },
@@ -460,6 +469,7 @@ mod tests {
             TraceEventKind::CoordinatorCrashed,
             TraceEventKind::Abort {
                 reason: AbortReason::CoordinatorCrash,
+                backoff_us: 0,
             },
             TraceEventKind::PrefetchIssued {
                 partitions: 2,

@@ -137,6 +137,7 @@ mod tests {
             p1,
             TraceEventKind::Abort {
                 reason: AbortReason::WaitDie,
+                backoff_us: 0,
             },
         );
         rec.emit_at(60, Some(t1), p0, TraceEventKind::Committed { ts: 7 });

@@ -234,7 +234,8 @@ fn facade_transactions_leave_their_lifecycle_in_the_flight_recorder() {
             matches!(
                 k,
                 TraceEventKind::Abort {
-                    reason: AbortReason::UserAbort
+                    reason: AbortReason::UserAbort,
+                    ..
                 }
             )
         });

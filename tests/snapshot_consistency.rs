@@ -100,7 +100,8 @@ fn crash_rollback_trace_dump(primo: &Primo) -> String {
                 matches!(
                     k,
                     TraceEventKind::Abort {
-                        reason: AbortReason::CrashAbort
+                        reason: AbortReason::CrashAbort,
+                        ..
                     } | TraceEventKind::GroupCommitRelease { committed: false }
                 )
             })

@@ -1,7 +1,9 @@
 //! A worker that never waits on the wire: it sends a client's batched read
 //! fan-out, runs other clients while it flies and takes the replies up when
 //! they are due — through one loop, with a queue no deeper than a flight
-//! needs, and with a queued client holding nothing.
+//! needs, and with a queued client holding nothing. Nor does it wait out a
+//! back-off: an aborted client is parked, holding as little, and its retry's
+//! fan-out is sent when the back-off is over (cells 9 to 12).
 //!
 //! Every cell drives the engine's own `spawn_workers` loop, 2 partitions x 1
 //! worker, and reads what happened from the cluster's counters and its flight
@@ -12,9 +14,9 @@
 //! — as wire-bound as the benchmark is at 100 µs. Timing assertions are made
 //! on the best of up to three samples; the cells take turns.
 
-use primo_repro::common::sim_time::now_us;
+use primo_repro::common::sim_time::{charge_latency_us, now_us};
 use primo_repro::common::Metrics;
-use primo_repro::core::analysis::overlapped_worker_tps;
+use primo_repro::core::analysis::{overlapped_worker_tps, retrying_worker_tps};
 use primo_repro::runtime::worker::spawn_workers;
 use primo_repro::{
     AbortReason, FastRng, Key, LoggingScheme, PartitionId, Primo, ProtocolKind, TableId, Timeline,
@@ -22,7 +24,7 @@ use primo_repro::{
     YcsbWorkload,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -73,6 +75,9 @@ struct Cell {
     scheme: LoggingScheme,
     one_way_us: u64,
     interval_ms: u64,
+    /// Initial and longest back-off; `None`: the test configuration's 20 us
+    /// and 500 us.
+    backoff_us: Option<(u64, u64)>,
     ycsb: YcsbConfig,
     window: Duration,
 }
@@ -86,6 +91,7 @@ impl Cell {
             scheme: LoggingScheme::Watermark,
             one_way_us: one_way_us(debug_one_way_us),
             interval_ms: 2,
+            backoff_us: None,
             ycsb: YcsbConfig {
                 keys_per_partition: 20_000,
                 zipf_theta: 0.0,
@@ -97,8 +103,37 @@ impl Cell {
         }
     }
 
+    /// The `ycsb_hot_2pc` shape, small: Sundial on COCO epochs and classic
+    /// 2PC over 1 000 keys at theta 0.9 — a distributed run takes two more
+    /// round trips, every other client is local, aborts back off.
+    fn hot_2pc(window_ms: u64) -> Self {
+        Cell {
+            kind: ProtocolKind::Sundial,
+            scheme: LoggingScheme::CocoEpoch,
+            one_way_us: one_way_us(500),
+            interval_ms: 20,
+            backoff_us: None,
+            ycsb: YcsbConfig {
+                keys_per_partition: 1_000,
+                zipf_theta: 0.9,
+                distributed_ratio: 0.5,
+                remote_op_ratio: 0.5,
+                ..YcsbConfig::small(2)
+            },
+            window: Duration::from_millis(window_ms),
+        }
+    }
+
+    /// The paper's back-off at this cell's scale: 0.5 ms against a 0.1 ms
+    /// one-way delay, doubling up to 8 ms.
+    fn with_the_papers_backoff(mut self) -> Self {
+        self.backoff_us = Some((5 * self.one_way_us, 80 * self.one_way_us));
+        self
+    }
+
     fn build(&self) -> (Primo, Arc<dyn Workload>) {
         let (one_way_us, interval_ms) = (self.one_way_us, self.interval_ms);
+        let backoff_us = self.backoff_us;
         let primo = Primo::builder()
             .partitions(2)
             .workers_per_partition(1)
@@ -108,6 +143,9 @@ impl Cell {
             .tweak(move |c| {
                 c.net.one_way_us = one_way_us;
                 c.wal.interval_ms = interval_ms;
+                if let Some((initial_us, max_us)) = backoff_us {
+                    (c.backoff_initial_us, c.backoff_max_us) = (initial_us, max_us);
+                }
                 c.trace.ring_capacity = 1 << 16;
             })
             .build();
@@ -172,7 +210,13 @@ struct Outcome {
 }
 
 fn run(cell: &Cell) -> Outcome {
+    run_wrapped(cell, |workload| workload)
+}
+
+/// [`run`], with the cell's workload behind `wrap`.
+fn run_wrapped(cell: &Cell, wrap: impl FnOnce(Arc<dyn Workload>) -> Arc<dyn Workload>) -> Outcome {
     let (primo, workload) = cell.build();
+    let workload = wrap(workload);
     let running = Running::start(&primo, &workload);
     std::thread::sleep(Duration::from_millis(40));
     let net = &primo.cluster().net;
@@ -371,23 +415,9 @@ fn the_queue_covers_one_flight_and_shrinks_with_it() {
 #[test]
 fn two_pc_rounds_on_hot_keys_do_not_build_a_queue() {
     let _quiet = quiet();
-    // The `ycsb_hot_2pc` shape, small: a distributed run takes two more round
-    // trips, every other client is local, aborts back off. A depth that grew
-    // by one per stall and never shrank queued clients for tens of runs here.
-    let cell = Cell {
-        kind: ProtocolKind::Sundial,
-        scheme: LoggingScheme::CocoEpoch,
-        one_way_us: one_way_us(500),
-        interval_ms: 20,
-        ycsb: YcsbConfig {
-            keys_per_partition: 1_000,
-            zipf_theta: 0.9,
-            distributed_ratio: 0.5,
-            remote_op_ratio: 0.5,
-            ..YcsbConfig::small(2)
-        },
-        window: Duration::from_millis(300),
-    };
+    // A depth that grew by one per stall and never shrank queued clients for
+    // tens of runs here.
+    let cell = Cell::hot_2pc(300);
     eventually("Sundial + COCO + 2PC on 1 000 hot keys", || {
         queueing_is_bounded_by_need(&run(&cell))
     });
@@ -448,16 +478,26 @@ fn queued_and_pending_clients_share_the_population() {
     let _quiet = quiet();
     // Results are released every 200 ms (or when a worker blocks at its
     // ceiling), so both workers fill up: the loop's `debug_assert!` on
-    // `queued + pending` runs at the ceiling, with clients queued.
-    let mut cell = Cell::primo(0.1, 500, 300);
-    cell.interval_ms = 200;
-    let out = run(&cell);
-    assert!(
-        out.committed > WORKERS * CLIENTS_PER_WORKER as u64,
-        "{} commits never reached the ceiling of {CLIENTS_PER_WORKER} a worker",
-        out.committed
-    );
-    assert!(!fanouts(&out.timeline).is_empty());
+    // `queued + parked + pending` runs at the ceiling, with clients queued —
+    // and, on 1 000 hot keys, with clients parked: a parked client is one of
+    // the population, and its retry needs no room.
+    let mut uniform = Cell::primo(0.1, 500, 300);
+    uniform.interval_ms = 200;
+    let mut hot = uniform.clone().with_the_papers_backoff();
+    (hot.ycsb.keys_per_partition, hot.ycsb.zipf_theta) = (1_000, 0.9);
+    for (cell, parks) in [(uniform, false), (hot, true)] {
+        let out = run(&cell);
+        assert!(
+            out.committed > WORKERS * CLIENTS_PER_WORKER as u64,
+            "{} commits never reached the ceiling of {CLIENTS_PER_WORKER} a worker",
+            out.committed
+        );
+        assert!(!fanouts(&out.timeline).is_empty());
+        let parked = (attempts(&out.timeline).iter())
+            .filter(|a| a.backoff_us.is_some_and(|us| us > 0))
+            .count();
+        assert!(!parks || parked > 50, "only {parked} clients were parked");
+    }
 }
 
 // ---- (6): a crash finds the queued clients holding nothing ----
@@ -563,7 +603,8 @@ fn a_crash_aborts_the_queued_clients_at_take_up_and_pairs_stay_equal() {
             matches!(
                 k,
                 TraceEventKind::Abort {
-                    reason: AbortReason::RemoteUnavailable
+                    reason: AbortReason::RemoteUnavailable,
+                    ..
                 }
             )
         });
@@ -610,6 +651,13 @@ fn stopping_with_a_full_queue_drops_clients_that_hold_nothing() {
         sent >= taken + 8,
         "{sent} fan-outs sent, {taken} taken up: no queue to drop"
     );
+    assert_nothing_is_left_behind(&primo, &timeline);
+    primo.shutdown();
+}
+
+/// What stopped workers must leave of the clients they dropped: nothing.
+fn assert_nothing_is_left_behind(primo: &Primo, timeline: &Timeline) {
+    let cluster = primo.cluster();
     // Every attempt that began has ended ...
     let mut open: HashMap<TxnId, i64> = HashMap::new();
     for e in timeline.events() {
@@ -639,6 +687,311 @@ fn stopping_with_a_full_queue_drops_clients_that_hold_nothing() {
     assert!(
         cluster.snapshot_horizon() > horizon,
         "the horizon is stuck at {horizon}"
+    );
+}
+
+// ---- (9) + (10): a back-off is the client's, not the worker's ----
+
+/// One attempt, as its `Begin` and its `Committed` / `Abort` tell it.
+#[derive(Debug, Clone, Copy)]
+struct AttemptSpan {
+    home: PartitionId,
+    txn: TxnId,
+    attempt: u32,
+    begun_at: u64,
+    ended_at: u64,
+    /// The back-off its abort drew (0: the abort was final); `None`: it
+    /// committed.
+    backoff_us: Option<u64>,
+}
+
+impl AttemptSpan {
+    fn run_us(&self) -> u64 {
+        self.ended_at - self.begun_at
+    }
+}
+
+/// Every attempt whose `Begin` the rings still hold, in the order they ended.
+fn attempts(timeline: &Timeline) -> Vec<AttemptSpan> {
+    let mut open: HashMap<TxnId, (u32, u64)> = HashMap::new();
+    let mut spans = Vec::new();
+    for e in timeline.events() {
+        let backoff_us = match e.kind {
+            TraceEventKind::Begin { attempt } => {
+                open.insert(e.txn.expect("a begin has its id"), (attempt, e.at_us));
+                continue;
+            }
+            TraceEventKind::Committed { .. } => None,
+            TraceEventKind::Abort { backoff_us, .. } => Some(backoff_us),
+            _ => continue,
+        };
+        let txn = e.txn.expect("an end has its id");
+        spans.extend(open.remove(&txn).map(|(attempt, begun_at)| AttemptSpan {
+            home: e.partition.expect("an end has a home"),
+            txn,
+            attempt,
+            begun_at,
+            ended_at: e.at_us,
+            backoff_us,
+        }));
+    }
+    spans
+}
+
+/// The clients parked at `at_us`: their last attempt by then was an abort
+/// whose back-off reaches past it.
+fn parked_at(attempts: &[AttemptSpan], at_us: u64) -> HashMap<TxnId, AttemptSpan> {
+    let mut last: HashMap<TxnId, AttemptSpan> = HashMap::new();
+    for a in attempts.iter().filter(|a| a.ended_at <= at_us) {
+        last.insert(a.txn, *a);
+    }
+    last.retain(|_, a| {
+        a.backoff_us
+            .is_some_and(|us| us > 0 && a.ended_at + us > at_us)
+    });
+    last
+}
+
+/// The back-off level after `aborts` aborts: the initial one, doubled each
+/// time up to the longest.
+fn level_us((initial_us, max_us): (u64, u64), aborts: u32) -> u64 {
+    (initial_us << (aborts - 1).min(16)).min(max_us)
+}
+
+/// Every aborted attempt the rings hold together with the retry that
+/// followed it.
+fn retries(attempts: &[AttemptSpan]) -> Vec<(AttemptSpan, AttemptSpan)> {
+    let mut last: HashMap<TxnId, AttemptSpan> = HashMap::new();
+    let mut pairs = Vec::new();
+    for a in attempts {
+        pairs.extend(last.insert(a.txn, *a).map(|aborted| (aborted, *a)));
+    }
+    pairs
+}
+
+#[test]
+fn a_backed_off_client_is_off_its_worker_and_on_the_papers_schedule() {
+    let _quiet = quiet();
+    let cell = Cell::hot_2pc(600).with_the_papers_backoff();
+    let backoff_us = cell.backoff_us.expect("just set");
+    eventually("retries on 1 000 hot keys", || {
+        let out = run(&cell);
+        let attempts = attempts(&out.timeline);
+        let retries = retries(&attempts);
+        ensure(retries.len() > 30, || {
+            format!("only {} retries", retries.len())
+        })?;
+        // The schedule is the client's and is what it was: the same id, the
+        // next attempt, not before the back-off the abort drew is over, and
+        // that drawn from a level that doubles. Never early, whatever the
+        // host does.
+        let mut deepest = 0;
+        for (aborted, retry) in &retries {
+            let level_us = level_us(backoff_us, aborted.attempt);
+            let drawn_us = aborted.backoff_us.expect("a retry follows an abort");
+            assert_eq!(retry.attempt, aborted.attempt + 1, "{}", retry.txn);
+            assert!(
+                (level_us / 2..=level_us).contains(&drawn_us),
+                "{}: attempt {} backs off {drawn_us} us, its level is {level_us} us",
+                aborted.txn,
+                aborted.attempt
+            );
+            assert!(
+                retry.begun_at >= aborted.ended_at + drawn_us,
+                "{}: retried {} us after an abort that backs off {drawn_us} us",
+                retry.txn,
+                retry.begun_at - aborted.ended_at
+            );
+            deepest = deepest.max(retry.attempt);
+        }
+        ensure(deepest >= 3, || "no client backed off twice".to_string())?;
+        // The worker's time it is not: during most back-offs it began some
+        // other transaction.
+        let overlapped = retries.iter().filter(|(aborted, retry)| {
+            let parked = aborted.ended_at..retry.begun_at;
+            (attempts.iter()).any(|a| {
+                a.home == aborted.home && a.txn != aborted.txn && parked.contains(&a.begun_at)
+            })
+        });
+        let overlapped = overlapped.count();
+        ensure(2 * overlapped >= retries.len(), || {
+            format!(
+                "another transaction began during {overlapped} of {} back-offs",
+                retries.len()
+            )
+        })
+    });
+}
+
+/// The worker this loop replaces, emulated from outside the engine: every
+/// retry holds its worker at the start of its body — nothing locked yet —
+/// for what the client had just waited parked, the mean back-off of its level
+/// and a flight. That is the worker time a loop that sits through its
+/// clients' back-offs and retry fan-outs spends on them.
+struct HeldRetries {
+    inner: Arc<dyn Workload>,
+    backoff_us: (u64, u64),
+    flight_us: u64,
+}
+
+struct HeldRetry {
+    inner: Box<dyn TxnProgram>,
+    runs: AtomicU32,
+    backoff_us: (u64, u64),
+    flight_us: u64,
+}
+
+impl Workload for HeldRetries {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn load_partition(&self, store: &primo_repro::storage::PartitionStore, p: PartitionId) {
+        self.inner.load_partition(store, p);
+    }
+    fn generate(&self, rng: &mut FastRng, home: PartitionId) -> Box<dyn TxnProgram> {
+        Box::new(HeldRetry {
+            inner: self.inner.generate(rng, home),
+            runs: AtomicU32::new(0),
+            backoff_us: self.backoff_us,
+            flight_us: self.flight_us,
+        })
+    }
+}
+
+impl TxnProgram for HeldRetry {
+    fn execute(&self, ctx: &mut dyn TxnContext) -> TxnResult<()> {
+        let aborted = self.runs.fetch_add(1, Ordering::Relaxed);
+        if aborted > 0 {
+            charge_latency_us(level_us(self.backoff_us, aborted) * 3 / 4 + self.flight_us);
+        }
+        self.inner.execute(ctx)
+    }
+    fn home_partition(&self) -> PartitionId {
+        self.inner.home_partition()
+    }
+    fn is_read_only(&self) -> bool {
+        self.inner.is_read_only()
+    }
+    fn read_hint(&self) -> Vec<(PartitionId, TableId, Key)> {
+        self.inner.read_hint()
+    }
+}
+
+#[test]
+fn parked_retries_commit_more_than_held_ones_and_what_the_model_says() {
+    let _quiet = quiet();
+    let cell = Cell::hot_2pc(800).with_the_papers_backoff();
+    let backoff_us = cell.backoff_us.expect("just set");
+    let flight_us = 2 * cell.one_way_us;
+    eventually("1 000 hot keys, retries parked and retries held", || {
+        let parked = run(&cell);
+        let held = run_wrapped(&cell, |inner| {
+            Arc::new(HeldRetries {
+                inner,
+                backoff_us,
+                flight_us,
+            })
+        });
+        ensure(10 * parked.committed >= 12 * held.committed, || {
+            format!(
+                "{} commits with retries parked, {} with the worker held",
+                parked.committed, held.committed
+            )
+        })?;
+        // The model, on what this run measured: a worker that is never idle
+        // but for the wire, so many of its own microseconds an attempt, so
+        // many attempts a commit, nothing else.
+        let attempts = attempts(&parked.timeline);
+        let aborts = attempts.iter().filter_map(|a| a.backoff_us);
+        let abort_rate = aborts.clone().count() as f64 / attempts.len().max(1) as f64;
+        let service_us = mean(attempts.iter().map(AttemptSpan::run_us));
+        let model = WORKERS as f64
+            * retrying_worker_tps(
+                service_us,
+                abort_rate,
+                mean(aborts),
+                flight_us as f64,
+                false,
+            );
+        let tps = parked.committed as f64 / parked.window_s;
+        ensure((0.6 * model..=1.1 * model).contains(&tps), || {
+            format!(
+                "{tps:.0} TPS against a model of {model:.0} \
+                 ({service_us:.0} us an attempt, {abort_rate:.2} of them aborted)"
+            )
+        })
+    });
+}
+
+// ---- (11): stopping with clients parked leaves nothing behind ----
+
+#[test]
+fn stopping_with_clients_parked_drops_clients_that_hold_nothing() {
+    let _quiet = quiet();
+    // Back-offs of 100 ms and more: nearly everyone who aborted is parked
+    // when the stop flag is raised.
+    // On the watermark scheme, where a registration left behind would show:
+    // it pins the horizon.
+    let mut cell = Cell::hot_2pc(0);
+    cell.backoff_us = Some((200_000, 800_000));
+    (cell.scheme, cell.interval_ms) = (LoggingScheme::Watermark, 2);
+    let (primo, workload) = cell.build();
+    let running = Running::start(&primo, &workload);
+    std::thread::sleep(Duration::from_millis(150));
+    let stopped_at = now_us();
+    let joined_in = running.stop();
+    assert!(joined_in < Duration::from_millis(250), "{joined_in:?}");
+
+    let timeline = primo.cluster().recorder.merge();
+    let parked = parked_at(&attempts(&timeline), stopped_at).len();
+    assert!(parked >= 8, "{parked} clients were parked: nothing to drop");
+    assert_nothing_is_left_behind(&primo, &timeline);
+    primo.shutdown();
+}
+
+// ---- (12): a crashed home drops its parked clients with its queued ones ----
+
+#[test]
+fn a_crashed_home_drops_its_parked_clients() {
+    let _quiet = quiet();
+    // Primo on the watermark scheme, as in the crash cells above, on 1 000
+    // hot keys with back-offs of 50 to 100 ms: P1's worker has clients parked
+    // whenever it goes down, and had it kept them they would be retried
+    // within the 150 ms it then serves again.
+    let mut cell = Cell::primo(0.5, 500, 0);
+    (cell.ycsb.keys_per_partition, cell.ycsb.zipf_theta) = (1_000, 0.9);
+    cell.backoff_us = Some((100_000, 100_000));
+    let (primo, workload) = cell.build();
+    let running = Running::start(&primo, &workload);
+    std::thread::sleep(Duration::from_millis(120));
+    primo.crash_partition(P1);
+    let crashed_at = now_us();
+    std::thread::sleep(Duration::from_millis(15));
+    primo.recover_partition(P1).expect("recovered");
+    let up_at = now_us();
+    std::thread::sleep(Duration::from_millis(150));
+    running.stop();
+
+    let timeline = primo.cluster().recorder.merge().for_partition(P1);
+    let attempts = attempts(&timeline);
+    let parked = parked_at(&attempts, crashed_at);
+    assert!(
+        parked.len() >= 8,
+        "only {} clients were parked",
+        parked.len()
+    );
+    for a in attempts.iter().filter(|a| a.begun_at > crashed_at) {
+        assert!(
+            !parked.contains_key(&a.txn),
+            "{} was parked when P1 went down and made attempt {} after",
+            a.txn,
+            a.attempt
+        );
+    }
+    // The worker was not lost with them.
+    assert!(
+        (attempts.iter()).any(|a| a.begun_at > up_at && a.backoff_us.is_none()),
+        "nothing committed on P1 once it was back"
     );
     primo.shutdown();
 }
