@@ -13,11 +13,12 @@
 
 use parking_lot::{Condvar, Mutex};
 use primo_common::sim_time::{now_us, wait_until};
-use primo_common::{AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnId, TxnResult};
+use primo_common::{AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnResult};
 use primo_runtime::access::WriteKind;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::durability::log_txn_writes;
+use primo_runtime::pipeline::Step;
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
@@ -150,16 +151,18 @@ impl Protocol for AriaProtocol {
         true
     }
 
-    fn execute_once(
+    /// Aria's waits are its batch barriers — on other workers, not on the
+    /// wire — so an attempt never comes back [`Step::Waiting`].
+    fn start<'a>(
         &self,
-        cluster: &Cluster,
-        txn: TxnId,
+        cluster: &'a Cluster,
         program: &dyn TxnProgram,
-        ticket: &primo_wal::TxnTicket,
+        ticket: Arc<primo_wal::TxnTicket>,
         timers: &mut PhaseTimers,
-        fanout: &ReadFanout,
-    ) -> TxnResult<CommittedTxn> {
+        fanout: ReadFanout,
+    ) -> Step<'a> {
         let home = program.home_partition();
+        let txn = ticket.txn;
         let priority = txn.pack();
 
         // ---- Sequencing: wait for the batch to close. ----
@@ -169,6 +172,7 @@ impl Protocol for AriaProtocol {
         // ---- Execution phase: run against the current snapshot, no locks. ----
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
         let exec = ctx.run_body(program, timers);
+        let ticket = &ctx.ticket;
         if exec.is_ok() {
             // Record write reservations (smallest priority wins).
             let mut res = batch.reservations.lock();
@@ -321,7 +325,7 @@ impl Protocol for AriaProtocol {
         });
         let _ = batch.id;
 
-        decision
+        ctx.finish(decision)
     }
 }
 
@@ -402,14 +406,7 @@ mod tests {
                 let ticket = cluster.group_commit.begin_txn(PartitionId(0), txn);
                 let mut timers = PhaseTimers::new();
                 protocol
-                    .execute_once(
-                        &cluster,
-                        txn,
-                        &prog,
-                        &ticket,
-                        &mut timers,
-                        &ReadFanout::empty(),
-                    )
+                    .execute_once(&cluster, &prog, &ticket, &mut timers, ReadFanout::empty())
                     .map(|c| c.ops)
                     .map_err(|e| e.reason())
             }));

@@ -3,15 +3,16 @@
 //! the read set validated (unchanged versions, no foreign locks) as part of
 //! the 2PC prepare round; the decision round releases the locks.
 
-use primo_common::{PhaseTimers, TxnId, TxnResult};
+use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
-use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
 use primo_runtime::prefetch::ReadFanout;
-use primo_runtime::protocol::{CommittedTxn, Protocol};
+use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::TxnProgram;
 use primo_storage::LockPolicy;
 use primo_wal::TxnTicket;
+use std::sync::Arc;
 
 /// Silo's commit inside the 2PC rounds: lock the write set (abort at once on
 /// a conflict), require every read version unchanged and unlocked, install
@@ -38,19 +39,20 @@ impl Protocol for SiloProtocol {
         "Silo"
     }
 
-    fn execute_once(
+    fn start<'a>(
         &self,
-        cluster: &Cluster,
-        _txn: TxnId,
+        cluster: &'a Cluster,
         program: &dyn TxnProgram,
-        ticket: &TxnTicket,
+        ticket: Arc<TxnTicket>,
         timers: &mut PhaseTimers,
-        fanout: &ReadFanout,
-    ) -> TxnResult<CommittedTxn> {
+        fanout: ReadFanout,
+    ) -> Step<'a> {
         let home = program.home_partition();
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
-        ctx.run_body(program, timers)?;
-        commit_locked(&mut ctx, &SILO, timers)
+        match ctx.run_body(program, timers) {
+            Ok(()) => commit_locked(ctx, &SILO, timers),
+            Err(e) => ctx.finish(Err(e)),
+        }
     }
 }
 

@@ -7,15 +7,16 @@
 //! read-validation aborts occur; but it still needs the 2PC prepare/commit
 //! rounds that Primo eliminates.
 
-use primo_common::{PhaseTimers, TxnId, TxnResult};
+use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
-use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
 use primo_runtime::prefetch::ReadFanout;
-use primo_runtime::protocol::{CommittedTxn, Protocol};
+use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::TxnProgram;
 use primo_storage::LockPolicy;
 use primo_wal::TxnTicket;
+use std::sync::Arc;
 
 /// Sundial's commit inside the 2PC rounds: lock the write set, take the
 /// TicToc timestamp from the observed leases and validate by *renewing*
@@ -42,19 +43,20 @@ impl Protocol for SundialProtocol {
         "Sundial"
     }
 
-    fn execute_once(
+    fn start<'a>(
         &self,
-        cluster: &Cluster,
-        _txn: TxnId,
+        cluster: &'a Cluster,
         program: &dyn TxnProgram,
-        ticket: &TxnTicket,
+        ticket: Arc<TxnTicket>,
         timers: &mut PhaseTimers,
-        fanout: &ReadFanout,
-    ) -> TxnResult<CommittedTxn> {
+        fanout: ReadFanout,
+    ) -> Step<'a> {
         let home = program.home_partition();
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
-        ctx.run_body(program, timers)?;
-        commit_locked(&mut ctx, &SUNDIAL, timers)
+        match ctx.run_body(program, timers) {
+            Ok(()) => commit_locked(ctx, &SUNDIAL, timers),
+            Err(e) => ctx.finish(Err(e)),
+        }
     }
 }
 

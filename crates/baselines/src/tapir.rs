@@ -10,15 +10,16 @@
 //! the client retries — which is exactly the behaviour §6.6 contrasts with
 //! Primo (TAPIR has the lower latency, Primo the higher throughput).
 
-use primo_common::{PhaseTimers, TxnId, TxnResult};
+use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
-use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
 use primo_runtime::prefetch::ReadFanout;
-use primo_runtime::protocol::{CommittedTxn, Protocol};
+use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::TxnProgram;
 use primo_storage::LockPolicy;
 use primo_wal::TxnTicket;
+use std::sync::Arc;
 
 /// OCC validation at the participants inside one consolidated round to every
 /// replica group (the fast path of inconsistent replication): the round's
@@ -52,19 +53,20 @@ impl Protocol for TapirProtocol {
         true
     }
 
-    fn execute_once(
+    fn start<'a>(
         &self,
-        cluster: &Cluster,
-        _txn: TxnId,
+        cluster: &'a Cluster,
         program: &dyn TxnProgram,
-        ticket: &TxnTicket,
+        ticket: Arc<TxnTicket>,
         timers: &mut PhaseTimers,
-        fanout: &ReadFanout,
-    ) -> TxnResult<CommittedTxn> {
+        fanout: ReadFanout,
+    ) -> Step<'a> {
         let home = program.home_partition();
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
-        ctx.run_body(program, timers)?;
-        commit_locked(&mut ctx, &TAPIR, timers)
+        match ctx.run_body(program, timers) {
+            Ok(()) => commit_locked(ctx, &TAPIR, timers),
+            Err(e) => ctx.finish(Err(e)),
+        }
     }
 }
 

@@ -5,15 +5,16 @@
 //! Two deadlock-handling variants, as in the paper: NO_WAIT (abort on any
 //! conflict) and WAIT_DIE (older transactions wait).
 
-use primo_common::{PhaseTimers, TxnId, TxnResult};
+use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
-use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, TsRule};
+use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
 use primo_runtime::prefetch::ReadFanout;
-use primo_runtime::protocol::{CommittedTxn, Protocol};
+use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::TxnProgram;
 use primo_storage::{LockMode, LockPolicy};
 use primo_wal::TxnTicket;
+use std::sync::Arc;
 
 /// 2PL + 2PC.
 #[derive(Debug, Clone)]
@@ -47,21 +48,22 @@ impl Protocol for TwoPlProtocol {
         self.label
     }
 
-    fn execute_once(
+    fn start<'a>(
         &self,
-        cluster: &Cluster,
-        _txn: TxnId,
+        cluster: &'a Cluster,
         program: &dyn TxnProgram,
-        ticket: &TxnTicket,
+        ticket: Arc<TxnTicket>,
         timers: &mut PhaseTimers,
-        fanout: &ReadFanout,
-    ) -> TxnResult<CommittedTxn> {
+        fanout: ReadFanout,
+    ) -> Step<'a> {
         let policy = ReadPolicy::Locked {
             mode: LockMode::Shared,
             policy: self.policy,
         };
         let mut ctx = AccessCtx::new(cluster, ticket, program.home_partition(), policy, fanout);
-        ctx.run_body(program, timers)?;
+        if let Err(e) = ctx.run_body(program, timers) {
+            return ctx.finish(Err(e));
+        }
         // Reads hold their shared locks to the end, so the vote round only
         // has to upgrade the write set; there is nothing to validate.
         let spec = CommitSpec {
@@ -70,7 +72,7 @@ impl Protocol for TwoPlProtocol {
             validation: ReadValidation::None,
             decision: Decision::Round,
         };
-        commit_locked(&mut ctx, &spec, timers)
+        commit_locked(ctx, &spec, timers)
     }
 }
 
@@ -167,16 +169,8 @@ mod tests {
             .group_commit
             .begin_txn(PartitionId(0), cluster.next_txn_id(PartitionId(0)));
         let mut timers = PhaseTimers::new();
-        let txn = cluster.next_txn_id(PartitionId(0));
         let err = protocol
-            .execute_once(
-                &cluster,
-                txn,
-                &prog,
-                &ticket,
-                &mut timers,
-                &ReadFanout::empty(),
-            )
+            .execute_once(&cluster, &prog, &ticket, &mut timers, ReadFanout::empty())
             .unwrap_err();
         assert!(err.reason().is_conflict());
         rec.release(blocker);

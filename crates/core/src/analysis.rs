@@ -2,8 +2,8 @@
 //! local transaction under Primo versus a 2PC-based scheme — plus the models
 //! this reproduction measures itself against: remote-read messages, the
 //! group commit's release lag / closed-loop ceiling, and a worker that
-//! overlaps its clients' round trips and back-offs (throughput, and the
-//! message delays a distributed commit keeps it occupied for).
+//! overlaps its clients' round trips, back-offs and 2PC rounds (throughput,
+//! and the message delays a distributed commit keeps it occupied for).
 //!
 //! The model is used by the `appendixA` harness (and by tests) to check the
 //! paper's analytical conclusions: Primo wins whenever the read ratio is not
@@ -280,6 +280,60 @@ pub fn retrying_worker_tps(
         0.0
     };
     1e6 / (attempts * service_us + held_us)
+}
+
+/// Throughput of one worker whose distributed commits take two 2PC rounds of
+/// `round_us` each, transactions per second. `cpu_us` is the worker's own
+/// time per attempt (take-up, body, certify, install, release — no waiting),
+/// `certify_us` the part of it spent between an attempt's first write lock
+/// and its release, `dist_share` the share of attempts that have
+/// participants, and a commit takes `1 / (1 - abort_rate)` attempts.
+///
+/// `rounds_on_worker` says whose time the rounds are. The worker's, which
+/// sits through both: `cpu + dist_share x 2 x round` per attempt. Or only
+/// the client's — the next client's body and vote round fly during this
+/// one's decision round — and then a worker's time per attempt is its CPU
+/// plus whatever of the waits that does not cover, *bounded below by the
+/// lock-hold chain*: one attempt per worker holds locks at a time, a
+/// distributed one for its decision round, so attempts follow each other no
+/// faster than `dist_share x round + certify`. The model is that bound,
+/// `max(cpu, chain)`; what a measurement adds to it is the vote round
+/// sticking out of the decision round it overlaps (by a body and a certify)
+/// and the gaps nothing was ready for.
+///
+/// `ycsb_hot_2pc`, seed 7, half the transactions distributed, 215 us a
+/// round. With the rounds on the worker: 5 751 TPS on 2 workers, 348 us of
+/// worker per commit at an abort rate of 0.175 — 72 us of it CPU per
+/// attempt. Staged: 9 009 TPS, 222 us per commit, at the abort rate the
+/// faster workers then reach (0.29: more transactions per second on the
+/// same hot keys):
+///
+/// ```
+/// use primo_core::analysis::staged_worker_tps;
+/// let held = staged_worker_tps(72.0, 0.175, 0.5, 215.0, 15.0, true);
+/// assert!((1e6 / held - 348.0).abs() < 1.0);
+/// // The chain, 122 us an attempt, binds — not the 72 us of CPU ...
+/// let staged = staged_worker_tps(72.0, 0.292, 0.5, 215.0, 15.0, false);
+/// assert!((1e6 / staged - 173.0).abs() < 1.0);
+/// // ... and the measured 222 us sits above the bound, x 1.57 under the
+/// // 348 us it was.
+/// assert!(222.0 > 1e6 / staged && 348.0 / 222.0 >= 1.25);
+/// ```
+pub fn staged_worker_tps(
+    cpu_us: f64,
+    abort_rate: f64,
+    dist_share: f64,
+    round_us: f64,
+    certify_us: f64,
+    rounds_on_worker: bool,
+) -> f64 {
+    let attempts = 1.0 / (1.0 - abort_rate);
+    let per_attempt_us = if rounds_on_worker {
+        cpu_us + dist_share * 2.0 * round_us
+    } else {
+        cpu_us.max(dist_share * round_us + certify_us)
+    };
+    1e6 / (attempts * per_attempt_us)
 }
 
 /// How a distributed transaction commits, for

@@ -7,14 +7,14 @@
 //! routine that is Primo's own) or, with WCF off, through the pipeline with
 //! a vote round (`TICTOC_2PC`).
 
-use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnError, TxnId, TxnResult};
+use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnError, TxnResult};
 use primo_runtime::access::{AccessSet, WriteEntry};
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::durability::{log_txn_writes, straddles_crash};
 use primo_runtime::pipeline::{
     commit_epilogue, commit_locked, install_write, reserve_lease_ts, CommitSpec, Decision,
-    ReadValidation, TsRule,
+    ReadValidation, Step, TsRule,
 };
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
@@ -133,7 +133,7 @@ impl PrimoProtocol {
         let ts = timers.time(Phase::Timestamp, || {
             reserve_lease_ts(ctx, pinned_writes(access).filter_map(|(_, r)| r))
         });
-        cluster.group_commit.update_ts(ctx.ticket, ts);
+        cluster.group_commit.update_ts(&ctx.ticket, ts);
         let ops = access.ops();
         let participants = access.participants(home);
 
@@ -201,23 +201,27 @@ impl Protocol for PrimoProtocol {
         self.label
     }
 
-    fn execute_once(
+    fn start<'a>(
         &self,
-        cluster: &Cluster,
-        _txn: TxnId,
+        cluster: &'a Cluster,
         program: &dyn TxnProgram,
-        ticket: &TxnTicket,
+        ticket: Arc<TxnTicket>,
         timers: &mut PhaseTimers,
-        fanout: &ReadFanout,
-    ) -> TxnResult<CommittedTxn> {
+        fanout: ReadFanout,
+    ) -> Step<'a> {
         let wcf = self.use_wcf_for(program);
         let policy = ReadPolicy::SwitchOnRemote { wcf };
         let mut ctx = AccessCtx::new(cluster, ticket, program.home_partition(), policy, fanout);
-        ctx.run_body(program, timers)?;
+        if let Err(e) = ctx.run_body(program, timers) {
+            return ctx.finish(Err(e));
+        }
         match (ctx.switched(), wcf) {
-            (false, _) => commit_locked(&mut ctx, &LOCAL_TICTOC, timers),
-            (true, true) => Self::commit_wcf(&mut ctx, timers),
-            (true, false) => commit_locked(&mut ctx, &TICTOC_2PC, timers),
+            (false, _) => commit_locked(ctx, &LOCAL_TICTOC, timers),
+            (true, true) => {
+                let outcome = Self::commit_wcf(&mut ctx, timers);
+                ctx.finish(outcome)
+            }
+            (true, false) => commit_locked(ctx, &TICTOC_2PC, timers),
         }
     }
 }
@@ -226,7 +230,7 @@ impl Protocol for PrimoProtocol {
 mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
-    use primo_common::{AbortReason, TableId, TxnError, Value};
+    use primo_common::{AbortReason, TableId, TxnError, TxnId, Value};
     use primo_runtime::txn::{IncrementProgram, TxnContext};
     use primo_runtime::worker::run_single_txn;
     use std::sync::Arc;

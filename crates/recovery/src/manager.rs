@@ -253,6 +253,8 @@ impl RecoveryManager {
                         TraceEventKind::DecisionReached {
                             commit: false,
                             in_doubt: true,
+                            flight_us: 0,
+                            late_us: 0,
                         },
                     );
                 }

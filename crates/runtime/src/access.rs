@@ -261,7 +261,7 @@ pub fn resolve_write_record(
     undo: &UndoLog,
 ) -> Result<Arc<Record>, AbortReason> {
     match w.kind {
-        WriteKind::Insert => claim_insert_slot(store.table(w.table), w.key, txn, undo),
+        WriteKind::Insert => claim_insert_slot(Arc::clone(store.table(w.table)), w.key, txn, undo),
         WriteKind::Put | WriteKind::Delete => match store.get(w.table, w.key) {
             Some(r) => check_visible(&r, txn).map(|()| r),
             None => Err(AbortReason::NotFound),

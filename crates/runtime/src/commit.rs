@@ -26,27 +26,110 @@
 
 use crate::cluster::Cluster;
 use primo_common::config::CommitMode;
-use primo_common::sim_time::charge_latency_us;
+use primo_common::sim_time::{charge_latency_us, now_us};
 use primo_common::{AbortReason, PartitionId, TxnId};
+use primo_net::RoundTrip;
 use primo_trace::TraceEventKind;
 use primo_wal::LogPayload;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
-/// Proof that the prepare phase succeeded, carrying the instant it completed
-/// so the decide phase can report the prepare→decide latency.
+/// One round of the commit protocol on the wire: sent — counted, traced, its
+/// deadline fixed — and not waited for. Whoever reads the replies waits for
+/// [`Round::ready_at_us`] first: a session sits the wait out, a worker runs
+/// other clients meanwhile.
 #[derive(Debug, Clone, Copy)]
-pub struct PreparedAt(Instant);
+pub struct Round {
+    sent_at_us: u64,
+    trip: RoundTrip,
+}
+
+impl Round {
+    fn send(cluster: &Cluster, home: PartitionId, participants: &[PartitionId]) -> Self {
+        Round {
+            sent_at_us: now_us(),
+            trip: cluster.net.begin_round_trip_multi(home, participants),
+        }
+    }
+
+    /// [`now_us`] at which the slowest reply is back.
+    pub fn ready_at_us(&self) -> u64 {
+        self.trip.ready_at_us
+    }
+
+    /// Since the round was sent: what its client has waited for it so far.
+    pub fn elapsed(&self) -> Duration {
+        Duration::from_micros(now_us().saturating_sub(self.sent_at_us))
+    }
+
+    /// The replies are read now: how long they flew, and how long they then
+    /// waited for their reader.
+    fn taken_up(&self) -> (u64, u64) {
+        debug_assert!(now_us() >= self.trip.ready_at_us, "read before it is back");
+        let flight_us = self.trip.ready_at_us - self.sent_at_us;
+        (flight_us, now_us().saturating_sub(self.trip.ready_at_us))
+    }
+
+    /// The acknowledgements of a COMMIT round ([`AtomicCommit::decide_commit`])
+    /// are taken up: the decision has reached everyone, the coordinator may
+    /// release its locks.
+    pub fn acked(self, cluster: &Cluster, txn: TxnId, home: PartitionId) {
+        let (flight_us, late_us) = self.taken_up();
+        cluster.recorder.emit(
+            Some(txn),
+            Some(home),
+            TraceEventKind::DecisionReached {
+                commit: true,
+                in_doubt: false,
+                flight_us,
+                late_us,
+            },
+        );
+    }
+}
+
+/// Proof that the prepare phase succeeded, carrying the instant the votes
+/// were taken up so the decide phase can report the prepare→decide latency.
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedAt {
+    at_us: u64,
+}
 
 impl PreparedAt {
     fn now() -> Self {
-        PreparedAt(Instant::now())
+        PreparedAt { at_us: now_us() }
     }
 
     /// Microseconds since the prepare phase completed.
     pub fn elapsed_us(&self) -> u64 {
-        self.0.elapsed().as_micros() as u64
+        now_us().saturating_sub(self.at_us)
     }
+}
+
+/// A decision announced one-way, or sealed: there is nothing to fly.
+fn decided_unacknowledged(commit: bool) -> TraceEventKind {
+    TraceEventKind::DecisionReached {
+        commit,
+        in_doubt: false,
+        flight_us: 0,
+        late_us: 0,
+    }
+}
+
+/// The votes of `round` are taken up (`Vote` in the flight recorder):
+/// whether every participant answered.
+fn votes_back(cluster: &Cluster, txn: TxnId, home: PartitionId, round: Round) -> bool {
+    let (flight_us, late_us) = round.taken_up();
+    cluster.recorder.emit(
+        Some(txn),
+        Some(home),
+        TraceEventKind::Vote {
+            ok: round.trip.ok,
+            flight_us,
+            late_us,
+        },
+    );
+    round.trip.ok
 }
 
 /// Result of the prepare phase of an atomic commit.
@@ -65,7 +148,9 @@ pub enum PrepareOutcome {
 }
 
 /// One distributed atomic-commit protocol: a prepare phase that collects
-/// votes and two decide phases that propagate the global verdict.
+/// votes and two decide phases that propagate the global verdict. No method
+/// waits on the wire: a round is *sent* ([`Round`]) and its replies are taken
+/// up by a later call, once the caller has seen its deadline pass.
 ///
 /// Participant *registration* (group-commit bookkeeping) stays at the call
 /// sites — the baselines register inside their shared prepare helper, Primo
@@ -77,18 +162,41 @@ pub trait AtomicCommit: Send + Sync + std::fmt::Debug {
     /// The configuration knob this implementation answers to.
     fn mode(&self) -> CommitMode;
 
-    /// Run the vote round against `participants` (already excluding `home`).
-    /// An empty participant list is a no-op success so callers can invoke
-    /// this unconditionally.
+    /// Send the vote round to `participants` (already excluding `home`). An
+    /// empty participant list sends nothing and is back at once, so callers
+    /// can invoke this unconditionally.
     fn prepare(
         &self,
         cluster: &Cluster,
         txn: TxnId,
         home: PartitionId,
         participants: &[PartitionId],
+    ) -> Round {
+        cluster.recorder.emit(
+            Some(txn),
+            Some(home),
+            TraceEventKind::Prepare {
+                participants: participants.len() as u32,
+            },
+        );
+        Round::send(cluster, home, participants)
+    }
+
+    /// Take up the votes of the round [`AtomicCommit::prepare`] sent; the
+    /// caller has waited for [`Round::ready_at_us`].
+    fn votes(
+        &self,
+        cluster: &Cluster,
+        txn: TxnId,
+        home: PartitionId,
+        participants: &[PartitionId],
+        round: Round,
     ) -> PrepareOutcome;
 
-    /// Propagate the global COMMIT verdict.
+    /// Propagate the global COMMIT verdict. `Some`: the round of
+    /// acknowledgements the coordinator holds its locks for — wait for
+    /// [`Round::ready_at_us`], then [`Round::acked`]. `None`: the decision
+    /// needs no acknowledgement, or there is nobody to tell.
     fn decide_commit(
         &self,
         cluster: &Cluster,
@@ -96,7 +204,7 @@ pub trait AtomicCommit: Send + Sync + std::fmt::Debug {
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
-    );
+    ) -> Option<Round>;
 
     /// Propagate the global ABORT verdict (after a failed local lock /
     /// validation step that followed a successful prepare).
@@ -150,25 +258,15 @@ impl AtomicCommit for ClassicTwoPc {
         CommitMode::TwoPc
     }
 
-    fn prepare(
+    fn votes(
         &self,
         cluster: &Cluster,
         txn: TxnId,
         home: PartitionId,
         participants: &[PartitionId],
+        round: Round,
     ) -> PrepareOutcome {
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::Prepare {
-                participants: participants.len() as u32,
-            },
-        );
-        let ok = participants.is_empty() || cluster.net.round_trip_multi(home, participants);
-        cluster
-            .recorder
-            .emit(Some(txn), Some(home), TraceEventKind::Vote { ok });
-        if !ok {
+        if !votes_back(cluster, txn, home, round) {
             return PrepareOutcome::Aborted(AbortReason::RemoteUnavailable);
         }
         if !participants.is_empty() && cluster.take_coordinator_crash(home) {
@@ -188,27 +286,21 @@ impl AtomicCommit for ClassicTwoPc {
     fn decide_commit(
         &self,
         cluster: &Cluster,
-        txn: TxnId,
+        _txn: TxnId,
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
-    ) {
+    ) -> Option<Round> {
         if participants.is_empty() {
-            return;
+            return None;
         }
-        cluster.net.round_trip_multi(home, participants);
+        let round = Round::send(cluster, home, participants);
         cluster
             .net
             .note_commit_messages(2 * participants.len() as u64);
-        cluster.record_commit_decision(prepared.elapsed_us());
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::DecisionReached {
-                commit: true,
-                in_doubt: false,
-            },
-        );
+        // Prepare to acknowledgements back — whenever they are taken up.
+        cluster.record_commit_decision(round.ready_at_us().saturating_sub(prepared.at_us));
+        Some(round)
     }
 
     fn decide_abort(
@@ -223,14 +315,9 @@ impl AtomicCommit for ClassicTwoPc {
         }
         cluster.net.one_way_multi(home, participants);
         cluster.net.note_commit_messages(participants.len() as u64);
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::DecisionReached {
-                commit: false,
-                in_doubt: false,
-            },
-        );
+        cluster
+            .recorder
+            .emit(Some(txn), Some(home), decided_unacknowledged(false));
     }
 }
 
@@ -286,6 +373,8 @@ impl PaxosCommit {
             TraceEventKind::DecisionReached {
                 commit: false,
                 in_doubt: true,
+                flight_us: 0,
+                late_us: 0,
             },
         );
         cluster.note_in_doubt_resolved();
@@ -304,25 +393,15 @@ impl AtomicCommit for PaxosCommit {
         CommitMode::PaxosCommit
     }
 
-    fn prepare(
+    fn votes(
         &self,
         cluster: &Cluster,
         txn: TxnId,
         home: PartitionId,
         participants: &[PartitionId],
+        round: Round,
     ) -> PrepareOutcome {
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::Prepare {
-                participants: participants.len() as u32,
-            },
-        );
-        let ok = participants.is_empty() || cluster.net.round_trip_multi(home, participants);
-        cluster
-            .recorder
-            .emit(Some(txn), Some(home), TraceEventKind::Vote { ok });
-        if !ok {
+        if !votes_back(cluster, txn, home, round) {
             return PrepareOutcome::Aborted(AbortReason::RemoteUnavailable);
         }
         if participants.is_empty() {
@@ -368,9 +447,9 @@ impl AtomicCommit for PaxosCommit {
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
-    ) {
+    ) -> Option<Round> {
         if participants.is_empty() {
-            return;
+            return None;
         }
         // The verdict is the durable log entry, not the message: participants
         // are told one-way and never ack (a missed notification is recovered
@@ -386,14 +465,10 @@ impl AtomicCommit for PaxosCommit {
         cluster.net.one_way_multi(home, participants);
         cluster.net.note_commit_messages(participants.len() as u64);
         cluster.record_commit_decision(prepared.elapsed_us());
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::DecisionReached {
-                commit: true,
-                in_doubt: false,
-            },
-        );
+        cluster
+            .recorder
+            .emit(Some(txn), Some(home), decided_unacknowledged(true));
+        None
     }
 
     fn decide_abort(
@@ -415,14 +490,9 @@ impl AtomicCommit for PaxosCommit {
         }
         cluster.net.one_way_multi(home, participants);
         cluster.net.note_commit_messages(participants.len() as u64);
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::DecisionReached {
-                commit: false,
-                in_doubt: false,
-            },
-        );
+        cluster
+            .recorder
+            .emit(Some(txn), Some(home), decided_unacknowledged(false));
     }
 
     fn seal_commit(
@@ -446,14 +516,9 @@ impl AtomicCommit for PaxosCommit {
                 .note_commit_messages(log.replication_factor() as u64 - 1);
         }
         cluster.record_commit_decision(prepared.elapsed_us());
-        cluster.recorder.emit(
-            Some(txn),
-            Some(home),
-            TraceEventKind::DecisionReached {
-                commit: true,
-                in_doubt: false,
-            },
-        );
+        cluster
+            .recorder
+            .emit(Some(txn), Some(home), decided_unacknowledged(true));
     }
 }
 
@@ -461,12 +526,40 @@ impl AtomicCommit for PaxosCommit {
 mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
-    use std::time::Duration;
+    use primo_common::sim_time::wait_until;
 
     fn cluster_with_mode(mode: CommitMode, partitions: usize) -> Arc<Cluster> {
         let mut config = ClusterConfig::for_tests(partitions);
         config.commit_mode = mode;
         Cluster::new(config)
+    }
+
+    /// The vote round, waited out.
+    fn prepare(
+        cluster: &Cluster,
+        txn: TxnId,
+        home: PartitionId,
+        parts: &[PartitionId],
+    ) -> PrepareOutcome {
+        let layer = cluster.atomic_commit();
+        let round = layer.prepare(cluster, txn, home, parts);
+        wait_until(round.ready_at_us());
+        layer.votes(cluster, txn, home, parts, round)
+    }
+
+    /// The decision, its acknowledgements (if it needs any) waited out.
+    fn decide_commit(
+        cluster: &Cluster,
+        txn: TxnId,
+        home: PartitionId,
+        parts: &[PartitionId],
+        prepared: PreparedAt,
+    ) {
+        let layer = cluster.atomic_commit();
+        if let Some(acks) = layer.decide_commit(cluster, txn, home, parts, prepared) {
+            wait_until(acks.ready_at_us());
+            acks.acked(cluster, txn, home);
+        }
     }
 
     #[test]
@@ -488,16 +581,11 @@ mod tests {
         let txn = cluster.next_txn_id(PartitionId(0));
         let parts = [PartitionId(1), PartitionId(2)];
         let before = cluster.net.round_trips_charged();
-        let prepared = match cluster
-            .atomic_commit()
-            .prepare(&cluster, txn, PartitionId(0), &parts)
-        {
+        let prepared = match prepare(&cluster, txn, PartitionId(0), &parts) {
             PrepareOutcome::Prepared(at) => at,
             other => panic!("prepare must succeed, got {other:?}"),
         };
-        cluster
-            .atomic_commit()
-            .decide_commit(&cluster, txn, PartitionId(0), &parts, prepared);
+        decide_commit(&cluster, txn, PartitionId(0), &parts, prepared);
         assert_eq!(cluster.net.round_trips_charged() - before, 2);
         assert_eq!(cluster.commit_decisions(), 1);
         assert!(
@@ -517,16 +605,11 @@ mod tests {
         let txn = cluster.next_txn_id(PartitionId(0));
         let parts = [PartitionId(1), PartitionId(2)];
         let before = cluster.net.round_trips_charged();
-        let prepared = match cluster
-            .atomic_commit()
-            .prepare(&cluster, txn, PartitionId(0), &parts)
-        {
+        let prepared = match prepare(&cluster, txn, PartitionId(0), &parts) {
             PrepareOutcome::Prepared(at) => at,
             other => panic!("prepare must succeed, got {other:?}"),
         };
-        cluster
-            .atomic_commit()
-            .decide_commit(&cluster, txn, PartitionId(0), &parts, prepared);
+        decide_commit(&cluster, txn, PartitionId(0), &parts, prepared);
         assert_eq!(
             cluster.net.round_trips_charged() - before,
             1,
@@ -551,18 +634,12 @@ mod tests {
         let cluster = cluster_with_mode(CommitMode::TwoPc, 2);
         let txn = cluster.next_txn_id(PartitionId(0));
         cluster.arm_coordinator_crash(PartitionId(0));
-        let outcome =
-            cluster
-                .atomic_commit()
-                .prepare(&cluster, txn, PartitionId(0), &[PartitionId(1)]);
+        let outcome = prepare(&cluster, txn, PartitionId(0), &[PartitionId(1)]);
         assert!(matches!(outcome, PrepareOutcome::Orphaned), "{outcome:?}");
         assert_eq!(cluster.orphaned_txns(), 1);
         // The injection is one-shot: the next prepare sails through.
         let txn2 = cluster.next_txn_id(PartitionId(0));
-        let outcome =
-            cluster
-                .atomic_commit()
-                .prepare(&cluster, txn2, PartitionId(0), &[PartitionId(1)]);
+        let outcome = prepare(&cluster, txn2, PartitionId(0), &[PartitionId(1)]);
         assert!(matches!(outcome, PrepareOutcome::Prepared(_)));
         cluster.shutdown();
     }
@@ -572,10 +649,7 @@ mod tests {
         let cluster = cluster_with_mode(CommitMode::PaxosCommit, 2);
         let txn = cluster.next_txn_id(PartitionId(0));
         cluster.arm_coordinator_crash(PartitionId(0));
-        let outcome =
-            cluster
-                .atomic_commit()
-                .prepare(&cluster, txn, PartitionId(0), &[PartitionId(1)]);
+        let outcome = prepare(&cluster, txn, PartitionId(0), &[PartitionId(1)]);
         match outcome {
             PrepareOutcome::Aborted(reason) => {
                 assert_eq!(reason, AbortReason::CoordinatorCrash)
@@ -608,16 +682,11 @@ mod tests {
         let cluster = cluster_with_mode(CommitMode::PaxosCommit, 1);
         let txn = cluster.next_txn_id(PartitionId(0));
         let before = cluster.net.messages_sent();
-        let prepared = match cluster
-            .atomic_commit()
-            .prepare(&cluster, txn, PartitionId(0), &[])
-        {
+        let prepared = match prepare(&cluster, txn, PartitionId(0), &[]) {
             PrepareOutcome::Prepared(at) => at,
             other => panic!("{other:?}"),
         };
-        cluster
-            .atomic_commit()
-            .decide_commit(&cluster, txn, PartitionId(0), &[], prepared);
+        decide_commit(&cluster, txn, PartitionId(0), &[], prepared);
         cluster
             .atomic_commit()
             .decide_abort(&cluster, txn, PartitionId(0), &[]);

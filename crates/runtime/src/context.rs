@@ -17,7 +17,9 @@ use crate::access::{
     WriteKind,
 };
 use crate::cluster::Cluster;
+use crate::pipeline::Step;
 use crate::prefetch::{PrefetchOutcome, ReadFanout};
+use crate::protocol::CommittedTxn;
 use crate::txn::{TxnContext, TxnProgram};
 use primo_common::{
     AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnError, TxnId, TxnResult, Value,
@@ -63,10 +65,13 @@ fn visible(slots: &Table, key: Key, txn: TxnId) -> Result<Arc<Record>, AbortReas
     check_visible(&record, txn).map(|()| record)
 }
 
-/// The context of one transaction attempt.
+/// The context of one transaction attempt. It owns what the attempt holds —
+/// its group-commit ticket, its fan-out buffer, its access set — so an
+/// attempt whose commit waits for a round is a plain value
+/// ([`crate::pipeline::InFlight`]) that a worker can put aside.
 pub struct AccessCtx<'a> {
     pub cluster: &'a Cluster,
-    pub ticket: &'a TxnTicket,
+    pub ticket: Arc<TxnTicket>,
     pub home: PartitionId,
     pub access: AccessSet,
     policy: ReadPolicy,
@@ -80,16 +85,16 @@ pub struct AccessCtx<'a> {
     /// participants stay blocked, which is the observable failure mode.
     orphaned: bool,
     /// The attempt's batched-prefetch buffer (see [`crate::prefetch`]).
-    fanout: &'a ReadFanout,
+    fanout: ReadFanout,
 }
 
 impl<'a> AccessCtx<'a> {
     pub fn new(
         cluster: &'a Cluster,
-        ticket: &'a TxnTicket,
+        ticket: Arc<TxnTicket>,
         home: PartitionId,
         policy: ReadPolicy,
-        fanout: &'a ReadFanout,
+        fanout: ReadFanout,
     ) -> Self {
         AccessCtx {
             cluster,
@@ -122,6 +127,26 @@ impl<'a> AccessCtx<'a> {
 
     pub(crate) fn mark_orphaned(&mut self) {
         self.orphaned = true;
+    }
+
+    /// Whether a read of this attempt holds a lock: such an attempt *holds
+    /// something* from its body on, and nothing of its worker overlaps it.
+    pub(crate) fn holds_read_locks(&self) -> bool {
+        self.access.reads.iter().any(|r| r.locked.is_some())
+    }
+
+    /// The attempt is over, this way: hand its ticket and its fan-out
+    /// buffer back with the outcome (the group commit is told how it ended,
+    /// and an abort's observed footprint is the retry's plan).
+    pub fn finish(self, outcome: TxnResult<CommittedTxn>) -> Step<'a> {
+        Step::Done((outcome, self.ticket, self.fanout))
+    }
+
+    /// The attempt is over, aborted for `reason`:
+    /// [`AccessCtx::abort_cleanup`], then [`AccessCtx::finish`].
+    pub fn abort(mut self, reason: AbortReason) -> Step<'a> {
+        self.abort_cleanup();
+        self.finish(Err(TxnError::Aborted(reason)))
     }
 
     /// Execution phase shared by every protocol: run the body, and abort —
@@ -174,7 +199,7 @@ impl<'a> AccessCtx<'a> {
         key: Key,
     ) -> Result<Arc<Record>, AbortReason> {
         let slots = self.cluster.partition(p).store.table(table);
-        visible(&slots, key, self.ticket.txn)
+        visible(slots, key, self.ticket.txn)
     }
 
     /// Request a lock; a denial is traced with its holder and becomes the
@@ -304,9 +329,9 @@ impl<'a> AccessCtx<'a> {
         }
         let slots = self.cluster.partition(p).store.table(table);
         let record = if dummy == Some(WriteKind::Insert) {
-            claim_insert_slot(Arc::clone(&slots), key, self.ticket.txn, &self.access.undo)?
+            claim_insert_slot(Arc::clone(slots), key, self.ticket.txn, &self.access.undo)?
         } else {
-            visible(&slots, key, self.ticket.txn)?
+            visible(slots, key, self.ticket.txn)?
         };
         let guard = match dummy {
             Some(_) => Some((LockMode::Exclusive, LockPolicy::WaitDie)),
@@ -318,7 +343,7 @@ impl<'a> AccessCtx<'a> {
             // acquisition; the lock pins the state, so re-check it (the
             // helper also reclaims the tombstone our lock pinned).
             let kind = dummy.unwrap_or(WriteKind::Put);
-            recheck_locked_record(&record, self.ticket.txn, kind, &slots, key)?;
+            recheck_locked_record(&record, self.ticket.txn, kind, slots, key)?;
         }
         if remote && self.dummy_reads() {
             // Rule R2 (participant side): the transaction's final timestamp
@@ -329,7 +354,7 @@ impl<'a> AccessCtx<'a> {
         if remote && self.switched {
             self.cluster
                 .group_commit
-                .add_participant(self.ticket, p, row.wts);
+                .add_participant(&self.ticket, p, row.wts);
         }
         self.access.reads.push(ReadEntry {
             partition: p,

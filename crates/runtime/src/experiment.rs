@@ -380,9 +380,10 @@ pub fn run_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Step;
     use crate::protocol::CommittedTxn;
     use crate::txn::{TxnContext, TxnProgram};
-    use primo_common::{FastRng, Key, PhaseTimers, TableId, TxnId, TxnResult, Value};
+    use primo_common::{FastRng, Key, PhaseTimers, TableId, TxnResult, Value};
     use primo_storage::PartitionStore;
     use primo_wal::TxnTicket;
 
@@ -423,22 +424,21 @@ mod tests {
         fn name(&self) -> &'static str {
             "counter"
         }
-        fn execute_once(
+        fn start<'a>(
             &self,
-            cluster: &Cluster,
-            _txn: TxnId,
+            cluster: &'a Cluster,
             program: &dyn TxnProgram,
-            _ticket: &TxnTicket,
+            ticket: Arc<TxnTicket>,
             _timers: &mut PhaseTimers,
-            _fanout: &crate::prefetch::ReadFanout,
-        ) -> TxnResult<CommittedTxn> {
-            let mut ctx = CounterCtx { cluster };
-            program.execute(&mut ctx)?;
-            Ok(CommittedTxn {
+            fanout: crate::prefetch::ReadFanout,
+        ) -> Step<'a> {
+            let commit = CommittedTxn {
                 ts: 0,
                 ops: 1,
                 distributed: false,
-            })
+            };
+            let outcome = program.execute(&mut CounterCtx { cluster });
+            Step::Done((outcome.map(|()| commit), ticket, fanout))
         }
     }
 

@@ -8,16 +8,26 @@
 //! vote-free WCF commit and Aria's deterministic commit are not instances of
 //! it — neither locks nor validates at commit time — and keep code of their
 //! own on top of the helpers exported here.
+//!
+//! The pipeline never waits on the wire. It is cut at its two rounds into
+//! three steps over an attempt it owns — **send the votes** → **certify, log,
+//! install, send the decision** → **release** — and between two steps the
+//! attempt is an [`InFlight`] value: a deadline, and whether it holds locks.
+//! [`Step::wait_out`] is the steps with the waits between them, what a
+//! session runs; a worker puts the value aside and runs other clients.
 
 use crate::access::{recheck_locked_record, resolve_write_record, WriteEntry, WriteKind};
 use crate::cluster::Cluster;
-use crate::commit::{PrepareOutcome, PreparedAt};
+use crate::commit::{PrepareOutcome, PreparedAt, Round};
 use crate::context::AccessCtx;
 use crate::durability::{log_txn_writes, straddles_crash};
+use crate::prefetch::ReadFanout;
 use crate::protocol::CommittedTxn;
-use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnError, TxnId, TxnResult};
+use primo_common::sim_time::wait_until;
+use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnId, TxnResult};
 use primo_storage::{LockMode, LockPolicy, Record};
 use primo_trace::TraceEventKind;
+use primo_wal::TxnTicket;
 use std::sync::Arc;
 
 /// Where the commit timestamp comes from.
@@ -52,9 +62,10 @@ pub enum ReadValidation {
 pub enum Decision {
     /// Single-partition by construction: no vote round, nothing to tell.
     Local,
-    /// A vote round before the locks and a decision round after the install,
-    /// both through the cluster's [`AtomicCommit`](crate::commit::AtomicCommit)
-    /// layer; locks are held across both.
+    /// A vote round before the write locks and a decision round after the
+    /// install, both through the cluster's
+    /// [`AtomicCommit`](crate::commit::AtomicCommit) layer; the write locks
+    /// are held across the second.
     Round,
     /// One consolidated round: the vote round's response *is* the decision,
     /// which is only sealed afterwards (TAPIR).
@@ -76,33 +87,139 @@ fn release_all(records: &[Arc<Record>], txn: TxnId) {
     }
 }
 
-/// Run the vote round through the cluster's atomic-commit layer (write-set
+/// How an attempt ended, and what it gives back: its ticket, to be closed,
+/// and its fan-out buffer, with what the attempt observed.
+pub type Ended = (TxnResult<CommittedTxn>, Arc<TxnTicket>, ReadFanout);
+
+/// Where an attempt's commit stands, between two of its steps.
+pub enum Step<'a> {
+    /// The attempt is over. On success the write-set is logged and installed
+    /// on every involved partition and every lock is released; on failure
+    /// every partial effect is undone and the participants are told.
+    Done(Ended),
+    /// A round is on the wire.
+    Waiting(InFlight<'a>),
+}
+
+impl Step<'_> {
+    /// Sit through every wait the attempt has left — what a session does,
+    /// being the waiting client itself, and a worker for an attempt that
+    /// holds locks from its body on.
+    pub fn wait_out(mut self, timers: &mut PhaseTimers) -> Ended {
+        loop {
+            match self {
+                Step::Done(ended) => return ended,
+                Step::Waiting(attempt) => {
+                    wait_until(attempt.ready_at_us());
+                    self = attempt.resume(timers);
+                }
+            }
+        }
+    }
+}
+
+/// An attempt whose commit waits for a round: a plain value, owning all the
+/// attempt holds. [`InFlight::resume`] runs its next step once
+/// [`InFlight::ready_at_us`] has passed — never before: a reply is not read
+/// before it is back.
+pub struct InFlight<'a> {
+    ctx: AccessCtx<'a>,
+    spec: CommitSpec,
+    /// The participants of the rounds (home excluded).
+    parts: Vec<PartitionId>,
+    /// The round on the wire: its flight, and however long the replies wait
+    /// to be taken up, are the client's two-phase-commit time.
+    round: Round,
+    stage: Stage,
+}
+
+enum Stage {
+    /// The votes are on the wire. The commit has locked nothing yet.
+    Voting,
+    /// Logged and installed; the decision's acknowledgements are on the
+    /// wire, and the write set stays locked until they are back.
+    Deciding {
+        locked: Vec<Arc<Record>>,
+        commit: CommittedTxn,
+    },
+}
+
+impl<'a> InFlight<'a> {
+    /// When the replies of the round on the wire are back.
+    pub fn ready_at_us(&self) -> u64 {
+        self.round.ready_at_us()
+    }
+
+    /// Whether the attempt holds a lock while it waits: the write set of a
+    /// deciding attempt, the locked reads of a voting one (2PL, Primo past
+    /// its mode switch). An attempt that holds none can be overlapped with
+    /// anything, and dropped at no cost but its ticket.
+    pub fn holds_locks(&self) -> bool {
+        matches!(self.stage, Stage::Deciding { .. }) || self.ctx.holds_read_locks()
+    }
+
+    /// The replies are back: run the attempt's next step.
+    pub fn resume(self, timers: &mut PhaseTimers) -> Step<'a> {
+        let InFlight {
+            mut ctx,
+            spec,
+            parts,
+            round,
+            stage,
+        } = self;
+        timers.add(Phase::TwoPc, round.elapsed());
+        let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
+        match stage {
+            Stage::Voting => {
+                match (cluster.atomic_commit()).votes(cluster, txn, home, &parts, round) {
+                    PrepareOutcome::Prepared(at) => install(ctx, spec, Some((parts, at)), timers),
+                    PrepareOutcome::Aborted(reason) => ctx.abort(reason),
+                    PrepareOutcome::Orphaned => {
+                        // Classic 2PC's blocking failure: the coordinator died
+                        // with the votes in hand and nobody can decide —
+                        // `abort_cleanup` must leave the attempt's locks held,
+                        // the participants stay blocked.
+                        ctx.mark_orphaned();
+                        ctx.abort(AbortReason::CoordinatorCrash)
+                    }
+                }
+            }
+            Stage::Deciding { locked, commit } => {
+                round.acked(cluster, txn, home);
+                release(ctx, &locked, commit)
+            }
+        }
+    }
+
+    /// Give the attempt up while its votes fly (a stopping worker, a crashed
+    /// home): nothing is locked or installed yet, so telling the participants
+    /// is all there is to undo. Not for an attempt that
+    /// [holds locks](InFlight::holds_locks) — that one has installed. Its
+    /// ticket is the caller's to close.
+    pub fn abandon(mut self) -> Arc<TxnTicket> {
+        debug_assert!(matches!(self.stage, Stage::Voting), "installed");
+        let (cluster, txn, home) = (self.ctx.cluster, self.ctx.txn(), self.ctx.home);
+        (cluster.atomic_commit()).decide_abort(cluster, txn, home, &self.parts);
+        self.ctx.abort_cleanup();
+        self.ctx.ticket
+    }
+}
+
+/// Send the vote round through the cluster's atomic-commit layer (write-set
 /// shipping + vote collection; under Paxos Commit the votes are additionally
 /// logged quorum-durably), registering with the group-commit scheme every
 /// participant the execution phase has not registered already.
-fn prepare_round(ctx: &mut AccessCtx<'_>) -> Result<(Vec<PartitionId>, PreparedAt), AbortReason> {
+fn send_votes(ctx: &AccessCtx<'_>) -> (Vec<PartitionId>, Round) {
     let parts = ctx.access.participants(ctx.home);
     if !parts.is_empty() {
         let registered = ctx.ticket.participants();
         for p in parts.iter().filter(|p| !registered.contains(p)) {
-            ctx.cluster.group_commit.add_participant(ctx.ticket, *p, 0);
+            ctx.cluster.group_commit.add_participant(&ctx.ticket, *p, 0);
         }
     }
-    match ctx
-        .cluster
-        .atomic_commit()
-        .prepare(ctx.cluster, ctx.txn(), ctx.home, &parts)
-    {
-        PrepareOutcome::Prepared(at) => Ok((parts, at)),
-        PrepareOutcome::Aborted(reason) => Err(reason),
-        PrepareOutcome::Orphaned => {
-            // Classic 2PC's blocking failure: the coordinator died with the
-            // votes in hand and nobody can decide — `abort_cleanup` must
-            // leave the attempt's locks held, the participants stay blocked.
-            ctx.mark_orphaned();
-            Err(AbortReason::CoordinatorCrash)
-        }
-    }
+    let commit = ctx.cluster.atomic_commit();
+    let round = commit.prepare(ctx.cluster, ctx.txn(), ctx.home, &parts);
+    (parts, round)
 }
 
 /// Lock every write record exclusively, materialising records only for
@@ -126,7 +243,7 @@ fn lock_write_set(
         // A concurrent delete may have tombstoned (or reclaimed) the record
         // between resolution and lock acquisition; re-check under the lock
         // (an insert bounces retryably; the helper reclaims the tombstone).
-        recheck_locked_record(&record, txn, w.kind, &store.table(w.table), w.key)
+        recheck_locked_record(&record, txn, w.kind, store.table(w.table), w.key)
     });
     match outcome {
         Ok(()) => Ok(locked),
@@ -155,7 +272,7 @@ pub fn reserve_lease_ts<'r>(
     for record in written {
         ts = ts.max(record.timestamps().1 + 1);
     }
-    let ts = ctx.cluster.group_commit.reserve_commit_ts(ctx.ticket, ts);
+    let ts = ctx.cluster.group_commit.reserve_commit_ts(&ctx.ticket, ts);
     ctx.trace(TraceEventKind::CommitTsReserved { ts });
     ts
 }
@@ -243,7 +360,7 @@ fn certify(
             let ts = reserve_lease_ts(ctx, locked.iter());
             if spec.decision != Decision::Local {
                 // The participants' group-commit entries learn the timestamp.
-                ctx.cluster.group_commit.update_ts(ctx.ticket, ts);
+                ctx.cluster.group_commit.update_ts(&ctx.ticket, ts);
             }
             ts
         })
@@ -269,29 +386,38 @@ fn certify(
     Ok((locked, lease))
 }
 
-/// Commit the attempt `ctx` executed, as `spec` describes. On success the
-/// write-set is logged and installed on every involved partition and every
-/// lock is released; on failure every partial effect is undone, the
-/// participants are told and the abort reason is returned.
-pub fn commit_locked(
-    ctx: &mut AccessCtx<'_>,
+/// Commit the attempt `ctx` executed, as `spec` describes: its first step.
+/// A [`Decision::Local`] commit has no round and is [`Step::Done`] at once;
+/// any other sends its votes and waits — also when it has nobody to ask, so
+/// that whoever runs the attempt decides when it takes its first write lock.
+pub fn commit_locked<'a>(
+    ctx: AccessCtx<'a>,
     spec: &CommitSpec,
     timers: &mut PhaseTimers,
-) -> TxnResult<CommittedTxn> {
+) -> Step<'a> {
+    if spec.decision == Decision::Local {
+        return install(ctx, *spec, None, timers);
+    }
+    let (parts, round) = timers.time(Phase::TwoPc, || send_votes(&ctx));
+    Step::Waiting(InFlight {
+        ctx,
+        spec: *spec,
+        parts,
+        round,
+        stage: Stage::Voting,
+    })
+}
+
+/// The step between the rounds: certify, log, install, send the decision.
+/// `round` is the vote round this attempt went through, if it had one.
+fn install<'a>(
+    ctx: AccessCtx<'a>,
+    spec: CommitSpec,
+    round: Option<(Vec<PartitionId>, PreparedAt)>,
+    timers: &mut PhaseTimers,
+) -> Step<'a> {
     let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
-    let round = match spec.decision {
-        Decision::Local => None,
-        Decision::Round | Decision::Sealed => {
-            match timers.time(Phase::TwoPc, || prepare_round(ctx)) {
-                Ok(round) => Some(round),
-                Err(reason) => {
-                    ctx.abort_cleanup();
-                    return Err(TxnError::Aborted(reason));
-                }
-            }
-        }
-    };
-    let (locked, lease) = match certify(ctx, spec, timers) {
+    let (locked, lease) = match certify(&ctx, &spec, timers) {
         Ok(certified) => certified,
         Err(reason) => {
             if let Some((parts, _)) = &round {
@@ -299,8 +425,7 @@ pub fn commit_locked(
                     .atomic_commit()
                     .decide_abort(cluster, txn, home, parts);
             }
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(reason));
+            return ctx.abort(reason);
         }
     };
 
@@ -309,11 +434,9 @@ pub fn commit_locked(
     // drawn here for the same reason; it is what the caller reports, so the
     // logged and the reported timestamp agree (recovery's replay bound
     // relies on it).
-    let ops = ctx.access.ops();
-    let distributed = ctx.access.is_distributed(home);
     let ts = timers.time(Phase::Commit, || {
         let ts = lease.unwrap_or_else(|| {
-            let ts = cluster.group_commit.finalize_commit_ts(ctx.ticket, 0);
+            let ts = cluster.group_commit.finalize_commit_ts(&ctx.ticket, 0);
             ctx.trace(TraceEventKind::CommitTsReserved { ts });
             ts
         });
@@ -328,8 +451,7 @@ pub fn commit_locked(
                 .decide_abort(cluster, txn, home, parts);
             ctx.access.undo.unwind();
             release_all(&locked, txn);
-            ctx.abort_cleanup();
-            return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
+            return ctx.abort(AbortReason::RemoteUnavailable);
         }
     }
     timers.time(Phase::Commit, || {
@@ -337,29 +459,48 @@ pub fn commit_locked(
             install_write(cluster, record, w, ts, spec.timestamp);
         }
     });
-
-    if let Some((parts, prepared)) = &round {
-        let commit = cluster.atomic_commit();
-        timers.time(Phase::TwoPc, || match spec.decision {
-            Decision::Sealed => commit.seal_commit(cluster, txn, home, parts, *prepared),
-            _ => commit.decide_commit(cluster, txn, home, parts, *prepared),
-        });
-    }
-    release_all(&locked, txn);
-    ctx.access.release_all_locks(txn);
-    commit_epilogue(ctx);
-    Ok(CommittedTxn {
+    let commit = CommittedTxn {
         ts,
-        ops,
-        distributed,
-    })
+        ops: ctx.access.ops(),
+        distributed: ctx.access.is_distributed(home),
+    };
+
+    if let Some((parts, prepared)) = round {
+        let layer = cluster.atomic_commit();
+        let acks = timers.time(Phase::TwoPc, || match spec.decision {
+            Decision::Sealed => {
+                layer.seal_commit(cluster, txn, home, &parts, prepared);
+                None
+            }
+            _ => layer.decide_commit(cluster, txn, home, &parts, prepared),
+        });
+        if let Some(round) = acks {
+            return Step::Waiting(InFlight {
+                ctx,
+                spec,
+                parts,
+                round,
+                stage: Stage::Deciding { locked, commit },
+            });
+        }
+    }
+    release(ctx, &locked, commit)
+}
+
+/// The last step: the decision has reached everyone it must, so the locks
+/// go and the attempt is committed.
+fn release<'a>(mut ctx: AccessCtx<'a>, locked: &[Arc<Record>], commit: CommittedTxn) -> Step<'a> {
+    let txn = ctx.txn();
+    release_all(locked, txn);
+    ctx.access.release_all_locks(txn);
+    commit_epilogue(&ctx);
+    ctx.finish(Ok(commit))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::ReadPolicy;
-    use crate::prefetch::ReadFanout;
     use crate::txn::TxnContext;
     use primo_common::config::ClusterConfig;
     use primo_common::{TableId, Value};
@@ -381,11 +522,16 @@ mod tests {
     }
 
     /// Run `body` against an optimistic context of transaction `txn`.
-    fn with_ctx<R>(cluster: &Cluster, txn: TxnId, body: impl FnOnce(&mut AccessCtx<'_>) -> R) -> R {
+    fn with_ctx<R>(cluster: &Cluster, txn: TxnId, body: impl FnOnce(AccessCtx<'_>) -> R) -> R {
         let ticket = cluster.group_commit.begin_txn(P0, txn);
-        let fanout = ReadFanout::empty();
-        let mut ctx = AccessCtx::new(cluster, &ticket, P0, ReadPolicy::Optimistic, &fanout);
-        let out = body(&mut ctx);
+        let (held, fanout) = (Arc::clone(&ticket), ReadFanout::empty());
+        let out = body(AccessCtx::new(
+            cluster,
+            held,
+            P0,
+            ReadPolicy::Optimistic,
+            fanout,
+        ));
         cluster.group_commit.txn_aborted(&ticket);
         out
     }
@@ -402,10 +548,10 @@ mod tests {
         // `other` exclusively locks key 3.
         let rec3 = record(&cluster, 3);
         rec3.acquire(other, LockMode::Exclusive, LockPolicy::NoWait);
-        with_ctx(&cluster, txn, |ctx| {
+        with_ctx(&cluster, txn, |mut ctx| {
             ctx.write(P0, T, 2, Value::from_u64(1)).unwrap();
             ctx.write(P0, T, 3, Value::from_u64(1)).unwrap();
-            let err = lock_write_set(ctx, LockPolicy::NoWait).unwrap_err();
+            let err = lock_write_set(&ctx, LockPolicy::NoWait).unwrap_err();
             assert_eq!(err, AbortReason::LockConflict);
         });
         // Key 2's lock (acquired before the failure) was rolled back.
@@ -423,10 +569,10 @@ mod tests {
         let blocker = TxnId::new(P0, 0);
         let rec3 = record(&cluster, 3);
         rec3.acquire(blocker, LockMode::Exclusive, LockPolicy::NoWait);
-        with_ctx(&cluster, txn, |ctx| {
+        with_ctx(&cluster, txn, |mut ctx| {
             ctx.insert(P0, T, 5_000, Value::from_u64(1)).unwrap();
             ctx.write(P0, T, 3, Value::from_u64(1)).unwrap();
-            let err = lock_write_set(ctx, LockPolicy::NoWait).unwrap_err();
+            let err = lock_write_set(&ctx, LockPolicy::NoWait).unwrap_err();
             assert_eq!(err, AbortReason::LockConflict);
             // The failed lock phase unwinds its own materialised records
             // before releasing any lock — the phantom never outlives it.
@@ -465,9 +611,9 @@ mod tests {
             rec2.install_tombstone(9);
             rec2.release(deleter);
         });
-        with_ctx(&cluster, older, |ctx| {
+        with_ctx(&cluster, older, |mut ctx| {
             ctx.write(P0, T, 6, Value::from_u64(1)).unwrap();
-            let err = lock_write_set(ctx, LockPolicy::WaitDie).unwrap_err();
+            let err = lock_write_set(&ctx, LockPolicy::WaitDie).unwrap_err();
             assert_eq!(err, AbortReason::NotFound);
             ctx.abort_cleanup();
         });
@@ -491,8 +637,16 @@ mod tests {
         for (timestamp, validation) in specs {
             let cluster = setup();
             let txn = cluster.next_txn_id(P0);
-            let log_before = cluster.partition(P0).log.len();
-            with_ctx(&cluster, txn, |ctx| {
+            // (The agent's own `Wp` records land in the log every millisecond.)
+            let logged = |cluster: &Cluster| {
+                let entries = cluster.partition(P0).log.entries_from(0);
+                let wp = |e: &&primo_wal::LogEntry| {
+                    matches!(*e.payload, primo_wal::LogPayload::Watermark { .. })
+                };
+                entries.len() - entries.iter().filter(wp).count()
+            };
+            let log_before = logged(&cluster);
+            with_ctx(&cluster, txn, |mut ctx| {
                 ctx.read(P0, T, 3).unwrap();
                 ctx.write(P0, T, 4, Value::from_u64(99)).unwrap();
                 // An external writer overwrites key 3 at a timestamp far
@@ -504,8 +658,10 @@ mod tests {
                     validation,
                     decision: Decision::Local,
                 };
-                let err = commit_locked(ctx, &spec, &mut PhaseTimers::new()).unwrap_err();
-                assert_eq!(err.reason(), AbortReason::Validation, "{validation:?}");
+                let timers = &mut PhaseTimers::new();
+                let (outcome, ..) = commit_locked(ctx, &spec, timers).wait_out(timers);
+                let reason = outcome.unwrap_err().reason();
+                assert_eq!(reason, AbortReason::Validation, "{validation:?}");
             });
             assert_eq!(
                 record(&cluster, 4).read().value.as_u64(),
@@ -513,7 +669,7 @@ mod tests {
                 "{validation:?}"
             );
             assert!(!record(&cluster, 4).lock().is_locked(), "{validation:?}");
-            assert_eq!(cluster.partition(P0).log.len(), log_before);
+            assert_eq!(logged(&cluster), log_before);
             cluster.shutdown();
         }
     }

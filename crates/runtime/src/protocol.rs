@@ -6,12 +6,20 @@
 //! back-off, group commit and metrics are the worker loop's job, so every
 //! protocol is measured under identical conditions — the same methodology the
 //! paper uses by implementing all competitors in one framework.
+//!
+//! An attempt is *staged*: [`Protocol::start`] runs it up to its first wait
+//! on the wire and says where it stands ([`Step`]); whoever runs it resumes
+//! it when the replies are back. Who waits is the caller's business — a
+//! session sits the wait out ([`Protocol::execute_once`]), a worker runs
+//! other clients meanwhile.
 
 use crate::cluster::Cluster;
+use crate::pipeline::Step;
 use crate::prefetch::ReadFanout;
 use crate::txn::TxnProgram;
-use primo_common::{PhaseTimers, Ts, TxnId, TxnResult};
+use primo_common::{PhaseTimers, Ts, TxnResult};
 use primo_wal::TxnTicket;
+use std::sync::Arc;
 
 /// Information about a successfully installed transaction attempt.
 #[derive(Debug, Clone, Copy)]
@@ -38,11 +46,16 @@ pub trait Protocol: Send + Sync {
         false
     }
 
-    /// Run one attempt of `program` with transaction id `txn`.
+    /// Start one attempt of `program` under `ticket` (its transaction id is
+    /// the ticket's) and run it up to its first wait on the wire, or to its
+    /// end.
     ///
-    /// On success the write-set is fully installed on all involved
-    /// partitions and all locks are released; on failure every partial
-    /// effect has been undone / released.
+    /// [`Step::Done`]: on success the write-set is fully installed on all
+    /// involved partitions and all locks are released; on failure every
+    /// partial effect has been undone / released. [`Step::Waiting`]: a 2PC
+    /// round of the attempt's commit is on the wire, and
+    /// [`InFlight::resume`](crate::pipeline::InFlight::resume) continues it
+    /// once the replies are back.
     ///
     /// `fanout` is the attempt's prefetch buffer (resolved by the worker
     /// from the program's hint or the previous attempt's learned footprint;
@@ -50,16 +63,29 @@ pub trait Protocol: Send + Sync {
     /// consults it before charging per-record remote round trips, and
     /// reports the remote accesses it actually performs for footprint
     /// learning. It never changes what commits — only what the network
-    /// charges.
+    /// charges — and comes back with the outcome.
+    fn start<'a>(
+        &self,
+        cluster: &'a Cluster,
+        program: &dyn TxnProgram,
+        ticket: Arc<TxnTicket>,
+        timers: &mut PhaseTimers,
+        fanout: ReadFanout,
+    ) -> Step<'a>;
+
+    /// One attempt from start to end, waiting every round out: the staged
+    /// steps with the waits between them.
     fn execute_once(
         &self,
         cluster: &Cluster,
-        txn: TxnId,
         program: &dyn TxnProgram,
-        ticket: &TxnTicket,
+        ticket: &Arc<TxnTicket>,
         timers: &mut PhaseTimers,
-        fanout: &ReadFanout,
-    ) -> TxnResult<CommittedTxn>;
+        fanout: ReadFanout,
+    ) -> TxnResult<CommittedTxn> {
+        let first = self.start(cluster, program, Arc::clone(ticket), timers, fanout);
+        first.wait_out(timers).0
+    }
 }
 
 #[cfg(test)]
@@ -75,20 +101,20 @@ mod tests {
         fn name(&self) -> &'static str {
             "noop"
         }
-        fn execute_once(
+        fn start<'a>(
             &self,
-            _cluster: &Cluster,
-            _txn: TxnId,
+            _cluster: &'a Cluster,
             _program: &dyn TxnProgram,
-            _ticket: &TxnTicket,
+            ticket: Arc<TxnTicket>,
             _timers: &mut PhaseTimers,
-            _fanout: &ReadFanout,
-        ) -> TxnResult<CommittedTxn> {
-            Ok(CommittedTxn {
+            fanout: ReadFanout,
+        ) -> Step<'a> {
+            let commit = CommittedTxn {
                 ts: 1,
                 ops: 0,
                 distributed: false,
-            })
+            };
+            Step::Done((Ok(commit), ticket, fanout))
         }
     }
 
@@ -105,14 +131,7 @@ mod tests {
         };
         let mut timers = PhaseTimers::new();
         let out = p
-            .execute_once(
-                &cluster,
-                txn,
-                &prog,
-                &ticket,
-                &mut timers,
-                &ReadFanout::empty(),
-            )
+            .execute_once(&cluster, &prog, &ticket, &mut timers, ReadFanout::empty())
             .unwrap();
         assert_eq!(out.ts, 1);
         assert!(!out.distributed);

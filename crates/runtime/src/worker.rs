@@ -1,5 +1,6 @@
 //! The worker loop: generate → send the read fan-out → (run other clients
-//! while it flies) → attempt → (park for the back-off, send again & retry) →
+//! while it flies) → body → send the votes → (…) → certify, install, send the
+//! decision → (…) → release → (park for the back-off, send again & retry) →
 //! group commit → record metrics.
 //!
 //! Mirrors the paper's DBx1000 setup (§6.1.3): each partition leader runs a
@@ -11,29 +12,35 @@
 //!
 //! A transaction can wait five times: for its read fan-out, for the 2PC vote
 //! round, for the 2PC decision round, for a back-off, for the group commit.
-//! Three of the waits are the client's alone. While the group commit makes a
-//! result durable the client sits in `pending` (`MAX_PENDING_COMMITS`).
-//! While its batched read fan-out is on the wire it sits in a FIFO of
-//! `Prepared` clients — generated, sent, and holding nothing else. While it
-//! backs off it is parked in a deadline-ordered set of the same `Prepared`
-//! clients, holding as little; when the back-off is over the retry's
-//! fan-out — the plan the aborted attempt learned — is sent and the client
-//! queued like a new one. Back-off, then flight, stay sequential *for the
-//! client* (its latency and the paper's schedule are what they were); neither
-//! is the worker's, which runs whoever is ready: a client with nothing to
-//! fetch at once, the oldest queued one when its replies are due. The two
-//! 2PC rounds are still the worker's: during them the transaction holds its
-//! locks, so running other clients meanwhile puts whole transactions in
-//! flight side by side on one worker — emulated at 2 / 3 of them a partition
-//! on `ycsb_hot_2pc` that is x 1.85 / x 2.0 `tps` for + 11.5 % / + 30 %
-//! `commit_mean_ms` and 40 % / 53 % aborts: it needs an admission rule first
-//! (ROADMAP). Bodies, locks and commits of one worker stay strictly
-//! sequential; only the waits of one client that hold nothing overlap the
-//! work of others. How many clients are kept on the wire is Little's law on
-//! two measured quantities (`Pace`), not a setting: a local-only workload
-//! with nothing aborting runs at depth 0 through the same loop.
+//! Every wait is the client's; none is the worker's, which is an event loop
+//! over clients that are **queued** (taken up, the fan-out flying, holding
+//! nothing), **voting** (body run, votes flying, holding a ticket and nothing
+//! else), **deciding** (installed, acknowledgements flying, holding the write
+//! locks), **parked** (backing off, holding nothing) or **pending** (waiting
+//! for the group commit). Each turn it runs what is ready, oldest first,
+//! under one rule: *what holds nothing may overlap, and a worker has at most
+//! one lock-holding attempt at a time*. An attempt takes its first lock only
+//! when no attempt of this worker holds one — the commit pipeline stops
+//! before its certify step for exactly that ([`Step::Waiting`]) — so:
+//!
+//! * during a deciding client's round the next distributed client runs its
+//!   body and sends its votes, after the decider's install, which therefore
+//!   never invalidates it; one at a time, so bodies run in install order and
+//!   a read-to-validate window stays one round trip long;
+//! * a voting client whose votes are back waits for the release, then
+//!   certifies;
+//! * a client with nothing to fetch — it would lock right after its body —
+//!   runs in the gap between a release and the next certify.
+//!
+//! An attempt that holds locks from its body on (2PL, Primo past its mode
+//! switch without WCF) *holds something*: it keeps the worker to itself from
+//! start to end, as every attempt used to. A commit without a round (Primo's
+//! local TicToc and WCF commits, Aria) has nothing to suspend and runs the
+//! same steps at depth 0. How many clients are kept on the wire is Little's
+//! law on two measured quantities (`Pace`), not a setting.
 
 use crate::cluster::Cluster;
+use crate::pipeline::{Ended, InFlight, Step};
 use crate::prefetch::{Footprint, ReadFanout};
 use crate::protocol::{CommittedTxn, Protocol};
 use crate::txn::{TxnProgram, Workload};
@@ -51,9 +58,9 @@ use std::time::{Duration, Instant};
 const MAX_ATTEMPTS: usize = 1_000;
 
 /// The closed loop's client population per worker: how many transactions may
-/// be outstanding at once — generated and waiting for their reads, aborted
-/// and backing off, or committed and waiting for the group commit. The
-/// paper's DBx1000 method
+/// be outstanding at once — generated and waiting for their reads, in the
+/// middle of their commit's rounds, aborted and backing off, or committed and
+/// waiting for the group commit. The paper's DBx1000 method
 /// (§6.1.3) has a worker "initiate a new transaction when the running
 /// transaction is waiting" — each waiting transaction is a client whose
 /// result is outstanding, and a worker that has this many outstanding blocks
@@ -97,7 +104,8 @@ struct Prepared {
     timers: PhaseTimers,
     /// Since when it waits for what it waits for now: its flight and the
     /// queue (generate, or the retry's send) are `Execute`, parked time
-    /// (abort to that send) is `Backoff`.
+    /// (abort to that send) is `Backoff`; its votes (their send) are timed
+    /// by the attempt itself.
     since: Instant,
 }
 
@@ -105,15 +113,37 @@ struct Prepared {
 /// the id makes the key unique).
 type Parked = BTreeMap<(u64, TxnId), Prepared>;
 
-/// The two measured quantities that decide how many clients a worker keeps
-/// on the wire.
+/// A client in the middle of an attempt: its body has run and a round of its
+/// commit is on the wire. What the attempt holds is in the value: a ticket —
+/// so it is one of its epoch's transactions in progress, and must be allowed
+/// to finish behind a closed gate — and, once it decides, its write locks.
+struct Suspended<'a> {
+    client: Prepared,
+    attempt: InFlight<'a>,
+}
+
+impl Suspended<'_> {
+    fn ready_at_us(&self) -> u64 {
+        self.attempt.ready_at_us()
+    }
+}
+
+/// The measured quantities that decide how many clients a worker keeps on
+/// the wire.
 struct Pace {
-    /// Worker time one client takes, nanoseconds: from the end of one run to
-    /// the end of the next — taking clients up, running one, reporting
-    /// results — less the wait for its replies. An EWMA (1/8, the decay
-    /// `sim_time`'s sleep overshoot uses); until the first run it is taken
-    /// to last for ever, so nothing is queued on a guess.
+    /// Worker time one client takes, nanoseconds: from the end of one body
+    /// to the end of the next — taking clients up, running one, the later
+    /// steps of others' commits, reporting results — less every wait for a
+    /// deadline. An EWMA (1/8, the decay `sim_time`'s sleep overshoot uses);
+    /// until the first run it is taken to last for ever, so nothing is
+    /// queued on a guess.
     service_ns: u64,
+    /// How long a client that fetched something keeps the next one's body
+    /// waiting beyond its own run, nanoseconds: its votes sent to its
+    /// certify begun — the vote round, and the lock-holder's release if
+    /// that comes later. An EWMA like `service_ns`; 0 where no attempt is
+    /// ever put aside.
+    voting_ns: u64,
     /// How long the last fan-out sent spends on the wire, nanoseconds.
     flight_ns: u64,
     /// When the last run ended.
@@ -124,6 +154,7 @@ impl Pace {
     fn new() -> Self {
         Pace {
             service_ns: u64::MAX,
+            voting_ns: 0,
             flight_ns: 0,
             last_ran: Instant::now(),
         }
@@ -132,18 +163,29 @@ impl Pace {
     /// Little's law, asked right where it matters: would a fan-out sent now
     /// be back before the worker has run the `queued` clients ahead of it?
     /// The head is about to run either way, so it is the others whose runs
-    /// must cover a flight; while they do not, the worker would end up
-    /// waiting on the wire, and takes up another client instead. The rule
-    /// shrinks the queue as readily as it grows it: when runs get longer
-    /// (2PC rounds) fewer clients cover the same flight, and every client
-    /// queued beyond need only adds its wait to its latency.
-    fn wants_another(&self, queued: usize) -> bool {
+    /// must cover a flight — and, of them, the `fetched` ones keep the body
+    /// behind them waiting for their votes as well: bodies of clients that
+    /// fetched run one behind the other's certify. While all that does not
+    /// cover a flight the worker would end up waiting on the wire, and takes
+    /// up another client instead. The rule shrinks the queue as readily as
+    /// it grows it: when runs get longer (the 2PC rounds of attempts that
+    /// hold locks throughout) or a vote round stands between two bodies,
+    /// fewer clients cover the same flight, and every client queued beyond
+    /// need only adds its wait to its latency.
+    fn wants_another(&self, queued: usize, fetched: usize) -> bool {
         let behind_head = queued.saturating_sub(1) as u64;
-        behind_head.saturating_mul(self.service_ns) < self.flight_ns
+        let runs_ns = behind_head.saturating_mul(self.service_ns);
+        runs_ns.saturating_add(fetched as u64 * self.voting_ns) < self.flight_ns
+    }
+
+    /// A voting client begins its certify, `waited` after its votes were sent.
+    fn voted(&mut self, waited: Duration) {
+        self.voting_ns = self.voting_ns - self.voting_ns / 8 + waited.as_nanos() as u64 / 8;
     }
 
     /// A run has just ended; since the one before, the worker waited
-    /// `waited_us` for deadlines (replies, a back-off) with nothing to run.
+    /// `waited_us` for deadlines (replies, a back-off, a round in hand) with
+    /// nothing to run.
     fn ran(&mut self, waited_us: u64) {
         let now = Instant::now();
         let ns = ((now - self.last_ran).as_nanos() as u64).saturating_sub(waited_us * 1_000);
@@ -168,17 +210,20 @@ pub struct WorkerContext {
 }
 
 impl WorkerContext {
-    fn attempt<'a>(&'a self, program: &'a dyn TxnProgram) -> Attempt<'a> {
+    fn attempt(&self) -> Attempt<'_> {
         Attempt {
             cluster: &self.cluster,
             protocol: self.protocol.as_ref(),
-            program,
             home: self.home,
         }
     }
 
     fn recording(&self) -> bool {
         self.recording.load(Ordering::Relaxed)
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
     }
 }
 
@@ -252,22 +297,23 @@ fn wait_out(deadline_us: u64) -> u64 {
     left_us
 }
 
-/// What one attempt of a transaction runs against. The per-attempt lifecycle
-/// exists once, in [`Attempt::run`], for the worker loop and for
-/// [`run_single_txn`] (every facade session) alike.
+/// What the attempts of one worker, or of one session, run against. The
+/// per-attempt lifecycle exists once, in [`Attempt::begin`] and
+/// [`Attempt::ended`], for the worker loop — which runs other clients between
+/// the two — and for [`run_single_txn`] (every facade session), which is
+/// [`Attempt::run`]: the same steps with the waits between them.
 struct Attempt<'a> {
     cluster: &'a Cluster,
     protocol: &'a dyn Protocol,
-    program: &'a dyn TxnProgram,
     home: PartitionId,
 }
 
-impl Attempt<'_> {
+impl<'a> Attempt<'a> {
     /// The first attempt's prefetch plan: the program's static hint (nothing
     /// when batching is off — an empty plan never fans out and never learns).
-    fn initial_plan(&self) -> Footprint {
+    fn initial_plan(&self, program: &dyn TxnProgram) -> Footprint {
         if self.cluster.config.batch_remote_reads {
-            Footprint::from_keys(self.home, self.program.read_hint())
+            Footprint::from_keys(self.home, program.read_hint())
         } else {
             Footprint::default()
         }
@@ -280,38 +326,47 @@ impl Attempt<'_> {
         fanout
     }
 
-    /// One attempt under `txn`: open a ticket, take up `fanout` — the batched
-    /// reads `plan` describes, sent ([`Attempt::send`]) when the client was
-    /// taken up or its back-off was over — run the protocol, tell the group
-    /// commit how it ended and leave `Begin` + `Committed` in the flight
-    /// recorder (`Abort` is [`Attempt::aborted`]'s, which the caller owes an
-    /// `Err`). A commit also takes the log-retention step (its locks are
-    /// released) — and, if the protocol releases results itself, tells the
-    /// version GC so: nobody waits for this commit, so nobody would later.
-    /// An abort leaves its observed remote footprint in `plan` for the
-    /// retry.
-    fn run(
+    /// Begin one attempt under `txn`: leave `Begin` in the flight recorder,
+    /// open a ticket, take up `fanout` — the batched reads sent
+    /// ([`Attempt::send`]) when the client was taken up or its back-off was
+    /// over — and start the protocol, which runs the attempt to its first
+    /// wait on the wire or to its end. Whoever sees the attempt
+    /// [`Step::Done`] owes it [`Attempt::ended`].
+    fn begin(
         &self,
+        program: &dyn TxnProgram,
         txn: TxnId,
         attempt: u32,
-        plan: &mut Footprint,
         mut fanout: ReadFanout,
         timers: &mut PhaseTimers,
-    ) -> Result<(CommittedTxn, CommitWaiter), AbortReason> {
+    ) -> Step<'a> {
         let (cluster, home) = (self.cluster, self.home);
-        let trace = |kind| cluster.recorder.emit(Some(txn), Some(home), kind);
-        trace(TraceEventKind::Begin { attempt });
+        (cluster.recorder).emit(Some(txn), Some(home), TraceEventKind::Begin { attempt });
         let ticket = cluster.group_commit.begin_txn(home, txn);
         timers.time(Phase::Execute, || fanout.complete(cluster, home, txn));
-        match self
-            .protocol
-            .execute_once(cluster, txn, self.program, &ticket, timers, &fanout)
-        {
+        (self.protocol).start(cluster, program, ticket, timers, fanout)
+    }
+
+    /// The attempt under `ticket` ended with `outcome`: tell the group commit
+    /// and leave `Committed` in the flight recorder (`Abort` is
+    /// [`Attempt::aborted`]'s, which the caller owes an `Err`). A commit also
+    /// takes the log-retention step (its locks are released) — and, if the
+    /// protocol releases results itself, tells the version GC so: nobody
+    /// waits for this commit, so nobody would later. An abort leaves its
+    /// observed remote footprint in `plan` for the retry.
+    fn ended(
+        &self,
+        (outcome, ticket, fanout): Ended,
+        plan: &mut Footprint,
+    ) -> Result<(CommittedTxn, CommitWaiter), AbortReason> {
+        let (cluster, home, ticket) = (self.cluster, self.home, &*ticket);
+        match outcome {
             Ok(commit) => {
                 let waiter = cluster
                     .group_commit
-                    .txn_committed(&ticket, commit.ts, commit.ops);
-                trace(TraceEventKind::Committed { ts: commit.ts });
+                    .txn_committed(ticket, commit.ts, commit.ops);
+                let committed = TraceEventKind::Committed { ts: commit.ts };
+                (cluster.recorder).emit(Some(ticket.txn), Some(home), committed);
                 cluster.fold_due_logs();
                 if self.protocol.manages_durability() {
                     cluster.horizon_moved();
@@ -319,7 +374,7 @@ impl Attempt<'_> {
                 Ok((commit, waiter))
             }
             Err(e) => {
-                cluster.group_commit.txn_aborted(&ticket);
+                cluster.group_commit.txn_aborted(ticket);
                 if cluster.config.batch_remote_reads {
                     let learned = fanout.learned(home);
                     if !learned.is_empty() {
@@ -329,6 +384,21 @@ impl Attempt<'_> {
                 Err(e.reason())
             }
         }
+    }
+
+    /// One attempt from [`Attempt::begin`] to [`Attempt::ended`], every wait
+    /// sat out.
+    fn run(
+        &self,
+        program: &dyn TxnProgram,
+        txn: TxnId,
+        attempt: u32,
+        plan: &mut Footprint,
+        fanout: ReadFanout,
+        timers: &mut PhaseTimers,
+    ) -> Result<(CommittedTxn, CommitWaiter), AbortReason> {
+        let step = self.begin(program, txn, attempt, fanout, timers);
+        self.ended(step.wait_out(timers), plan)
     }
 
     /// Attempt number `attempts` of `txn` aborted for `reason`: how long its
@@ -403,8 +473,8 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
     // attempt, then each aborted attempt's observed access set for the
     // retry (reconnaissance-style), so even hint-less programs converge
     // to one batched fan-out per attempt.
-    let attempt = ctx.attempt(program.as_ref());
-    let plan = attempt.initial_plan();
+    let attempt = ctx.attempt();
+    let plan = attempt.initial_plan(program.as_ref());
     let fanout = attempt.send(&plan);
     Some(Prepared {
         program,
@@ -419,94 +489,232 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
     })
 }
 
-/// Run one attempt of a client's transaction; the caller has waited for its
-/// fan-out. A client that must retry is parked until its back-off is over —
-/// holding what a queued client holds, and the footprint the attempt
-/// learned. Every other client is accounted for: committed (counted here or
-/// handed to `pending`), or abandoned — its abort final or its
-/// `MAX_ATTEMPTS` used up.
-fn run_client(
-    ctx: &WorkerContext,
-    rng: &mut FastRng,
-    pending: &mut VecDeque<PendingCommit>,
-    parked: &mut Parked,
-    mut client: Prepared,
-) {
-    // The flight and the queue are where this client's reads were executed.
-    client.timers.add(Phase::Execute, client.since.elapsed());
-    let txn = *(client.txn).get_or_insert_with(|| ctx.cluster.next_txn_id(ctx.home));
-    client.attempts += 1;
-    let slowdown = ctx.cluster.partition(ctx.home).slowdown_us();
-    if slowdown > 0 {
-        // Simulated slow partition (Fig 13b): extra CPU time per attempt,
-        // charged as execution time.
-        (client.timers).time(Phase::Execute, || charge_latency_us(slowdown));
-    }
-    let attempt = ctx.attempt(client.program.as_ref());
-    let sent = std::mem::take(&mut client.fanout);
-    let (plan, timers) = (&mut client.plan, &mut client.timers);
-    match attempt.run(txn, client.attempts as u32, plan, sent, timers) {
-        Ok((commit, waiter)) => {
-            let Prepared {
-                started, timers, ..
-            } = client;
-            if ctx.protocol.manages_durability() {
-                if ctx.recording() {
-                    let latency_us = started.elapsed().as_micros() as u64;
-                    ctx.metrics
-                        .record_commit(latency_us, &timers, commit.distributed);
-                }
-            } else {
-                // The client keeps waiting for the watermark / epoch; the
-                // worker moves on to the next transaction.
-                pending.push_back(PendingCommit {
-                    waiter,
-                    started,
-                    committed_at: Instant::now(),
-                    timers,
-                    distributed: commit.distributed,
-                });
-            }
-        }
-        Err(reason) => {
-            if ctx.recording() {
-                ctx.metrics.record_abort(reason);
-            }
-            match attempt.aborted(txn, client.attempts, reason, rng, &mut client.backoff_us) {
-                Some(wait_us) => {
-                    client.since = Instant::now();
-                    parked.insert((now_us() + wait_us, txn), client);
-                }
-                None if ctx.recording() => ctx.metrics.record_abandoned(),
-                None => {}
-            }
-        }
-    }
+/// One worker's clients, wherever they wait, and what it has measured.
+struct Worker<'a> {
+    ctx: &'a WorkerContext,
+    rng: FastRng,
+    pending: VecDeque<PendingCommit>,
+    queued: VecDeque<Prepared>,
+    parked: Parked,
+    /// Oldest first.
+    voting: VecDeque<Suspended<'a>>,
+    /// The one attempt of this worker that holds locks.
+    deciding: Option<Suspended<'a>>,
+    pace: Pace,
+    /// A client was put ahead of a queued one that could have run: that one
+    /// is not passed over a second time.
+    passed_over: bool,
+    /// Spent waiting for a deadline since the last body: not the worker's own.
+    waited_us: u64,
 }
 
-/// Run the worker loop until the stop flag is raised.
-pub fn worker_loop(ctx: WorkerContext) {
-    let mut rng = FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5);
-    let mut pending: VecDeque<PendingCommit> = VecDeque::new();
-    let mut queued: VecDeque<Prepared> = VecDeque::new();
-    let mut parked = Parked::new();
-    let mut pace = Pace::new();
-    // A client was put ahead of a head whose replies were already back: the
-    // head is not passed over a second time.
-    let mut passed_over = false;
-    // Spent waiting for a deadline since the last run: not the worker's own.
-    let mut waited_us = 0;
+impl<'a> Worker<'a> {
+    fn new(ctx: &'a WorkerContext) -> Self {
+        Worker {
+            ctx,
+            rng: FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5),
+            pending: VecDeque::new(),
+            queued: VecDeque::new(),
+            parked: Parked::new(),
+            voting: VecDeque::new(),
+            deciding: None,
+            pace: Pace::new(),
+            passed_over: false,
+            waited_us: 0,
+        }
+    }
 
-    while !ctx.stop.load(Ordering::Relaxed) {
+    /// How many of the closed loop's clients are outstanding, wherever.
+    fn population(&self) -> usize {
+        let suspended = self.voting.len() + self.deciding.iter().len();
+        self.queued.len() + suspended + self.parked.len() + self.pending.len()
+    }
+
+    fn wait(&mut self, deadline_us: u64) {
+        self.waited_us += wait_out(deadline_us);
+    }
+
+    /// Run one attempt of a client's transaction, to its end or to where it
+    /// waits for its votes holding nothing; its fan-out is back. An attempt
+    /// that comes out of its body holding locks keeps the worker until it is
+    /// over: nothing of this worker overlaps what holds something.
+    fn start(&mut self, mut client: Prepared) {
+        let ctx = self.ctx;
+        // The flight and the queue are where this client's reads were executed.
+        client.timers.add(Phase::Execute, client.since.elapsed());
+        let txn = *(client.txn).get_or_insert_with(|| ctx.cluster.next_txn_id(ctx.home));
+        client.attempts += 1;
+        let slowdown = ctx.cluster.partition(ctx.home).slowdown_us();
+        if slowdown > 0 {
+            // Simulated slow partition (Fig 13b): extra CPU time per attempt,
+            // charged as execution time.
+            (client.timers).time(Phase::Execute, || charge_latency_us(slowdown));
+        }
+        let sent = std::mem::take(&mut client.fanout);
+        let (program, timers) = (client.program.as_ref(), &mut client.timers);
+        match (ctx.attempt()).begin(program, txn, client.attempts as u32, sent, timers) {
+            Step::Waiting(attempt) if !attempt.holds_locks() => {
+                client.since = Instant::now();
+                self.voting.push_back(Suspended { client, attempt });
+            }
+            step => {
+                debug_assert!(
+                    self.deciding.is_none() || matches!(step, Step::Done(..)),
+                    "two attempts of one worker hold locks"
+                );
+                let ended = step.wait_out(&mut client.timers);
+                self.ended(client, ended);
+            }
+        }
+        self.pace.ran(std::mem::take(&mut self.waited_us));
+    }
+
+    /// The replies a suspended attempt waited for are back: run its next
+    /// step. Out of its vote round an attempt certifies, installs and decides
+    /// — the caller has seen to it that no other attempt of this worker holds
+    /// a lock — and becomes the lock-holder while its acknowledgements fly.
+    fn resume(&mut self, suspended: Suspended<'a>) {
+        let Suspended {
+            mut client,
+            attempt,
+        } = suspended;
+        match attempt.resume(&mut client.timers) {
+            Step::Waiting(attempt) => {
+                debug_assert!(attempt.holds_locks() && self.deciding.is_none());
+                self.deciding = Some(Suspended { client, attempt });
+            }
+            Step::Done(ended) => self.ended(client, ended),
+        }
+    }
+
+    /// An attempt of `client` is over. A client that must retry is parked
+    /// until its back-off is over — holding what a queued client holds, and
+    /// the footprint the attempt learned. Every other client is accounted
+    /// for: committed (counted here or handed to `pending`), or abandoned —
+    /// its abort final or its `MAX_ATTEMPTS` used up.
+    fn ended(&mut self, mut client: Prepared, ended: Ended) {
+        let (ctx, txn) = (self.ctx, ended.1.txn);
+        let attempt = ctx.attempt();
+        match attempt.ended(ended, &mut client.plan) {
+            Ok((commit, waiter)) => {
+                let Prepared {
+                    started, timers, ..
+                } = client;
+                if ctx.protocol.manages_durability() {
+                    if ctx.recording() {
+                        let latency_us = started.elapsed().as_micros() as u64;
+                        ctx.metrics
+                            .record_commit(latency_us, &timers, commit.distributed);
+                    }
+                } else {
+                    // The client keeps waiting for the watermark / epoch; the
+                    // worker moves on to the next transaction.
+                    self.pending.push_back(PendingCommit {
+                        waiter,
+                        started,
+                        committed_at: Instant::now(),
+                        timers,
+                        distributed: commit.distributed,
+                    });
+                }
+            }
+            Err(reason) => {
+                if ctx.recording() {
+                    ctx.metrics.record_abort(reason);
+                }
+                let (attempts, level) = (client.attempts, &mut client.backoff_us);
+                match attempt.aborted(txn, attempts, reason, &mut self.rng, level) {
+                    Some(wait_us) => {
+                        client.since = Instant::now();
+                        self.parked.insert((now_us() + wait_us, txn), client);
+                    }
+                    None if ctx.recording() => ctx.metrics.record_abandoned(),
+                    None => {}
+                }
+            }
+        }
+    }
+
+    /// The worker stops serving (the stop flag, a crashed home): what its
+    /// suspended attempts hold is given back. The deciding one has installed,
+    /// so its release is finished, never dropped. A voting one holds a ticket
+    /// and nothing else: the participants are told, the ticket is closed and
+    /// the client goes the way of the queued and the parked, which hold
+    /// nothing at all.
+    fn wind_down(&mut self) {
+        if let Some(deciding) = self.deciding.take() {
+            wait_until(deciding.ready_at_us());
+            self.resume(deciding);
+        }
+        for Suspended { attempt, .. } in self.voting.drain(..) {
+            let cluster = &self.ctx.cluster;
+            let ticket = attempt.abandon();
+            cluster.group_commit.txn_aborted(&ticket);
+            let dropped = TraceEventKind::Abort {
+                reason: AbortReason::RemoteUnavailable,
+                backoff_us: 0,
+            };
+            (cluster.recorder).emit(Some(ticket.txn), Some(self.ctx.home), dropped);
+        }
+        self.queued.clear();
+        self.parked.clear();
+    }
+
+    /// One turn of the loop: run the oldest thing that is ready, else put a
+    /// client on the wire, else wait for the earliest deadline.
+    fn turn(&mut self) {
+        let ctx = self.ctx;
         // Report results of transactions whose group commit finished while we
         // were executing newer ones.
-        release_pending(&ctx, &mut pending, false);
-        let population = queued.len() + parked.len() + pending.len();
-        debug_assert!(population <= MAX_PENDING_COMMITS);
-        let full = population >= MAX_PENDING_COMMITS;
-        let retry_at = parked.first_key_value().map(|(&(at_us, _), _)| at_us);
+        release_pending(ctx, &mut self.pending, false);
+        // A dead leader serves no clients; the worker waits as after a
+        // retryable abort (the longest back-off: a recovery takes that long
+        // at least).
+        if ctx.cluster.net.is_crashed(ctx.home) {
+            self.wind_down();
+            let max_us = ctx.cluster.config.backoff_max_us;
+            charge_latency_us(next_backoff(&mut self.rng, &mut { max_us }, max_us));
+            return;
+        }
+
+        // The lock-holder's acknowledgements are back: it releases — others,
+        // here and elsewhere, wait on those locks. With nobody holding a lock
+        // the oldest voting client whose votes are back takes its first.
+        let now = now_us();
+        if let Some(deciding) = self.deciding.take_if(|d| d.ready_at_us() <= now) {
+            return self.resume(deciding);
+        }
+        let votes_back = |v: &Suspended<'_>| v.ready_at_us() <= now;
+        let certifying = (self.voting.iter().position(votes_back))
+            .filter(|_| self.deciding.is_none())
+            .and_then(|i| self.voting.remove(i));
+        if let Some(certifying) = certifying {
+            self.pace.voted(certifying.client.since.elapsed());
+            return self.resume(certifying);
+        }
+
+        // COCO-style schemes may briefly forbid starting new transactions.
+        // Starting, not finishing: a suspended attempt's ticket is what its
+        // epoch waits for, so with one in hand the worker does not wait at the
+        // gate, it goes on with what it has.
+        // (The reply that matters next: the lock-holder's acknowledgements,
+        // which every voting client waits behind, or else the first votes.)
+        let next_reply_at = match &self.deciding {
+            Some(deciding) => Some(deciding.ready_at_us()),
+            None => self.voting.iter().map(Suspended::ready_at_us).min(),
+        };
+        let open = (ctx.cluster.group_commit).execution_gate(ctx.home, next_reply_at.is_none());
+        if ctx.stopped() {
+            return;
+        }
+        if !open {
+            return self.wait(next_reply_at.expect("asked without waiting"));
+        }
+
+        debug_assert!(self.population() <= MAX_PENDING_COMMITS);
+        let retry_at = self.parked.first_key_value().map(|(&(at_us, _), _)| at_us);
         let due = |at_us: Option<u64>| at_us.is_some_and(|at_us| at_us <= now_us());
-        // No room for a new client, none on the wire and no retry due: wait
+        // No room for a new client, nothing on the wire and no retry due: wait
         // for a result. A retry due *later* waits with the worker — at most
         // the release lag over its time, as behind any run — because the
         // block is what tells the group commit that clients are waiting
@@ -514,90 +722,96 @@ pub fn worker_loop(ctx: WorkerContext) {
         // one parked deadline to the next would never send it, and its
         // results would come at the interval. Only when every client is
         // parked is the earliest back-off what the worker waits for.
-        if full && queued.is_empty() && !due(retry_at) {
+        let nothing_flies = self.queued.is_empty() && next_reply_at.is_none();
+        if self.population() >= MAX_PENDING_COMMITS && nothing_flies && !due(retry_at) {
             match retry_at {
-                Some(at_us) if pending.is_empty() => waited_us += wait_out(at_us),
-                _ => release_pending(&ctx, &mut pending, true),
+                Some(at_us) if self.pending.is_empty() => self.wait(at_us),
+                _ => release_pending(ctx, &mut self.pending, true),
             }
         }
+        let full = self.population() >= MAX_PENDING_COMMITS;
 
-        // COCO-style schemes may briefly forbid starting new transactions.
-        ctx.cluster.group_commit.execution_gate(ctx.home);
-        if ctx.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        // A dead leader serves no clients. The queued and the parked ones
-        // hold nothing and go with it; the worker waits as after a retryable
-        // abort (the longest back-off: a recovery takes that long at least).
-        if ctx.cluster.net.is_crashed(ctx.home) {
-            queued.clear();
-            parked.clear();
-            let max_us = ctx.cluster.config.backoff_max_us;
-            charge_latency_us(next_backoff(&mut rng, &mut { max_us }, max_us));
-            continue;
-        }
+        // Which queued client may run its body now. One that fetched runs
+        // body and vote round holding nothing, so a lock-holder does not
+        // stand in its way — another voting client does: bodies run one
+        // behind the other's install, never side by side. One with nothing to
+        // fetch locks right behind its body: it runs in the gap, when nobody
+        // holds a lock.
+        let (gap, no_votes_fly) = (self.deciding.is_none(), self.voting.is_empty());
+        let may_start = |c: &Prepared| match c.fanout.flight_us() {
+            0 => gap,
+            _ => no_votes_fly,
+        };
+        let ready =
+            (self.queued.iter()).position(|c| may_start(c) && c.fanout.ready_at_us() <= now);
 
-        // Put a client on the wire or run the oldest queued one. On the wire
-        // goes a parked client whose back-off is over — the retry's fan-out,
-        // from the plan the aborted attempt learned; it is one of the
-        // population already — or else a new one, while the queue does not
-        // cover a flight ([`Pace::wants_another`]) and the population has
-        // room. But a head whose replies are back is passed over by at most
-        // one client, so nothing starves behind a stream of clients that have
-        // nothing to fetch.
-        let head_at = queued.front().map(|head| head.fanout.ready_at_us());
-        let head_due = due(head_at);
-        let may_pass = !(head_due && passed_over);
+        // Put a client on the wire or run the oldest queued one that is
+        // ready. On the wire goes a parked client whose back-off is over —
+        // the retry's fan-out, from the plan the aborted attempt learned; it
+        // is one of the population already — or else a new one, while the
+        // queue does not cover a flight ([`Pace::wants_another`]) and the
+        // population has room. But a client that is ready is passed over by
+        // at most one other, so nothing starves behind a stream of clients
+        // that have nothing to fetch.
+        let may_pass = !(ready.is_some() && self.passed_over);
         let retry_due = may_pass && due(retry_at);
-        let take_new = head_at.is_none() || (may_pass && !full && pace.wants_another(queued.len()));
-        let next = if retry_due || take_new {
-            passed_over = head_due;
+        let fetched = (self.queued.iter()).filter(|c| c.fanout.flight_us() > 0);
+        let covered = !(self.pace).wants_another(self.queued.len(), fetched.count());
+        let wanted = self.queued.is_empty() || (may_pass && !covered);
+        let next = if retry_due || (wanted && !full) {
+            self.passed_over = ready.is_some();
             let client = if retry_due {
-                let (_, mut client) = parked.pop_first().expect("a retry is due");
+                let (_, mut client) = self.parked.pop_first().expect("a retry is due");
                 client.timers.add(Phase::Backoff, client.since.elapsed());
                 client.since = Instant::now();
-                client.fanout = ctx.attempt(client.program.as_ref()).send(&client.plan);
+                client.fanout = ctx.attempt().send(&client.plan);
                 Some(client)
             } else {
-                take_up(&ctx, &mut rng)
+                take_up(ctx, &mut self.rng)
             };
             client.and_then(|client| match client.fanout.flight_us() {
                 // Nothing to wait for: run it now, never behind the wire.
-                0 => Some(client),
+                0 if gap => Some(client),
                 flight_us => {
-                    pace.flight_ns = flight_us * 1_000;
-                    queued.push_back(client);
+                    if flight_us > 0 {
+                        self.pace.flight_ns = flight_us * 1_000;
+                    }
+                    self.queued.push_back(client);
                     None
                 }
             })
+        } else if let Some(i) = ready {
+            self.passed_over = false;
+            self.queued.remove(i)
         } else {
-            match retry_at {
-                // Nothing is runnable, and the earliest deadline is a
-                // back-off's: that retry goes on the wire first.
-                Some(at_us) if !head_due && Some(at_us) < head_at => {
-                    waited_us += wait_out(at_us);
-                    None
-                }
-                _ => {
-                    passed_over = false;
-                    queued.pop_front()
-                }
-            }
+            // Nothing is runnable: the earliest deadline that makes something
+            // so — a reply in hand, a back-off, the replies of a queued
+            // client that may start.
+            let startable = self.queued.iter().filter(|c| may_start(c));
+            let fetched_at = startable.map(|c| c.fanout.ready_at_us());
+            let at_us = fetched_at.chain(retry_at).chain(next_reply_at).min();
+            self.wait(at_us.expect("a worker with nothing to wait for takes up a client"));
+            None
         };
         if let Some(client) = next {
-            // What is left of its flight is not the worker's own time.
-            waited_us += wait_out(client.fanout.ready_at_us());
-            run_client(&ctx, &mut rng, &mut pending, &mut parked, client);
-            pace.ran(std::mem::take(&mut waited_us));
+            self.start(client);
         }
     }
+}
 
+/// Run the worker loop until the stop flag is raised.
+pub fn worker_loop(ctx: WorkerContext) {
+    let mut worker = Worker::new(&ctx);
+    while !ctx.stopped() {
+        worker.turn();
+    }
+    // Clients still queued or parked are dropped: they hold nothing.
+    worker.wind_down();
     // Resolve whatever is still in flight so late commits are counted:
-    // block on one waiter after the other until the deadline. Clients still
-    // queued or parked are dropped: they hold nothing.
+    // block on one waiter after the other until the deadline.
     let deadline = Instant::now() + Duration::from_millis(200);
-    while !pending.is_empty() && Instant::now() < deadline {
-        release_pending(&ctx, &mut pending, true);
+    while !worker.pending.is_empty() && Instant::now() < deadline {
+        release_pending(&ctx, &mut worker.pending, true);
     }
     // No write of this worker will come by to reclaim what these covered.
     ctx.cluster.reclaim_due_versions();
@@ -663,12 +877,11 @@ pub fn run_single_txn(
     let attempt = Attempt {
         cluster,
         protocol,
-        program,
         home,
     };
     let mut attempts = 0;
     let mut backoff_us = cluster.config.backoff_initial_us;
-    let mut plan = attempt.initial_plan();
+    let mut plan = attempt.initial_plan(program);
     loop {
         attempts += 1;
         let txn = cluster.next_txn_id(home);
@@ -679,7 +892,7 @@ pub fn run_single_txn(
         // A session *is* the waiting client: it waits its back-off out here.
         // When the attempts run out it reports what actually aborted the
         // last one rather than a blanket LockConflict.
-        let wait_us = match attempt.run(txn, attempts as u32, &mut plan, fanout, timers) {
+        let wait_us = match attempt.run(program, txn, attempts as u32, &mut plan, fanout, timers) {
             Ok(_) if protocol.manages_durability() => return Ok(attempts),
             Ok((_, waiter)) => match cluster.group_commit.wait_durable(&waiter) {
                 CommitOutcome::Committed => {
@@ -707,7 +920,7 @@ mod tests {
     use crate::txn::{IncrementProgram, TxnProgram};
     use primo_common::config::{ClusterConfig, LoggingScheme};
     use primo_common::stats::ClusterStats;
-    use primo_common::{TableId, TxnError, TxnId, Value};
+    use primo_common::{TableId, TxnError, Value};
     use primo_wal::{ReplayBound, TxnTicket};
 
     /// Stub protocol: every attempt logs one insert write-set (like a real
@@ -718,16 +931,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "logging-stub"
         }
-        fn execute_once(
+        fn start<'a>(
             &self,
-            cluster: &Cluster,
-            txn: TxnId,
+            cluster: &'a Cluster,
             _program: &dyn TxnProgram,
-            ticket: &TxnTicket,
-            _timers: &mut primo_common::PhaseTimers,
-            _fanout: &ReadFanout,
-        ) -> primo_common::TxnResult<CommittedTxn> {
-            let ts = cluster.group_commit.finalize_commit_ts(ticket, 0);
+            ticket: Arc<TxnTicket>,
+            _timers: &mut PhaseTimers,
+            fanout: ReadFanout,
+        ) -> Step<'a> {
+            let txn = ticket.txn;
+            let ts = cluster.group_commit.finalize_commit_ts(&ticket, 0);
             let writes = [WriteEntry::insert(
                 PartitionId(0),
                 TableId(0),
@@ -735,11 +948,12 @@ mod tests {
                 Value::from_u64(txn.seq),
             )];
             crate::durability::log_txn_writes(cluster, txn, ts, writes.iter().map(|w| (w, None)));
-            Ok(CommittedTxn {
+            let commit = CommittedTxn {
                 ts,
                 ops: 1,
                 distributed: false,
-            })
+            };
+            Step::Done((Ok(commit), ticket, fanout))
         }
     }
 
@@ -748,13 +962,22 @@ mod tests {
         let mut pace = Pace::new();
         pace.flight_ns = 220_000;
         // No run measured yet: one client beside the head, no more.
-        assert!(pace.wants_another(1) && !pace.wants_another(2));
+        assert!(pace.wants_another(1, 1) && !pace.wants_another(2, 2));
         // 40 us runs: six of them behind the head cover a 220 us flight.
         pace.service_ns = 40_000;
-        assert!(pace.wants_another(6) && !pace.wants_another(7));
+        assert!(pace.wants_another(6, 6) && !pace.wants_another(7, 7));
+        // A vote round between two bodies: each queued client that fetched
+        // covers that much more. Four rounds of 50 us: two runs are enough;
+        // a whole round trip: one fetched client covers a flight by itself,
+        // however short the runs — and clients with nothing to fetch do not.
+        (0..64).for_each(|_| pace.voted(Duration::from_micros(50)));
+        assert!(pace.wants_another(2, 2) && !pace.wants_another(2 + 1, 2 + 1));
+        (0..64).for_each(|_| pace.voted(Duration::from_micros(230)));
+        assert!(pace.wants_another(3, 0) && !pace.wants_another(1, 1));
+        pace.voting_ns = 0;
         // Runs longer than a flight (2PC rounds): one is enough.
         pace.service_ns = 250_000;
-        assert!(pace.wants_another(1) && !pace.wants_another(2));
+        assert!(pace.wants_another(1, 1) && !pace.wants_another(2, 2));
         // The estimate follows the runs: an eighth of the way each time.
         pace.last_ran = Instant::now() - Duration::from_micros(410);
         pace.ran(0);
@@ -844,16 +1067,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "always-validation"
         }
-        fn execute_once(
+        fn start<'a>(
             &self,
-            _cluster: &Cluster,
-            _txn: TxnId,
+            _cluster: &'a Cluster,
             _program: &dyn TxnProgram,
-            _ticket: &TxnTicket,
-            _timers: &mut primo_common::PhaseTimers,
-            _fanout: &ReadFanout,
-        ) -> primo_common::TxnResult<CommittedTxn> {
-            Err(TxnError::Aborted(AbortReason::Validation))
+            ticket: Arc<TxnTicket>,
+            _timers: &mut PhaseTimers,
+            fanout: ReadFanout,
+        ) -> Step<'a> {
+            let aborted = Err(TxnError::Aborted(AbortReason::Validation));
+            Step::Done((aborted, ticket, fanout))
         }
     }
 

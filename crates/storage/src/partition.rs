@@ -2,18 +2,24 @@
 
 use crate::record::Record;
 use crate::table::Table;
-use parking_lot::RwLock;
 use primo_common::{Key, PartitionId, TableId, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// How many tables a partition can hold: table ids are `0..MAX_TABLES`
+/// (TPC-C, the widest schema here, uses nine).
+const MAX_TABLES: usize = 16;
 
 /// All data owned by one partition.
 ///
 /// Tables are created lazily on first access so workloads can define their
-/// schema simply by writing to table ids.
+/// schema simply by writing to table ids. A table, once created, is never
+/// removed (a crash [wipes](PartitionStore::wipe) its records, not the
+/// instance), so each lives in a fixed slot and a lookup is one load: every
+/// record access of every worker comes through here.
 #[derive(Debug)]
 pub struct PartitionStore {
     partition: PartitionId,
-    tables: RwLock<Vec<Option<Arc<Table>>>>,
+    tables: [OnceLock<Arc<Table>>; MAX_TABLES],
     /// Version-chain depth for records in lazily created tables.
     max_versions: usize,
 }
@@ -28,7 +34,7 @@ impl PartitionStore {
         assert!(max_versions >= 1);
         PartitionStore {
             partition,
-            tables: RwLock::new(Vec::new()),
+            tables: Default::default(),
             max_versions,
         }
     }
@@ -37,23 +43,15 @@ impl PartitionStore {
         self.partition
     }
 
-    /// Get (or lazily create) a table.
-    pub fn table(&self, id: TableId) -> Arc<Table> {
-        let idx = id.0 as usize;
-        {
-            let tables = self.tables.read();
-            if let Some(Some(t)) = tables.get(idx) {
-                return Arc::clone(t);
-            }
-        }
-        let mut tables = self.tables.write();
-        if tables.len() <= idx {
-            tables.resize(idx + 1, None);
-        }
-        if tables[idx].is_none() {
-            tables[idx] = Some(Arc::new(Table::with_max_versions(self.max_versions)));
-        }
-        Arc::clone(tables[idx].as_ref().unwrap())
+    /// Get (or lazily create) a table. Clone the handle only where ownership
+    /// is needed (the undo log keeps one).
+    ///
+    /// # Panics
+    /// If `id` is not below `MAX_TABLES` (16).
+    pub fn table(&self, id: TableId) -> &Arc<Table> {
+        let slot = (self.tables.get(id.0 as usize))
+            .unwrap_or_else(|| panic!("table id {} is not below {MAX_TABLES}", id.0));
+        slot.get_or_init(|| Arc::new(Table::with_max_versions(self.max_versions)))
     }
 
     /// Look up a record.
@@ -68,17 +66,15 @@ impl PartitionStore {
 
     /// Number of records across all tables.
     pub fn total_records(&self) -> usize {
-        self.tables.read().iter().flatten().map(|t| t.len()).sum()
+        self.tables().iter().map(|(_, t)| t.len()).sum()
     }
 
     /// Every instantiated table, with its id.
     pub fn tables(&self) -> Vec<(TableId, Arc<Table>)> {
-        self.tables
-            .read()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|t| (TableId(i as u32), Arc::clone(t))))
-            .collect()
+        let created = |(i, slot): (usize, &OnceLock<Arc<Table>>)| {
+            (slot.get()).map(|t| (TableId(i as u32), Arc::clone(t)))
+        };
+        self.tables.iter().enumerate().filter_map(created).collect()
     }
 
     /// Lifecycle-aware snapshot of every committed record:
@@ -128,7 +124,11 @@ mod tests {
         let s = PartitionStore::new(PartitionId(1));
         let a = s.table(TableId(0));
         let b = s.table(TableId(0));
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(a, b));
+        // Also across a wipe: handles given out before a crash stay valid.
+        s.insert(TableId(0), 1, Value::from_u64(1));
+        assert_eq!(s.wipe(), 1);
+        assert!(Arc::ptr_eq(a, s.table(TableId(0))));
     }
 
     #[test]

@@ -46,8 +46,14 @@ pub enum TraceEventKind {
     CommitTsReserved { ts: Ts },
     /// 2PC prepare round sent to `participants` partitions.
     Prepare { participants: u32 },
-    /// 2PC vote outcome collected by the coordinator.
-    Vote { ok: bool },
+    /// 2PC vote outcome taken up by the coordinator: the round spent
+    /// `flight_us` on the wire and its replies then waited `late_us` for the
+    /// worker (`at - late_us` is when the votes were back).
+    Vote {
+        ok: bool,
+        flight_us: u64,
+        late_us: u64,
+    },
     /// One `TxnWrites` entry appended to a partition's replicated log.
     WalAppend { lsn: u64, term: u64 },
     /// A committer blocked on the partition's log sequencer for `wait_us`
@@ -104,8 +110,17 @@ pub enum TraceEventKind {
     VoteQuorumDurable { lsn: u64 },
     /// The atomic-commit layer reached a global verdict. `in_doubt` marks
     /// verdicts assembled *without* the coordinator (crash resolution), as
-    /// opposed to the coordinator's own decision.
-    DecisionReached { commit: bool, in_doubt: bool },
+    /// opposed to the coordinator's own decision. A decision the coordinator
+    /// waits to see acknowledged (classic 2PC's commit round) is stamped when
+    /// the worker takes the acknowledgements up: they spent `flight_us` on
+    /// the wire and then waited `late_us` for it; both are 0 for a decision
+    /// announced one-way.
+    DecisionReached {
+        commit: bool,
+        in_doubt: bool,
+        flight_us: u64,
+        late_us: u64,
+    },
     /// The coordinating worker was killed between prepare and decision
     /// (worker-granularity crash injection, not a partition crash).
     CoordinatorCrashed,
@@ -180,7 +195,11 @@ impl TraceEventKind {
             ),
             CommitTsReserved { ts } => (4, ts, 0, 0),
             Prepare { participants } => (5, participants as u64, 0, 0),
-            Vote { ok } => (6, ok as u64, 0, 0),
+            Vote {
+                ok,
+                flight_us,
+                late_us,
+            } => (6, ok as u64, flight_us, late_us),
             WalAppend { lsn, term } => (7, lsn, term, 0),
             SequencerWait { wait_us } => (8, wait_us, 0, 0),
             QuorumAck {
@@ -201,7 +220,17 @@ impl TraceEventKind {
             MsgHop { from, to } => (21, from as u64, to as u64, 0),
             VoteLogged { lsn, commit } => (22, lsn, commit as u64, 0),
             VoteQuorumDurable { lsn } => (23, lsn, 0, 0),
-            DecisionReached { commit, in_doubt } => (24, commit as u64, in_doubt as u64, 0),
+            DecisionReached {
+                commit,
+                in_doubt,
+                flight_us,
+                late_us,
+            } => (
+                24,
+                commit as u64 | (in_doubt as u64) << 1,
+                flight_us,
+                late_us,
+            ),
             CoordinatorCrashed => (25, 0, 0, 0),
             PrefetchIssued {
                 partitions,
@@ -243,7 +272,11 @@ impl TraceEventKind {
             5 => Prepare {
                 participants: a as u32,
             },
-            6 => Vote { ok: a != 0 },
+            6 => Vote {
+                ok: a != 0,
+                flight_us: b,
+                late_us: c,
+            },
             7 => WalAppend { lsn: a, term: b },
             8 => SequencerWait { wait_us: a },
             9 => QuorumAck {
@@ -280,8 +313,10 @@ impl TraceEventKind {
             },
             23 => VoteQuorumDurable { lsn: a },
             24 => DecisionReached {
-                commit: a != 0,
-                in_doubt: b != 0,
+                commit: a & 1 != 0,
+                in_doubt: a & 2 != 0,
+                flight_us: b,
+                late_us: c,
             },
             25 => CoordinatorCrashed,
             26 => PrefetchIssued {
@@ -321,7 +356,11 @@ impl fmt::Display for TraceEventKind {
             },
             CommitTsReserved { ts } => write!(f, "commit-ts-reserved ts={ts}"),
             Prepare { participants } => write!(f, "2pc-prepare participants={participants}"),
-            Vote { ok } => write!(f, "2pc-vote ok={ok}"),
+            Vote {
+                ok,
+                flight_us,
+                late_us,
+            } => write!(f, "2pc-vote ok={ok} flight={flight_us}us late={late_us}us"),
             WalAppend { lsn, term } => write!(f, "wal-append lsn={lsn} term={term}"),
             SequencerWait { wait_us } => write!(f, "sequencer-wait {wait_us}us"),
             QuorumAck {
@@ -350,9 +389,16 @@ impl fmt::Display for TraceEventKind {
             MsgHop { from, to } => write!(f, "msg P{from}->P{to}"),
             VoteLogged { lsn, commit } => write!(f, "vote-logged lsn={lsn} commit={commit}"),
             VoteQuorumDurable { lsn } => write!(f, "vote-quorum-durable lsn={lsn}"),
-            DecisionReached { commit, in_doubt } => {
-                write!(f, "decision-reached commit={commit} in-doubt={in_doubt}")
-            }
+            DecisionReached {
+                commit,
+                in_doubt,
+                flight_us,
+                late_us,
+            } => write!(
+                f,
+                "decision-reached commit={commit} in-doubt={in_doubt} \
+                 flight={flight_us}us late={late_us}us"
+            ),
             CoordinatorCrashed => write!(f, "coordinator-crashed"),
             PrefetchIssued {
                 partitions,
@@ -432,7 +478,11 @@ mod tests {
             },
             TraceEventKind::CommitTsReserved { ts: 42 },
             TraceEventKind::Prepare { participants: 3 },
-            TraceEventKind::Vote { ok: false },
+            TraceEventKind::Vote {
+                ok: false,
+                flight_us: 215,
+                late_us: 40,
+            },
             TraceEventKind::WalAppend { lsn: 9, term: 2 },
             TraceEventKind::SequencerWait { wait_us: 120 },
             TraceEventKind::QuorumAck {
@@ -465,6 +515,14 @@ mod tests {
             TraceEventKind::DecisionReached {
                 commit: false,
                 in_doubt: true,
+                flight_us: 0,
+                late_us: 0,
+            },
+            TraceEventKind::DecisionReached {
+                commit: true,
+                in_doubt: false,
+                flight_us: 212,
+                late_us: 3,
             },
             TraceEventKind::CoordinatorCrashed,
             TraceEventKind::Abort {

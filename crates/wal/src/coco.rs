@@ -317,11 +317,12 @@ impl GroupCommit for CocoCommit {
         }
     }
 
-    fn execution_gate(&self, _partition: PartitionId) {
+    fn execution_gate(&self, _partition: PartitionId, wait: bool) -> bool {
         let mut st = self.state.lock();
-        while !st.gate_open && !self.stop.load(Ordering::Relaxed) {
+        while wait && !st.gate_open && !self.stop.load(Ordering::Relaxed) {
             self.cond.wait_for(&mut st, Duration::from_millis(1));
         }
+        st.gate_open || self.stop.load(Ordering::Relaxed)
     }
 
     fn ts_floor(&self, _partition: PartitionId) -> Ts {
@@ -523,7 +524,7 @@ mod tests {
         let gc = make(2);
         // The gate may close briefly at the boundary but must always reopen.
         for _ in 0..5 {
-            gc.execution_gate(PartitionId(0));
+            assert!(gc.execution_gate(PartitionId(0), true));
             std::thread::sleep(Duration::from_millis(2));
         }
         gc.shutdown();

@@ -204,10 +204,16 @@ pub trait GroupCommit: Send + Sync {
     /// below the crash agreement point.
     fn on_compensation_complete(&self) {}
 
-    /// Block while the scheme forbids starting new transactions (COCO closes
-    /// this gate while it synchronously commits an epoch). Other schemes
-    /// never block.
-    fn execution_gate(&self, _partition: PartitionId) {}
+    /// Whether a new transaction may *start* ([`GroupCommit::begin_txn`])
+    /// right now: COCO closes this gate while it synchronously commits an
+    /// epoch, other schemes never do. With `wait`, block until it may. The
+    /// gate stops starts only — a transaction that holds a ticket must be
+    /// allowed to finish behind a closed gate, or the epoch it belongs to
+    /// never drains — so a caller that has such transactions in progress
+    /// asks without waiting and goes on with them.
+    fn execution_gate(&self, _partition: PartitionId, _wait: bool) -> bool {
+        true
+    }
 
     /// Assign the final commit timestamp of a transaction that is about to
     /// log + install its write-set. Protocols with logical timestamps pass

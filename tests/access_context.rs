@@ -85,7 +85,7 @@ fn record(primo: &Primo, p: PartitionId, key: u64) -> Arc<Record> {
 /// registered.
 fn attempt_with(
     primo: &Primo,
-    fanout: &ReadFanout,
+    fanout: ReadFanout,
     body: impl Fn(&mut dyn TxnContext) -> TxnResult<()> + Send + Sync,
 ) -> (Result<CommittedTxn, AbortReason>, Vec<PartitionId>) {
     let cluster = primo.cluster();
@@ -93,7 +93,6 @@ fn attempt_with(
     let ticket = cluster.group_commit.begin_txn(P0, txn);
     let outcome = primo.protocol().execute_once(
         cluster,
-        txn,
         &ClosureProgram::new(P0, body),
         &ticket,
         &mut PhaseTimers::new(),
@@ -118,9 +117,7 @@ fn attempt(
     primo: &Primo,
     body: impl Fn(&mut dyn TxnContext) -> TxnResult<()> + Send + Sync,
 ) -> Result<(), AbortReason> {
-    attempt_with(primo, &ReadFanout::empty(), body)
-        .0
-        .map(|_| ())
+    attempt_with(primo, ReadFanout::empty(), body).0.map(|_| ())
 }
 
 /// Key and payload of every *visible* record (TicToc metadata excluded:
@@ -224,7 +221,7 @@ fn insert_then_delete_leaves_no_entry_and_no_record() {
             let label = format!("{kind:?}/{target:?}");
             let primo = loaded(kind);
             let before = snapshot(&primo);
-            let (commit, _) = attempt_with(&primo, &ReadFanout::empty(), |ctx| {
+            let (commit, _) = attempt_with(&primo, ReadFanout::empty(), |ctx| {
                 // Touch the target first, so a switching context is already
                 // distributed and its dummy read materialises the record the
                 // delete then has to cancel.
@@ -346,7 +343,7 @@ fn a_crashed_partition_fails_remote_access_even_on_a_fanout_hit() {
         assert_eq!(err, Err(AbortReason::RemoteUnavailable), "{label}: miss");
         // The buffered version would answer the read without a round trip —
         // the crash must fail it all the same.
-        let (err, _) = attempt_with(&primo, &fanout, |ctx| {
+        let (err, _) = attempt_with(&primo, fanout, |ctx| {
             ctx.read(P0, T, 1)?;
             let trips = cluster.net.round_trips_charged();
             let read = ctx.read(P1, T, 2).map(|_| ());
@@ -525,7 +522,7 @@ fn switching_reads_lock_nothing_until_the_first_remote_access() {
     for (kind, wcf) in SWITCHING {
         let label = format!("{kind:?}");
         let primo = loaded(kind);
-        let (outcome, participants) = attempt_with(&primo, &ReadFanout::empty(), |ctx| {
+        let (outcome, participants) = attempt_with(&primo, ReadFanout::empty(), |ctx| {
             ctx.read(P0, T, 1)?;
             ctx.write(P0, T, 8, Value::from_u64(1))?;
             let early = record(&primo, P0, 1);

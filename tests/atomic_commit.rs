@@ -15,10 +15,15 @@
 //! (CI runs 8 in release); the default of 1 keeps the debug tier-1 run
 //! cheap.
 
+use primo_repro::common::Metrics;
+use primo_repro::runtime::worker::spawn_workers;
 use primo_repro::{
-    CommitMode, CrashPlan, Experiment, LoggingScheme, PartitionId, Primo, ProtocolKind, Scale,
-    TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value,
+    AbortReason, CommitMode, CrashPlan, Experiment, FastRng, LoggingScheme, PartitionId, Primo,
+    ProtocolKind, Scale, TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value,
+    Workload,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const T: TableId = TableId(0);
@@ -212,6 +217,114 @@ fn the_loop_catches_classic_two_pc_blocking() {
         })
         .expect("keys outside the orphan's footprint must stay available");
     assert_pairs_consistent(&primo, "classic falsification");
+    primo.shutdown();
+}
+
+/// The pair increments as the workers' load.
+struct PairIncrements;
+
+impl Workload for PairIncrements {
+    fn name(&self) -> &'static str {
+        "pair-increments"
+    }
+    fn load_partition(&self, _store: &primo_repro::storage::PartitionStore, _p: PartitionId) {}
+    fn generate(&self, rng: &mut FastRng, home: PartitionId) -> Box<dyn TxnProgram> {
+        Box::new(PairIncrement {
+            home,
+            key: rng.next_below(KEYS),
+        })
+    }
+}
+
+/// The same trap, met by the workers' event loop rather than a session. The
+/// attempt dies where it does under a session — its votes taken up, nothing
+/// decided — and leaks what it leaks there: the locks its reads hold (2PL),
+/// its ticket closed by the worker like any abort's. A worker's client is
+/// retried under the *same* id, so — the locks being re-entrant — its retry
+/// takes the orphan's locks over and commits: the loop goes on, and when it
+/// stops nothing else is left behind.
+#[test]
+fn a_worker_orphans_the_trapped_attempt_and_nothing_more() {
+    let primo = Primo::builder()
+        .partitions(2)
+        .workers_per_partition(1)
+        .protocol(ProtocolKind::TwoPlNoWait)
+        .logging(LoggingScheme::CocoEpoch)
+        .commit_mode(CommitMode::TwoPc)
+        .fast_local()
+        .seed(0x0A0F)
+        // Room for the workers' events of the whole run.
+        .tweak(|c| c.trace.ring_capacity = 1 << 16)
+        .build();
+    let session = primo.session();
+    for p in 0..2u32 {
+        for k in 0..KEYS {
+            session.load(PartitionId(p), T, k, Value::from_u64(0));
+        }
+    }
+    let cluster = primo.cluster();
+    let workload: Arc<dyn Workload> = Arc::new(PairIncrements);
+    let stop = Arc::new(AtomicBool::new(false));
+    let handles = spawn_workers(
+        cluster,
+        primo.protocol(),
+        &workload,
+        &Arc::new(Metrics::new()),
+        &stop,
+        &Arc::new(AtomicBool::new(true)),
+    );
+    std::thread::sleep(Duration::from_millis(30));
+    cluster.arm_coordinator_crash(PartitionId(0));
+    std::thread::sleep(Duration::from_millis(120));
+    stop.store(true, Ordering::SeqCst);
+    for h in handles {
+        h.join().expect("a worker panicked");
+    }
+
+    assert_eq!(cluster.orphaned_txns(), 1, "exactly the trapped attempt");
+    let timeline = cluster.recorder.merge();
+    let crashed = timeline.of_kind(|k| matches!(k, TraceEventKind::CoordinatorCrashed));
+    let orphan = crashed.events()[0].txn.expect("the orphan has an id");
+    let of_orphan = timeline.for_txn(orphan);
+    let mut kinds = of_orphan.events().iter().map(|e| e.kind);
+    // Abandoned without a decision and without cleanup: the next thing the
+    // stream says of it is its abort, and a back-off — it is retried.
+    kinds.find(|k| matches!(k, TraceEventKind::CoordinatorCrashed));
+    let kinds: Vec<TraceEventKind> = kinds.collect();
+    assert!(
+        matches!(
+            kinds[0],
+            TraceEventKind::Abort {
+                reason: AbortReason::CoordinatorCrash,
+                backoff_us: 1..
+            }
+        ),
+        "{kinds:?}"
+    );
+    assert!(
+        (kinds.iter()).any(|k| matches!(k, TraceEventKind::Committed { .. })),
+        "the orphan's client never got through: {kinds:?}"
+    );
+    // Nothing more: every attempt that began has ended, no lock is left —
+    // the retry released what the orphan leaked — and every pair agrees.
+    let mut open = std::collections::HashMap::new();
+    for e in timeline.events() {
+        let step = match e.kind {
+            TraceEventKind::Begin { .. } => 1,
+            TraceEventKind::Committed { .. } | TraceEventKind::Abort { .. } => -1,
+            _ => continue,
+        };
+        *open.entry(e.txn).or_insert(0) += step;
+    }
+    open.retain(|_, balance| *balance != 0);
+    assert!(open.is_empty(), "attempts without an end: {open:?}");
+    for p in cluster.partition_ids() {
+        let table = cluster.partition(p).store.table(T);
+        let locked = table.scan_keys(|k| table.get(k).is_some_and(|r| r.lock().is_locked()));
+        assert!(locked.is_empty(), "{p}: keys {locked:?} are still locked");
+    }
+    assert_pairs_consistent(&primo, "orphan met by the workers");
+    assert_no_blocked_locks(&primo, "orphan met by the workers");
     primo.shutdown();
 }
 

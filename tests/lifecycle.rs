@@ -245,11 +245,10 @@ fn commit_phase_conflict_unwinds_materialised_inserts() {
             .protocol()
             .execute_once(
                 cluster,
-                txn,
                 &program,
                 &ticket,
                 &mut timers,
-                &primo_repro::ReadFanout::empty(),
+                primo_repro::ReadFanout::empty(),
             )
             .unwrap_err();
         cluster.group_commit.txn_aborted(&ticket);

@@ -273,11 +273,10 @@ fn commit_unwaited(primo: &Primo, program: &dyn TxnProgram) {
         let ticket = cluster.group_commit.begin_txn(home, txn);
         match primo.protocol().execute_once(
             cluster,
-            txn,
             program,
             &ticket,
             &mut PhaseTimers::new(),
-            &primo_repro::ReadFanout::empty(),
+            primo_repro::ReadFanout::empty(),
         ) {
             Ok(c) => {
                 cluster.group_commit.txn_committed(&ticket, c.ts, c.ops);

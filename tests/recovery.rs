@@ -646,11 +646,10 @@ fn execute_installed(primo: &Primo, program: &dyn TxnProgram) -> CommitWaiter {
         let mut timers = PhaseTimers::new();
         match primo.protocol().execute_once(
             cluster,
-            txn,
             program,
             &ticket,
             &mut timers,
-            &primo_repro::ReadFanout::empty(),
+            primo_repro::ReadFanout::empty(),
         ) {
             Ok(c) => return cluster.group_commit.txn_committed(&ticket, c.ts, c.ops),
             Err(e) => {

@@ -127,7 +127,7 @@ fn commit_without_waiting(primo: &Primo, program: &dyn TxnProgram) {
     let ticket = cluster.group_commit.begin_txn(home, txn);
     let fanout = ReadFanout::empty();
     let mut timers = PhaseTimers::new();
-    match (primo.protocol()).execute_once(cluster, txn, program, &ticket, &mut timers, &fanout) {
+    match (primo.protocol()).execute_once(cluster, program, &ticket, &mut timers, fanout) {
         Ok(c) => drop(cluster.group_commit.txn_committed(&ticket, c.ts, c.ops)),
         Err(_) => cluster.group_commit.txn_aborted(&ticket),
     }

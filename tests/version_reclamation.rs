@@ -203,7 +203,7 @@ fn commit_without_waiting(primo: &Primo, program: &dyn TxnProgram) -> u64 {
     let ticket = cluster.group_commit.begin_txn(home, txn);
     let (fanout, mut timers) = (ReadFanout::empty(), PhaseTimers::new());
     let commit = (primo.protocol())
-        .execute_once(cluster, txn, program, &ticket, &mut timers, &fanout)
+        .execute_once(cluster, program, &ticket, &mut timers, fanout)
         .expect("nothing conflicts");
     let _waiter = (cluster.group_commit).txn_committed(&ticket, commit.ts, commit.ops);
     commit.ts

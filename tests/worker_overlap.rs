@@ -3,7 +3,9 @@
 //! they are due — through one loop, with a queue no deeper than a flight
 //! needs, and with a queued client holding nothing. Nor does it wait out a
 //! back-off: an aborted client is parked, holding as little, and its retry's
-//! fan-out is sent when the back-off is over (cells 9 to 12).
+//! fan-out is sent when the back-off is over (cells 9 to 12). Nor a 2PC
+//! round: the next client's body and vote round fly during this one's
+//! decision round, one lock-holder per worker (cells 13 to 18).
 //!
 //! Every cell drives the engine's own `spawn_workers` loop, 2 partitions x 1
 //! worker, and reads what happened from the cluster's counters and its flight
@@ -16,7 +18,7 @@
 
 use primo_repro::common::sim_time::{charge_latency_us, now_us};
 use primo_repro::common::Metrics;
-use primo_repro::core::analysis::{overlapped_worker_tps, retrying_worker_tps};
+use primo_repro::core::analysis::{overlapped_worker_tps, staged_worker_tps};
 use primo_repro::runtime::worker::spawn_workers;
 use primo_repro::{
     AbortReason, FastRng, Key, LoggingScheme, PartitionId, Primo, ProtocolKind, TableId, Timeline,
@@ -410,13 +412,20 @@ fn the_queue_covers_one_flight_and_shrinks_with_it() {
     });
 }
 
-// ---- (3): long runs shrink the queue (the rejected grow-only rule) ----
+// ---- (3): the queue follows what a client costs the worker, both ways ----
 
 #[test]
 fn two_pc_rounds_on_hot_keys_do_not_build_a_queue() {
     let _quiet = quiet();
     // A depth that grew by one per stall and never shrank queued clients for
-    // tens of runs here.
+    // tens of runs here. Nor does a depth measured on the worker's runs
+    // alone: with the rounds off the worker a client costs it little, but the
+    // next body of a client that fetched waits for this one's vote round all
+    // the same — six clients deep, they waited eight flights; three or four
+    // deep (the worker's waits counted as its runs), four. A queued client
+    // that fetched covers its vote round of the next flight by itself: the
+    // queue is bounded by need, not by 1 (it was 1 while every round was the
+    // worker's).
     let cell = Cell::hot_2pc(300);
     eventually("Sundial + COCO + 2PC on 1 000 hot keys", || {
         queueing_is_bounded_by_need(&run(&cell))
@@ -485,7 +494,12 @@ fn queued_and_pending_clients_share_the_population() {
     uniform.interval_ms = 200;
     let mut hot = uniform.clone().with_the_papers_backoff();
     (hot.ycsb.keys_per_partition, hot.ycsb.zipf_theta) = (1_000, 0.9);
-    for (cell, parks) in [(uniform, false), (hot, true)] {
+    // ... and, under Sundial with 2PC rounds, with clients voting and
+    // deciding: a suspended attempt is one of the population too.
+    let mut staged = hot.clone();
+    (staged.kind, staged.scheme, staged.interval_ms) =
+        (ProtocolKind::Sundial, LoggingScheme::CocoEpoch, 100);
+    for (cell, parks) in [(uniform, false), (hot, true), (staged.clone(), true)] {
         let out = run(&cell);
         assert!(
             out.committed > WORKERS * CLIENTS_PER_WORKER as u64,
@@ -493,10 +507,13 @@ fn queued_and_pending_clients_share_the_population() {
             out.committed
         );
         assert!(!fanouts(&out.timeline).is_empty());
-        let parked = (attempts(&out.timeline).iter())
+        let attempts = attempts(&out.timeline);
+        let parked = (attempts.iter())
             .filter(|a| a.backoff_us.is_some_and(|us| us > 0))
             .count();
         assert!(!parks || parked > 50, "only {parked} clients were parked");
+        let suspended = attempts.iter().filter(|c| c.vote.is_some()).count();
+        assert!(cell.kind != staged.kind || suspended > 50);
     }
 }
 
@@ -692,48 +709,124 @@ fn assert_nothing_is_left_behind(primo: &Primo, timeline: &Timeline) {
 
 // ---- (9) + (10): a back-off is the client's, not the worker's ----
 
-/// One attempt, as its `Begin` and its `Committed` / `Abort` tell it.
+/// One attempt, as its events tell it: `Begin`, `Prepare` when its votes are
+/// sent, `Vote` when they are taken up — right behind it the attempt takes
+/// its first write lock — `CommitTsReserved` under the locks,
+/// `DecisionReached` when the acknowledgements are taken up, and the end
+/// (`Committed` / `Abort`) once every lock is released.
 #[derive(Debug, Clone, Copy)]
 struct AttemptSpan {
     home: PartitionId,
     txn: TxnId,
     attempt: u32,
     begun_at: u64,
+    participants: u32,
+    prepared_at: Option<u64>,
+    vote: Option<Reply>,
+    certified_at: Option<u64>,
+    decision: Option<Reply>,
     ended_at: u64,
     /// The back-off its abort drew (0: the abort was final); `None`: it
     /// committed.
     backoff_us: Option<u64>,
 }
 
+/// A round's replies, as taken up.
+#[derive(Debug, Clone, Copy)]
+struct Reply {
+    at: u64,
+    flight_us: u64,
+    late_us: u64,
+}
+
+impl Reply {
+    /// When the round was sent.
+    fn sent_at(&self) -> u64 {
+        self.at - self.late_us - self.flight_us
+    }
+
+    /// What its client waited for it — none of it the worker's time.
+    fn waited_us(&self) -> u64 {
+        self.flight_us + self.late_us
+    }
+}
+
 impl AttemptSpan {
-    fn run_us(&self) -> u64 {
-        self.ended_at - self.begun_at
+    fn committed(&self) -> bool {
+        self.backoff_us.is_none()
+    }
+
+    /// The worker's own time for this attempt: its span less its rounds.
+    fn own_us(&self) -> u64 {
+        let rounds = self.vote.iter().chain(&self.decision);
+        (self.ended_at - self.begun_at) - rounds.map(Reply::waited_us).sum::<u64>()
+    }
+
+    /// First write lock to release, less the decision round: the worker's
+    /// time under the locks.
+    fn certify_us(&self) -> Option<u64> {
+        let locked = self.ended_at - self.vote?.at;
+        Some(locked - self.decision.map_or(0, |d| d.waited_us()))
     }
 }
 
 /// Every attempt whose `Begin` the rings still hold, in the order they ended.
 fn attempts(timeline: &Timeline) -> Vec<AttemptSpan> {
-    let mut open: HashMap<TxnId, (u32, u64)> = HashMap::new();
+    let mut open: HashMap<TxnId, AttemptSpan> = HashMap::new();
     let mut spans = Vec::new();
     for e in timeline.events() {
-        let backoff_us = match e.kind {
-            TraceEventKind::Begin { attempt } => {
-                open.insert(e.txn.expect("a begin has its id"), (attempt, e.at_us));
-                continue;
-            }
-            TraceEventKind::Committed { .. } => None,
-            TraceEventKind::Abort { backoff_us, .. } => Some(backoff_us),
-            _ => continue,
+        let (Some(txn), Some(home)) = (e.txn, e.partition) else {
+            continue;
         };
-        let txn = e.txn.expect("an end has its id");
-        spans.extend(open.remove(&txn).map(|(attempt, begun_at)| AttemptSpan {
-            home: e.partition.expect("an end has a home"),
-            txn,
-            attempt,
-            begun_at,
-            ended_at: e.at_us,
-            backoff_us,
-        }));
+        if let TraceEventKind::Begin { attempt } = e.kind {
+            let begun = AttemptSpan {
+                home,
+                txn,
+                attempt,
+                begun_at: e.at_us,
+                participants: 0,
+                prepared_at: None,
+                vote: None,
+                certified_at: None,
+                decision: None,
+                ended_at: 0,
+                backoff_us: None,
+            };
+            open.insert(txn, begun);
+            continue;
+        }
+        let Some(span) = open.get_mut(&txn) else {
+            continue;
+        };
+        let reply = |flight_us, late_us| Reply {
+            at: e.at_us,
+            flight_us,
+            late_us,
+        };
+        match e.kind {
+            TraceEventKind::Prepare { participants } => {
+                (span.participants, span.prepared_at) = (participants, Some(e.at_us));
+            }
+            TraceEventKind::Vote {
+                flight_us, late_us, ..
+            } => span.vote = Some(reply(flight_us, late_us)),
+            TraceEventKind::CommitTsReserved { .. } => span.certified_at = Some(e.at_us),
+            TraceEventKind::DecisionReached {
+                commit: true,
+                flight_us,
+                late_us,
+                ..
+            } => span.decision = Some(reply(flight_us, late_us)),
+            TraceEventKind::Committed { .. } | TraceEventKind::Abort { .. } => {
+                let mut ended = open.remove(&txn).expect("just found");
+                ended.ended_at = e.at_us;
+                if let TraceEventKind::Abort { backoff_us, .. } = e.kind {
+                    ended.backoff_us = Some(backoff_us);
+                }
+                spans.push(ended);
+            }
+            _ => {}
+        }
     }
     spans
 }
@@ -898,28 +991,10 @@ fn parked_retries_commit_more_than_held_ones_and_what_the_model_says() {
                 parked.committed, held.committed
             )
         })?;
-        // The model, on what this run measured: a worker that is never idle
-        // but for the wire, so many of its own microseconds an attempt, so
-        // many attempts a commit, nothing else.
-        let attempts = attempts(&parked.timeline);
-        let aborts = attempts.iter().filter_map(|a| a.backoff_us);
-        let abort_rate = aborts.clone().count() as f64 / attempts.len().max(1) as f64;
-        let service_us = mean(attempts.iter().map(AttemptSpan::run_us));
-        let model = WORKERS as f64
-            * retrying_worker_tps(
-                service_us,
-                abort_rate,
-                mean(aborts),
-                flight_us as f64,
-                false,
-            );
-        let tps = parked.committed as f64 / parked.window_s;
-        ensure((0.6 * model..=1.1 * model).contains(&tps), || {
-            format!(
-                "{tps:.0} TPS against a model of {model:.0} \
-                 ({service_us:.0} us an attempt, {abort_rate:.2} of them aborted)"
-            )
-        })
+        // The model, on what this run measured: so many of the worker's own
+        // microseconds an attempt, so many attempts a commit, one lock-holder
+        // at a time.
+        within_the_staged_model(&parked, flight_us)
     });
 }
 
@@ -1048,5 +1123,334 @@ fn a_crashed_home_commits_nothing_until_it_is_back_up() {
     );
     // The worker was not lost: it serves again after the recovery.
     assert!(!(timeline.between(up_at, u64::MAX).of_kind(is_commit)).is_empty());
+    primo.shutdown();
+}
+
+// ---- (13) to (18): a 2PC round is the client's wait, not the worker's ----
+
+// ---- (13) to (18): a 2PC round is the client's wait, not the worker's ----
+
+#[test]
+fn one_lock_holder_a_worker_and_the_next_body_flies_during_its_decision_round() {
+    let _quiet = quiet();
+    let cell = Cell::hot_2pc(600).with_the_papers_backoff();
+    eventually("Sundial + COCO + 2PC on 1 000 hot keys", || {
+        let out = run(&cell);
+        let attempts = attempts(&out.timeline);
+        let decided = attempts.iter().filter(|c| c.decision.is_some()).count();
+        ensure(decided > 100, || format!("only {decided} decision rounds"))?;
+        for home in [P0, P1] {
+            // (a) From the take-up of its votes — its first write lock is
+            // next — to its end, an attempt is its worker's only one.
+            let mut holders: Vec<_> = attempts.iter().filter(|c| c.home == home).collect();
+            holders.retain(|c| c.vote.is_some());
+            holders.sort_by_key(|c| c.vote.map(|v| v.at));
+            for pair in holders.windows(2) {
+                let (held, next) = (pair[0], pair[1]);
+                let next_locks_at = next.vote.expect("retained").at;
+                assert!(
+                    next_locks_at >= held.ended_at,
+                    "{home}: {} took up its votes {} us before {} had released",
+                    next.txn,
+                    held.ended_at - next_locks_at,
+                    held.txn
+                );
+            }
+        }
+        for c in &attempts {
+            // (d) No reply is read before it is back, and nothing is
+            // certified ahead of its own votes.
+            let (Some(prepared_at), Some(vote)) = (c.prepared_at, c.vote) else {
+                continue;
+            };
+            assert!(vote.at >= prepared_at + vote.flight_us, "{c:?}");
+            assert!(c.certified_at.is_none_or(|at| at >= vote.at), "{c:?}");
+            if let (Some(decision), Some(certified_at)) = (c.decision, c.certified_at) {
+                assert!(decision.at >= certified_at + decision.flight_us, "{c:?}");
+            }
+        }
+        // (c) The round is the client's: during most decision rounds some
+        // other transaction began on the same worker.
+        let begins: Vec<(PartitionId, TxnId, u64)> =
+            (attempts.iter().map(|c| (c.home, c.txn, c.begun_at))).collect();
+        let overlapped = attempts.iter().filter(|c| {
+            c.decision.is_some_and(|d| {
+                let round = d.sent_at()..d.at;
+                (begins.iter())
+                    .any(|(home, txn, at)| *home == c.home && *txn != c.txn && round.contains(at))
+            })
+        });
+        let overlapped = overlapped.count();
+        ensure(2 * overlapped >= decided, || {
+            format!("another transaction began during {overlapped} of {decided} decision rounds")
+        })
+    });
+}
+
+// ---- (14): what holds something is overlapped with nothing ----
+
+#[test]
+fn attempts_whose_reads_hold_locks_run_from_start_to_finish() {
+    let _quiet = quiet();
+    // 2PL reads hold shared locks, Primo's do past the mode switch (with WCF
+    // off its commit has a vote round): such an attempt sends its votes
+    // holding locks, so its worker runs nothing else until it is over — as
+    // every attempt used to.
+    for kind in [
+        ProtocolKind::TwoPlNoWait,
+        ProtocolKind::TwoPlWaitDie,
+        ProtocolKind::PrimoNoWcfNoWm,
+    ] {
+        let mut cell = Cell::hot_2pc(150);
+        cell.kind = kind;
+        let out = run(&cell);
+        let mut rounds = 0;
+        for home in [P0, P1] {
+            let worker = format!("worker-{}-0", home.0);
+            let mut running: Option<TxnId> = None;
+            for e in (out.timeline.events().iter()).filter(|e| e.worker == worker) {
+                match (e.kind, e.txn) {
+                    (TraceEventKind::Begin { .. }, Some(txn)) => {
+                        assert_eq!(running, None, "{kind:?}: {txn} began inside another");
+                        running = Some(txn);
+                    }
+                    (TraceEventKind::Committed { .. } | TraceEventKind::Abort { .. }, txn) => {
+                        assert_eq!(running, txn, "{kind:?}: an end without its begin");
+                        running = None;
+                    }
+                    (TraceEventKind::Vote { .. }, txn) => {
+                        assert_eq!(running, txn, "{kind:?}: votes of an attempt not running");
+                        rounds += 1;
+                    }
+                    (_, txn) if running.is_some() && txn.is_some() => {
+                        assert_eq!(running, txn, "{kind:?}: {} inside an attempt", e.kind);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(rounds > 20, "{kind:?}: only {rounds} vote rounds");
+    }
+}
+
+// ---- (15): what the overlap buys, and what the model says ----
+
+/// Every distributed body first holds its worker for two rounds, nothing
+/// locked yet: the worker time a loop that sits through the vote and the
+/// decision round spends on them.
+struct HeldRounds {
+    inner: Arc<dyn Workload>,
+    round_us: u64,
+}
+
+struct HeldRound {
+    inner: Box<dyn TxnProgram>,
+    round_us: u64,
+}
+
+impl Workload for HeldRounds {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn load_partition(&self, store: &primo_repro::storage::PartitionStore, p: PartitionId) {
+        self.inner.load_partition(store, p);
+    }
+    fn generate(&self, rng: &mut FastRng, home: PartitionId) -> Box<dyn TxnProgram> {
+        Box::new(HeldRound {
+            inner: self.inner.generate(rng, home),
+            round_us: self.round_us,
+        })
+    }
+}
+
+impl TxnProgram for HeldRound {
+    fn execute(&self, ctx: &mut dyn TxnContext) -> TxnResult<()> {
+        let home = self.inner.home_partition();
+        if self.inner.read_hint().iter().any(|(p, _, _)| *p != home) {
+            charge_latency_us(2 * self.round_us);
+        }
+        self.inner.execute(ctx)
+    }
+    fn home_partition(&self) -> PartitionId {
+        self.inner.home_partition()
+    }
+    fn is_read_only(&self) -> bool {
+        self.inner.is_read_only()
+    }
+    fn read_hint(&self) -> Vec<(PartitionId, TableId, Key)> {
+        self.inner.read_hint()
+    }
+}
+
+/// `staged_worker_tps` on what `out` measured — the worker's own time per
+/// attempt and under the locks, the share of attempts with participants and
+/// of attempts that aborted — against the commits it made.
+fn within_the_staged_model(out: &Outcome, round_us: u64) -> Result<(), String> {
+    let attempts = attempts(&out.timeline);
+    let share = |of: &dyn Fn(&&AttemptSpan) -> bool| {
+        attempts.iter().filter(of).count() as f64 / attempts.len().max(1) as f64
+    };
+    let cpu_us = mean(attempts.iter().map(AttemptSpan::own_us));
+    let certify_us = mean(attempts.iter().filter_map(AttemptSpan::certify_us));
+    let (abort_rate, dist_share) = (share(&|c| !c.committed()), share(&|c| c.participants > 0));
+    let model = WORKERS as f64
+        * staged_worker_tps(
+            cpu_us,
+            abort_rate,
+            dist_share,
+            round_us as f64,
+            certify_us,
+            false,
+        );
+    let tps = out.committed as f64 / out.window_s;
+    ensure((0.6 * model..=1.1 * model).contains(&tps), || {
+        format!(
+            "{tps:.0} TPS against a model of {model:.0} ({cpu_us:.0} us an attempt, \
+             {certify_us:.0} under the locks, {dist_share:.2} distributed, {abort_rate:.2} aborted)"
+        )
+    })
+}
+
+#[test]
+fn staged_rounds_commit_more_than_held_ones_and_what_the_model_says() {
+    let _quiet = quiet();
+    let cell = Cell::hot_2pc(800).with_the_papers_backoff();
+    let round_us = 2 * cell.one_way_us;
+    eventually("1 000 hot keys, rounds staged and rounds held", || {
+        let staged = run(&cell);
+        let held = run_wrapped(&cell, |inner| Arc::new(HeldRounds { inner, round_us }));
+        ensure(10 * staged.committed >= 12 * held.committed, || {
+            format!(
+                "{} commits with the rounds staged, {} with the worker held",
+                staged.committed, held.committed
+            )
+        })?;
+        within_the_staged_model(&staged, round_us)
+    });
+}
+
+// ---- (16): the COCO gate stops starts, not attempts in progress ----
+
+#[test]
+fn a_closed_gate_lets_suspended_attempts_finish_and_the_epoch_drain() {
+    let _quiet = quiet();
+    // A suspended attempt's ticket is what its epoch's drain waits for: a
+    // worker that waited at the closed gate with one in hand held every
+    // epoch to the drain's 200 ms deadline.
+    let cell = Cell::hot_2pc(600);
+    let interval_us = cell.interval_ms * 1_000;
+    eventually("epoch lengths while workers pipeline", || {
+        let out = run(&cell);
+        let sealed: Vec<u64> = (out.timeline.events().iter())
+            .filter(|e| matches!(e.kind, TraceEventKind::EpochSealed { .. }))
+            .map(|e| e.at_us)
+            .collect();
+        ensure(sealed.len() > 10, || {
+            format!("only {} epochs", sealed.len())
+        })?;
+        let attempts = attempts(&out.timeline);
+        let suspended = attempts.iter().filter(|c| c.decision.is_some()).count();
+        ensure(suspended > 100, || "nothing pipelined".to_string())?;
+        let lengths = || sealed.windows(2).map(|w| w[1] - w[0]);
+        // The interval, the drain (an attempt in hand is at most two rounds
+        // from its end), the group commit itself — and, one epoch in ten, a
+        // straggler of the scheme's own model, up to 10 ms.
+        let (typical, longest) = (median(lengths()), lengths().max().unwrap_or(0));
+        ensure(
+            typical <= interval_us + 5_000 && longest <= interval_us + 15_000,
+            || format!("epochs take {typical} us, the longest {longest} us"),
+        )
+    });
+}
+
+// ---- (17) + (18): stopping or crashing with attempts suspended ----
+
+/// The hot 2PC shape on the watermark scheme — a registration left behind
+/// would pin the horizon — with rounds of `2 x debug_one_way_us`: a worker
+/// nearly always has one client deciding and one voting.
+fn long_rounds(debug_one_way_us: u64) -> Cell {
+    let mut cell = Cell::hot_2pc(0);
+    (cell.scheme, cell.interval_ms) = (LoggingScheme::Watermark, 2);
+    cell.one_way_us = one_way_us(debug_one_way_us);
+    cell
+}
+
+/// The attempts in hand at `at_us`, as (voting, deciding): votes sent and not
+/// taken up; votes taken up — the write locks follow — and not ended.
+fn in_hand(commits: &[AttemptSpan], at_us: u64) -> (Vec<AttemptSpan>, Vec<AttemptSpan>) {
+    let open = commits
+        .iter()
+        .filter(|c| c.begun_at <= at_us && at_us < c.ended_at);
+    let sent = open.filter(|c| c.prepared_at.is_some_and(|at| at <= at_us));
+    sent.copied()
+        .partition(|c| c.vote.is_none_or(|v| v.at > at_us))
+}
+
+#[test]
+fn stopping_finishes_the_deciding_client_and_abandons_the_voting_one() {
+    let _quiet = quiet();
+    let (primo, workload) = long_rounds(5_000).build();
+    let running = Running::start(&primo, &workload);
+    std::thread::sleep(Duration::from_millis(150));
+    let stopped_at = now_us();
+    let joined_in = running.stop();
+    assert!(joined_in < Duration::from_millis(250), "{joined_in:?}");
+
+    let timeline = primo.cluster().recorder.merge();
+    let (voting, deciding) = in_hand(&attempts(&timeline), stopped_at);
+    assert!(
+        !voting.is_empty() && !deciding.is_empty(),
+        "{} voting, {} deciding: not both kinds in flight",
+        voting.len(),
+        deciding.len()
+    );
+    // A deciding client has installed: its release is finished, it commits.
+    // (One whose certify was still to come may have failed it.)
+    assert!(deciding.iter().any(|c| c.committed()), "{deciding:?}");
+    // A voting client is told off and its ticket closed.
+    assert!(voting.iter().all(|c| !c.committed()), "{voting:?}");
+    assert_nothing_is_left_behind(&primo, &timeline);
+    primo.shutdown();
+}
+
+#[test]
+fn a_crashed_home_finishes_its_deciding_client_and_abandons_the_voting_one() {
+    let _quiet = quiet();
+    let (primo, workload) = long_rounds(2_500).build();
+    let running = Running::start(&primo, &workload);
+    std::thread::sleep(Duration::from_millis(120));
+    primo.crash_partition(P1);
+    let crashed_at = now_us();
+    std::thread::sleep(Duration::from_millis(20));
+    primo.recover_partition(P1).expect("recovered");
+    let up_at = now_us();
+    std::thread::sleep(Duration::from_millis(100));
+    running.stop();
+
+    let timeline = primo.cluster().recorder.merge();
+    let of_p1 = attempts(&timeline.for_partition(P1));
+    let is_crash = |k: &TraceEventKind| matches!(k, TraceEventKind::CrashInjected);
+    let went_down = timeline.for_partition(P1).of_kind(is_crash);
+    let down_at = went_down.events().first().expect("P1 crashed").at_us;
+    let (voting, deciding) = in_hand(&of_p1, down_at);
+    assert!(
+        !voting.is_empty() || !deciding.is_empty(),
+        "P1's worker had no attempt in hand when it went down"
+    );
+    // None of them outlives the outage: each is over within a round of it,
+    // released or abandoned, and none is retried.
+    for c in voting.iter().chain(&deciding) {
+        assert!(c.ended_at < up_at, "{c:?} was still in hand at recovery");
+        let again = of_p1
+            .iter()
+            .filter(|a| a.txn == c.txn && a.begun_at > crashed_at);
+        assert_eq!(again.count(), 0, "{} was retried after the crash", c.txn);
+    }
+    // The worker was not lost with them.
+    assert!(
+        of_p1.iter().any(|c| c.begun_at > up_at && c.committed()),
+        "nothing committed on P1 once it was back"
+    );
+    assert_nothing_is_left_behind(&primo, &timeline);
     primo.shutdown();
 }
