@@ -9,11 +9,14 @@
 //! Durability comes from logging the *inputs* in the sequencing layer before
 //! execution, so there is no group-commit wait at the end — but the batch
 //! barriers (`wait_batch`) and the sequencing delay (`sequence`) sit squarely
-//! on the latency path, which is what Fig 4c/5c show.
+//! on the latency path, which is what Fig 4c/5c show. Each wait — the
+//! sequencing, the two barriers and the batch's cross-partition round
+//! (`2PC`) — leaves what it cost in the flight recorder (`BatchSequenced`,
+//! `BatchBarrier`), where the latency breakdown finds it.
 
 use parking_lot::{Condvar, Mutex};
 use primo_common::sim_time::{now_us, wait_until};
-use primo_common::{AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnResult};
+use primo_common::{AbortReason, Key, PartitionId, TableId, TxnResult};
 use primo_runtime::access::WriteKind;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
@@ -22,8 +25,8 @@ use primo_runtime::pipeline::Step;
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
 use primo_runtime::txn::TxnProgram;
+use primo_trace::TraceEventKind;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,7 +58,6 @@ struct BatchState {
 
 #[derive(Debug)]
 struct Batch {
-    id: u64,
     open_until_us: u64,
     state: Mutex<BatchState>,
     cond: Condvar,
@@ -65,9 +67,8 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(id: u64, open_until_us: u64) -> Self {
+    fn new(open_until_us: u64) -> Self {
         Batch {
-            id,
             open_until_us,
             state: Mutex::new(BatchState::default()),
             cond: Condvar::new(),
@@ -80,7 +81,6 @@ impl Batch {
 pub struct AriaProtocol {
     cfg: AriaConfig,
     current: Mutex<Option<Arc<Batch>>>,
-    next_batch_id: AtomicU64,
 }
 
 impl std::fmt::Debug for AriaProtocol {
@@ -96,7 +96,6 @@ impl AriaProtocol {
         AriaProtocol {
             cfg,
             current: Mutex::new(None),
-            next_batch_id: AtomicU64::new(1),
         }
     }
 
@@ -110,8 +109,7 @@ impl AriaProtocol {
             None => true,
         };
         if need_new {
-            let id = self.next_batch_id.fetch_add(1, Ordering::Relaxed);
-            *cur = Some(Arc::new(Batch::new(id, now + self.cfg.batch_window_us)));
+            *cur = Some(Arc::new(Batch::new(now + self.cfg.batch_window_us)));
         }
         let batch = Arc::clone(cur.as_ref().unwrap());
         let mut st = batch.state.lock();
@@ -121,6 +119,7 @@ impl AriaProtocol {
         (batch, idx)
     }
 
+    /// Arrive at one of `batch`'s barriers and wait for the other members.
     fn barrier(
         &self,
         batch: &Batch,
@@ -138,6 +137,44 @@ impl AriaProtocol {
 
     fn reservation_key(p: PartitionId, t: TableId, k: Key) -> (u32, u32, Key) {
         (p.0, t.0, k)
+    }
+
+    /// The deterministic decision of the member with `priority` that
+    /// executed `ctx`, once every member of `batch` has reserved its writes.
+    fn conflict(batch: &Batch, ctx: &AccessCtx<'_>, priority: u64) -> Result<(), AbortReason> {
+        let res = batch.reservations.lock();
+        // WAW: a smaller-priority transaction reserved one of our writes.
+        for w in &ctx.access.writes {
+            if let Some(p) = res.get(&Self::reservation_key(w.partition, w.table, w.key)) {
+                if *p < priority {
+                    return Err(AbortReason::DeterministicConflict);
+                }
+            }
+        }
+        // RAW: a smaller-priority transaction writes something we read.
+        for r in &ctx.access.reads {
+            if let Some(p) = res.get(&Self::reservation_key(r.partition, r.table, r.key)) {
+                if *p < priority {
+                    return Err(AbortReason::DeterministicConflict);
+                }
+            }
+        }
+        // Put/insert/delete contract (checked at the decision point — after
+        // it, Aria's deterministic install cannot abort): a plain write or a
+        // delete of a record that does not exist — or is an invisible
+        // tombstone — is an error, matching every other protocol's NotFound
+        // behaviour. Checked *after* the reservation checks so a same-batch
+        // insert of the same key deterministically wins as a WAW conflict
+        // (retryable) instead of racing install order into a permanent
+        // NotFound.
+        for w in &ctx.access.writes {
+            if matches!(w.kind, WriteKind::Put | WriteKind::Delete)
+                && ctx.record_visible(w.partition, w.table, w.key).is_err()
+            {
+                return Err(AbortReason::NotFound);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -158,20 +195,23 @@ impl Protocol for AriaProtocol {
         cluster: &'a Cluster,
         program: &dyn TxnProgram,
         ticket: Arc<primo_wal::TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> Step<'a> {
         let home = program.home_partition();
         let txn = ticket.txn;
         let priority = txn.pack();
+        let trace = |kind| cluster.recorder.emit(Some(txn), Some(home), kind);
 
         // ---- Sequencing: wait for the batch to close. ----
         let (batch, join_idx) = self.join_batch();
-        timers.time(Phase::Sequence, || wait_until(batch.open_until_us));
+        let joined_us = now_us();
+        wait_until(batch.open_until_us);
+        let wait_us = now_us() - joined_us;
+        trace(TraceEventKind::BatchSequenced { wait_us });
 
         // ---- Execution phase: run against the current snapshot, no locks. ----
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
-        let exec = ctx.run_body(program, timers);
+        let exec = ctx.run_body(program);
         let ticket = &ctx.ticket;
         if exec.is_ok() {
             // Record write reservations (smallest priority wins).
@@ -187,62 +227,29 @@ impl Protocol for AriaProtocol {
         }
 
         // ---- Barrier 1: everyone finished execution & reservations. ----
-        timers.time(Phase::WaitBatch, || {
-            self.barrier(&batch, |st| st.executed += 1, |st| st.executed >= st.joined);
-        });
+        let arrived_us = now_us();
+        self.barrier(&batch, |st| st.executed += 1, |st| st.executed >= st.joined);
+        let passed_us = now_us();
         // One cross-partition synchronization per batch (charged by the first
         // member so the cost is per-batch, not per-transaction).
         if join_idx == 0 && cluster.num_partitions() > 1 {
-            timers.time(Phase::TwoPc, || {
-                let others: Vec<PartitionId> = cluster
-                    .partition_ids()
-                    .into_iter()
-                    .filter(|p| *p != home)
-                    .collect();
-                cluster.net.round_trip_multi(home, &others);
-            });
+            let others: Vec<PartitionId> = cluster
+                .partition_ids()
+                .into_iter()
+                .filter(|p| *p != home)
+                .collect();
+            cluster.net.round_trip_multi(home, &others);
         }
+        trace(TraceEventKind::BatchBarrier {
+            wait_us: passed_us - arrived_us,
+            round_us: now_us() - passed_us,
+        });
 
         // ---- Commit phase: deterministic conflict checks, then install. ----
         let decision: TxnResult<CommittedTxn> = if let Err(e) = exec {
             Err(e)
         } else {
-            let conflict = timers.time(Phase::Commit, || {
-                let res = batch.reservations.lock();
-                // WAW: a smaller-priority transaction reserved one of our writes.
-                for w in &ctx.access.writes {
-                    if let Some(p) = res.get(&Self::reservation_key(w.partition, w.table, w.key)) {
-                        if *p < priority {
-                            return Err(AbortReason::DeterministicConflict);
-                        }
-                    }
-                }
-                // RAW: a smaller-priority transaction writes something we read.
-                for r in &ctx.access.reads {
-                    if let Some(p) = res.get(&Self::reservation_key(r.partition, r.table, r.key)) {
-                        if *p < priority {
-                            return Err(AbortReason::DeterministicConflict);
-                        }
-                    }
-                }
-                // Put/insert/delete contract (checked at the decision point —
-                // after it, Aria's deterministic install cannot abort): a
-                // plain write or a delete of a record that does not exist —
-                // or is an invisible tombstone — is an error, matching every
-                // other protocol's NotFound behaviour. Checked *after* the
-                // reservation checks so a same-batch insert of the same key
-                // deterministically wins as a WAW conflict (retryable)
-                // instead of racing install order into a permanent NotFound.
-                for w in &ctx.access.writes {
-                    if matches!(w.kind, WriteKind::Put | WriteKind::Delete)
-                        && ctx.record_visible(w.partition, w.table, w.key).is_err()
-                    {
-                        return Err(AbortReason::NotFound);
-                    }
-                }
-                Ok(())
-            });
-            match conflict {
+            match Self::conflict(&batch, &ctx, priority) {
                 Err(reason) => Err(reason.into()),
                 Ok(()) => {
                     let ops = ctx.access.ops();
@@ -264,52 +271,49 @@ impl Protocol for AriaProtocol {
                         cluster.group_commit.add_participant(ticket, p, 0);
                     }
                     let ts = cluster.group_commit.finalize_commit_ts(ticket, 0);
-                    timers.time(Phase::Commit, || {
-                        // Nothing is locked at Aria's install: look each
-                        // record up once, for its before-image.
-                        let records: Vec<_> = (ctx.access.writes.iter())
-                            .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
-                            .collect();
-                        let records = records.iter().map(Option::as_ref);
-                        log_txn_writes(cluster, txn, ts, ctx.access.writes.iter().zip(records));
-                        for w in &ctx.access.writes {
-                            // The commit decision is already made, so inserts
-                            // create their record directly (install flips it
-                            // Visible) and deletes tombstone + reclaim. The
-                            // slot is claimed in uncommitted state first so a
-                            // concurrent snapshot reader never observes a
-                            // placeholder value, and every install carries
-                            // the finalized commit timestamp for the version
-                            // chain.
-                            let table = cluster.partition(w.partition).store.table(w.table);
-                            match w.kind {
-                                WriteKind::Delete => {
-                                    if let Some(record) = table.get(w.key) {
-                                        record.install_tombstone_next_version_at(ts);
-                                        cluster.note_installed(w.partition, &record, ts);
-                                        table.reclaim(w.key);
-                                    }
-                                }
-                                _ => {
-                                    let record = match table.insert_slot(w.key, txn) {
-                                        primo_storage::InsertSlot::Existing(r)
-                                        | primo_storage::InsertSlot::Created(r)
-                                        | primo_storage::InsertSlot::Revived(r) => r,
-                                        // Unreachable within Aria (the WAW
-                                        // check admits one writer per key per
-                                        // batch), but stay safe: replace the
-                                        // slot with a record born at `ts`.
-                                        primo_storage::InsertSlot::Busy => {
-                                            table.restore(w.key, w.value.clone(), ts);
-                                            continue;
-                                        }
-                                    };
-                                    record.install_next_version_at(w.value.clone(), ts);
+                    // Nothing is locked at Aria's install: look each record up
+                    // once, for its before-image.
+                    let records: Vec<_> = (ctx.access.writes.iter())
+                        .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
+                        .collect();
+                    let records = records.iter().map(Option::as_ref);
+                    log_txn_writes(cluster, txn, ts, ctx.access.writes.iter().zip(records));
+                    for w in &ctx.access.writes {
+                        // The commit decision is already made, so inserts
+                        // create their record directly (install flips it
+                        // Visible) and deletes tombstone + reclaim. The slot
+                        // is claimed in uncommitted state first so a
+                        // concurrent snapshot reader never observes a
+                        // placeholder value, and every install carries the
+                        // finalized commit timestamp for the version chain.
+                        let table = cluster.partition(w.partition).store.table(w.table);
+                        match w.kind {
+                            WriteKind::Delete => {
+                                if let Some(record) = table.get(w.key) {
+                                    record.install_tombstone_next_version_at(ts);
                                     cluster.note_installed(w.partition, &record, ts);
+                                    table.reclaim(w.key);
                                 }
                             }
+                            _ => {
+                                let record = match table.insert_slot(w.key, txn) {
+                                    primo_storage::InsertSlot::Existing(r)
+                                    | primo_storage::InsertSlot::Created(r)
+                                    | primo_storage::InsertSlot::Revived(r) => r,
+                                    // Unreachable within Aria (the WAW check
+                                    // admits one writer per key per batch),
+                                    // but stay safe: replace the slot with a
+                                    // record born at `ts`.
+                                    primo_storage::InsertSlot::Busy => {
+                                        table.restore(w.key, w.value.clone(), ts);
+                                        continue;
+                                    }
+                                };
+                                record.install_next_version_at(w.value.clone(), ts);
+                                cluster.note_installed(w.partition, &record, ts);
+                            }
                         }
-                    });
+                    }
                     Ok(CommittedTxn {
                         ts,
                         ops,
@@ -320,11 +324,13 @@ impl Protocol for AriaProtocol {
         };
 
         // ---- Barrier 2: everyone decided; the batch is finished. ----
-        timers.time(Phase::WaitBatch, || {
-            self.barrier(&batch, |st| st.decided += 1, |st| st.decided >= st.joined);
+        let arrived_us = now_us();
+        self.barrier(&batch, |st| st.decided += 1, |st| st.decided >= st.joined);
+        let wait_us = now_us() - arrived_us;
+        trace(TraceEventKind::BatchBarrier {
+            wait_us,
+            round_us: 0,
         });
-        let _ = batch.id;
-
         ctx.finish(decision)
     }
 }
@@ -404,9 +410,8 @@ mod tests {
                     accesses: vec![(PartitionId(0), TableId(0), 7)],
                 };
                 let ticket = cluster.group_commit.begin_txn(PartitionId(0), txn);
-                let mut timers = PhaseTimers::new();
                 protocol
-                    .execute_once(&cluster, &prog, &ticket, &mut timers, ReadFanout::empty())
+                    .execute_once(&cluster, &prog, &ticket, ReadFanout::empty())
                     .map(|c| c.ops)
                     .map_err(|e| e.reason())
             }));

@@ -3,7 +3,6 @@
 //! the read set validated (unchanged versions, no foreign locks) as part of
 //! the 2PC prepare round; the decision round releases the locks.
 
-use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
@@ -44,13 +43,12 @@ impl Protocol for SiloProtocol {
         cluster: &'a Cluster,
         program: &dyn TxnProgram,
         ticket: Arc<TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> Step<'a> {
         let home = program.home_partition();
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
-        match ctx.run_body(program, timers) {
-            Ok(()) => commit_locked(ctx, &SILO, timers),
+        match ctx.run_body(program) {
+            Ok(()) => commit_locked(ctx, &SILO),
             Err(e) => ctx.finish(Err(e)),
         }
     }

@@ -7,7 +7,6 @@
 //! read-validation aborts occur; but it still needs the 2PC prepare/commit
 //! rounds that Primo eliminates.
 
-use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
@@ -48,13 +47,12 @@ impl Protocol for SundialProtocol {
         cluster: &'a Cluster,
         program: &dyn TxnProgram,
         ticket: Arc<TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> Step<'a> {
         let home = program.home_partition();
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
-        match ctx.run_body(program, timers) {
-            Ok(()) => commit_locked(ctx, &SUNDIAL, timers),
+        match ctx.run_body(program) {
+            Ok(()) => commit_locked(ctx, &SUNDIAL),
             Err(e) => ctx.finish(Err(e)),
         }
     }

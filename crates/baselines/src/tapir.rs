@@ -10,7 +10,6 @@
 //! the client retries — which is exactly the behaviour §6.6 contrasts with
 //! Primo (TAPIR has the lower latency, Primo the higher throughput).
 
-use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
@@ -58,13 +57,12 @@ impl Protocol for TapirProtocol {
         cluster: &'a Cluster,
         program: &dyn TxnProgram,
         ticket: Arc<TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> Step<'a> {
         let home = program.home_partition();
         let mut ctx = AccessCtx::new(cluster, ticket, home, ReadPolicy::Optimistic, fanout);
-        match ctx.run_body(program, timers) {
-            Ok(()) => commit_locked(ctx, &TAPIR, timers),
+        match ctx.run_body(program) {
+            Ok(()) => commit_locked(ctx, &TAPIR),
             Err(e) => ctx.finish(Err(e)),
         }
     }

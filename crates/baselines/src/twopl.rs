@@ -5,7 +5,6 @@
 //! Two deadlock-handling variants, as in the paper: NO_WAIT (abort on any
 //! conflict) and WAIT_DIE (older transactions wait).
 
-use primo_common::PhaseTimers;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::pipeline::{commit_locked, CommitSpec, Decision, ReadValidation, Step, TsRule};
@@ -53,7 +52,6 @@ impl Protocol for TwoPlProtocol {
         cluster: &'a Cluster,
         program: &dyn TxnProgram,
         ticket: Arc<TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> Step<'a> {
         let policy = ReadPolicy::Locked {
@@ -61,7 +59,7 @@ impl Protocol for TwoPlProtocol {
             policy: self.policy,
         };
         let mut ctx = AccessCtx::new(cluster, ticket, program.home_partition(), policy, fanout);
-        if let Err(e) = ctx.run_body(program, timers) {
+        if let Err(e) = ctx.run_body(program) {
             return ctx.finish(Err(e));
         }
         // Reads hold their shared locks to the end, so the vote round only
@@ -72,7 +70,7 @@ impl Protocol for TwoPlProtocol {
             validation: ReadValidation::None,
             decision: Decision::Round,
         };
-        commit_locked(ctx, &spec, timers)
+        commit_locked(ctx, &spec)
     }
 }
 
@@ -168,9 +166,8 @@ mod tests {
         let ticket = cluster
             .group_commit
             .begin_txn(PartitionId(0), cluster.next_txn_id(PartitionId(0)));
-        let mut timers = PhaseTimers::new();
         let err = protocol
-            .execute_once(&cluster, &prog, &ticket, &mut timers, ReadFanout::empty())
+            .execute_once(&cluster, &prog, &ticket, ReadFanout::empty())
             .unwrap_err();
         assert!(err.reason().is_conflict());
         rec.release(blocker);

@@ -4,7 +4,7 @@
 //! returns nothing; the `figures` binary dispatches to them. Absolute numbers
 //! differ from the paper (simulated cluster vs. a real one); the shapes —
 //! which protocol wins, by roughly what factor, where crossovers happen — are
-//! what EXPERIMENTS.md compares.
+//! what to compare with the paper's figures. Nothing checks them yet.
 //!
 //! All runs go through [`Experiment`], so a figure is exactly "a loop over
 //! protocol kinds and one swept knob".
@@ -102,7 +102,8 @@ fn print_breakdown(label: &str, snap: &MetricsSnapshot) {
             parts.push_str(&format!("{}={:.2}ms ", p.label(), v));
         }
     }
-    println!("{label:<22} {parts}");
+    let (covered, skipped) = (snap.phase_covered, snap.phase_skipped);
+    println!("{label:<22} {parts}({covered} txns, {skipped} skipped)");
 }
 
 /// Default-setting YCSB run for one protocol at one scale.

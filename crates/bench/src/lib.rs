@@ -12,8 +12,8 @@
 //!
 //! Each harness prints the same series the paper plots (throughput in kilo
 //! transactions per second, abort rates, latency breakdowns, ...), so the
-//! *shape* of every figure can be compared directly; see `EXPERIMENTS.md` for
-//! the recorded comparison.
+//! *shape* of every figure can be compared directly with the paper's; no
+//! comparison is recorded in the repository.
 
 pub mod figures;
 

@@ -18,7 +18,7 @@ pub use config::{
 };
 pub use error::{AbortReason, TxnError, TxnResult};
 pub use ids::{PartitionId, TableId, ThreadId, Ts, TxnId};
-pub use phase::{Phase, PhaseTimers};
+pub use phase::Phase;
 pub use rng::{FastRng, ZipfGen};
 pub use stats::{
     ClusterStats, Histogram, HistogramCounts, Metrics, MetricsSnapshot, TimelineWindow,

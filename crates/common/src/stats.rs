@@ -1,8 +1,8 @@
-//! Experiment metrics: throughput counters, latency histograms, abort
-//! accounting and per-phase breakdowns.
+//! Experiment metrics: throughput counters, latency histograms and abort
+//! accounting.
 
 use crate::error::AbortReason;
-use crate::phase::{Phase, PhaseTimers};
+use crate::phase::Phase;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -269,12 +269,6 @@ pub struct Metrics {
     latency: Histogram,
     /// Aborts by reason.
     abort_reasons: Mutex<HashMap<AbortReason, u64>>,
-    /// Aggregated per-phase time across committed transactions (nanoseconds).
-    phase_nanos: [AtomicU64; 8],
-    /// Messages sent (filled in by the network layer via `add_messages`).
-    messages: AtomicU64,
-    /// Remote (cross-partition) read/write requests issued.
-    remote_ops: AtomicU64,
     /// Total time spent rebuilding crashed partitions (wipe + checkpoint
     /// restore + log replay), microseconds.
     recovery_time_us: AtomicU64,
@@ -297,16 +291,12 @@ impl Metrics {
         Self::default()
     }
 
-    pub fn record_commit(&self, latency_us: u64, phases: &PhaseTimers, distributed: bool) {
+    pub fn record_commit(&self, latency_us: u64, distributed: bool) {
         self.committed.fetch_add(1, Ordering::Relaxed);
         self.latency.record_us(latency_us);
         if distributed {
             self.dist_committed.fetch_add(1, Ordering::Relaxed);
             self.dist_latency.record_us(latency_us);
-        }
-        let arr = phases.as_array();
-        for (slot, v) in self.phase_nanos.iter().zip(arr.iter()) {
-            slot.fetch_add(*v, Ordering::Relaxed);
         }
     }
 
@@ -328,14 +318,6 @@ impl Metrics {
 
     pub fn snapshot_reads(&self) -> u64 {
         self.snapshot_reads.load(Ordering::Relaxed)
-    }
-
-    pub fn add_messages(&self, n: u64) {
-        self.messages.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_remote_ops(&self, n: u64) {
-        self.remote_ops.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Account one partition recovery (Fig 12b companion numbers: how long
@@ -373,13 +355,6 @@ impl Metrics {
         let committed = self.committed();
         let aborted = self.aborted_attempts();
         let attempts = committed + aborted;
-        let mut phase_ms = HashMap::new();
-        if committed > 0 {
-            for (i, p) in Phase::ALL.iter().enumerate() {
-                let ns = self.phase_nanos[i].load(Ordering::Relaxed);
-                phase_ms.insert(*p, ns as f64 / committed as f64 / 1e6);
-            }
-        }
         let abort_reasons = self.abort_reasons.lock().clone();
         let crash_aborts: u64 = abort_reasons
             .iter()
@@ -413,10 +388,11 @@ impl Metrics {
             dist_committed: self.dist_committed(),
             dist_txn_mean_ms: self.dist_latency.mean_us() / 1000.0,
             dist_txn_p99_ms: self.dist_latency.percentile_us(0.99) as f64 / 1000.0,
-            phase_ms,
+            phase_ms: HashMap::new(),
+            phase_covered: 0,
+            phase_skipped: 0,
             abort_reasons,
-            messages: self.messages.load(Ordering::Relaxed),
-            remote_ops: self.remote_ops.load(Ordering::Relaxed),
+            messages: 0,
             recovery_time_us: self.recovery_time_us.load(Ordering::Relaxed),
             replayed_txns: self.replayed_txns.load(Ordering::Relaxed),
             snapshot_reads: self.snapshot_reads(),
@@ -468,11 +444,18 @@ pub struct MetricsSnapshot {
     /// p99 commit latency over only the distributed commits, milliseconds —
     /// the latency figure the batched remote-read fan-out improves.
     pub dist_txn_p99_ms: f64,
-    /// Average milliseconds per committed transaction spent in each phase.
+    /// Average milliseconds a committed transaction spent in each phase of
+    /// the latency breakdown, over the `phase_covered` transactions (filled
+    /// in by the experiment driver from the flight recorder).
     pub phase_ms: HashMap<Phase, f64>,
+    /// Committed transactions the latency breakdown covers.
+    pub phase_covered: u64,
+    /// Committed transactions it skipped: the recorder had lost their first
+    /// `Begin`.
+    pub phase_skipped: u64,
     pub abort_reasons: HashMap<AbortReason, u64>,
+    /// Network messages sent (filled in by the experiment driver).
     pub messages: u64,
-    pub remote_ops: u64,
     /// Time spent rebuilding crashed partitions from checkpoint + durable-log
     /// replay, microseconds (0 when no crash was injected).
     pub recovery_time_us: u64,
@@ -584,7 +567,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn histogram_percentiles_are_ordered() {
@@ -737,10 +719,8 @@ mod tests {
     #[test]
     fn metrics_snapshot_derives_rates() {
         let m = Metrics::new();
-        let mut ph = PhaseTimers::new();
-        ph.add(Phase::Execute, Duration::from_micros(100));
-        m.record_commit(500, &ph, false);
-        m.record_commit(1500, &ph, true);
+        m.record_commit(500, false);
+        m.record_commit(1500, true);
         m.record_abort(AbortReason::LockConflict);
         m.record_abort(AbortReason::CrashAbort);
         m.record_recovery(1_500, 42);
@@ -803,7 +783,11 @@ mod tests {
         assert!((s.throughput_tps - 1.0).abs() < 1e-9);
         assert!((s.abort_rate - 0.5).abs() < 1e-9);
         assert!((s.crash_abort_rate - 0.25).abs() < 1e-9);
-        assert!(s.phase(Phase::Execute) > 0.0);
+        assert_eq!(
+            s.phase(Phase::Execute),
+            0.0,
+            "run_on_cluster fills the breakdown in"
+        );
         assert_eq!(s.ktps() * 1000.0, s.throughput_tps);
     }
 }

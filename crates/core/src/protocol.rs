@@ -7,7 +7,7 @@
 //! routine that is Primo's own) or, with WCF off, through the pipeline with
 //! a vote round (`TICTOC_2PC`).
 
-use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnError, TxnResult};
+use primo_common::{AbortReason, PartitionId, Ts, TxnError, TxnResult};
 use primo_runtime::access::{AccessSet, WriteEntry};
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
@@ -127,12 +127,10 @@ impl PrimoProtocol {
     /// no vote round and no possibility of conflict — every record read or
     /// written is already exclusively locked, the dummy reads made
     /// write-set ⊆ read-set.
-    fn commit_wcf(ctx: &mut AccessCtx<'_>, timers: &mut PhaseTimers) -> TxnResult<CommittedTxn> {
+    fn commit_wcf(ctx: &mut AccessCtx<'_>) -> TxnResult<CommittedTxn> {
         let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
         let access = &ctx.access;
-        let ts = timers.time(Phase::Timestamp, || {
-            reserve_lease_ts(ctx, pinned_writes(access).filter_map(|(_, r)| r))
-        });
+        let ts = reserve_lease_ts(ctx, pinned_writes(access).filter_map(|(_, r)| r));
         cluster.group_commit.update_ts(&ctx.ticket, ts);
         let ops = access.ops();
         let participants = access.participants(home);
@@ -142,28 +140,23 @@ impl PrimoProtocol {
         // the participant's log rides the one-way batch charged below.
         // With no vote round, this is also the only place left to notice
         // that a partition died since its records were locked.
-        let straddles = timers.time(Phase::Commit, || {
-            log_txn_writes(cluster, txn, ts, pinned_writes(&ctx.access));
-            straddles_crash(cluster, txn, home, &participants, &ctx.access.writes)
-        });
-        if straddles {
+        log_txn_writes(cluster, txn, ts, pinned_writes(&ctx.access));
+        if straddles_crash(cluster, txn, home, &participants, &ctx.access.writes) {
             ctx.abort_cleanup();
             return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
         }
-        timers.time(Phase::Commit, || {
-            // Home part: prolong the valid intervals of reads, install the
-            // writes, release the locks — all without any communication.
-            Self::finish_partition(ctx, home, ts);
-            // Remote part: ship the write-set (with ts) to each participant
-            // in one one-way batch; no acknowledgement and no further round
-            // trip is needed because the exclusive locks are held there.
-            if !participants.is_empty() {
-                cluster.net.one_way_multi(home, &participants);
-            }
-            for p in &participants {
-                Self::finish_partition(ctx, *p, ts);
-            }
-        });
+        // Home part: prolong the valid intervals of reads, install the
+        // writes, release the locks — all without any communication.
+        Self::finish_partition(ctx, home, ts);
+        // Remote part: ship the write-set (with ts) to each participant in
+        // one one-way batch; no acknowledgement and no further round trip is
+        // needed because the exclusive locks are held there.
+        if !participants.is_empty() {
+            cluster.net.one_way_multi(home, &participants);
+        }
+        for p in &participants {
+            Self::finish_partition(ctx, *p, ts);
+        }
         commit_epilogue(ctx);
         Ok(CommittedTxn {
             ts,
@@ -206,22 +199,21 @@ impl Protocol for PrimoProtocol {
         cluster: &'a Cluster,
         program: &dyn TxnProgram,
         ticket: Arc<TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> Step<'a> {
         let wcf = self.use_wcf_for(program);
         let policy = ReadPolicy::SwitchOnRemote { wcf };
         let mut ctx = AccessCtx::new(cluster, ticket, program.home_partition(), policy, fanout);
-        if let Err(e) = ctx.run_body(program, timers) {
+        if let Err(e) = ctx.run_body(program) {
             return ctx.finish(Err(e));
         }
         match (ctx.switched(), wcf) {
-            (false, _) => commit_locked(ctx, &LOCAL_TICTOC, timers),
+            (false, _) => commit_locked(ctx, &LOCAL_TICTOC),
             (true, true) => {
-                let outcome = Self::commit_wcf(&mut ctx, timers);
+                let outcome = Self::commit_wcf(&mut ctx);
                 ctx.finish(outcome)
             }
-            (true, false) => commit_locked(ctx, &TICTOC_2PC, timers),
+            (true, false) => commit_locked(ctx, &TICTOC_2PC),
         }
     }
 }

@@ -21,9 +21,7 @@ use crate::pipeline::Step;
 use crate::prefetch::{PrefetchOutcome, ReadFanout};
 use crate::protocol::CommittedTxn;
 use crate::txn::{TxnContext, TxnProgram};
-use primo_common::{
-    AbortReason, Key, PartitionId, Phase, PhaseTimers, TableId, TxnError, TxnId, TxnResult, Value,
-};
+use primo_common::{AbortReason, Key, PartitionId, TableId, TxnError, TxnId, TxnResult, Value};
 use primo_storage::{LockMode, LockPolicy, LockRequestResult, Record, Table};
 use primo_trace::TraceEventKind;
 use primo_wal::TxnTicket;
@@ -153,18 +151,14 @@ impl<'a> AccessCtx<'a> {
     /// with the *first* reason — if it failed or swallowed a failed
     /// operation (a body that ignores an `Err` from the context must not
     /// commit the writes it buffered before it).
-    pub fn run_body(
-        &mut self,
-        program: &dyn TxnProgram,
-        timers: &mut PhaseTimers,
-    ) -> TxnResult<()> {
+    pub fn run_body(&mut self, program: &dyn TxnProgram) -> TxnResult<()> {
         // A body made only of blind local writes reads nothing, so the
         // read-time fence in `guarded_read` never sees it: a coordinator
         // whose own partition is down starts no body at all.
         if self.cluster.net.is_crashed(self.home) {
             return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
         }
-        let exec = timers.time(Phase::Execute, || program.execute(self));
+        let exec = program.execute(self);
         match self.dead.or(exec.err().map(|e| e.reason())) {
             None => Ok(()),
             Some(reason) => {

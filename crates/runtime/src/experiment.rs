@@ -1,15 +1,18 @@
 //! The experiment driver: build a cluster, load the workload, run workers for
 //! a fixed duration (with warm-up), optionally inject a partition crash, and
-//! return aggregated metrics.
+//! return aggregated metrics — the latency breakdown folded from the flight
+//! recorder while the measurement window records.
 
 use crate::cluster::Cluster;
 use crate::protocol::Protocol;
 use crate::txn::Workload;
 use crate::worker::spawn_workers;
 use primo_common::config::ClusterConfig;
+use primo_common::sim_time::now_us;
 use primo_common::{
-    ClusterStats, HistogramCounts, Metrics, MetricsSnapshot, PartitionId, TimelineWindow,
+    ClusterStats, HistogramCounts, Metrics, MetricsSnapshot, PartitionId, Phase, TimelineWindow,
 };
+use primo_trace::{PhaseBreakdown, PhaseFold};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,6 +21,11 @@ use std::time::{Duration, Instant};
 /// their measured `len_us`, so scheduling jitter skews a window's rate math
 /// by its true length, not the nominal one.
 const TIMELINE_WINDOW: Duration = Duration::from_millis(100);
+
+/// How often the latency breakdown is fed from the rings, from warm-up to
+/// the window's end: a ring of 512 events (the smallest any configuration
+/// uses) is read before it wraps up to 256 k events a second per thread.
+const FOLD_EVERY: Duration = Duration::from_millis(2);
 
 /// Mutable cursor of the timeline sampler: everything needed to close the
 /// current window as a delta against the live [`Metrics`].
@@ -75,24 +83,35 @@ impl TimelineCursor {
     }
 }
 
-/// Sample the live metrics into ~100 ms [`TimelineWindow`]s until `stop` is
-/// raised, then close the final partial window. Runs on its own thread for
-/// the duration of the measurement window.
-fn sample_timeline(metrics: &Metrics, stop: &AtomicBool) -> Vec<TimelineWindow> {
+/// Sample the live metrics into ~100 ms [`TimelineWindow`]s, and feed
+/// `phases` the flight recorder's events as they are recorded, counting the
+/// transactions whose results are returned from `from_us` on, until `stop`
+/// is raised; then close the final partial window and feed what is left.
+/// Runs on its own thread for the duration of the measurement window.
+fn sample(
+    cluster: &Cluster,
+    metrics: &Metrics,
+    mut phases: PhaseFold,
+    from_us: u64,
+    stop: &AtomicBool,
+) -> (Vec<TimelineWindow>, PhaseBreakdown) {
     let mut windows = Vec::new();
     let mut cursor = TimelineCursor::new(metrics);
     while !stop.load(Ordering::Relaxed) {
-        // Sleep in short slices so the sampler notices `stop` quickly and
-        // the final partial window stays short.
+        // Sleep in short slices so the sampler notices `stop` quickly, the
+        // final partial window stays short and no ring wraps unread.
         let mut slept = Duration::ZERO;
         while slept < TIMELINE_WINDOW && !stop.load(Ordering::Relaxed) {
-            let slice = Duration::from_millis(10);
-            std::thread::sleep(slice);
-            slept += slice;
+            std::thread::sleep(FOLD_EVERY);
+            slept += FOLD_EVERY;
+            cluster.recorder.fold_phases(&mut phases, from_us..);
         }
         cursor.close_window(metrics, &mut windows);
     }
-    windows
+    cluster
+        .recorder
+        .fold_phases(&mut phases, from_us..=now_us());
+    (windows, phases.breakdown())
 }
 
 /// What kind of failure a [`CrashPlan`] injects.
@@ -246,20 +265,29 @@ pub fn run_on_cluster(
             .expect("spawn checkpointer")
     });
 
-    std::thread::sleep(options.warmup);
+    // Warm up. The latency breakdown is fed from the start, counting nothing
+    // yet: a transaction the window counts is followed from its first
+    // `Begin`, however long before the window that was.
+    let mut phases = PhaseFold::default();
+    let warm_until_us = now_us() + options.warmup.as_micros() as u64;
+    while now_us() < warm_until_us {
+        std::thread::sleep(FOLD_EVERY);
+        cluster.recorder.fold_phases(&mut phases, 0..0);
+    }
     recording.store(true, Ordering::SeqCst);
-    let started = Instant::now();
+    let (started, recorded_from_us) = (Instant::now(), now_us());
 
     // The live timeline samples TPS / abort-rate / p99 in ~100 ms windows
     // for the whole measurement (crash dips and recovery ramps survive in
-    // the series instead of being averaged away by the run-long totals).
+    // the series instead of being averaged away by the run-long totals);
+    // the same thread folds the latency breakdown out of the recorder.
     let sampler_stop = Arc::new(AtomicBool::new(false));
     let sampler = {
-        let metrics = Arc::clone(&metrics);
+        let (cluster, metrics) = (Arc::clone(cluster), Arc::clone(&metrics));
         let stop = Arc::clone(&sampler_stop);
         std::thread::Builder::new()
             .name("timeline".into())
-            .spawn(move || sample_timeline(&metrics, &stop))
+            .spawn(move || sample(&cluster, &metrics, phases, recorded_from_us, &stop))
             .expect("spawn timeline sampler")
     };
 
@@ -310,7 +338,7 @@ pub fn run_on_cluster(
     });
     recording.store(false, Ordering::SeqCst);
     sampler_stop.store(true, Ordering::SeqCst);
-    let timeline = sampler.join().unwrap_or_default();
+    let (timeline, phases) = sampler.join().unwrap_or_default();
     stop.store(true, Ordering::SeqCst);
     for h in handles {
         let _ = h.join();
@@ -357,6 +385,8 @@ pub fn run_on_cluster(
         },
     );
     snap.messages = cluster.net.messages_sent();
+    snap.phase_ms = Phase::ALL.map(|p| (p, phases.mean_ms(p))).into();
+    (snap.phase_covered, snap.phase_skipped) = (phases.covered, phases.skipped);
     snap
 }
 
@@ -383,7 +413,7 @@ mod tests {
     use crate::pipeline::Step;
     use crate::protocol::CommittedTxn;
     use crate::txn::{TxnContext, TxnProgram};
-    use primo_common::{FastRng, Key, PhaseTimers, TableId, TxnResult, Value};
+    use primo_common::{FastRng, Key, TableId, TxnResult, Value};
     use primo_storage::PartitionStore;
     use primo_wal::TxnTicket;
 
@@ -429,7 +459,6 @@ mod tests {
             cluster: &'a Cluster,
             program: &dyn TxnProgram,
             ticket: Arc<TxnTicket>,
-            _timers: &mut PhaseTimers,
             fanout: crate::prefetch::ReadFanout,
         ) -> Step<'a> {
             let commit = CommittedTxn {

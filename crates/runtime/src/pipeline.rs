@@ -23,12 +23,13 @@ use crate::context::AccessCtx;
 use crate::durability::{log_txn_writes, straddles_crash};
 use crate::prefetch::ReadFanout;
 use crate::protocol::CommittedTxn;
-use primo_common::sim_time::wait_until;
-use primo_common::{AbortReason, PartitionId, Phase, PhaseTimers, Ts, TxnId, TxnResult};
+use primo_common::sim_time::{now_us, wait_until};
+use primo_common::{AbortReason, PartitionId, Ts, TxnId, TxnResult};
 use primo_storage::{LockMode, LockPolicy, Record};
 use primo_trace::TraceEventKind;
 use primo_wal::TxnTicket;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Where the commit timestamp comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,13 +106,13 @@ impl Step<'_> {
     /// Sit through every wait the attempt has left — what a session does,
     /// being the waiting client itself, and a worker for an attempt that
     /// holds locks from its body on.
-    pub fn wait_out(mut self, timers: &mut PhaseTimers) -> Ended {
+    pub fn wait_out(mut self) -> Ended {
         loop {
             match self {
                 Step::Done(ended) => return ended,
                 Step::Waiting(attempt) => {
                     wait_until(attempt.ready_at_us());
-                    self = attempt.resume(timers);
+                    self = attempt.resume();
                 }
             }
         }
@@ -127,8 +128,7 @@ pub struct InFlight<'a> {
     spec: CommitSpec,
     /// The participants of the rounds (home excluded).
     parts: Vec<PartitionId>,
-    /// The round on the wire: its flight, and however long the replies wait
-    /// to be taken up, are the client's two-phase-commit time.
+    /// The round on the wire.
     round: Round,
     stage: Stage,
 }
@@ -150,6 +150,11 @@ impl<'a> InFlight<'a> {
         self.round.ready_at_us()
     }
 
+    /// Since the round on the wire was sent.
+    pub fn elapsed(&self) -> Duration {
+        self.round.elapsed()
+    }
+
     /// Whether the attempt holds a lock while it waits: the write set of a
     /// deciding attempt, the locked reads of a voting one (2PL, Primo past
     /// its mode switch). An attempt that holds none can be overlapped with
@@ -159,7 +164,7 @@ impl<'a> InFlight<'a> {
     }
 
     /// The replies are back: run the attempt's next step.
-    pub fn resume(self, timers: &mut PhaseTimers) -> Step<'a> {
+    pub fn resume(self) -> Step<'a> {
         let InFlight {
             mut ctx,
             spec,
@@ -167,12 +172,11 @@ impl<'a> InFlight<'a> {
             round,
             stage,
         } = self;
-        timers.add(Phase::TwoPc, round.elapsed());
         let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
         match stage {
             Stage::Voting => {
                 match (cluster.atomic_commit()).votes(cluster, txn, home, &parts, round) {
-                    PrepareOutcome::Prepared(at) => install(ctx, spec, Some((parts, at)), timers),
+                    PrepareOutcome::Prepared(at) => install(ctx, spec, Some((parts, at))),
                     PrepareOutcome::Aborted(reason) => ctx.abort(reason),
                     PrepareOutcome::Orphaned => {
                         // Classic 2PC's blocking failure: the coordinator died
@@ -265,6 +269,7 @@ pub fn reserve_lease_ts<'r>(
     ctx: &AccessCtx<'_>,
     written: impl Iterator<Item = &'r Arc<Record>>,
 ) -> Ts {
+    let began_us = now_us();
     let mut ts = 0;
     for r in ctx.access.reads.iter().filter(|r| !r.dummy) {
         ts = ts.max(r.wts);
@@ -273,7 +278,8 @@ pub fn reserve_lease_ts<'r>(
         ts = ts.max(record.timestamps().1 + 1);
     }
     let ts = ctx.cluster.group_commit.reserve_commit_ts(&ctx.ticket, ts);
-    ctx.trace(TraceEventKind::CommitTsReserved { ts });
+    let took_us = now_us() - began_us;
+    ctx.trace(TraceEventKind::CommitTsReserved { ts, took_us });
     ts
 }
 
@@ -352,26 +358,21 @@ pub fn commit_epilogue(ctx: &AccessCtx<'_>) {
 fn certify(
     ctx: &AccessCtx<'_>,
     spec: &CommitSpec,
-    timers: &mut PhaseTimers,
 ) -> Result<(Vec<Arc<Record>>, Option<Ts>), AbortReason> {
-    let locked = timers.time(Phase::Commit, || lock_write_set(ctx, spec.write_locks))?;
+    let locked = lock_write_set(ctx, spec.write_locks)?;
     let lease = (spec.timestamp == TsRule::Lease).then(|| {
-        timers.time(Phase::Timestamp, || {
-            let ts = reserve_lease_ts(ctx, locked.iter());
-            if spec.decision != Decision::Local {
-                // The participants' group-commit entries learn the timestamp.
-                ctx.cluster.group_commit.update_ts(&ctx.ticket, ts);
-            }
-            ts
-        })
+        let ts = reserve_lease_ts(ctx, locked.iter());
+        if spec.decision != Decision::Local {
+            // The participants' group-commit entries learn the timestamp.
+            ctx.cluster.group_commit.update_ts(&ctx.ticket, ts);
+        }
+        ts
     });
     if spec.validation == ReadValidation::None {
         return Ok((locked, lease));
     }
     ctx.trace(TraceEventKind::ValidationStart);
-    let outcome = timers.time(Phase::Commit, || {
-        validate_reads(ctx, spec.validation, lease)
-    });
+    let outcome = validate_reads(ctx, spec.validation, lease);
     ctx.trace(TraceEventKind::ValidationOutcome {
         ok: outcome.is_ok(),
         reason: outcome.err(),
@@ -390,15 +391,11 @@ fn certify(
 /// A [`Decision::Local`] commit has no round and is [`Step::Done`] at once;
 /// any other sends its votes and waits — also when it has nobody to ask, so
 /// that whoever runs the attempt decides when it takes its first write lock.
-pub fn commit_locked<'a>(
-    ctx: AccessCtx<'a>,
-    spec: &CommitSpec,
-    timers: &mut PhaseTimers,
-) -> Step<'a> {
+pub fn commit_locked<'a>(ctx: AccessCtx<'a>, spec: &CommitSpec) -> Step<'a> {
     if spec.decision == Decision::Local {
-        return install(ctx, *spec, None, timers);
+        return install(ctx, *spec, None);
     }
-    let (parts, round) = timers.time(Phase::TwoPc, || send_votes(&ctx));
+    let (parts, round) = send_votes(&ctx);
     Step::Waiting(InFlight {
         ctx,
         spec: *spec,
@@ -414,10 +411,9 @@ fn install<'a>(
     ctx: AccessCtx<'a>,
     spec: CommitSpec,
     round: Option<(Vec<PartitionId>, PreparedAt)>,
-    timers: &mut PhaseTimers,
 ) -> Step<'a> {
     let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
-    let (locked, lease) = match certify(&ctx, &spec, timers) {
+    let (locked, lease) = match certify(&ctx, &spec) {
         Ok(certified) => certified,
         Err(reason) => {
             if let Some((parts, _)) = &round {
@@ -434,16 +430,15 @@ fn install<'a>(
     // drawn here for the same reason; it is what the caller reports, so the
     // logged and the reported timestamp agree (recovery's replay bound
     // relies on it).
-    let ts = timers.time(Phase::Commit, || {
-        let ts = lease.unwrap_or_else(|| {
-            let ts = cluster.group_commit.finalize_commit_ts(&ctx.ticket, 0);
-            ctx.trace(TraceEventKind::CommitTsReserved { ts });
-            ts
-        });
-        let writes = ctx.access.writes.iter().zip(&locked);
-        log_txn_writes(cluster, txn, ts, writes.map(|(w, r)| (w, Some(r))));
+    let ts = lease.unwrap_or_else(|| {
+        let began_us = now_us();
+        let ts = cluster.group_commit.finalize_commit_ts(&ctx.ticket, 0);
+        let took_us = now_us() - began_us;
+        ctx.trace(TraceEventKind::CommitTsReserved { ts, took_us });
         ts
     });
+    let writes = ctx.access.writes.iter().zip(&locked);
+    log_txn_writes(cluster, txn, ts, writes.map(|(w, r)| (w, Some(r))));
     if let Some((parts, _)) = &round {
         if straddles_crash(cluster, txn, home, parts, &ctx.access.writes) {
             cluster
@@ -454,11 +449,9 @@ fn install<'a>(
             return ctx.abort(AbortReason::RemoteUnavailable);
         }
     }
-    timers.time(Phase::Commit, || {
-        for (w, record) in ctx.access.writes.iter().zip(&locked) {
-            install_write(cluster, record, w, ts, spec.timestamp);
-        }
-    });
+    for (w, record) in ctx.access.writes.iter().zip(&locked) {
+        install_write(cluster, record, w, ts, spec.timestamp);
+    }
     let commit = CommittedTxn {
         ts,
         ops: ctx.access.ops(),
@@ -467,13 +460,13 @@ fn install<'a>(
 
     if let Some((parts, prepared)) = round {
         let layer = cluster.atomic_commit();
-        let acks = timers.time(Phase::TwoPc, || match spec.decision {
+        let acks = match spec.decision {
             Decision::Sealed => {
                 layer.seal_commit(cluster, txn, home, &parts, prepared);
                 None
             }
             _ => layer.decide_commit(cluster, txn, home, &parts, prepared),
-        });
+        };
         if let Some(round) = acks {
             return Step::Waiting(InFlight {
                 ctx,
@@ -658,8 +651,7 @@ mod tests {
                     validation,
                     decision: Decision::Local,
                 };
-                let timers = &mut PhaseTimers::new();
-                let (outcome, ..) = commit_locked(ctx, &spec, timers).wait_out(timers);
+                let (outcome, ..) = commit_locked(ctx, &spec).wait_out();
                 let reason = outcome.unwrap_err().reason();
                 assert_eq!(reason, AbortReason::Validation, "{validation:?}");
             });

@@ -17,7 +17,7 @@ use crate::cluster::Cluster;
 use crate::pipeline::Step;
 use crate::prefetch::ReadFanout;
 use crate::txn::TxnProgram;
-use primo_common::{PhaseTimers, Ts, TxnResult};
+use primo_common::{Ts, TxnResult};
 use primo_wal::TxnTicket;
 use std::sync::Arc;
 
@@ -69,7 +69,6 @@ pub trait Protocol: Send + Sync {
         cluster: &'a Cluster,
         program: &dyn TxnProgram,
         ticket: Arc<TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> Step<'a>;
 
@@ -80,11 +79,11 @@ pub trait Protocol: Send + Sync {
         cluster: &Cluster,
         program: &dyn TxnProgram,
         ticket: &Arc<TxnTicket>,
-        timers: &mut PhaseTimers,
         fanout: ReadFanout,
     ) -> TxnResult<CommittedTxn> {
-        let first = self.start(cluster, program, Arc::clone(ticket), timers, fanout);
-        first.wait_out(timers).0
+        self.start(cluster, program, Arc::clone(ticket), fanout)
+            .wait_out()
+            .0
     }
 }
 
@@ -106,7 +105,6 @@ mod tests {
             _cluster: &'a Cluster,
             _program: &dyn TxnProgram,
             ticket: Arc<TxnTicket>,
-            _timers: &mut PhaseTimers,
             fanout: ReadFanout,
         ) -> Step<'a> {
             let commit = CommittedTxn {
@@ -129,9 +127,8 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![],
         };
-        let mut timers = PhaseTimers::new();
         let out = p
-            .execute_once(&cluster, &prog, &ticket, &mut timers, ReadFanout::empty())
+            .execute_once(&cluster, &prog, &ticket, ReadFanout::empty())
             .unwrap();
         assert_eq!(out.ts, 1);
         assert!(!out.distributed);

@@ -19,6 +19,7 @@
 
 use crate::cluster::Cluster;
 use crate::txn::{TxnContext, TxnProgram};
+use primo_common::sim_time::now_us;
 use primo_common::{AbortReason, Key, PartitionId, TableId, Ts, TxnError, TxnResult, Value};
 use primo_storage::SnapshotRead;
 
@@ -136,6 +137,7 @@ impl TxnContext for SnapshotSession<'_> {
 /// Returns [`SnapshotOutcome::Fallback`] when any read was unanswerable —
 /// the caller re-runs through the protocol.
 pub fn execute_snapshot(cluster: &Cluster, program: &dyn TxnProgram) -> SnapshotOutcome {
+    let began_us = now_us();
     let mut session = SnapshotSession::new(cluster, program.home_partition());
     let result = program.execute(&mut session);
     if session.needs_fallback {
@@ -148,6 +150,7 @@ pub fn execute_snapshot(cluster: &Cluster, program: &dyn TxnProgram) -> Snapshot
             Some(session.home),
             primo_trace::TraceEventKind::SnapshotRead {
                 horizon: session.horizon,
+                exec_us: now_us() - began_us,
             },
         );
         SnapshotOutcome::Done(result)

@@ -45,7 +45,7 @@ use crate::prefetch::{Footprint, ReadFanout};
 use crate::protocol::{CommittedTxn, Protocol};
 use crate::txn::{TxnProgram, Workload};
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
-use primo_common::{AbortReason, FastRng, Metrics, PartitionId, Phase, PhaseTimers, TxnId};
+use primo_common::{AbortReason, FastRng, Metrics, PartitionId, TxnId};
 use primo_trace::TraceEventKind;
 use primo_wal::{CommitOutcome, CommitWaiter};
 use std::collections::{BTreeMap, VecDeque};
@@ -72,8 +72,6 @@ const MAX_PENDING_COMMITS: usize = 512;
 struct PendingCommit {
     waiter: CommitWaiter,
     started: Instant,
-    committed_at: Instant,
-    timers: PhaseTimers,
     distributed: bool,
 }
 
@@ -101,12 +99,6 @@ struct Prepared {
     attempts: usize,
     /// The back-off level its next retryable abort waits out.
     backoff_us: u64,
-    timers: PhaseTimers,
-    /// Since when it waits for what it waits for now: its flight and the
-    /// queue (generate, or the retry's send) are `Execute`, parked time
-    /// (abort to that send) is `Backoff`; its votes (their send) are timed
-    /// by the attempt itself.
-    since: Instant,
 }
 
 /// Aborted clients whose back-off is not over, by when it is (`not_before_us`;
@@ -227,10 +219,8 @@ impl WorkerContext {
     }
 }
 
-/// The group commit decided `done`: close its `Return` phase, trace the
-/// release and count the result.
-fn resolve(ctx: &WorkerContext, mut done: PendingCommit, outcome: CommitOutcome) {
-    done.timers.add(Phase::Return, done.committed_at.elapsed());
+/// The group commit decided `done`: trace the release and count the result.
+fn resolve(ctx: &WorkerContext, done: PendingCommit, outcome: CommitOutcome) {
     ctx.cluster.recorder.emit(
         Some(done.waiter.txn),
         Some(done.waiter.coordinator),
@@ -242,8 +232,7 @@ fn resolve(ctx: &WorkerContext, mut done: PendingCommit, outcome: CommitOutcome)
         match outcome {
             CommitOutcome::Committed => {
                 let latency_us = done.started.elapsed().as_micros() as u64;
-                ctx.metrics
-                    .record_commit(latency_us, &done.timers, done.distributed);
+                ctx.metrics.record_commit(latency_us, done.distributed);
             }
             CommitOutcome::CrashAborted => ctx.metrics.record_abort(AbortReason::CrashAbort),
         }
@@ -300,8 +289,8 @@ fn wait_out(deadline_us: u64) -> u64 {
 /// What the attempts of one worker, or of one session, run against. The
 /// per-attempt lifecycle exists once, in [`Attempt::begin`] and
 /// [`Attempt::ended`], for the worker loop — which runs other clients between
-/// the two — and for [`run_single_txn`] (every facade session), which is
-/// [`Attempt::run`]: the same steps with the waits between them.
+/// the two — and for [`run_single_txn`] (every facade session), which runs
+/// the same steps with the waits between them ([`Step::wait_out`]).
 struct Attempt<'a> {
     cluster: &'a Cluster,
     protocol: &'a dyn Protocol,
@@ -327,24 +316,27 @@ impl<'a> Attempt<'a> {
     }
 
     /// Begin one attempt under `txn`: leave `Begin` in the flight recorder,
-    /// open a ticket, take up `fanout` — the batched reads sent
-    /// ([`Attempt::send`]) when the client was taken up or its back-off was
-    /// over — and start the protocol, which runs the attempt to its first
-    /// wait on the wire or to its end. Whoever sees the attempt
-    /// [`Step::Done`] owes it [`Attempt::ended`].
+    /// pay `slowdown_us` of extra CPU time (a slow partition's, Fig 13b: the
+    /// worker loop's attempts pay it, a session's do not), open a ticket,
+    /// take up `fanout` — the batched reads sent ([`Attempt::send`]) when the
+    /// client was taken up or its back-off was over — and start the
+    /// protocol, which runs the attempt to its first wait on the wire or to
+    /// its end. Whoever sees the attempt [`Step::Done`] owes it
+    /// [`Attempt::ended`].
     fn begin(
         &self,
         program: &dyn TxnProgram,
         txn: TxnId,
         attempt: u32,
         mut fanout: ReadFanout,
-        timers: &mut PhaseTimers,
+        slowdown_us: u64,
     ) -> Step<'a> {
         let (cluster, home) = (self.cluster, self.home);
         (cluster.recorder).emit(Some(txn), Some(home), TraceEventKind::Begin { attempt });
+        charge_latency_us(slowdown_us);
         let ticket = cluster.group_commit.begin_txn(home, txn);
-        timers.time(Phase::Execute, || fanout.complete(cluster, home, txn));
-        (self.protocol).start(cluster, program, ticket, timers, fanout)
+        fanout.complete(cluster, home, txn);
+        (self.protocol).start(cluster, program, ticket, fanout)
     }
 
     /// The attempt under `ticket` ended with `outcome`: tell the group commit
@@ -365,10 +357,14 @@ impl<'a> Attempt<'a> {
                 let waiter = cluster
                     .group_commit
                     .txn_committed(ticket, commit.ts, commit.ops);
-                let committed = TraceEventKind::Committed { ts: commit.ts };
+                let durable = self.protocol.manages_durability();
+                let committed = TraceEventKind::Committed {
+                    ts: commit.ts,
+                    durable,
+                };
                 (cluster.recorder).emit(Some(ticket.txn), Some(home), committed);
                 cluster.fold_due_logs();
-                if self.protocol.manages_durability() {
+                if durable {
                     cluster.horizon_moved();
                 }
                 Ok((commit, waiter))
@@ -384,21 +380,6 @@ impl<'a> Attempt<'a> {
                 Err(e.reason())
             }
         }
-    }
-
-    /// One attempt from [`Attempt::begin`] to [`Attempt::ended`], every wait
-    /// sat out.
-    fn run(
-        &self,
-        program: &dyn TxnProgram,
-        txn: TxnId,
-        attempt: u32,
-        plan: &mut Footprint,
-        fanout: ReadFanout,
-        timers: &mut PhaseTimers,
-    ) -> Result<(CommittedTxn, CommitWaiter), AbortReason> {
-        let step = self.begin(program, txn, attempt, fanout, timers);
-        self.ended(step.wait_out(timers), plan)
     }
 
     /// Attempt number `attempts` of `txn` aborted for `reason`: how long its
@@ -440,13 +421,10 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
     let program = ctx.workload.generate(rng, ctx.home);
     let started = Instant::now();
     if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(&ctx.cluster) {
-        let mut timers = PhaseTimers::new();
-        let done = timers.time(Phase::Execute, || {
-            match crate::snapshot::execute_snapshot(&ctx.cluster, program.as_ref()) {
-                crate::snapshot::SnapshotOutcome::Done(result) => Some(result),
-                crate::snapshot::SnapshotOutcome::Fallback => None,
-            }
-        });
+        let done = match crate::snapshot::execute_snapshot(&ctx.cluster, program.as_ref()) {
+            crate::snapshot::SnapshotOutcome::Done(result) => Some(result),
+            crate::snapshot::SnapshotOutcome::Fallback => None,
+        };
         if let Some(result) = done {
             if ctx.recording() {
                 match result {
@@ -455,7 +433,7 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
                         // Snapshot reads pay no remote round trips and
                         // never enter the protocol path, so they stay
                         // out of the distributed-latency histogram.
-                        ctx.metrics.record_commit(latency_us, &timers, false);
+                        ctx.metrics.record_commit(latency_us, false);
                         ctx.metrics.record_snapshot_read();
                     }
                     Err(e) => {
@@ -484,8 +462,6 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
         txn: None,
         attempts: 0,
         backoff_us: ctx.cluster.config.backoff_initial_us,
-        timers: PhaseTimers::new(),
-        since: started,
     })
 }
 
@@ -540,21 +516,13 @@ impl<'a> Worker<'a> {
     /// over: nothing of this worker overlaps what holds something.
     fn start(&mut self, mut client: Prepared) {
         let ctx = self.ctx;
-        // The flight and the queue are where this client's reads were executed.
-        client.timers.add(Phase::Execute, client.since.elapsed());
         let txn = *(client.txn).get_or_insert_with(|| ctx.cluster.next_txn_id(ctx.home));
         client.attempts += 1;
-        let slowdown = ctx.cluster.partition(ctx.home).slowdown_us();
-        if slowdown > 0 {
-            // Simulated slow partition (Fig 13b): extra CPU time per attempt,
-            // charged as execution time.
-            (client.timers).time(Phase::Execute, || charge_latency_us(slowdown));
-        }
         let sent = std::mem::take(&mut client.fanout);
-        let (program, timers) = (client.program.as_ref(), &mut client.timers);
-        match (ctx.attempt()).begin(program, txn, client.attempts as u32, sent, timers) {
+        let (program, attempts) = (client.program.as_ref(), client.attempts as u32);
+        let slowdown_us = ctx.cluster.partition(ctx.home).slowdown_us();
+        match (ctx.attempt()).begin(program, txn, attempts, sent, slowdown_us) {
             Step::Waiting(attempt) if !attempt.holds_locks() => {
-                client.since = Instant::now();
                 self.voting.push_back(Suspended { client, attempt });
             }
             step => {
@@ -562,7 +530,7 @@ impl<'a> Worker<'a> {
                     self.deciding.is_none() || matches!(step, Step::Done(..)),
                     "two attempts of one worker hold locks"
                 );
-                let ended = step.wait_out(&mut client.timers);
+                let ended = step.wait_out();
                 self.ended(client, ended);
             }
         }
@@ -574,11 +542,8 @@ impl<'a> Worker<'a> {
     /// — the caller has seen to it that no other attempt of this worker holds
     /// a lock — and becomes the lock-holder while its acknowledgements fly.
     fn resume(&mut self, suspended: Suspended<'a>) {
-        let Suspended {
-            mut client,
-            attempt,
-        } = suspended;
-        match attempt.resume(&mut client.timers) {
+        let Suspended { client, attempt } = suspended;
+        match attempt.resume() {
             Step::Waiting(attempt) => {
                 debug_assert!(attempt.holds_locks() && self.deciding.is_none());
                 self.deciding = Some(Suspended { client, attempt });
@@ -597,23 +562,17 @@ impl<'a> Worker<'a> {
         let attempt = ctx.attempt();
         match attempt.ended(ended, &mut client.plan) {
             Ok((commit, waiter)) => {
-                let Prepared {
-                    started, timers, ..
-                } = client;
                 if ctx.protocol.manages_durability() {
                     if ctx.recording() {
-                        let latency_us = started.elapsed().as_micros() as u64;
-                        ctx.metrics
-                            .record_commit(latency_us, &timers, commit.distributed);
+                        let latency_us = client.started.elapsed().as_micros() as u64;
+                        ctx.metrics.record_commit(latency_us, commit.distributed);
                     }
                 } else {
                     // The client keeps waiting for the watermark / epoch; the
                     // worker moves on to the next transaction.
                     self.pending.push_back(PendingCommit {
                         waiter,
-                        started,
-                        committed_at: Instant::now(),
-                        timers,
+                        started: client.started,
                         distributed: commit.distributed,
                     });
                 }
@@ -625,7 +584,6 @@ impl<'a> Worker<'a> {
                 let (attempts, level) = (client.attempts, &mut client.backoff_us);
                 match attempt.aborted(txn, attempts, reason, &mut self.rng, level) {
                     Some(wait_us) => {
-                        client.since = Instant::now();
                         self.parked.insert((now_us() + wait_us, txn), client);
                     }
                     None if ctx.recording() => ctx.metrics.record_abandoned(),
@@ -689,7 +647,7 @@ impl<'a> Worker<'a> {
             .filter(|_| self.deciding.is_none())
             .and_then(|i| self.voting.remove(i));
         if let Some(certifying) = certifying {
-            self.pace.voted(certifying.client.since.elapsed());
+            self.pace.voted(certifying.attempt.elapsed());
             return self.resume(certifying);
         }
 
@@ -762,8 +720,6 @@ impl<'a> Worker<'a> {
             self.passed_over = ready.is_some();
             let client = if retry_due {
                 let (_, mut client) = self.parked.pop_first().expect("a retry is due");
-                client.timers.add(Phase::Backoff, client.since.elapsed());
-                client.since = Instant::now();
                 client.fanout = ctx.attempt().send(&client.plan);
                 Some(client)
             } else {
@@ -887,12 +843,12 @@ pub fn run_single_txn(
         let txn = cluster.next_txn_id(home);
         // Jitter seeded by the attempt's id.
         let mut rng = FastRng::new(txn.pack());
-        let fanout = attempt.send(&plan);
-        let timers = &mut PhaseTimers::new();
-        // A session *is* the waiting client: it waits its back-off out here.
-        // When the attempts run out it reports what actually aborted the
-        // last one rather than a blanket LockConflict.
-        let wait_us = match attempt.run(program, txn, attempts as u32, &mut plan, fanout, timers) {
+        // A session *is* the waiting client: it sits every wait of the
+        // attempt out, and its back-off here. When the attempts run out it
+        // reports what actually aborted the last one rather than a blanket
+        // LockConflict.
+        let begun = attempt.begin(program, txn, attempts as u32, attempt.send(&plan), 0);
+        let wait_us = match attempt.ended(begun.wait_out(), &mut plan) {
             Ok(_) if protocol.manages_durability() => return Ok(attempts),
             Ok((_, waiter)) => match cluster.group_commit.wait_durable(&waiter) {
                 CommitOutcome::Committed => {
@@ -936,7 +892,6 @@ mod tests {
             cluster: &'a Cluster,
             _program: &dyn TxnProgram,
             ticket: Arc<TxnTicket>,
-            _timers: &mut PhaseTimers,
             fanout: ReadFanout,
         ) -> Step<'a> {
             let txn = ticket.txn;
@@ -1072,7 +1027,6 @@ mod tests {
             _cluster: &'a Cluster,
             _program: &dyn TxnProgram,
             ticket: Arc<TxnTicket>,
-            _timers: &mut PhaseTimers,
             fanout: ReadFanout,
         ) -> Step<'a> {
             let aborted = Err(TxnError::Aborted(AbortReason::Validation));

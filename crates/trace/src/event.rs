@@ -6,7 +6,7 @@
 //! and decode it back losslessly at merge time.
 
 use primo_common::{AbortReason, PartitionId, Ts, TxnId};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Sentinel for "no transaction" in the packed txn word ([`TxnId::pack`]
 /// never produces it: the coordinator field is only 16 bits).
@@ -30,7 +30,8 @@ pub enum WatermarkCause {
 /// (owners, timestamps, LSNs, horizons), not full payload dumps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// A worker started (attempt > 0: restarted) a transaction attempt.
+    /// A worker started attempt number `attempt` of a transaction; the first
+    /// attempt is 1, and a retry keeps the transaction's id.
     Begin { attempt: u32 },
     /// A lock request was denied (WAIT_DIE / NO_WAIT): the packed owner is
     /// whoever held the record when the requester died.
@@ -42,8 +43,9 @@ pub enum TraceEventKind {
         ok: bool,
         reason: Option<AbortReason>,
     },
-    /// The group-commit layer reserved (or finalized) the commit timestamp.
-    CommitTsReserved { ts: Ts },
+    /// The group-commit layer reserved (or finalized) the commit timestamp
+    /// `ts`; the reservation took `took_us`, up to this event.
+    CommitTsReserved { ts: Ts, took_us: u64 },
     /// 2PC prepare round sent to `participants` partitions.
     Prepare { participants: u32 },
     /// 2PC vote outcome taken up by the coordinator: the round spent
@@ -65,8 +67,10 @@ pub enum TraceEventKind {
     QuorumAck { entries: u64, durable_lsn: u64 },
     /// The group-commit scheme released the transaction to the client.
     GroupCommitRelease { committed: bool },
-    /// The transaction committed at `ts` (results returned to the client).
-    Committed { ts: Ts },
+    /// The transaction's attempt committed at `ts`. `durable`: its protocol
+    /// made it durable itself (Aria, TAPIR), so this is where its result is
+    /// returned; otherwise a `GroupCommitRelease` returns it later.
+    Committed { ts: Ts, durable: bool },
     /// The attempt aborted. `backoff_us` is how long its client backs off
     /// before the retry — the transaction's next `Begin` is at least that
     /// much later — and 0 when the abort is final.
@@ -75,8 +79,8 @@ pub enum TraceEventKind {
         backoff_us: u64,
     },
     /// A read-only transaction was served lock-free from the MVCC snapshot
-    /// at the durable group-commit horizon.
-    SnapshotRead { horizon: Ts },
+    /// at the durable group-commit horizon; its execution took `exec_us`.
+    SnapshotRead { horizon: Ts, exec_us: u64 },
     /// The watermark scheme published a new group watermark (Wg).
     WatermarkPublish { wg: Ts },
     /// A watermark agent generated the partition watermark `wp` (published
@@ -142,41 +146,41 @@ pub enum TraceEventKind {
     /// A prefetched record moved underneath the buffer; the read fell back
     /// to a fresh round trip (an ordinary conflict, never an anomaly).
     PrefetchStale,
+    /// Aria: the transaction's batch closed after it had waited `wait_us`
+    /// for it in the sequencing layer.
+    BatchSequenced { wait_us: u64 },
+    /// Aria: the transaction passed one of its batch's two barriers (every
+    /// member executed, then every member decided) after waiting `wait_us`
+    /// for the others, then spent `round_us` on the batch's cross-partition
+    /// synchronisation (at the first barrier, by its first member; else 0).
+    BatchBarrier { wait_us: u64, round_us: u64 },
 }
 
-/// Stable wire codes for [`AbortReason`]; the trace crate owns the mapping
-/// so `primo-common` stays encoding-agnostic.
+/// [`AbortReason`]s by their stable wire code (the index); the trace crate
+/// owns the mapping so `primo-common` stays encoding-agnostic.
+const ABORT_CODES: [AbortReason; 11] = [
+    AbortReason::LockConflict,
+    AbortReason::WaitDie,
+    AbortReason::Validation,
+    AbortReason::ModeSwitch,
+    AbortReason::UserAbort,
+    AbortReason::NotFound,
+    AbortReason::CrashAbort,
+    AbortReason::RemoteUnavailable,
+    AbortReason::EpochAbort,
+    AbortReason::DeterministicConflict,
+    AbortReason::CoordinatorCrash,
+];
+
 fn abort_code(r: AbortReason) -> u64 {
-    match r {
-        AbortReason::LockConflict => 0,
-        AbortReason::WaitDie => 1,
-        AbortReason::Validation => 2,
-        AbortReason::ModeSwitch => 3,
-        AbortReason::UserAbort => 4,
-        AbortReason::NotFound => 5,
-        AbortReason::CrashAbort => 6,
-        AbortReason::RemoteUnavailable => 7,
-        AbortReason::EpochAbort => 8,
-        AbortReason::DeterministicConflict => 9,
-        AbortReason::CoordinatorCrash => 10,
-    }
+    ABORT_CODES
+        .iter()
+        .position(|&c| c == r)
+        .expect("every reason has a code") as u64
 }
 
 fn abort_from_code(c: u64) -> Option<AbortReason> {
-    Some(match c {
-        0 => AbortReason::LockConflict,
-        1 => AbortReason::WaitDie,
-        2 => AbortReason::Validation,
-        3 => AbortReason::ModeSwitch,
-        4 => AbortReason::UserAbort,
-        5 => AbortReason::NotFound,
-        6 => AbortReason::CrashAbort,
-        7 => AbortReason::RemoteUnavailable,
-        8 => AbortReason::EpochAbort,
-        9 => AbortReason::DeterministicConflict,
-        10 => AbortReason::CoordinatorCrash,
-        _ => return None,
-    })
+    ABORT_CODES.get(c as usize).copied()
 }
 
 impl TraceEventKind {
@@ -193,7 +197,7 @@ impl TraceEventKind {
                 reason.map(abort_code).map(|c| c + 1).unwrap_or(0),
                 0,
             ),
-            CommitTsReserved { ts } => (4, ts, 0, 0),
+            CommitTsReserved { ts, took_us } => (4, ts, took_us, 0),
             Prepare { participants } => (5, participants as u64, 0, 0),
             Vote {
                 ok,
@@ -207,9 +211,9 @@ impl TraceEventKind {
                 durable_lsn,
             } => (9, entries, durable_lsn, 0),
             GroupCommitRelease { committed } => (10, committed as u64, 0, 0),
-            Committed { ts } => (11, ts, 0, 0),
+            Committed { ts, durable } => (11, ts, durable as u64, 0),
             Abort { reason, backoff_us } => (12, abort_code(reason), backoff_us, 0),
-            SnapshotRead { horizon } => (13, horizon, 0, 0),
+            SnapshotRead { horizon, exec_us } => (13, horizon, exec_us, 0),
             WatermarkPublish { wg } => (14, wg, 0, 0),
             EpochSealed { epoch } => (15, epoch, 0, 0),
             ClvCut { ts } => (16, ts, 0, 0),
@@ -250,6 +254,8 @@ impl TraceEventKind {
                 cause,
                 demanded,
             } => (29, wp, cause as u64, demanded),
+            BatchSequenced { wait_us } => (30, wait_us, 0, 0),
+            BatchBarrier { wait_us, round_us } => (31, wait_us, round_us, 0),
         }
     }
 
@@ -268,7 +274,7 @@ impl TraceEventKind {
                 ok: a != 0,
                 reason: if b == 0 { None } else { abort_from_code(b - 1) },
             },
-            4 => CommitTsReserved { ts: a },
+            4 => CommitTsReserved { ts: a, took_us: b },
             5 => Prepare {
                 participants: a as u32,
             },
@@ -284,12 +290,18 @@ impl TraceEventKind {
                 durable_lsn: b,
             },
             10 => GroupCommitRelease { committed: a != 0 },
-            11 => Committed { ts: a },
+            11 => Committed {
+                ts: a,
+                durable: b != 0,
+            },
             12 => Abort {
                 reason: abort_from_code(a)?,
                 backoff_us: b,
             },
-            13 => SnapshotRead { horizon: a },
+            13 => SnapshotRead {
+                horizon: a,
+                exec_us: b,
+            },
             14 => WatermarkPublish { wg: a },
             15 => EpochSealed { epoch: a },
             16 => ClvCut { ts: a },
@@ -337,89 +349,31 @@ impl TraceEventKind {
                 },
                 demanded: c,
             },
+            30 => BatchSequenced { wait_us: a },
+            31 => BatchBarrier {
+                wait_us: a,
+                round_us: b,
+            },
             _ => return None,
         })
     }
 }
 
+/// `kebab-case-name field=value …`, read off the derived `Debug`: one line,
+/// easy to grep (`commit-ts-reserved ts=7 took_us=2`).
 impl fmt::Display for TraceEventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use TraceEventKind::*;
-        match self {
-            Begin { attempt } => write!(f, "begin attempt={attempt}"),
-            LockWait { owner } => write!(f, "lock-wait owner={owner}"),
-            ValidationStart => write!(f, "validation-start"),
-            ValidationOutcome { ok: true, .. } => write!(f, "validation-ok"),
-            ValidationOutcome { ok: false, reason } => match reason {
-                Some(r) => write!(f, "validation-fail reason={r}"),
-                None => write!(f, "validation-fail"),
-            },
-            CommitTsReserved { ts } => write!(f, "commit-ts-reserved ts={ts}"),
-            Prepare { participants } => write!(f, "2pc-prepare participants={participants}"),
-            Vote {
-                ok,
-                flight_us,
-                late_us,
-            } => write!(f, "2pc-vote ok={ok} flight={flight_us}us late={late_us}us"),
-            WalAppend { lsn, term } => write!(f, "wal-append lsn={lsn} term={term}"),
-            SequencerWait { wait_us } => write!(f, "sequencer-wait {wait_us}us"),
-            QuorumAck {
-                entries,
-                durable_lsn,
-            } => write!(f, "quorum-ack entries={entries} durable-lsn={durable_lsn}"),
-            GroupCommitRelease { committed } => {
-                write!(f, "group-commit-release committed={committed}")
+        let debug = format!("{self:?}");
+        let (name, fields) = debug.split_once(" { ").unwrap_or((&debug, ""));
+        for (i, c) in name.char_indices() {
+            if i > 0 && c.is_uppercase() {
+                f.write_char('-')?;
             }
-            Committed { ts } => write!(f, "committed ts={ts}"),
-            Abort { reason, backoff_us } => {
-                write!(f, "abort reason={reason} backoff={backoff_us}us")
-            }
-            SnapshotRead { horizon } => write!(f, "snapshot-read horizon={horizon}"),
-            WatermarkPublish { wg } => write!(f, "watermark-publish wg={wg}"),
-            EpochSealed { epoch } => write!(f, "epoch-sealed epoch={epoch}"),
-            ClvCut { ts } => write!(f, "clv-cut ts={ts}"),
-            CrashInjected => write!(f, "crash-injected"),
-            Compensation { writes } => write!(f, "compensation writes={writes}"),
-            RecoveryReplay { pass, entries } => {
-                write!(f, "recovery-replay pass={pass} entries={entries}")
-            }
-            LeaderChange { term, leader } => {
-                write!(f, "leader-change term={term} leader=r{leader}")
-            }
-            MsgHop { from, to } => write!(f, "msg P{from}->P{to}"),
-            VoteLogged { lsn, commit } => write!(f, "vote-logged lsn={lsn} commit={commit}"),
-            VoteQuorumDurable { lsn } => write!(f, "vote-quorum-durable lsn={lsn}"),
-            DecisionReached {
-                commit,
-                in_doubt,
-                flight_us,
-                late_us,
-            } => write!(
-                f,
-                "decision-reached commit={commit} in-doubt={in_doubt} \
-                 flight={flight_us}us late={late_us}us"
-            ),
-            CoordinatorCrashed => write!(f, "coordinator-crashed"),
-            PrefetchIssued {
-                partitions,
-                keys,
-                sent_us_ago,
-                flight_us,
-            } => write!(
-                f,
-                "prefetch-issued partitions={partitions} keys={keys} \
-                 sent={sent_us_ago}us-ago flight={flight_us}us"
-            ),
-            PrefetchHit => write!(f, "prefetch-hit"),
-            PrefetchStale => write!(f, "prefetch-stale"),
-            WatermarkGenerate {
-                wp,
-                cause,
-                demanded,
-            } => write!(
-                f,
-                "watermark-generate wp={wp} cause={cause:?} demanded={demanded}"
-            ),
+            f.write_char(c.to_ascii_lowercase())?;
+        }
+        match fields.strip_suffix(" }") {
+            Some(fields) => write!(f, " {}", fields.replace(": ", "=").replace(", ", " ")),
+            None => Ok(()),
         }
     }
 }
@@ -476,7 +430,7 @@ mod tests {
                 ok: false,
                 reason: Some(AbortReason::Validation),
             },
-            TraceEventKind::CommitTsReserved { ts: 42 },
+            TraceEventKind::CommitTsReserved { ts: 42, took_us: 3 },
             TraceEventKind::Prepare { participants: 3 },
             TraceEventKind::Vote {
                 ok: false,
@@ -490,12 +444,18 @@ mod tests {
                 durable_lsn: 8,
             },
             TraceEventKind::GroupCommitRelease { committed: true },
-            TraceEventKind::Committed { ts: 1234 },
+            TraceEventKind::Committed {
+                ts: 1234,
+                durable: true,
+            },
             TraceEventKind::Abort {
                 reason: AbortReason::WaitDie,
                 backoff_us: 375,
             },
-            TraceEventKind::SnapshotRead { horizon: 55 },
+            TraceEventKind::SnapshotRead {
+                horizon: 55,
+                exec_us: 12,
+            },
             TraceEventKind::WatermarkPublish { wg: 90 },
             TraceEventKind::EpochSealed { epoch: 7 },
             TraceEventKind::ClvCut { ts: 31 },
@@ -547,6 +507,11 @@ mod tests {
                 cause: WatermarkCause::IdleLag,
                 demanded: 0,
             },
+            TraceEventKind::BatchSequenced { wait_us: 480 },
+            TraceEventKind::BatchBarrier {
+                wait_us: 95,
+                round_us: 210,
+            },
         ];
         for kind in all {
             let (d, a, b, c) = kind.encode();
@@ -574,5 +539,12 @@ mod tests {
         assert!(line.contains("worker-0-1"), "{line}");
         assert!(line.contains("T0.9"), "{line}");
         assert!(line.contains("wal-append lsn=4 term=1"), "{line}");
+        assert_eq!(TraceEventKind::CrashInjected.to_string(), "crash-injected");
+        let vote = TraceEventKind::Vote {
+            ok: true,
+            flight_us: 250,
+            late_us: 50,
+        };
+        assert_eq!(vote.to_string(), "vote ok=true flight_us=250 late_us=50");
     }
 }

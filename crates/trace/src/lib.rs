@@ -15,19 +15,23 @@
 //!   [`FlightRecorder::failure_report`] for the offending transactions: the
 //!   full lifecycle (begin → locks → validation → commit-ts → WAL append →
 //!   group-commit release) plus surrounding partition events.
-//! * The **metrics timeline** — the experiment driver samples windowed
-//!   TPS / abort-rate / p99 series for the figure harnesses.
+//! * The **latency breakdown** — a [`PhaseFold`] charges every committed
+//!   transaction's traced latency to the phases of Fig 4c/5c; the
+//!   experiment driver feeds it from the rings while its window records
+//!   ([`FlightRecorder::fold_phases`]).
 //!
 //! The overhead budget (≤ 5% on contended-append and write-heavy YCSB,
 //! recording-on vs off) is enforced by `bench_matrix --trace-overhead` in
 //! CI; see ARCHITECTURE.md §Observability.
 
 mod event;
+mod phase;
 mod recorder;
 mod ring;
 mod timeline;
 
 pub use event::{TraceEvent, TraceEventKind, WatermarkCause};
+pub use phase::{PhaseBreakdown, PhaseFold};
 pub use recorder::{FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use ring::TraceRing;
 pub use timeline::Timeline;

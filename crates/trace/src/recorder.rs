@@ -14,12 +14,14 @@
 //! against a fresh recorder, so stale rings never accumulate across runs.
 
 use crate::event::TraceEventKind;
+use crate::phase::PhaseFold;
 use crate::ring::TraceRing;
 use crate::timeline::Timeline;
 use parking_lot::Mutex;
 use primo_common::sim_time::now_us;
 use primo_common::{PartitionId, TxnId};
 use std::cell::RefCell;
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -135,8 +137,15 @@ impl FlightRecorder {
         self.rings.lock().iter().map(|r| r.pushed()).sum()
     }
 
+    /// Events lost to the rings' overwrite-oldest policy: per ring, what was
+    /// pushed beyond its capacity, summed over the rings.
+    pub fn events_dropped(&self) -> u64 {
+        self.rings.lock().iter().map(|r| r.dropped()).sum()
+    }
+
     /// Merge every ring into one causally-ordered timeline (non-decreasing
-    /// sim-time; ties broken by ring then per-ring push order).
+    /// sim-time; ties broken by ring then per-ring push order), which
+    /// remembers how many events the rings had dropped.
     pub fn merge(&self) -> Timeline {
         let rings = self.rings.lock();
         let mut events = Vec::new();
@@ -144,7 +153,19 @@ impl FlightRecorder {
             events.extend(ring.snapshot(i));
         }
         events.sort_by_key(|e| (e.at_us, e.ring, e.seq));
-        Timeline::new(events)
+        Timeline::new(events, rings.iter().map(|r| r.dropped()).sum())
+    }
+
+    /// Feed `fold` what the rings recorded since its last feed, counting
+    /// the transactions whose result was returned inside `ended`. Fed at
+    /// least once per ring's worth of events, it misses none.
+    pub fn fold_phases(&self, fold: &mut PhaseFold, ended: impl RangeBounds<u64>) {
+        let rings = self.rings.lock().clone();
+        fold.read.resize(rings.len(), 0);
+        for (i, ring) in rings.iter().enumerate() {
+            let from = fold.read[i];
+            fold.read[i] = ring.read_since(from, i, |e| fold.add(&e, &ended));
+        }
     }
 
     /// Render the post-mortem for a failed assertion: the full lifecycle of
@@ -201,7 +222,14 @@ mod tests {
                     .name(format!("tracer-{i}"))
                     .spawn(move || {
                         for t in 0..10u64 {
-                            rec.emit(None, None, TraceEventKind::Committed { ts: t });
+                            rec.emit(
+                                None,
+                                None,
+                                TraceEventKind::Committed {
+                                    ts: t,
+                                    durable: false,
+                                },
+                            );
                         }
                     })
                     .unwrap()
@@ -226,7 +254,14 @@ mod tests {
                 let rec = Arc::clone(&rec);
                 std::thread::spawn(move || {
                     for t in 0..200u64 {
-                        rec.emit(None, None, TraceEventKind::Committed { ts: t });
+                        rec.emit(
+                            None,
+                            None,
+                            TraceEventKind::Committed {
+                                ts: t,
+                                durable: false,
+                            },
+                        );
                     }
                 })
             })
@@ -236,6 +271,32 @@ mod tests {
         }
         let merged = rec.merge();
         assert!(merged.events().windows(2).all(|w| w[0].at_us <= w[1].at_us));
+    }
+
+    #[test]
+    fn dropped_events_are_counted_per_ring() {
+        let rec = Arc::new(FlightRecorder::new(true, 8));
+        for pushes in [5u64, 20] {
+            let rec = Arc::clone(&rec);
+            std::thread::spawn(move || {
+                for t in 0..pushes {
+                    rec.emit(
+                        None,
+                        None,
+                        TraceEventKind::Committed {
+                            ts: t,
+                            durable: false,
+                        },
+                    );
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        // The 5-event ring kept everything, the 20-event one lost 12.
+        assert_eq!(rec.events_dropped(), 12);
+        assert_eq!(rec.merge().dropped(), 12);
+        assert_eq!(rec.merge().len(), 5 + 8);
     }
 
     #[test]

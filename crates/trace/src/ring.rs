@@ -64,6 +64,11 @@ impl TraceRing {
         self.head.load(Ordering::Relaxed)
     }
 
+    /// Events overwritten: whatever was pushed beyond the capacity.
+    pub fn dropped(&self) -> u64 {
+        self.pushed().saturating_sub(self.slots.len() as u64)
+    }
+
     /// Record one event. Must only be called from the owning thread (the
     /// seqlock tolerates concurrent *readers*, not concurrent writers; the
     /// recorder's thread-local registration enforces single-writer).
@@ -105,47 +110,66 @@ impl TraceRing {
     /// workers still run loses at most the in-flight slot per ring).
     pub fn snapshot(&self, ring: usize) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 % 2 == 1 {
-                continue; // never written, or a write is in flight
-            }
-            let mut w = [0u64; WORDS];
-            for (dst, src) in w.iter_mut().zip(slot.words.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            // Acquire fence pairs with the writer's release fence: if any
-            // data load above saw a mid-write value, the version re-read
-            // below is guaranteed to see the odd (or advanced) version.
-            fence(Ordering::Acquire);
-            if slot.version.load(Ordering::Relaxed) != v1 {
-                continue; // torn by a wrap-around overwrite
-            }
-            let [seq, at_us, txn, packed, a, b, c] = w;
-            let d = packed >> 32;
-            let part = (packed & 0xFFFF_FFFF) as u32;
-            if let Some(kind) = TraceEventKind::decode(d, a, b, c) {
-                out.push(TraceEvent {
-                    at_us,
-                    seq,
-                    ring,
-                    worker: self.label.clone(),
-                    txn: if txn == NO_TXN {
-                        None
-                    } else {
-                        Some(TxnId::unpack(txn))
-                    },
-                    partition: if part == NO_PARTITION {
-                        None
-                    } else {
-                        Some(PartitionId(part))
-                    },
-                    kind,
-                });
+        let worker = || self.label.clone();
+        self.read_since(0, ring, |e| {
+            out.push(TraceEvent {
+                worker: worker(),
+                ..e
+            })
+        });
+        out
+    }
+
+    /// Hand `each` the events pushed from sequence number `from` on that the
+    /// ring still holds, oldest first, as ring number `ring` — with `worker`
+    /// left empty, which costs no allocation; returns where the next call
+    /// starts. Whatever was overwritten before it could be read is missing.
+    pub(crate) fn read_since(
+        &self,
+        from: u64,
+        ring: usize,
+        mut each: impl FnMut(TraceEvent),
+    ) -> u64 {
+        let head = self.head.load(Ordering::Acquire);
+        let oldest = head.saturating_sub(self.slots.len() as u64).max(from);
+        for seq in oldest..head {
+            let slot = &self.slots[(seq & self.mask) as usize];
+            if let Some(e) = Self::read(slot, ring).filter(|e| e.seq == seq) {
+                each(e);
             }
         }
-        out.sort_by_key(|e| e.seq);
-        out
+        head
+    }
+
+    /// The event in `slot`, unless it was never written, or the writer is
+    /// overwriting it right now.
+    fn read(slot: &Slot, ring: usize) -> Option<TraceEvent> {
+        let v1 = slot.version.load(Ordering::Acquire);
+        if v1 == 0 || v1 % 2 == 1 {
+            return None; // never written, or a write is in flight
+        }
+        let mut w = [0u64; WORDS];
+        for (dst, src) in w.iter_mut().zip(slot.words.iter()) {
+            *dst = src.load(Ordering::Relaxed);
+        }
+        // Acquire fence pairs with the writer's release fence: if any
+        // data load above saw a mid-write value, the version re-read
+        // below is guaranteed to see the odd (or advanced) version.
+        fence(Ordering::Acquire);
+        if slot.version.load(Ordering::Relaxed) != v1 {
+            return None; // torn by a wrap-around overwrite
+        }
+        let [seq, at_us, txn, packed, a, b, c] = w;
+        let part = (packed & 0xFFFF_FFFF) as u32;
+        Some(TraceEvent {
+            at_us,
+            seq,
+            ring,
+            worker: String::new(),
+            txn: (txn != NO_TXN).then(|| TxnId::unpack(txn)),
+            partition: (part != NO_PARTITION).then_some(PartitionId(part)),
+            kind: TraceEventKind::decode(packed >> 32, a, b, c)?,
+        })
     }
 }
 
@@ -155,7 +179,10 @@ mod tests {
     use std::sync::Arc;
 
     fn ev(i: u64) -> TraceEventKind {
-        TraceEventKind::Committed { ts: i }
+        TraceEventKind::Committed {
+            ts: i,
+            durable: false,
+        }
     }
 
     #[test]
@@ -183,6 +210,7 @@ mod tests {
         let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>(), "oldest overwritten");
         assert_eq!(r.pushed(), 20);
+        assert_eq!(r.dropped(), 12);
     }
 
     #[test]
@@ -220,7 +248,7 @@ mod tests {
         let mut seen = 0u64;
         while seen < 50 {
             for e in r.snapshot(0) {
-                let TraceEventKind::Committed { ts } = e.kind else {
+                let TraceEventKind::Committed { ts, .. } = e.kind else {
                     panic!("unexpected kind {:?}", e.kind);
                 };
                 assert_eq!(e.at_us, ts, "torn slot: at_us and payload disagree");

@@ -6,15 +6,17 @@ use primo_common::{PartitionId, TxnId};
 use std::fmt;
 use std::fmt::Write as _;
 
-/// An ordered (non-decreasing `at_us`) sequence of decoded events.
+/// An ordered (non-decreasing `at_us`) sequence of decoded events, and how
+/// lossy the rings it was merged from were.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     events: Vec<TraceEvent>,
+    dropped: u64,
 }
 
 impl Timeline {
-    pub(crate) fn new(events: Vec<TraceEvent>) -> Self {
-        Timeline { events }
+    pub(crate) fn new(events: Vec<TraceEvent>, dropped: u64) -> Self {
+        Timeline { events, dropped }
     }
 
     pub fn events(&self) -> &[TraceEvent] {
@@ -27,6 +29,13 @@ impl Timeline {
 
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Events the rings had overwritten when this timeline was merged
+    /// ([`FlightRecorder::events_dropped`](crate::FlightRecorder::events_dropped)):
+    /// 0 means nothing recorded is missing from it.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Every event stamped with this transaction, in causal order.
@@ -52,6 +61,7 @@ impl Timeline {
     fn filtered(&self, pred: impl Fn(&TraceEvent) -> bool) -> Timeline {
         Timeline {
             events: self.events.iter().filter(|e| pred(e)).cloned().collect(),
+            dropped: self.dropped,
         }
     }
 
@@ -63,7 +73,8 @@ impl Timeline {
     pub fn failure_report(&self, txns: &[TxnId]) -> String {
         const WINDOW_PAD_US: u64 = 2_000;
         let mut out = String::new();
-        let _ = writeln!(out, "==== flight recorder: trace dump on failure ====");
+        let dropped = self.dropped;
+        let _ = writeln!(out, "==== flight recorder: {dropped} event(s) dropped ====");
         if self.is_empty() {
             let _ = writeln!(out, "(recorder is empty — was recording enabled?)");
             return out;
@@ -72,10 +83,10 @@ impl Timeline {
             let mine = self.for_txn(txn);
             let _ = writeln!(out, "--- txn {txn}: {} event(s) ---", mine.len());
             if mine.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "(no events — evicted from the ring, or the txn never ran)"
-                );
+                let _ = match dropped {
+                    0 => writeln!(out, "(no events, and the rings dropped none)"),
+                    n => writeln!(out, "(no events; the rings dropped {n} older event(s))"),
+                };
                 continue;
             }
             for e in mine.events() {
@@ -127,10 +138,11 @@ mod tests {
         let t2 = TxnId::new(PartitionId(1), 2);
         let p0 = Some(PartitionId(0));
         let p1 = Some(PartitionId(1));
-        rec.emit_at(10, Some(t1), p0, TraceEventKind::Begin { attempt: 0 });
+        rec.emit_at(10, Some(t1), p0, TraceEventKind::Begin { attempt: 1 });
         rec.emit_at(20, None, p0, TraceEventKind::WatermarkPublish { wg: 5 });
-        rec.emit_at(30, Some(t1), p0, TraceEventKind::CommitTsReserved { ts: 7 });
-        rec.emit_at(40, Some(t2), p1, TraceEventKind::Begin { attempt: 0 });
+        let reserved = TraceEventKind::CommitTsReserved { ts: 7, took_us: 1 };
+        rec.emit_at(30, Some(t1), p0, reserved);
+        rec.emit_at(40, Some(t2), p1, TraceEventKind::Begin { attempt: 1 });
         rec.emit_at(
             50,
             Some(t2),
@@ -140,7 +152,11 @@ mod tests {
                 backoff_us: 0,
             },
         );
-        rec.emit_at(60, Some(t1), p0, TraceEventKind::Committed { ts: 7 });
+        let committed = TraceEventKind::Committed {
+            ts: 7,
+            durable: false,
+        };
+        rec.emit_at(60, Some(t1), p0, committed);
         rec.emit_at(99_999, None, p0, TraceEventKind::CrashInjected);
         rec
     }
@@ -176,6 +192,20 @@ mod tests {
             "far-away event leaked into the window: {report}"
         );
         assert!(!report.contains("T1.2"), "other txn leaked: {report}");
+    }
+
+    #[test]
+    fn failure_report_says_whether_the_rings_lost_anything() {
+        let unknown = TxnId::new(PartitionId(2), 3);
+        let report = sample().failure_report(&[unknown]);
+        assert!(report.contains(": 0 event(s) dropped"), "{report}");
+        assert!(report.contains("the rings dropped none"), "{report}");
+        let rec = FlightRecorder::new(true, 8);
+        for at in 0..10 {
+            rec.emit_at(at, None, None, TraceEventKind::CrashInjected);
+        }
+        let report = rec.failure_report(&[unknown]);
+        assert!(report.contains("dropped 2 older event(s)"), "{report}");
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Quick mode: every figure in a few minutes (used by CI and the recorded
-    /// outputs in EXPERIMENTS.md).
+    /// Quick mode: every figure in a few minutes (the `figures` binary's
+    /// default, or `--quick`).
     pub fn quick() -> Self {
         Scale {
             partitions: 4,

@@ -10,7 +10,6 @@
 //! registry builds, so an abort is observed as such instead of being retried
 //! away by [`Session::transaction`](primo_repro::Session::transaction).
 
-use primo_repro::common::PhaseTimers;
 use primo_repro::storage::{LifecycleState, LockMode, LockPolicy, LockRequestResult, Record};
 use primo_repro::{
     AbortReason, ClosureProgram, CommittedTxn, Footprint, PartitionId, Primo, ProtocolKind,
@@ -91,13 +90,10 @@ fn attempt_with(
     let cluster = primo.cluster();
     let txn = cluster.next_txn_id(P0);
     let ticket = cluster.group_commit.begin_txn(P0, txn);
-    let outcome = primo.protocol().execute_once(
-        cluster,
-        &ClosureProgram::new(P0, body),
-        &ticket,
-        &mut PhaseTimers::new(),
-        fanout,
-    );
+    let outcome =
+        primo
+            .protocol()
+            .execute_once(cluster, &ClosureProgram::new(P0, body), &ticket, fanout);
     let outcome = match outcome {
         Ok(commit) => {
             cluster

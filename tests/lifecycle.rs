@@ -216,7 +216,6 @@ fn committed_delete_is_reclaimed_and_stays_deleted() {
 /// decision point instead.)
 #[test]
 fn commit_phase_conflict_unwinds_materialised_inserts() {
-    use primo_repro::common::PhaseTimers;
     use primo_repro::storage::{LockMode, LockPolicy};
 
     for kind in ALL_KINDS {
@@ -240,16 +239,9 @@ fn commit_phase_conflict_unwinds_materialised_inserts() {
         };
         let txn = cluster.next_txn_id(PartitionId(0));
         let ticket = cluster.group_commit.begin_txn(PartitionId(0), txn);
-        let mut timers = PhaseTimers::new();
         let err = primo
             .protocol()
-            .execute_once(
-                cluster,
-                &program,
-                &ticket,
-                &mut timers,
-                primo_repro::ReadFanout::empty(),
-            )
+            .execute_once(cluster, &program, &ticket, primo_repro::ReadFanout::empty())
             .unwrap_err();
         cluster.group_commit.txn_aborted(&ticket);
         assert!(

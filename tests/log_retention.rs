@@ -16,7 +16,7 @@
 //!   in-doubt vote, so recovery can still terminate the transaction;
 //! * the cost: a fold is O(entries folded), not O(image).
 
-use primo_repro::common::{Metrics, PhaseTimers};
+use primo_repro::common::Metrics;
 use primo_repro::runtime::worker::spawn_workers;
 use primo_repro::wal::{
     CheckpointImage, FoldScope, LogPayload, LoggedWrite, ReplayBound, ReplicatedLog, FOLD_CHUNK,
@@ -275,7 +275,6 @@ fn commit_unwaited(primo: &Primo, program: &dyn TxnProgram) {
             cluster,
             program,
             &ticket,
-            &mut PhaseTimers::new(),
             primo_repro::ReadFanout::empty(),
         ) {
             Ok(c) => {

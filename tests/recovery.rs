@@ -9,7 +9,6 @@
 //! replaying any durable prefix twice equals replaying it once, and replay
 //! output is always commit-timestamp-sorted and deduplicated.
 
-use primo_repro::common::PhaseTimers;
 use primo_repro::storage::LifecycleState;
 use primo_repro::wal::{
     CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, ReplayBound, ReplicatedLog,
@@ -643,12 +642,10 @@ fn execute_installed(primo: &Primo, program: &dyn TxnProgram) -> CommitWaiter {
     loop {
         let txn = cluster.next_txn_id(home);
         let ticket = cluster.group_commit.begin_txn(home, txn);
-        let mut timers = PhaseTimers::new();
         match primo.protocol().execute_once(
             cluster,
             program,
             &ticket,
-            &mut timers,
             primo_repro::ReadFanout::empty(),
         ) {
             Ok(c) => return cluster.group_commit.txn_committed(&ticket, c.ts, c.ops),

@@ -346,6 +346,71 @@ fn timing_smells(path: &str, source: &str) -> Vec<String> {
     smells
 }
 
+/// Every engine source file, with its non-test code: everything before the
+/// first `#[cfg(test)]`.
+fn engine_sources() -> Vec<(String, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut sources = Vec::new();
+    for krate in ENGINE_CRATES {
+        let dir = root.join(krate).join("src");
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                let source = std::fs::read_to_string(&path).expect("readable source");
+                let engine = source.split("#[cfg(test)]").next().unwrap_or_default();
+                let name = path.strip_prefix(&root).expect("under crates/");
+                sources.push((name.to_string_lossy().into_owned(), engine.to_string()));
+            }
+        }
+    }
+    assert!(
+        sources.len() > 30,
+        "only {} files scanned: wrong directory?",
+        sources.len()
+    );
+    sources
+}
+
+/// The wall clock read outside the seam, per engine file: the `Instant::now`
+/// uses a virtual clock will have to route through `common::sim_time`. A
+/// count may shrink — lower it here — and never grow.
+const WALL_CLOCK_READS: [(&str, usize); 5] = [
+    ("common/src/sim_time.rs", 1),
+    ("wal/src/coco.rs", 4),
+    ("runtime/src/experiment.rs", 4),
+    ("runtime/src/worker.rs", 5),
+    ("baselines/src/aria.rs", 2),
+];
+
+/// `Instant::now` in one file's non-test source, comments excluded.
+fn wall_clock_reads(engine: &str) -> usize {
+    let code = engine.lines().map(|l| l.split("//").next().unwrap_or(l));
+    code.map(|l| l.matches("Instant::now").count()).sum()
+}
+
+#[test]
+fn the_wall_clock_census_only_shrinks() {
+    // The scanner counts calls and passed-on functions, not comments.
+    let sample = "let t = Instant::now(); // not Instant::now()\n\
+                  static O: OnceLock<Instant> = OnceLock::new(); O.get_or_init(Instant::now);";
+    assert_eq!(wall_clock_reads(sample), 2);
+
+    let mut grown = Vec::new();
+    for (file, engine) in engine_sources() {
+        let reads = wall_clock_reads(&engine);
+        let allowed = WALL_CLOCK_READS.iter().find(|(f, _)| file.ends_with(f));
+        let allowed = allowed.map_or(0, |&(_, n)| n);
+        if reads > allowed {
+            grown.push(format!("{file}: {reads} Instant::now, allowed {allowed}"));
+        }
+    }
+    assert!(
+        grown.is_empty(),
+        "engine code reads the wall clock beside common::sim_time::now_us:\n{}",
+        grown.join("\n")
+    );
+}
+
 #[test]
 fn engine_code_waits_only_through_sim_time() {
     // The scanner can fail: it flags what this PR removed.
@@ -364,24 +429,12 @@ fn engine_code_waits_only_through_sim_time() {
         1
     );
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut smells = Vec::new();
-    let mut scanned = 0;
-    for krate in ENGINE_CRATES {
-        let dir = root.join(krate).join("src");
-        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
-            let path = entry.expect("dir entry").path();
-            if path.extension().is_some_and(|e| e == "rs") && !path.ends_with("sim_time.rs") {
-                let source = std::fs::read_to_string(&path).expect("readable source");
-                smells.extend(timing_smells(&path.to_string_lossy(), &source));
-                scanned += 1;
-            }
+    for (file, engine) in engine_sources() {
+        if !file.ends_with("sim_time.rs") {
+            smells.extend(timing_smells(&file, &engine));
         }
     }
-    assert!(
-        scanned > 30,
-        "only {scanned} files scanned: wrong directory?"
-    );
     assert!(
         smells.is_empty(),
         "engine code must wait through common::sim_time (wait_until / \

@@ -25,7 +25,6 @@
 //! installed-but-undurable commits however quickly the group commit releases
 //! a client that does wait.
 
-use primo_repro::common::PhaseTimers;
 use primo_repro::runtime::{execute_snapshot, SnapshotOutcome};
 use primo_repro::{
     AbortReason, ClosureProgram, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
@@ -126,8 +125,7 @@ fn commit_without_waiting(primo: &Primo, program: &dyn TxnProgram) {
     let txn = cluster.next_txn_id(home);
     let ticket = cluster.group_commit.begin_txn(home, txn);
     let fanout = ReadFanout::empty();
-    let mut timers = PhaseTimers::new();
-    match (primo.protocol()).execute_once(cluster, program, &ticket, &mut timers, fanout) {
+    match (primo.protocol()).execute_once(cluster, program, &ticket, fanout) {
         Ok(c) => drop(cluster.group_commit.txn_committed(&ticket, c.ts, c.ops)),
         Err(_) => cluster.group_commit.txn_aborted(&ticket),
     }

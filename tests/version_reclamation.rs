@@ -11,7 +11,7 @@
 //!   and a recovery leaves no stale entry queued;
 //! * every group-commit scheme drives it with its own horizon.
 
-use primo_repro::common::{Metrics, PhaseTimers};
+use primo_repro::common::Metrics;
 use primo_repro::runtime::worker::spawn_workers;
 use primo_repro::runtime::{execute_snapshot, SnapshotOutcome};
 use primo_repro::storage::SnapshotRead;
@@ -201,9 +201,9 @@ fn commit_without_waiting(primo: &Primo, program: &dyn TxnProgram) -> u64 {
     let home = program.home_partition();
     let txn = cluster.next_txn_id(home);
     let ticket = cluster.group_commit.begin_txn(home, txn);
-    let (fanout, mut timers) = (ReadFanout::empty(), PhaseTimers::new());
+    let fanout = ReadFanout::empty();
     let commit = (primo.protocol())
-        .execute_once(cluster, program, &ticket, &mut timers, fanout)
+        .execute_once(cluster, program, &ticket, fanout)
         .expect("nothing conflicts");
     let _waiter = (cluster.group_commit).txn_committed(&ticket, commit.ts, commit.ops);
     commit.ts

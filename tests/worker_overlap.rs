@@ -1085,6 +1085,11 @@ fn a_crashed_home_commits_nothing_until_it_is_back_up() {
     primo.crash_partition(P0);
     let crashed_at = now_us();
     std::thread::sleep(Duration::from_millis(20));
+    // The recovery starts no earlier than this, and marks the partition up
+    // `duration_us` after it starts: however late this thread is scheduled
+    // around the call, the partition is down from `crashed_at` to
+    // `recovering_from + duration_us`.
+    let recovering_from = now_us();
     let report = primo.recover_partition(P0).expect("recovered");
     let up_at = now_us();
     std::thread::sleep(Duration::from_millis(30));
@@ -1094,7 +1099,7 @@ fn a_crashed_home_commits_nothing_until_it_is_back_up() {
     let is_commit = |k: &TraceEventKind| matches!(k, TraceEventKind::Committed { .. });
     // An attempt that began once the partition was down (the crash had
     // returned) and before its recovery started never committed.
-    let down = crashed_at..up_at - report.duration_us;
+    let down = crashed_at..recovering_from;
     let mut began: HashMap<TxnId, u64> = HashMap::new();
     for e in timeline.events() {
         let Some(txn) = e.txn else { continue };
@@ -1115,7 +1120,8 @@ fn a_crashed_home_commits_nothing_until_it_is_back_up() {
     }
     // Nor did anything commit at all while it was down, but for the attempt
     // in flight when the crash struck.
-    let while_down = timeline.between(crashed_at, up_at).of_kind(is_commit);
+    let down_until = recovering_from + report.duration_us;
+    let while_down = timeline.between(crashed_at, down_until).of_kind(is_commit);
     assert!(
         while_down.len() <= 1,
         "{} commits on P0 while it was down",
