@@ -294,30 +294,46 @@ pub fn retrying_worker_tps(
 /// the client's — the next client's body and vote round fly during this
 /// one's decision round — and then a worker's time per attempt is its CPU
 /// plus whatever of the waits that does not cover, *bounded below by the
-/// lock-hold chain*: one attempt per worker holds locks at a time, a
-/// distributed one for its decision round, so attempts follow each other no
-/// faster than `dist_share x round + certify`. The model is that bound,
-/// `max(cpu, chain)`; what a measurement adds to it is the vote round
-/// sticking out of the decision round it overlaps (by a body and a certify)
-/// and the gaps nothing was ready for.
+/// lock-hold chain*: an attempt that conflicts with another of its worker
+/// waits through that one's round — for its release before certifying, or,
+/// where the worker holds a body back from a voting client's keys, for its
+/// certify before running — so attempts follow each other no faster than
+/// `waiting_share x dist_share x round + certify`, where `waiting_share` is
+/// the share of distributed attempts that waited so. With one lock-holder
+/// per worker every distributed certify waits a decision round (`1.0`);
+/// with key-disjoint holders side by side only the conflicting attempts
+/// wait. The model is that bound, `max(cpu, chain)`; what a measurement
+/// adds to it is the vote round sticking out of the decision round it
+/// overlaps (by a body and a certify) and the gaps nothing was ready for.
 ///
 /// `ycsb_hot_2pc`, seed 7, half the transactions distributed, 215 us a
 /// round. With the rounds on the worker: 5 751 TPS on 2 workers, 348 us of
 /// worker per commit at an abort rate of 0.175 — 72 us of it CPU per
-/// attempt. Staged: 9 009 TPS, 222 us per commit, at the abort rate the
-/// faster workers then reach (0.29: more transactions per second on the
-/// same hot keys):
+/// attempt. Staged with one lock-holder a worker: 9 009 TPS, 222 us per
+/// commit, at the abort rate the faster workers then reach (0.29: more
+/// transactions per second on the same hot keys). Key-disjoint holders side
+/// by side: 13 020 TPS (the median of ten seeds), 154 us per commit, at an
+/// abort rate of 0.32; 0.62 of the distributed attempts still wait through
+/// a conflicting one's round (0.57 hold their body back for a voting
+/// client, 0.14 wait for a holder's release):
 ///
 /// ```
 /// use primo_core::analysis::staged_worker_tps;
-/// let held = staged_worker_tps(72.0, 0.175, 0.5, 215.0, 15.0, true);
+/// let held = staged_worker_tps(72.0, 0.175, 0.5, 215.0, 15.0, 1.0, true);
 /// assert!((1e6 / held - 348.0).abs() < 1.0);
-/// // The chain, 122 us an attempt, binds — not the 72 us of CPU ...
-/// let staged = staged_worker_tps(72.0, 0.292, 0.5, 215.0, 15.0, false);
-/// assert!((1e6 / staged - 173.0).abs() < 1.0);
+/// // One holder a worker: the chain, 122 us an attempt, binds — not the
+/// // 72 us of CPU ...
+/// let one_holder = staged_worker_tps(72.0, 0.292, 0.5, 215.0, 15.0, 1.0, false);
+/// assert!((1e6 / one_holder - 173.0).abs() < 1.0);
 /// // ... and the measured 222 us sits above the bound, x 1.57 under the
 /// // 348 us it was.
-/// assert!(222.0 > 1e6 / staged && 348.0 / 222.0 >= 1.25);
+/// assert!(222.0 > 1e6 / one_holder && 348.0 / 222.0 >= 1.25);
+/// // Holders side by side: the chain shrinks to 82 us an attempt and still
+/// // binds; the measured 154 us sits as far above it as 222 us did above
+/// // one holder's (x 1.28), x 1.44 under that.
+/// let side_by_side = staged_worker_tps(72.0, 0.32, 0.5, 215.0, 15.0, 0.62, false);
+/// assert!((1e6 / side_by_side - 120.0).abs() < 1.0);
+/// assert!(154.0 > 1e6 / side_by_side && 222.0 / 154.0 >= 1.4);
 /// ```
 pub fn staged_worker_tps(
     cpu_us: f64,
@@ -325,13 +341,14 @@ pub fn staged_worker_tps(
     dist_share: f64,
     round_us: f64,
     certify_us: f64,
+    waiting_share: f64,
     rounds_on_worker: bool,
 ) -> f64 {
     let attempts = 1.0 / (1.0 - abort_rate);
     let per_attempt_us = if rounds_on_worker {
         cpu_us + dist_share * 2.0 * round_us
     } else {
-        cpu_us.max(dist_share * round_us + certify_us)
+        cpu_us.max(waiting_share * dist_share * round_us + certify_us)
     };
     1e6 / (attempts * per_attempt_us)
 }

@@ -297,6 +297,18 @@ impl AccessSet {
             .position(|w| w.partition == partition && w.table == table && w.key == key)
     }
 
+    /// Every key read or written (one both read and written comes twice).
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (PartitionId, TableId, Key)> + Clone + '_ {
+        let read = self.reads.iter().map(|r| (r.partition, r.table, r.key));
+        read.chain(self.writes.iter().map(|w| (w.partition, w.table, w.key)))
+    }
+
+    /// Whether the transaction read or wrote `(partition, table, key)`.
+    pub(crate) fn touches(&self, (partition, table, key): (PartitionId, TableId, Key)) -> bool {
+        self.find_read(partition, table, key).is_some()
+            || self.find_write(partition, table, key).is_some()
+    }
+
     /// Buffer a write, overwriting a previous buffered value for the same
     /// key. Once a key is buffered as an insert it stays create-if-absent:
     /// a later plain write to the same key still refers to the record this

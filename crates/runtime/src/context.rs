@@ -133,6 +133,12 @@ impl<'a> AccessCtx<'a> {
         self.access.reads.iter().any(|r| r.locked.is_some())
     }
 
+    /// Whether no read of this attempt — nor of any other under its policy —
+    /// takes a lock.
+    pub(crate) fn reads_lock_nothing(&self) -> bool {
+        self.policy == ReadPolicy::Optimistic
+    }
+
     /// The attempt is over, this way: hand its ticket and its fan-out
     /// buffer back with the outcome (the group commit is told how it ended,
     /// and an abort's observed footprint is the retry's plan).

@@ -12,11 +12,14 @@
 //! The pipeline never waits on the wire. It is cut at its two rounds into
 //! three steps over an attempt it owns — **send the votes** → **certify, log,
 //! install, send the decision** → **release** — and between two steps the
-//! attempt is an [`InFlight`] value: a deadline, and whether it holds locks.
+//! attempt is an [`InFlight`] value: a deadline, whether it holds locks, and
+//! which keys it touched.
 //! [`Step::wait_out`] is the steps with the waits between them, what a
 //! session runs; a worker puts the value aside and runs other clients.
 
-use crate::access::{recheck_locked_record, resolve_write_record, WriteEntry, WriteKind};
+use crate::access::{
+    recheck_locked_record, resolve_write_record, AccessSet, WriteEntry, WriteKind,
+};
 use crate::cluster::Cluster;
 use crate::commit::{PrepareOutcome, PreparedAt, Round};
 use crate::context::AccessCtx;
@@ -161,6 +164,19 @@ impl<'a> InFlight<'a> {
     /// anything, and dropped at no cost but its ticket.
     pub fn holds_locks(&self) -> bool {
         matches!(self.stage, Stage::Deciding { .. }) || self.ctx.holds_read_locks()
+    }
+
+    /// Whether attempts like this one may hold locks side by side on one
+    /// thread: the write locks are taken without waiting and no read takes
+    /// one, so neither a certify nor a body can block the thread — or come
+    /// out holding a lock — while another attempt's locks wait for a round.
+    pub fn overlappable(&self) -> bool {
+        self.spec.write_locks == LockPolicy::NoWait && self.ctx.reads_lock_nothing()
+    }
+
+    /// What the attempt read and wrote: exact, its body has run.
+    pub fn access(&self) -> &AccessSet {
+        &self.ctx.access
     }
 
     /// The replies are back: run the attempt's next step.

@@ -41,6 +41,7 @@ use primo_common::sim_time::{now_us, wait_until};
 use primo_common::{Key, PartitionId, TableId, Ts, TxnId};
 use primo_net::RoundTrip;
 use primo_trace::TraceEventKind;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// A remote-read plan: the out-of-home keys one transaction attempt expects
@@ -53,10 +54,16 @@ pub struct Footprint {
 
 impl Footprint {
     /// Build a plan from raw keys (a program's `read_hint()` or a previous
-    /// attempt's observed access set), keeping only remote ones.
-    pub fn from_keys(home: PartitionId, keys: Vec<(PartitionId, TableId, Key)>) -> Self {
-        let mut out: Vec<(PartitionId, TableId, Key)> = Vec::with_capacity(keys.len());
+    /// attempt's observed access set), owned or borrowed, keeping only
+    /// remote ones.
+    pub fn from_keys<K: Borrow<(PartitionId, TableId, Key)>>(
+        home: PartitionId,
+        keys: impl IntoIterator<Item = K>,
+    ) -> Self {
+        let keys = keys.into_iter();
+        let mut out: Vec<(PartitionId, TableId, Key)> = Vec::with_capacity(keys.size_hint().0);
         for k in keys {
+            let k = *k.borrow();
             if k.0 != home && !out.contains(&k) {
                 out.push(k);
             }
@@ -238,7 +245,7 @@ impl ReadFanout {
     /// The remote access set this attempt actually touched — the retry's
     /// prefetch plan. Empty if the attempt aborted before any remote access.
     pub fn learned(&self, home: PartitionId) -> Footprint {
-        Footprint::from_keys(home, self.observed.lock().clone())
+        Footprint::from_keys(home, self.observed.lock().iter())
     }
 }
 

@@ -18,40 +18,50 @@
 //! else), **deciding** (installed, acknowledgements flying, holding the write
 //! locks), **parked** (backing off, holding nothing) or **pending** (waiting
 //! for the group commit). Each turn it runs what is ready, oldest first,
-//! under one rule: *what holds nothing may overlap, and a worker has at most
-//! one lock-holding attempt at a time*. An attempt takes its first lock only
-//! when no attempt of this worker holds one — the commit pipeline stops
-//! before its certify step for exactly that ([`Step::Waiting`]) — so:
+//! under one rule: *what holds nothing may overlap, and the lock-holders of
+//! one worker never share a key*. The commit pipeline stops before its
+//! certify step ([`Step::Waiting`]) so that the worker decides when an
+//! attempt takes its first lock:
 //!
-//! * during a deciding client's round the next distributed client runs its
-//!   body and sends its votes, after the decider's install, which therefore
-//!   never invalidates it; one at a time, so bodies run in install order and
-//!   a read-to-validate window stays one round trip long;
-//! * a voting client whose votes are back waits for the release, then
-//!   certifies;
-//! * a client with nothing to fetch — it would lock right after its body —
-//!   runs in the gap between a release and the next certify.
+//! * a voting client whose votes are back certifies at once if nobody holds
+//!   a lock — or beside the holders, if its certify cannot block the thread
+//!   and its exact access set shares no key with theirs; else it waits for
+//!   the releases;
+//! * a queued client whose *declared* footprint (its program's `read_hint`)
+//!   shares no key with a voting attempt runs its body — during other
+//!   clients' vote rounds, and during the holders' decision rounds, whose
+//!   installs it then reads; a client with nothing to fetch, which locks
+//!   right after its body, must miss the holders' keys as well. A body whose
+//!   keys a voting client read waits in the queue: its install would
+//!   invalidate that client;
+//! * a client that declared nothing keeps the rule by kind: one that fetched
+//!   runs its body when no vote round flies (bodies in install order), one
+//!   with nothing to fetch in the gap, when nobody holds a lock.
 //!
-//! An attempt that holds locks from its body on (2PL, Primo past its mode
-//! switch without WCF) *holds something*: it keeps the worker to itself from
-//! start to end, as every attempt used to. A commit without a round (Primo's
-//! local TicToc and WCF commits, Aria) has nothing to suspend and runs the
-//! same steps at depth 0. How many clients are kept on the wire is Little's
-//! law on two measured quantities (`Pace`), not a setting.
+//! A declaration is a hint: one that misses a key costs at worst an abort,
+//! never correctness, because the certify check is exact. An attempt that
+//! holds locks from its body on (2PL, Primo past its mode switch without
+//! WCF) *holds something*: it keeps the worker to itself from start to end,
+//! as every attempt used to, and where reads lock or write locks wait
+//! ([`InFlight::overlappable`]) no holders overlap. A commit without a round
+//! (Primo's local TicToc and WCF commits, Aria) has nothing to suspend and
+//! runs the same steps at depth 0. How many clients are kept on the wire is
+//! Little's law on two measured quantities (`Pace`), not a setting.
 
+use crate::access::AccessSet;
 use crate::cluster::Cluster;
 use crate::pipeline::{Ended, InFlight, Step};
 use crate::prefetch::{Footprint, ReadFanout};
 use crate::protocol::{CommittedTxn, Protocol};
 use crate::txn::{TxnProgram, Workload};
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
-use primo_common::{AbortReason, FastRng, Metrics, PartitionId, TxnId};
+use primo_common::{AbortReason, FastRng, Key, Metrics, PartitionId, TableId, TxnId};
 use primo_trace::TraceEventKind;
 use primo_wal::{CommitOutcome, CommitWaiter};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Hard cap on attempts per transaction so a pathological configuration can
 /// never wedge a worker forever.
@@ -71,7 +81,7 @@ const MAX_PENDING_COMMITS: usize = 512;
 /// been confirmed durable by the group commit.
 struct PendingCommit {
     waiter: CommitWaiter,
-    started: Instant,
+    started_us: u64,
     distributed: bool,
 }
 
@@ -87,9 +97,13 @@ struct Prepared {
     program: Box<dyn TxnProgram>,
     /// Taken at generate: the client's latency pays for every microsecond it
     /// is queued or parked.
-    started: Instant,
-    /// The program's static hint, then the last aborted attempt's observed
-    /// remote access set.
+    started_us: u64,
+    /// The program's `read_hint`, home keys included: the keys it declares
+    /// it will touch, which admission holds against the attempts in hand
+    /// (empty: nothing declared).
+    declared: Vec<(PartitionId, TableId, Key)>,
+    /// The remote part of `declared` ([`Attempt::initial_plan`]), then the
+    /// last aborted attempt's observed remote access set.
     plan: Footprint,
     fanout: ReadFanout,
     /// Given by the first attempt and kept by every retry, so WAIT_DIE
@@ -118,6 +132,10 @@ impl Suspended<'_> {
     fn ready_at_us(&self) -> u64 {
         self.attempt.ready_at_us()
     }
+
+    fn access(&self) -> &AccessSet {
+        self.attempt.access()
+    }
 }
 
 /// The measured quantities that decide how many clients a worker keeps on
@@ -132,23 +150,23 @@ struct Pace {
     service_ns: u64,
     /// How long a client that fetched something keeps the next one's body
     /// waiting beyond its own run, nanoseconds: its votes sent to its
-    /// certify begun — the vote round, and the lock-holder's release if
+    /// certify begun — the vote round, and a conflicting holder's release if
     /// that comes later. An EWMA like `service_ns`; 0 where no attempt is
     /// ever put aside.
     voting_ns: u64,
     /// How long the last fan-out sent spends on the wire, nanoseconds.
     flight_ns: u64,
-    /// When the last run ended.
-    last_ran: Instant,
+    /// When the last run ended, [`now_us`].
+    last_ran_us: u64,
 }
 
 impl Pace {
-    fn new() -> Self {
+    fn new(now_us: u64) -> Self {
         Pace {
             service_ns: u64::MAX,
             voting_ns: 0,
             flight_ns: 0,
-            last_ran: Instant::now(),
+            last_ran_us: now_us,
         }
     }
 
@@ -175,13 +193,12 @@ impl Pace {
         self.voting_ns = self.voting_ns - self.voting_ns / 8 + waited.as_nanos() as u64 / 8;
     }
 
-    /// A run has just ended; since the one before, the worker waited
+    /// A run has ended at `now_us`; since the one before, the worker waited
     /// `waited_us` for deadlines (replies, a back-off, a round in hand) with
     /// nothing to run.
-    fn ran(&mut self, waited_us: u64) {
-        let now = Instant::now();
-        let ns = ((now - self.last_ran).as_nanos() as u64).saturating_sub(waited_us * 1_000);
-        self.last_ran = now;
+    fn ran(&mut self, now_us: u64, waited_us: u64) {
+        let ns = now_us.saturating_sub(self.last_ran_us + waited_us) * 1_000;
+        self.last_ran_us = now_us;
         self.service_ns = match self.service_ns {
             u64::MAX => ns,
             service => service - service / 8 + ns / 8,
@@ -231,7 +248,7 @@ fn resolve(ctx: &WorkerContext, done: PendingCommit, outcome: CommitOutcome) {
     if ctx.recording() {
         match outcome {
             CommitOutcome::Committed => {
-                let latency_us = done.started.elapsed().as_micros() as u64;
+                let latency_us = now_us() - done.started_us;
                 ctx.metrics.record_commit(latency_us, done.distributed);
             }
             CommitOutcome::CrashAborted => ctx.metrics.record_abort(AbortReason::CrashAbort),
@@ -298,11 +315,12 @@ struct Attempt<'a> {
 }
 
 impl<'a> Attempt<'a> {
-    /// The first attempt's prefetch plan: the program's static hint (nothing
-    /// when batching is off — an empty plan never fans out and never learns).
-    fn initial_plan(&self, program: &dyn TxnProgram) -> Footprint {
+    /// The first attempt's prefetch plan: the remote keys of the program's
+    /// static hint, `declared` (nothing when batching is off — an empty plan
+    /// never fans out and never learns).
+    fn initial_plan(&self, declared: &[(PartitionId, TableId, Key)]) -> Footprint {
         if self.cluster.config.batch_remote_reads {
-            Footprint::from_keys(self.home, program.read_hint())
+            Footprint::from_keys(self.home, declared)
         } else {
             Footprint::default()
         }
@@ -419,7 +437,7 @@ impl<'a> Attempt<'a> {
 /// client.
 fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
     let program = ctx.workload.generate(rng, ctx.home);
-    let started = Instant::now();
+    let started_us = now_us();
     if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(&ctx.cluster) {
         let done = match crate::snapshot::execute_snapshot(&ctx.cluster, program.as_ref()) {
             crate::snapshot::SnapshotOutcome::Done(result) => Some(result),
@@ -429,7 +447,7 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
             if ctx.recording() {
                 match result {
                     Ok(()) => {
-                        let latency_us = started.elapsed().as_micros() as u64;
+                        let latency_us = now_us() - started_us;
                         // Snapshot reads pay no remote round trips and
                         // never enter the protocol path, so they stay
                         // out of the distributed-latency histogram.
@@ -452,17 +470,29 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
     // retry (reconnaissance-style), so even hint-less programs converge
     // to one batched fan-out per attempt.
     let attempt = ctx.attempt();
-    let plan = attempt.initial_plan(program.as_ref());
+    let declared = program.read_hint();
+    let plan = attempt.initial_plan(&declared);
     let fanout = attempt.send(&plan);
     Some(Prepared {
         program,
-        started,
+        started_us,
+        declared,
         plan,
         fanout,
         txn: None,
         attempts: 0,
         backoff_us: ctx.cluster.config.backoff_initial_us,
     })
+}
+
+/// The key half of admission: whether a client touching `keys` — declared
+/// before its body runs, exact after it — shares none with the attempts
+/// `held`, whose bodies have run.
+fn clear_of<'s>(
+    keys: impl Iterator<Item = (PartitionId, TableId, Key)> + Clone,
+    mut held: impl Iterator<Item = &'s AccessSet>,
+) -> bool {
+    held.all(|h| !keys.clone().any(|k| h.touches(k)))
 }
 
 /// One worker's clients, wherever they wait, and what it has measured.
@@ -474,8 +504,8 @@ struct Worker<'a> {
     parked: Parked,
     /// Oldest first.
     voting: VecDeque<Suspended<'a>>,
-    /// The one attempt of this worker that holds locks.
-    deciding: Option<Suspended<'a>>,
+    /// The attempts of this worker that hold write locks: no two share a key.
+    deciding: Vec<Suspended<'a>>,
     pace: Pace,
     /// A client was put ahead of a queued one that could have run: that one
     /// is not passed over a second time.
@@ -493,8 +523,8 @@ impl<'a> Worker<'a> {
             queued: VecDeque::new(),
             parked: Parked::new(),
             voting: VecDeque::new(),
-            deciding: None,
-            pace: Pace::new(),
+            deciding: Vec::new(),
+            pace: Pace::new(now_us()),
             passed_over: false,
             waited_us: 0,
         }
@@ -502,8 +532,40 @@ impl<'a> Worker<'a> {
 
     /// How many of the closed loop's clients are outstanding, wherever.
     fn population(&self) -> usize {
-        let suspended = self.voting.len() + self.deciding.iter().len();
+        let suspended = self.voting.len() + self.deciding.len();
         self.queued.len() + suspended + self.parked.len() + self.pending.len()
+    }
+
+    /// Whether queued client `c` may run its body now. One that declared its
+    /// keys may if none of them is a voting attempt's — that attempt read
+    /// what this one's install would overwrite — nor, if it fetched nothing
+    /// and so locks right behind its body, a holder's. Otherwise (nothing
+    /// declared, or attempts in hand that are not
+    /// [overlappable](InFlight::overlappable)) it goes by kind: one that
+    /// fetched runs body and vote round holding nothing, so a holder is not
+    /// in its way but another voting client is (bodies in install order);
+    /// one with nothing to fetch runs in the gap, when nobody holds a lock.
+    fn may_start(&self, c: &Prepared) -> bool {
+        let fetched = c.fanout.flight_us() > 0;
+        let mut suspended = self.voting.iter().chain(&self.deciding);
+        if c.declared.is_empty() || !suspended.all(|s| s.attempt.overlappable()) {
+            return (fetched && self.voting.is_empty()) || (!fetched && self.deciding.is_empty());
+        }
+        let declared = c.declared.iter().copied();
+        clear_of(declared.clone(), self.voting.iter().map(Suspended::access))
+            && (fetched || clear_of(declared, self.deciding.iter().map(Suspended::access)))
+    }
+
+    /// Whether voting client `v`, its votes back, may certify now: when
+    /// nobody holds a lock, or beside the holders if it declared its keys,
+    /// its certify cannot block the thread and its exact access set shares
+    /// no key with theirs.
+    fn may_certify(&self, v: &Suspended<'_>) -> bool {
+        let holders = self.deciding.iter().map(Suspended::access);
+        self.deciding.is_empty()
+            || (!v.client.declared.is_empty()
+                && v.attempt.overlappable()
+                && clear_of(v.access().keys(), holders))
     }
 
     fn wait(&mut self, deadline_us: u64) {
@@ -527,26 +589,31 @@ impl<'a> Worker<'a> {
             }
             step => {
                 debug_assert!(
-                    self.deciding.is_none() || matches!(step, Step::Done(..)),
-                    "two attempts of one worker hold locks"
+                    self.deciding.is_empty() || matches!(step, Step::Done(..)),
+                    "an attempt holding locks throughout runs beside a lock-holder"
                 );
                 let ended = step.wait_out();
                 self.ended(client, ended);
             }
         }
-        self.pace.ran(std::mem::take(&mut self.waited_us));
+        self.pace.ran(now_us(), std::mem::take(&mut self.waited_us));
     }
 
     /// The replies a suspended attempt waited for are back: run its next
     /// step. Out of its vote round an attempt certifies, installs and decides
-    /// — the caller has seen to it that no other attempt of this worker holds
-    /// a lock — and becomes the lock-holder while its acknowledgements fly.
+    /// — the caller has seen to it that no lock-holder of this worker shares
+    /// a key with it — and holds its locks while its acknowledgements fly.
     fn resume(&mut self, suspended: Suspended<'a>) {
         let Suspended { client, attempt } = suspended;
         match attempt.resume() {
             Step::Waiting(attempt) => {
-                debug_assert!(attempt.holds_locks() && self.deciding.is_none());
-                self.deciding = Some(Suspended { client, attempt });
+                debug_assert!(attempt.holds_locks());
+                let holders = self.deciding.iter().map(Suspended::access);
+                debug_assert!(
+                    clear_of(attempt.access().keys(), holders),
+                    "holders share a key"
+                );
+                self.deciding.push(Suspended { client, attempt });
             }
             Step::Done(ended) => self.ended(client, ended),
         }
@@ -564,7 +631,7 @@ impl<'a> Worker<'a> {
             Ok((commit, waiter)) => {
                 if ctx.protocol.manages_durability() {
                     if ctx.recording() {
-                        let latency_us = client.started.elapsed().as_micros() as u64;
+                        let latency_us = now_us() - client.started_us;
                         ctx.metrics.record_commit(latency_us, commit.distributed);
                     }
                 } else {
@@ -572,7 +639,7 @@ impl<'a> Worker<'a> {
                     // worker moves on to the next transaction.
                     self.pending.push_back(PendingCommit {
                         waiter,
-                        started: client.started,
+                        started_us: client.started_us,
                         distributed: commit.distributed,
                     });
                 }
@@ -594,13 +661,13 @@ impl<'a> Worker<'a> {
     }
 
     /// The worker stops serving (the stop flag, a crashed home): what its
-    /// suspended attempts hold is given back. The deciding one has installed,
+    /// suspended attempts hold is given back. A deciding one has installed,
     /// so its release is finished, never dropped. A voting one holds a ticket
     /// and nothing else: the participants are told, the ticket is closed and
     /// the client goes the way of the queued and the parked, which hold
     /// nothing at all.
     fn wind_down(&mut self) {
-        if let Some(deciding) = self.deciding.take() {
+        for deciding in std::mem::take(&mut self.deciding) {
             wait_until(deciding.ready_at_us());
             self.resume(deciding);
         }
@@ -635,18 +702,17 @@ impl<'a> Worker<'a> {
             return;
         }
 
-        // The lock-holder's acknowledgements are back: it releases — others,
-        // here and elsewhere, wait on those locks. With nobody holding a lock
-        // the oldest voting client whose votes are back takes its first.
+        // A lock-holder's acknowledgements are back: it releases — others,
+        // here and elsewhere, wait on those locks. Then the oldest voting
+        // client whose votes are back and who may take its first lock does.
         let now = now_us();
-        if let Some(deciding) = self.deciding.take_if(|d| d.ready_at_us() <= now) {
-            return self.resume(deciding);
+        if let Some(i) = self.deciding.iter().position(|d| d.ready_at_us() <= now) {
+            let released = self.deciding.swap_remove(i);
+            return self.resume(released);
         }
-        let votes_back = |v: &Suspended<'_>| v.ready_at_us() <= now;
-        let certifying = (self.voting.iter().position(votes_back))
-            .filter(|_| self.deciding.is_none())
-            .and_then(|i| self.voting.remove(i));
-        if let Some(certifying) = certifying {
+        let certifiable = |v: &Suspended<'_>| v.ready_at_us() <= now && self.may_certify(v);
+        if let Some(i) = self.voting.iter().position(certifiable) {
+            let certifying = self.voting.remove(i).expect("just found");
             self.pace.voted(certifying.attempt.elapsed());
             return self.resume(certifying);
         }
@@ -655,12 +721,12 @@ impl<'a> Worker<'a> {
         // Starting, not finishing: a suspended attempt's ticket is what its
         // epoch waits for, so with one in hand the worker does not wait at the
         // gate, it goes on with what it has.
-        // (The reply that matters next: the lock-holder's acknowledgements,
-        // which every voting client waits behind, or else the first votes.)
-        let next_reply_at = match &self.deciding {
-            Some(deciding) => Some(deciding.ready_at_us()),
-            None => self.voting.iter().map(Suspended::ready_at_us).min(),
-        };
+        // (The replies that matter next: a holder's acknowledgements, or votes
+        // still on the wire — votes that are back wait for a release.)
+        let on_the_wire = self.voting.iter().map(Suspended::ready_at_us);
+        let next_reply_at = (self.deciding.iter().map(Suspended::ready_at_us))
+            .chain(on_the_wire.filter(|&at_us| at_us > now))
+            .min();
         let open = (ctx.cluster.group_commit).execution_gate(ctx.home, next_reply_at.is_none());
         if ctx.stopped() {
             return;
@@ -689,19 +755,10 @@ impl<'a> Worker<'a> {
         }
         let full = self.population() >= MAX_PENDING_COMMITS;
 
-        // Which queued client may run its body now. One that fetched runs
-        // body and vote round holding nothing, so a lock-holder does not
-        // stand in its way — another voting client does: bodies run one
-        // behind the other's install, never side by side. One with nothing to
-        // fetch locks right behind its body: it runs in the gap, when nobody
-        // holds a lock.
-        let (gap, no_votes_fly) = (self.deciding.is_none(), self.voting.is_empty());
-        let may_start = |c: &Prepared| match c.fanout.flight_us() {
-            0 => gap,
-            _ => no_votes_fly,
-        };
+        // The oldest queued client whose replies are back and who may run its
+        // body now ([`Worker::may_start`]).
         let ready =
-            (self.queued.iter()).position(|c| may_start(c) && c.fanout.ready_at_us() <= now);
+            (self.queued.iter()).position(|c| c.fanout.ready_at_us() <= now && self.may_start(c));
 
         // Put a client on the wire or run the oldest queued one that is
         // ready. On the wire goes a parked client whose back-off is over —
@@ -725,17 +782,18 @@ impl<'a> Worker<'a> {
             } else {
                 take_up(ctx, &mut self.rng)
             };
-            client.and_then(|client| match client.fanout.flight_us() {
+            match client {
                 // Nothing to wait for: run it now, never behind the wire.
-                0 if gap => Some(client),
-                flight_us => {
-                    if flight_us > 0 {
-                        self.pace.flight_ns = flight_us * 1_000;
+                Some(c) if c.fanout.flight_us() == 0 && self.may_start(&c) => Some(c),
+                Some(c) => {
+                    if c.fanout.flight_us() > 0 {
+                        self.pace.flight_ns = c.fanout.flight_us() * 1_000;
                     }
-                    self.queued.push_back(client);
+                    self.queued.push_back(c);
                     None
                 }
-            })
+                None => None,
+            }
         } else if let Some(i) = ready {
             self.passed_over = false;
             self.queued.remove(i)
@@ -743,7 +801,7 @@ impl<'a> Worker<'a> {
             // Nothing is runnable: the earliest deadline that makes something
             // so — a reply in hand, a back-off, the replies of a queued
             // client that may start.
-            let startable = self.queued.iter().filter(|c| may_start(c));
+            let startable = self.queued.iter().filter(|c| self.may_start(c));
             let fetched_at = startable.map(|c| c.fanout.ready_at_us());
             let at_us = fetched_at.chain(retry_at).chain(next_reply_at).min();
             self.wait(at_us.expect("a worker with nothing to wait for takes up a client"));
@@ -765,8 +823,8 @@ pub fn worker_loop(ctx: WorkerContext) {
     worker.wind_down();
     // Resolve whatever is still in flight so late commits are counted:
     // block on one waiter after the other until the deadline.
-    let deadline = Instant::now() + Duration::from_millis(200);
-    while !worker.pending.is_empty() && Instant::now() < deadline {
+    let deadline_us = now_us() + 200_000;
+    while !worker.pending.is_empty() && now_us() < deadline_us {
         release_pending(&ctx, &mut worker.pending, true);
     }
     // No write of this worker will come by to reclaim what these covered.
@@ -837,7 +895,7 @@ pub fn run_single_txn(
     };
     let mut attempts = 0;
     let mut backoff_us = cluster.config.backoff_initial_us;
-    let mut plan = attempt.initial_plan(program);
+    let mut plan = attempt.initial_plan(&program.read_hint());
     loop {
         attempts += 1;
         let txn = cluster.next_txn_id(home);
@@ -878,6 +936,7 @@ mod tests {
     use primo_common::stats::ClusterStats;
     use primo_common::{TableId, TxnError, Value};
     use primo_wal::{ReplayBound, TxnTicket};
+    use std::time::Instant;
 
     /// Stub protocol: every attempt logs one insert write-set (like a real
     /// install path would, under its write locks) and reports success.
@@ -914,7 +973,7 @@ mod tests {
 
     #[test]
     fn the_depth_rule_covers_one_flight_and_shrinks_when_runs_get_longer() {
-        let mut pace = Pace::new();
+        let mut pace = Pace::new(0);
         pace.flight_ns = 220_000;
         // No run measured yet: one client beside the head, no more.
         assert!(pace.wants_another(1, 1) && !pace.wants_another(2, 2));
@@ -934,17 +993,69 @@ mod tests {
         pace.service_ns = 250_000;
         assert!(pace.wants_another(1, 1) && !pace.wants_another(2, 2));
         // The estimate follows the runs: an eighth of the way each time.
-        pace.last_ran = Instant::now() - Duration::from_micros(410);
-        pace.ran(0);
-        assert!(
-            (268_000..275_000).contains(&pace.service_ns),
-            "{}",
-            pace.service_ns
-        );
+        pace.ran(410, 0);
+        assert_eq!(pace.service_ns, 250_000 - 250_000 / 8 + 410_000 / 8);
         // Time spent waiting for replies is not the worker's.
-        pace.last_ran = Instant::now() - Duration::from_micros(500);
-        pace.ran(500);
+        pace.ran(910, 500);
         assert!(pace.service_ns < 245_000, "{}", pace.service_ns);
+    }
+
+    /// A hand-built access set: `reads` and `writes` of table 0.
+    fn access(reads: &[(u32, Key)], writes: &[(u32, Key)]) -> AccessSet {
+        let mut set = AccessSet::new();
+        for &(p, key) in reads {
+            set.reads.push(crate::access::ReadEntry {
+                partition: PartitionId(p),
+                table: TableId(0),
+                key,
+                record: Arc::new(primo_storage::Record::new(Value::from_u64(key))),
+                wts: 0,
+                rts: 0,
+                locked: None,
+                dummy: false,
+            });
+        }
+        for &(p, key) in writes {
+            set.buffer_write(WriteEntry::put(
+                PartitionId(p),
+                TableId(0),
+                key,
+                Value::from_u64(0),
+            ));
+        }
+        set
+    }
+
+    #[test]
+    fn admission_holds_keys_against_every_read_and_write_held() {
+        let keys = |ks: &[(u32, u32, Key)]| -> Vec<(PartitionId, TableId, Key)> {
+            (ks.iter())
+                .map(|&(p, t, k)| (PartitionId(p), TableId(t), k))
+                .collect()
+        };
+        // Two attempts in hand: one read 1 and 2 on P0 and wrote 2, the other
+        // read 5 on P1 and blindly wrote 6 there.
+        let held = [
+            access(&[(0, 1), (0, 2)], &[(0, 2)]),
+            access(&[(1, 5)], &[(1, 6)]),
+        ];
+        let clear = |ks: &[(u32, u32, Key)]| clear_of(keys(ks).into_iter(), held.iter());
+        assert!(clear(&[(0, 0, 3), (1, 0, 4)]));
+        // A key read, a key written, a key written blindly.
+        assert!(!clear(&[(0, 0, 3), (0, 0, 1)]));
+        assert!(!clear(&[(0, 0, 2)]));
+        assert!(!clear(&[(1, 0, 6)]));
+        // The same key on another partition or in another table is another key.
+        assert!(clear(&[(1, 0, 1), (0, 1, 2), (0, 0, 6)]));
+        // Nothing in hand admits anything; nothing declared clears anything,
+        // which is why the worker treats it as no declaration at all.
+        assert!(clear_of(keys(&[(0, 0, 1)]).into_iter(), [].iter()));
+        assert!(clear(&[]));
+        // Exact sets against each other, both ways: the certify check.
+        let (a, b) = (&held[0], &held[1]);
+        assert!(clear_of(a.keys(), [b].into_iter()) && clear_of(b.keys(), [a].into_iter()));
+        let c = access(&[(1, 7)], &[(0, 1)]);
+        assert!(!clear_of(c.keys(), [a].into_iter()) && !clear_of(a.keys(), [&c].into_iter()));
     }
 
     #[test]

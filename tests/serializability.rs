@@ -52,6 +52,13 @@ impl TxnProgram for TransferTxn {
     fn home_partition(&self) -> PartitionId {
         self.home
     }
+
+    fn read_hint(&self) -> Vec<(PartitionId, TableId, u64)> {
+        vec![
+            (self.from.0, ACCOUNTS, self.from.1),
+            (self.to.0, ACCOUNTS, self.to.1),
+        ]
+    }
 }
 
 fn loaded_primo(kind: ProtocolKind, partitions: usize) -> Primo {
@@ -212,8 +219,10 @@ impl Workload for Transfers {
 /// and no committed transaction needed more than `max_attempts` attempts —
 /// twice the most that a worker which sat through its clients' back-offs was
 /// seen to need here in 10 runs — so same-id retries still age under WAIT_DIE
-/// and nothing starves parked.
-fn run_worker_storm(kind: ProtocolKind, max_attempts: u32) {
+/// and nothing starves parked. Returns how many pairs of attempts of one
+/// worker held write locks at once: each holds them from the take-up of its
+/// votes to its end.
+fn run_worker_storm(kind: ProtocolKind, max_attempts: u32) -> usize {
     const PARTITIONS: usize = 2;
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let primo = Primo::builder()
@@ -260,14 +269,23 @@ fn run_worker_storm(kind: ProtocolKind, max_attempts: u32) {
     );
     let mut attempt_of: HashMap<TxnId, u32> = HashMap::new();
     let mut needed = 0;
+    // (worker ring, votes taken up, ended) of every attempt that held locks.
+    let mut holding: HashMap<TxnId, (usize, u64)> = HashMap::new();
+    let mut held = Vec::new();
     for e in primo.cluster().recorder.merge().events() {
         let Some(txn) = e.txn else { continue };
         match e.kind {
             TraceEventKind::Begin { attempt } => {
                 attempt_of.insert(txn, attempt);
             }
-            TraceEventKind::Committed { .. } => {
-                needed = needed.max(attempt_of.remove(&txn).unwrap_or(0));
+            TraceEventKind::Vote { .. } => {
+                holding.insert(txn, (e.ring, e.at_us));
+            }
+            TraceEventKind::Committed { .. } | TraceEventKind::Abort { .. } => {
+                if matches!(e.kind, TraceEventKind::Committed { .. }) {
+                    needed = needed.max(attempt_of.remove(&txn).unwrap_or(0));
+                }
+                held.extend(holding.remove(&txn).map(|(ring, at)| (ring, at, e.at_us)));
             }
             _ => {}
         }
@@ -277,16 +295,38 @@ fn run_worker_storm(kind: ProtocolKind, max_attempts: u32) {
         "{name}: a transaction committed at attempt {needed}"
     );
     primo.shutdown();
+    held.sort_unstable();
+    let beside = |(i, &(ring, _, ended)): (usize, &(usize, u64, u64))| {
+        let later = held[i + 1..].iter();
+        later
+            .take_while(|&&(r, at, _)| r == ring && at < ended)
+            .count()
+    };
+    held.iter().enumerate().map(beside).sum()
 }
 
 #[test]
 fn sundial_workers_conserve_money_on_hot_keys() {
     // Seen at most 5 with blocking back-offs (and 7 with parked ones).
-    run_worker_storm(ProtocolKind::Sundial, 10);
+    let beside = run_worker_storm(ProtocolKind::Sundial, 10);
+    assert!(
+        beside > 0,
+        "no two transfers of one worker held locks at once"
+    );
+}
+
+#[test]
+fn silo_workers_conserve_money_on_hot_keys() {
+    let beside = run_worker_storm(ProtocolKind::Silo, 10);
+    assert!(
+        beside > 0,
+        "no two transfers of one worker held locks at once"
+    );
 }
 
 #[test]
 fn two_pl_wait_die_workers_conserve_money_on_hot_keys() {
     // Seen at most 5 with blocking back-offs (and 7 with parked ones).
-    run_worker_storm(ProtocolKind::TwoPlWaitDie, 10);
+    // Reads hold locks: every attempt keeps its worker to itself.
+    assert_eq!(run_worker_storm(ProtocolKind::TwoPlWaitDie, 10), 0);
 }
