@@ -94,9 +94,13 @@ pub trait TxnProgram: Send + Sync {
     /// fraction of TPC-C). The worker prefetches the remote subset with one
     /// batched fan-out per attempt instead of a round trip per record.
     /// Include write keys too — in distributed WCF mode their dummy reads
-    /// piggyback on the same batch. Purely an optimization hint: an empty,
-    /// partial or even wrong hint never affects correctness, only how many
-    /// reads fall back to per-record round trips.
+    /// piggyback on the same batch. The worker also admits by it: a body
+    /// whose hinted keys, home ones included, miss those of the 2PC
+    /// attempts in hand runs beside them (`worker` module docs). Purely an
+    /// optimization hint: an empty, partial or even wrong hint never affects
+    /// correctness. An empty one keeps admission by kind; a partial or wrong
+    /// one costs reads that fall back to per-record round trips, and aborts
+    /// where a body runs beside an attempt whose keys it missed.
     fn read_hint(&self) -> Vec<(PartitionId, TableId, Key)> {
         Vec::new()
     }

@@ -557,15 +557,12 @@ impl<'a> Worker<'a> {
     }
 
     /// Whether voting client `v`, its votes back, may certify now: when
-    /// nobody holds a lock, or beside the holders if it declared its keys,
-    /// its certify cannot block the thread and its exact access set shares
-    /// no key with theirs.
+    /// nobody holds a lock, or beside the holders if its certify cannot block
+    /// the thread and its exact access set shares no key with theirs.
     fn may_certify(&self, v: &Suspended<'_>) -> bool {
         let holders = self.deciding.iter().map(Suspended::access);
         self.deciding.is_empty()
-            || (!v.client.declared.is_empty()
-                && v.attempt.overlappable()
-                && clear_of(v.access().keys(), holders))
+            || (v.attempt.overlappable() && clear_of(v.access().keys(), holders))
     }
 
     fn wait(&mut self, deadline_us: u64) {

@@ -390,7 +390,10 @@ impl TxnProgram for TpccTxn {
         // are worth hinting: NewOrder's stock rows at the supplying
         // warehouses and Payment's customer row at the paying warehouse.
         // Everything else (district cursors, order rows) is home-resident or
-        // depends on values read inside the transaction.
+        // depends on values read inside the transaction. The hint is thus
+        // partial for the worker's admission too: it may run two bodies that
+        // meet on a district or warehouse row side by side under a 2PC
+        // baseline, and one of them aborts.
         match self.kind {
             TpccTxnKind::NewOrder => self
                 .items

@@ -84,6 +84,12 @@ struct Cell {
     backoff_us: Option<(u64, u64)>,
     ycsb: YcsbConfig,
     window: Duration,
+    /// Events a thread's ring keeps: the checks that pair an attempt's
+    /// events need them all ([`assert_lossless`]). A ring is allocated when
+    /// its thread first records — in a debug build a 2^17 one stalls the
+    /// thread long enough to stretch a COCO epoch — so no larger than a
+    /// cell needs.
+    ring_capacity: usize,
 }
 
 impl Cell {
@@ -104,6 +110,7 @@ impl Cell {
                 ..YcsbConfig::small(2)
             },
             window: Duration::from_millis(window_ms),
+            ring_capacity: 1 << 16,
         }
     }
 
@@ -125,6 +132,7 @@ impl Cell {
                 ..YcsbConfig::small(2)
             },
             window: Duration::from_millis(window_ms),
+            ring_capacity: 1 << 16,
         }
     }
 
@@ -137,7 +145,7 @@ impl Cell {
 
     fn build(&self) -> (Primo, Arc<dyn Workload>) {
         let (one_way_us, interval_ms) = (self.one_way_us, self.interval_ms);
-        let backoff_us = self.backoff_us;
+        let (backoff_us, ring_capacity) = (self.backoff_us, self.ring_capacity);
         let primo = Primo::builder()
             .partitions(2)
             .workers_per_partition(1)
@@ -150,7 +158,7 @@ impl Cell {
                 if let Some((initial_us, max_us)) = backoff_us {
                     (c.backoff_initial_us, c.backoff_max_us) = (initial_us, max_us);
                 }
-                c.trace.ring_capacity = 1 << 16;
+                c.trace.ring_capacity = ring_capacity;
             })
             .build();
         let workload: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(self.ycsb.clone()));
@@ -695,9 +703,17 @@ fn stopping_with_a_full_queue_drops_clients_that_hold_nothing() {
     primo.shutdown();
 }
 
+/// The rings kept every event: a check that pairs an attempt's events reads
+/// the whole of it.
+fn assert_lossless(primo: &Primo) {
+    let dropped = primo.cluster().recorder.events_dropped();
+    assert_eq!(dropped, 0, "the rings overwrote {dropped} events");
+}
+
 /// What stopped workers must leave of the clients they dropped: nothing.
 fn assert_nothing_is_left_behind(primo: &Primo, timeline: &Timeline) {
     let cluster = primo.cluster();
+    assert_lossless(primo);
     // Every attempt that began has ended ...
     let mut open: HashMap<TxnId, i64> = HashMap::new();
     for e in timeline.events() {
@@ -710,10 +726,7 @@ fn assert_nothing_is_left_behind(primo: &Primo, timeline: &Timeline) {
             .entry(e.txn.expect("attempt events carry their id"))
             .or_default() += step;
     }
-    // (An end whose `Begin` a full ring overwrote counts -1: that is judged
-    // only when the rings lost nothing.)
-    let lossless = cluster.recorder.events_dropped() == 0;
-    open.retain(|_, balance| *balance > 0 || (lossless && *balance < 0));
+    open.retain(|_, balance| *balance != 0);
     assert!(open.is_empty(), "attempts without an end: {open:?}");
     // ... no record is locked ...
     for p in cluster.partition_ids() {
@@ -799,6 +812,17 @@ impl AttemptSpan {
     fn certify_us(&self) -> Option<u64> {
         let locked = self.ended_at - self.vote?.at;
         Some(locked - self.decision.map_or(0, |d| d.waited_us()))
+    }
+
+    /// Votes sent to votes taken up: it voted, holding nothing.
+    fn voting(&self) -> Option<(u64, u64)> {
+        Some((self.prepared_at?, self.vote?.at))
+    }
+
+    /// Votes taken up — its first write lock is next — to its end: it held
+    /// write locks.
+    fn holding(&self) -> Option<(u64, u64)> {
+        Some((self.vote?.at, self.ended_at))
     }
 }
 
@@ -1118,7 +1142,9 @@ fn a_crashed_home_commits_nothing_until_it_is_back_up() {
     let _quiet = quiet();
     // Local-only: before the fence, P0's worker went on committing
     // TicToc-locally into the store its recovery then wipes.
-    let cell = Cell::primo(0.0, 100, 0);
+    let mut cell = Cell::primo(0.0, 100, 0);
+    // Committing locally, a release worker writes up to ≈ 62 k events here.
+    cell.ring_capacity = 1 << 17;
     let (primo, workload) = cell.build();
     let running = Running::start(&primo, &workload);
     std::thread::sleep(Duration::from_millis(40));
@@ -1135,6 +1161,7 @@ fn a_crashed_home_commits_nothing_until_it_is_back_up() {
     std::thread::sleep(Duration::from_millis(30));
     running.stop();
 
+    assert_lossless(&primo);
     let timeline = primo.cluster().recorder.merge().for_partition(P0);
     let is_commit = |k: &TraceEventKind| matches!(k, TraceEventKind::Committed { .. });
     // An attempt that began once the partition was down (the crash had
@@ -1148,11 +1175,7 @@ fn a_crashed_home_commits_nothing_until_it_is_back_up() {
                 began.insert(txn, e.at_us);
             }
             TraceEventKind::Committed { .. } => {
-                // (A busy worker's ring may have overwritten the first
-                // `Begin`s: nothing of those attempts is judged.)
-                let Some(&began_at) = began.get(&txn) else {
-                    continue;
-                };
+                let began_at = began[&txn];
                 assert!(
                     !down.contains(&began_at),
                     "{txn} began {} us into the outage and committed",
@@ -1195,6 +1218,22 @@ fn overlapping_holders(attempts: &[AttemptSpan]) -> Vec<(AttemptSpan, AttemptSpa
         );
     }
     pairs
+}
+
+/// A stretch of an attempt: [`AttemptSpan::voting`] or
+/// [`AttemptSpan::holding`].
+type Stage = fn(&AttemptSpan) -> Option<(u64, u64)>;
+
+/// Another attempt of `c`'s worker that was in `stage` when `c` began.
+fn began_during<'s>(
+    attempts: &'s [AttemptSpan],
+    c: &AttemptSpan,
+    stage: Stage,
+) -> Option<&'s AttemptSpan> {
+    attempts.iter().find(|o| {
+        let during = stage(o).is_some_and(|(from, to)| from < c.begun_at && c.begun_at < to);
+        o.home == c.home && o.txn != c.txn && during
+    })
 }
 
 /// The cell's programs with their `read_hint` withheld: nothing declared.
@@ -1253,10 +1292,16 @@ fn holders_of_one_worker_share_no_key_and_the_next_body_flies_during_a_decision_
                 held.txn
             );
         }
-        // (b) ... and that happens: holders overlap.
-        ensure(checked > 20, || {
+        // (b) ... and that happens: holders overlap, and bodies that fetched
+        // run during other clients' vote rounds.
+        let during_votes = (attempts.iter())
+            .filter(|c| c.fetched_at.is_some())
+            .filter(|c| began_during(&attempts, c, AttemptSpan::voting).is_some());
+        let during_votes = during_votes.count();
+        ensure(checked > 20 && during_votes > 20, || {
             format!(
-                "{} pairs of holders overlapped, {checked} with logged writes",
+                "{} pairs of holders overlapped, {checked} with logged writes; \
+                 {during_votes} fetched bodies ran during a vote round",
                 beside.len()
             )
         })?;
@@ -1287,20 +1332,24 @@ fn holders_of_one_worker_share_no_key_and_the_next_body_flies_during_a_decision_
         ensure(2 * overlapped >= decided, || {
             format!("another transaction began during {overlapped} of {decided} decision rounds")
         })?;
-        // (e) Clients that declare nothing keep the rule by kind: one
-        // lock-holder a worker.
+        // (e) Clients that declare nothing start by kind: a body that
+        // fetched waits for its worker's vote rounds to be over, one that
+        // fetched nothing for its holders to release. (Their certify is exact
+        // like anyone's: they may hold locks side by side.)
         let undeclared = run_wrapped(&cell, |inner| Arc::new(Undeclared(inner)));
         let undeclared = self::attempts(&undeclared.timeline);
         let decided = undeclared.iter().filter(|c| c.decision.is_some()).count();
         ensure(decided > 50, || {
             format!("only {decided} undeclared decision rounds")
         })?;
-        let beside = overlapping_holders(&undeclared);
-        assert!(
-            beside.is_empty(),
-            "undeclared holders overlapped: {:?}",
-            beside[0]
-        );
+        for c in &undeclared {
+            let stage: Stage = match c.fetched_at {
+                Some(_) => AttemptSpan::voting,
+                None => AttemptSpan::holding,
+            };
+            let during = began_during(&undeclared, c, stage);
+            assert!(during.is_none(), "{c:?} began during {during:?}");
+        }
         Ok(())
     });
 }
@@ -1406,9 +1455,7 @@ impl TxnProgram for HeldRound {
 /// certified, or their votes were back while it held locks and they took
 /// them up only once it had released.
 fn waiting_share(attempts: &[AttemptSpan]) -> f64 {
-    type Stage = fn(&AttemptSpan) -> Option<(u64, u64)>;
-    let voting: Stage = |o| Some((o.prepared_at?, o.vote?.at));
-    let holding: Stage = |o| Some((o.vote?.at, o.ended_at));
+    let (voting, holding): (Stage, Stage) = (AttemptSpan::voting, AttemptSpan::holding);
     // Some other attempt was in `stage` when `c`'s replies came `back_at`,
     // and `c` went on once it was over.
     let waited = |c: &AttemptSpan, stage: Stage, back_at: u64, went_on_at: u64| {
