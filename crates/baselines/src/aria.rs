@@ -129,8 +129,8 @@ impl AriaProtocol {
         let mut st = batch.state.lock();
         advance(&mut st);
         batch.cond.notify_all();
-        let deadline = std::time::Instant::now() + self.cfg.barrier_timeout;
-        while !reached(&st) && std::time::Instant::now() < deadline {
+        let deadline_us = now_us() + self.cfg.barrier_timeout.as_micros() as u64;
+        while !reached(&st) && now_us() < deadline_us {
             batch.cond.wait_for(&mut st, Duration::from_millis(1));
         }
     }

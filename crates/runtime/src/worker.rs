@@ -46,7 +46,10 @@
 //! ([`InFlight::overlappable`]) no holders overlap. A commit without a round
 //! (Primo's local TicToc and WCF commits, Aria) has nothing to suspend and
 //! runs the same steps at depth 0. How many clients are kept on the wire is
-//! Little's law on two measured quantities (`Pace`), not a setting.
+//! Little's law on what the worker measures (`Pace`), not a setting: the
+//! runs of the queued clients behind the head, plus a vote round for each
+//! one that fetched times the share of such bodies a voting client held
+//! back, must cover a flight.
 
 use crate::access::AccessSet;
 use crate::cluster::Cluster;
@@ -58,6 +61,7 @@ use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{AbortReason, FastRng, Key, Metrics, PartitionId, TableId, TxnId};
 use primo_trace::TraceEventKind;
 use primo_wal::{CommitOutcome, CommitWaiter};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -113,6 +117,10 @@ struct Prepared {
     attempts: usize,
     /// The back-off level its next retryable abort waits out.
     backoff_us: u64,
+    /// Its replies were back and a voting client kept its body waiting —
+    /// the only thing that refuses a client that fetched. Marked by the scan
+    /// for the next body to run, taken when its body runs.
+    held: Cell<bool>,
 }
 
 /// Aborted clients whose back-off is not over, by when it is (`not_before_us`;
@@ -139,7 +147,8 @@ impl Suspended<'_> {
 }
 
 /// The measured quantities that decide how many clients a worker keeps on
-/// the wire.
+/// the wire: a run, a vote round, the share of bodies a vote round holds
+/// back and a flight.
 struct Pace {
     /// Worker time one client takes, nanoseconds: from the end of one body
     /// to the end of the next — taking clients up, running one, the later
@@ -148,12 +157,16 @@ struct Pace {
     /// until the first run it is taken to last for ever, so nothing is
     /// queued on a guess.
     service_ns: u64,
-    /// How long a client that fetched something keeps the next one's body
-    /// waiting beyond its own run, nanoseconds: its votes sent to its
-    /// certify begun — the vote round, and a conflicting holder's release if
-    /// that comes later. An EWMA like `service_ns`; 0 where no attempt is
-    /// ever put aside.
+    /// How long a voting client keeps a body it holds back waiting beyond
+    /// its own run, nanoseconds: its votes sent to its certify begun — the
+    /// vote round, and a conflicting holder's release if that comes later.
+    /// An EWMA like `service_ns`; 0 where no attempt is ever put aside.
     voting_ns: u64,
+    /// The share of the bodies of clients that fetched which a voting client
+    /// held back, their replies in ([`Prepared::held`]): an EWMA like
+    /// `service_ns`, one sample per such body. It starts at 1 — every one
+    /// — and is not sampled while `voting_ns` is 0.
+    held_share: f64,
     /// How long the last fan-out sent spends on the wire, nanoseconds.
     flight_ns: u64,
     /// When the last run ended, [`now_us`].
@@ -165,6 +178,7 @@ impl Pace {
         Pace {
             service_ns: u64::MAX,
             voting_ns: 0,
+            held_share: 1.0,
             flight_ns: 0,
             last_ran_us: now_us,
         }
@@ -173,19 +187,33 @@ impl Pace {
     /// Little's law, asked right where it matters: would a fan-out sent now
     /// be back before the worker has run the `queued` clients ahead of it?
     /// The head is about to run either way, so it is the others whose runs
-    /// must cover a flight — and, of them, the `fetched` ones keep the body
-    /// behind them waiting for their votes as well: bodies of clients that
-    /// fetched run one behind the other's certify. While all that does not
-    /// cover a flight the worker would end up waiting on the wire, and takes
-    /// up another client instead. The rule shrinks the queue as readily as
-    /// it grows it: when runs get longer (the 2PC rounds of attempts that
-    /// hold locks throughout) or a vote round stands between two bodies,
-    /// fewer clients cover the same flight, and every client queued beyond
-    /// need only adds its wait to its latency.
+    /// must cover a flight — and, of them, the `fetched` ones that a voting
+    /// client holds back (the measured share of them) keep the body behind
+    /// them waiting for a vote round as well: `(queued - 1) × service +
+    /// fetched × held_share × voting`. A body whose declared keys miss the
+    /// voters' runs at once and adds nothing. While all that does not cover
+    /// a flight the worker would end up waiting on the wire, and takes up
+    /// another client instead. The rule shrinks the queue as readily as it
+    /// grows it: when runs get longer (the 2PC rounds of attempts that hold
+    /// locks throughout) or vote rounds hold more bodies back, fewer clients
+    /// cover the same flight, and every client queued beyond need only adds
+    /// its wait to its latency.
     fn wants_another(&self, queued: usize, fetched: usize) -> bool {
         let behind_head = queued.saturating_sub(1) as u64;
         let runs_ns = behind_head.saturating_mul(self.service_ns);
-        runs_ns.saturating_add(fetched as u64 * self.voting_ns) < self.flight_ns
+        let held_ns = match self.voting_ns {
+            0 => 0,
+            voting_ns => (fetched as f64 * self.held_share * voting_ns as f64) as u64,
+        };
+        runs_ns.saturating_add(held_ns) < self.flight_ns
+    }
+
+    /// The body of a client that fetched runs; a voting client `held` it
+    /// back with its replies in, or not.
+    fn started(&mut self, held: bool) {
+        if self.voting_ns > 0 {
+            self.held_share += (f64::from(u8::from(held)) - self.held_share) / 8.0;
+        }
     }
 
     /// A voting client begins its certify, `waited` after its votes were sent.
@@ -482,6 +510,7 @@ fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
         txn: None,
         attempts: 0,
         backoff_us: ctx.cluster.config.backoff_initial_us,
+        held: Cell::default(),
     })
 }
 
@@ -578,6 +607,9 @@ impl<'a> Worker<'a> {
         let txn = *(client.txn).get_or_insert_with(|| ctx.cluster.next_txn_id(ctx.home));
         client.attempts += 1;
         let sent = std::mem::take(&mut client.fanout);
+        if sent.flight_us() > 0 {
+            self.pace.started(client.held.take());
+        }
         let (program, attempts) = (client.program.as_ref(), client.attempts as u32);
         let slowdown_us = ctx.cluster.partition(ctx.home).slowdown_us();
         match (ctx.attempt()).begin(program, txn, attempts, sent, slowdown_us) {
@@ -753,9 +785,16 @@ impl<'a> Worker<'a> {
         let full = self.population() >= MAX_PENDING_COMMITS;
 
         // The oldest queued client whose replies are back and who may run its
-        // body now ([`Worker::may_start`]).
-        let ready =
-            (self.queued.iter()).position(|c| c.fanout.ready_at_us() <= now && self.may_start(c));
+        // body now ([`Worker::may_start`]). One that fetched and is refused on
+        // the way is held back by a voting client — nothing else refuses it —
+        // and is counted as such when its body runs ([`Pace::started`]).
+        let ready = (self.queued.iter()).position(|c| {
+            let back = c.fanout.ready_at_us() <= now;
+            let starts = back && self.may_start(c);
+            let held = back && !starts && c.fanout.flight_us() > 0 && !self.voting.is_empty();
+            c.held.set(c.held.get() || held);
+            starts
+        });
 
         // Put a client on the wire or run the oldest queued one that is
         // ready. On the wire goes a parked client whose back-off is over —
@@ -977,14 +1016,23 @@ mod tests {
         // 40 us runs: six of them behind the head cover a 220 us flight.
         pace.service_ns = 40_000;
         assert!(pace.wants_another(6, 6) && !pace.wants_another(7, 7));
-        // A vote round between two bodies: each queued client that fetched
-        // covers that much more. Four rounds of 50 us: two runs are enough;
-        // a whole round trip: one fetched client covers a flight by itself,
-        // however short the runs — and clients with nothing to fetch do not.
+        // A vote round between two bodies, every body held back (the share
+        // until one is measured): each queued client that fetched covers that
+        // much more. Four rounds of 50 us: two runs are enough; a whole round
+        // trip: one fetched client covers a flight by itself, however short
+        // the runs — and clients with nothing to fetch do not.
+        assert_eq!(pace.held_share, 1.0);
         (0..64).for_each(|_| pace.voted(Duration::from_micros(50)));
         assert!(pace.wants_another(2, 2) && !pace.wants_another(2 + 1, 2 + 1));
         (0..64).for_each(|_| pace.voted(Duration::from_micros(230)));
         assert!(pace.wants_another(3, 0) && !pace.wants_another(1, 1));
+        // No body held back: the vote rounds add nothing, and the depth is
+        // the runs' alone.
+        pace.held_share = 0.0;
+        assert!(pace.wants_another(6, 6) && !pace.wants_another(7, 7));
+        // Half of them: a 230 us round for every other fetched client.
+        pace.held_share = 0.5;
+        assert!(pace.wants_another(1, 1) && !pace.wants_another(2, 2));
         pace.voting_ns = 0;
         // Runs longer than a flight (2PC rounds): one is enough.
         pace.service_ns = 250_000;
@@ -995,6 +1043,17 @@ mod tests {
         // Time spent waiting for replies is not the worker's.
         pace.ran(910, 500);
         assert!(pace.service_ns < 245_000, "{}", pace.service_ns);
+
+        // The held share follows the bodies, an eighth of the way each, once
+        // a vote round has been measured.
+        let mut pace = Pace::new(0);
+        pace.started(false);
+        assert_eq!(pace.held_share, 1.0);
+        pace.voted(Duration::from_micros(200));
+        pace.started(false);
+        assert_eq!(pace.held_share, 1.0 - 1.0 / 8.0);
+        pace.started(true);
+        assert_eq!(pace.held_share, 0.875 + 0.125 / 8.0);
     }
 
     /// A hand-built access set: `reads` and `writes` of table 0.

@@ -168,10 +168,8 @@ impl CocoCommit {
             // 3. Wait for in-flight transactions of this epoch to drain.
             {
                 let mut st = self.state.lock();
-                let deadline = std::time::Instant::now() + Duration::from_millis(200);
-                while st.active.get(&epoch).copied().unwrap_or(0) > 0
-                    && std::time::Instant::now() < deadline
-                {
+                let deadline_us = now_us() + 200_000;
+                while st.active.get(&epoch).copied().unwrap_or(0) > 0 && now_us() < deadline_us {
                     self.cond.wait_for(&mut st, Duration::from_millis(1));
                 }
             }
@@ -364,10 +362,8 @@ impl GroupCommit for CocoCommit {
         // reopens the gate at the next boundary.
         st.gate_open = false;
         self.cond.notify_all();
-        let deadline = std::time::Instant::now() + Duration::from_millis(200);
-        while st.active.get(&epoch).copied().unwrap_or(0) > 0
-            && std::time::Instant::now() < deadline
-        {
+        let deadline_us = now_us() + 200_000;
+        while st.active.get(&epoch).copied().unwrap_or(0) > 0 && now_us() < deadline_us {
             self.cond.wait_for(&mut st, Duration::from_millis(1));
         }
         epoch

@@ -375,11 +375,9 @@ fn engine_sources() -> Vec<(String, String)> {
 /// uses a virtual clock will have to route through `common::sim_time`. A
 /// count may shrink — lower it here — and never grow; a file not listed has
 /// none.
-const WALL_CLOCK_READS: [(&str, usize); 4] = [
+const WALL_CLOCK_READS: [(&str, usize); 2] = [
     ("common/src/sim_time.rs", 1),
-    ("wal/src/coco.rs", 4),
     ("runtime/src/experiment.rs", 4),
-    ("baselines/src/aria.rs", 2),
 ];
 
 /// `Instant::now` in one file's non-test source, comments excluded.

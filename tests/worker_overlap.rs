@@ -6,7 +6,8 @@
 //! fan-out is sent when the back-off is over (cells 9 to 12). Nor a 2PC
 //! round: the next client's body and vote round fly during this one's
 //! decision round, and the lock-holders of one worker never share a key
-//! (cells 13 to 18).
+//! (cells 13 to 18) — and a vote round deepens the queue only as often as it
+//! holds a body back (cell 19).
 //!
 //! Every cell drives the engine's own `spawn_workers` loop, 2 partitions x 1
 //! worker, and reads what happened from the cluster's counters and its flight
@@ -459,7 +460,11 @@ fn two_pc_rounds_on_hot_keys_do_not_build_a_queue() {
     // worker's).
     let cell = Cell::hot_2pc(300);
     eventually("Sundial + COCO + 2PC on 1 000 hot keys", || {
-        queueing_is_bounded_by_need(&run(&cell))
+        let out = run(&cell);
+        queueing_is_bounded_by_need(&out).map_err(|e| {
+            let held = held_share(&attempts(&out.timeline));
+            format!("{e}; a vote round held back {held:.2} of the fetched bodies")
+        })
     });
 }
 
@@ -1476,6 +1481,36 @@ fn waiting_share(attempts: &[AttemptSpan]) -> f64 {
     waiting.count() as f64 / distributed.len().max(1) as f64
 }
 
+/// Where an attempt's replies were back and when it went on: its fan-out
+/// and its body, or its votes and their take-up.
+type Wait = fn(&AttemptSpan) -> Option<(u64, u64)>;
+
+const FETCH: Wait = |c| Some((c.fetched_at?, c.begun_at));
+const VOTES: Wait = |c| c.vote.map(|v| (v.at - v.late_us, v.at));
+
+/// Whether `c` was refused at `wait`, as a later attempt of its worker
+/// passing it shows. Every flight of a cell is one round trip, so replies
+/// come back in the order they were sent, and the worker goes on with the
+/// oldest client whose replies are back and who may: one whose replies came
+/// back later and who went on first found `c` refused — a body by a voting
+/// client with a key of its own, a certify by a holder's.
+fn overtaken(attempts: &[AttemptSpan], c: &AttemptSpan, wait: Wait) -> bool {
+    let Some((back_at, went_on_at)) = wait(c) else {
+        return false;
+    };
+    (attempts.iter()).any(|o| {
+        o.home == c.home && wait(o).is_some_and(|(at, on)| at > back_at && on < went_on_at)
+    })
+}
+
+/// The share of the fetched bodies a voting client held back: what the
+/// worker's depth rule charges a vote round for.
+fn held_share(attempts: &[AttemptSpan]) -> f64 {
+    let fetched = attempts.iter().filter(|c| c.fetched_at.is_some()).count();
+    let held = attempts.iter().filter(|c| overtaken(attempts, c, FETCH));
+    held.count() as f64 / fetched.max(1) as f64
+}
+
 /// `staged_worker_tps` on what `out` measured — the worker's own time per
 /// attempt and under the locks, the share of attempts with participants, of
 /// attempts that aborted and of distributed attempts that waited through a
@@ -1658,4 +1693,60 @@ fn a_crashed_home_finishes_its_deciding_client_and_abandons_the_voting_one() {
     );
     assert_nothing_is_left_behind(&primo, &timeline);
     primo.shutdown();
+}
+
+// ---- (19): a vote round deepens the queue only where it holds a body back ----
+
+#[test]
+fn key_disjoint_2pc_clients_queue_as_deep_as_their_runs_need() {
+    let _quiet = quiet();
+    // Sundial + 2PC with every client distributed over 20 000 uniform keys
+    // a partition, each declaring all of them: a body whose replies are in
+    // runs during the other clients' vote rounds, as their keys are not its
+    // own. A depth rule that charged a vote round for every queued client
+    // that fetched kept one or two of them on the wire, and the worker
+    // waited on it with clients to spare; counting only the bodies a vote
+    // round held back, the queue covers a flight with runs alone.
+    let mut cell = Cell::hot_2pc(300);
+    cell.ycsb = YcsbConfig {
+        keys_per_partition: 20_000,
+        zipf_theta: 0.0,
+        distributed_ratio: 1.0,
+        ..cell.ycsb
+    };
+    eventually("Sundial + COCO + 2PC on 20 000 uniform keys", || {
+        let out = run(&cell);
+        let attempts = attempts(&out.timeline);
+        let fanouts = fanouts(&out.timeline);
+        ensure(fanouts.len() > 50, || {
+            format!("only {} fan-outs taken up", fanouts.len())
+        })?;
+        // A client costs its worker its attempt's own time — body, certify,
+        // release: the span less its rounds — and its take-up (generate and
+        // send, outside the spans; no more than as much again): the runs
+        // behind the head cover a flight at a depth of flight / (2 x own).
+        let flight = median(fanouts.iter().map(|f| f.flight_us));
+        let own = mean(attempts.iter().map(AttemptSpan::own_us));
+        let (depth, runs_alone) = (typical_depth(&fanouts), flight as f64 / (2.0 * own));
+        let distributed: Vec<_> = attempts.iter().filter(|c| c.participants > 0).collect();
+        let refused = (distributed.iter())
+            .filter(|c| overtaken(&attempts, c, FETCH) || overtaken(&attempts, c, VOTES));
+        let refused = refused.count() as f64 / distributed.len().max(1) as f64;
+        // (a) Conflicts are rare: few distributed attempts waited for a
+        // conflicting one, at their body or at their certify.
+        ensure(refused <= 0.05, || {
+            format!("{refused:.2} of the distributed attempts waited for a conflicting one")
+        })?;
+        // (b) The queue is as deep as those runs need: the vote rounds, which
+        // hold nothing back, add nothing. (Charged for every fetched client,
+        // a round trip's vote round covers a flight by itself: depth 1.)
+        ensure(depth as f64 >= runs_alone, || {
+            format!(
+                "typical depth {depth}: runs of {own:.0} us and their take-up cover a {flight} \
+                 us flight at {runs_alone:.1} (a vote round held back {:.2} of the fetched \
+                 bodies)",
+                held_share(&attempts)
+            )
+        })
+    });
 }
