@@ -151,10 +151,14 @@ impl CocoCommit {
     fn coordinator_loop(self: &Arc<Self>) {
         let mut rng = FastRng::new(0xC0C0);
         let epoch_us = self.cfg.interval_ms * 1000;
+        // An epoch's window runs from the instant the gate (re)opens, so
+        // whatever the coordinator does after reopening it does not
+        // lengthen the next epoch.
+        let mut opened_at = now_us();
         // Both waits below park until their deadline; `shutdown` unparks.
         loop {
             // 1. Epoch execution window.
-            if !park_until(now_us() + epoch_us, &self.stop) {
+            if !park_until(opened_at + epoch_us, &self.stop) {
                 break;
             }
             let epoch = self.epoch.load(Ordering::Acquire);
@@ -202,12 +206,13 @@ impl CocoCommit {
             park_until(now_us() + sync_us, &self.stop);
 
             // 5. Commit (or abort) the epoch and reopen the gate.
-            {
+            let sealed = {
                 let mut st = self.state.lock();
-                if st.crash_pending {
+                let sealed = if st.crash_pending {
                     st.aborted.insert(epoch);
                     st.crash_pending = false;
                     self.tracker.doom_epoch(epoch);
+                    None
                 } else {
                     st.committed = epoch;
                     // The epoch's commits are quorum-durable and sealed:
@@ -222,14 +227,20 @@ impl CocoCommit {
                     for wal in &self.wals {
                         wal.append(LogPayload::EpochBoundary { epoch });
                     }
-                    if let Some(rec) = self.recorder.get() {
-                        rec.emit(None, None, TraceEventKind::EpochSealed { epoch });
-                    }
-                }
+                    Some(now_us())
+                };
                 st.active.remove(&epoch);
                 st.gate_open = true;
                 self.epoch.store(epoch + 1, Ordering::Release);
                 self.cond.notify_all();
+                sealed
+            };
+            opened_at = now_us();
+            // Recorded with the gate open: the coordinator thread's first
+            // event allocates its trace ring, which must hold up no worker
+            // and no epoch.
+            if let (Some(at_us), Some(rec)) = (sealed, self.recorder.get()) {
+                rec.emit_at(at_us, None, None, TraceEventKind::EpochSealed { epoch });
             }
         }
         // Unblock anyone still waiting.
