@@ -49,7 +49,7 @@
 //! Little's law on what the worker measures (`Pace`), not a setting: the
 //! runs of the queued clients behind the head, plus a vote round for each
 //! one that fetched times the share of such bodies a voting client held
-//! back, must cover a flight.
+//! back (or that touched a key they had not declared), must cover a flight.
 
 use crate::access::AccessSet;
 use crate::cluster::Cluster;
@@ -118,8 +118,8 @@ struct Prepared {
     /// The back-off level its next retryable abort waits out.
     backoff_us: u64,
     /// Its replies were back and a voting client kept its body waiting —
-    /// the only thing that refuses a client that fetched. Marked by the scan
-    /// for the next body to run, taken when its body runs.
+    /// the only thing that refuses a client that fetched. Marked by every
+    /// scan for the next body to run, taken when its body runs.
     held: Cell<bool>,
 }
 
@@ -163,8 +163,10 @@ struct Pace {
     /// An EWMA like `service_ns`; 0 where no attempt is ever put aside.
     voting_ns: u64,
     /// The share of the bodies of clients that fetched which a voting client
-    /// held back, their replies in ([`Prepared::held`]): an EWMA like
-    /// `service_ns`, one sample per such body. It starts at 1 — every one
+    /// held back, their replies in ([`Prepared::held`]), or which touched a
+    /// key they had not declared — the scan could not have held those back
+    /// for it, so they count as held: an EWMA like `service_ns`, one sample
+    /// per such body that reaches its vote round. It starts at 1 — every one
     /// — and is not sampled while `voting_ns` is 0.
     held_share: f64,
     /// How long the last fan-out sent spends on the wire, nanoseconds.
@@ -191,13 +193,15 @@ impl Pace {
     /// client holds back (the measured share of them) keep the body behind
     /// them waiting for a vote round as well: `(queued - 1) × service +
     /// fetched × held_share × voting`. A body whose declared keys miss the
-    /// voters' runs at once and adds nothing. While all that does not cover
-    /// a flight the worker would end up waiting on the wire, and takes up
-    /// another client instead. The rule shrinks the queue as readily as it
-    /// grows it: when runs get longer (the 2PC rounds of attempts that hold
-    /// locks throughout) or vote rounds hold more bodies back, fewer clients
-    /// cover the same flight, and every client queued beyond need only adds
-    /// its wait to its latency.
+    /// voters' runs at once and adds nothing, where the declaration covers
+    /// the body's keys (YCSB's); a partial one (TPC-C's) or none keeps the
+    /// share at 1, the round charged for every fetched client. While all
+    /// that does not cover a flight the worker would end up waiting on the
+    /// wire, and takes up another client instead. The rule shrinks the queue
+    /// as readily as it grows it: when runs get longer (the 2PC rounds of
+    /// attempts that hold locks throughout) or vote rounds hold more bodies
+    /// back, fewer clients cover the same flight, and every client queued
+    /// beyond need only adds its wait to its latency.
     fn wants_another(&self, queued: usize, fetched: usize) -> bool {
         let behind_head = queued.saturating_sub(1) as u64;
         let runs_ns = behind_head.saturating_mul(self.service_ns);
@@ -208,8 +212,9 @@ impl Pace {
         runs_ns.saturating_add(held_ns) < self.flight_ns
     }
 
-    /// The body of a client that fetched runs; a voting client `held` it
-    /// back with its replies in, or not.
+    /// The body of a client that fetched has run to its vote round: `held`
+    /// if a voting client held it back with its replies in, or it touched a
+    /// key it had not declared.
     fn started(&mut self, held: bool) {
         if self.voting_ns > 0 {
             self.held_share += (f64::from(u8::from(held)) - self.held_share) / 8.0;
@@ -607,13 +612,18 @@ impl<'a> Worker<'a> {
         let txn = *(client.txn).get_or_insert_with(|| ctx.cluster.next_txn_id(ctx.home));
         client.attempts += 1;
         let sent = std::mem::take(&mut client.fanout);
-        if sent.flight_us() > 0 {
-            self.pace.started(client.held.take());
-        }
+        let (fetched, held) = (sent.flight_us() > 0, client.held.take());
         let (program, attempts) = (client.program.as_ref(), client.attempts as u32);
         let slowdown_us = ctx.cluster.partition(ctx.home).slowdown_us();
         match (ctx.attempt()).begin(program, txn, attempts, sent, slowdown_us) {
             Step::Waiting(attempt) if !attempt.holds_locks() => {
+                // A key its declaration missed was never checked against the
+                // voters': the scan could not hold it back for one, so it
+                // counts as held.
+                if fetched {
+                    let missed = (attempt.access().keys()).any(|k| !client.declared.contains(&k));
+                    self.pace.started(held || missed);
+                }
                 self.voting.push_back(Suspended { client, attempt });
             }
             step => {
@@ -785,16 +795,18 @@ impl<'a> Worker<'a> {
         let full = self.population() >= MAX_PENDING_COMMITS;
 
         // The oldest queued client whose replies are back and who may run its
-        // body now ([`Worker::may_start`]). One that fetched and is refused on
-        // the way is held back by a voting client — nothing else refuses it —
-        // and is counted as such when its body runs ([`Pace::started`]).
-        let ready = (self.queued.iter()).position(|c| {
+        // body now ([`Worker::may_start`]). Every one that fetched and is
+        // refused, before that one or behind it, is held back by a voting
+        // client — nothing else refuses it — and is counted as such when its
+        // body runs ([`Pace::started`]).
+        let mut ready = None;
+        for (i, c) in self.queued.iter().enumerate() {
             let back = c.fanout.ready_at_us() <= now;
             let starts = back && self.may_start(c);
-            let held = back && !starts && c.fanout.flight_us() > 0 && !self.voting.is_empty();
-            c.held.set(c.held.get() || held);
-            starts
-        });
+            let refused = back && !starts && c.fanout.flight_us() > 0;
+            c.held.set(c.held.get() || refused);
+            ready = ready.or(starts.then_some(i));
+        }
 
         // Put a client on the wire or run the oldest queued one that is
         // ready. On the wire goes a parked client whose back-off is over —
