@@ -512,6 +512,259 @@ mod tests {
         let _ = Experiment::new().protocol_named("Calvin");
     }
 
+    use crate::facade::{ClusterBuilder, Primo};
+    use primo_common::config::{NetConfig, PrimoConfig, TraceConfig, WalConfig};
+
+    /// The cluster and protocol name a facade chain assembles.
+    fn built(b: ClusterBuilder) -> (ClusterConfig, &'static str) {
+        let primo = b.build();
+        let out = (primo.cluster().config.clone(), primo.protocol().name());
+        primo.shutdown();
+        out
+    }
+
+    /// The cluster and protocol name an experiment chain runs with.
+    fn planned(mut e: Experiment) -> (ClusterConfig, &'static str) {
+        (e.cluster_config(), e.registry.build(e.kind).name())
+    }
+
+    /// §6.1's cluster at §6.2's unified 20 ms interval.
+    fn paper() -> ClusterConfig {
+        ClusterConfig {
+            num_partitions: 4,
+            workers_per_partition: 4,
+            net: NetConfig {
+                one_way_us: 100,
+                jitter_us: 10,
+                control_msg_extra_us: 0,
+            },
+            wal: WalConfig {
+                scheme: LoggingScheme::Watermark,
+                interval_ms: 20,
+                persist_delay_us: 500,
+                force_update: true,
+                replication_factor: 1,
+                replica_persist_delay_us: None,
+                unsafe_latest_commit_horizon: false,
+            },
+            primo: PrimoConfig {
+                read_heavy_fallback: None,
+                read_only_snapshot: true,
+                max_versions: 4,
+            },
+            trace: TraceConfig {
+                enabled: true,
+                ring_capacity: 4096,
+                trace_messages: false,
+            },
+            commit_mode: CommitMode::TwoPc,
+            backoff_initial_us: 500,
+            backoff_max_us: 8_000,
+            aria_batch_size: 32,
+            batch_remote_reads: true,
+            seed: 0x5EED,
+        }
+    }
+
+    /// `fast_local`'s timing on `n` partitions.
+    fn local(n: usize) -> ClusterConfig {
+        ClusterConfig {
+            num_partitions: n,
+            workers_per_partition: 2,
+            net: NetConfig {
+                one_way_us: 5,
+                jitter_us: 0,
+                control_msg_extra_us: 0,
+            },
+            wal: WalConfig {
+                scheme: LoggingScheme::Watermark,
+                interval_ms: 1,
+                persist_delay_us: 50,
+                force_update: true,
+                replication_factor: 1,
+                replica_persist_delay_us: None,
+                unsafe_latest_commit_horizon: false,
+            },
+            primo: PrimoConfig {
+                read_heavy_fallback: None,
+                read_only_snapshot: true,
+                max_versions: 4,
+            },
+            trace: TraceConfig {
+                enabled: true,
+                ring_capacity: 512,
+                trace_messages: false,
+            },
+            commit_mode: CommitMode::TwoPc,
+            backoff_initial_us: 20,
+            backoff_max_us: 500,
+            aria_batch_size: 8,
+            batch_remote_reads: true,
+            seed: 0x5EED,
+        }
+    }
+
+    /// Every builder chain the repository uses assembles exactly this
+    /// cluster and protocol.
+    #[test]
+    fn every_builder_chain_assembles_a_pinned_cluster() {
+        // The benchmark's `WorkloadKind::cluster`.
+        let bench = |kind, rf| {
+            built(
+                Primo::builder()
+                    .partitions(2)
+                    .workers_per_partition(1)
+                    .protocol(kind)
+                    .wal_interval_ms(20)
+                    .replication_factor(rf)
+                    .seed(7),
+            )
+        };
+        let mut want = ClusterConfig {
+            num_partitions: 2,
+            workers_per_partition: 1,
+            seed: 7,
+            ..paper()
+        };
+        want.wal.replication_factor = 3;
+        assert_eq!(bench(ProtocolKind::Primo, 3), (want.clone(), "Primo"));
+        want.wal.replication_factor = 1;
+        assert_eq!(bench(ProtocolKind::Primo, 1), (want.clone(), "Primo"));
+        want.wal.scheme = LoggingScheme::CocoEpoch;
+        assert_eq!(bench(ProtocolKind::Sundial, 1), (want, "Sundial"));
+
+        // Experiment defaults, and `fast_local` at the test scale.
+        assert_eq!(planned(Experiment::new()), (paper(), "Primo"));
+        assert_eq!(
+            planned(Experiment::new().scale(Scale::test()).fast_local()),
+            (local(2), "Primo")
+        );
+
+        // Each kind with its §6.1.3 group commit.
+        for (kind, scheme, name) in [
+            (
+                ProtocolKind::TwoPlNoWait,
+                LoggingScheme::CocoEpoch,
+                "2PL(NW)",
+            ),
+            (
+                ProtocolKind::TwoPlWaitDie,
+                LoggingScheme::CocoEpoch,
+                "2PL(WD)",
+            ),
+            (ProtocolKind::Silo, LoggingScheme::CocoEpoch, "Silo"),
+            (ProtocolKind::Sundial, LoggingScheme::CocoEpoch, "Sundial"),
+            (ProtocolKind::Aria, LoggingScheme::Watermark, "Aria"),
+            (ProtocolKind::Tapir, LoggingScheme::Watermark, "TAPIR"),
+            (ProtocolKind::Primo, LoggingScheme::Watermark, "Primo"),
+            (
+                ProtocolKind::PrimoNoWm,
+                LoggingScheme::CocoEpoch,
+                "Primo w/o WM",
+            ),
+            (
+                ProtocolKind::PrimoNoWcfNoWm,
+                LoggingScheme::CocoEpoch,
+                "Primo w/o WM & WCF",
+            ),
+        ] {
+            let mut want = local(4);
+            want.wal.scheme = scheme;
+            assert_eq!(
+                built(Primo::builder().protocol(kind).fast_local()),
+                (want, name)
+            );
+        }
+
+        // `.logging`, `.commit_mode` and `.replication_factor`.
+        let mut want = paper();
+        want.wal.scheme = LoggingScheme::Clv;
+        assert_eq!(
+            planned(
+                Experiment::new()
+                    .protocol(ProtocolKind::Silo)
+                    .logging(LoggingScheme::Clv)
+            ),
+            (want, "Silo")
+        );
+        let mut want = paper();
+        want.wal.scheme = LoggingScheme::CocoEpoch;
+        want.wal.replication_factor = 3;
+        want.commit_mode = CommitMode::PaxosCommit;
+        assert_eq!(
+            planned(
+                Experiment::new()
+                    .protocol(ProtocolKind::TwoPlNoWait)
+                    .commit_mode(CommitMode::PaxosCommit)
+                    .replication_factor(3)
+            ),
+            (want, "2PL(NW)")
+        );
+        let mut want = local(1);
+        want.wal.replication_factor = 3;
+        want.wal.replica_persist_delay_us = Some(75);
+        want.commit_mode = CommitMode::PaxosCommit;
+        assert_eq!(
+            built(
+                Primo::builder()
+                    .partitions(1)
+                    .fast_local()
+                    .commit_mode(CommitMode::PaxosCommit)
+                    .replication_factor(3)
+                    .replica_persist_delay_us(75)
+            ),
+            (want, "Primo")
+        );
+        // A zero factor is clamped to the single-copy minimum.
+        assert_eq!(
+            built(Primo::builder().fast_local().replication_factor(0)),
+            (local(4), "Primo")
+        );
+
+        // `.wal_interval_ms` before and after `fast_local`.
+        let mut want = local(4);
+        want.wal.interval_ms = 7;
+        assert_eq!(
+            built(Primo::builder().wal_interval_ms(7).fast_local()),
+            (want.clone(), "Primo")
+        );
+        assert_eq!(
+            built(Primo::builder().fast_local().wal_interval_ms(7)),
+            (want, "Primo")
+        );
+
+        // `.tweak` runs last.
+        let mut want = local(3);
+        want.workers_per_partition = 1;
+        want.backoff_initial_us = 77;
+        want.wal.interval_ms = 5;
+        assert_eq!(
+            built(
+                Primo::builder()
+                    .protocol(ProtocolKind::Aria)
+                    .tweak(|c| c.backoff_initial_us = 77)
+                    .wal_interval_ms(9)
+                    .tweak(|c| c.wal.interval_ms = 5)
+                    .partitions(3)
+                    .workers_per_partition(1)
+                    .fast_local()
+            ),
+            (want, "Aria")
+        );
+        let mut want = paper();
+        want.wal.force_update = false;
+        want.primo.read_only_snapshot = false;
+        assert_eq!(
+            planned(
+                Experiment::new()
+                    .logging(LoggingScheme::Watermark)
+                    .tweak_cluster(|c| c.wal.force_update = false)
+                    .tweak_cluster(|c| c.primo.read_only_snapshot = false)
+            ),
+            (want, "Primo")
+        );
+    }
+
     #[test]
     fn quick_scale_end_to_end_smoke() {
         // A tiny end-to-end run: Primo on a shrunken YCSB must commit
