@@ -52,8 +52,8 @@
 use primo_bench::Scale;
 use primo_repro::wal::{LogPayload, LoggedWrite, ReplicatedLog};
 use primo_repro::{
-    CommitMode, Experiment, FlightRecorder, LoggingScheme, PartitionId, ProtocolKind, TableId,
-    Value, WalConfig,
+    CommitMode, FlightRecorder, LoggingScheme, PartitionId, Primo, ProtocolKind, TableId, Value,
+    WalConfig,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -177,14 +177,15 @@ fn write_heavy_snapshot(
     scale: &Scale,
     recording: bool,
 ) -> primo_repro::MetricsSnapshot {
-    Experiment::new()
+    Primo::builder()
         .protocol(kind)
         .logging(scheme)
-        .scale(*scale)
         .replication_factor(REPLICATION_FACTOR)
+        .tweak(move |c| c.trace.enabled = recording)
+        .experiment()
+        .scale(*scale)
         .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
         .ycsb_with(|y| y.read_ratio = READ_RATIO)
-        .tweak_cluster(move |c| c.trace.enabled = recording)
         .run()
 }
 
@@ -296,11 +297,12 @@ struct CommitCell {
 }
 
 fn run_commit_cell(kind: ProtocolKind, mode: CommitMode, scale: &Scale) -> CommitCell {
-    let snap = Experiment::new()
+    let snap = Primo::builder()
         .protocol(kind)
         .commit_mode(mode)
-        .scale(*scale)
         .replication_factor(REPLICATION_FACTOR)
+        .experiment()
+        .scale(*scale)
         .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
         .ycsb_with(|y| y.read_ratio = READ_RATIO)
         .run();
@@ -335,10 +337,15 @@ fn run_remote_read_cell(
     batched: bool,
     scale: &Scale,
 ) -> RemoteReadCell {
-    let snap = Experiment::new()
+    let snap = Primo::builder()
         .protocol(kind)
-        .scale(*scale)
         .replication_factor(REPLICATION_FACTOR)
+        .tweak(move |c| {
+            c.net.one_way_us = one_way_us;
+            c.batch_remote_reads = batched;
+        })
+        .experiment()
+        .scale(*scale)
         .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
         .ycsb_with(|y| {
             y.read_ratio = READ_RATIO;
@@ -346,10 +353,6 @@ fn run_remote_read_cell(
             // worst case for per-record round trips, the best for batching.
             y.distributed_ratio = 1.0;
             y.remote_op_ratio = 1.0;
-        })
-        .tweak_cluster(move |c| {
-            c.net.one_way_us = one_way_us;
-            c.batch_remote_reads = batched;
         })
         .run();
     RemoteReadCell {

@@ -6,24 +6,15 @@
 //! which protocol wins, by roughly what factor, where crossovers happen — are
 //! what to compare with the paper's figures. Nothing checks them yet.
 //!
-//! All runs go through [`Experiment`], so a figure is exactly "a loop over
-//! protocol kinds and one swept knob".
+//! All runs go through a `Primo::builder()` turned into an [`Experiment`],
+//! so a figure is exactly "a loop over protocol kinds and one swept knob".
 
 use primo_repro::core::analysis::{self, ModelParams};
 use primo_repro::{
-    CommitMode, CrashPlan, Experiment, LoggingScheme, MetricsSnapshot, PartitionId, Phase,
+    CommitMode, CrashPlan, Experiment, LoggingScheme, MetricsSnapshot, PartitionId, Phase, Primo,
     ProtocolKind, Scale,
 };
 use std::time::Duration;
-
-const HEADLINE: [ProtocolKind; 6] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Primo,
-];
 
 fn header(title: &str) {
     println!();
@@ -106,18 +97,19 @@ fn print_breakdown(label: &str, snap: &MetricsSnapshot) {
     println!("{label:<22} {parts}({covered} txns, {skipped} skipped)");
 }
 
+/// A run of one protocol's default cluster at one scale.
+fn experiment(kind: ProtocolKind, scale: &Scale) -> Experiment {
+    Primo::builder().protocol(kind).experiment().scale(*scale)
+}
+
 /// Default-setting YCSB run for one protocol at one scale.
 fn ycsb(kind: ProtocolKind, scale: &Scale) -> MetricsSnapshot {
-    Experiment::new().protocol(kind).scale(*scale).run()
+    experiment(kind, scale).run()
 }
 
 /// Default-setting TPC-C run for one protocol at one scale.
 fn tpcc(kind: ProtocolKind, scale: &Scale) -> MetricsSnapshot {
-    Experiment::new()
-        .protocol(kind)
-        .scale(*scale)
-        .tpcc_with(|_| {})
-        .run()
+    experiment(kind, scale).tpcc_with(|_| {}).run()
 }
 
 /// Fig. 4: YCSB default setting — throughput, factor breakdown, latency
@@ -125,7 +117,7 @@ fn tpcc(kind: ProtocolKind, scale: &Scale) -> MetricsSnapshot {
 pub fn fig4(scale: &Scale) {
     header("Fig 4a: YCSB throughput (default setting)");
     let mut snaps = Vec::new();
-    for kind in HEADLINE {
+    for kind in ProtocolKind::HEADLINE {
         let snap = ycsb(kind, scale);
         print_row(kind.label(), &snap);
         snaps.push((kind, snap));
@@ -181,7 +173,7 @@ pub fn fig4(scale: &Scale) {
 pub fn fig5(scale: &Scale) {
     header("Fig 5a: TPC-C throughput (default setting)");
     let mut snaps = Vec::new();
-    for kind in HEADLINE {
+    for kind in ProtocolKind::HEADLINE {
         let snap = tpcc(kind, scale);
         print_row(kind.label(), &snap);
         snaps.push((kind, snap));
@@ -242,13 +234,11 @@ pub fn fig6(scale: &Scale) {
         "protocol",
         skews.map(|s| format!("{s:>8.2}")).join(" ")
     );
-    for kind in HEADLINE {
+    for kind in ProtocolKind::HEADLINE {
         let mut tputs = Vec::new();
         let mut aborts = Vec::new();
         for skew in skews {
-            let snap = Experiment::new()
-                .protocol(kind)
-                .scale(*scale)
+            let snap = experiment(kind, scale)
                 .ycsb_with(move |y| y.zipf_theta = skew)
                 .run();
             tputs.push(format!("{:>8.1}", snap.ktps()));
@@ -275,12 +265,10 @@ pub fn fig7(scale: &Scale) {
                 .map(|r| format!("{:>8}", format!("{}%", (r * 100.0) as u32)))
                 .join(" ")
         );
-        for kind in HEADLINE {
+        for kind in ProtocolKind::HEADLINE {
             let mut row = Vec::new();
             for r in ratios {
-                let snap = Experiment::new()
-                    .protocol(kind)
-                    .scale(*scale)
+                let snap = experiment(kind, scale)
                     .ycsb_with(move |y| {
                         y.zipf_theta = skew;
                         y.distributed_ratio = r;
@@ -308,12 +296,10 @@ pub fn fig8(scale: &Scale) {
                 .map(|w| format!("{:>8}", format!("{}%", (w * 100.0) as u32)))
                 .join(" ")
         );
-        for kind in HEADLINE {
+        for kind in ProtocolKind::HEADLINE {
             let mut row = Vec::new();
             for w in write_pcts {
-                let snap = Experiment::new()
-                    .protocol(kind)
-                    .scale(*scale)
+                let snap = experiment(kind, scale)
                     .ycsb_with(move |y| {
                         y.distributed_ratio = dist;
                         y.read_ratio = 1.0 - w;
@@ -340,9 +326,7 @@ pub fn fig9(scale: &Scale) {
     for kind in [ProtocolKind::Primo, ProtocolKind::Sundial] {
         let mut row = Vec::new();
         for r in ratios {
-            let snap = Experiment::new()
-                .protocol(kind)
-                .scale(*scale)
+            let snap = experiment(kind, scale)
                 .ycsb_with(move |y| y.blind_write_ratio = r)
                 .run();
             row.push(format!("{:>8.1}", snap.ktps()));
@@ -360,12 +344,10 @@ pub fn fig10(scale: &Scale) {
         "protocol",
         warehouses.map(|w| format!("{w:>8}")).join(" ")
     );
-    for kind in HEADLINE {
+    for kind in ProtocolKind::HEADLINE {
         let mut row = Vec::new();
         for w in warehouses {
-            let snap = Experiment::new()
-                .protocol(kind)
-                .scale(*scale)
+            let snap = experiment(kind, scale)
                 .tpcc_with(move |t| t.warehouses_per_partition = w)
                 .run();
             row.push(format!("{:>8.1}", snap.ktps()));
@@ -398,10 +380,11 @@ pub fn fig11(scale: &Scale) {
         for kind in protocols {
             let mut row = Vec::new();
             for scheme in schemes {
-                let exp = Experiment::new()
+                let exp = Primo::builder()
                     .protocol(kind)
-                    .scale(*scale)
-                    .logging(scheme);
+                    .logging(scheme)
+                    .experiment()
+                    .scale(*scale);
                 let exp = if use_tpcc { exp.tpcc_with(|_| {}) } else { exp };
                 row.push(format!("{:>10.1}", exp.run().ktps()));
             }
@@ -437,18 +420,21 @@ pub fn fig12(scale: &Scale) {
     for scheme in [LoggingScheme::Watermark, LoggingScheme::CocoEpoch] {
         for size in sizes_ms {
             let duration_ms = scale.duration_ms.max(3 * size);
-            let snap = Experiment::new()
+            let snap = Primo::builder()
                 .protocol(ProtocolKind::Primo)
-                .scale(*scale)
-                .duration_ms(duration_ms)
+                .logging(scheme)
+                .wal_interval_ms(size)
+                .experiment()
+                .scale(Scale {
+                    duration_ms,
+                    ..*scale
+                })
                 .checkpoint_interval_ms(size.max(duration_ms / 4))
                 .crash(CrashPlan::partition_loss(
                     PartitionId(1),
                     Duration::from_millis(duration_ms / 2),
                     Duration::from_millis(20),
                 ))
-                .logging(scheme)
-                .wal_interval_ms(size)
                 .run();
             println!(
                 "{:<12} {:>10} {:>12.2} {:>14.4} {:>12.1} {:>13.2} {:>10} {:>12} {:>14.1} {:>8} {:>13} {:>13} {:>7.1}",
@@ -489,11 +475,12 @@ pub fn fig12(scale: &Scale) {
         "mode", "ktps", "decisions", "decide-mean(us)", "decide-p99(us)", "in-doubt", "orphaned"
     );
     for mode in [CommitMode::TwoPc, CommitMode::PaxosCommit] {
-        let snap = Experiment::new()
+        let snap = Primo::builder()
             .protocol(ProtocolKind::TwoPlNoWait)
-            .scale(*scale)
             .commit_mode(mode)
             .replication_factor(3)
+            .experiment()
+            .scale(*scale)
             .crash(CrashPlan::coordinator(
                 PartitionId(0),
                 Duration::from_millis(scale.duration_ms / 2),
@@ -537,12 +524,13 @@ pub fn fig13(scale: &Scale) {
         let mut tput = Vec::new();
         let mut lat = Vec::new();
         for d in delays_ms {
-            let snap = Experiment::new()
+            let snap = Primo::builder()
                 .protocol(ProtocolKind::Primo)
+                .logging(scheme)
+                .tweak(move |c| c.wal.force_update = force)
+                .experiment()
                 .scale(*scale)
                 .lag_partition(PartitionId(1), d * 1000)
-                .logging(scheme)
-                .tweak_cluster(move |c| c.wal.force_update = force)
                 .run();
             tput.push(format!("{:>9.1}", snap.ktps()));
             lat.push(format!("{:>9.2}", snap.mean_latency_ms));
@@ -562,12 +550,13 @@ pub fn fig13(scale: &Scale) {
         let mut lat = Vec::new();
         let mut tput = Vec::new();
         for s in slowdowns_us {
-            let snap = Experiment::new()
+            let snap = Primo::builder()
                 .protocol(ProtocolKind::Primo)
+                .logging(LoggingScheme::Watermark)
+                .tweak(move |c| c.wal.force_update = force)
+                .experiment()
                 .scale(*scale)
                 .slow_partition(PartitionId(1), s)
-                .logging(LoggingScheme::Watermark)
-                .tweak_cluster(move |c| c.wal.force_update = force)
                 .run();
             lat.push(format!("{:>9.2}", snap.mean_latency_ms));
             tput.push(format!("{:>9.1}", snap.ktps()));
@@ -591,7 +580,7 @@ pub fn fig14(scale: &Scale) {
             "protocol",
             partition_counts.map(|n| format!("{n:>8}")).join(" ")
         );
-        let mut kinds: Vec<(String, ProtocolKind, Option<LoggingScheme>)> = HEADLINE
+        let mut kinds: Vec<(String, ProtocolKind, Option<LoggingScheme>)> = ProtocolKind::HEADLINE
             .iter()
             .map(|k| (k.label().to_string(), *k, None))
             .collect();
@@ -603,12 +592,11 @@ pub fn fig14(scale: &Scale) {
         for (label, kind, scheme_override) in kinds {
             let mut row = Vec::new();
             for n in partition_counts {
-                let mut exp = Experiment::new()
-                    .protocol(kind)
-                    .scale(scale.with_partitions(n));
+                let mut cluster = Primo::builder().protocol(kind);
                 if let Some(scheme) = scheme_override {
-                    exp = exp.logging(scheme);
+                    cluster = cluster.logging(scheme);
                 }
+                let mut exp = cluster.experiment().scale(scale.with_partitions(n));
                 if use_tpcc {
                     exp = exp.tpcc_with(|_| {});
                 }
@@ -630,9 +618,7 @@ pub fn fig15(scale: &Scale) {
     for (contention, skew) in [("low", 0.0), ("high", 0.9)] {
         for dist in [0.2, 0.8] {
             for kind in [ProtocolKind::Primo, ProtocolKind::Tapir] {
-                let snap = Experiment::new()
-                    .protocol(kind)
-                    .scale(scale.with_workers(1))
+                let snap = experiment(kind, &scale.with_workers(1))
                     .ycsb_with(move |y| {
                         y.zipf_theta = skew;
                         y.distributed_ratio = dist;
@@ -686,12 +672,13 @@ pub fn fig16(scale: &Scale) {
     ] {
         for snapshot_on in [true, false] {
             for r in read_ratios {
-                let snap = Experiment::new()
+                let snap = Primo::builder()
                     .protocol(kind)
+                    .tweak(move |c| c.primo.read_only_snapshot = snapshot_on)
+                    .experiment()
                     .scale(*scale)
                     .checkpoint_interval_ms(scale.duration_ms.max(4) / 4)
                     .ycsb_with(move |y| y.read_ratio = r)
-                    .tweak_cluster(move |c| c.primo.read_only_snapshot = snapshot_on)
                     .run();
                 println!(
                     "{:<30} {:>8.2} {:>10.1} {:>10.2} {:>12.0} {:>10} {:>10} {:>13} {:>7.1}",

@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every figure of the paper's evaluation
 //! (§6) on the simulated cluster, written entirely against the
-//! [`primo_repro`] facade ([`primo_repro::Experiment`],
-//! [`primo_repro::ProtocolRegistry`]).
+//! [`primo_repro`] facade: a [`primo_repro::ClusterBuilder`] turned into a
+//! [`primo_repro::Experiment`].
 //!
 //! Use the `figures` binary:
 //!

@@ -12,11 +12,15 @@
 //! ```
 
 use primo_bench::Scale;
-use primo_repro::{Experiment, MetricsSnapshot, ProtocolKind};
+use primo_repro::{MetricsSnapshot, Primo, ProtocolKind};
 
 fn fully_remote_cell(kind: ProtocolKind, batched: bool) -> MetricsSnapshot {
-    Experiment::new()
+    Primo::builder()
         .protocol(kind)
+        .fast_local()
+        .seed(7)
+        .tweak(move |c| c.batch_remote_reads = batched)
+        .experiment()
         .scale(Scale {
             partitions: 4,
             workers_per_partition: 2,
@@ -24,15 +28,12 @@ fn fully_remote_cell(kind: ProtocolKind, batched: bool) -> MetricsSnapshot {
             duration_ms: 150,
             warmup_ms: 30,
         })
-        .fast_local()
-        .seed(7)
         .ycsb_with(|y| {
             // 10-op transactions, all distributed, every op remote: the
             // acceptance cell from the issue.
             y.distributed_ratio = 1.0;
             y.remote_op_ratio = 1.0;
         })
-        .tweak_cluster(move |c| c.batch_remote_reads = batched)
         .run()
 }
 

@@ -1,8 +1,8 @@
 //! Cluster, protocol and experiment configuration.
 //!
 //! Defaults mirror §6.1 of the paper: 4 partitions, simulated ~200 µs network
-//! round-trip, 10 ms watermark interval / COCO epoch, exponential back-off
-//! starting at 0.5 ms.
+//! round-trip, exponential back-off starting at 0.5 ms — and §6.2's 20 ms
+//! watermark interval / COCO epoch, the one size every protocol shares.
 
 /// Which concurrency-control scheme a protocol uses for its *local* accesses
 /// and validation logic.
@@ -62,16 +62,14 @@ impl ProtocolKind {
     }
 
     /// The five competitors + Primo used in most figures.
-    pub fn headline_set() -> Vec<ProtocolKind> {
-        vec![
-            ProtocolKind::TwoPlNoWait,
-            ProtocolKind::TwoPlWaitDie,
-            ProtocolKind::Silo,
-            ProtocolKind::Sundial,
-            ProtocolKind::Aria,
-            ProtocolKind::Primo,
-        ]
-    }
+    pub const HEADLINE: [ProtocolKind; 6] = [
+        ProtocolKind::TwoPlNoWait,
+        ProtocolKind::TwoPlWaitDie,
+        ProtocolKind::Silo,
+        ProtocolKind::Sundial,
+        ProtocolKind::Aria,
+        ProtocolKind::Primo,
+    ];
 }
 
 /// How a distributed transaction's commit decision is made atomic across its
@@ -186,7 +184,7 @@ impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             scheme: LoggingScheme::Watermark,
-            interval_ms: 10,
+            interval_ms: 20,
             persist_delay_us: 500,
             force_update: true,
             replication_factor: 1,
@@ -342,7 +340,7 @@ mod tests {
     fn default_matches_paper_setup() {
         let c = ClusterConfig::default();
         assert_eq!(c.num_partitions, 4);
-        assert_eq!(c.wal.interval_ms, 10);
+        assert_eq!(c.wal.interval_ms, 20, "§6.2's unified interval");
         assert_eq!(c.backoff_initial_us, 500);
         assert_eq!(c.wal.scheme, LoggingScheme::Watermark);
         assert_eq!(c.wal.replication_factor, 1, "single-copy log by default");
@@ -356,7 +354,7 @@ mod tests {
         assert_eq!(ProtocolKind::TwoPlNoWait.label(), "2PL(NW)");
         assert_eq!(ProtocolKind::Primo.label(), "Primo");
         assert_eq!(LoggingScheme::CocoEpoch.label(), "COCO");
-        assert_eq!(ProtocolKind::headline_set().len(), 6);
+        assert_eq!(ProtocolKind::HEADLINE.len(), 6);
     }
 
     #[test]

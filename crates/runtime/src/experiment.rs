@@ -7,14 +7,15 @@ use crate::cluster::Cluster;
 use crate::protocol::Protocol;
 use crate::txn::Workload;
 use crate::worker::spawn_workers;
-use primo_common::config::ClusterConfig;
 use primo_common::sim_time::now_us;
 use primo_common::{
     ClusterStats, HistogramCounts, Metrics, MetricsSnapshot, PartitionId, Phase, TimelineWindow,
 };
 use primo_trace::{PhaseBreakdown, PhaseFold};
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Nominal length of one live-metrics timeline window. Actual windows carry
@@ -211,17 +212,26 @@ impl Default for ExperimentOptions {
     }
 }
 
-impl ExperimentOptions {
-    pub fn quick() -> Self {
-        ExperimentOptions {
-            warmup: Duration::from_millis(50),
-            duration: Duration::from_millis(300),
-            ..Default::default()
+/// A panic a joined thread raised.
+type Panic = Box<dyn Any + Send>;
+
+/// Join `handle`, keeping the first panic of all the joins in `first`.
+fn join<T>(handle: JoinHandle<T>, first: &mut Option<Panic>) -> Option<T> {
+    match handle.join() {
+        Ok(value) => Some(value),
+        Err(panic) => {
+            first.get_or_insert(panic);
+            None
         }
     }
 }
 
 /// Run one experiment on an existing, already-loaded cluster.
+///
+/// # Panics
+/// If a worker, the sampler or the checkpointer panicked, the run is torn
+/// down as usual (every thread stopped and joined, every crashed partition
+/// recovered) and the first such panic is re-raised.
 pub fn run_on_cluster(
     cluster: &Arc<Cluster>,
     protocol: Arc<dyn Protocol>,
@@ -338,13 +348,14 @@ pub fn run_on_cluster(
     });
     recording.store(false, Ordering::SeqCst);
     sampler_stop.store(true, Ordering::SeqCst);
-    let (timeline, phases) = sampler.join().unwrap_or_default();
+    let mut panic = None;
+    let (timeline, phases) = join(sampler, &mut panic).unwrap_or_default();
     stop.store(true, Ordering::SeqCst);
     for h in handles {
-        let _ = h.join();
+        join(h, &mut panic);
     }
     if let Some(h) = checkpointer {
-        let _ = h.join();
+        join(h, &mut panic);
     }
     // Teardown safety net: whatever is still crashed (a plan that out-lived
     // the window, a crash injected by a facade caller) is recovered now so
@@ -353,6 +364,9 @@ pub fn run_on_cluster(
         if let Some(report) = cluster.recover_partition(p) {
             metrics.record_recovery(report.duration_us, report.replayed_txns as u64);
         }
+    }
+    if let Some(panic) = panic {
+        std::panic::resume_unwind(panic);
     }
     // Every cluster-level counter travels through ClusterStats (no Default):
     // adding a field there forces this literal — and therefore the figures —
@@ -390,29 +404,13 @@ pub fn run_on_cluster(
     snap
 }
 
-/// Build a fresh cluster for `config`, load `workload` into it, run the
-/// experiment and shut the cluster down.
-pub fn run_experiment(
-    config: ClusterConfig,
-    protocol: Arc<dyn Protocol>,
-    workload: Arc<dyn Workload>,
-    options: &ExperimentOptions,
-) -> MetricsSnapshot {
-    let cluster = Cluster::new(config);
-    for p in cluster.partition_ids() {
-        workload.load_partition(&cluster.partition(p).store, p);
-    }
-    let snap = run_on_cluster(&cluster, protocol, workload, options);
-    cluster.shutdown();
-    snap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::Step;
     use crate::protocol::CommittedTxn;
     use crate::txn::{TxnContext, TxnProgram};
+    use primo_common::config::ClusterConfig;
     use primo_common::{FastRng, Key, TableId, TxnResult, Value};
     use primo_storage::PartitionStore;
     use primo_wal::TxnTicket;
@@ -509,37 +507,103 @@ mod tests {
         }
     }
 
-    #[test]
-    fn experiment_driver_produces_throughput() {
-        let snap = run_experiment(
-            ClusterConfig::for_tests(2),
+    /// Panics in every transaction it runs.
+    struct PanickingWorkload;
+
+    impl Workload for PanickingWorkload {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+        fn load_partition(&self, _store: &PartitionStore, _p: PartitionId) {}
+        fn generate(&self, _rng: &mut FastRng, home: PartitionId) -> Box<dyn TxnProgram> {
+            Box::new(crate::txn::ClosureProgram::new(home, |_| {
+                panic!("the program panicked")
+            }))
+        }
+    }
+
+    /// A cluster of `n` partitions with the counter keys loaded.
+    fn loaded(n: usize) -> Arc<Cluster> {
+        let cluster = Cluster::new(ClusterConfig::for_tests(n));
+        for p in cluster.partition_ids() {
+            CounterWorkload.load_partition(&cluster.partition(p).store, p);
+        }
+        cluster
+    }
+
+    fn run_counter(cluster: &Arc<Cluster>, options: &ExperimentOptions) -> MetricsSnapshot {
+        run_on_cluster(
+            cluster,
             Arc::new(CounterProtocol),
             Arc::new(CounterWorkload),
-            &ExperimentOptions::quick(),
+            options,
+        )
+    }
+
+    #[test]
+    fn experiment_driver_produces_throughput() {
+        let cluster = loaded(2);
+        let snap = run_counter(
+            &cluster,
+            &ExperimentOptions {
+                warmup: Duration::from_millis(50),
+                duration: Duration::from_millis(300),
+                ..Default::default()
+            },
         );
+        cluster.shutdown();
         assert!(snap.committed > 0, "no transactions committed");
         assert!(snap.throughput_tps > 0.0);
         assert!(snap.mean_latency_ms >= 0.0);
     }
 
     #[test]
-    fn crash_plan_is_survivable() {
-        let opts = ExperimentOptions {
-            warmup: Duration::from_millis(20),
-            duration: Duration::from_millis(300),
+    fn a_panicking_program_reaches_the_caller_after_teardown() {
+        let cluster = loaded(2);
+        let options = ExperimentOptions {
+            warmup: Duration::from_millis(10),
+            duration: Duration::from_millis(60),
             crash: Some(CrashPlan::partition_loss(
                 PartitionId(1),
-                Duration::from_millis(100),
-                Duration::from_millis(50),
+                Duration::from_millis(20),
+                Duration::from_secs(3600),
             )),
             ..Default::default()
         };
-        let snap = run_experiment(
-            ClusterConfig::for_tests(2),
-            Arc::new(CounterProtocol),
-            Arc::new(CounterWorkload),
-            &opts,
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_on_cluster(
+                &cluster,
+                Arc::new(CounterProtocol),
+                Arc::new(PanickingWorkload),
+                &options,
+            )
+        }))
+        .expect_err("a worker's panic is re-raised");
+        assert!(
+            cluster.crashed_partitions().is_empty(),
+            "the run was torn down before the panic was re-raised"
         );
+        cluster.shutdown();
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"the program panicked"));
+    }
+
+    #[test]
+    fn crash_plan_is_survivable() {
+        let cluster = loaded(2);
+        let snap = run_counter(
+            &cluster,
+            &ExperimentOptions {
+                warmup: Duration::from_millis(20),
+                duration: Duration::from_millis(300),
+                crash: Some(CrashPlan::partition_loss(
+                    PartitionId(1),
+                    Duration::from_millis(100),
+                    Duration::from_millis(50),
+                )),
+                ..Default::default()
+            },
+        );
+        cluster.shutdown();
         assert!(snap.committed > 0);
         assert!(snap.recovery_time_us > 0, "real recovery ran");
         assert!(snap.post_recovery_tps > 0.0, "throughput resumed after it");
@@ -550,11 +614,7 @@ mod tests {
         // recover_after extends far past the measurement window: the driver
         // clamps it, recovery still runs, and the cluster comes back with no
         // crashed partition.
-        let cluster = Cluster::new(ClusterConfig::for_tests(2));
-        let workload = CounterWorkload;
-        for p in cluster.partition_ids() {
-            crate::txn::Workload::load_partition(&workload, &cluster.partition(p).store, p);
-        }
+        let cluster = loaded(2);
         let opts = ExperimentOptions {
             warmup: Duration::from_millis(10),
             duration: Duration::from_millis(120),
@@ -565,12 +625,7 @@ mod tests {
             )),
             ..Default::default()
         };
-        let snap = run_on_cluster(
-            &cluster,
-            Arc::new(CounterProtocol),
-            Arc::new(CounterWorkload),
-            &opts,
-        );
+        let snap = run_counter(&cluster, &opts);
         assert!(snap.recovery_time_us > 0);
         assert!(
             cluster.crashed_partitions().is_empty(),
@@ -581,23 +636,14 @@ mod tests {
 
     #[test]
     fn periodic_checkpoints_run_during_the_experiment() {
-        let cluster = Cluster::new(ClusterConfig::for_tests(1));
-        let workload = CounterWorkload;
-        for p in cluster.partition_ids() {
-            crate::txn::Workload::load_partition(&workload, &cluster.partition(p).store, p);
-        }
+        let cluster = loaded(1);
         let opts = ExperimentOptions {
             warmup: Duration::from_millis(10),
             duration: Duration::from_millis(150),
             checkpoint_interval: Some(Duration::from_millis(30)),
             ..Default::default()
         };
-        let snap = run_on_cluster(
-            &cluster,
-            Arc::new(CounterProtocol),
-            Arc::new(CounterWorkload),
-            &opts,
-        );
+        let snap = run_counter(&cluster, &opts);
         assert!(snap.committed > 0);
         // Base checkpoint + at least one periodic fold.
         let (_, image) = cluster

@@ -28,7 +28,7 @@ pub use cluster::{Cluster, Partition};
 pub use commit::{AtomicCommit, ClassicTwoPc, PaxosCommit, PrepareOutcome, PreparedAt};
 pub use context::{AccessCtx, ReadPolicy};
 pub use durability::log_txn_writes;
-pub use experiment::{run_experiment, run_on_cluster, CrashPlan, ExperimentOptions};
+pub use experiment::{run_on_cluster, CrashPlan, ExperimentOptions};
 pub use prefetch::{Footprint, PrefetchOutcome, ReadFanout};
 pub use protocol::{CommittedTxn, Protocol};
 pub use snapshot::{execute_snapshot, SnapshotOutcome, SnapshotSession};

@@ -18,8 +18,8 @@
 //! Run with: `cargo run --release --example crash_recovery`
 
 use primo_repro::{
-    ClosureProgram, CommitMode, CrashPlan, Experiment, PartitionId, Primo, ProtocolKind, Scale,
-    TableId, TraceEventKind, Value,
+    ClosureProgram, CommitMode, CrashPlan, PartitionId, Primo, ProtocolKind, Scale, TableId,
+    TraceEventKind, Value,
 };
 use std::time::Duration;
 
@@ -33,14 +33,15 @@ fn main() {
     };
 
     for interval_ms in [10u64, 40, 80] {
-        let snap = Experiment::new()
+        let snap = Primo::builder()
             .protocol(ProtocolKind::Primo)
-            .scale(scale)
             .wal_interval_ms(interval_ms)
             // Three log replicas per partition: durability means a majority
             // quorum persisted the record, so the crash below survives disk
             // loss — and the quorum-ack delay shows up as replication lag.
             .replication_factor(3)
+            .experiment()
+            .scale(scale)
             .checkpoint_interval_ms(150)
             .crash(CrashPlan::partition_loss(
                 PartitionId(1),
@@ -100,11 +101,12 @@ fn main() {
 fn coordinator_crash(scale: &Scale) {
     println!();
     for mode in [CommitMode::TwoPc, CommitMode::PaxosCommit] {
-        let snap = Experiment::new()
+        let snap = Primo::builder()
             .protocol(ProtocolKind::TwoPlNoWait)
-            .scale(*scale)
             .commit_mode(mode)
             .replication_factor(3)
+            .experiment()
+            .scale(*scale)
             .crash(CrashPlan::coordinator(
                 PartitionId(0),
                 Duration::from_millis(scale.duration_ms / 2),

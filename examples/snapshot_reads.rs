@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example snapshot_reads`
 
-use primo_repro::{Experiment, ProtocolKind, Scale};
+use primo_repro::{Primo, ProtocolKind, Scale};
 
 fn main() {
     let scale = Scale {
@@ -29,12 +29,13 @@ fn main() {
         "mode", "ktps", "p99 lat ms", "snap reads/s", "snap reads", "pruned"
     );
     for snapshot_on in [true, false] {
-        let snap = Experiment::new()
+        let snap = Primo::builder()
             .protocol(ProtocolKind::Primo)
+            .tweak(move |c| c.primo.read_only_snapshot = snapshot_on)
+            .experiment()
             .scale(scale)
             .checkpoint_interval_ms(100)
             .ycsb_with(|y| y.read_ratio = 0.95)
-            .tweak_cluster(move |c| c.primo.read_only_snapshot = snapshot_on)
             .run();
         println!(
             "{:<22} {:>10.1} {:>12.2} {:>14.0} {:>12} {:>10}",

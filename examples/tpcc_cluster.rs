@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example tpcc_cluster`
 
-use primo_repro::{Experiment, Phase, ProtocolKind, Scale};
+use primo_repro::{Phase, Primo, ProtocolKind, Scale};
 
 fn main() {
     let scale = Scale {
@@ -24,8 +24,9 @@ fn main() {
         "TPC-C: {} partitions x {} warehouses, NewOrder/Payment mix",
         scale.partitions, tpcc.warehouses_per_partition
     );
-    let snap = Experiment::new()
+    let snap = Primo::builder()
         .protocol(ProtocolKind::Primo)
+        .experiment()
         .scale(scale)
         .tpcc(tpcc)
         .run();

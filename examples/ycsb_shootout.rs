@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example ycsb_shootout`
 
-use primo_repro::{Experiment, ProtocolKind, Scale};
+use primo_repro::{Primo, ProtocolKind, Scale};
 
 fn main() {
     let scale = Scale {
@@ -34,8 +34,8 @@ fn main() {
         "hit rate",
         "dist p99 ms"
     );
-    // Each protocol runs with the group-commit scheme the registry pairs it
-    // with (§6.1.3): Primo on Watermark, the baselines on COCO. Fully
+    // Each protocol runs with the group-commit scheme the cluster builder
+    // pairs it with (§6.1.3): Primo on Watermark, the baselines on COCO. Fully
     // read-only transactions (all 10 ops draw "read") commit through the
     // MVCC snapshot path — the snap-reads column counts them. The last three
     // columns show the remote-read economics: round trips charged per
@@ -46,7 +46,11 @@ fn main() {
         ProtocolKind::Sundial,
         ProtocolKind::TwoPlNoWait,
     ] {
-        let snap = Experiment::new().protocol(kind).scale(scale).run();
+        let snap = Primo::builder()
+            .protocol(kind)
+            .experiment()
+            .scale(scale)
+            .run();
         println!(
             "{:<12} {:>12.1} {:>12.3} {:>12.2} {:>12.2} {:>12} {:>12.2} {:>9.1}% {:>12.2}",
             kind.label(),

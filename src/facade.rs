@@ -35,11 +35,11 @@
 //! primo.shutdown();
 //! ```
 
-use crate::registry::ProtocolRegistry;
+use primo_baselines::{AriaProtocol, SiloProtocol, SundialProtocol, TapirProtocol, TwoPlProtocol};
 use primo_common::config::{ClusterConfig, CommitMode, LoggingScheme, ProtocolKind};
 use primo_common::{AbortReason, Key, PartitionId, TableId, TxnResult, Value};
+use primo_core::PrimoProtocol;
 use primo_runtime::cluster::Cluster;
-use primo_runtime::experiment::{CrashKind, CrashPlan};
 use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::{ClosureProgram, TxnContext, TxnProgram};
 use primo_runtime::worker::run_single_txn;
@@ -48,52 +48,53 @@ use std::sync::Arc;
 /// A deferred edit to the assembled [`ClusterConfig`].
 type ClusterTweak = Box<dyn FnOnce(&mut ClusterConfig)>;
 
-/// Fluent builder for a [`Primo`] cluster handle.
+/// Fluent builder for a [`Primo`] cluster handle, and through
+/// [`ClusterBuilder::experiment`] for a measurement run.
 ///
 /// Knobs are recorded and applied in [`ClusterBuilder::build`], so call
 /// order does not matter: `.wal_interval_ms(7).fast_local()` and
 /// `.fast_local().wal_interval_ms(7)` produce the same cluster, and
 /// [`ClusterBuilder::tweak`] closures run last (they win).
 pub struct ClusterBuilder {
-    partitions: usize,
+    partitions: Option<usize>,
     workers_per_partition: Option<usize>,
     wal_interval_ms: Option<u64>,
     fast_local: bool,
     kind: ProtocolKind,
-    protocol_override: Option<Arc<dyn Protocol>>,
-    registry: ProtocolRegistry,
-    logging_override: Option<LoggingScheme>,
-    commit_override: Option<CommitMode>,
-    crash: Option<CrashPlan>,
+    logging: Option<LoggingScheme>,
+    commit_mode: CommitMode,
     tweaks: Vec<ClusterTweak>,
 }
 
-impl Default for ClusterBuilder {
-    fn default() -> Self {
-        Self::new()
+/// The protocol `kind` names and the group-commit scheme §6.1.3 pairs it
+/// with: the baselines and both ablations get COCO's epochs, full Primo its
+/// watermark. Aria logs inputs in its sequencing layer and TAPIR replicates
+/// in its prepare round, so the scheme is not on their commit path.
+fn protocol_for(kind: ProtocolKind) -> (Arc<dyn Protocol>, LoggingScheme) {
+    use LoggingScheme::{CocoEpoch, Watermark};
+    match kind {
+        ProtocolKind::TwoPlNoWait => (Arc::new(TwoPlProtocol::no_wait()), CocoEpoch),
+        ProtocolKind::TwoPlWaitDie => (Arc::new(TwoPlProtocol::wait_die()), CocoEpoch),
+        ProtocolKind::Silo => (Arc::new(SiloProtocol::new()), CocoEpoch),
+        ProtocolKind::Sundial => (Arc::new(SundialProtocol::new()), CocoEpoch),
+        ProtocolKind::Aria => (Arc::new(AriaProtocol::new(Default::default())), Watermark),
+        ProtocolKind::Tapir => (Arc::new(TapirProtocol::new()), Watermark),
+        ProtocolKind::Primo => (Arc::new(PrimoProtocol::full()), Watermark),
+        ProtocolKind::PrimoNoWm => (
+            Arc::new(PrimoProtocol::full().labeled(kind.label())),
+            CocoEpoch,
+        ),
+        ProtocolKind::PrimoNoWcfNoWm => (
+            Arc::new(PrimoProtocol::without_wcf().labeled(kind.label())),
+            CocoEpoch,
+        ),
     }
 }
 
 impl ClusterBuilder {
-    pub fn new() -> Self {
-        ClusterBuilder {
-            partitions: ClusterConfig::default().num_partitions,
-            workers_per_partition: None,
-            wal_interval_ms: None,
-            fast_local: false,
-            kind: ProtocolKind::Primo,
-            protocol_override: None,
-            registry: ProtocolRegistry::standard(),
-            logging_override: None,
-            commit_override: None,
-            crash: None,
-            tweaks: Vec::new(),
-        }
-    }
-
     /// Number of shared-nothing partitions (default 4, as in §6.1).
     pub fn partitions(mut self, n: usize) -> Self {
-        self.partitions = n;
+        self.partitions = Some(n);
         self
     }
 
@@ -106,20 +107,20 @@ impl ClusterBuilder {
 
     /// Force a group-commit scheme instead of the protocol's §6.1.3 pairing.
     pub fn logging(mut self, scheme: LoggingScheme) -> Self {
-        self.logging_override = Some(scheme);
+        self.logging = Some(scheme);
         self
     }
 
     /// Atomic-commit mode for distributed transactions:
     /// [`CommitMode::TwoPc`] (blocking, the default) or
     /// [`CommitMode::PaxosCommit`] (non-blocking over the replicated log).
-    /// Overrides the registry's per-protocol pairing.
     pub fn commit_mode(mut self, mode: CommitMode) -> Self {
-        self.commit_override = Some(mode);
+        self.commit_mode = mode;
         self
     }
 
-    /// Watermark interval / COCO epoch length in milliseconds.
+    /// Watermark interval / COCO epoch length in milliseconds (default 20,
+    /// the unified size of §6.2; 1 under [`ClusterBuilder::fast_local`]).
     pub fn wal_interval_ms(mut self, ms: u64) -> Self {
         self.wal_interval_ms = Some(ms);
         self
@@ -187,26 +188,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Use a specific protocol instance instead of a registry constructor.
-    pub fn protocol_impl(mut self, protocol: Arc<dyn Protocol>) -> Self {
-        self.protocol_override = Some(protocol);
-        self
-    }
-
-    /// Use a custom [`ProtocolRegistry`].
-    pub fn registry(mut self, registry: ProtocolRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Attach a crash plan to the handle. It is executed against the live
-    /// cluster by [`Primo::trigger_crash_plan`] (and exposed via
-    /// [`Primo::crash_plan`]); building alone schedules nothing.
-    pub fn crash(mut self, plan: CrashPlan) -> Self {
-        self.crash = Some(plan);
-        self
-    }
-
     /// Use unit-test timing: microsecond-scale network latency and a 1 ms
     /// watermark interval, so transactions complete in milliseconds. Other
     /// knobs are unaffected regardless of call order.
@@ -222,39 +203,35 @@ impl ClusterBuilder {
         self
     }
 
-    /// Assemble the cluster and return the [`Primo`] handle.
-    pub fn build(self) -> Primo {
+    /// The cluster configuration and protocol instance these knobs select:
+    /// the only place a [`ClusterConfig`] is assembled.
+    pub(crate) fn assemble(self) -> (ClusterConfig, Arc<dyn Protocol>) {
+        let paper = ClusterConfig::default();
         let mut config = if self.fast_local {
-            ClusterConfig::for_tests(self.partitions)
+            ClusterConfig::for_tests(paper.num_partitions)
         } else {
-            ClusterConfig {
-                num_partitions: self.partitions,
-                ..ClusterConfig::default()
-            }
+            paper
         };
-        if let Some(workers) = self.workers_per_partition {
-            config.workers_per_partition = workers;
-        }
-        config.wal.scheme = self
-            .logging_override
-            .unwrap_or_else(|| self.registry.logging_scheme_for(self.kind));
-        config.commit_mode = self
-            .commit_override
-            .unwrap_or_else(|| self.registry.commit_mode_for(self.kind));
-        if let Some(ms) = self.wal_interval_ms {
-            config.wal.interval_ms = ms;
-        }
+        config.num_partitions = self.partitions.unwrap_or(config.num_partitions);
+        config.workers_per_partition = self
+            .workers_per_partition
+            .unwrap_or(config.workers_per_partition);
+        config.wal.interval_ms = self.wal_interval_ms.unwrap_or(config.wal.interval_ms);
+        let (protocol, paired) = protocol_for(self.kind);
+        config.wal.scheme = self.logging.unwrap_or(paired);
+        config.commit_mode = self.commit_mode;
         for tweak in self.tweaks {
             tweak(&mut config);
         }
-        let protocol = self
-            .protocol_override
-            .unwrap_or_else(|| self.registry.build(self.kind));
+        (config, protocol)
+    }
+
+    /// Assemble the cluster and return the [`Primo`] handle.
+    pub fn build(self) -> Primo {
+        let (config, protocol) = self.assemble();
         Primo {
             cluster: Cluster::new(config),
             protocol,
-            registry: self.registry,
-            crash: self.crash,
         }
     }
 }
@@ -264,14 +241,21 @@ impl ClusterBuilder {
 pub struct Primo {
     cluster: Arc<Cluster>,
     protocol: Arc<dyn Protocol>,
-    registry: ProtocolRegistry,
-    crash: Option<CrashPlan>,
 }
 
 impl Primo {
     /// Start building a cluster.
     pub fn builder() -> ClusterBuilder {
-        ClusterBuilder::new()
+        ClusterBuilder {
+            partitions: None,
+            workers_per_partition: None,
+            wal_interval_ms: None,
+            fast_local: false,
+            kind: ProtocolKind::Primo,
+            logging: None,
+            commit_mode: CommitMode::TwoPc,
+            tweaks: Vec::new(),
+        }
     }
 
     /// Open a session for ad-hoc transactions.
@@ -287,16 +271,6 @@ impl Primo {
     /// The protocol this handle runs transactions with.
     pub fn protocol(&self) -> &Arc<dyn Protocol> {
         &self.protocol
-    }
-
-    /// The registry the handle was built from.
-    pub fn registry(&self) -> &ProtocolRegistry {
-        &self.registry
-    }
-
-    /// The crash plan configured at build time, if any.
-    pub fn crash_plan(&self) -> Option<CrashPlan> {
-        self.crash
     }
 
     pub fn num_partitions(&self) -> usize {
@@ -328,28 +302,6 @@ impl Primo {
     /// only ever an optimisation (a shorter replay).
     pub fn checkpoint_all(&self) -> Vec<primo_recovery::CheckpointStats> {
         self.cluster.checkpoint_all()
-    }
-
-    /// Execute the crash plan configured at build time on this thread:
-    /// wait `plan.at`, crash the partition, wait `plan.recover_after`,
-    /// recover it. For a [`CrashKind::Coordinator`] plan nothing goes down —
-    /// the one-shot coordinator trap is armed instead and there is no
-    /// recovery step. Blocks for the plan's whole timeline (run it from a
-    /// driver thread while sessions keep working on others). Returns false
-    /// (and does nothing) if the builder configured no plan.
-    pub fn trigger_crash_plan(&self) -> bool {
-        let Some(plan) = self.crash else {
-            return false;
-        };
-        std::thread::sleep(plan.at);
-        if plan.kind == CrashKind::Coordinator {
-            self.cluster.arm_coordinator_crash(plan.partition);
-            return true;
-        }
-        self.crash_partition(plan.partition);
-        std::thread::sleep(plan.recover_after);
-        self.recover_partition(plan.partition);
-        true
     }
 
     /// Bring a crashed partition back: a replacement leader wipes the

@@ -1,26 +1,26 @@
 //! Reproduction of **Primo** (ICDE 2023): *Knock Out 2PC with Practicality
 //! Intact — a High-performance and General Distributed Transaction Protocol*.
 //!
-//! This crate is the public face of the workspace. Three entry points cover
+//! This crate is the public face of the workspace. Two entry points cover
 //! everything the paper's evaluation does:
 //!
 //! * **[`Primo`]** — build a simulated shared-nothing cluster with
-//!   [`Primo::builder()`] (partitions, workers, group-commit scheme, crash
-//!   plans) and run ad-hoc transactions through [`Session`]s. Transactions
-//!   are arbitrary programs over [`TxnContext`]: they may branch on what they
-//!   read, so the engine never needs a read/write set in advance — the
-//!   generality argument of §1.
-//! * **[`ExperimentBuilder`]** — declare a measurement run fluently
-//!   (`.protocol(..).workload(..).scale(..).crash(..)`) and receive a
+//!   [`Primo::builder()`] (partitions, workers, protocol, group-commit
+//!   scheme, timing) and run ad-hoc transactions through [`Session`]s.
+//!   Transactions are arbitrary programs over [`TxnContext`]: they may
+//!   branch on what they read, so the engine never needs a read/write set in
+//!   advance — the generality argument of §1. A [`ProtocolKind`] selects
+//!   Primo, one of its two ablations or one of the five baselines (2PL×2,
+//!   Silo, Sundial, Aria, TAPIR), each paired with the group-commit scheme
+//!   §6.1.3 prescribes.
+//! * **[`Experiment`]** — the same builder turned into a measurement run
+//!   with [`ClusterBuilder::experiment`]
+//!   (`.scale(..).ycsb_with(..).crash(..).run()`), which returns a
 //!   [`MetricsSnapshot`]; this is what the figure harnesses in `primo-bench`
 //!   are written against.
-//! * **[`ProtocolRegistry`]** — Primo, its two ablations and all five
-//!   baselines (2PL×2, Silo, Sundial, Aria, TAPIR) behind one
-//!   [`Protocol`] constructor keyed by [`ProtocolKind`], each paired with
-//!   the group-commit scheme §6.1.3 prescribes.
 //!
 //! ```
-//! use primo_repro::{Experiment, PartitionId, Primo, ProtocolKind, Scale, TableId, Value};
+//! use primo_repro::{PartitionId, Primo, ProtocolKind, Scale, TableId, Value};
 //!
 //! // Ad-hoc transactions through the cluster facade:
 //! let primo = Primo::builder().partitions(2).fast_local().build();
@@ -37,10 +37,11 @@
 //! primo.shutdown();
 //!
 //! // A measurement run:
-//! let snap = Experiment::new()
+//! let snap = Primo::builder()
 //!     .protocol(ProtocolKind::Primo)
-//!     .scale(Scale::test())
 //!     .fast_local()
+//!     .experiment()
+//!     .scale(Scale::test())
 //!     .run();
 //! assert!(snap.committed > 0);
 //! ```
@@ -53,11 +54,9 @@
 
 pub mod experiment;
 pub mod facade;
-pub mod registry;
 
-pub use experiment::{Experiment, ExperimentBuilder, Scale};
+pub use experiment::{Experiment, Scale};
 pub use facade::{ClusterBuilder, Primo, Session};
-pub use registry::{ProtocolEntry, ProtocolRegistry};
 
 // The shared vocabulary, re-exported flat so facade users rarely need the
 // namespaced modules.

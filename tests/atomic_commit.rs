@@ -18,9 +18,8 @@
 use primo_repro::common::Metrics;
 use primo_repro::runtime::worker::spawn_workers;
 use primo_repro::{
-    AbortReason, CommitMode, CrashPlan, Experiment, FastRng, LoggingScheme, PartitionId, Primo,
-    ProtocolKind, Scale, TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value,
-    Workload,
+    AbortReason, CommitMode, CrashPlan, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
+    Scale, TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value, Workload,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -435,13 +434,16 @@ fn an_acknowledged_coco_epoch_survives_a_crash_before_its_boundary_is_durable() 
 /// breakdown, and Paxos Commit orphans nothing.
 #[test]
 fn coordinator_crash_plan_reports_in_doubt_metrics() {
-    let snap = Experiment::new()
+    let snap = Primo::builder()
         .protocol(ProtocolKind::TwoPlNoWait)
         .commit_mode(CommitMode::PaxosCommit)
         .replication_factor(3)
-        .scale(Scale::test())
-        .duration_ms(300)
         .fast_local()
+        .experiment()
+        .scale(Scale {
+            duration_ms: 300,
+            ..Scale::test()
+        })
         .crash(CrashPlan::coordinator(
             PartitionId(0),
             Duration::from_millis(100),

@@ -3,29 +3,35 @@
 //! transactions and produce sensible metrics on a miniature cluster.
 
 use primo_repro::{
-    CrashPlan, Experiment, LoggingScheme, PartitionId, Phase, ProtocolKind, Scale, SmallbankConfig,
-    YcsbConfig,
+    ClusterBuilder, CrashPlan, Experiment, LoggingScheme, PartitionId, Phase, Primo, ProtocolKind,
+    Scale, SmallbankConfig, YcsbConfig,
 };
 use std::time::Duration;
 
-fn tiny() -> Experiment {
-    Experiment::new()
+/// A miniature cluster for `kind` with a 2 ms group-commit interval.
+fn cluster(kind: ProtocolKind) -> ClusterBuilder {
+    Primo::builder().protocol(kind).wal_interval_ms(2)
+}
+
+/// `cluster` as a `duration_ms` run of small YCSB on 2 partitions.
+fn tiny(cluster: ClusterBuilder, duration_ms: u64) -> Experiment {
+    cluster
+        .fast_local()
+        .experiment()
         .scale(Scale {
             partitions: 2,
             workers_per_partition: 2,
-            duration_ms: 200,
+            duration_ms,
             warmup_ms: 30,
             ..Scale::test()
         })
-        .fast_local()
-        .wal_interval_ms(2)
         .ycsb(YcsbConfig::small(2))
 }
 
 #[test]
 fn every_protocol_commits_on_ycsb() {
     // The §6.1.3 pairing (Primo on Watermark, baselines on COCO, Aria/TAPIR
-    // self-durable) comes from the registry; the ablation kinds cover the
+    // self-durable) comes from the cluster builder; the ablation kinds cover the
     // "Primo CC on COCO" combinations.
     for kind in [
         ProtocolKind::Primo,
@@ -38,7 +44,7 @@ fn every_protocol_commits_on_ycsb() {
         ProtocolKind::Tapir,
     ] {
         let name = kind.label();
-        let snap = tiny().protocol(kind).run();
+        let snap = tiny(cluster(kind), 200).run();
         assert!(snap.committed > 0, "{name} committed nothing");
         assert!(snap.throughput_tps > 0.0, "{name} has zero throughput");
         assert!(snap.mean_latency_ms >= 0.0);
@@ -48,14 +54,12 @@ fn every_protocol_commits_on_ycsb() {
 
 #[test]
 fn primo_commits_on_tpcc_and_smallbank() {
-    let snap = tiny()
-        .protocol(ProtocolKind::Primo)
+    let snap = tiny(cluster(ProtocolKind::Primo), 200)
         .tpcc(primo_repro::TpccConfig::small(2))
         .run();
     assert!(snap.committed > 0, "TPC-C committed nothing");
 
-    let snap = tiny()
-        .protocol(ProtocolKind::Primo)
+    let snap = tiny(cluster(ProtocolKind::Primo), 200)
         .smallbank(SmallbankConfig {
             num_partitions: 2,
             accounts_per_partition: 500,
@@ -68,11 +72,11 @@ fn primo_commits_on_tpcc_and_smallbank() {
 #[test]
 fn latency_breakdown_reflects_protocol_structure() {
     // Primo must not spend time in the 2PC phase; 2PL+2PC must.
-    let primo = tiny().protocol(ProtocolKind::Primo).run();
+    let primo = tiny(cluster(ProtocolKind::Primo), 200).run();
     assert!(primo.phase(Phase::TwoPc) < 1e-6, "Primo charged 2PC time");
     assert!(primo.phase(Phase::Execute) > 0.0);
 
-    let twopl = tiny().protocol(ProtocolKind::TwoPlNoWait).run();
+    let twopl = tiny(cluster(ProtocolKind::TwoPlNoWait), 200).run();
     assert!(
         twopl.phase(Phase::TwoPc) > 0.0,
         "2PL+2PC must charge 2PC time"
@@ -81,11 +85,8 @@ fn latency_breakdown_reflects_protocol_structure() {
 
 #[test]
 fn crash_injection_produces_crash_aborts_and_recovers() {
-    let snap = tiny()
-        .protocol(ProtocolKind::Primo)
-        .duration_ms(400)
-        // Longer interval so in-flight transactions exist when the crash hits.
-        .wal_interval_ms(20)
+    // Longer interval so in-flight transactions exist when the crash hits.
+    let snap = tiny(cluster(ProtocolKind::Primo).wal_interval_ms(20), 400)
         .crash(CrashPlan::partition_loss(
             PartitionId(1),
             Duration::from_millis(150),
@@ -107,10 +108,7 @@ fn lagging_partition_hurts_coco_more_than_watermark() {
     // schemes keep committing while a partition's control messages are
     // delayed by 20 ms.
     let run = |scheme: LoggingScheme, lag_us: Option<u64>| {
-        let mut exp = tiny()
-            .protocol(ProtocolKind::Primo)
-            .duration_ms(300)
-            .logging(scheme);
+        let mut exp = tiny(cluster(ProtocolKind::Primo).logging(scheme), 300);
         if let Some(us) = lag_us {
             exp = exp.lag_partition(PartitionId(1), us);
         }

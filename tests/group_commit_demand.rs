@@ -10,18 +10,18 @@
 //! within a few milliseconds; every budget carries 10 ms of slack for a busy
 //! 2-core host.
 
-use primo_repro::common::config::{ClusterConfig, LoggingScheme, WalConfig};
+use primo_repro::common::config::{LoggingScheme, WalConfig};
 use primo_repro::common::sim_time::now_us;
 use primo_repro::core::analysis::{closed_loop_ceiling_tps, release_lag_us};
 use primo_repro::net::DelayedBus;
 use primo_repro::runtime::txn::IncrementProgram;
-use primo_repro::runtime::{run_experiment, ExperimentOptions};
+use primo_repro::runtime::{run_on_cluster, ExperimentOptions};
 use primo_repro::wal::{
     CommitOutcome, CommitWaiter, GroupCommit, LogPayload, ReplicatedLog, WatermarkCommit,
 };
 use primo_repro::{
-    FastRng, FlightRecorder, PartitionId, Primo, PrimoProtocol, TableId, TraceEvent,
-    TraceEventKind, TxnId, TxnProgram, Value, WatermarkCause, Workload,
+    FastRng, FlightRecorder, PartitionId, Primo, TableId, TraceEvent, TraceEventKind, TxnId,
+    TxnProgram, Value, WatermarkCause, Workload,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -555,20 +555,27 @@ fn saturated_workers_commit_past_the_clients_per_interval_ceiling() {
     // 2 workers x 512 outstanding commits at a 100 ms interval: 10 240 TPS
     // if a commit is only ever released on time.
     const INTERVAL_MS: u64 = 100;
-    let mut config = ClusterConfig::for_tests(2);
-    config.workers_per_partition = 1;
-    config.wal.interval_ms = INTERVAL_MS;
+    let primo = Primo::builder()
+        .partitions(2)
+        .workers_per_partition(1)
+        .wal_interval_ms(INTERVAL_MS)
+        .fast_local()
+        .build();
+    for p in primo.cluster().partition_ids() {
+        LocalIncrements.load_partition(&primo.cluster().partition(p).store, p);
+    }
     let options = ExperimentOptions {
         warmup: Duration::from_millis(100),
         duration: Duration::from_millis(600),
         ..ExperimentOptions::default()
     };
-    let snap = run_experiment(
-        config,
-        Arc::new(PrimoProtocol::full()),
+    let snap = run_on_cluster(
+        primo.cluster(),
+        Arc::clone(primo.protocol()),
         Arc::new(LocalIncrements),
         &options,
     );
+    primo.shutdown();
     let ceiling_tps = closed_loop_ceiling_tps(2 * 512, INTERVAL_MS as f64 / 1000.0);
     assert!(
         snap.throughput_tps >= 2.0 * ceiling_tps,

@@ -265,17 +265,18 @@ fn commit_phase_conflict_unwinds_materialised_inserts() {
 /// The new YCSB insert/delete churn knob runs under every protocol.
 #[test]
 fn ycsb_churn_commits_under_every_protocol() {
-    use primo_repro::{Experiment, Scale};
+    use primo_repro::Scale;
     for kind in ALL_KINDS {
-        let snap = Experiment::new()
+        let snap = Primo::builder()
             .protocol(kind)
+            .fast_local()
+            .seed(kind as u64 + 1)
+            .experiment()
             .scale(Scale {
                 duration_ms: 120,
                 warmup_ms: 20,
                 ..Scale::test()
             })
-            .fast_local()
-            .seed(kind as u64 + 1)
             .ycsb_with(|y| y.insert_delete_ratio = 0.3)
             .run();
         assert!(

@@ -14,8 +14,8 @@ use primo_repro::wal::{
     CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, ReplayBound, ReplicatedLog,
 };
 use primo_repro::{
-    AbortReason, CrashPlan, Experiment, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
-    Scale, TableId, TraceEventKind, TxnContext, TxnId, TxnProgram, TxnResult, Value,
+    AbortReason, CrashPlan, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind, Scale,
+    TableId, TraceEventKind, TxnContext, TxnId, TxnProgram, TxnResult, Value,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -491,14 +491,15 @@ fn second_crash_does_not_resurrect_rolled_back_writes() {
 /// that is never left crashed, and periodic checkpoints bounding replay.
 #[test]
 fn experiment_pipeline_reports_recovery_metrics() {
-    let snap = Experiment::new()
+    let snap = Primo::builder()
         .protocol(ProtocolKind::Primo)
+        .fast_local()
+        .experiment()
         .scale(Scale {
             duration_ms: 250,
             warmup_ms: 30,
             ..Scale::test()
         })
-        .fast_local()
         .checkpoint_interval_ms(50)
         .crash(CrashPlan::partition_loss(
             PartitionId(1),

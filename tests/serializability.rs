@@ -2,7 +2,7 @@
 //! must conserve the total amount of money regardless of the protocol, and
 //! every per-transaction effect must be all-or-nothing across partitions.
 //!
-//! All protocols are selected through the facade's [`ProtocolRegistry`] — the
+//! All protocols are selected through the facade's `ClusterBuilder` — the
 //! same constructor path the figure harnesses use.
 
 use primo_repro::common::Metrics;
