@@ -372,6 +372,69 @@ mod tests {
         }
     }
 
+    #[test]
+    fn builder_pairs_protocol_with_its_logging_scheme() {
+        let (cfg, _) = planned(Primo::builder().protocol(ProtocolKind::Primo).experiment());
+        assert_eq!(cfg.wal.scheme, LoggingScheme::Watermark);
+        let (cfg, _) = planned(Primo::builder().protocol(ProtocolKind::Silo).experiment());
+        assert_eq!(cfg.wal.scheme, LoggingScheme::CocoEpoch);
+        let (cfg, _) = planned(
+            Primo::builder()
+                .protocol(ProtocolKind::Silo)
+                .logging(LoggingScheme::Clv)
+                .experiment(),
+        );
+        assert_eq!(cfg.wal.scheme, LoggingScheme::Clv);
+    }
+
+    #[test]
+    fn builder_routes_the_commit_mode_knob() {
+        // Default: classic 2PC for every protocol.
+        let (cfg, _) = planned(Primo::builder().protocol(ProtocolKind::Primo).experiment());
+        assert_eq!(cfg.commit_mode, CommitMode::TwoPc);
+        // Explicit override wins.
+        let (cfg, _) = planned(
+            Primo::builder()
+                .protocol(ProtocolKind::Silo)
+                .commit_mode(CommitMode::PaxosCommit)
+                .experiment(),
+        );
+        assert_eq!(cfg.commit_mode, CommitMode::PaxosCommit);
+    }
+
+    #[test]
+    fn builder_applies_scale_and_tweaks() {
+        let (cfg, _) = planned(
+            Primo::builder()
+                .wal_interval_ms(5)
+                .tweak(|c| c.backoff_initial_us = 77)
+                .experiment()
+                .scale(Scale::test().with_partitions(3)),
+        );
+        assert_eq!(cfg.num_partitions, 3);
+        assert_eq!(
+            cfg.workers_per_partition,
+            Scale::test().workers_per_partition
+        );
+        assert_eq!(cfg.wal.interval_ms, 5);
+        assert_eq!(cfg.backoff_initial_us, 77);
+    }
+
+    #[test]
+    fn replication_knobs_reach_the_cluster_config() {
+        let (cfg, _) = planned(
+            Primo::builder()
+                .replication_factor(3)
+                .replica_persist_delay_us(900)
+                .experiment(),
+        );
+        assert_eq!(cfg.wal.replication_factor, 3);
+        assert_eq!(cfg.wal.replica_persist_delay_us, Some(900));
+        // A zero factor is clamped to the single-copy minimum.
+        let (cfg, _) = planned(Primo::builder().replication_factor(0).experiment());
+        assert_eq!(cfg.wal.replication_factor, 1);
+    }
+
     /// Every builder chain the repository uses assembles exactly this
     /// cluster and protocol.
     #[test]

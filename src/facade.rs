@@ -35,10 +35,9 @@
 //! primo.shutdown();
 //! ```
 
-use primo_baselines::{AriaProtocol, SiloProtocol, SundialProtocol, TapirProtocol, TwoPlProtocol};
+use crate::registry::protocol_for;
 use primo_common::config::{ClusterConfig, CommitMode, LoggingScheme, ProtocolKind};
 use primo_common::{AbortReason, Key, PartitionId, TableId, TxnResult, Value};
-use primo_core::PrimoProtocol;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::{ClosureProgram, TxnContext, TxnProgram};
@@ -64,31 +63,6 @@ pub struct ClusterBuilder {
     logging: Option<LoggingScheme>,
     commit_mode: CommitMode,
     tweaks: Vec<ClusterTweak>,
-}
-
-/// The protocol `kind` names and the group-commit scheme §6.1.3 pairs it
-/// with: the baselines and both ablations get COCO's epochs, full Primo its
-/// watermark. Aria logs inputs in its sequencing layer and TAPIR replicates
-/// in its prepare round, so the scheme is not on their commit path.
-fn protocol_for(kind: ProtocolKind) -> (Arc<dyn Protocol>, LoggingScheme) {
-    use LoggingScheme::{CocoEpoch, Watermark};
-    match kind {
-        ProtocolKind::TwoPlNoWait => (Arc::new(TwoPlProtocol::no_wait()), CocoEpoch),
-        ProtocolKind::TwoPlWaitDie => (Arc::new(TwoPlProtocol::wait_die()), CocoEpoch),
-        ProtocolKind::Silo => (Arc::new(SiloProtocol::new()), CocoEpoch),
-        ProtocolKind::Sundial => (Arc::new(SundialProtocol::new()), CocoEpoch),
-        ProtocolKind::Aria => (Arc::new(AriaProtocol::new(Default::default())), Watermark),
-        ProtocolKind::Tapir => (Arc::new(TapirProtocol::new()), Watermark),
-        ProtocolKind::Primo => (Arc::new(PrimoProtocol::full()), Watermark),
-        ProtocolKind::PrimoNoWm => (
-            Arc::new(PrimoProtocol::full().labeled(kind.label())),
-            CocoEpoch,
-        ),
-        ProtocolKind::PrimoNoWcfNoWm => (
-            Arc::new(PrimoProtocol::without_wcf().labeled(kind.label())),
-            CocoEpoch,
-        ),
-    }
 }
 
 impl ClusterBuilder {

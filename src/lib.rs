@@ -91,3 +91,78 @@ pub use primo_storage as storage;
 pub use primo_trace as trace;
 pub use primo_wal as wal;
 pub use primo_workloads as workloads;
+
+/// The one map from a [`ProtocolKind`] to the protocol it names.
+mod registry {
+    use primo_baselines::{
+        AriaProtocol, SiloProtocol, SundialProtocol, TapirProtocol, TwoPlProtocol,
+    };
+    use primo_common::config::{LoggingScheme, ProtocolKind};
+    use primo_core::PrimoProtocol;
+    use primo_runtime::protocol::Protocol;
+    use std::sync::Arc;
+
+    /// The protocol `kind` names and the group-commit scheme §6.1.3 pairs it
+    /// with: the baselines and both ablations get COCO's epochs, full Primo its
+    /// watermark. Aria logs inputs in its sequencing layer and TAPIR replicates
+    /// in its prepare round, so the scheme is not on their commit path.
+    pub(crate) fn protocol_for(kind: ProtocolKind) -> (Arc<dyn Protocol>, LoggingScheme) {
+        use LoggingScheme::{CocoEpoch, Watermark};
+        match kind {
+            ProtocolKind::TwoPlNoWait => (Arc::new(TwoPlProtocol::no_wait()), CocoEpoch),
+            ProtocolKind::TwoPlWaitDie => (Arc::new(TwoPlProtocol::wait_die()), CocoEpoch),
+            ProtocolKind::Silo => (Arc::new(SiloProtocol::new()), CocoEpoch),
+            ProtocolKind::Sundial => (Arc::new(SundialProtocol::new()), CocoEpoch),
+            ProtocolKind::Aria => (Arc::new(AriaProtocol::new(Default::default())), Watermark),
+            ProtocolKind::Tapir => (Arc::new(TapirProtocol::new()), Watermark),
+            ProtocolKind::Primo => (Arc::new(PrimoProtocol::full()), Watermark),
+            ProtocolKind::PrimoNoWm => (
+                Arc::new(PrimoProtocol::full().labeled(kind.label())),
+                CocoEpoch,
+            ),
+            ProtocolKind::PrimoNoWcfNoWm => (
+                Arc::new(PrimoProtocol::without_wcf().labeled(kind.label())),
+                CocoEpoch,
+            ),
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn standard_registry_covers_every_kind() {
+            for kind in [
+                ProtocolKind::TwoPlNoWait,
+                ProtocolKind::TwoPlWaitDie,
+                ProtocolKind::Silo,
+                ProtocolKind::Sundial,
+                ProtocolKind::Aria,
+                ProtocolKind::Tapir,
+                ProtocolKind::Primo,
+                ProtocolKind::PrimoNoWm,
+                ProtocolKind::PrimoNoWcfNoWm,
+            ] {
+                let (p, _) = protocol_for(kind);
+                assert_eq!(p.name(), kind.label(), "{kind:?} label mismatch");
+            }
+        }
+
+        #[test]
+        fn logging_pairing_follows_the_paper() {
+            assert_eq!(
+                protocol_for(ProtocolKind::Primo).1,
+                LoggingScheme::Watermark
+            );
+            assert_eq!(
+                protocol_for(ProtocolKind::Sundial).1,
+                LoggingScheme::CocoEpoch
+            );
+            assert_eq!(
+                protocol_for(ProtocolKind::PrimoNoWm).1,
+                LoggingScheme::CocoEpoch
+            );
+        }
+    }
+}
