@@ -1,7 +1,7 @@
 //! Regenerate the paper's figures on the simulated cluster.
 //!
 //! ```text
-//! figures <fig4|fig5|...|fig15|appendixA|all> [--quick|--full]
+//! figures <fig4|fig5|...|fig16|appendixA|all> [--quick|--full]
 //!         [--duration-ms N] [--partitions N] [--workers N]
 //! ```
 
@@ -11,8 +11,7 @@ use primo_bench::Scale;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        print_usage();
-        std::process::exit(2);
+        usage_error("no figure given");
     }
     let which = args[0].to_lowercase();
     let mut scale = if args.iter().any(|a| a == "--full") {
@@ -20,22 +19,18 @@ fn main() {
     } else {
         Scale::quick()
     };
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--duration-ms" => {
-                scale.duration_ms = args[i + 1].parse().expect("--duration-ms N");
-                i += 2;
-            }
-            "--partitions" => {
-                scale.partitions = args[i + 1].parse().expect("--partitions N");
-                i += 2;
-            }
-            "--workers" => {
-                scale.workers_per_partition = args[i + 1].parse().expect("--workers N");
-                i += 2;
-            }
-            _ => i += 1,
+    let mut flags = args[1..].iter();
+    while let Some(flag) = flags.next() {
+        let set: fn(&mut Scale, usize) = match flag.as_str() {
+            "--quick" | "--full" => continue,
+            "--duration-ms" => |s, n| s.duration_ms = n as u64,
+            "--partitions" => |s, n| s.partitions = n,
+            "--workers" => |s, n| s.workers_per_partition = n,
+            _ => usage_error(&format!("unknown flag: {flag}")),
+        };
+        match flags.next().map(|v| v.parse()) {
+            Some(Ok(n)) => set(&mut scale, n),
+            _ => usage_error(&format!("{flag} needs a number")),
         }
     }
 
@@ -63,14 +58,12 @@ fn main() {
         "fig16" => figures::fig16(&scale),
         "appendixa" => figures::appendix_a(),
         "all" => figures::all(&scale),
-        other => {
-            eprintln!("unknown figure: {other}");
-            print_usage();
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown figure: {other}")),
     }
 }
 
-fn print_usage() {
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}");
     eprintln!("usage: figures <fig4..fig16|appendixA|all> [--quick|--full] [--duration-ms N] [--partitions N] [--workers N]");
+    std::process::exit(2);
 }

@@ -102,127 +102,85 @@ fn experiment(kind: ProtocolKind, scale: &Scale) -> Experiment {
     Primo::builder().protocol(kind).experiment().scale(*scale)
 }
 
-/// Default-setting YCSB run for one protocol at one scale.
-fn ycsb(kind: ProtocolKind, scale: &Scale) -> MetricsSnapshot {
-    experiment(kind, scale).run()
+/// Fig. 4 (YCSB) and Fig. 5 (TPC-C): the default setting — throughput,
+/// factor breakdown, latency breakdown, tail latency and remote reads.
+/// `workload` adds the figure's workload to a protocol's run.
+fn default_setting(
+    fig: u32,
+    workload_name: &str,
+    scale: &Scale,
+    workload: fn(Experiment) -> Experiment,
+) {
+    let run = |kind| workload(experiment(kind, scale)).run();
+    let panel = |p: &str, title: &str| header(&format!("Fig {fig}{p}: {title}"));
+    panel(
+        "a",
+        &format!("{workload_name} throughput (default setting)"),
+    );
+    let mut snaps = Vec::new();
+    for kind in ProtocolKind::HEADLINE {
+        let snap = run(kind);
+        print_row(kind.label(), &snap);
+        snaps.push((kind, snap));
+    }
+
+    panel("a'", "abort breakdown by reason");
+    for (kind, snap) in &snaps {
+        print_abort_breakdown(kind.label(), snap);
+    }
+
+    panel("b", "factor breakdown (normalised to Sundial)");
+    let sundial = snaps
+        .iter()
+        .find(|(k, _)| *k == ProtocolKind::Sundial)
+        .map(|(_, s)| s.ktps())
+        .unwrap_or(1.0);
+    for kind in [
+        ProtocolKind::Sundial,
+        ProtocolKind::PrimoNoWcfNoWm,
+        ProtocolKind::PrimoNoWm,
+        ProtocolKind::Primo,
+    ] {
+        let snap = if let Some((_, s)) = snaps.iter().find(|(k, _)| *k == kind) {
+            s.clone()
+        } else {
+            run(kind)
+        };
+        println!(
+            "{:<22} {:>10.1} ktps   {:.2}x vs Sundial",
+            kind.label(),
+            snap.ktps(),
+            snap.ktps() / sundial.max(1e-9)
+        );
+    }
+
+    panel("c", "latency breakdown (ms per committed txn)");
+    for (kind, snap) in &snaps {
+        print_breakdown(kind.label(), snap);
+    }
+
+    panel("d", "99th-percentile latency (ms)");
+    for (kind, snap) in &snaps {
+        println!("{:<22} {:>8.2} ms", kind.label(), snap.p99_latency_ms);
+    }
+
+    panel(
+        "e",
+        "remote-read batching (round trips / dist txn, prefetch hits)",
+    );
+    for (kind, snap) in &snaps {
+        print_remote_reads(kind.label(), snap);
+    }
 }
 
-/// Default-setting TPC-C run for one protocol at one scale.
-fn tpcc(kind: ProtocolKind, scale: &Scale) -> MetricsSnapshot {
-    experiment(kind, scale).tpcc_with(|_| {}).run()
-}
-
-/// Fig. 4: YCSB default setting — throughput, factor breakdown, latency
-/// breakdown and tail latency.
+/// Fig. 4: the default setting on YCSB.
 pub fn fig4(scale: &Scale) {
-    header("Fig 4a: YCSB throughput (default setting)");
-    let mut snaps = Vec::new();
-    for kind in ProtocolKind::HEADLINE {
-        let snap = ycsb(kind, scale);
-        print_row(kind.label(), &snap);
-        snaps.push((kind, snap));
-    }
-
-    header("Fig 4a': abort breakdown by reason");
-    for (kind, snap) in &snaps {
-        print_abort_breakdown(kind.label(), snap);
-    }
-
-    header("Fig 4b: factor breakdown (normalised to Sundial)");
-    let sundial = snaps
-        .iter()
-        .find(|(k, _)| *k == ProtocolKind::Sundial)
-        .map(|(_, s)| s.ktps())
-        .unwrap_or(1.0);
-    for kind in [
-        ProtocolKind::Sundial,
-        ProtocolKind::PrimoNoWcfNoWm,
-        ProtocolKind::PrimoNoWm,
-        ProtocolKind::Primo,
-    ] {
-        let snap = if let Some((_, s)) = snaps.iter().find(|(k, _)| *k == kind) {
-            s.clone()
-        } else {
-            ycsb(kind, scale)
-        };
-        println!(
-            "{:<22} {:>10.1} ktps   {:.2}x vs Sundial",
-            kind.label(),
-            snap.ktps(),
-            snap.ktps() / sundial.max(1e-9)
-        );
-    }
-
-    header("Fig 4c: latency breakdown (ms per committed txn)");
-    for (kind, snap) in &snaps {
-        print_breakdown(kind.label(), snap);
-    }
-
-    header("Fig 4d: 99th-percentile latency (ms)");
-    for (kind, snap) in &snaps {
-        println!("{:<22} {:>8.2} ms", kind.label(), snap.p99_latency_ms);
-    }
-
-    header("Fig 4e: remote-read batching (round trips / dist txn, prefetch hits)");
-    for (kind, snap) in &snaps {
-        print_remote_reads(kind.label(), snap);
-    }
+    default_setting(4, "YCSB", scale, |exp| exp);
 }
 
-/// Fig. 5: the same four panels on TPC-C.
+/// Fig. 5: the same panels on TPC-C.
 pub fn fig5(scale: &Scale) {
-    header("Fig 5a: TPC-C throughput (default setting)");
-    let mut snaps = Vec::new();
-    for kind in ProtocolKind::HEADLINE {
-        let snap = tpcc(kind, scale);
-        print_row(kind.label(), &snap);
-        snaps.push((kind, snap));
-    }
-
-    header("Fig 5a': abort breakdown by reason");
-    for (kind, snap) in &snaps {
-        print_abort_breakdown(kind.label(), snap);
-    }
-
-    header("Fig 5b: factor breakdown (normalised to Sundial)");
-    let sundial = snaps
-        .iter()
-        .find(|(k, _)| *k == ProtocolKind::Sundial)
-        .map(|(_, s)| s.ktps())
-        .unwrap_or(1.0);
-    for kind in [
-        ProtocolKind::Sundial,
-        ProtocolKind::PrimoNoWcfNoWm,
-        ProtocolKind::PrimoNoWm,
-        ProtocolKind::Primo,
-    ] {
-        let snap = if let Some((_, s)) = snaps.iter().find(|(k, _)| *k == kind) {
-            s.clone()
-        } else {
-            tpcc(kind, scale)
-        };
-        println!(
-            "{:<22} {:>10.1} ktps   {:.2}x vs Sundial",
-            kind.label(),
-            snap.ktps(),
-            snap.ktps() / sundial.max(1e-9)
-        );
-    }
-
-    header("Fig 5c: latency breakdown (ms per committed txn)");
-    for (kind, snap) in &snaps {
-        print_breakdown(kind.label(), snap);
-    }
-
-    header("Fig 5d: 99th-percentile latency (ms)");
-    for (kind, snap) in &snaps {
-        println!("{:<22} {:>8.2} ms", kind.label(), snap.p99_latency_ms);
-    }
-
-    header("Fig 5e: remote-read batching (round trips / dist txn, prefetch hits)");
-    for (kind, snap) in &snaps {
-        print_remote_reads(kind.label(), snap);
-    }
+    default_setting(5, "TPC-C", scale, |exp| exp.tpcc_with(|_| {}));
 }
 
 /// Fig. 6: impact of contention (YCSB skew 0–0.99): throughput + abort rate.

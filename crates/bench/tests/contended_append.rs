@@ -10,7 +10,8 @@
 //! happens to be — unlike an absolute ns bound.
 //!
 //! Timing-sensitive, so `#[ignore]` by default; debug builds would measure
-//! the optimizer, not the code. CI runs it explicitly:
+//! the optimizer, not the code. CI runs it in release with the other gates;
+//! alone:
 //!
 //! ```text
 //! cargo test --release -p primo-bench --test contended_append -- --ignored
@@ -70,7 +71,7 @@ fn payload(seq: u64) -> LogPayload {
 }
 
 /// Wall-clock ns/append across `threads` appenders; payloads are pre-built
-/// outside the timed window (same methodology as `bench_matrix`).
+/// outside the timed window (same methodology as `trace_overhead`).
 fn measure(threads: u64, append: impl Fn(LogPayload) -> u64 + Sync) -> f64 {
     const TOTAL: u64 = 32_000;
     let per_thread = TOTAL / threads;

@@ -61,6 +61,19 @@ impl ProtocolKind {
         }
     }
 
+    /// Every protocol, in declaration order.
+    pub const ALL: [ProtocolKind; 9] = [
+        ProtocolKind::TwoPlNoWait,
+        ProtocolKind::TwoPlWaitDie,
+        ProtocolKind::Silo,
+        ProtocolKind::Sundial,
+        ProtocolKind::Aria,
+        ProtocolKind::Tapir,
+        ProtocolKind::Primo,
+        ProtocolKind::PrimoNoWm,
+        ProtocolKind::PrimoNoWcfNoWm,
+    ];
+
     /// The five competitors + Primo used in most figures.
     pub const HEADLINE: [ProtocolKind; 6] = [
         ProtocolKind::TwoPlNoWait,
@@ -116,6 +129,14 @@ pub enum LoggingScheme {
 }
 
 impl LoggingScheme {
+    /// Every group-commit scheme, in declaration order.
+    pub const ALL: [LoggingScheme; 4] = [
+        LoggingScheme::SyncPerTxn,
+        LoggingScheme::CocoEpoch,
+        LoggingScheme::Clv,
+        LoggingScheme::Watermark,
+    ];
+
     pub fn label(self) -> &'static str {
         match self {
             LoggingScheme::SyncPerTxn => "Sync",
@@ -222,8 +243,8 @@ impl Default for PrimoConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Record trace events. On by default — the recorder is designed to stay
-    /// on in every run (the `bench_matrix --trace-overhead` gate holds the
-    /// cost under 5%); the off position exists for that ablation.
+    /// on in every run (the `trace_overhead` release test of `primo-bench`
+    /// holds the cost under 5%); the off position exists for that ablation.
     pub enabled: bool,
     /// Per-worker ring capacity in events (rounded up to a power of two).
     pub ring_capacity: usize,
@@ -355,6 +376,34 @@ mod tests {
         assert_eq!(ProtocolKind::Primo.label(), "Primo");
         assert_eq!(LoggingScheme::CocoEpoch.label(), "COCO");
         assert_eq!(ProtocolKind::HEADLINE.len(), 6);
+    }
+
+    /// A new variant fails to compile here until it is added to `ALL`.
+    #[test]
+    fn all_lists_every_variant_once() {
+        for (i, kind) in ProtocolKind::ALL.into_iter().enumerate() {
+            let listed = match kind {
+                ProtocolKind::TwoPlNoWait => 0,
+                ProtocolKind::TwoPlWaitDie => 1,
+                ProtocolKind::Silo => 2,
+                ProtocolKind::Sundial => 3,
+                ProtocolKind::Aria => 4,
+                ProtocolKind::Tapir => 5,
+                ProtocolKind::Primo => 6,
+                ProtocolKind::PrimoNoWm => 7,
+                ProtocolKind::PrimoNoWcfNoWm => 8,
+            };
+            assert_eq!(listed, i, "{kind:?}");
+        }
+        for (i, scheme) in LoggingScheme::ALL.into_iter().enumerate() {
+            let listed = match scheme {
+                LoggingScheme::SyncPerTxn => 0,
+                LoggingScheme::CocoEpoch => 1,
+                LoggingScheme::Clv => 2,
+                LoggingScheme::Watermark => 3,
+            };
+            assert_eq!(listed, i, "{scheme:?}");
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   experiment driver feeds it from the rings while its window records
 //!   ([`FlightRecorder::fold_phases`]).
 //!
-//! The overhead budget (≤ 5% on contended-append and write-heavy YCSB,
-//! recording-on vs off) is enforced by `bench_matrix --trace-overhead` in
-//! CI; see ARCHITECTURE.md §Observability.
+//! The overhead budget (≤ 5% on the contended append, 15% on write-heavy
+//! YCSB, recording-on vs off) is enforced by `primo-bench`'s release test
+//! `trace_overhead` in CI; see ARCHITECTURE.md §Observability.
 
 mod event;
 mod phase;

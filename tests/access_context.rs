@@ -18,18 +18,6 @@ use primo_repro::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
 /// The kinds whose reads switch from optimistic to locked on the first
 /// remote access, with whether the switch is write-conflict-free (exclusive
 /// locks + dummy reads) or not (shared locks).
@@ -157,7 +145,7 @@ fn shareable(rec: &Record) -> bool {
 
 #[test]
 fn a_transaction_reads_its_own_writes_and_inserts() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         for target in BOTH {
             let primo = loaded(kind);
             attempt(&primo, |ctx| {
@@ -181,7 +169,7 @@ fn a_transaction_reads_its_own_writes_and_inserts() {
 
 #[test]
 fn a_read_or_put_after_the_transactions_own_delete_is_not_found() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         for target in BOTH {
             let label = format!("{kind:?}/{target:?}");
             let primo = loaded(kind);
@@ -212,7 +200,7 @@ fn a_read_or_put_after_the_transactions_own_delete_is_not_found() {
 
 #[test]
 fn insert_then_delete_leaves_no_entry_and_no_record() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         for target in BOTH {
             let label = format!("{kind:?}/{target:?}");
             let primo = loaded(kind);
@@ -244,7 +232,7 @@ fn insert_then_delete_leaves_no_entry_and_no_record() {
 
 #[test]
 fn delete_then_insert_recreates_the_key() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         for target in BOTH {
             let label = format!("{kind:?}/{target:?}");
             let primo = loaded(kind);
@@ -264,7 +252,7 @@ fn delete_then_insert_recreates_the_key() {
 
 #[test]
 fn a_dead_context_keeps_its_first_reason() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         for target in BOTH {
             let label = format!("{kind:?}/{target:?}");
             let primo = loaded(kind);
@@ -299,7 +287,7 @@ fn a_dead_context_keeps_its_first_reason() {
 /// before the failure (2PL, Silo, Sundial and TAPIR used to).
 #[test]
 fn a_swallowed_context_error_commits_nothing() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         for target in BOTH {
             let label = format!("{kind:?}/{target:?}");
             let primo = loaded(kind);
@@ -323,7 +311,7 @@ fn a_swallowed_context_error_commits_nothing() {
 
 #[test]
 fn a_crashed_partition_fails_remote_access_even_on_a_fanout_hit() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let label = format!("{kind:?}");
         let primo = loaded(kind);
         let cluster = primo.cluster();
@@ -372,7 +360,7 @@ fn a_write_only_transaction_on_a_crashed_home_commits_nothing() {
         ctx.write(P0, T, 1, Value::from_u64(1_001))?;
         ctx.write(P0, T, 2, Value::from_u64(1_002))
     };
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let label = format!("{kind:?}");
         let primo = loaded(kind);
         let cluster = primo.cluster();
@@ -402,7 +390,7 @@ fn a_write_only_transaction_on_a_crashed_home_commits_nothing() {
 
 #[test]
 fn every_abort_frees_every_lock_and_leaves_the_store_byte_identical() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         for target in BOTH {
             let label = format!("{kind:?}/{target:?}");
             let primo = loaded(kind);

@@ -28,25 +28,6 @@ use std::time::Duration;
 const T: TableId = TableId(0);
 const KEYS: u64 = 8;
 
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::SyncPerTxn,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::Watermark,
-];
-
 fn seed_count() -> u64 {
     std::env::var("PRIMO_COORD_CRASH_SEEDS")
         .ok()
@@ -146,8 +127,8 @@ fn assert_no_blocked_locks(primo: &Primo, label: &str) {
 #[test]
 fn paxos_commit_terminates_coordinator_crashes_across_the_matrix() {
     for seed in 0..seed_count() {
-        for kind in ALL_KINDS {
-            for scheme in ALL_SCHEMES {
+        for kind in ProtocolKind::ALL {
+            for scheme in LoggingScheme::ALL {
                 let label = format!("{kind:?}/{scheme:?}/seed{seed}");
                 let primo = loaded(kind, scheme, CommitMode::PaxosCommit, 0xC0DE + seed);
                 coordinator_crash_storm(&primo, 20);

@@ -22,25 +22,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::Watermark,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::SyncPerTxn,
-];
-
 const T: TableId = TableId(0);
 const LOADED_KEYS: u64 = 32;
 const FRESH_KEY: u64 = 5_000;
@@ -121,7 +102,7 @@ fn batching_saves_m_minus_one_round_trips_for_every_protocol() {
             (PartitionId(1), 5),
         ],
     };
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let seq = round_trips_for(kind, false, &program);
         let bat = round_trips_for(kind, true, &program);
         assert_eq!(
@@ -445,8 +426,8 @@ fn equivalent_with_and_without_batching(kind: ProtocolKind, scheme: LoggingSchem
 
 #[test]
 fn batched_and_sequential_runs_are_equivalent_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             equivalent_with_and_without_batching(kind, scheme);
         }
     }

@@ -4,18 +4,6 @@
 
 use primo_repro::{LoggingScheme, PartitionId, Primo, ProtocolKind, Scale, TableId, Value};
 
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
 #[test]
 fn default_cluster_builder_is_primo_on_watermark() {
     let primo = Primo::builder().fast_local().build();
@@ -56,7 +44,7 @@ fn cluster_builder_knobs_reach_the_cluster() {
 
 #[test]
 fn every_protocol_builds_a_working_cluster_handle() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let primo = Primo::builder()
             .partitions(2)
             .protocol(kind)
@@ -75,7 +63,7 @@ fn every_protocol_builds_a_working_cluster_handle() {
 
 #[test]
 fn smoke_experiment_per_protocol_on_tiny_ycsb() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let snap = Primo::builder()
             .protocol(kind)
             .fast_local()
@@ -127,7 +115,7 @@ fn experiment_honours_logging_override() {
 #[test]
 fn facade_transactions_leave_their_lifecycle_in_the_flight_recorder() {
     use primo_repro::{AbortReason, TraceEventKind, TxnError};
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let primo = Primo::builder()
             .partitions(2)
             .protocol(kind)

@@ -16,18 +16,6 @@ use primo_repro::{
 };
 use std::collections::BTreeMap;
 
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
 const T: TableId = TableId(0);
 const LOADED_KEYS: u64 = 32;
 const FRESH_KEY: u64 = 9_000;
@@ -100,7 +88,7 @@ impl<F: Fn(&mut dyn TxnContext) -> TxnResult<()> + Send + Sync> TxnProgram for P
 
 #[test]
 fn aborted_insert_and_delete_leave_the_store_byte_identical() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let primo = loaded(kind);
         let before = snapshot(&primo);
 
@@ -158,7 +146,7 @@ fn aborted_insert_and_delete_leave_the_store_byte_identical() {
 
 #[test]
 fn committed_delete_is_reclaimed_and_stays_deleted() {
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let primo = loaded(kind);
         primo
             .session()
@@ -218,7 +206,7 @@ fn committed_delete_is_reclaimed_and_stays_deleted() {
 fn commit_phase_conflict_unwinds_materialised_inserts() {
     use primo_repro::storage::{LockMode, LockPolicy};
 
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         if kind == ProtocolKind::Aria {
             continue;
         }
@@ -266,7 +254,7 @@ fn commit_phase_conflict_unwinds_materialised_inserts() {
 #[test]
 fn ycsb_churn_commits_under_every_protocol() {
     use primo_repro::Scale;
-    for kind in ALL_KINDS {
+    for kind in ProtocolKind::ALL {
         let snap = Primo::builder()
             .protocol(kind)
             .fast_local()

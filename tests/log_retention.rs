@@ -43,13 +43,6 @@ const CHURN_LAG: u64 = 8;
 /// workers, remote halves of distributed transactions, control records).
 const RETAINED_LIMIT: usize = 2 * RETENTION_TARGET + FOLD_CHUNK + 512;
 
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::Watermark,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::SyncPerTxn,
-];
-
 /// One transaction of the driving workload: a read-modify-write at home,
 /// sometimes one on the peer partition too, and sometimes an insert of a
 /// fresh key paired with the delete of an older one — so the image sees
@@ -250,14 +243,14 @@ fn retention_holds(scheme: LoggingScheme, replication_factor: usize) {
 
 #[test]
 fn logs_stay_bounded_and_recoverable_under_every_scheme_at_rf1() {
-    for scheme in ALL_SCHEMES {
+    for scheme in LoggingScheme::ALL {
         retention_holds(scheme, 1);
     }
 }
 
 #[test]
 fn logs_stay_bounded_and_recoverable_under_every_scheme_at_rf3() {
-    for scheme in ALL_SCHEMES {
+    for scheme in LoggingScheme::ALL {
         retention_holds(scheme, 3);
     }
 }

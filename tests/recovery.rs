@@ -20,25 +20,6 @@ use primo_repro::{
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-const ALL_KINDS: [ProtocolKind; 9] = [
-    ProtocolKind::TwoPlNoWait,
-    ProtocolKind::TwoPlWaitDie,
-    ProtocolKind::Silo,
-    ProtocolKind::Sundial,
-    ProtocolKind::Aria,
-    ProtocolKind::Tapir,
-    ProtocolKind::Primo,
-    ProtocolKind::PrimoNoWm,
-    ProtocolKind::PrimoNoWcfNoWm,
-];
-
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::Watermark,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::SyncPerTxn,
-];
-
 const T: TableId = TableId(0);
 const LOADED_KEYS: u64 = 16;
 const FRESH_KEY: u64 = 9_000;
@@ -308,8 +289,8 @@ fn byte_identical_after_crash(kind: ProtocolKind, scheme: LoggingScheme, discard
 
 #[test]
 fn recovered_store_is_byte_identical_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             byte_identical_after_crash(kind, scheme, false);
         }
     }
@@ -321,8 +302,8 @@ fn recovered_store_is_byte_identical_for_all_protocols_and_schemes() {
 /// protocol under every group-commit scheme.
 #[test]
 fn replica_loss_recovery_is_byte_identical_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             byte_identical_after_crash(kind, scheme, true);
         }
     }
@@ -708,8 +689,8 @@ impl TxnProgram for DoomedProgram {
 
 #[test]
 fn crash_abort_rolls_back_surviving_partitions_for_all_protocols_and_schemes() {
-    for kind in ALL_KINDS {
-        for scheme in ALL_SCHEMES {
+    for kind in ProtocolKind::ALL {
+        for scheme in LoggingScheme::ALL {
             let label = format!("{}/{}", kind.label(), scheme.label());
             let primo = build_for_crash_abort(kind, scheme, kind as u64 * 37 + scheme as u64 + 1);
             let session = primo.session();

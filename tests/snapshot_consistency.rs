@@ -51,13 +51,6 @@ const ALL_PROTOCOLS: [ProtocolKind; 9] = [
     ProtocolKind::PrimoNoWcfNoWm,
 ];
 
-const ALL_SCHEMES: [LoggingScheme; 4] = [
-    LoggingScheme::SyncPerTxn,
-    LoggingScheme::CocoEpoch,
-    LoggingScheme::Clv,
-    LoggingScheme::Watermark,
-];
-
 /// One violation: a snapshot read returned `observed` for the key but the
 /// final committed state (after crash, compensation and recovery) is lower.
 #[derive(Debug)]
@@ -305,7 +298,7 @@ fn snapshot_reads_survive_crashes_under_all_protocols_and_schemes() {
     let seeds = seeds_from_env("PRIMO_SNAPSHOT_SEEDS", 1);
     let mut total_observations = 0u64;
     for kind in ALL_PROTOCOLS {
-        for scheme in ALL_SCHEMES {
+        for scheme in LoggingScheme::ALL {
             for seed in 0..seeds {
                 let outcome = run_case(kind, scheme, 0xC0DE + seed, false);
                 assert!(
