@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the building blocks on Primo's critical path: the
 //! lock table, TicToc record operations, the Zipf generator, the WAL append
-//! path and a small end-to-end single-transaction comparison of Primo
-//! against a 2PC baseline (the per-transaction cost that Fig 4 aggregates
-//! into throughput).
+//! path, the checkpoint image's fold step and a small end-to-end
+//! single-transaction comparison of Primo against a 2PC baseline (the
+//! per-transaction cost that Fig 4 aggregates into throughput).
 //!
 //! The registry is offline in this environment, so instead of criterion this
 //! uses a small built-in harness (`harness = false`): each benchmark is
@@ -347,6 +347,36 @@ fn bench_checkpoint_and_replay() {
     gc.shutdown();
 }
 
+fn bench_image_apply() {
+    // The fold's inner step: one cold logged write applied to the rolling
+    // checkpoint image, at a key drawn over the whole image, into a 10k- and
+    // a 1M-record image. A fold costs what it folds only if these two stay
+    // close.
+    use primo_repro::wal::{CheckpointImage, ImageRecords};
+    for (label, records) in [("10k", 10_000u64), ("1m", 1_000_000)] {
+        let mut image = CheckpointImage {
+            records: ImageRecords::with_capacity(records as usize),
+            ..CheckpointImage::default()
+        };
+        for k in 0..records {
+            image
+                .records
+                .insert((TableId(0), k), (Value::zeroed(100), 1));
+        }
+        let value = Value::zeroed(100);
+        let mut rng = FastRng::new(records);
+        let mut ts = 1;
+        bench(
+            &format!("recovery/image_apply_write_{label}_records"),
+            || {
+                ts += 1;
+                let key = rng.next_below(records);
+                image.apply(ts, &[LoggedWrite::put(TableId(0), key, value.clone())]);
+            },
+        );
+    }
+}
+
 fn bench_mvcc_versions() {
     // The MVCC hot paths the snapshot-read subsystem adds: pushing a new
     // committed version onto a bounded chain (every install now shifts the
@@ -514,6 +544,7 @@ fn main() {
     bench_wal_durable_boundary();
     bench_log_txn_writes();
     bench_checkpoint_and_replay();
+    bench_image_apply();
     bench_mvcc_versions();
     bench_insert_delete_churn();
     bench_single_txn();

@@ -6,6 +6,7 @@
 
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod phase;
 pub mod rng;
@@ -17,6 +18,7 @@ pub use config::{
     CcScheme, ClusterConfig, LoggingScheme, NetConfig, PrimoConfig, ProtocolKind, WalConfig,
 };
 pub use error::{AbortReason, TxnError, TxnResult};
+pub use hash::{FastHasher, FastMap};
 pub use ids::{PartitionId, TableId, ThreadId, Ts, TxnId};
 pub use phase::Phase;
 pub use rng::{FastRng, ZipfGen};

@@ -26,7 +26,7 @@
 
 use primo_common::{PartitionId, Ts};
 use primo_storage::PartitionStore;
-use primo_wal::{CheckpointImage, FoldScope, GroupCommit, ReplicatedLog};
+use primo_wal::{CheckpointImage, FoldScope, GroupCommit, ImageRecords, ReplicatedLog};
 
 /// What one checkpoint pass did (for logs, metrics and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +50,12 @@ impl Checkpointer {
     /// workers start). The image covers the log from its install marker on,
     /// so everything already logged is considered covered.
     pub fn initial(store: &PartitionStore, wal: &ReplicatedLog) -> CheckpointStats {
-        let mut image = CheckpointImage::default();
-        for (table, key, value, ts) in store.snapshot_visible() {
+        let visible = store.snapshot_visible();
+        let mut image = CheckpointImage {
+            records: ImageRecords::with_capacity(visible.len()),
+            ..CheckpointImage::default()
+        };
+        for (table, key, value, ts) in visible {
             image.records.insert((table, key), (value, ts));
             image.up_to_ts = image.up_to_ts.max(ts);
         }
@@ -149,7 +153,7 @@ mod tests {
     }
 
     fn image_has(wal: &ReplicatedLog, key: u64) -> bool {
-        wal.with_image(|image| image.records.contains_key(&(TableId(0), key)))
+        wal.with_image(|image| image.records.get(&(TableId(0), key)).is_some())
             .expect("base image")
     }
 

@@ -182,7 +182,7 @@ impl RecoveryManager {
                 Some(cutoff) => {
                     let (restored, replay_base) = log
                         .with_durable_image(Some(cutoff), |image| {
-                            for ((table, key), (value, ts)) in &image.records {
+                            for ((table, key), (value, ts)) in image.records.iter() {
                                 store.restore(*table, *key, value.clone(), *ts);
                             }
                             (image.len(), image.base_lsn)

@@ -38,11 +38,10 @@
 use crate::cluster::Cluster;
 use parking_lot::Mutex;
 use primo_common::sim_time::{now_us, wait_until};
-use primo_common::{Key, PartitionId, TableId, Ts, TxnId};
+use primo_common::{FastMap, Key, PartitionId, TableId, Ts, TxnId};
 use primo_net::RoundTrip;
 use primo_trace::TraceEventKind;
 use std::borrow::Borrow;
-use std::collections::HashMap;
 
 /// A remote-read plan: the out-of-home keys one transaction attempt expects
 /// to touch. Deduplicated; home-partition keys are dropped (local reads are
@@ -114,7 +113,7 @@ pub struct ReadFanout {
     /// `(partition, table, key)` → record `wts` observed at take-up
     /// (`None` = no record existed on the owner at that point). While the
     /// fan-out is on the wire: the keys asked for, nothing observed yet.
-    entries: HashMap<(PartitionId, TableId, Key), Option<Ts>>,
+    entries: FastMap<(PartitionId, TableId, Key), Option<Ts>>,
     /// Remote keys this attempt actually touched, in access order.
     observed: Mutex<Vec<(PartitionId, TableId, Key)>>,
     /// The batch on the wire, until [`ReadFanout::complete`] takes it up.

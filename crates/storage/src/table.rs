@@ -9,8 +9,8 @@
 
 use crate::record::{LifecycleState, Record, DEFAULT_MAX_VERSIONS};
 use parking_lot::RwLock;
-use primo_common::{Key, TxnId, Value};
-use std::collections::HashMap;
+use primo_common::hash::shard_of;
+use primo_common::{FastMap, Key, TxnId, Value};
 use std::sync::Arc;
 
 const DEFAULT_SHARDS: usize = 64;
@@ -37,7 +37,7 @@ pub enum InsertSlot {
 /// A single table's worth of records owned by one partition.
 #[derive(Debug)]
 pub struct Table {
-    shards: Vec<RwLock<HashMap<Key, Arc<Record>>>>,
+    shards: Vec<RwLock<FastMap<Key, Arc<Record>>>>,
     /// Version-chain depth applied to every record this table creates.
     max_versions: usize,
 }
@@ -67,7 +67,7 @@ impl Table {
         assert!(n > 0);
         assert!(max_versions >= 1);
         Table {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| RwLock::new(FastMap::default())).collect(),
             max_versions,
         }
     }
@@ -80,8 +80,7 @@ impl Table {
 
     #[inline]
     fn shard_of(&self, key: Key) -> usize {
-        // Fibonacci hashing spreads sequential keys across shards.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.shards.len()
+        shard_of(key, self.shards.len())
     }
 
     /// Look up a record by key.

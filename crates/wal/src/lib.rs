@@ -7,8 +7,9 @@
 //!   **majority quorum** persisted the record, with leadership terms and
 //!   deterministic leader hand-off (the paper replicates each partition's
 //!   log through Raft, §5.2).
-//! * [`log`] — what the log is made of: the records, the rolling checkpoint
-//!   image, replay bounds, and the crate-private copy a replica stores.
+//! * [`log`] — what the log is made of: the records, replay bounds, and the
+//!   crate-private copy a replica stores.
+//! * [`image`] — the rolling checkpoint image the log folds into.
 //! * [`watermark`] — Primo's **watermark-based asynchronous group commit**
 //!   (§5): partitions persist logs independently, publish partition
 //!   watermarks `Wp`, and a transaction's result is returned once the global
@@ -27,6 +28,7 @@
 pub mod clv;
 pub mod coco;
 pub mod group_commit;
+pub mod image;
 pub mod log;
 pub mod replicated;
 pub mod snapshot;
@@ -34,9 +36,10 @@ pub mod sync;
 pub mod watermark;
 
 pub use group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
+pub use image::{CheckpointImage, ImageRecords, ImageSummary};
 pub use log::{
-    CheckpointImage, ImageSummary, LogEntry, LogPayload, LoggedOp, LoggedWrite, LoggedWrites,
-    ReplayBound, ReplayedTxn, FOLD_CHUNK, RETENTION_TARGET,
+    LogEntry, LogPayload, LoggedOp, LoggedWrite, LoggedWrites, ReplayBound, ReplayedTxn,
+    FOLD_CHUNK, RETENTION_TARGET,
 };
 pub use replicated::{FoldScope, FoldStats, ReplicatedLog};
 pub use watermark::WatermarkCommit;

@@ -1,5 +1,6 @@
-//! What a partition's log is made of: its records, the rolling checkpoint
-//! image they fold into, and one physical **copy** of the log.
+//! What a partition's log is made of: its records and one physical
+//! **copy** of the log (the rolling checkpoint image they fold into is in
+//! [`crate::image`]).
 //!
 //! The paper's partitions replicate their log through Raft and persist it to
 //! local SSD; here a record appended at time `t` is on a copy's disk at
@@ -17,7 +18,7 @@
 //!
 //! **Retention is the log's own job.** A log copy keeps only a tail of
 //! entries: the quorum-durable, scheme-covered prefix is *folded* into the
-//! partition's rolling [`CheckpointImage`] a bounded chunk at a time
+//! partition's rolling [`crate::CheckpointImage`] a bounded chunk at a time
 //! ([`FOLD_CHUNK`] entries, driven from the commit path once more than
 //! twice [`RETENTION_TARGET`] entries are retained — see
 //! [`crate::ReplicatedLog::fold`]) and drained from the front. Everything a
@@ -30,7 +31,7 @@
 use parking_lot::Mutex;
 use primo_common::sim_time::now_us;
 use primo_common::{Key, PartitionId, TableId, Ts, TxnId, Value};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Entries a log copy keeps once folding has caught up. The self-driven
@@ -95,88 +96,6 @@ impl LoggedWrite {
     pub fn with_prev(mut self, prev: Option<Value>) -> Self {
         self.prev = prev;
         self
-    }
-}
-
-/// The partition's rolling checkpoint image: the state of one partition at
-/// `base_lsn`, equivalent to replaying every committed transaction logged
-/// below `base_lsn` into the base image.
-///
-/// The image is built *from the log*, never from the live store (except the
-/// quiescent base image taken right after loading): it is advanced in place
-/// by folding the covered quorum-durable log prefix into it, so it is
-/// consistent by construction even while transactions keep installing
-/// concurrently, and it never holds a write a crash could still roll back.
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointImage {
-    /// Every logged transaction with a commit timestamp `<= up_to_ts` that
-    /// was folded is reflected in `records`.
-    pub up_to_ts: Ts,
-    /// First LSN **not** folded into this image: recovery replays the
-    /// retained log from here.
-    pub base_lsn: u64,
-    /// LSN of the [`LogPayload::Checkpoint`] marker appended when the base
-    /// image was installed. The image is restorable once the marker is
-    /// quorum-durable — a crash before that loses it like any other
-    /// volatile record.
-    pub installed_lsn: u64,
-    /// Committed records: `(table, key) -> (value, commit ts)`.
-    pub records: BTreeMap<(TableId, Key), (Value, Ts)>,
-}
-
-impl CheckpointImage {
-    /// Apply one committed transaction's writes at `ts` (delete removes the
-    /// key). Applying the same transaction twice is idempotent.
-    pub fn apply(&mut self, ts: Ts, writes: &[LoggedWrite]) {
-        for w in writes {
-            match &w.op {
-                LoggedOp::Put(v) => {
-                    self.records.insert((w.table, w.key), (v.clone(), ts));
-                }
-                LoggedOp::Delete => {
-                    self.records.remove(&(w.table, w.key));
-                }
-            }
-        }
-        self.up_to_ts = self.up_to_ts.max(ts);
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The image's coverage without its records.
-    pub fn summary(&self) -> ImageSummary {
-        ImageSummary {
-            up_to_ts: self.up_to_ts,
-            base_lsn: self.base_lsn,
-            records: self.records.len(),
-        }
-    }
-}
-
-/// What a [`CheckpointImage`] covers, without its records (see
-/// [`crate::ReplicatedLog::latest_checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImageSummary {
-    pub up_to_ts: Ts,
-    /// First LSN not folded into the image.
-    pub base_lsn: u64,
-    /// Number of committed records in the image.
-    pub records: usize,
-}
-
-impl ImageSummary {
-    pub fn len(&self) -> usize {
-        self.records
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
     }
 }
 
@@ -958,27 +877,6 @@ mod tests {
         assert_eq!(wal.latest(early, watermark), Some(3));
         assert_eq!(wal.latest(early, |e| Some(e.lsn)), Some(early));
         assert_eq!(copy(0).latest(ALL, watermark), None);
-    }
-
-    #[test]
-    fn checkpoint_image_apply_is_idempotent() {
-        let mut image = CheckpointImage::default();
-        let ws = vec![
-            LoggedWrite::put(TableId(0), 1, Value::from_u64(10)),
-            LoggedWrite::delete(TableId(0), 2).with_prev(Some(Value::from_u64(2))),
-        ];
-        image
-            .records
-            .insert((TableId(0), 2), (Value::from_u64(2), 1));
-        image.apply(5, &ws);
-        let once = image.clone();
-        image.apply(5, &ws);
-        assert_eq!(once.records.len(), image.records.len());
-        assert_eq!(image.up_to_ts, 5);
-        assert!(image.records.contains_key(&(TableId(0), 1)));
-        assert!(!image.records.contains_key(&(TableId(0), 2)));
-        assert_eq!(image.len(), 1);
-        assert!(!image.is_empty());
     }
 
     #[test]

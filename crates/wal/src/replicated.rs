@@ -68,9 +68,9 @@
 //!   respect to the crash-time horizon ([`ReplicatedLog::crash_horizon`]):
 //!   a crash sees the image and the log either before or after a chunk.
 
+use crate::image::{CheckpointImage, ImageSummary};
 use crate::log::{
-    CheckpointImage, ImageSummary, LogCopy, LogEntry, LogPayload, ReplayBound, ReplayedTxn,
-    FOLD_CHUNK, RETENTION_TARGET,
+    LogCopy, LogEntry, LogPayload, ReplayBound, ReplayedTxn, FOLD_CHUNK, RETENTION_TARGET,
 };
 use parking_lot::Mutex;
 use primo_common::config::WalConfig;
@@ -108,6 +108,9 @@ pub struct FoldStats {
     pub truncated_entries: usize,
     /// Records in the image after the pass.
     pub image_records: usize,
+    /// Image records the pass touched ([`crate::ImageRecords::touched`]):
+    /// one per folded write, whatever the image's size.
+    pub touched_records: u64,
     /// The image's coverage bound after the pass.
     pub up_to_ts: Ts,
 }
@@ -555,6 +558,7 @@ impl ReplicatedLog {
             FoldScope::Everything => (usize::MAX, 0),
         };
         let mut stats = FoldStats::default();
+        let (touched_before, len_before) = (image.records.touched(), image.len());
         // The applied handles and the drained entries (and with them the
         // payloads) are dropped after the image lock is released.
         let mut applied = Vec::new();
@@ -567,6 +571,9 @@ impl ReplicatedLog {
             for (ts, writes) in &chunk.writes {
                 image.apply(*ts, writes);
             }
+            image
+                .records
+                .grow_ahead(image.len().saturating_sub(len_before));
             stats.folded_txns = chunk.writes.len();
             if chunk.stop_lsn > image.base_lsn {
                 progressed = true;
@@ -583,6 +590,7 @@ impl ReplicatedLog {
             image.up_to_ts = image.up_to_ts.max(b.saturating_sub(1));
         }
         stats.image_records = image.len();
+        stats.touched_records = image.records.touched() - touched_before;
         stats.up_to_ts = image.up_to_ts;
         let retry_at = if progressed || scope == FoldScope::Everything {
             0

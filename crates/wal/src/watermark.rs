@@ -57,10 +57,10 @@ use crate::replicated::ReplicatedLog;
 use parking_lot::{Condvar, Mutex};
 use primo_common::config::WalConfig;
 use primo_common::sim_time::now_us;
-use primo_common::{PartitionId, Ts, TxnId};
+use primo_common::{FastMap, PartitionId, Ts, TxnId};
 use primo_net::{BusMessage, DelayedBus};
 use primo_trace::{FlightRecorder, TraceEventKind, WatermarkCause};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -80,7 +80,7 @@ struct PartitionWm {
     id: PartitionId,
     /// Active transactions on this partition -> current ts (or lts); 0 means
     /// "not known yet", which pins the watermark.
-    active: Mutex<HashMap<TxnId, Ts>>,
+    active: Mutex<FastMap<TxnId, Ts>>,
     /// Latest *generated* watermark (rule R2 floor).
     wp_generated: AtomicU64,
     /// Latest *published* (durable + broadcast) watermark.
@@ -106,7 +106,7 @@ impl PartitionWm {
     fn new(id: PartitionId, n: usize) -> Self {
         PartitionWm {
             id,
-            active: Mutex::new(HashMap::new()),
+            active: Mutex::new(FastMap::default()),
             wp_generated: AtomicU64::new(0),
             wp_published: AtomicU64::new(0),
             force_floor: AtomicU64::new(0),

@@ -300,8 +300,8 @@ fn uncovered_in_image(log: &ReplicatedLog, covered_below: u64) -> usize {
     log.with_image(|image| {
         image
             .records
-            .values()
-            .filter(|(_, ts)| *ts >= covered_below)
+            .iter()
+            .filter(|(_, (_, ts))| *ts >= covered_below)
             .count()
     })
     .expect("base image")
@@ -502,11 +502,13 @@ fn a_fold_keeps_an_in_doubt_paxos_commit_vote() {
 
 /// Wall time to fold `ENTRIES` five-write entries into an image of
 /// `records` records: fastest of a few rounds (the work is fixed, so the
-/// fastest round is the least disturbed one). The writes land on the same
-/// number of distinct keys whatever the image's size — `HOT` keys spread
-/// evenly over it — so the processor caches hold the touched records
-/// equally well in both cases and what is left is the fold's dependence on
-/// the size of the image itself.
+/// fastest round is the least disturbed one). Every round must also touch
+/// exactly one image record per folded write (`FoldStats::touched_records`):
+/// a fold that cloned, scanned or swept the image would touch all of it.
+/// The writes land on the same number of distinct keys whatever the image's
+/// size — `HOT` keys spread evenly over it — so the processor caches hold
+/// the touched records equally well in both cases and what is left is the
+/// fold's dependence on the size of the image itself.
 fn fold_cost(records: u64) -> Duration {
     const ENTRIES: u64 = 1_000;
     const ROUNDS: u64 = 5;
@@ -541,6 +543,11 @@ fn fold_cost(records: u64) -> Duration {
         fastest = fastest.min(started.elapsed());
         assert_eq!(stats.folded_txns, ENTRIES as usize);
         assert_eq!(stats.image_records, records as usize);
+        assert_eq!(
+            stats.touched_records,
+            5 * ENTRIES,
+            "round {round} into {records} records touched more than it folded"
+        );
         assert!(log.is_empty());
     }
     fastest
@@ -549,7 +556,9 @@ fn fold_cost(records: u64) -> Duration {
 /// A fold costs what it folds: the same 1 000 entries into an image a
 /// hundred times larger take about as long — nothing on the path clones,
 /// scans or sweeps the image (cloning a million-record image alone costs
-/// two orders of magnitude more than this fold).
+/// two orders of magnitude more than this fold). The count form of the same
+/// property sits in `fold_cost`: each round touches 5 × 1 000 records at
+/// either size.
 #[test]
 fn fold_cost_does_not_scale_with_the_image() {
     let small = fold_cost(10_000);

@@ -185,11 +185,13 @@ fn run_script(rf: usize) -> Observed {
         .expect("fold ran");
     let (image, image_base) = log
         .with_image(|image| {
-            let records = image
+            // The image is a hash map: read it in key order.
+            let mut records: Vec<_> = image
                 .records
                 .iter()
                 .map(|((_, key), (_, ts))| (*key, *ts))
                 .collect();
+            records.sort_unstable();
             (records, image.base_lsn)
         })
         .expect("image");
