@@ -341,7 +341,7 @@ mod tests {
     use primo_common::config::ClusterConfig;
     use primo_common::Value;
     use primo_runtime::txn::IncrementProgram;
-    use primo_runtime::worker::run_single_txn;
+    use primo_runtime::worker::run_session_txn;
 
     fn loaded(n: usize) -> Arc<Cluster> {
         let cluster = Cluster::new(ClusterConfig::for_tests(n));
@@ -374,7 +374,7 @@ mod tests {
                 (PartitionId(1), TableId(0), 1),
             ],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         assert_eq!(
             cluster
                 .partition(PartitionId(1))

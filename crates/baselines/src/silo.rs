@@ -60,7 +60,7 @@ mod tests {
     use primo_common::config::ClusterConfig;
     use primo_common::{PartitionId, TableId, Value};
     use primo_runtime::txn::IncrementProgram;
-    use primo_runtime::worker::run_single_txn;
+    use primo_runtime::worker::run_session_txn;
     use std::sync::Arc;
 
     fn loaded(n: usize) -> Arc<Cluster> {
@@ -87,7 +87,7 @@ mod tests {
                 (PartitionId(1), TableId(0), 1),
             ],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         for p in 0..2u32 {
             assert_eq!(
                 cluster
@@ -113,7 +113,7 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![(PartitionId(1), TableId(0), 9)],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         assert_eq!(cluster.net.round_trips_charged() - before, 3);
         cluster.shutdown();
     }

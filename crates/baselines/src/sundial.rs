@@ -64,7 +64,7 @@ mod tests {
     use primo_common::config::ClusterConfig;
     use primo_common::{PartitionId, TableId, Value};
     use primo_runtime::txn::IncrementProgram;
-    use primo_runtime::worker::run_single_txn;
+    use primo_runtime::worker::run_session_txn;
     use std::sync::Arc;
 
     fn loaded(n: usize) -> Arc<Cluster> {
@@ -91,7 +91,7 @@ mod tests {
                 (PartitionId(1), TableId(0), 2),
             ],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         let (wts, rts) = cluster
             .partition(PartitionId(1))
             .store
@@ -121,7 +121,7 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![(PartitionId(0), TableId(0), 5)],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         assert_eq!(rec.read().value.as_u64(), 8);
         cluster.shutdown();
     }
@@ -135,7 +135,7 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![(PartitionId(1), TableId(0), 8)],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         assert_eq!(cluster.net.round_trips_charged() - before, 3);
         cluster.shutdown();
     }

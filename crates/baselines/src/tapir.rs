@@ -74,7 +74,7 @@ mod tests {
     use primo_common::config::ClusterConfig;
     use primo_common::{PartitionId, TableId, Value};
     use primo_runtime::txn::IncrementProgram;
-    use primo_runtime::worker::run_single_txn;
+    use primo_runtime::worker::run_session_txn;
     use std::sync::Arc;
 
     fn loaded(n: usize) -> Arc<Cluster> {
@@ -99,7 +99,7 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![(PartitionId(1), TableId(0), 1)],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         // 1 remote read + 1 consolidated prepare round (no commit round, no
         // group-commit wait).
         assert_eq!(cluster.net.round_trips_charged() - before, 2);
@@ -116,7 +116,7 @@ mod tests {
             accesses: vec![(PartitionId(0), TableId(0), 3)],
         };
         for _ in 0..5 {
-            run_single_txn(&cluster, &protocol, &prog).unwrap();
+            run_session_txn(&cluster, &protocol, &prog).unwrap();
         }
         assert_eq!(
             cluster

@@ -80,7 +80,7 @@ mod tests {
     use primo_common::config::ClusterConfig;
     use primo_common::{PartitionId, TableId, Value};
     use primo_runtime::txn::IncrementProgram;
-    use primo_runtime::worker::run_single_txn;
+    use primo_runtime::worker::run_session_txn;
     use std::sync::Arc;
 
     fn loaded(n: usize) -> Arc<Cluster> {
@@ -111,8 +111,8 @@ mod tests {
                     (PartitionId(1), TableId(0), 2),
                 ],
             };
-            run_single_txn(&cluster, &protocol, &local).unwrap();
-            run_single_txn(&cluster, &protocol, &dist).unwrap();
+            run_session_txn(&cluster, &protocol, &local).unwrap();
+            run_session_txn(&cluster, &protocol, &dist).unwrap();
             assert_eq!(
                 cluster
                     .partition(PartitionId(1))
@@ -137,7 +137,7 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![(PartitionId(1), TableId(0), 5)],
         };
-        run_single_txn(&cluster, &protocol, &dist).unwrap();
+        run_session_txn(&cluster, &protocol, &dist).unwrap();
         // 1 remote read + prepare + commit.
         assert_eq!(cluster.net.round_trips_charged() - before, 3);
         cluster.shutdown();

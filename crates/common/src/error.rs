@@ -37,9 +37,11 @@ pub enum AbortReason {
     /// reservation clash within a batch).
     DeterministicConflict,
     /// The coordinating worker died between the prepare round and the commit
-    /// decision, and the atomic-commit layer terminated the in-doubt
-    /// transaction with a global abort (Paxos Commit's non-blocking
-    /// resolution; classic 2PC never reports this — it blocks instead).
+    /// decision. Under Paxos Commit the atomic-commit layer terminated the
+    /// in-doubt transaction with a global abort (its non-blocking
+    /// resolution). Under classic 2PC the attempt is orphaned: it reports
+    /// this too, but nobody decides it, and its locks stay held — 2PC's
+    /// blocking. Either way a retry must take a fresh transaction id.
     CoordinatorCrash,
 }
 

@@ -224,7 +224,7 @@ mod tests {
     use primo_common::config::ClusterConfig;
     use primo_common::{AbortReason, TableId, TxnError, TxnId, Value};
     use primo_runtime::txn::{IncrementProgram, TxnContext};
-    use primo_runtime::worker::run_single_txn;
+    use primo_runtime::worker::run_session_txn;
     use std::sync::Arc;
 
     fn loaded_cluster(n: usize) -> Arc<Cluster> {
@@ -251,7 +251,7 @@ mod tests {
                 (PartitionId(0), TableId(0), 2),
             ],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         assert_eq!(
             cluster
                 .partition(PartitionId(0))
@@ -279,7 +279,7 @@ mod tests {
                 (PartitionId(2), TableId(0), 1),
             ],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         let used = cluster.net.round_trips_charged() - before;
         // One round trip per remote read; zero extra for commit.
         assert_eq!(used, 2, "WCF must not add prepare/commit round trips");
@@ -321,7 +321,7 @@ mod tests {
                 (PartitionId(1), TableId(0), 3),
             ],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         let used = cluster.net.round_trips_charged() - before;
         // 1 remote read + prepare + commit = 3 round trips.
         assert_eq!(used, 3, "2PC path must pay prepare and commit rounds");
@@ -339,7 +339,7 @@ mod tests {
                 (PartitionId(1), TableId(0), 7),
             ],
         };
-        run_single_txn(&cluster, &protocol, &prog).unwrap();
+        run_session_txn(&cluster, &protocol, &prog).unwrap();
         let (w0, r0) = cluster
             .partition(PartitionId(0))
             .store
@@ -373,7 +373,7 @@ mod tests {
         }
         let cluster = loaded_cluster(2);
         let protocol = PrimoProtocol::full();
-        let err = run_single_txn(&cluster, &protocol, &AbortingProgram).unwrap_err();
+        let err = run_session_txn(&cluster, &protocol, &AbortingProgram).unwrap_err();
         assert_eq!(err, AbortReason::UserAbort);
         let rec = cluster
             .partition(PartitionId(1))
@@ -419,7 +419,7 @@ mod tests {
             }
         }
         let cluster = loaded_cluster(2);
-        run_single_txn(&cluster, &PrimoProtocol::full(), &InsertProgram).unwrap();
+        run_session_txn(&cluster, &PrimoProtocol::full(), &InsertProgram).unwrap();
         assert_eq!(
             cluster
                 .partition(PartitionId(1))
@@ -453,7 +453,7 @@ mod tests {
         let cluster = loaded_cluster(2);
         // Local and distributed paths must both reject the phantom update.
         for target in [PartitionId(0), PartitionId(1)] {
-            let err = run_single_txn(
+            let err = run_session_txn(
                 &cluster,
                 &PrimoProtocol::full(),
                 &BlindPut {
@@ -495,7 +495,7 @@ mod tests {
         }
         let cluster = loaded_cluster(2);
         for target in [PartitionId(0), PartitionId(1)] {
-            let err = run_single_txn(&cluster, &PrimoProtocol::full(), &AbortedInsert { target })
+            let err = run_session_txn(&cluster, &PrimoProtocol::full(), &AbortedInsert { target })
                 .unwrap_err();
             assert_eq!(err, AbortReason::UserAbort);
             assert!(
@@ -519,7 +519,7 @@ mod tests {
                 }
             }
             let err =
-                run_single_txn(&cluster, &PrimoProtocol::full(), &Put { target }).unwrap_err();
+                run_session_txn(&cluster, &PrimoProtocol::full(), &Put { target }).unwrap_err();
             assert_eq!(err, AbortReason::NotFound, "target {target}");
         }
         cluster.shutdown();
@@ -542,7 +542,7 @@ mod tests {
         }
         let cluster = loaded_cluster(2);
         for target in [PartitionId(0), PartitionId(1)] {
-            run_single_txn(&cluster, &PrimoProtocol::full(), &DeleteKey { target }).unwrap();
+            run_session_txn(&cluster, &PrimoProtocol::full(), &DeleteKey { target }).unwrap();
             assert!(
                 cluster.partition(target).store.get(TableId(0), 7).is_none(),
                 "deleted record must be physically reclaimed on {target}"
@@ -571,7 +571,7 @@ mod tests {
             .get(TableId(0), 8)
             .unwrap()
             .read();
-        run_single_txn(&cluster, &PrimoProtocol::full(), &AbortedDelete).unwrap_err();
+        run_session_txn(&cluster, &PrimoProtocol::full(), &AbortedDelete).unwrap_err();
         let rec = cluster
             .partition(PartitionId(1))
             .store
@@ -602,7 +602,7 @@ mod tests {
         }
         let cluster = loaded_cluster(2);
         for target in [PartitionId(0), PartitionId(1)] {
-            run_single_txn(&cluster, &PrimoProtocol::full(), &InsertDelete { target }).unwrap();
+            run_session_txn(&cluster, &PrimoProtocol::full(), &InsertDelete { target }).unwrap();
             assert!(
                 cluster
                     .partition(target)
@@ -649,8 +649,8 @@ mod tests {
             }
         }
         let cluster = loaded_cluster(1);
-        run_single_txn(&cluster, &PrimoProtocol::full(), &Replace).unwrap_err();
-        run_single_txn(&cluster, &PrimoProtocol::full(), &CleanReplace).unwrap();
+        run_session_txn(&cluster, &PrimoProtocol::full(), &Replace).unwrap_err();
+        run_session_txn(&cluster, &PrimoProtocol::full(), &CleanReplace).unwrap();
         assert_eq!(
             cluster
                 .partition(PartitionId(0))
@@ -684,7 +684,7 @@ mod tests {
         let cluster = loaded_cluster(2);
         let protocol = PrimoProtocol::with_read_heavy_fallback(0.8);
         let before = cluster.net.round_trips_charged();
-        run_single_txn(&cluster, &protocol, &ReadHeavy).unwrap();
+        run_session_txn(&cluster, &protocol, &ReadHeavy).unwrap();
         // Fallback = 2PC path: 2 remote reads + prepare + commit = 4.
         assert_eq!(cluster.net.round_trips_charged() - before, 4);
         cluster.shutdown();
@@ -712,7 +712,7 @@ mod tests {
                             (PartitionId(1), TableId(0), 42),
                         ],
                     };
-                    if run_single_txn(&cluster, protocol.as_ref(), &prog).is_ok() {
+                    if run_session_txn(&cluster, protocol.as_ref(), &prog).is_ok() {
                         committed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     }
                     let _ = i;

@@ -579,10 +579,10 @@ impl Cluster {
     }
 
     /// The commit path's retention step, called by whoever just committed a
-    /// transaction once its locks are released (the worker loop,
-    /// `run_single_txn` and through it every facade session): any partition
-    /// whose log retains more than twice the retention target gets one
-    /// bounded chunk folded into its image. The check is three relaxed
+    /// transaction once its locks are released (a worker, a facade
+    /// session's among them): any partition whose log retains more than
+    /// twice the retention target gets one bounded chunk folded into its
+    /// image. The check is three relaxed
     /// loads per partition; the work, when due, is proportional to the
     /// chunk — so every log bounds itself, no commit pays more than a
     /// chunk, and no experiment has to opt into a checkpointer for memory
@@ -643,8 +643,8 @@ impl Cluster {
 
     /// The group commit released a result, so its horizon has moved: re-read
     /// it for [`Cluster::note_installed`]. Called by whoever saw the release
-    /// (a worker draining its acknowledgements, a session back from
-    /// `wait_durable`) — once per release, not once per commit.
+    /// (a worker draining its pending results, a facade session's among
+    /// them) — once per release, not once per commit.
     pub fn horizon_moved(&self) -> Ts {
         let horizon = self.snapshot_horizon();
         for partition in &self.partitions {

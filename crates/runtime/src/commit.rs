@@ -36,8 +36,8 @@ use std::time::Duration;
 
 /// One round of the commit protocol on the wire: sent — counted, traced, its
 /// deadline fixed — and not waited for. Whoever reads the replies waits for
-/// [`Round::ready_at_us`] first: a session sits the wait out, a worker runs
-/// other clients meanwhile.
+/// [`Round::ready_at_us`] first: a worker runs other clients meanwhile, or
+/// sits the wait out for an attempt that holds locks throughout.
 #[derive(Debug, Clone, Copy)]
 pub struct Round {
     sent_at_us: u64,

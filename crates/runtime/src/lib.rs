@@ -33,4 +33,3 @@ pub use prefetch::{Footprint, PrefetchOutcome, ReadFanout};
 pub use protocol::{CommittedTxn, Protocol};
 pub use snapshot::{execute_snapshot, SnapshotOutcome, SnapshotSession};
 pub use txn::{ClosureProgram, TxnContext, TxnProgram, Workload};
-pub use worker::run_single_txn;

@@ -14,8 +14,9 @@
 //! install, send the decision** → **release** — and between two steps the
 //! attempt is an [`InFlight`] value: a deadline, whether it holds locks, and
 //! which keys it touched.
-//! [`Step::wait_out`] is the steps with the waits between them, what a
-//! session runs; a worker puts the value aside and runs other clients.
+//! A worker puts the value aside and runs other clients; [`Step::wait_out`]
+//! is the steps with the waits between them, for an attempt that holds
+//! locks from its body on.
 
 use crate::access::{
     recheck_locked_record, resolve_write_record, AccessSet, WriteEntry, WriteKind,
@@ -106,9 +107,8 @@ pub enum Step<'a> {
 }
 
 impl Step<'_> {
-    /// Sit through every wait the attempt has left — what a session does,
-    /// being the waiting client itself, and a worker for an attempt that
-    /// holds locks from its body on.
+    /// Sit through every wait the attempt has left — what a worker does for
+    /// an attempt that holds locks from its body on.
     pub fn wait_out(mut self) -> Ended {
         loop {
             match self {

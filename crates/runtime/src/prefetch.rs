@@ -15,7 +15,7 @@
 //! nobody waits. [`ReadFanout::complete`] *takes it up*: it waits out
 //! whatever is left of the flight and only then looks at the records, so a
 //! reply is never read before its deadline. [`ReadFanout::resolve`] is the
-//! two in sequence — what a retry, a facade session and every probe use.
+//! two in sequence — what a probe uses.
 //! The worker loop puts other clients between the halves: between the two a
 //! fan-out is a deadline and a key list, and holds nothing on any partition.
 //!

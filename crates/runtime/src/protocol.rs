@@ -10,8 +10,8 @@
 //! An attempt is *staged*: [`Protocol::start`] runs it up to its first wait
 //! on the wire and says where it stands ([`Step`]); whoever runs it resumes
 //! it when the replies are back. Who waits is the caller's business — a
-//! session sits the wait out ([`Protocol::execute_once`]), a worker runs
-//! other clients meanwhile.
+//! worker runs other clients meanwhile, a probe sits the wait out
+//! ([`Protocol::execute_once`]).
 
 use crate::cluster::Cluster;
 use crate::pipeline::Step;

@@ -111,6 +111,34 @@ pub trait TxnProgram: Send + Sync {
     }
 }
 
+/// A borrowed program runs as the program itself: a session hands its
+/// caller's program to a worker without taking it over.
+impl<T: TxnProgram + ?Sized> TxnProgram for &T {
+    fn execute(&self, ctx: &mut dyn TxnContext) -> TxnResult<()> {
+        (**self).execute(ctx)
+    }
+
+    fn home_partition(&self) -> PartitionId {
+        (**self).home_partition()
+    }
+
+    fn is_read_only(&self) -> bool {
+        (**self).is_read_only()
+    }
+
+    fn read_fraction_hint(&self) -> f64 {
+        (**self).read_fraction_hint()
+    }
+
+    fn read_hint(&self) -> Vec<(PartitionId, TableId, Key)> {
+        (**self).read_hint()
+    }
+
+    fn label(&self) -> &'static str {
+        (**self).label()
+    }
+}
+
 /// A workload: knows how to load the initial database and how to generate
 /// transaction programs for a given home partition.
 pub trait Workload: Send + Sync {

@@ -50,12 +50,18 @@
 //! runs of the queued clients behind the head, plus a vote round for each
 //! one that fetched times the share of such bodies a voting client held
 //! back (or that touched a key they had not declared), must cover a flight.
+//!
+//! A facade session is this loop with one client ([`run_session_txn`]): a
+//! worker with no workload takes up no client of its own and counts as
+//! full, so its turns, run on the caller's thread, drive the caller's program
+//! and block on its group commit until the program has a result.
 
 use crate::access::AccessSet;
 use crate::cluster::Cluster;
 use crate::pipeline::{Ended, InFlight, Step};
 use crate::prefetch::{Footprint, ReadFanout};
-use crate::protocol::{CommittedTxn, Protocol};
+use crate::protocol::Protocol;
+use crate::snapshot::{execute_snapshot, snapshot_reads_enabled, SnapshotOutcome};
 use crate::txn::{TxnProgram, Workload};
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{AbortReason, FastRng, Key, Metrics, PartitionId, TableId, TxnId};
@@ -81,11 +87,17 @@ const MAX_ATTEMPTS: usize = 1_000;
 /// on the oldest. By Little's law `tps <= workers x 512 / commit latency`.
 const MAX_PENDING_COMMITS: usize = 512;
 
-/// A transaction whose write-set is installed but whose result has not yet
-/// been confirmed durable by the group commit.
-struct PendingCommit {
+/// A client whose write-set is installed but whose result has not yet been
+/// confirmed durable by the group commit. A crash can still abort it, and
+/// then it is retried, so it keeps its program and its place in the retry
+/// schedule — and nothing else of its last attempt: a commit learned no
+/// footprint.
+struct PendingCommit<'a> {
     waiter: CommitWaiter,
+    program: Box<dyn TxnProgram + 'a>,
     started_us: u64,
+    attempts: usize,
+    backoff_us: u64,
     distributed: bool,
 }
 
@@ -97,8 +109,8 @@ struct PendingCommit {
 /// ticket, no lock, no registration, no pin on any watermark. So dropping it
 /// (the stop flag, a crashed home) or making it wait (a COCO gate, a
 /// recovery) costs nothing.
-struct Prepared {
-    program: Box<dyn TxnProgram>,
+struct Prepared<'a> {
+    program: Box<dyn TxnProgram + 'a>,
     /// Taken at generate: the client's latency pays for every microsecond it
     /// is queued or parked.
     started_us: u64,
@@ -106,12 +118,15 @@ struct Prepared {
     /// it will touch, which admission holds against the attempts in hand
     /// (empty: nothing declared).
     declared: Vec<(PartitionId, TableId, Key)>,
-    /// The remote part of `declared` ([`Attempt::initial_plan`]), then the
-    /// last aborted attempt's observed remote access set.
+    /// The remote part of `declared` (nothing when batching is off — an
+    /// empty plan never fans out and never learns), then the last aborted
+    /// attempt's observed remote access set.
     plan: Footprint,
     fanout: ReadFanout,
     /// Given by the first attempt and kept by every retry, so WAIT_DIE
-    /// priorities age.
+    /// priorities age — but not past a crash-class abort: that attempt may
+    /// have left write-sets logged (and sealed) or, orphaned, locks held
+    /// under its id, so the next attempt takes a fresh one.
     txn: Option<TxnId>,
     /// Attempts made so far.
     attempts: usize,
@@ -124,15 +139,15 @@ struct Prepared {
 }
 
 /// Aborted clients whose back-off is not over, by when it is (`not_before_us`;
-/// the id makes the key unique).
-type Parked = BTreeMap<(u64, TxnId), Prepared>;
+/// the id of the attempt that aborted makes the key unique).
+type Parked<'a> = BTreeMap<(u64, TxnId), Prepared<'a>>;
 
 /// A client in the middle of an attempt: its body has run and a round of its
 /// commit is on the wire. What the attempt holds is in the value: a ticket —
 /// so it is one of its epoch's transactions in progress, and must be allowed
 /// to finish behind a closed gate — and, once it decides, its write locks.
 struct Suspended<'a> {
-    client: Prepared,
+    client: Prepared<'a>,
     attempt: InFlight<'a>,
 }
 
@@ -252,14 +267,6 @@ pub struct WorkerContext {
 }
 
 impl WorkerContext {
-    fn attempt(&self) -> Attempt<'_> {
-        Attempt {
-            cluster: &self.cluster,
-            protocol: self.protocol.as_ref(),
-            home: self.home,
-        }
-    }
-
     fn recording(&self) -> bool {
         self.recording.load(Ordering::Relaxed)
     }
@@ -269,57 +276,11 @@ impl WorkerContext {
     }
 }
 
-/// The group commit decided `done`: trace the release and count the result.
-fn resolve(ctx: &WorkerContext, done: PendingCommit, outcome: CommitOutcome) {
-    ctx.cluster.recorder.emit(
-        Some(done.waiter.txn),
-        Some(done.waiter.coordinator),
-        TraceEventKind::GroupCommitRelease {
-            committed: matches!(outcome, CommitOutcome::Committed),
-        },
-    );
-    if ctx.recording() {
-        match outcome {
-            CommitOutcome::Committed => {
-                let latency_us = now_us() - done.started_us;
-                ctx.metrics.record_commit(latency_us, done.distributed);
-            }
-            CommitOutcome::CrashAborted => ctx.metrics.record_abort(AbortReason::CrashAbort),
-        }
-    }
-}
-
-/// Report every pending transaction whose group-commit outcome is known —
-/// after blocking on the oldest, if `block`: back-pressure at the client
-/// ceiling, and (the wait being the group commit's demand signal) what
-/// closes the group early under the watermark scheme. A result released is
-/// the scheme saying its horizon moved, which the version-chain GC wants to
-/// know: once per release, not once per commit.
-fn release_pending(ctx: &WorkerContext, pending: &mut VecDeque<PendingCommit>, block: bool) {
-    let outstanding = pending.len();
-    if block {
-        if let Some(oldest) = pending.pop_front() {
-            let outcome = ctx.cluster.group_commit.wait_durable(&oldest.waiter);
-            resolve(ctx, oldest, outcome);
-        }
-    }
-    while let Some(outcome) = pending
-        .front()
-        .and_then(|front| ctx.cluster.group_commit.try_outcome(&front.waiter))
-    {
-        let done = pending.pop_front().expect("front was just probed");
-        resolve(ctx, done, outcome);
-    }
-    if pending.len() < outstanding {
-        ctx.cluster.horizon_moved();
-    }
-}
-
 /// Exponential back-off (paper: 0.5 ms initial, doubling): how long to wait
 /// at level `b` — a jittered `[b/2, b]`, so colliding retries diverge —
 /// leaving `b` doubled, up to `max_us`. The one statement of the schedule:
-/// the worker parks a client for this long, [`run_single_txn`] and a worker
-/// whose home is down wait it out themselves.
+/// the worker parks a client for this long, and a worker whose home is down
+/// waits it out itself.
 fn next_backoff(rng: &mut FastRng, backoff_us: &mut u64, max_us: u64) -> u64 {
     let wait_us = *backoff_us / 2 + rng.next_below(*backoff_us / 2 + 1);
     *backoff_us = (*backoff_us * 2).min(max_us);
@@ -336,189 +297,6 @@ fn wait_out(deadline_us: u64) -> u64 {
     left_us
 }
 
-/// What the attempts of one worker, or of one session, run against. The
-/// per-attempt lifecycle exists once, in [`Attempt::begin`] and
-/// [`Attempt::ended`], for the worker loop — which runs other clients between
-/// the two — and for [`run_single_txn`] (every facade session), which runs
-/// the same steps with the waits between them ([`Step::wait_out`]).
-struct Attempt<'a> {
-    cluster: &'a Cluster,
-    protocol: &'a dyn Protocol,
-    home: PartitionId,
-}
-
-impl<'a> Attempt<'a> {
-    /// The first attempt's prefetch plan: the remote keys of the program's
-    /// static hint, `declared` (nothing when batching is off — an empty plan
-    /// never fans out and never learns).
-    fn initial_plan(&self, declared: &[(PartitionId, TableId, Key)]) -> Footprint {
-        if self.cluster.config.batch_remote_reads {
-            Footprint::from_keys(self.home, declared)
-        } else {
-            Footprint::default()
-        }
-    }
-
-    /// Put the read fan-out `plan` describes on the wire.
-    fn send(&self, plan: &Footprint) -> ReadFanout {
-        let mut fanout = ReadFanout::empty();
-        fanout.begin(self.cluster, self.home, plan);
-        fanout
-    }
-
-    /// Begin one attempt under `txn`: leave `Begin` in the flight recorder,
-    /// pay `slowdown_us` of extra CPU time (a slow partition's, Fig 13b: the
-    /// worker loop's attempts pay it, a session's do not), open a ticket,
-    /// take up `fanout` — the batched reads sent ([`Attempt::send`]) when the
-    /// client was taken up or its back-off was over — and start the
-    /// protocol, which runs the attempt to its first wait on the wire or to
-    /// its end. Whoever sees the attempt [`Step::Done`] owes it
-    /// [`Attempt::ended`].
-    fn begin(
-        &self,
-        program: &dyn TxnProgram,
-        txn: TxnId,
-        attempt: u32,
-        mut fanout: ReadFanout,
-        slowdown_us: u64,
-    ) -> Step<'a> {
-        let (cluster, home) = (self.cluster, self.home);
-        (cluster.recorder).emit(Some(txn), Some(home), TraceEventKind::Begin { attempt });
-        charge_latency_us(slowdown_us);
-        let ticket = cluster.group_commit.begin_txn(home, txn);
-        fanout.complete(cluster, home, txn);
-        (self.protocol).start(cluster, program, ticket, fanout)
-    }
-
-    /// The attempt under `ticket` ended with `outcome`: tell the group commit
-    /// and leave `Committed` in the flight recorder (`Abort` is
-    /// [`Attempt::aborted`]'s, which the caller owes an `Err`). A commit also
-    /// takes the log-retention step (its locks are released) — and, if the
-    /// protocol releases results itself, tells the version GC so: nobody
-    /// waits for this commit, so nobody would later. An abort leaves its
-    /// observed remote footprint in `plan` for the retry.
-    fn ended(
-        &self,
-        (outcome, ticket, fanout): Ended,
-        plan: &mut Footprint,
-    ) -> Result<(CommittedTxn, CommitWaiter), AbortReason> {
-        let (cluster, home, ticket) = (self.cluster, self.home, &*ticket);
-        match outcome {
-            Ok(commit) => {
-                let waiter = cluster
-                    .group_commit
-                    .txn_committed(ticket, commit.ts, commit.ops);
-                let durable = self.protocol.manages_durability();
-                let committed = TraceEventKind::Committed {
-                    ts: commit.ts,
-                    durable,
-                };
-                (cluster.recorder).emit(Some(ticket.txn), Some(home), committed);
-                cluster.fold_due_logs();
-                if durable {
-                    cluster.horizon_moved();
-                }
-                Ok((commit, waiter))
-            }
-            Err(e) => {
-                cluster.group_commit.txn_aborted(ticket);
-                if cluster.config.batch_remote_reads {
-                    let learned = fanout.learned(home);
-                    if !learned.is_empty() {
-                        *plan = learned;
-                    }
-                }
-                Err(e.reason())
-            }
-        }
-    }
-
-    /// Attempt number `attempts` of `txn` aborted for `reason`: how long its
-    /// client backs off before the next one ([`next_backoff`]) — `None` if
-    /// there is none, the reason being final or the attempts used up. Leaves
-    /// `Abort` in the flight recorder, with that wait: a retry's latency is
-    /// attributable from the stream.
-    fn aborted(
-        &self,
-        txn: TxnId,
-        attempts: usize,
-        reason: AbortReason,
-        rng: &mut FastRng,
-        backoff_us: &mut u64,
-    ) -> Option<u64> {
-        let backoff_max_us = self.cluster.config.backoff_max_us;
-        let wait_us = (reason.is_retryable() && attempts < MAX_ATTEMPTS)
-            .then(|| next_backoff(rng, backoff_us, backoff_max_us));
-        self.cluster.recorder.emit(
-            Some(txn),
-            Some(self.home),
-            TraceEventKind::Abort {
-                reason,
-                backoff_us: wait_us.unwrap_or(0),
-            },
-        );
-        wait_us
-    }
-}
-
-/// Take up a new client: generate its transaction and put its read fan-out
-/// on the wire. `None` if it was served on the spot — a declared read-only
-/// transaction, from the MVCC snapshot at the durable group-commit horizon:
-/// no ticket, no locks, no validation, no group-commit wait, the result is
-/// final the moment execution ends. An unanswerable read (bounded chain
-/// outran the horizon) falls back to the protocol path like any other
-/// client.
-fn take_up(ctx: &WorkerContext, rng: &mut FastRng) -> Option<Prepared> {
-    let program = ctx.workload.generate(rng, ctx.home);
-    let started_us = now_us();
-    if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(&ctx.cluster) {
-        let done = match crate::snapshot::execute_snapshot(&ctx.cluster, program.as_ref()) {
-            crate::snapshot::SnapshotOutcome::Done(result) => Some(result),
-            crate::snapshot::SnapshotOutcome::Fallback => None,
-        };
-        if let Some(result) = done {
-            if ctx.recording() {
-                match result {
-                    Ok(()) => {
-                        let latency_us = now_us() - started_us;
-                        // Snapshot reads pay no remote round trips and
-                        // never enter the protocol path, so they stay
-                        // out of the distributed-latency histogram.
-                        ctx.metrics.record_commit(latency_us, false);
-                        ctx.metrics.record_snapshot_read();
-                    }
-                    Err(e) => {
-                        // Program-level abort (e.g. NotFound at the
-                        // snapshot): final, never retried.
-                        ctx.metrics.record_abort(e.reason());
-                        ctx.metrics.record_abandoned();
-                    }
-                }
-            }
-            return None;
-        }
-    }
-    // The remote-read plan: the program's static hint for the first
-    // attempt, then each aborted attempt's observed access set for the
-    // retry (reconnaissance-style), so even hint-less programs converge
-    // to one batched fan-out per attempt.
-    let attempt = ctx.attempt();
-    let declared = program.read_hint();
-    let plan = attempt.initial_plan(&declared);
-    let fanout = attempt.send(&plan);
-    Some(Prepared {
-        program,
-        started_us,
-        declared,
-        plan,
-        fanout,
-        txn: None,
-        attempts: 0,
-        backoff_us: ctx.cluster.config.backoff_initial_us,
-        held: Cell::default(),
-    })
-}
-
 /// The key half of admission: whether a client touching `keys` — declared
 /// before its body runs, exact after it — shares none with the attempts
 /// `held`, whose bodies have run.
@@ -531,11 +309,17 @@ fn clear_of<'s>(
 
 /// One worker's clients, wherever they wait, and what it has measured.
 struct Worker<'a> {
-    ctx: &'a WorkerContext,
+    cluster: &'a Cluster,
+    protocol: &'a dyn Protocol,
+    home: PartitionId,
+    /// The thread's workload, stop flag and metrics. A session's worker has
+    /// none: it takes up no client but the caller's, never stops and counts
+    /// nothing.
+    ctx: Option<&'a WorkerContext>,
     rng: FastRng,
-    pending: VecDeque<PendingCommit>,
-    queued: VecDeque<Prepared>,
-    parked: Parked,
+    pending: VecDeque<PendingCommit<'a>>,
+    queued: VecDeque<Prepared<'a>>,
+    parked: Parked<'a>,
     /// Oldest first.
     voting: VecDeque<Suspended<'a>>,
     /// The attempts of this worker that hold write locks: no two share a key.
@@ -546,13 +330,25 @@ struct Worker<'a> {
     passed_over: bool,
     /// Spent waiting for a deadline since the last body: not the worker's own.
     waited_us: u64,
+    /// The result of the client that ended last: `Ok` with its attempts, or
+    /// the reason its abort was final. What a session waits for.
+    result: Option<Result<usize, AbortReason>>,
 }
 
 impl<'a> Worker<'a> {
-    fn new(ctx: &'a WorkerContext) -> Self {
+    fn new(
+        cluster: &'a Cluster,
+        protocol: &'a dyn Protocol,
+        home: PartitionId,
+        ctx: Option<&'a WorkerContext>,
+        rng: FastRng,
+    ) -> Self {
         Worker {
+            cluster,
+            protocol,
+            home,
             ctx,
-            rng: FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5),
+            rng,
             pending: VecDeque::new(),
             queued: VecDeque::new(),
             parked: Parked::new(),
@@ -561,13 +357,98 @@ impl<'a> Worker<'a> {
             pace: Pace::new(now_us()),
             passed_over: false,
             waited_us: 0,
+            result: None,
         }
+    }
+
+    /// Where results are counted: the thread's metrics while the window
+    /// records.
+    fn metrics(&self) -> Option<&'a Metrics> {
+        (self.ctx.filter(|c| c.recording())).map(|c| &*c.metrics)
+    }
+
+    fn stopped(&self) -> bool {
+        self.ctx.is_some_and(WorkerContext::stopped)
     }
 
     /// How many of the closed loop's clients are outstanding, wherever.
     fn population(&self) -> usize {
         let suspended = self.voting.len() + self.deciding.len();
         self.queued.len() + suspended + self.parked.len() + self.pending.len()
+    }
+
+    /// Whether the worker takes up no new client: it has no workload, or
+    /// its population is at the ceiling.
+    fn full(&self) -> bool {
+        self.ctx.is_none() || self.population() >= MAX_PENDING_COMMITS
+    }
+
+    /// Put the read fan-out `plan` describes on the wire.
+    fn send(&self, plan: &Footprint) -> ReadFanout {
+        let mut fanout = ReadFanout::empty();
+        fanout.begin(self.cluster, self.home, plan);
+        fanout
+    }
+
+    /// Take up a new client running `program`: put its read fan-out on the
+    /// wire. `None` if it was served on the spot — a declared read-only
+    /// transaction, from the MVCC snapshot at the durable group-commit
+    /// horizon: no ticket, no locks, no validation, no group-commit wait, the
+    /// result is final the moment execution ends. An unanswerable read
+    /// (bounded chain outran the horizon) falls back to the protocol path
+    /// like any other client.
+    fn take_up(&mut self, program: Box<dyn TxnProgram + 'a>) -> Option<Prepared<'a>> {
+        let started_us = now_us();
+        let served = program.is_read_only() && snapshot_reads_enabled(self.cluster);
+        let snapshot = served.then(|| execute_snapshot(self.cluster, program.as_ref()));
+        if let Some(SnapshotOutcome::Done(result)) = snapshot {
+            let result = result.map(|()| 1).map_err(|e| e.reason());
+            match (self.metrics(), result) {
+                (Some(metrics), Ok(_)) => {
+                    // Snapshot reads pay no remote round trips and never enter
+                    // the protocol path, so they stay out of the
+                    // distributed-latency histogram.
+                    metrics.record_commit(now_us() - started_us, false);
+                    metrics.record_snapshot_read();
+                }
+                (Some(metrics), Err(reason)) => {
+                    // Program-level abort (e.g. NotFound at the snapshot):
+                    // final, never retried.
+                    metrics.record_abort(reason);
+                    metrics.record_abandoned();
+                }
+                (None, _) => {}
+            }
+            self.result = Some(result);
+            return None;
+        }
+        let mut client = self.prepare(program, started_us);
+        client.fanout = self.send(&client.plan);
+        Some(client)
+    }
+
+    /// A client running `program` since `started_us`, before its first
+    /// attempt. The remote-read plan: the program's static hint for the
+    /// first attempt, then each aborted attempt's observed access set for the
+    /// retry (reconnaissance-style), so even hint-less programs converge to
+    /// one batched fan-out per attempt.
+    fn prepare(&self, program: Box<dyn TxnProgram + 'a>, started_us: u64) -> Prepared<'a> {
+        let declared = program.read_hint();
+        let plan = match self.cluster.config.batch_remote_reads {
+            true => Footprint::from_keys(self.home, &declared),
+            false => Footprint::default(),
+        };
+        Prepared {
+            program,
+            started_us,
+            declared,
+            plan,
+            fanout: ReadFanout::empty(),
+            txn: None,
+            attempts: 0,
+            backoff_us: self.cluster.config.backoff_initial_us,
+            held: Cell::default(),
+        }
     }
 
     /// Whether queued client `c` may run its body now. One that declared its
@@ -579,7 +460,7 @@ impl<'a> Worker<'a> {
     /// fetched runs body and vote round holding nothing, so a holder is not
     /// in its way but another voting client is (bodies in install order);
     /// one with nothing to fetch runs in the gap, when nobody holds a lock.
-    fn may_start(&self, c: &Prepared) -> bool {
+    fn may_start(&self, c: &Prepared<'_>) -> bool {
         let fetched = c.fanout.flight_us() > 0;
         let mut suspended = self.voting.iter().chain(&self.deciding);
         if c.declared.is_empty() || !suspended.all(|s| s.attempt.overlappable()) {
@@ -604,18 +485,28 @@ impl<'a> Worker<'a> {
     }
 
     /// Run one attempt of a client's transaction, to its end or to where it
-    /// waits for its votes holding nothing; its fan-out is back. An attempt
-    /// that comes out of its body holding locks keeps the worker until it is
-    /// over: nothing of this worker overlaps what holds something.
-    fn start(&mut self, mut client: Prepared) {
-        let ctx = self.ctx;
-        let txn = *(client.txn).get_or_insert_with(|| ctx.cluster.next_txn_id(ctx.home));
+    /// waits for its votes holding nothing; its fan-out is back. The attempt
+    /// leaves `Begin` in the flight recorder, pays the home's extra CPU time
+    /// (a slow partition's, Fig 13b), opens a ticket and takes up the batched
+    /// reads sent when the client was taken up or its back-off was over;
+    /// then the protocol runs it to its first wait on the wire or to its end.
+    /// An attempt that comes out of its body holding locks keeps the worker
+    /// until it is over: nothing of this worker overlaps what holds
+    /// something.
+    fn start(&mut self, mut client: Prepared<'a>) {
+        let (cluster, home) = (self.cluster, self.home);
+        let txn = *(client.txn).get_or_insert_with(|| cluster.next_txn_id(home));
         client.attempts += 1;
-        let sent = std::mem::take(&mut client.fanout);
+        let mut sent = std::mem::take(&mut client.fanout);
         let (fetched, held) = (sent.flight_us() > 0, client.held.take());
-        let (program, attempts) = (client.program.as_ref(), client.attempts as u32);
-        let slowdown_us = ctx.cluster.partition(ctx.home).slowdown_us();
-        match (ctx.attempt()).begin(program, txn, attempts, sent, slowdown_us) {
+        let begin = TraceEventKind::Begin {
+            attempt: client.attempts as u32,
+        };
+        cluster.recorder.emit(Some(txn), Some(home), begin);
+        charge_latency_us(cluster.partition(home).slowdown_us());
+        let ticket = cluster.group_commit.begin_txn(home, txn);
+        sent.complete(cluster, home, txn);
+        match (self.protocol).start(cluster, client.program.as_ref(), ticket, sent) {
             Step::Waiting(attempt) if !attempt.holds_locks() => {
                 // A key its declaration missed was never checked against the
                 // voters': the scan could not hold it back for one, so it
@@ -658,44 +549,149 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// An attempt of `client` is over. A client that must retry is parked
-    /// until its back-off is over — holding what a queued client holds, and
-    /// the footprint the attempt learned. Every other client is accounted
-    /// for: committed (counted here or handed to `pending`), or abandoned —
-    /// its abort final or its `MAX_ATTEMPTS` used up.
-    fn ended(&mut self, mut client: Prepared, ended: Ended) {
-        let (ctx, txn) = (self.ctx, ended.1.txn);
-        let attempt = ctx.attempt();
-        match attempt.ended(ended, &mut client.plan) {
-            Ok((commit, waiter)) => {
-                if ctx.protocol.manages_durability() {
-                    if ctx.recording() {
-                        let latency_us = now_us() - client.started_us;
-                        ctx.metrics.record_commit(latency_us, commit.distributed);
-                    }
+    /// An attempt of `client` is over: the group commit is told. A commit
+    /// leaves `Committed` in the flight recorder and takes the log-retention
+    /// step (its locks are released); if the protocol releases results
+    /// itself, the version GC is told so — nobody waits for this commit, so
+    /// nobody would later — and the result is out, else the client waits in
+    /// `pending` for the group commit. An abort leaves its observed remote
+    /// footprint in the client's plan for the retry ([`Worker::aborted`]).
+    fn ended(&mut self, mut client: Prepared<'a>, (outcome, ticket, fanout): Ended) {
+        let (cluster, home) = (self.cluster, self.home);
+        match outcome {
+            Ok(commit) => {
+                let waiter = (cluster.group_commit).txn_committed(&ticket, commit.ts, commit.ops);
+                let durable = self.protocol.manages_durability();
+                let committed = TraceEventKind::Committed {
+                    ts: commit.ts,
+                    durable,
+                };
+                (cluster.recorder).emit(Some(ticket.txn), Some(home), committed);
+                cluster.fold_due_logs();
+                let distributed = commit.distributed;
+                if durable {
+                    cluster.horizon_moved();
+                    self.returned(client.started_us, client.attempts, distributed);
                 } else {
-                    // The client keeps waiting for the watermark / epoch; the
-                    // worker moves on to the next transaction.
                     self.pending.push_back(PendingCommit {
                         waiter,
+                        program: client.program,
                         started_us: client.started_us,
-                        distributed: commit.distributed,
+                        attempts: client.attempts,
+                        backoff_us: client.backoff_us,
+                        distributed,
                     });
                 }
             }
-            Err(reason) => {
-                if ctx.recording() {
-                    ctx.metrics.record_abort(reason);
-                }
-                let (attempts, level) = (client.attempts, &mut client.backoff_us);
-                match attempt.aborted(txn, attempts, reason, &mut self.rng, level) {
-                    Some(wait_us) => {
-                        self.parked.insert((now_us() + wait_us, txn), client);
+            Err(e) => {
+                cluster.group_commit.txn_aborted(&ticket);
+                if cluster.config.batch_remote_reads {
+                    let learned = fanout.learned(home);
+                    if !learned.is_empty() {
+                        client.plan = learned;
                     }
-                    None if ctx.recording() => ctx.metrics.record_abandoned(),
-                    None => {}
                 }
+                self.aborted(client, ticket.txn, e.reason(), true);
             }
+        }
+    }
+
+    /// A client taken up at `started_us` committed after `attempts`, and its
+    /// result is out.
+    fn returned(&mut self, started_us: u64, attempts: usize, distributed: bool) {
+        if let Some(metrics) = self.metrics() {
+            metrics.record_commit(now_us() - started_us, distributed);
+        }
+        self.result = Some(Ok(attempts));
+    }
+
+    /// `client`'s attempt under `txn` aborted for `reason`. If the reason is
+    /// retryable and attempts are left, the client is parked until its
+    /// back-off ([`next_backoff`]) is over — holding what a queued client
+    /// holds, and the footprint the attempt learned — else it is abandoned,
+    /// the reason its result. An attempt's own abort (`traced`) leaves
+    /// `Abort` in the flight recorder with that wait, so a retry's latency is
+    /// attributable from the stream; a crash-aborted commit has its
+    /// `GroupCommitRelease` there already.
+    fn aborted(&mut self, mut client: Prepared<'a>, txn: TxnId, reason: AbortReason, traced: bool) {
+        if let Some(metrics) = self.metrics() {
+            metrics.record_abort(reason);
+        }
+        let max_us = self.cluster.config.backoff_max_us;
+        let wait_us = (reason.is_retryable() && client.attempts < MAX_ATTEMPTS)
+            .then(|| next_backoff(&mut self.rng, &mut client.backoff_us, max_us));
+        if traced {
+            let backoff_us = wait_us.unwrap_or(0);
+            let abort = TraceEventKind::Abort { reason, backoff_us };
+            (self.cluster.recorder).emit(Some(txn), Some(self.home), abort);
+        }
+        match wait_us {
+            Some(wait_us) => {
+                // What a crash left under the id is not the retry's.
+                if reason.is_crash() {
+                    client.txn = None;
+                }
+                self.parked.insert((now_us() + wait_us, txn), client);
+            }
+            None => {
+                if let Some(metrics) = self.metrics() {
+                    metrics.record_abandoned();
+                }
+                self.result = Some(Err(reason));
+            }
+        }
+    }
+
+    /// The group commit decided `done`: trace the release and give the
+    /// result — or retry the client, whose commit a crash aborted.
+    fn resolve(&mut self, done: PendingCommit<'a>, outcome: CommitOutcome) {
+        let PendingCommit {
+            waiter,
+            program,
+            started_us,
+            attempts,
+            backoff_us,
+            distributed,
+        } = done;
+        let committed = matches!(outcome, CommitOutcome::Committed);
+        let release = TraceEventKind::GroupCommitRelease { committed };
+        (self.cluster.recorder).emit(Some(waiter.txn), Some(waiter.coordinator), release);
+        match outcome {
+            CommitOutcome::Committed => self.returned(started_us, attempts, distributed),
+            CommitOutcome::CrashAborted => {
+                let prepared = self.prepare(program, started_us);
+                let client = Prepared {
+                    attempts,
+                    backoff_us,
+                    ..prepared
+                };
+                self.aborted(client, waiter.txn, AbortReason::CrashAbort, false)
+            }
+        }
+    }
+
+    /// Report every pending transaction whose group-commit outcome is known —
+    /// after blocking on the oldest, if `block`: back-pressure at the client
+    /// ceiling, and (the wait being the group commit's demand signal) what
+    /// closes the group early under the watermark scheme. A result released
+    /// is the scheme saying its horizon moved, which the version-chain GC
+    /// wants to know: once per release, not once per commit.
+    fn release_pending(&mut self, block: bool) {
+        let (outstanding, group_commit) = (self.pending.len(), &self.cluster.group_commit);
+        if block {
+            if let Some(oldest) = self.pending.pop_front() {
+                let outcome = group_commit.wait_durable(&oldest.waiter);
+                self.resolve(oldest, outcome);
+            }
+        }
+        while let Some(outcome) =
+            (self.pending.front()).and_then(|front| group_commit.try_outcome(&front.waiter))
+        {
+            let done = self.pending.pop_front().expect("front was just probed");
+            self.resolve(done, outcome);
+        }
+        if self.pending.len() < outstanding {
+            self.cluster.horizon_moved();
         }
     }
 
@@ -704,39 +700,42 @@ impl<'a> Worker<'a> {
     /// so its release is finished, never dropped. A voting one holds a ticket
     /// and nothing else: the participants are told, the ticket is closed and
     /// the client goes the way of the queued and the parked, which hold
-    /// nothing at all.
+    /// nothing at all — dropped, `RemoteUnavailable` its result.
     fn wind_down(&mut self) {
         for deciding in std::mem::take(&mut self.deciding) {
             wait_until(deciding.ready_at_us());
             self.resume(deciding);
         }
+        let cluster = self.cluster;
+        let dropped = self.voting.len() + self.queued.len() + self.parked.len();
         for Suspended { attempt, .. } in self.voting.drain(..) {
-            let cluster = &self.ctx.cluster;
             let ticket = attempt.abandon();
             cluster.group_commit.txn_aborted(&ticket);
-            let dropped = TraceEventKind::Abort {
+            let abort = TraceEventKind::Abort {
                 reason: AbortReason::RemoteUnavailable,
                 backoff_us: 0,
             };
-            (cluster.recorder).emit(Some(ticket.txn), Some(self.ctx.home), dropped);
+            (cluster.recorder).emit(Some(ticket.txn), Some(self.home), abort);
         }
         self.queued.clear();
         self.parked.clear();
+        if dropped > 0 {
+            self.result = Some(Err(AbortReason::RemoteUnavailable));
+        }
     }
 
     /// One turn of the loop: run the oldest thing that is ready, else put a
     /// client on the wire, else wait for the earliest deadline.
     fn turn(&mut self) {
-        let ctx = self.ctx;
         // Report results of transactions whose group commit finished while we
         // were executing newer ones.
-        release_pending(ctx, &mut self.pending, false);
+        self.release_pending(false);
         // A dead leader serves no clients; the worker waits as after a
         // retryable abort (the longest back-off: a recovery takes that long
         // at least).
-        if ctx.cluster.net.is_crashed(ctx.home) {
+        if self.cluster.net.is_crashed(self.home) {
             self.wind_down();
-            let max_us = ctx.cluster.config.backoff_max_us;
+            let max_us = self.cluster.config.backoff_max_us;
             charge_latency_us(next_backoff(&mut self.rng, &mut { max_us }, max_us));
             return;
         }
@@ -766,8 +765,8 @@ impl<'a> Worker<'a> {
         let next_reply_at = (self.deciding.iter().map(Suspended::ready_at_us))
             .chain(on_the_wire.filter(|&at_us| at_us > now))
             .min();
-        let open = (ctx.cluster.group_commit).execution_gate(ctx.home, next_reply_at.is_none());
-        if ctx.stopped() {
+        let open = (self.cluster.group_commit).execution_gate(self.home, next_reply_at.is_none());
+        if self.stopped() {
             return;
         }
         if !open {
@@ -786,13 +785,14 @@ impl<'a> Worker<'a> {
         // results would come at the interval. Only when every client is
         // parked is the earliest back-off what the worker waits for.
         let nothing_flies = self.queued.is_empty() && next_reply_at.is_none();
-        if self.population() >= MAX_PENDING_COMMITS && nothing_flies && !due(retry_at) {
+        if self.full() && nothing_flies && !due(retry_at) {
             match retry_at {
                 Some(at_us) if self.pending.is_empty() => self.wait(at_us),
-                _ => release_pending(ctx, &mut self.pending, true),
+                _ => self.release_pending(true),
             }
+            return;
         }
-        let full = self.population() >= MAX_PENDING_COMMITS;
+        let full = self.full();
 
         // The oldest queued client whose replies are back and who may run its
         // body now ([`Worker::may_start`]). Every one that fetched and is
@@ -825,10 +825,12 @@ impl<'a> Worker<'a> {
             self.passed_over = ready.is_some();
             let client = if retry_due {
                 let (_, mut client) = self.parked.pop_first().expect("a retry is due");
-                client.fanout = ctx.attempt().send(&client.plan);
+                client.fanout = self.send(&client.plan);
                 Some(client)
             } else {
-                take_up(ctx, &mut self.rng)
+                let ctx = self.ctx.expect("a worker without a workload is full");
+                let program = ctx.workload.generate(&mut self.rng, self.home);
+                self.take_up(program)
             };
             match client {
                 // Nothing to wait for: run it now, never behind the wire.
@@ -863,7 +865,9 @@ impl<'a> Worker<'a> {
 
 /// Run the worker loop until the stop flag is raised.
 pub fn worker_loop(ctx: WorkerContext) {
-    let mut worker = Worker::new(&ctx);
+    let rng = FastRng::for_worker(ctx.home.0, ctx.worker_idx, 0xAB5);
+    let (cluster, protocol) = (&*ctx.cluster, ctx.protocol.as_ref());
+    let mut worker = Worker::new(cluster, protocol, ctx.home, Some(&ctx), rng);
     while !ctx.stopped() {
         worker.turn();
     }
@@ -873,13 +877,12 @@ pub fn worker_loop(ctx: WorkerContext) {
     // block on one waiter after the other until the deadline.
     let deadline_us = now_us() + 200_000;
     while !worker.pending.is_empty() && now_us() < deadline_us {
-        release_pending(&ctx, &mut worker.pending, true);
+        worker.release_pending(true);
     }
     // No write of this worker will come by to reclaim what these covered.
     ctx.cluster.reclaim_due_versions();
 }
 
-/// Spawn all worker threads for an experiment. Returns their join handles.
 pub fn spawn_workers(
     cluster: &Arc<Cluster>,
     protocol: &Arc<dyn Protocol>,
@@ -912,65 +915,34 @@ pub fn spawn_workers(
     handles
 }
 
-/// Helper used by tests and examples: run a single transaction to completion
-/// (with retries) outside the throughput-measurement machinery. Returns the
-/// number of attempts on success.
-///
-/// Every attempt runs under a **fresh** transaction id. A crash-aborted
-/// attempt has already logged a `TxnWrites` entry per partition (and may
-/// have been sealed with a `TxnRolledBack` marker by compensation); reusing
-/// its id for the retry would let replay's dedup-by-transaction merge the
-/// rolled-back and the committed attempt — and a marker would cancel both.
-pub fn run_single_txn(
+/// Run `program` to its result, as a facade session does: as the one client
+/// of a worker with no workload, whose turns run on the caller's thread
+/// until that client has a result — every rule of the worker loop applies
+/// to it (the slow-partition surcharge, the retry schedule and its ids, the
+/// group-commit wait and its release). Returns the number of attempts on
+/// success, or the reason the abort was final: the program's own, the last
+/// one when the attempts ran out, or `RemoteUnavailable` when its home
+/// crashed under it. A declared read-only program resolves at the durable
+/// horizon unless a read is unanswerable.
+pub fn run_session_txn(
     cluster: &Arc<Cluster>,
     protocol: &dyn Protocol,
     program: &dyn TxnProgram,
 ) -> Result<usize, AbortReason> {
     let home = program.home_partition();
-    // The same snapshot dispatch the worker loop uses: a declared read-only
-    // program resolves at the durable horizon unless a read is unanswerable.
-    if program.is_read_only() && crate::snapshot::snapshot_reads_enabled(cluster) {
-        match crate::snapshot::execute_snapshot(cluster, program) {
-            crate::snapshot::SnapshotOutcome::Done(Ok(())) => return Ok(1),
-            crate::snapshot::SnapshotOutcome::Done(Err(e)) => return Err(e.reason()),
-            crate::snapshot::SnapshotOutcome::Fallback => {}
-        }
+    // The back-off jitter is seeded by the first transaction id, so sessions
+    // that collide do not back off in lockstep.
+    let txn = cluster.next_txn_id(home);
+    let mut worker = Worker::new(cluster, protocol, home, None, FastRng::new(txn.pack()));
+    if let Some(client) = worker.take_up(Box::new(program)) {
+        let txn = Some(txn);
+        worker.queued.push_back(Prepared { txn, ..client });
     }
-    let attempt = Attempt {
-        cluster,
-        protocol,
-        home,
-    };
-    let mut attempts = 0;
-    let mut backoff_us = cluster.config.backoff_initial_us;
-    let mut plan = attempt.initial_plan(&program.read_hint());
     loop {
-        attempts += 1;
-        let txn = cluster.next_txn_id(home);
-        // Jitter seeded by the attempt's id.
-        let mut rng = FastRng::new(txn.pack());
-        // A session *is* the waiting client: it sits every wait of the
-        // attempt out, and its back-off here. When the attempts run out it
-        // reports what actually aborted the last one rather than a blanket
-        // LockConflict.
-        let begun = attempt.begin(program, txn, attempts as u32, attempt.send(&plan), 0);
-        let wait_us = match attempt.ended(begun.wait_out(), &mut plan) {
-            Ok(_) if protocol.manages_durability() => return Ok(attempts),
-            Ok((_, waiter)) => match cluster.group_commit.wait_durable(&waiter) {
-                CommitOutcome::Committed => {
-                    cluster.horizon_moved();
-                    return Ok(attempts);
-                }
-                CommitOutcome::CrashAborted if attempts < MAX_ATTEMPTS => {
-                    next_backoff(&mut rng, &mut backoff_us, cluster.config.backoff_max_us)
-                }
-                CommitOutcome::CrashAborted => return Err(AbortReason::CrashAbort),
-            },
-            Err(reason) => attempt
-                .aborted(txn, attempts, reason, &mut rng, &mut backoff_us)
-                .ok_or(reason)?,
-        };
-        charge_latency_us(wait_us);
+        match worker.result.take() {
+            Some(result) => return result,
+            None => worker.turn(),
+        }
     }
 }
 
@@ -1165,7 +1137,7 @@ mod tests {
             accesses: vec![],
         };
         let c2 = Arc::clone(&cluster);
-        let runner = std::thread::spawn(move || run_single_txn(&c2, &LoggingProtocol, &prog));
+        let runner = std::thread::spawn(move || run_session_txn(&c2, &LoggingProtocol, &prog));
         // Inject the scheme-level crash while the first attempt is inside
         // its persist window (the partition itself stays up): under CLV a
         // commit whose window spans the crash instant is rolled back; the
@@ -1273,7 +1245,7 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![],
         };
-        let err = run_single_txn(&cluster, &AlwaysValidationAbort, &prog).unwrap_err();
+        let err = run_session_txn(&cluster, &AlwaysValidationAbort, &prog).unwrap_err();
         assert_eq!(err, AbortReason::Validation, "not a blanket LockConflict");
         cluster.shutdown();
     }

@@ -596,7 +596,7 @@ mod tests {
     use primo_common::config::ClusterConfig;
     use primo_core::PrimoProtocol;
     use primo_runtime::cluster::Cluster;
-    use primo_runtime::worker::run_single_txn;
+    use primo_runtime::worker::run_session_txn;
 
     #[test]
     fn loader_populates_all_tables() {
@@ -675,7 +675,7 @@ mod tests {
         let mut neworders = 0;
         for _ in 0..40 {
             let prog = workload.generate(&mut rng, PartitionId(0));
-            run_single_txn(&cluster, &protocol, prog.as_ref()).unwrap();
+            run_session_txn(&cluster, &protocol, prog.as_ref()).unwrap();
             if prog.label() == "new_order" {
                 neworders += 1;
             }
@@ -718,7 +718,7 @@ mod tests {
             c_d_id: 0,
             unique: 42,
         };
-        run_single_txn(&cluster, &protocol, &txn).unwrap();
+        run_session_txn(&cluster, &protocol, &txn).unwrap();
         let wh = cluster
             .partition(PartitionId(0))
             .store
@@ -761,7 +761,7 @@ mod tests {
             c_d_id: 0,
             unique: 1,
         };
-        run_single_txn(&cluster, &protocol, &base).unwrap();
+        run_session_txn(&cluster, &protocol, &base).unwrap();
         let store = &cluster.partition(PartitionId(0)).store;
         let ok = cfg.order_key(0, 0, 1);
         assert!(
@@ -773,7 +773,7 @@ mod tests {
             kind: TpccTxnKind::Delivery,
             ..base.clone()
         };
-        run_single_txn(&cluster, &protocol, &delivery).unwrap();
+        run_session_txn(&cluster, &protocol, &delivery).unwrap();
         assert!(
             store.get(NEW_ORDER, ok).is_none(),
             "Delivery must remove the NEW-ORDER row via a real delete"
@@ -785,7 +785,7 @@ mod tests {
         assert_eq!(field(&order.value, O_CARRIER_ID), 7);
         // Running Delivery again finds nothing undelivered and commits as a
         // no-op for district 0.
-        run_single_txn(&cluster, &protocol, &delivery).unwrap();
+        run_session_txn(&cluster, &protocol, &delivery).unwrap();
         assert_eq!(
             field(
                 &store

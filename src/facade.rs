@@ -41,7 +41,7 @@ use primo_common::{AbortReason, Key, PartitionId, TableId, TxnResult, Value};
 use primo_runtime::cluster::Cluster;
 use primo_runtime::protocol::Protocol;
 use primo_runtime::txn::{ClosureProgram, TxnContext, TxnProgram};
-use primo_runtime::worker::run_single_txn;
+use primo_runtime::worker::run_session_txn;
 use std::sync::Arc;
 
 /// A deferred edit to the assembled [`ClusterConfig`].
@@ -304,7 +304,10 @@ impl std::fmt::Debug for Primo {
 }
 
 /// A session on a [`Primo`] handle: load data, read committed state and run
-/// transactions to completion (conflict aborts are retried with back-off).
+/// transactions to completion. A transaction runs as the one client of a
+/// worker driven on the calling thread, under the rules of the benchmark's
+/// workers: retryable aborts are retried with back-off, and the call returns
+/// once the group commit has released the result.
 pub struct Session<'a> {
     primo: &'a Primo,
 }
@@ -331,7 +334,8 @@ impl Session<'_> {
 
     /// Run a transaction expressed as a closure to completion. Returns the
     /// number of attempts it took, or the abort reason if the transaction
-    /// rolled back permanently (user abort).
+    /// rolled back permanently (a user abort, the attempts used up, or
+    /// `RemoteUnavailable` when its home partition crashed).
     pub fn transaction<F>(&self, home: PartitionId, body: F) -> Result<usize, AbortReason>
     where
         F: Fn(&mut dyn TxnContext) -> TxnResult<()> + Send + Sync,
@@ -341,7 +345,7 @@ impl Session<'_> {
 
     /// Run a pre-built [`TxnProgram`] to completion.
     pub fn run_program(&self, program: &dyn TxnProgram) -> Result<usize, AbortReason> {
-        run_single_txn(&self.primo.cluster, self.primo.protocol.as_ref(), program)
+        run_session_txn(&self.primo.cluster, self.primo.protocol.as_ref(), program)
     }
 }
 

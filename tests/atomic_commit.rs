@@ -17,6 +17,7 @@
 
 use primo_repro::common::Metrics;
 use primo_repro::runtime::worker::spawn_workers;
+use primo_repro::runtime::{run_on_cluster, ExperimentOptions};
 use primo_repro::{
     AbortReason, CommitMode, CrashPlan, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
     Scale, TableId, TraceEventKind, TxnContext, TxnProgram, TxnResult, Value, Workload,
@@ -219,10 +220,10 @@ impl Workload for PairIncrements {
 /// The same trap, met by the workers' event loop rather than a session. The
 /// attempt dies where it does under a session — its votes taken up, nothing
 /// decided — and leaks what it leaks there: the locks its reads hold (2PL),
-/// its ticket closed by the worker like any abort's. A worker's client is
-/// retried under the *same* id, so — the locks being re-entrant — its retry
-/// takes the orphan's locks over and commits: the loop goes on, and when it
-/// stops nothing else is left behind.
+/// its ticket closed by the worker like any abort's. Its client is retried
+/// under a fresh id, as after every crash-class abort, so nothing takes the
+/// orphan's locks over: they block its footprint — classic 2PC's blocking —
+/// and when the loop stops nothing else is left behind.
 #[test]
 fn a_worker_orphans_the_trapped_attempt_and_nothing_more() {
     let primo = Primo::builder()
@@ -281,12 +282,8 @@ fn a_worker_orphans_the_trapped_attempt_and_nothing_more() {
         ),
         "{kinds:?}"
     );
-    assert!(
-        (kinds.iter()).any(|k| matches!(k, TraceEventKind::Committed { .. })),
-        "the orphan's client never got through: {kinds:?}"
-    );
-    // Nothing more: every attempt that began has ended, no lock is left —
-    // the retry released what the orphan leaked — and every pair agrees.
+    // Nothing more: every attempt that began has ended, the only locks left
+    // are the orphan's, and every pair agrees.
     let mut open = std::collections::HashMap::new();
     for e in timeline.events() {
         let step = match e.kind {
@@ -298,13 +295,83 @@ fn a_worker_orphans_the_trapped_attempt_and_nothing_more() {
     }
     open.retain(|_, balance| *balance != 0);
     assert!(open.is_empty(), "attempts without an end: {open:?}");
-    for p in cluster.partition_ids() {
-        let table = cluster.partition(p).store.table(T);
-        let locked = table.scan_keys(|k| table.get(k).is_some_and(|r| r.lock().is_locked()));
-        assert!(locked.is_empty(), "{p}: keys {locked:?} are still locked");
-    }
+    let locked: Vec<Vec<u64>> = (cluster.partition_ids().into_iter())
+        .map(|p| {
+            let table = cluster.partition(p).store.table(T);
+            table.scan_keys(|k| table.get(k).is_some_and(|r| r.lock().is_locked()))
+        })
+        .collect();
+    assert!(
+        locked[0].len() == 1 && locked[0] == locked[1],
+        "the orphan's pair alone stays locked: {locked:?}"
+    );
     assert_pairs_consistent(&primo, "orphan met by the workers");
-    assert_no_blocked_locks(&primo, "orphan met by the workers");
+    for k in (0..KEYS).filter(|&k| k != locked[0][0]) {
+        session
+            .run_program(&PairIncrement {
+                home: PartitionId(1),
+                key: k,
+            })
+            .unwrap_or_else(|e| panic!("key {k}, outside the orphan's footprint, blocked: {e:?}"));
+    }
+    primo.shutdown();
+}
+
+/// Regression: a worker used to retry an orphaned classic-2PC attempt under
+/// the orphan's own id, and the retry — the locks being re-entrant — took the
+/// orphan's leaked locks over, committed and released them, hiding 2PC's
+/// blocking from every coordinator-crash run. The experiment driver's crash
+/// plan, through the workers: after the coordinator crash, nothing begins
+/// under the orphan's id again.
+#[test]
+fn a_coordinator_crash_run_never_retries_the_orphan_under_its_id() {
+    let primo = Primo::builder()
+        .partitions(2)
+        .workers_per_partition(1)
+        .protocol(ProtocolKind::TwoPlNoWait)
+        .logging(LoggingScheme::CocoEpoch)
+        .commit_mode(CommitMode::TwoPc)
+        .fast_local()
+        .seed(0x0A10)
+        // Room for the workers' events of the whole run.
+        .tweak(|c| c.trace.ring_capacity = 1 << 16)
+        .build();
+    let session = primo.session();
+    for p in 0..2u32 {
+        for k in 0..KEYS {
+            session.load(PartitionId(p), T, k, Value::from_u64(0));
+        }
+    }
+    let cluster = primo.cluster();
+    let options = ExperimentOptions {
+        warmup: Duration::from_millis(20),
+        duration: Duration::from_millis(120),
+        crash: Some(CrashPlan::coordinator(
+            PartitionId(0),
+            Duration::from_millis(30),
+        )),
+        ..ExperimentOptions::default()
+    };
+    let snap = run_on_cluster(
+        cluster,
+        Arc::clone(primo.protocol()),
+        Arc::new(PairIncrements),
+        &options,
+    );
+    assert_eq!(snap.orphaned_txns, 1, "exactly the trapped attempt");
+
+    let timeline = cluster.recorder.merge();
+    let crashed = timeline.of_kind(|k| matches!(k, TraceEventKind::CoordinatorCrashed));
+    let orphan = crashed.events()[0].txn.expect("the orphan has an id");
+    let of_orphan = timeline.for_txn(orphan);
+    let mut kinds = of_orphan.events().iter().map(|e| e.kind);
+    kinds.find(|k| matches!(k, TraceEventKind::CoordinatorCrashed));
+    let after: Vec<TraceEventKind> = kinds.collect();
+    assert!(
+        !after.is_empty() && !(after.iter()).any(|k| matches!(k, TraceEventKind::Begin { .. })),
+        "the orphan's id began again after its coordinator crashed: {after:?}"
+    );
+    assert_pairs_consistent(&primo, "coordinator-crash run");
     primo.shutdown();
 }
 

@@ -11,14 +11,15 @@ use primo_repro::common::config::TraceConfig;
 use primo_repro::runtime::experiment::{run_on_cluster, ExperimentOptions};
 use primo_repro::trace::PhaseFold;
 use primo_repro::{
-    AbortReason, FlightRecorder, PartitionId, Phase, Primo, ProtocolKind, TraceEvent,
-    TraceEventKind, TxnId, Workload, YcsbConfig, YcsbWorkload,
+    AbortReason, FlightRecorder, PartitionId, Phase, Primo, ProtocolKind, TableId, TraceEvent,
+    TraceEventKind, TxnId, Value, Workload, YcsbConfig, YcsbWorkload,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
 const P0: PartitionId = PartitionId(0);
+const P1: PartitionId = PartitionId(1);
 
 fn emit_all(rec: &FlightRecorder, txn: Option<TxnId>, events: &[(u64, TraceEventKind)]) {
     for &(at_us, kind) in events {
@@ -357,6 +358,30 @@ fn traced_latency_us(events: &[TraceEvent]) -> Option<u64> {
         .next();
     let start = sent.unwrap_or(u64::MAX).min(events[begin].at_us);
     Some(end - start)
+}
+
+/// A facade session's transaction is a worker's client: its group commit's
+/// release is in the stream, so the fold covers it like any other, and its
+/// wait for the watermark is charged to Return.
+#[test]
+fn a_session_transaction_is_covered_from_its_begin_to_its_release() {
+    let primo = Primo::builder().partitions(2).fast_local().build();
+    assert_eq!(primo.cluster().group_commit.label(), "Watermark");
+    let (session, t) = (primo.session(), TableId(0));
+    session.load(P0, t, 1, Value::from_u64(1));
+    session.load(P1, t, 2, Value::from_u64(2));
+    session
+        .transaction(P0, |ctx| {
+            let (a, b) = (ctx.read(P0, t, 1)?, ctx.read(P1, t, 2)?);
+            ctx.write(P0, t, 1, b)?;
+            ctx.write(P1, t, 2, a)
+        })
+        .expect("an idle cluster commits");
+    let b = primo.cluster().recorder.merge().phase_breakdown(..);
+    assert_eq!((b.covered, b.skipped), (1, 0), "{b:?}");
+    assert_eq!(b.phase_us.iter().sum::<u64>(), b.latency_us, "{b:?}");
+    assert!(b.us(Phase::Return) > 0, "{b:?}");
+    primo.shutdown();
 }
 
 #[test]

@@ -1058,7 +1058,7 @@ fn double_crash_mid_replay_hands_off_to_deterministic_successor() {
 /// `PRIMO_CRASH_ABORT_SEEDS` widens the loop in CI (default 5 seeds).
 #[test]
 fn crash_abort_keeps_cross_partition_pairs_consistent_across_seeds() {
-    use primo_repro::runtime::run_single_txn;
+    use primo_repro::runtime::worker::run_session_txn;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -1114,7 +1114,7 @@ fn crash_abort_keeps_cross_partition_pairs_consistent_across_seeds() {
                         key: rng.next_below(KEYS),
                     };
                     // Crash-window attempts may exhaust retries; that is fine.
-                    let _ = run_single_txn(&cluster, protocol.as_ref(), &prog);
+                    let _ = run_session_txn(&cluster, protocol.as_ref(), &prog);
                 }
             }));
         }
@@ -1159,7 +1159,7 @@ fn crash_abort_keeps_cross_partition_pairs_consistent_across_seeds() {
 /// private state.
 #[test]
 fn replica_loss_keeps_pairs_consistent_and_rollbacks_sealed_across_seeds() {
-    use primo_repro::runtime::run_single_txn;
+    use primo_repro::runtime::worker::run_session_txn;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -1213,7 +1213,7 @@ fn replica_loss_keeps_pairs_consistent_and_rollbacks_sealed_across_seeds() {
                         key: rng.next_below(KEYS),
                     };
                     // Crash-window attempts may exhaust retries; that is fine.
-                    let _ = run_single_txn(&cluster, protocol.as_ref(), &prog);
+                    let _ = run_session_txn(&cluster, protocol.as_ref(), &prog);
                 }
             }));
         }

@@ -409,6 +409,85 @@ fn the_wall_clock_census_only_shrinks() {
     );
 }
 
+/// The wall clock read or slept on by the tests themselves, per file under
+/// `tests/`: the timings a host's load can blur. Each stands for an assert
+/// that a count or the trace could state exactly, or for a wait virtual time
+/// will make free. A count may shrink — lower it here — and never grow; a
+/// file not listed has none.
+const TEST_WALL_CLOCK: [(&str, usize); 13] = [
+    ("atomic_commit.rs", 3),
+    ("batched_reads.rs", 1),
+    ("group_commit_demand.rs", 20),
+    ("log_retention.rs", 13),
+    ("properties.rs", 1),
+    ("recovery.rs", 20),
+    ("replicated_log.rs", 3),
+    ("serializability.rs", 1),
+    ("sim_time.rs", 21),
+    ("snapshot_consistency.rs", 3),
+    ("version_reclamation.rs", 6),
+    ("watermark_semantics.rs", 3),
+    ("worker_overlap.rs", 23),
+];
+
+/// What the tests' census counts, spelled in halves so that this file does
+/// not count its own list.
+const TEST_CLOCK_CALLS: [&str; 3] = [
+    concat!("Instant::", "now"),
+    concat!(".elapsed", "()"),
+    concat!("thread::", "sleep"),
+];
+
+/// Wall-clock calls in one test file, comments excluded.
+fn test_clock_calls(source: &str) -> usize {
+    let code = source.lines().map(|l| l.split("//").next().unwrap_or(l));
+    let calls = |l: &str| {
+        TEST_CLOCK_CALLS
+            .iter()
+            .map(|c| l.matches(c).count())
+            .sum::<usize>()
+    };
+    code.map(calls).sum()
+}
+
+#[test]
+fn the_tests_wall_clock_census_only_shrinks() {
+    // The scanner counts calls, not comments.
+    let [now, elapsed, sleep] = TEST_CLOCK_CALLS;
+    let sample = format!("let t = {now}(); t{elapsed};\n// {sleep}(d)\n{sleep}(d); // {now}()");
+    assert_eq!(test_clock_calls(&sample), 3);
+
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
+    let (mut grown, mut scanned) = (Vec::new(), 0);
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+        let path = entry.expect("dir entry").path();
+        let Some(file) = path.file_name().and_then(|f| f.to_str()) else {
+            continue;
+        };
+        if !file.ends_with(".rs") {
+            continue;
+        }
+        scanned += 1;
+        let calls = test_clock_calls(&std::fs::read_to_string(&path).expect("readable test"));
+        let allowed = TEST_WALL_CLOCK.iter().find(|(f, _)| *f == file);
+        let allowed = allowed.map_or(0, |&(_, n)| n);
+        if calls > allowed {
+            grown.push(format!(
+                "{file}: {calls} wall-clock calls, allowed {allowed}"
+            ));
+        }
+    }
+    assert!(
+        scanned > 15,
+        "only {scanned} test files scanned: wrong directory?"
+    );
+    assert!(
+        grown.is_empty(),
+        "a test reads or sleeps on the wall clock where a count or the trace could say it:\n{}",
+        grown.join("\n")
+    );
+}
+
 #[test]
 fn engine_code_waits_only_through_sim_time() {
     // The scanner can fail: it flags what this PR removed.
