@@ -790,6 +790,7 @@ impl<'a> Worker<'a> {
                 Some(at_us) if self.pending.is_empty() => self.wait(at_us),
                 _ => self.release_pending(true),
             }
+            // The next turn looks again: a session's one client may be over.
             return;
         }
         let full = self.full();

@@ -217,6 +217,29 @@ impl Workload for PairIncrements {
     }
 }
 
+/// The pairs loaded on 2PL(NW) under classic 2PC on COCO epochs, one worker
+/// per partition, with rings deep enough for the workers' events of a whole
+/// run.
+fn classic_2pc_for_workers(seed: u64) -> Primo {
+    let primo = Primo::builder()
+        .partitions(2)
+        .workers_per_partition(1)
+        .protocol(ProtocolKind::TwoPlNoWait)
+        .logging(LoggingScheme::CocoEpoch)
+        .commit_mode(CommitMode::TwoPc)
+        .fast_local()
+        .seed(seed)
+        .tweak(|c| c.trace.ring_capacity = 1 << 16)
+        .build();
+    let session = primo.session();
+    for p in 0..2u32 {
+        for k in 0..KEYS {
+            session.load(PartitionId(p), T, k, Value::from_u64(0));
+        }
+    }
+    primo
+}
+
 /// The same trap, met by the workers' event loop rather than a session. The
 /// attempt dies where it does under a session — its votes taken up, nothing
 /// decided — and leaks what it leaks there: the locks its reads hold (2PL),
@@ -226,23 +249,8 @@ impl Workload for PairIncrements {
 /// and when the loop stops nothing else is left behind.
 #[test]
 fn a_worker_orphans_the_trapped_attempt_and_nothing_more() {
-    let primo = Primo::builder()
-        .partitions(2)
-        .workers_per_partition(1)
-        .protocol(ProtocolKind::TwoPlNoWait)
-        .logging(LoggingScheme::CocoEpoch)
-        .commit_mode(CommitMode::TwoPc)
-        .fast_local()
-        .seed(0x0A0F)
-        // Room for the workers' events of the whole run.
-        .tweak(|c| c.trace.ring_capacity = 1 << 16)
-        .build();
+    let primo = classic_2pc_for_workers(0x0A0F);
     let session = primo.session();
-    for p in 0..2u32 {
-        for k in 0..KEYS {
-            session.load(PartitionId(p), T, k, Value::from_u64(0));
-        }
-    }
     let cluster = primo.cluster();
     let workload: Arc<dyn Workload> = Arc::new(PairIncrements);
     let stop = Arc::new(AtomicBool::new(false));
@@ -325,23 +333,7 @@ fn a_worker_orphans_the_trapped_attempt_and_nothing_more() {
 /// under the orphan's id again.
 #[test]
 fn a_coordinator_crash_run_never_retries_the_orphan_under_its_id() {
-    let primo = Primo::builder()
-        .partitions(2)
-        .workers_per_partition(1)
-        .protocol(ProtocolKind::TwoPlNoWait)
-        .logging(LoggingScheme::CocoEpoch)
-        .commit_mode(CommitMode::TwoPc)
-        .fast_local()
-        .seed(0x0A10)
-        // Room for the workers' events of the whole run.
-        .tweak(|c| c.trace.ring_capacity = 1 << 16)
-        .build();
-    let session = primo.session();
-    for p in 0..2u32 {
-        for k in 0..KEYS {
-            session.load(PartitionId(p), T, k, Value::from_u64(0));
-        }
-    }
+    let primo = classic_2pc_for_workers(0x0A10);
     let cluster = primo.cluster();
     let options = ExperimentOptions {
         warmup: Duration::from_millis(20),
