@@ -19,9 +19,10 @@
 //! There is one fold path, [`Checkpointer::fold`]. Explicit checkpoints
 //! (`checkpoint_all`, the experiment driver's periodic hook) call it with
 //! [`FoldScope::Everything`]; the commit path calls it with
-//! [`FoldScope::Chunk`] whenever a log retains more than twice
-//! [`RETENTION_TARGET`](primo_wal::RETENTION_TARGET) entries, which is what
-//! keeps every log — and recovery's replay — bounded without anybody
+//! [`FoldScope::Chunk`] whenever [`FOLD_CHUNK`](primo_wal::FOLD_CHUNK)
+//! entries arrived since the last pass, so every log keeps what its scheme
+//! has not covered yet and at most the chunks that arrived since the pass
+//! before last — and recovery's replay is that tail — without anybody
 //! opting in.
 
 use primo_common::{PartitionId, Ts};
@@ -109,7 +110,7 @@ impl Checkpointer {
 mod tests {
     use super::*;
     use primo_common::{TableId, TxnId, Value};
-    use primo_wal::{LogPayload, LoggedWrite, ReplayBound};
+    use primo_wal::{LogPayload, LoggedWrite, ReplayBound, FOLD_CHUNK};
     use std::sync::Arc;
 
     struct FixedBound(ReplayBound);
@@ -232,5 +233,80 @@ mod tests {
         let gc = FixedBound(ReplayBound::Ts(u64::MAX));
         let stats = Checkpointer::tick(PartitionId(0), &wal, &gc).unwrap();
         assert_eq!(stats.folded_txns, 0, "volatile entries never fold");
+    }
+
+    /// One commit on a single-copy log: its write-set at `ts`, then the
+    /// retention step the commit path takes. `Some` with the pass's stats
+    /// if one was due.
+    fn commit(wal: &ReplicatedLog, gc: &FixedBound, ts: Ts) -> Option<CheckpointStats> {
+        wal.append(LogPayload::TxnWrites {
+            txn: TxnId::new(PartitionId(0), ts),
+            ts,
+            writes: put(ts, ts),
+        });
+        if !wal.fold_due() {
+            return None;
+        }
+        Checkpointer::fold(PartitionId(0), wal, gc, FoldScope::Chunk, || true)
+    }
+
+    #[test]
+    fn a_pass_under_its_limit_keeps_only_the_uncovered_and_what_arrived_since_the_last() {
+        let wal = ReplicatedLog::single(PartitionId(0), 0);
+        Checkpointer::initial(&PartitionStore::new(PartitionId(0)), &wal);
+        let covered_below = 3 * FOLD_CHUNK as u64;
+        let gc = FixedBound(ReplayBound::Ts(covered_below));
+        // Write-set `ts` sits at LSN `ts`, behind the install marker.
+        let mut last_pass_end = wal.end_lsn();
+        let mut passes = 0;
+        for ts in 1..=6 * FOLD_CHUNK as u64 {
+            let Some(stats) = commit(&wal, &gc, ts) else {
+                continue;
+            };
+            assert!(stats.truncated_entries < 2 * FOLD_CHUNK, "at ts {ts}");
+            passes += 1;
+            // What is left: the write-sets the bound does not cover, and
+            // those appended since the last pass.
+            let kept_from = last_pass_end.min(covered_below);
+            assert_eq!(wal.len() as u64, ts + 1 - kept_from, "at ts {ts}");
+            let kept = wal.replay_range(0, &ReplayBound::Ts(u64::MAX), None);
+            assert!(kept.iter().all(|txn| txn.1 >= kept_from));
+            last_pass_end = wal.end_lsn();
+        }
+        assert_eq!(passes, 6, "one pass per chunk appended");
+    }
+
+    #[test]
+    fn a_stalled_backlog_of_k_chunks_drains_two_chunks_a_commit() {
+        for k in 1..=5 {
+            let wal = ReplicatedLog::single(PartitionId(0), 0);
+            let stalled = FixedBound(ReplayBound::Lsn(0));
+            let gc = FixedBound(ReplayBound::Lsn(u64::MAX));
+            Checkpointer::initial(&PartitionStore::new(PartitionId(0)), &wal);
+            Checkpointer::tick(PartitionId(0), &wal, &gc).expect("base image");
+            // Entries appended while no commit took the step, then a pass
+            // that found the horizon stalled.
+            for seq in 0..(k * FOLD_CHUNK) as u64 {
+                wal.append(LogPayload::TxnWrites {
+                    txn: TxnId::new(PartitionId(1), seq),
+                    ts: 1,
+                    writes: put(seq, 1),
+                });
+            }
+            let backlog_end = wal.end_lsn();
+            let found =
+                Checkpointer::fold(PartitionId(0), &wal, &stalled, FoldScope::Chunk, || true);
+            assert_eq!(found.expect("pass ran").truncated_entries, 0);
+            // The horizon moves. The stalled pass is not retried before
+            // another chunk arrived — the chunk's last commit takes the
+            // step — and from then on every commit folds two chunks.
+            let folded_to = || wal.latest_checkpoint().expect("image").1.base_lsn;
+            let mut commits = 0;
+            while folded_to() < backlog_end {
+                commit(&wal, &gc, 2 + commits as u64);
+                commits += 1;
+            }
+            assert_eq!(commits, FOLD_CHUNK - 1 + k.div_ceil(2), "k = {k}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! retained replicated log` — surviving a lost leader disk, and handing off
 //! to the deterministic successor replica when a second crash lands
 //! mid-replay. The log bounds itself (see `primo_wal::replicated`), so the
-//! replay is bounded too: a few retention targets' worth of entries,
-//! however long the partition ran.
+//! replay is bounded too: what the scheme had not covered at the crash,
+//! plus a chunk or two, however long the partition ran.
 
 use primo_common::sim_time::now_us;
 use primo_common::{PartitionId, Ts};

@@ -580,13 +580,13 @@ impl Cluster {
 
     /// The commit path's retention step, called by whoever just committed a
     /// transaction once its locks are released (a worker, a facade
-    /// session's among them): any partition whose log retains more than
-    /// twice the retention target gets one bounded chunk folded into its
-    /// image. The check is three relaxed
-    /// loads per partition; the work, when due, is proportional to the
-    /// chunk — so every log bounds itself, no commit pays more than a
-    /// chunk, and no experiment has to opt into a checkpointer for memory
-    /// to stop tracking throughput.
+    /// session's among them): any partition whose log is due
+    /// ([`ReplicatedLog::fold_due`]) folds what its scheme covers, at most
+    /// two chunks, into its image. The check is two relaxed loads per
+    /// partition; the work, when due, is proportional to what is folded —
+    /// so every log keeps what its scheme has not covered and a chunk or
+    /// two, no commit pays for more than two chunks, and no experiment has
+    /// to opt into a checkpointer for memory to stop tracking throughput.
     pub fn fold_due_logs(&self) {
         for partition in &self.partitions {
             if partition.log.fold_due() && !self.net.is_crashed(partition.id) {

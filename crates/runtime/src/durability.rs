@@ -9,7 +9,8 @@
 //! What is appended here leaves the log again through the commit path's
 //! retention step ([`Cluster::fold_due_logs`]), which the committing thread
 //! takes after the locks are released: logs fold their covered prefix into
-//! the rolling checkpoint image and stay at a fixed retained size.
+//! the rolling checkpoint image and keep what their scheme has not covered
+//! yet, and a chunk or two.
 //!
 //! Two invariants the recovery subsystem depends on:
 //!

@@ -732,11 +732,14 @@ impl<'a> Worker<'a> {
         self.release_pending(false);
         // A dead leader serves no clients; the worker waits as after a
         // retryable abort (the longest back-off: a recovery takes that long
-        // at least).
+        // at least) — unless it is a session's and the wind-down just
+        // dropped its only client, whose result is then out.
         if self.cluster.net.is_crashed(self.home) {
             self.wind_down();
-            let max_us = self.cluster.config.backoff_max_us;
-            charge_latency_us(next_backoff(&mut self.rng, &mut { max_us }, max_us));
+            if self.ctx.is_some() || self.population() > 0 {
+                let max_us = self.cluster.config.backoff_max_us;
+                charge_latency_us(next_backoff(&mut self.rng, &mut { max_us }, max_us));
+            }
             return;
         }
 

@@ -38,8 +38,7 @@ pub mod watermark;
 pub use group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 pub use image::{CheckpointImage, ImageRecords, ImageSummary};
 pub use log::{
-    LogEntry, LogPayload, LoggedOp, LoggedWrite, LoggedWrites, ReplayBound, ReplayedTxn,
-    FOLD_CHUNK, RETENTION_TARGET,
+    LogEntry, LogPayload, LoggedOp, LoggedWrite, LoggedWrites, ReplayBound, ReplayedTxn, FOLD_CHUNK,
 };
 pub use replicated::{FoldScope, FoldStats, ReplicatedLog};
 pub use watermark::WatermarkCommit;

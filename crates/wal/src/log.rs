@@ -16,17 +16,20 @@
 //! rolled-back and vote indexes, and scans over an LSN cut the replicated
 //! log hands it. A copy never decides what is durable.
 //!
-//! **Retention is the log's own job.** A log copy keeps only a tail of
-//! entries: the quorum-durable, scheme-covered prefix is *folded* into the
-//! partition's rolling [`crate::CheckpointImage`] a bounded chunk at a time
-//! ([`FOLD_CHUNK`] entries, driven from the commit path once more than
-//! twice [`RETENTION_TARGET`] entries are retained — see
-//! [`crate::ReplicatedLog::fold`]) and drained from the front. Everything a
-//! fold needs is kept up to date as entries arrive — the rollback-marker
-//! set, the resolution state of Paxos-Commit votes — so a fold reads only
-//! the entries it absorbs: the scan finds its start by binary search and
-//! copies the chunk's shared payload handles under the log lock, and the
-//! drain pops the prefix off a deque.
+//! **Retention is the log's own job, and coverage is its rule.** A log copy
+//! keeps what its group-commit scheme has not yet covered: once an entry is
+//! quorum-durable and the scheme's checkpoint bound vouches that it can
+//! never be rolled back, recovery needs it only as part of the rolling
+//! [`crate::CheckpointImage`], so it is *folded* into the image and drained
+//! from the front. The commit path drives this: a pass is due once
+//! [`FOLD_CHUNK`] entries arrived since the last one, folds what arrived
+//! before that one, and takes off at most twice [`FOLD_CHUNK`] — see
+//! [`crate::ReplicatedLog::fold`]. Everything a fold needs
+//! is kept up to date as entries arrive — the rollback-marker set, the
+//! resolution state of Paxos-Commit votes — so a fold reads only the
+//! entries it absorbs: the scan finds its start by binary search and copies
+//! the chunk's shared payload handles under the log lock, and the drain
+//! pops the prefix off a deque.
 
 use parking_lot::Mutex;
 use primo_common::sim_time::now_us;
@@ -34,13 +37,11 @@ use primo_common::{Key, PartitionId, TableId, Ts, TxnId, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// Entries a log copy keeps once folding has caught up. The self-driven
-/// fold starts above twice this and never folds below it, so the tail
-/// always holds something to replay and no commit pays for more than one
-/// [`FOLD_CHUNK`].
-pub const RETENTION_TARGET: usize = 8_192;
-
-/// Most entries one self-driven fold pass absorbs.
+/// The self-driven fold's pace: a pass is due once this many entries were
+/// appended since the last one, and absorbs at most twice as many — so a
+/// backlog left by a stall drains faster than entries arrive, and no commit
+/// pays for more than two chunks. Nothing else sizes the log: it holds what
+/// its scheme has not covered and what arrived since the pass before last.
 pub const FOLD_CHUNK: usize = 256;
 
 /// One operation inside a logged write-set.
@@ -586,9 +587,8 @@ impl LogCopy {
     }
 
     /// One fold step over this copy: starting at `from_lsn` (found by
-    /// binary search), walk at most `max_entries` entries — leaving at
-    /// least `keep` retained — and stop at the first entry the fold may
-    /// **not** absorb:
+    /// binary search), walk at most `max_entries` entries and stop at the
+    /// first entry the fold may **not** absorb:
     ///
     /// * an entry above `durable_lsn` (the caller's quorum horizon);
     /// * a write-set `bound` does not cover;
@@ -609,20 +609,15 @@ impl LogCopy {
         bound: &ReplayBound,
         durable_lsn: u64,
         max_entries: usize,
-        keep: usize,
     ) -> FoldChunk {
         let inner = self.inner.lock();
         let start = inner.position(from_lsn);
-        let end = inner
-            .entries
-            .len()
-            .saturating_sub(keep)
-            .min(start.saturating_add(max_entries));
+        let end = (inner.entries.len()).min(start.saturating_add(max_entries));
         let mut chunk = FoldChunk {
             stop_lsn: from_lsn,
             writes: Vec::new(),
         };
-        for e in inner.entries.range(start..end.max(start)) {
+        for e in inner.entries.range(start..end) {
             if e.lsn > durable_lsn {
                 break;
             }
@@ -905,8 +900,7 @@ mod tests {
         append(&wal, LogPayload::Watermark { wp: 3 });
         let uncovered = put(&wal, 2, 50);
         append(&wal, LogPayload::Watermark { wp: 60 });
-        let all =
-            |bound: ReplayBound, durable: u64| wal.fold_scan(0, &bound, durable, usize::MAX, 0);
+        let all = |bound: ReplayBound, durable: u64| wal.fold_scan(0, &bound, durable, usize::MAX);
         // Stops at the first uncovered TxnWrites, folding past control
         // entries before it.
         let chunk = all(ReplayBound::Ts(10), u64::MAX);
@@ -916,13 +910,11 @@ mod tests {
         assert_eq!(all(ReplayBound::Ts(100), u64::MAX).stop_lsn, wal.end_lsn());
         // Never past the caller's durable horizon.
         assert_eq!(all(ReplayBound::Ts(100), 1).stop_lsn, 2);
-        // A chunk walks at most `max_entries` entries and leaves `keep`.
-        let chunk = wal.fold_scan(0, &ReplayBound::Ts(100), u64::MAX, 1, 0);
-        assert_eq!(chunk.stop_lsn, 1);
-        let chunk = wal.fold_scan(0, &ReplayBound::Ts(100), u64::MAX, usize::MAX, 3);
+        // A chunk walks at most `max_entries` entries.
+        let chunk = wal.fold_scan(0, &ReplayBound::Ts(100), u64::MAX, 1);
         assert_eq!(chunk.stop_lsn, 1);
         // The scan starts where the last one stopped.
-        let chunk = wal.fold_scan(1, &ReplayBound::Ts(100), u64::MAX, usize::MAX, 0);
+        let chunk = wal.fold_scan(1, &ReplayBound::Ts(100), u64::MAX, usize::MAX);
         assert_eq!(chunk.writes.len(), 1);
         assert_eq!(chunk.writes[0].0, 50);
     }
@@ -947,7 +939,7 @@ mod tests {
         let in_doubt = append(&wal, vote(txn(2)));
         append(&wal, LogPayload::Watermark { wp: 2 });
         let scan = |durable: u64| {
-            wal.fold_scan(0, &ReplayBound::Lsn(u64::MAX), durable, usize::MAX, 0)
+            wal.fold_scan(0, &ReplayBound::Lsn(u64::MAX), durable, usize::MAX)
                 .stop_lsn
         };
         // The in-doubt vote (no decision, write-set or rollback) stops the
@@ -1065,7 +1057,7 @@ mod tests {
         // The fold scan advances past the cancelled entry instead of
         // stopping on it, even under a bound that does not cover it — and
         // never hands it to the image.
-        let chunk = wal.fold_scan(0, &ReplayBound::Ts(6), u64::MAX, usize::MAX, 0);
+        let chunk = wal.fold_scan(0, &ReplayBound::Ts(6), u64::MAX, usize::MAX);
         assert_eq!(chunk.stop_lsn, wal.end_lsn());
         assert_eq!(chunk.writes.len(), 1);
         // Log repair drops the cancelled entry but keeps the marker.

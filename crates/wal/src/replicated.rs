@@ -69,9 +69,7 @@
 //!   a crash sees the image and the log either before or after a chunk.
 
 use crate::image::{CheckpointImage, ImageSummary};
-use crate::log::{
-    LogCopy, LogEntry, LogPayload, ReplayBound, ReplayedTxn, FOLD_CHUNK, RETENTION_TARGET,
-};
+use crate::log::{LogCopy, LogEntry, LogPayload, ReplayBound, ReplayedTxn, FOLD_CHUNK};
 use parking_lot::Mutex;
 use primo_common::config::WalConfig;
 use primo_common::sim_time::now_us;
@@ -90,9 +88,9 @@ const INLINE_VOTES: usize = 16;
 /// How much one [`ReplicatedLog::fold`] pass may absorb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FoldScope {
-    /// At most [`FOLD_CHUNK`] entries, never below [`RETENTION_TARGET`]
-    /// retained, and only if no other fold is running — the self-driven
-    /// step a committing worker takes when [`ReplicatedLog::fold_due`].
+    /// At most twice [`FOLD_CHUNK`] entries, none appended since the last
+    /// pass, and only if no other fold is running — the self-driven step a
+    /// committing worker takes when [`ReplicatedLog::fold_due`].
     Chunk,
     /// Everything foldable right now (explicit checkpoints).
     Everything,
@@ -125,15 +123,18 @@ pub struct ReplicatedLog {
     /// operation that can discard a replica, which makes a chunk atomic for
     /// all of them.
     image: Mutex<Option<CheckpointImage>>,
-    /// `image.base_lsn` mirrored for the lock-free [`ReplicatedLog::fold_due`]
-    /// check (`u64::MAX` while there is no image, so nothing looks due).
-    image_base: AtomicU64,
-    /// The log's end LSN mirrored for the same check.
+    /// The log's end LSN mirrored for the lock-free
+    /// [`ReplicatedLog::fold_due`] check.
     end_hint: AtomicU64,
-    /// After a self-driven pass that could fold nothing (the scheme's bound
-    /// or the quorum stalled), the log end at which it is worth trying
-    /// again; 0 otherwise.
-    fold_retry_at: AtomicU64,
+    /// The log end at which the next self-driven fold is due: [`FOLD_CHUNK`]
+    /// past the end at the last pass, 0 after a pass that reached its limit
+    /// (the next commit continues), `u64::MAX` while there is no image.
+    fold_at: AtomicU64,
+    /// The log end at the last pass (or at the base image's install),
+    /// written under the image lock: a self-driven pass folds nothing
+    /// appended since, so what arrived between two passes stays for one
+    /// more.
+    last_pass_end: AtomicU64,
     /// The replica set; index 0 is the initial leader's local copy.
     replicas: Vec<LogCopy>,
     /// Majority size: `replication_factor / 2 + 1`.
@@ -241,9 +242,9 @@ impl ReplicatedLog {
         ReplicatedLog {
             partition,
             image: Mutex::new(None),
-            image_base: AtomicU64::new(u64::MAX),
             end_hint: AtomicU64::new(0),
-            fold_retry_at: AtomicU64::new(0),
+            fold_at: AtomicU64::new(u64::MAX),
+            last_pass_end: AtomicU64::new(0),
             replicas: delays
                 .iter()
                 .map(|&d| LogCopy::new(d, quorum_ack_delay_us))
@@ -456,8 +457,9 @@ impl ReplicatedLog {
         image.installed_lsn = lsn;
         image.base_lsn = lsn;
         *slot = Some(image);
-        self.image_base.store(lsn, Ordering::Relaxed);
-        self.fold_retry_at.store(0, Ordering::Relaxed);
+        self.last_pass_end.store(lsn + 1, Ordering::Relaxed);
+        self.fold_at
+            .store(lsn + 1 + FOLD_CHUNK as u64, Ordering::Relaxed);
         lsn
     }
 
@@ -499,15 +501,13 @@ impl ReplicatedLog {
         self.durable_lsn()
     }
 
-    /// Whether a self-driven fold step is worth taking: more than twice
-    /// [`RETENTION_TARGET`] entries are retained past the image, and the
-    /// last attempt did not just come back empty-handed. Three relaxed
-    /// loads — cheap enough to ask after every commit.
+    /// Whether a self-driven fold step is due: the log has an image, and
+    /// [`FOLD_CHUNK`] entries arrived since the last pass — or that pass
+    /// reached its limit, so a backlog is still draining. Two relaxed loads
+    /// — cheap enough to ask after every commit.
     #[inline]
     pub fn fold_due(&self) -> bool {
-        let end = self.end_hint.load(Ordering::Relaxed);
-        let retained = end.saturating_sub(self.image_base.load(Ordering::Relaxed));
-        retained > 2 * RETENTION_TARGET as u64 && end >= self.fold_retry_at.load(Ordering::Relaxed)
+        self.end_hint.load(Ordering::Relaxed) >= self.fold_at.load(Ordering::Relaxed)
     }
 
     /// Fold the covered quorum-durable log prefix into the rolling image
@@ -537,6 +537,14 @@ impl ReplicatedLog {
     /// crash-time horizon), and asking under the lock closes the window
     /// between the caller's own check and [`ReplicatedLog::crash_horizon`].
     ///
+    /// A chunk pass folds only what arrived before the previous pass: one
+    /// that stayed under its limit leaves behind what the scheme does not
+    /// cover and what arrived since the previous pass, so a log whose
+    /// writers fell quiet keeps its last write-sets — and recovery something
+    /// to replay — until a later pass. After a pass that reached its limit
+    /// [`ReplicatedLog::fold_due`] is at once, otherwise after another
+    /// [`FOLD_CHUNK`] entries.
+    ///
     /// Returns `None` when nothing ran: the leader is down, there is no
     /// base image, or (chunk scope) another fold holds the image.
     pub fn fold(
@@ -553,9 +561,10 @@ impl ReplicatedLog {
             return None;
         }
         let image = slot.as_mut()?;
-        let (max_entries, keep) = match scope {
-            FoldScope::Chunk => (FOLD_CHUNK, RETENTION_TARGET),
-            FoldScope::Everything => (usize::MAX, 0),
+        // An image's install marker is appended first: `last_pass_end >= 1`.
+        let (max_entries, below) = match scope {
+            FoldScope::Chunk => (2 * FOLD_CHUNK, self.last_pass_end.load(Ordering::Relaxed)),
+            FoldScope::Everything => (usize::MAX, u64::MAX),
         };
         let mut stats = FoldStats::default();
         let (touched_before, len_before) = (image.records.touched(), image.len());
@@ -563,11 +572,10 @@ impl ReplicatedLog {
         // payloads) are dropped after the image lock is released.
         let mut applied = Vec::new();
         let mut drained = Vec::new();
-        let mut progressed = false;
         if let Some(durable) = self.durable_lsn() {
+            let limit = durable.min(below - 1);
             let chunk =
-                self.leader_replica()
-                    .fold_scan(image.base_lsn, bound, durable, max_entries, keep);
+                (self.leader_replica()).fold_scan(image.base_lsn, bound, limit, max_entries);
             for (ts, writes) in &chunk.writes {
                 image.apply(*ts, writes);
             }
@@ -576,9 +584,7 @@ impl ReplicatedLog {
                 .grow_ahead(image.len().saturating_sub(len_before));
             stats.folded_txns = chunk.writes.len();
             if chunk.stop_lsn > image.base_lsn {
-                progressed = true;
                 image.base_lsn = chunk.stop_lsn;
-                self.image_base.store(chunk.stop_lsn, Ordering::Relaxed);
                 drained = self.drain_replicas(chunk.stop_lsn);
                 stats.truncated_entries = drained[self.leader.load(Ordering::Acquire)].len();
             }
@@ -592,12 +598,13 @@ impl ReplicatedLog {
         stats.image_records = image.len();
         stats.touched_records = image.records.touched() - touched_before;
         stats.up_to_ts = image.up_to_ts;
-        let retry_at = if progressed || scope == FoldScope::Everything {
-            0
-        } else {
-            self.end_hint.load(Ordering::Relaxed) + FOLD_CHUNK as u64
+        let end = self.end_hint.load(Ordering::Relaxed);
+        self.last_pass_end.store(end, Ordering::Relaxed);
+        let fold_at = match stats.truncated_entries >= max_entries {
+            true => 0,
+            false => end + FOLD_CHUNK as u64,
         };
-        self.fold_retry_at.store(retry_at, Ordering::Relaxed);
+        self.fold_at.store(fold_at, Ordering::Relaxed);
         drop(slot);
         drop((applied, drained));
         Some(stats)
@@ -934,7 +941,7 @@ impl ReplicatedLog {
         let dropped = self.replicas[idx].wipe();
         if self.replicas.iter().all(|r| r.intact_len().is_none()) {
             *image = None;
-            self.image_base.store(u64::MAX, Ordering::Relaxed);
+            self.fold_at.store(u64::MAX, Ordering::Relaxed);
         }
         dropped
     }
@@ -1303,43 +1310,53 @@ mod tests {
     }
 
     #[test]
-    fn chunk_folds_start_above_twice_the_target_and_back_off_when_stalled() {
+    fn chunk_folds_are_paced_by_arrivals_and_keep_what_arrived_since_the_last() {
         let log = ReplicatedLog::single(PartitionId(0), 0);
+        assert!(!log.fold_due(), "no image, nothing to fold into");
         log.install_base_image(CheckpointImage::default());
-        // The install marker is the first retained entry.
-        for seq in 1..2 * RETENTION_TARGET as u64 {
+        // The install marker is the first retained entry; a pass is due
+        // once a chunk's worth of entries arrived after it.
+        let chunk = FOLD_CHUNK as u64;
+        for seq in 1..chunk {
             log.append(put(seq, seq + 1));
         }
-        assert!(!log.fold_due(), "at twice the target nothing is due yet");
-        log.append(put(u64::MAX, 1));
+        assert!(!log.fold_due());
+        log.append(put(chunk, 1));
         assert!(log.fold_due());
         std::thread::sleep(Duration::from_millis(2));
-        // A stalled bound: the pass folds nothing and is not retried until
-        // another chunk's worth of entries arrived.
-        let stalled = log
-            .fold(&ReplayBound::Ts(0), FoldScope::Chunk, || true)
-            .expect("fold ran");
-        assert_eq!(stalled.truncated_entries, 1, "only the install marker");
-        let stalled = log
-            .fold(&ReplayBound::Ts(0), FoldScope::Chunk, || true)
-            .expect("fold ran");
-        assert_eq!(stalled.truncated_entries, 0);
+        let fold = |bound: ReplayBound| {
+            let stats = log.fold(&bound, FoldScope::Chunk, || true);
+            stats.expect("fold ran").truncated_entries
+        };
+        // A stalled bound: the pass folds only the marker and is not
+        // retried until another chunk's worth of entries arrived.
+        assert_eq!(fold(ReplayBound::Ts(0)), 1, "only the install marker");
         assert!(!log.fold_due());
-        for seq in 0..FOLD_CHUNK as u64 {
+        for seq in 0..chunk {
             log.append(put(1 << 40 | seq, 1));
         }
         assert!(log.fold_due());
-        // The bound moves again: one chunk per pass, never below the target.
-        let before = log.len();
-        let stats = log
-            .fold(&ReplayBound::Lsn(u64::MAX), FoldScope::Chunk, || true)
-            .expect("fold ran");
-        assert_eq!(stats.truncated_entries, FOLD_CHUNK);
-        assert_eq!(log.len(), before - FOLD_CHUNK);
-        while log.fold_due() {
-            log.fold(&ReplayBound::Lsn(u64::MAX), FoldScope::Chunk, || true);
+        // The bound moves: the pass folds what arrived before the last one
+        // and keeps what arrived since.
+        assert_eq!(fold(ReplayBound::Lsn(u64::MAX)), FOLD_CHUNK);
+        assert_eq!(log.len(), FOLD_CHUNK);
+        assert!(!log.fold_due());
+        // A backlog a stalled pass found: a pass takes at most two chunks,
+        // and one that reached that limit leaves the next step due at once.
+        for seq in 0..2 * chunk - 10 {
+            log.append(put(1 << 41 | seq, 1));
         }
-        assert!(log.len() > RETENTION_TARGET && log.len() <= 2 * RETENTION_TARGET);
+        assert_eq!(fold(ReplayBound::Ts(0)), 0);
+        for seq in 0..chunk {
+            log.append(put(1 << 42 | seq, 1));
+        }
+        assert_eq!(log.len(), 4 * FOLD_CHUNK - 10);
+        assert!(log.fold_due());
+        assert_eq!(fold(ReplayBound::Lsn(u64::MAX)), 2 * FOLD_CHUNK);
+        assert!(log.fold_due());
+        assert_eq!(fold(ReplayBound::Lsn(u64::MAX)), 2 * FOLD_CHUNK - 10);
+        assert!(log.is_empty());
+        assert!(!log.fold_due());
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! cluster handle for every protocol kind, and a smoke experiment per
 //! protocol on a tiny YCSB scale.
 
-use primo_repro::{LoggingScheme, PartitionId, Primo, ProtocolKind, Scale, TableId, Value};
+use primo_repro::common::sim_time::now_us;
+use primo_repro::{
+    AbortReason, LoggingScheme, PartitionId, Primo, ProtocolKind, Scale, TableId, Value,
+};
 
 #[test]
 fn default_cluster_builder_is_primo_on_watermark() {
@@ -155,4 +158,32 @@ fn facade_transactions_leave_their_lifecycle_in_the_flight_recorder() {
         assert_eq!(aborted, vec![begun[1]], "{kind:?}: the abort's outcome");
         primo.shutdown();
     }
+}
+
+/// A session whose home is down gets `RemoteUnavailable` at once: the worker
+/// that drops its only client does not sit out a back-off first (with a
+/// 10 s ceiling that back-off would be 5–10 s).
+#[test]
+fn a_session_on_a_crashed_home_returns_without_a_back_off() {
+    let (p0, t) = (PartitionId(0), TableId(0));
+    let primo = Primo::builder()
+        .partitions(2)
+        .fast_local()
+        .tweak(|c| c.backoff_max_us = 10_000_000)
+        .build();
+    let session = primo.session();
+    session.load(p0, t, 1, Value::from_u64(1));
+    primo.checkpoint_all();
+    primo.crash_partition(p0);
+    let started_us = now_us();
+    let result = session.transaction(p0, |ctx| ctx.write(p0, t, 1, Value::from_u64(2)));
+    let waited_us = now_us() - started_us;
+    assert_eq!(result, Err(AbortReason::RemoteUnavailable));
+    assert!(
+        waited_us < 1_000_000,
+        "waited {waited_us} µs to report a dropped client"
+    );
+    primo.recover_partition(p0).expect("recovered");
+    assert_eq!(session.get(p0, t, 1), Some(Value::from_u64(1)));
+    primo.shutdown();
 }

@@ -418,7 +418,7 @@ const TEST_WALL_CLOCK: [(&str, usize); 13] = [
     ("atomic_commit.rs", 3),
     ("batched_reads.rs", 1),
     ("group_commit_demand.rs", 20),
-    ("log_retention.rs", 13),
+    ("log_retention.rs", 11),
     ("properties.rs", 1),
     ("recovery.rs", 20),
     ("replicated_log.rs", 3),
