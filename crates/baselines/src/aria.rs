@@ -270,7 +270,7 @@ impl Protocol for AriaProtocol {
                     for p in ctx.access.participants(home) {
                         cluster.group_commit.add_participant(ticket, p, 0);
                     }
-                    let ts = cluster.group_commit.finalize_commit_ts(ticket, 0);
+                    let ts = cluster.group_commit.reserve_commit_ts(ticket, 0);
                     // Nothing is locked at Aria's install: look each record up
                     // once, for its before-image.
                     let records: Vec<_> = (ctx.access.writes.iter())

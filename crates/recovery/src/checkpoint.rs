@@ -119,7 +119,6 @@ mod tests {
         fn begin_txn(&self, coord: PartitionId, txn: TxnId) -> Arc<primo_wal::TxnTicket> {
             primo_wal::TxnTicket::new(txn, coord, 0)
         }
-        fn add_participant(&self, _t: &primo_wal::TxnTicket, _p: PartitionId, _lts: Ts) {}
         fn txn_aborted(&self, _t: &primo_wal::TxnTicket) {}
         fn txn_committed(
             &self,

@@ -12,9 +12,9 @@
 //! participant).
 //!
 //! [`compensate_partition`] walks the survivor's log for `TxnWrites`
-//! entries the scheme's
-//! [`survivor_rollback_bound`](GroupCommit::survivor_rollback_bound) does
-//! not cover, and undoes them newest-first under the records' exclusive
+//! entries the scheme's [`rollback_bound`](GroupCommit::rollback_bound) —
+//! the same bound the crashed partition replays by — does not cover, and
+//! undoes them newest-first under the records' exclusive
 //! write locks using the before-images captured by
 //! `runtime::durability::log_txn_writes`:
 //!
@@ -206,7 +206,7 @@ pub fn compensate_survivors<'a>(
     let mut compensated = 0;
     for (_, store, wal) in partitions {
         let cutoff = wal.end_lsn();
-        let bound = gc.survivor_rollback_bound(crash_token, wal);
+        let bound = gc.rollback_bound(crash_token, wal);
         let doomed = wal.collect_rolled_back(&bound, Some(cutoff));
         if doomed.is_empty() {
             continue;

@@ -116,8 +116,9 @@ impl RecoveryManager {
     ///    *at the crash* — it survives a discarded leader disk as long as
     ///    any replica does;
     /// 4. replay the retained quorum-durable log from the image's base,
-    ///    bounded by the scheme ([`GroupCommit::replay_bound`]) and by the
-    ///    crash-time quorum LSN — honoring `TxnRolledBack` markers, so a
+    ///    bounded by the scheme ([`GroupCommit::rollback_bound`], the bound
+    ///    the survivors compensate by) and by the crash-time quorum LSN —
+    ///    honoring `TxnRolledBack` markers, so a
     ///    transaction this partition compensated as a *survivor* of an
     ///    earlier crash is never resurrected by its own recovery;
     /// 5. if the log's leadership term moved while replaying (a second
@@ -188,7 +189,7 @@ impl RecoveryManager {
                             (image.len(), image.base_lsn)
                         })
                         .unwrap_or((0, 0));
-                    let bound = gc.replay_bound(crash.token, log);
+                    let bound = gc.rollback_bound(crash.token, log);
                     let txns = log.replay_range(replay_base, &bound, Some(cutoff));
                     apply_replay(store, &txns);
                     // Log repair: drop every write-set replay did not apply
@@ -291,10 +292,13 @@ impl RecoveryManager {
 mod tests {
     use super::*;
     use crate::checkpoint::Checkpointer;
-    use primo_common::config::NetConfig;
+    use crate::compensate::compensate_survivors;
+    use primo_common::config::{LoggingScheme, NetConfig, WalConfig};
     use primo_common::{TableId, TxnId, Value};
+    use primo_net::DelayedBus;
     use primo_wal::{CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, ReplayBound, TxnTicket};
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// Minimal scheme: everything durable at crash is committed.
     struct DurableIsCommitted;
@@ -303,7 +307,6 @@ mod tests {
         fn begin_txn(&self, coord: PartitionId, txn: TxnId) -> Arc<TxnTicket> {
             TxnTicket::new(txn, coord, 0)
         }
-        fn add_participant(&self, _t: &TxnTicket, _p: PartitionId, _lts: Ts) {}
         fn txn_aborted(&self, _t: &TxnTicket) {}
         fn txn_committed(&self, ticket: &TxnTicket, ts: Ts, _ops: usize) -> CommitWaiter {
             CommitWaiter {
@@ -502,5 +505,136 @@ mod tests {
         b.sort_by_key(|(t, k, _, _)| (*t, *k));
         assert_eq!(a, b);
         assert_eq!(once.get(TableId(0), 7).unwrap().read().value.as_u64(), 71);
+    }
+
+    /// Two partitions under a real scheme, with distributed write-sets
+    /// logged on both (write-set `seq` inserts key `seq`) and installed in
+    /// both stores. p0 crashes and replays; p1 survives and compensates.
+    struct TwoSides {
+        gc: Arc<dyn GroupCommit>,
+        logs: Vec<Arc<ReplicatedLog>>,
+        stores: [PartitionStore; 2],
+        net: SimNetwork,
+    }
+
+    impl TwoSides {
+        fn new(scheme: LoggingScheme, interval_ms: u64, persist_delay_us: u64) -> Self {
+            let cfg = WalConfig {
+                scheme,
+                interval_ms,
+                persist_delay_us,
+                ..WalConfig::default()
+            };
+            let logs = primo_wal::build_logs(2, cfg);
+            let gc = primo_wal::build_group_commit(2, cfg, DelayedBus::new(2, 0), logs.clone());
+            let stores = [0, 1].map(|p| PartitionStore::new(PartitionId(p)));
+            TwoSides {
+                gc,
+                logs,
+                stores,
+                net: net(),
+            }
+        }
+
+        fn log(&self, seq: u64, ts: Ts) {
+            for (log, store) in self.logs.iter().zip(&self.stores) {
+                log_put(log, seq, ts, seq, seq);
+                store.insert(TableId(0), seq, Value::from_u64(seq));
+            }
+        }
+
+        /// Wait until everything logged so far is quorum-durable.
+        fn settle(&self) {
+            for log in &self.logs {
+                let last = log.end_lsn() - 1;
+                while log.durable_lsn() < Some(last) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+
+        /// Mark p0 crashed and let the scheme agree on the rollback point.
+        fn agree(&self) -> Ts {
+            self.net.set_crashed(PartitionId(0), true);
+            self.gc.on_partition_crash(PartitionId(0))
+        }
+
+        /// Finish p0's crash the way the cluster does — capture its quorum
+        /// cut, compensate p1, recover p0 — and report, per key, whether p0
+        /// and p1 still hold it.
+        fn crash_p0(&self, token: Ts, keys: &[u64]) -> Vec<(bool, bool)> {
+            let crash = CrashContext::capture(PartitionId(0), token, &self.logs[0]);
+            let survivor = (PartitionId(1), &self.stores[1], self.logs[1].as_ref());
+            compensate_survivors(std::iter::once(survivor), self.gc.as_ref(), token, None);
+            self.gc.on_compensation_complete();
+            let gc = self.gc.as_ref();
+            RecoveryManager::recover(&self.stores[0], &self.logs[0], gc, &self.net, &crash);
+            let held = |store: &PartitionStore, k: u64| store.get(TableId(0), k).is_some();
+            (keys.iter())
+                .map(|&k| (held(&self.stores[0], k), held(&self.stores[1], k)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn clv_replay_and_compensation_agree_on_a_write_set_durable_after_the_crash() {
+        // The crash lands inside the second write-set's 50 ms persist
+        // window; the write-set is quorum-durable when p0's cut is taken.
+        let sides = TwoSides::new(LoggingScheme::Clv, 10, 50_000);
+        sides.log(1, 1);
+        sides.settle();
+        sides.log(2, 2);
+        let token = sides.agree();
+        sides.settle();
+        let kept = sides.crash_p0(token, &[1, 2]);
+        assert_eq!(kept, [(true, true), (false, false)]);
+    }
+
+    #[test]
+    fn watermark_replay_and_compensation_split_the_log_at_the_agreement() {
+        let sides = TwoSides::new(LoggingScheme::Watermark, 1, 0);
+        let high = 1 << 40;
+        sides.log(1, 1);
+        sides.log(2, high);
+        sides.settle();
+        // Let the global watermark pass the first write-set.
+        while sides.gc.snapshot_horizon(PartitionId(0)) < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let token = sides.agree();
+        assert!(1 < token && token <= high, "agreed {token}");
+        let kept = sides.crash_p0(token, &[1, 2]);
+        assert_eq!(kept, [(true, true), (false, false)]);
+    }
+
+    #[test]
+    fn coco_replay_and_compensation_split_the_log_at_the_epoch_boundary() {
+        let sides = TwoSides::new(LoggingScheme::CocoEpoch, 50, 0);
+        let (gc, p0) = (&sides.gc, PartitionId(0));
+        let commit = |seq| {
+            let ticket = gc.begin_txn(p0, TxnId::new(p0, seq));
+            gc.add_participant(&ticket, PartitionId(1), 0);
+            sides.log(seq, seq);
+            (ticket.epoch, gc.txn_committed(&ticket, seq, 1))
+        };
+        let (_, first) = commit(1);
+        assert_eq!(gc.wait_durable(&first), CommitOutcome::Committed);
+        // The gate reopened a whole interval before the next boundary.
+        let (epoch, _) = commit(2);
+        let token = sides.agree();
+        assert_eq!(token, epoch, "the crash aborts the second epoch");
+        let kept = sides.crash_p0(token, &[1, 2]);
+        assert_eq!(kept, [(true, true), (false, false)]);
+    }
+
+    #[test]
+    fn sync_replay_and_compensation_keep_every_write_set() {
+        let sides = TwoSides::new(LoggingScheme::SyncPerTxn, 10, 0);
+        sides.log(1, 1);
+        sides.log(2, 2);
+        sides.settle();
+        let token = sides.agree();
+        let kept = sides.crash_p0(token, &[1, 2]);
+        assert_eq!(kept, [(true, true), (true, true)]);
     }
 }

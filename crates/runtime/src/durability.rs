@@ -19,12 +19,11 @@
 //!   watermark / epoch whose log entry does not exist yet (§5: write-sets
 //!   are logged before results are returned).
 //! * **Per-key log order = install order.** Callers append while still
-//!   holding their exclusive write locks, and `ts` is the *finalized* commit
+//!   holding their exclusive write locks, and `ts` is the *reserved* commit
 //!   timestamp
-//!   ([`GroupCommit::finalize_commit_ts`](primo_wal::GroupCommit::finalize_commit_ts)),
-//!   so replaying in commit-
-//!   timestamp order reproduces exactly the installed per-key value
-//!   sequence.
+//!   ([`GroupCommit::reserve_commit_ts`](primo_wal::GroupCommit::reserve_commit_ts)),
+//!   so replaying in commit-timestamp order reproduces exactly the installed
+//!   per-key value sequence.
 
 use crate::access::{WriteEntry, WriteKind};
 use crate::cluster::Cluster;

@@ -448,7 +448,7 @@ fn install<'a>(
     // relies on it).
     let ts = lease.unwrap_or_else(|| {
         let began_us = now_us();
-        let ts = cluster.group_commit.finalize_commit_ts(&ctx.ticket, 0);
+        let ts = cluster.group_commit.reserve_commit_ts(&ctx.ticket, 0);
         let took_us = now_us() - began_us;
         ctx.trace(TraceEventKind::CommitTsReserved { ts, took_us });
         ts

@@ -978,7 +978,7 @@ mod tests {
             fanout: ReadFanout,
         ) -> Step<'a> {
             let txn = ticket.txn;
-            let ts = cluster.group_commit.finalize_commit_ts(&ticket, 0);
+            let ts = cluster.group_commit.reserve_commit_ts(&ticket, 0);
             let writes = [WriteEntry::insert(
                 PartitionId(0),
                 TableId(0),

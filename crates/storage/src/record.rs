@@ -110,7 +110,7 @@ pub struct RecordData {
     pub wts: u64,
     pub rts: u64,
     /// Commit timestamp of the current version — the group-commit domain
-    /// (`finalize_commit_ts`), which for counter-based protocols differs
+    /// (`reserve_commit_ts`), which for counter-based protocols differs
     /// from `wts`.
     cts: u64,
     /// The current version is a committed deletion. Kept inside the data

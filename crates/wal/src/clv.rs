@@ -10,7 +10,7 @@
 //! at commit time; the commit is acknowledged once the per-transaction
 //! persist delay has elapsed (dependencies are older, hence durable by then).
 
-use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, SeqTsSource, TxnTicket};
+use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
 use parking_lot::Mutex;
@@ -22,11 +22,6 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-// Replay under CLV is bounded purely by the quorum-durable LSN captured at
-// crash time (the trait default): a transaction is acknowledged exactly when
-// its log records are quorum-durable, so "quorum-durable at crash" and
-// "acknowledged" coincide.
-
 /// Cost of maintaining the dependency graph, per record accessed,
 /// microseconds (charged in the transaction's critical path).
 const TRACK_COST_PER_OP_US: u64 = 2;
@@ -37,8 +32,6 @@ pub struct ClvCommit {
     num_partitions: usize,
     /// Time of the last injected crash (0 = never).
     crash_at_us: AtomicU64,
-    /// Commit-timestamp sequence for protocols without logical timestamps.
-    seq_ts: SeqTsSource,
     /// Acknowledgement delay: the time until a transaction's log records
     /// are *quorum*-durable (the worst partition's quorum-ack delay —
     /// equals the plain persist delay when the log is single-copy).
@@ -64,7 +57,6 @@ impl ClvCommit {
         ClvCommit {
             num_partitions,
             crash_at_us: AtomicU64::new(0),
-            seq_ts: SeqTsSource::new(),
             ack_delay_us,
             rolled_back_txns: Mutex::new(HashSet::new()),
             tracker: SnapshotTracker::new(cfg.unsafe_latest_commit_horizon),
@@ -95,13 +87,6 @@ impl GroupCommit for ClvCommit {
     fn begin_txn(&self, coord: PartitionId, txn: TxnId) -> std::sync::Arc<TxnTicket> {
         self.tracker.begin(txn);
         TxnTicket::new(txn, coord, 0)
-    }
-
-    fn add_participant(&self, ticket: &TxnTicket, p: PartitionId, _lts: Ts) {
-        let mut st = ticket.state.lock();
-        if !st.participants.contains(&p) {
-            st.participants.push(p);
-        }
     }
 
     fn txn_aborted(&self, ticket: &TxnTicket) {
@@ -183,10 +168,8 @@ impl GroupCommit for ClvCommit {
         self.tracker.ts_floor()
     }
 
-    fn finalize_commit_ts(&self, _ticket: &TxnTicket, hint: Ts) -> Ts {
-        let ts = self.seq_ts.finalize_above(hint, self.tracker.ts_floor());
-        self.tracker.note_finalized(ts);
-        ts
+    fn reserve_commit_ts(&self, _ticket: &TxnTicket, proposed: Ts) -> Ts {
+        self.tracker.reserve(proposed)
     }
 
     fn snapshot_horizon(&self, _partition: PartitionId) -> Ts {
@@ -197,28 +180,28 @@ impl GroupCommit for ClvCommit {
         self.tracker.compensation_complete();
     }
 
-    fn survivor_rollback_bound(
-        &self,
-        crash_token: Ts,
-        _log: &crate::ReplicatedLog,
-    ) -> crate::ReplayBound {
+    fn rollback_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> crate::ReplayBound {
         // `crash_token` is the crash instant. A transaction is acknowledged
         // exactly when its log records are durable, so the commits rolled
         // back are precisely those whose persist window spans the crash (see
-        // `crash_rolled_back`) — on every partition, survivors included.
-        // Entries durable before the crash, and entries appended after it
-        // (post-crash commits), stay committed.
+        // `crash_rolled_back`) — on every partition, the crashed one
+        // included. Entries durable before the crash, and entries appended
+        // after it (post-crash commits), stay committed. The crashed
+        // partition's quorum cut is taken after this instant, so a
+        // write-set that became durable in between is inside the cut but
+        // not covered: it is dropped there as it is undone on the survivors.
         crate::ReplayBound::PersistWindow(crash_token)
     }
 
     fn on_partition_crash(&self, p: PartitionId) -> Ts {
-        let t = now_us();
-        self.crash_at_us.store(t, Ordering::Release);
         // Pending commits whose persist window spans the crash will be
         // rolled back: keep them capping the snapshot horizon until
-        // compensation has purged their versions. The crashed partition's
-        // in-flight transactions will never report back.
-        self.tracker.doom_window(t, self.ack_delay_us);
+        // compensation has purged their versions. The tracker reads the
+        // crash instant while it dooms them, so no commit is released in
+        // between. The crashed partition's in-flight transactions will
+        // never report back.
+        let t = self.tracker.doom_window(self.ack_delay_us);
+        self.crash_at_us.store(t, Ordering::Release);
         self.tracker.drop_actives_of(p);
         t
     }
@@ -320,7 +303,7 @@ mod tests {
         let gc = make();
         let p = PartitionId(0);
         let ticket = gc.begin_txn(p, tid(7));
-        let ts = gc.finalize_commit_ts(&ticket, 0);
+        let ts = gc.reserve_commit_ts(&ticket, 0);
         let waiter = gc.txn_committed(&ticket, ts, 1);
         assert!(
             gc.snapshot_horizon(p) < ts,
@@ -337,7 +320,7 @@ mod tests {
         let gc = make();
         let p = PartitionId(0);
         let ticket = gc.begin_txn(p, tid(8));
-        let ts = gc.finalize_commit_ts(&ticket, 0);
+        let ts = gc.reserve_commit_ts(&ticket, 0);
         let waiter = gc.txn_committed(&ticket, ts, 1);
         gc.on_partition_crash(PartitionId(1));
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::CrashAborted);

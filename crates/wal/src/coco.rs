@@ -15,7 +15,7 @@
 //! epoch grows with the partition count, which reproduces COCO's throughput
 //! plateau beyond ~12 partitions (Fig 14).
 
-use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, SeqTsSource, TxnTicket};
+use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::log::{LogPayload, ReplayBound};
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
@@ -70,8 +70,6 @@ pub struct CocoCommit {
     /// front of the last committed epoch's boundary belongs to a committed
     /// epoch).
     wals: Vec<Arc<ReplicatedLog>>,
-    /// Commit-timestamp sequence for protocols without logical timestamps.
-    seq_ts: SeqTsSource,
     /// Cached worst-partition quorum-ack delay (immutable after
     /// construction): the floor of every epoch confirmation.
     ack_delay_us: u64,
@@ -109,7 +107,6 @@ impl CocoCommit {
             num_partitions,
             bus,
             wals,
-            seq_ts: SeqTsSource::new(),
             ack_delay_us,
             epoch: AtomicU64::new(1),
             state: Mutex::new(EpochState {
@@ -208,10 +205,12 @@ impl CocoCommit {
             // 5. Commit (or abort) the epoch and reopen the gate.
             let sealed = {
                 let mut st = self.state.lock();
+                // `on_partition_crash` already aborted the epoch and doomed
+                // its commits; dooming it again here would reopen a crash
+                // whose compensation may have completed.
                 let sealed = if st.crash_pending {
                     st.aborted.insert(epoch);
                     st.crash_pending = false;
-                    self.tracker.doom_epoch(epoch);
                     None
                 } else {
                     st.committed = epoch;
@@ -259,13 +258,6 @@ impl GroupCommit for CocoCommit {
         drop(st);
         self.tracker.begin(txn);
         TxnTicket::new(txn, coord, epoch)
-    }
-
-    fn add_participant(&self, ticket: &TxnTicket, p: PartitionId, _lts: Ts) {
-        let mut st = ticket.state.lock();
-        if !st.participants.contains(&p) {
-            st.participants.push(p);
-        }
     }
 
     fn txn_aborted(&self, ticket: &TxnTicket) {
@@ -338,10 +330,8 @@ impl GroupCommit for CocoCommit {
         self.tracker.ts_floor()
     }
 
-    fn finalize_commit_ts(&self, _ticket: &TxnTicket, hint: Ts) -> Ts {
-        let ts = self.seq_ts.finalize_above(hint, self.tracker.ts_floor());
-        self.tracker.note_finalized(ts);
-        ts
+    fn reserve_commit_ts(&self, _ticket: &TxnTicket, proposed: Ts) -> Ts {
+        self.tracker.reserve(proposed)
     }
 
     fn snapshot_horizon(&self, _partition: PartitionId) -> Ts {
@@ -380,30 +370,19 @@ impl GroupCommit for CocoCommit {
         epoch
     }
 
-    fn replay_bound(&self, crash_token: Ts, log: &ReplicatedLog) -> ReplayBound {
-        // `crash_token` is the aborted epoch: replay exactly the entries
-        // in front of the boundary of the last *earlier* (committed) epoch
-        // — the same boundary, durable or not, the survivors roll back
-        // from, so both sides of a cross-partition commit agree on which
-        // epochs stand. An epoch is acknowledged when its boundary is
-        // *appended* (its write-sets were quorum-durable by then; the
-        // boundary itself takes one more ack delay), so a partition dying
-        // inside that delay must not fall back to the boundary before it.
-        // The replay itself stays clamped to the crash-time cutoff; the
-        // boundary only marks where the aborted epoch begins, and since
-        // durability is a prefix of the log, nothing behind a boundary that
-        // was not durable at the crash was durable either.
+    fn rollback_bound(&self, crash_token: Ts, log: &ReplicatedLog) -> ReplayBound {
+        // `crash_token` is the aborted epoch: the write-sets in front of the
+        // boundary the last committed epoch sealed stand, those after it are
+        // rolled back (the boundary itself is a marker, not a write-set).
+        // The boundary is looked up durable or not: an epoch is acknowledged
+        // when its boundary is *appended* (its write-sets were quorum-durable
+        // by then), so a partition dying within the boundary's own ack delay
+        // must not fall back to the boundary before it. The crashed
+        // partition's replay stays clamped to its crash-time cut, and
+        // durability is a prefix of the log, so nothing behind a boundary
+        // that was not durable at the crash was durable either.
         let bound = crash_token.saturating_sub(1);
-        ReplayBound::Lsn(log.latest_epoch_boundary(bound).unwrap_or(0))
-    }
-
-    fn survivor_rollback_bound(&self, crash_token: Ts, wal: &ReplicatedLog) -> ReplayBound {
-        // `crash_token` is the aborted epoch. On a surviving partition
-        // nothing was lost, so the boundary sealed by the last *committed*
-        // epoch (durable or not) splits the log exactly: everything after it
-        // belongs to the aborted epoch and is rolled back.
-        let bound = crash_token.saturating_sub(1);
-        ReplayBound::Lsn(wal.latest_epoch_boundary(bound).map_or(0, |l| l + 1))
+        ReplayBound::Lsn(log.latest_epoch_boundary(bound).map_or(0, |l| l + 1))
     }
 
     fn checkpoint_bound(&self, _p: PartitionId, log: &ReplicatedLog) -> ReplayBound {
@@ -499,10 +478,10 @@ mod tests {
             let lsn = wal
                 .latest_durable_epoch_boundary(committed)
                 .expect("boundary sealed");
-            // The replay bound for a crash in the next epoch covers the
+            // The rollback bound for a crash in the next epoch covers the
             // sealed prefix.
-            match gc.replay_bound(committed + 1, wal) {
-                crate::ReplayBound::Lsn(l) => assert!(l >= lsn),
+            match gc.rollback_bound(committed + 1, wal) {
+                crate::ReplayBound::Lsn(l) => assert!(l > lsn),
                 other => panic!("unexpected bound {other:?}"),
             }
         }
@@ -514,7 +493,7 @@ mod tests {
         let gc = make(2);
         let p = PartitionId(0);
         let ticket = gc.begin_txn(p, tid(5));
-        let ts = gc.finalize_commit_ts(&ticket, 0);
+        let ts = gc.reserve_commit_ts(&ticket, 0);
         let waiter = gc.txn_committed(&ticket, ts, 1);
         assert!(
             gc.snapshot_horizon(p) < ts,
@@ -522,6 +501,23 @@ mod tests {
         );
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::Committed);
         // The epoch boundary sealed: the horizon covers the commit.
+        assert!(gc.snapshot_horizon(p) >= ts);
+        gc.shutdown();
+    }
+
+    #[test]
+    fn the_horizon_moves_on_after_a_compensated_crash() {
+        let gc = make(2);
+        let p = PartitionId(0);
+        gc.on_partition_crash(PartitionId(1));
+        gc.on_compensation_complete();
+        // The crash closed the gate; it reopens at the aborted epoch's
+        // boundary, and a commit of the next epoch enters the horizon.
+        assert!(gc.execution_gate(p, true));
+        let ticket = gc.begin_txn(p, tid(6));
+        let ts = gc.reserve_commit_ts(&ticket, 0);
+        let waiter = gc.txn_committed(&ticket, ts, 1);
+        assert_eq!(gc.wait_durable(&waiter), CommitOutcome::Committed);
         assert!(gc.snapshot_horizon(p) >= ts);
         gc.shutdown();
     }

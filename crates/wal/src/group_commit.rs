@@ -1,5 +1,6 @@
 //! The [`GroupCommit`] trait: how protocols hand transactions over to the
-//! durability layer, and how they learn the final (durable) outcome.
+//! durability layer, how they learn the final (durable) outcome, and how a
+//! crash is resolved.
 //!
 //! The life-cycle, shared by every scheme:
 //!
@@ -10,11 +11,20 @@
 //! 3. [`GroupCommit::update_ts`] — as soon as a logical timestamp (or a lower
 //!    bound) is known it is reported, so partition watermarks never overtake
 //!    active transactions.
-//! 4. [`GroupCommit::txn_committed`] / [`GroupCommit::txn_aborted`] — the
+//! 4. [`GroupCommit::reserve_commit_ts`] — under the write locks, the commit
+//!    timestamp: the protocol's proposal lifted above the scheme's floor, or,
+//!    for a proposal of 0, the scheme's own sequence.
+//! 5. [`GroupCommit::txn_committed`] / [`GroupCommit::txn_aborted`] — the
 //!    protocol finished installing the write-set (or gave up).
-//! 5. [`GroupCommit::wait_durable`] — the worker blocks until the group commit
+//! 6. [`GroupCommit::wait_durable`] — the worker blocks until the group commit
 //!    confirms (or crash-aborts) the transaction. This is the `return` phase
 //!    of the latency breakdown (Fig 4c).
+//!
+//! A crash is one agreement (§5.2): [`GroupCommit::on_partition_crash`]
+//! returns a token, and [`GroupCommit::rollback_bound`] turns it into the
+//! one bound that the crashed partition's replay and every survivor's
+//! compensation both apply, so a write-set is kept everywhere or dropped
+//! everywhere.
 
 use crate::log::ReplayBound;
 use crate::replicated::ReplicatedLog;
@@ -83,43 +93,6 @@ impl TxnTicket {
     }
 }
 
-/// Monotonic commit-timestamp source shared by the schemes whose
-/// [`GroupCommit::finalize_commit_ts`] has no watermark floor to respect
-/// (COCO, CLV, sync): protocol-provided timestamps pass through, everything
-/// else draws from one global sequence.
-#[derive(Debug)]
-pub(crate) struct SeqTsSource(std::sync::atomic::AtomicU64);
-
-impl SeqTsSource {
-    pub(crate) fn new() -> Self {
-        SeqTsSource(std::sync::atomic::AtomicU64::new(1))
-    }
-
-    /// Finalize a commit timestamp with a floor: protocol-provided `hint`s
-    /// pass through, everything else draws from the sequence but always
-    /// exceeds `floor`. The floor matters once a snapshot horizon exists — a
-    /// protocol timestamp (`hint`) from a different logical domain may have
-    /// ratcheted the horizon above the plain sequence, and a later
-    /// sequence-drawn commit must not land at or below the published horizon.
-    pub(crate) fn finalize_above(&self, hint: Ts, floor: Ts) -> Ts {
-        if hint > 0 {
-            return hint;
-        }
-        use std::sync::atomic::Ordering;
-        loop {
-            let cur = self.0.load(Ordering::Relaxed);
-            let next = cur.max(floor + 1);
-            if self
-                .0
-                .compare_exchange_weak(cur, next + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return next;
-            }
-        }
-    }
-}
-
 /// Handle the worker blocks on during the `return` phase.
 #[derive(Debug)]
 pub struct CommitWaiter {
@@ -145,8 +118,14 @@ pub trait GroupCommit: Send + Sync {
 
     /// Register a remote participant; `lts` is the lower bound of the
     /// transaction's final timestamp as known by that participant (the `wts`
-    /// of its first accessed record there, §5.1 R1).
-    fn add_participant(&self, ticket: &TxnTicket, p: PartitionId, lts: Ts);
+    /// of its first accessed record there, §5.1 R1). By default the
+    /// participant is only recorded on the ticket.
+    fn add_participant(&self, ticket: &TxnTicket, p: PartitionId, _lts: Ts) {
+        let mut st = ticket.state.lock();
+        if !st.participants.contains(&p) {
+            st.participants.push(p);
+        }
+    }
 
     /// The transaction aborted during execution; deregister it everywhere.
     fn txn_aborted(&self, ticket: &TxnTicket);
@@ -181,6 +160,12 @@ pub trait GroupCommit: Send + Sync {
     /// generated between timestamp assignment and the log append could
     /// publish (and expose to snapshot readers) a commit whose log entry is
     /// not durable yet. Schemes without such a horizon just apply the floor.
+    ///
+    /// Protocols without logical timestamps (plain 2PL, Silo, Aria) propose
+    /// 0 and receive the scheme's next sequence value above the floor. Call
+    /// it **while the write locks are held**, so that the per-key order of
+    /// logged timestamps matches install order — recovery replays in
+    /// commit-timestamp order and relies on this.
     fn reserve_commit_ts(&self, ticket: &TxnTicket, proposed: Ts) -> Ts {
         proposed.max(self.ts_floor(ticket.coordinator) + 1)
     }
@@ -215,44 +200,26 @@ pub trait GroupCommit: Send + Sync {
         true
     }
 
-    /// Assign the final commit timestamp of a transaction that is about to
-    /// log + install its write-set. Protocols with logical timestamps pass
-    /// them through (`hint > 0`); protocols without (plain 2PL, Silo, Aria)
-    /// receive a monotonic sequence respecting the coordinator's watermark
-    /// floor. Must be called **while the write locks are held** so that the
-    /// per-key order of logged timestamps matches install order — recovery
-    /// replays in commit-timestamp order and relies on this.
-    fn finalize_commit_ts(&self, _ticket: &TxnTicket, hint: Ts) -> Ts {
-        hint.max(1)
-    }
-
     /// A partition crashed. The scheme agrees on a rollback point, resolves
     /// the affected pending waiters as [`CommitOutcome::CrashAborted`] and
     /// returns the agreed watermark / epoch for reporting.
     fn on_partition_crash(&self, p: PartitionId) -> Ts;
 
-    /// Translate the token returned by [`GroupCommit::on_partition_crash`]
-    /// into the bound recovery must respect when replaying `log`: the
-    /// recovered watermark (Watermark), the boundary of the last committed
-    /// epoch (COCO), or everything quorum-durable at crash time
-    /// (CLV / sync, where the quorum-LSN cutoff captured at the crash
-    /// instant is the only limit). Recovery clamps the replay to that
-    /// crash-time cutoff itself; a bound never reads the live quorum, which
-    /// may be broken by the time recovery (or a restarted recovery pass)
-    /// runs.
-    fn replay_bound(&self, _crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
-        ReplayBound::Lsn(u64::MAX)
-    }
-
-    /// The bound separating still-committed from crash-rolled-back
-    /// transactions on a *surviving* partition's log, for the crash that
-    /// returned `crash_token` from [`GroupCommit::on_partition_crash`]:
-    /// every `TxnWrites` entry the bound does **not** cover was (or will be)
-    /// reported [`CommitOutcome::CrashAborted`], so its installed writes
-    /// must be compensated with their before-images. The default covers
-    /// everything — correct for schemes that never crash-abort a
-    /// transaction whose commit call returned (synchronous flush).
-    fn survivor_rollback_bound(&self, _crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
+    /// The bound separating the write-sets that stay committed from those
+    /// rolled back by the crash that returned `crash_token` from
+    /// [`GroupCommit::on_partition_crash`]. It is one answer for the whole
+    /// cluster: the crashed partition replays exactly the `TxnWrites`
+    /// entries of `log` it covers, and a surviving partition undoes (with
+    /// their before-images) exactly those it does not, because every one of
+    /// them was (or will be) reported [`CommitOutcome::CrashAborted`]. The
+    /// token is the agreed watermark (Watermark), the aborted epoch (COCO)
+    /// or the crash instant (CLV). Recovery clamps its replay to the
+    /// crash-time quorum cut itself; a bound never reads the live quorum,
+    /// which may be broken by the time recovery (or a restarted recovery
+    /// pass) runs. The default covers everything — correct for schemes that
+    /// never crash-abort a transaction whose commit call returned
+    /// (synchronous flush).
+    fn rollback_bound(&self, _crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
         ReplayBound::Lsn(u64::MAX)
     }
 

@@ -302,25 +302,29 @@ pub(crate) struct FoldChunk {
 }
 
 /// How far a recovery (or checkpoint fold) may read into the log. Every
-/// group-commit scheme translates its own agreement — recovered watermark,
-/// last committed epoch's boundary, durable LSN — into one of these (see
-/// [`crate::GroupCommit::replay_bound`]).
+/// group-commit scheme translates its own crash agreement — agreed
+/// watermark, last committed epoch's boundary, crash instant — into one of
+/// these (see [`crate::GroupCommit::rollback_bound`]), and what a
+/// checkpoint may fold likewise (see
+/// [`crate::GroupCommit::checkpoint_bound`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayBound {
     /// Transactions with commit timestamp strictly below the bound (the
-    /// watermark scheme's recovered `Wp`).
+    /// watermark scheme's agreed watermark, or its `Wg` view for a fold).
     Ts(Ts),
-    /// Entries with LSN strictly below the bound (COCO: the LSN of the last
-    /// committed epoch's boundary; CLV / sync: one past the durable LSN).
+    /// Entries with LSN strictly below the bound (COCO: one past the last
+    /// committed epoch's boundary; sync: `u64::MAX`, everything; a fold:
+    /// one past the quorum-durable LSN or, for COCO, the last durable
+    /// committed boundary).
     Lsn(u64),
     /// Entries whose persist window *spans* the given simulated instant are
-    /// **not** covered (CLV's crash-rollback rule on *surviving*
-    /// partitions): a transaction is acknowledged exactly when its log
-    /// records are durable, so a crash rolls back precisely the commits
-    /// still inside their persist window at the crash instant. Entries
-    /// already durable by the instant — and entries appended *after* it,
-    /// which belong to post-crash transactions the scheme reports
-    /// `Committed` — are covered.
+    /// **not** covered (CLV's crash-rollback rule, on the crashed partition
+    /// and the survivors alike): a transaction is acknowledged exactly when
+    /// its log records are durable, so a crash rolls back precisely the
+    /// commits still inside their persist window at the crash instant.
+    /// Entries already durable by the instant — and entries appended
+    /// *after* it, which belong to post-crash transactions the scheme
+    /// reports `Committed` — are covered.
     PersistWindow(u64),
 }
 

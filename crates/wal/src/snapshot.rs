@@ -18,12 +18,14 @@
 //!    synchronous flush, when the quorum-ack deadline passes for CLV, when
 //!    the epoch's group commit seals for COCO. Transactions a crash dooms
 //!    keep capping the horizon until crash compensation has purged their
-//!    versions from the chains.
+//!    versions from the chains, and nothing is published while a crash is
+//!    open.
 //!
 //! The published horizon is monotone (a `fetch_max`-updated atomic), so a
 //! snapshot timestamp can be compared across partitions and over time.
 
 use parking_lot::Mutex;
+use primo_common::sim_time::now_us;
 use primo_common::{PartitionId, Ts, TxnId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,6 +99,19 @@ impl SnapshotTracker {
         self.max_finalized.fetch_max(cts, Ordering::AcqRel);
     }
 
+    /// The scheme's [`crate::GroupCommit::reserve_commit_ts`]: a protocol's
+    /// `proposed` timestamp lifted above the floor, or, for `proposed = 0`,
+    /// the next timestamp above the floor, which becomes the new floor in
+    /// the same atomic step. Drawing from the floor itself keeps a sequence
+    /// commit above every timestamp finalized before it, protocol-provided
+    /// ones included, so it can never land at or below a published horizon.
+    pub fn reserve(&self, proposed: Ts) -> Ts {
+        match proposed {
+            0 => self.max_finalized.fetch_add(1, Ordering::AcqRel) + 1,
+            p => p.max(self.ts_floor() + 1),
+        }
+    }
+
     /// Register a transaction at begin.
     pub fn begin(&self, txn: TxnId) {
         let floor = self.ts_floor();
@@ -112,11 +127,11 @@ impl SnapshotTracker {
     /// Move a committed transaction from active to pending. `doomed` marks a
     /// commit the scheme already knows a crash will roll back.
     pub fn commit(&self, txn: TxnId, cts: Ts, release: Release, doomed: bool) {
-        // Not every protocol routes its timestamp through
-        // `finalize_commit_ts` (Primo computes it from record metadata), so
-        // the floor must also learn it here: a transaction beginning after
-        // this commit must record a floor at or above `cts`, or it could
-        // later install below a horizon that already passed `cts`.
+        // A proposed timestamp is not noted at reservation (Primo computes
+        // it from record metadata), so the floor must learn it here: a
+        // transaction beginning after this commit must record a floor at or
+        // above `cts`, or it could later install below a horizon that
+        // already passed `cts`.
         self.note_finalized(cts);
         let mut inner = self.inner.lock();
         inner.active.remove(&txn);
@@ -177,10 +192,13 @@ impl SnapshotTracker {
         self.publish();
     }
 
-    /// A crash rolled back every pending CLV transaction whose persist
-    /// window spans `crash_us`: doom them (release the rest as usual later).
-    pub fn doom_window(&self, crash_us: u64, ack_delay_us: u64) {
+    /// A crash happened now: doom every pending CLV transaction whose
+    /// persist window spans this instant (release the rest as usual later)
+    /// and return the instant. It is read under the lock [`Self::release_due`]
+    /// releases under, so a commit released before it was durable by it.
+    pub fn doom_window(&self, ack_delay_us: u64) -> u64 {
         let mut inner = self.inner.lock();
+        let crash_us = now_us();
         inner.crash_open = true;
         for p in inner.pending.values_mut() {
             if let Release::AtUs(ready_at) = p.release {
@@ -189,6 +207,7 @@ impl SnapshotTracker {
                 }
             }
         }
+        crash_us
     }
 
     /// A crash aborted this COCO epoch: doom its pending transactions.
@@ -221,9 +240,17 @@ impl SnapshotTracker {
         self.publish();
     }
 
-    /// Recompute and publish the horizon (monotone).
+    /// Recompute and publish the horizon (monotone). Frozen while a crash
+    /// is open: until compensation completes it may still undo a commit
+    /// reported after the crash instant (the log judges a persist window
+    /// from the append, not the report), and the installed writes of the
+    /// crashed partition's in-flight transactions, whose active entries the
+    /// crash dropped.
     fn publish(&self) {
         let inner = self.inner.lock();
+        if inner.crash_open {
+            return;
+        }
         let mut h = Ts::MAX;
         for floor in inner.active.values() {
             h = h.min(*floor);
@@ -277,6 +304,23 @@ mod tests {
     }
 
     #[test]
+    fn reserve_draws_above_the_floor_and_lifts_proposals() {
+        let t = SnapshotTracker::new(false);
+        let a = t.reserve(0);
+        assert!(a > 0);
+        assert_eq!(t.ts_floor(), a, "a drawn timestamp is the new floor");
+        // A protocol timestamp from another domain raises the floor; the
+        // next draw lands above it.
+        t.note_finalized(100);
+        let b = t.reserve(0);
+        assert!(b > 100);
+        // A proposal is lifted above the floor, not noted.
+        assert_eq!(t.reserve(5), b + 1);
+        assert_eq!(t.reserve(500), 500);
+        assert_eq!(t.ts_floor(), b);
+    }
+
+    #[test]
     fn pending_caps_until_released() {
         let t = SnapshotTracker::new(false);
         t.begin(tid(1));
@@ -306,11 +350,11 @@ mod tests {
         let t = SnapshotTracker::new(false);
         t.begin(tid(1));
         t.note_finalized(9);
-        // Persist window [60, 100] spans the crash at 80.
-        t.commit(tid(1), 9, Release::AtUs(100), false);
-        t.doom_window(80, 40);
+        // Persist window [now - 1 s, now + 1 s) spans the crash.
+        t.commit(tid(1), 9, Release::AtUs(now_us() + 1_000_000), false);
+        t.doom_window(2_000_000);
         assert_eq!(
-            t.horizon(1_000),
+            t.horizon(u64::MAX),
             8,
             "doomed txn still caps after its deadline"
         );
@@ -318,7 +362,24 @@ mod tests {
         t.begin(tid(2));
         t.note_finalized(12);
         t.commit(tid(2), 12, Release::Now, false);
-        assert_eq!(t.horizon(1_000), 12, "doomed txn never releases");
+        assert_eq!(t.horizon(u64::MAX), 12, "doomed txn never releases");
+    }
+
+    #[test]
+    fn the_horizon_holds_while_a_crash_is_open() {
+        let t = SnapshotTracker::new(false);
+        t.begin(tid(1));
+        let dead = TxnId::new(PartitionId(1), 2);
+        t.begin(dead);
+        t.note_finalized(9);
+        let crash_us = t.doom_window(40);
+        t.drop_actives_of(PartitionId(1));
+        // Reported after the crash: its window [crash + 10, crash + 50) does
+        // not span the crash, but its append may have.
+        t.commit(tid(1), 9, Release::AtUs(crash_us + 50), false);
+        assert_eq!(t.horizon(u64::MAX), 0, "held while compensation runs");
+        t.compensation_complete();
+        assert_eq!(t.horizon(u64::MAX), 9);
     }
 
     #[test]

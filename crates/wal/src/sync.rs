@@ -5,17 +5,18 @@
 //! experiments: it shows what the durability delay costs when it sits on the
 //! transaction's critical path.
 
-use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, SeqTsSource, TxnTicket};
+use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
 use primo_common::config::WalConfig;
 use primo_common::sim_time::{charge_latency_us, now_us};
 use primo_common::{PartitionId, Ts, TxnId};
 use std::sync::Arc;
-// Replay after a crash is bounded purely by the quorum-durable LSN captured
-// at the crash instant (the trait default): the synchronous flush means
-// every acknowledged transaction's log records are quorum-durable by
-// construction.
+// The rollback bound is the trait default (everything covered): the
+// synchronous flush makes a transaction durable on every participant before
+// its commit call returns, so a crash never rolls a reported commit back.
+// Recovery replays whatever was quorum-durable at the crash instant, and
+// survivors have nothing to compensate.
 
 /// Synchronous per-transaction flush.
 #[derive(Debug)]
@@ -24,8 +25,6 @@ pub struct SyncCommit {
     /// Synchronous flush cost: the transaction waits until its log records
     /// are *quorum*-durable (the worst partition's quorum-ack delay).
     ack_delay_us: u64,
-    /// Commit-timestamp sequence for protocols without logical timestamps.
-    seq_ts: SeqTsSource,
     /// MVCC snapshot-horizon bookkeeping: a synchronously flushed commit is
     /// durable-forever the moment its commit call returns.
     tracker: SnapshotTracker,
@@ -42,7 +41,6 @@ impl SyncCommit {
         SyncCommit {
             num_partitions,
             ack_delay_us,
-            seq_ts: SeqTsSource::new(),
             tracker: SnapshotTracker::new(cfg.unsafe_latest_commit_horizon),
         }
     }
@@ -56,13 +54,6 @@ impl GroupCommit for SyncCommit {
     fn begin_txn(&self, coord: PartitionId, txn: TxnId) -> std::sync::Arc<TxnTicket> {
         self.tracker.begin(txn);
         TxnTicket::new(txn, coord, 0)
-    }
-
-    fn add_participant(&self, ticket: &TxnTicket, p: PartitionId, _lts: Ts) {
-        let mut st = ticket.state.lock();
-        if !st.participants.contains(&p) {
-            st.participants.push(p);
-        }
     }
 
     fn txn_aborted(&self, ticket: &TxnTicket) {
@@ -97,10 +88,8 @@ impl GroupCommit for SyncCommit {
         self.tracker.ts_floor()
     }
 
-    fn finalize_commit_ts(&self, _ticket: &TxnTicket, hint: Ts) -> Ts {
-        let ts = self.seq_ts.finalize_above(hint, self.tracker.ts_floor());
-        self.tracker.note_finalized(ts);
-        ts
+    fn reserve_commit_ts(&self, _ticket: &TxnTicket, proposed: Ts) -> Ts {
+        self.tracker.reserve(proposed)
     }
 
     fn snapshot_horizon(&self, _partition: PartitionId) -> Ts {
@@ -113,11 +102,6 @@ impl GroupCommit for SyncCommit {
         self.tracker.drop_actives_of(p);
         0
     }
-
-    // `survivor_rollback_bound` keeps the trait default (everything
-    // covered): the synchronous flush means a transaction whose commit call
-    // returned is durable on every participant, so a crash never rolls a
-    // reported commit back and survivors have nothing to compensate.
 
     fn label(&self) -> &'static str {
         "Sync"
@@ -162,7 +146,7 @@ mod tests {
         let p = PartitionId(0);
         assert_eq!(gc.snapshot_horizon(p), 0);
         let ticket = gc.begin_txn(p, TxnId::new(p, 1));
-        let ts = gc.finalize_commit_ts(&ticket, 0);
+        let ts = gc.reserve_commit_ts(&ticket, 0);
         let _ = gc.txn_committed(&ticket, ts, 1);
         assert_eq!(gc.snapshot_horizon(p), ts);
         assert!(gc.ts_floor(p) >= ts);

@@ -146,9 +146,6 @@ pub struct WatermarkCommit {
     seq_ts: AtomicU64,
     stop: Arc<AtomicBool>,
     agents: Mutex<Vec<JoinHandle<()>>>,
-    /// Counts crash recoveries (used by waiters to detect rollbacks that
-    /// happened after they registered).
-    crash_seq: AtomicU64,
     /// Transactions crash compensation sealed and undid. A waiter that
     /// registered only *after* the crash agreement (its epoch index is past
     /// the rollback entry) but whose write-set was logged *before* it — and
@@ -197,7 +194,6 @@ impl WatermarkCommit {
             seq_ts: AtomicU64::new(1),
             stop: Arc::new(AtomicBool::new(false)),
             agents: Mutex::new(Vec::new()),
-            crash_seq: AtomicU64::new(0),
             rolled_back_txns: Mutex::new(HashSet::new()),
             snapshot_caps: Mutex::new(Vec::new()),
             max_finalized: AtomicU64::new(0),
@@ -222,14 +218,6 @@ impl WatermarkCommit {
                 .expect("spawn watermark agent");
             agents.push(handle);
         }
-    }
-
-    /// Assign a commit sequence timestamp for protocols without logical
-    /// timestamps, respecting the watermark floor of the coordinator.
-    pub fn assign_seq_ts(&self, coord: PartitionId) -> Ts {
-        let floor = self.parts[coord.idx()].floor();
-        let v = self.seq_ts.fetch_add(1, Ordering::Relaxed);
-        v.max(floor + 1)
     }
 
     /// Current partition watermark (published) — exposed for tests/benches.
@@ -511,7 +499,8 @@ impl GroupCommit for WatermarkCommit {
         } else if ticket.current_ts() > 0 {
             ticket.current_ts()
         } else {
-            self.assign_seq_ts(ticket.coordinator)
+            let floor = self.parts[ticket.coordinator.idx()].floor();
+            self.seq_ts.fetch_add(1, Ordering::Relaxed).max(floor + 1)
         };
         self.max_finalized.fetch_max(final_ts, Ordering::AcqRel);
         let crash_idx = self.parts[ticket.coordinator.idx()]
@@ -616,6 +605,9 @@ impl GroupCommit for WatermarkCommit {
         // published watermarks are pinned and their floors only rise — the
         // lock-free reads below cannot race a publication past `ts`.
         //
+        // A proposal of 0 (a protocol without logical timestamps) draws from
+        // the scheme's sequence, and the floor lifts it like any proposal.
+        //
         // `max_seen_ts` is raised on every involved partition here, at
         // reservation, rather than only at `txn_committed` (which the worker
         // runs after the protocol released its locks): the bump must be
@@ -624,6 +616,12 @@ impl GroupCommit for WatermarkCommit {
         // order always matches install order and crash replay — which
         // applies entries in `ts` order — reconstructs exactly the state the
         // live run exposed.
+        let drawn = proposed == 0;
+        let proposed = if drawn {
+            self.seq_ts.fetch_add(1, Ordering::Relaxed)
+        } else {
+            proposed
+        };
         let part = &self.parts[ticket.coordinator.idx()];
         let mut active = part.active.lock();
         let mut ts = proposed.max(part.floor() + 1);
@@ -638,24 +636,9 @@ impl GroupCommit for WatermarkCommit {
                 .fetch_max(ts, Ordering::AcqRel);
         }
         active.insert(ticket.txn, ts);
-        ts
-    }
-
-    fn finalize_commit_ts(&self, ticket: &TxnTicket, hint: Ts) -> Ts {
-        let ts = if hint > 0 {
-            // The protocol's timestamp is already fixed (it must match what
-            // gets installed), so only pin it: future watermarks must not
-            // overtake the entry this transaction is about to append.
-            self.parts[ticket.coordinator.idx()]
-                .active
-                .lock()
-                .insert(ticket.txn, hint);
-            hint
-        } else {
-            let seq = self.seq_ts.fetch_add(1, Ordering::Relaxed);
-            self.reserve_commit_ts(ticket, seq)
-        };
-        self.max_finalized.fetch_max(ts, Ordering::AcqRel);
+        if drawn {
+            self.max_finalized.fetch_max(ts, Ordering::AcqRel);
+        }
         ts
     }
 
@@ -692,17 +675,11 @@ impl GroupCommit for WatermarkCommit {
         }
     }
 
-    fn replay_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
+    fn rollback_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
         // The agreed watermark from `on_partition_crash` separates durable
-        // results (ts < Wp, already returned to clients) from rolled-back
-        // ones (§5.2).
-        ReplayBound::Ts(crash_token)
-    }
-
-    fn survivor_rollback_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
-        // The agreement (§5.2) applies cluster-wide: every transaction with
-        // `ts >= agreed` is reported `CrashAborted`, wherever it installed —
-        // surviving partitions must undo exactly the entries above the token.
+        // results (ts < agreed, already returned to clients) from rolled-back
+        // ones (§5.2), cluster-wide: every transaction with `ts >= agreed` is
+        // reported `CrashAborted`, wherever it installed.
         ReplayBound::Ts(crash_token)
     }
 
@@ -736,7 +713,6 @@ impl GroupCommit for WatermarkCommit {
     }
 
     fn on_partition_crash(&self, p: PartitionId) -> Ts {
-        self.crash_seq.fetch_add(1, Ordering::SeqCst);
         // Agreement (§5.2): every leader publishes its current view of the
         // global watermark; the maximum of those views is adopted. It is
         // >= every view ever used to report results (safe for clients) and
@@ -933,19 +909,18 @@ mod tests {
         wm.on_partition_recover(PartitionId(1), recovered);
         assert!(wm.partition_watermark(PartitionId(1)) >= recovered);
         assert_eq!(
-            wm.replay_bound(agreed, &wals[1]),
+            wm.rollback_bound(agreed, &wals[1]),
             crate::ReplayBound::Ts(agreed)
         );
         wm.shutdown();
     }
 
     #[test]
-    fn finalize_commit_ts_passes_hints_and_sequences_zero() {
+    fn reserve_commit_ts_sequences_a_zero_proposal() {
         let (wm, _bus) = make(2, 1);
         let ticket = wm.begin_txn(PartitionId(0), tid(1));
-        assert_eq!(wm.finalize_commit_ts(&ticket, 77), 77);
-        let a = wm.finalize_commit_ts(&ticket, 0);
-        let b = wm.finalize_commit_ts(&ticket, 0);
+        let a = wm.reserve_commit_ts(&ticket, 0);
+        let b = wm.reserve_commit_ts(&ticket, 0);
         assert!(a > 0 && b > 0);
         wm.shutdown();
     }
@@ -1003,14 +978,19 @@ mod tests {
     }
 
     #[test]
-    fn seq_ts_is_monotonic_and_above_floor() {
+    fn sequenced_ts_is_monotonic_and_above_floor() {
         let (wm, _bus) = make(2, 1);
         std::thread::sleep(Duration::from_millis(20));
-        let a = wm.assign_seq_ts(PartitionId(0));
-        let b = wm.assign_seq_ts(PartitionId(0));
-        assert!(b > 0);
-        assert!(a > wm.partition_watermark(PartitionId(0)).saturating_sub(1));
-        // Not necessarily a < b when the floor jumps, but both exceed 0.
+        let p = PartitionId(0);
+        let ticket = wm.begin_txn(p, tid(1));
+        let floor = wm.ts_floor(p);
+        let a = wm.reserve_commit_ts(&ticket, 0);
+        assert!(a > floor);
+        assert!(a > wm.partition_watermark(p).saturating_sub(1));
+        // The reservation raised the floor, so the next draw lands above it.
+        assert!(wm.ts_floor(p) >= a);
+        let b = wm.reserve_commit_ts(&ticket, 0);
+        assert!(b > a);
         wm.shutdown();
     }
 }
