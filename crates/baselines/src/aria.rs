@@ -233,11 +233,7 @@ impl Protocol for AriaProtocol {
         // One cross-partition synchronization per batch (charged by the first
         // member so the cost is per-batch, not per-transaction).
         if join_idx == 0 && cluster.num_partitions() > 1 {
-            let others: Vec<PartitionId> = cluster
-                .partition_ids()
-                .into_iter()
-                .filter(|p| *p != home)
-                .collect();
+            let others: Vec<PartitionId> = cluster.partition_ids().filter(|p| *p != home).collect();
             cluster.net.round_trip_multi(home, &others);
         }
         trace(TraceEventKind::BatchBarrier {
@@ -277,7 +273,7 @@ impl Protocol for AriaProtocol {
                         .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
                         .collect();
                     let records = records.iter().map(Option::as_ref);
-                    log_txn_writes(cluster, txn, ts, ctx.access.writes.iter().zip(records));
+                    log_txn_writes(cluster, txn, ts, &ctx.access.writes, records);
                     for w in &ctx.access.writes {
                         // The commit decision is already made, so inserts
                         // create their record directly (install flips it

@@ -251,9 +251,9 @@ fn bench_wal_durable_boundary() {
 
 fn bench_log_txn_writes() {
     // The per-commit durability hot path: group a mixed write-set by
-    // partition in one pass, capture before-images and append one entry per
-    // involved partition — measured over a 4-partition write-set, where the
-    // old O(partitions x writes) rescans hurt most.
+    // partition into exactly sized entries (two passes per partition),
+    // capture before-images and append one entry per involved partition —
+    // measured over a 4-partition write-set, where the passes cost most.
     use primo_repro::runtime::{log_txn_writes, Cluster, WriteEntry};
     use primo_repro::ClusterConfig;
 
@@ -286,7 +286,7 @@ fn bench_log_txn_writes() {
         seq += 1;
         let txn = TxnId::new(PartitionId(0), seq);
         let records = records.iter().map(Option::as_ref);
-        log_txn_writes(&cluster, txn, seq, writes.iter().zip(records));
+        log_txn_writes(&cluster, txn, seq, &writes, records);
     });
     cluster.shutdown();
 }
@@ -384,8 +384,7 @@ fn bench_mvcc_versions() {
     // read at a horizon — both at the newest version (the common case: the
     // horizon trails the writers by one interval) and at the oldest retained
     // one (the worst case before fallback).
-    let record = Record::new(Value::zeroed(100));
-    record.set_max_versions(4);
+    let record = Record::with_max_versions(Value::zeroed(100), 4);
     let v = Value::zeroed(100);
     let mut ts = 0u64;
     bench("mvcc/version_push_bounded_4", || {

@@ -1,5 +1,7 @@
 //! Keys and values stored in the partitioned tables.
 
+use std::sync::Arc;
+
 /// Primary-key type. Composite keys (e.g. TPC-C `(w_id, d_id, c_id)`) are
 /// encoded into a single `u64` by the workload crates.
 pub type Key = u64;
@@ -9,29 +11,49 @@ pub type Key = u64;
 /// The engine never interprets the payload; workloads encode their columns
 /// into it (YCSB uses fixed-size filler, TPC-C serialises typed rows). The
 /// payload is reference-counted so that reads do not copy the full row while
-/// a transaction is running.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Value(pub std::sync::Arc<Vec<u8>>);
+/// a transaction is running. Its bytes live in the same allocation as the
+/// reference counts, so a value is one allocation and reading it one pointer
+/// chase; the empty value allocates nothing.
+#[derive(Clone)]
+pub struct Value(Option<Arc<[u8]>>);
 
 impl Value {
+    /// The empty value (a delete's buffered write, an insert's slot before
+    /// its install).
+    pub const EMPTY: Value = Value(None);
+
+    /// A value holding a copy of `bytes`. Hot paths build their bytes in
+    /// place with [`Value::build`] instead.
     pub fn new(bytes: Vec<u8>) -> Self {
-        Value(std::sync::Arc::new(bytes))
+        Value::from(bytes.as_slice())
+    }
+
+    /// A value of `len` bytes written in place, in its one allocation:
+    /// `fill` receives them zeroed.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        if len == 0 {
+            fill(&mut []);
+            return Value::EMPTY;
+        }
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut bytes).expect("a value being built is not shared"));
+        Value(Some(bytes))
     }
 
     /// A value holding `n` zero bytes — used by YCSB-style fillers.
     pub fn zeroed(n: usize) -> Self {
-        Value::new(vec![0u8; n])
+        Value::build(n, |_| {})
     }
 
     /// Encode a `u64` counter as a value (used by Smallbank/YCSB counters).
     pub fn from_u64(x: u64) -> Self {
-        Value::new(x.to_le_bytes().to_vec())
+        Value(Some(Arc::from(x.to_le_bytes())))
     }
 
     /// Decode a value previously produced by [`Value::from_u64`].
     /// Returns 0 for payloads that are too short.
     pub fn as_u64(&self) -> u64 {
-        let b = self.0.as_slice();
+        let b = self.as_bytes();
         if b.len() >= 8 {
             u64::from_le_bytes(b[..8].try_into().unwrap())
         } else {
@@ -40,15 +62,29 @@ impl Value {
     }
 
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_bytes().is_empty()
     }
 
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        self.0.as_deref().unwrap_or_default()
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Value {}
+
+impl std::fmt::Debug for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Value").field(&self.as_bytes()).finish()
     }
 }
 
@@ -60,7 +96,10 @@ impl From<Vec<u8>> for Value {
 
 impl From<&[u8]> for Value {
     fn from(v: &[u8]) -> Self {
-        Value::new(v.to_vec())
+        match v.is_empty() {
+            true => Value::EMPTY,
+            false => Value(Some(Arc::from(v))),
+        }
     }
 }
 
@@ -114,6 +153,18 @@ mod tests {
     fn value_clone_shares_allocation() {
         let v = Value::zeroed(64);
         let w = v.clone();
-        assert!(std::sync::Arc::ptr_eq(&v.0, &w.0));
+        assert!(std::ptr::eq(v.as_bytes(), w.as_bytes()));
+    }
+
+    #[test]
+    fn built_values_hold_what_fill_wrote() {
+        let v = Value::build(10, |b| b[..8].copy_from_slice(&7u64.to_le_bytes()));
+        assert_eq!((v.len(), v.as_u64()), (10, 7));
+        assert_eq!(&v.as_bytes()[8..], &[0, 0]);
+        // Equality is by bytes, however the value was made.
+        assert_eq!(Value::build(8, |b| b.fill(1)), Value::new(vec![1; 8]));
+        assert_eq!(Value::build(0, |_| {}), Value::EMPTY);
+        assert_eq!(Value::new(vec![]), Value::from(&[][..]));
+        assert!(Value::EMPTY.is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //! a vote round (`TICTOC_2PC`).
 
 use primo_common::{AbortReason, PartitionId, Ts, TxnError, TxnResult};
-use primo_runtime::access::{AccessSet, WriteEntry};
+use primo_runtime::access::AccessSet;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
 use primo_runtime::durability::{log_txn_writes, straddles_crash};
@@ -42,12 +42,13 @@ const TICTOC_2PC: CommitSpec = CommitSpec {
     ..LOCAL_TICTOC
 };
 
-/// Every buffered write with the record its (dummy) read pinned — under WCF
-/// the write-set is a subset of the read-set, so that is every write.
-fn pinned_writes(access: &AccessSet) -> impl Iterator<Item = (&WriteEntry, Option<&Arc<Record>>)> {
+/// The record each buffered write's (dummy) read pinned, in write order —
+/// under WCF the write-set is a subset of the read-set, so every write has
+/// one.
+fn pinned_records(access: &AccessSet) -> impl Iterator<Item = Option<&Arc<Record>>> + Clone {
     access.writes.iter().map(|w| {
         let i = access.find_read(w.partition, w.table, w.key);
-        (w, i.map(|i| &access.reads[i].record))
+        i.map(|i| &access.reads[i].record)
     })
 }
 
@@ -130,7 +131,7 @@ impl PrimoProtocol {
     fn commit_wcf(ctx: &mut AccessCtx<'_>) -> TxnResult<CommittedTxn> {
         let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
         let access = &ctx.access;
-        let ts = reserve_lease_ts(ctx, pinned_writes(access).filter_map(|(_, r)| r));
+        let ts = reserve_lease_ts(ctx, pinned_records(access).flatten());
         cluster.group_commit.update_ts(&ctx.ticket, ts);
         let ops = access.ops();
         let participants = access.participants(home);
@@ -140,7 +141,7 @@ impl PrimoProtocol {
         // the participant's log rides the one-way batch charged below.
         // With no vote round, this is also the only place left to notice
         // that a partition died since its records were locked.
-        log_txn_writes(cluster, txn, ts, pinned_writes(&ctx.access));
+        log_txn_writes(cluster, txn, ts, &access.writes, pinned_records(access));
         if straddles_crash(cluster, txn, home, &participants, &ctx.access.writes) {
             ctx.abort_cleanup();
             return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));

@@ -591,6 +591,27 @@ mod tests {
     }
 
     #[test]
+    fn clv_reports_a_write_set_logged_before_the_crash_and_reported_after_it_rolled_back() {
+        // A transaction local to p0 appends its write-set, the crash lands
+        // inside the write-set's 50 ms persist window, and only then does
+        // the transaction report its commit: recovery drops the write-set,
+        // so the verdict must be a crash-abort, not a commit.
+        let sides = TwoSides::new(LoggingScheme::Clv, 10, 50_000);
+        let (gc, p0) = (&sides.gc, PartitionId(0));
+        let ticket = gc.begin_txn(p0, TxnId::new(p0, 1));
+        log_put(&sides.logs[0], 1, 1, 1, 1);
+        sides.stores[0].insert(TableId(0), 1, Value::from_u64(1));
+        let token = sides.agree();
+        let waiter = gc.txn_committed(&ticket, 1, 1);
+        let kept = sides.crash_p0(token, &[1]);
+        let verdict = gc.wait_durable(&waiter);
+        assert_eq!(
+            (verdict, kept),
+            (CommitOutcome::CrashAborted, vec![(false, false)])
+        );
+    }
+
+    #[test]
     fn watermark_replay_and_compensation_split_the_log_at_the_agreement() {
         let sides = TwoSides::new(LoggingScheme::Watermark, 1, 0);
         let high = 1 << 40;

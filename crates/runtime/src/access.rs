@@ -9,6 +9,7 @@
 use parking_lot::Mutex;
 use primo_common::{AbortReason, Key, PartitionId, TableId, TxnId, Value};
 use primo_storage::{InsertSlot, LifecycleState, LockMode, PartitionStore, Record, Table};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// One record read by the transaction.
@@ -84,7 +85,7 @@ impl WriteEntry {
             partition,
             table,
             key,
-            value: Value::zeroed(0),
+            value: Value::EMPTY,
             kind: WriteKind::Delete,
         }
     }
@@ -223,8 +224,8 @@ impl UndoLog {
     /// commit epilogue (installed records survive; only inserts cancelled by
     /// a later same-transaction delete are unlinked). Idempotent.
     pub fn unwind(&self) {
-        let actions = std::mem::take(&mut *self.actions.lock());
-        for action in actions.into_iter().rev() {
+        let mut actions = self.actions.lock();
+        for action in actions.drain(..).rev() {
             match action {
                 UndoAction::UnlinkCreated {
                     table,
@@ -270,12 +271,71 @@ pub fn resolve_write_record(
 }
 
 /// The complete access set of one transaction attempt.
-#[derive(Debug, Default)]
+///
+/// Its buffers are reused: a dropped set leaves them, emptied, to the next
+/// attempt its thread starts, so the access sets of a warmed-up worker never
+/// grow.
+#[derive(Debug)]
 pub struct AccessSet {
     pub reads: Vec<ReadEntry>,
     pub writes: Vec<WriteEntry>,
+    /// While the commit holds the write set locked: the record each
+    /// buffered write installs into, in write order.
+    pub locked: Vec<Arc<Record>>,
     /// Records materialised ahead of the commit decision; unwound on abort.
     pub undo: UndoLog,
+}
+
+/// The buffers of an [`AccessSet`].
+type Buffers = (
+    Vec<ReadEntry>,
+    Vec<WriteEntry>,
+    Vec<Arc<Record>>,
+    Vec<UndoAction>,
+);
+
+/// How many emptied access sets a thread keeps: as many as a worker
+/// usually has attempts in hand. A set dropped beyond them frees its
+/// buffers.
+const SPARE_SETS: usize = 8;
+
+thread_local! {
+    /// Buffers of this thread's dropped access sets, empty, capacity kept.
+    static SPARE: RefCell<Vec<Buffers>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Default for AccessSet {
+    fn default() -> Self {
+        let spare = SPARE.try_with(|spare| spare.try_borrow_mut().ok()?.pop());
+        let (reads, writes, locked, undo) = spare.ok().flatten().unwrap_or_default();
+        AccessSet {
+            reads,
+            writes,
+            locked,
+            undo: UndoLog {
+                actions: Mutex::new(undo),
+            },
+        }
+    }
+}
+
+impl Drop for AccessSet {
+    fn drop(&mut self) {
+        let mut buffers: Buffers = (
+            std::mem::take(&mut self.reads),
+            std::mem::take(&mut self.writes),
+            std::mem::take(&mut self.locked),
+            std::mem::take(self.undo.actions.get_mut()),
+        );
+        buffers.0.clear();
+        buffers.1.clear();
+        buffers.2.clear();
+        buffers.3.clear();
+        let _ = SPARE.try_with(|spare| match spare.try_borrow_mut() {
+            Ok(mut spare) if spare.len() < SPARE_SETS => spare.push(buffers),
+            _ => {}
+        });
+    }
 }
 
 impl AccessSet {
@@ -359,6 +419,13 @@ impl AccessSet {
     /// Number of record operations performed (non-dummy reads plus writes).
     pub fn ops(&self) -> usize {
         self.reads.iter().filter(|r| !r.dummy).count() + self.writes.len()
+    }
+
+    /// Release the write locks the commit holds ([`AccessSet::locked`]).
+    pub fn release_write_locks(&mut self, txn: TxnId) {
+        for record in self.locked.drain(..) {
+            record.release(txn);
+        }
     }
 
     /// Release every lock recorded as held by `txn` in the read set.

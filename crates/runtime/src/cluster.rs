@@ -383,10 +383,8 @@ impl Cluster {
     }
 
     /// All partition ids.
-    pub fn partition_ids(&self) -> Vec<PartitionId> {
-        (0..self.partitions.len())
-            .map(|p| PartitionId(p as u32))
-            .collect()
+    pub fn partition_ids(&self) -> impl ExactSizeIterator<Item = PartitionId> + Clone {
+        (0..self.partitions.len() as u32).map(PartitionId)
     }
 
     /// Crash a partition leader: the partition becomes unreachable, the
@@ -683,7 +681,6 @@ impl Cluster {
     /// [`GroupCommit::snapshot_horizon`] for the per-scheme rules).
     pub fn snapshot_horizon(&self) -> Ts {
         self.partition_ids()
-            .into_iter()
             .map(|p| self.group_commit.snapshot_horizon(p))
             .min()
             .unwrap_or(0)
@@ -693,7 +690,6 @@ impl Cluster {
     /// after loading, and periodically when asked to).
     pub fn checkpoint_all(&self) -> Vec<CheckpointStats> {
         self.partition_ids()
-            .into_iter()
             .filter_map(|p| self.checkpoint_partition(p))
             .collect()
     }
@@ -702,7 +698,6 @@ impl Cluster {
     /// guarantee no partition is left permanently down).
     pub fn crashed_partitions(&self) -> Vec<PartitionId> {
         self.partition_ids()
-            .into_iter()
             .filter(|p| self.net.is_crashed(*p))
             .collect()
     }

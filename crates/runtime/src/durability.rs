@@ -56,44 +56,60 @@ fn before_image(record: Option<&Arc<Record>>, txn: TxnId) -> Option<primo_common
 }
 
 /// Append one `TxnWrites` entry per involved partition for a transaction
-/// committing at `ts`. Each write comes with the record it is about to
-/// install into — the one the commit path already holds locked (`None`: the
-/// key has no record yet), so nothing is looked up a second time. Deletes
-/// are logged as [`LoggedOp::Delete`]; puts and inserts both log the
-/// installed value (replay is create-if-absent either way). Every write also
-/// captures its committed before-image — the `Visible` value observed under
-/// the held write lock, or `None` when the key has no committed value — so a
-/// crash-abort can be compensated on surviving partitions.
+/// committing at `ts`. `records` gives, in the order of `writes`, the record
+/// each write is about to install into — the one the commit path already
+/// holds locked (`None`: the key has no record yet), so nothing is looked up
+/// a second time. Deletes are logged as [`LoggedOp::Delete`]; puts and
+/// inserts both log the installed value (replay is create-if-absent either
+/// way). Every write also captures its committed before-image — the
+/// `Visible` value observed under the held write lock, or `None` when the
+/// key has no committed value — so a crash-abort can be compensated on
+/// surviving partitions.
 ///
-/// The write-set is grouped by partition in a single pass (write-sets are
-/// small, so group lookup is a short `Vec` scan, not a hash map), so a
-/// cross-partition commit acquires each involved partition's log sequencer
-/// **exactly once** — all of a partition's writes travel in one entry into
-/// the leader's copy, and the follower replicas take it from there off this
-/// critical section (see the append path in `primo_wal::replicated`).
+/// Each involved partition gets one entry whose write vector is sized
+/// exactly: a pass over the write-set finds the next partition (in
+/// ascending order) and counts its writes, a second fills its entry.
+/// Write-sets are small, so the passes cost less than growing vectors. A
+/// cross-partition commit thus acquires each involved partition's log
+/// sequencer **exactly once** — all of a partition's writes travel in one
+/// entry into the leader's copy, and the follower replicas take it from
+/// there off this critical section (see the append path in
+/// `primo_wal::replicated`).
 pub fn log_txn_writes<'a>(
     cluster: &Cluster,
     txn: TxnId,
     ts: Ts,
-    writes: impl IntoIterator<Item = (&'a WriteEntry, Option<&'a Arc<Record>>)>,
+    writes: &[WriteEntry],
+    records: impl Iterator<Item = Option<&'a Arc<Record>>> + Clone,
 ) {
-    let mut groups: Vec<(PartitionId, Vec<LoggedWrite>)> = Vec::new();
-    for (w, record) in writes {
-        let logged = LoggedWrite {
-            table: w.table,
-            key: w.key,
-            op: match w.kind {
-                WriteKind::Delete => LoggedOp::Delete,
-                WriteKind::Put | WriteKind::Insert => LoggedOp::Put(w.value.clone()),
-            },
-            prev: before_image(record, txn),
-        };
-        match groups.iter_mut().find(|(p, _)| *p == w.partition) {
-            Some((_, group)) => group.push(logged),
-            None => groups.push((w.partition, vec![logged])),
+    let mut logged_up_to: Option<PartitionId> = None;
+    loop {
+        // The lowest partition not logged yet, and how many writes it has.
+        let mut next: Option<(PartitionId, usize)> = None;
+        let unlogged = writes.iter().map(|w| w.partition);
+        for p in unlogged.filter(|p| logged_up_to < Some(*p)) {
+            match &mut next {
+                Some((q, n)) if *q == p => *n += 1,
+                Some((q, _)) if *q < p => {}
+                _ => next = Some((p, 1)),
+            }
         }
-    }
-    for (partition, logged) in groups {
+        let Some((partition, n)) = next else {
+            return;
+        };
+        let mut logged = Vec::with_capacity(n);
+        let records = writes.iter().zip(records.clone());
+        for (w, record) in records.filter(|(w, _)| w.partition == partition) {
+            logged.push(LoggedWrite {
+                table: w.table,
+                key: w.key,
+                op: match w.kind {
+                    WriteKind::Delete => LoggedOp::Delete,
+                    WriteKind::Put | WriteKind::Insert => LoggedOp::Put(w.value.clone()),
+                },
+                prev: before_image(record, txn),
+            });
+        }
         let log = &cluster.partition(partition).log;
         let lsn = log.append(LogPayload::TxnWrites {
             txn,
@@ -108,6 +124,7 @@ pub fn log_txn_writes<'a>(
                 term: log.term(),
             },
         );
+        logged_up_to = Some(partition);
     }
 }
 
@@ -162,8 +179,7 @@ mod tests {
             .iter()
             .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
             .collect();
-        let records = records.iter().map(Option::as_ref);
-        log_txn_writes(cluster, txn, ts, writes.iter().zip(records));
+        log_txn_writes(cluster, txn, ts, writes, records.iter().map(Option::as_ref));
     }
 
     #[test]

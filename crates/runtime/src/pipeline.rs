@@ -28,7 +28,7 @@ use crate::durability::{log_txn_writes, straddles_crash};
 use crate::prefetch::ReadFanout;
 use crate::protocol::CommittedTxn;
 use primo_common::sim_time::{now_us, wait_until};
-use primo_common::{AbortReason, PartitionId, Ts, TxnId, TxnResult};
+use primo_common::{AbortReason, PartitionId, Ts, TxnResult};
 use primo_storage::{LockMode, LockPolicy, Record};
 use primo_trace::TraceEventKind;
 use primo_wal::TxnTicket;
@@ -86,12 +86,6 @@ pub struct CommitSpec {
     pub decision: Decision,
 }
 
-fn release_all(records: &[Arc<Record>], txn: TxnId) {
-    for r in records {
-        r.release(txn);
-    }
-}
-
 /// How an attempt ended, and what it gives back: its ticket, to be closed,
 /// and its fan-out buffer, with what the attempt observed.
 pub type Ended = (TxnResult<CommittedTxn>, Arc<TxnTicket>, ReadFanout);
@@ -141,10 +135,7 @@ enum Stage {
     Voting,
     /// Logged and installed; the decision's acknowledgements are on the
     /// wire, and the write set stays locked until they are back.
-    Deciding {
-        locked: Vec<Arc<Record>>,
-        commit: CommittedTxn,
-    },
+    Deciding { commit: CommittedTxn },
 }
 
 impl<'a> InFlight<'a> {
@@ -204,9 +195,9 @@ impl<'a> InFlight<'a> {
                     }
                 }
             }
-            Stage::Deciding { locked, commit } => {
+            Stage::Deciding { commit } => {
                 round.acked(cluster, txn, home);
-                release(ctx, &locked, commit)
+                release(ctx, commit)
             }
         }
     }
@@ -248,13 +239,11 @@ fn send_votes(ctx: &AccessCtx<'_>) -> (Vec<PartitionId>, Round) {
 /// record does not exist — or was deleted — fails `NotFound`. On any
 /// failure the records this phase materialised are unwound *before* its
 /// locks are released, so no other transaction can claim a created record's
-/// slot in between. Returns one locked record per buffered write, in order.
-fn lock_write_set(
-    ctx: &AccessCtx<'_>,
-    policy: LockPolicy,
-) -> Result<Vec<Arc<Record>>, AbortReason> {
+/// slot in between. Leaves one locked record per buffered write, in order,
+/// in [`AccessSet::locked`].
+fn lock_write_set(ctx: &mut AccessCtx<'_>, policy: LockPolicy) -> Result<(), AbortReason> {
     let txn = ctx.txn();
-    let mut locked = Vec::with_capacity(ctx.access.writes.len());
+    let mut locked = std::mem::take(&mut ctx.access.locked);
     let outcome = ctx.access.writes.iter().try_for_each(|w| {
         let store = &ctx.cluster.partition(w.partition).store;
         let record = resolve_write_record(store, w, txn, &ctx.access.undo)?;
@@ -265,14 +254,12 @@ fn lock_write_set(
         // (an insert bounces retryably; the helper reclaims the tombstone).
         recheck_locked_record(&record, txn, w.kind, store.table(w.table), w.key)
     });
-    match outcome {
-        Ok(()) => Ok(locked),
-        Err(reason) => {
-            ctx.access.undo.unwind();
-            release_all(&locked, txn);
-            Err(reason)
-        }
+    ctx.access.locked = locked;
+    if outcome.is_err() {
+        ctx.access.undo.unwind();
+        ctx.access.release_write_locks(txn);
     }
+    outcome
 }
 
 /// The TicToc commit timestamp (Algorithm 1 line 17): above the version of
@@ -371,13 +358,10 @@ pub fn commit_epilogue(ctx: &AccessCtx<'_>) {
 
 /// Lock the write set, fix the lease timestamp and certify the reads. On
 /// failure nothing this step locked or materialised is left behind.
-fn certify(
-    ctx: &AccessCtx<'_>,
-    spec: &CommitSpec,
-) -> Result<(Vec<Arc<Record>>, Option<Ts>), AbortReason> {
-    let locked = lock_write_set(ctx, spec.write_locks)?;
+fn certify(ctx: &mut AccessCtx<'_>, spec: &CommitSpec) -> Result<Option<Ts>, AbortReason> {
+    lock_write_set(ctx, spec.write_locks)?;
     let lease = (spec.timestamp == TsRule::Lease).then(|| {
-        let ts = reserve_lease_ts(ctx, locked.iter());
+        let ts = reserve_lease_ts(ctx, ctx.access.locked.iter());
         if spec.decision != Decision::Local {
             // The participants' group-commit entries learn the timestamp.
             ctx.cluster.group_commit.update_ts(&ctx.ticket, ts);
@@ -385,7 +369,7 @@ fn certify(
         ts
     });
     if spec.validation == ReadValidation::None {
-        return Ok((locked, lease));
+        return Ok(lease);
     }
     ctx.trace(TraceEventKind::ValidationStart);
     let outcome = validate_reads(ctx, spec.validation, lease);
@@ -396,11 +380,12 @@ fn certify(
     if let Err(reason) = outcome {
         // Unwind materialised insert records before their locks drop so no
         // other transaction can claim the slot in between.
+        let txn = ctx.txn();
         ctx.access.undo.unwind();
-        release_all(&locked, ctx.txn());
+        ctx.access.release_write_locks(txn);
         return Err(reason);
     }
-    Ok((locked, lease))
+    Ok(lease)
 }
 
 /// Commit the attempt `ctx` executed, as `spec` describes: its first step.
@@ -424,13 +409,13 @@ pub fn commit_locked<'a>(ctx: AccessCtx<'a>, spec: &CommitSpec) -> Step<'a> {
 /// The step between the rounds: certify, log, install, send the decision.
 /// `round` is the vote round this attempt went through, if it had one.
 fn install<'a>(
-    ctx: AccessCtx<'a>,
+    mut ctx: AccessCtx<'a>,
     spec: CommitSpec,
     round: Option<(Vec<PartitionId>, PreparedAt)>,
 ) -> Step<'a> {
     let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
-    let (locked, lease) = match certify(&ctx, &spec) {
-        Ok(certified) => certified,
+    let lease = match certify(&mut ctx, &spec) {
+        Ok(lease) => lease,
         Err(reason) => {
             if let Some((parts, _)) = &round {
                 cluster
@@ -453,19 +438,25 @@ fn install<'a>(
         ctx.trace(TraceEventKind::CommitTsReserved { ts, took_us });
         ts
     });
-    let writes = ctx.access.writes.iter().zip(&locked);
-    log_txn_writes(cluster, txn, ts, writes.map(|(w, r)| (w, Some(r))));
+    let access = &ctx.access;
+    log_txn_writes(
+        cluster,
+        txn,
+        ts,
+        &access.writes,
+        access.locked.iter().map(Some),
+    );
     if let Some((parts, _)) = &round {
         if straddles_crash(cluster, txn, home, parts, &ctx.access.writes) {
             cluster
                 .atomic_commit()
                 .decide_abort(cluster, txn, home, parts);
             ctx.access.undo.unwind();
-            release_all(&locked, txn);
+            ctx.access.release_write_locks(txn);
             return ctx.abort(AbortReason::RemoteUnavailable);
         }
     }
-    for (w, record) in ctx.access.writes.iter().zip(&locked) {
+    for (w, record) in ctx.access.writes.iter().zip(&ctx.access.locked) {
         install_write(cluster, record, w, ts, spec.timestamp);
     }
     let commit = CommittedTxn {
@@ -489,18 +480,18 @@ fn install<'a>(
                 spec,
                 parts,
                 round,
-                stage: Stage::Deciding { locked, commit },
+                stage: Stage::Deciding { commit },
             });
         }
     }
-    release(ctx, &locked, commit)
+    release(ctx, commit)
 }
 
 /// The last step: the decision has reached everyone it must, so the locks
 /// go and the attempt is committed.
-fn release<'a>(mut ctx: AccessCtx<'a>, locked: &[Arc<Record>], commit: CommittedTxn) -> Step<'a> {
+fn release<'a>(mut ctx: AccessCtx<'a>, commit: CommittedTxn) -> Step<'a> {
     let txn = ctx.txn();
-    release_all(locked, txn);
+    ctx.access.release_write_locks(txn);
     ctx.access.release_all_locks(txn);
     commit_epilogue(&ctx);
     ctx.finish(Ok(commit))
@@ -512,7 +503,7 @@ mod tests {
     use crate::context::ReadPolicy;
     use crate::txn::TxnContext;
     use primo_common::config::ClusterConfig;
-    use primo_common::{TableId, Value};
+    use primo_common::{TableId, TxnId, Value};
 
     const P0: PartitionId = PartitionId(0);
     const T: TableId = TableId(0);
@@ -560,7 +551,7 @@ mod tests {
         with_ctx(&cluster, txn, |mut ctx| {
             ctx.write(P0, T, 2, Value::from_u64(1)).unwrap();
             ctx.write(P0, T, 3, Value::from_u64(1)).unwrap();
-            let err = lock_write_set(&ctx, LockPolicy::NoWait).unwrap_err();
+            let err = lock_write_set(&mut ctx, LockPolicy::NoWait).unwrap_err();
             assert_eq!(err, AbortReason::LockConflict);
         });
         // Key 2's lock (acquired before the failure) was rolled back.
@@ -581,7 +572,7 @@ mod tests {
         with_ctx(&cluster, txn, |mut ctx| {
             ctx.insert(P0, T, 5_000, Value::from_u64(1)).unwrap();
             ctx.write(P0, T, 3, Value::from_u64(1)).unwrap();
-            let err = lock_write_set(&ctx, LockPolicy::NoWait).unwrap_err();
+            let err = lock_write_set(&mut ctx, LockPolicy::NoWait).unwrap_err();
             assert_eq!(err, AbortReason::LockConflict);
             // The failed lock phase unwinds its own materialised records
             // before releasing any lock — the phantom never outlives it.
@@ -622,7 +613,7 @@ mod tests {
         });
         with_ctx(&cluster, older, |mut ctx| {
             ctx.write(P0, T, 6, Value::from_u64(1)).unwrap();
-            let err = lock_write_set(&ctx, LockPolicy::WaitDie).unwrap_err();
+            let err = lock_write_set(&mut ctx, LockPolicy::WaitDie).unwrap_err();
             assert_eq!(err, AbortReason::NotFound);
             ctx.abort_cleanup();
         });

@@ -59,8 +59,9 @@ impl Footprint {
         home: PartitionId,
         keys: impl IntoIterator<Item = K>,
     ) -> Self {
-        let keys = keys.into_iter();
-        let mut out: Vec<(PartitionId, TableId, Key)> = Vec::with_capacity(keys.size_hint().0);
+        // Grown as remote keys come: a footprint of home keys allocates
+        // nothing.
+        let mut out: Vec<(PartitionId, TableId, Key)> = Vec::new();
         for k in keys {
             let k = *k.borrow();
             if k.0 != home && !out.contains(&k) {

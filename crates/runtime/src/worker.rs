@@ -985,7 +985,8 @@ mod tests {
                 1,
                 Value::from_u64(txn.seq),
             )];
-            crate::durability::log_txn_writes(cluster, txn, ts, writes.iter().map(|w| (w, None)));
+            let records = writes.iter().map(|_| None);
+            crate::durability::log_txn_writes(cluster, txn, ts, &writes, records);
             let commit = CommittedTxn {
                 ts,
                 ops: 1,

@@ -7,7 +7,7 @@
 //! exclusive-only locking with WAIT_DIE (§4.2.2).
 
 use parking_lot::{Condvar, Mutex};
-use primo_common::TxnId;
+use primo_common::{PartitionId, TxnId};
 use std::time::Duration;
 
 /// Requested/held lock mode.
@@ -40,32 +40,92 @@ pub enum LockRequestResult {
 /// releasing; treating it as an abort keeps the experiment progressing.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LockState {
-    /// Transactions currently holding the lock. Multiple entries only in
-    /// shared mode.
-    holders: Vec<TxnId>,
+    /// The first transaction holding the lock, inline, while `held`: the
+    /// only one under exclusive mode, so locking a record allocates nothing.
+    /// (An `Option` would widen every record's lock by 8 bytes; the flag
+    /// packs beside `exclusive` and `waiters`.)
+    first: TxnId,
+    held: bool,
+    /// Further shared holders, allocated when a second sharer arrives and
+    /// `None` while there are none. A boxed slice keeps every record's lock
+    /// small; it is rebuilt on each change, which only shared locks see.
+    more: Option<Box<[TxnId]>>,
     exclusive: bool,
     /// Number of threads currently blocked waiting on this lock.
-    waiters: usize,
+    waiters: u32,
+}
+
+impl Default for LockState {
+    fn default() -> Self {
+        LockState {
+            first: TxnId::new(PartitionId(0), 0),
+            held: false,
+            more: None,
+            exclusive: false,
+            waiters: 0,
+        }
+    }
 }
 
 impl LockState {
     fn held(&self) -> bool {
-        !self.holders.is_empty()
+        self.held
+    }
+
+    fn first(&self) -> Option<TxnId> {
+        self.held.then_some(self.first)
+    }
+
+    fn holders(&self) -> impl Iterator<Item = &TxnId> {
+        let first = self.held.then_some(&self.first);
+        first.into_iter().chain(self.more.iter().flatten())
     }
 
     fn held_by(&self, txn: TxnId) -> bool {
-        self.holders.contains(&txn)
+        self.holders().any(|h| *h == txn)
     }
 
     fn sole_holder(&self, txn: TxnId) -> bool {
-        self.holders.len() == 1 && self.holders[0] == txn
+        self.first() == Some(txn) && self.more.is_none()
     }
 
     /// True if `txn` is older (higher priority) than every current holder.
     fn older_than_all_holders(&self, txn: TxnId) -> bool {
-        self.holders.iter().all(|h| txn < *h)
+        self.holders().all(|h| txn < *h)
+    }
+
+    fn add_holder(&mut self, txn: TxnId) {
+        if !self.held {
+            (self.first, self.held) = (txn, true);
+            return;
+        }
+        let mut more = self.take_more();
+        more.push(txn);
+        self.more = Some(more.into_boxed_slice());
+    }
+
+    /// Drop `txn` from the holders; whether it held the lock.
+    fn remove_holder(&mut self, txn: TxnId) -> bool {
+        let mut more = self.take_more();
+        let held = if self.first() == Some(txn) {
+            match more.pop() {
+                Some(next) => self.first = next,
+                None => self.held = false,
+            }
+            true
+        } else {
+            let before = more.len();
+            more.retain(|h| *h != txn);
+            more.len() != before
+        };
+        self.more = (!more.is_empty()).then(|| more.into_boxed_slice());
+        held
+    }
+
+    fn take_more(&mut self) -> Vec<TxnId> {
+        self.more.take().map(Vec::from).unwrap_or_default()
     }
 }
 
@@ -105,11 +165,11 @@ impl RecordLock {
                     }
                 }
             } else if !st.held() {
-                st.holders.push(txn);
+                st.add_holder(txn);
                 st.exclusive = mode == LockMode::Exclusive;
                 return LockRequestResult::Granted;
             } else if mode == LockMode::Shared && !st.exclusive {
-                st.holders.push(txn);
+                st.add_holder(txn);
                 return LockRequestResult::Granted;
             }
 
@@ -136,12 +196,10 @@ impl RecordLock {
     /// no-op (protocol abort paths may release conservatively).
     pub fn release(&self, txn: TxnId) {
         let mut st = self.state.lock();
-        let before = st.holders.len();
-        st.holders.retain(|h| *h != txn);
-        if st.holders.is_empty() {
+        let released = st.remove_holder(txn);
+        if !st.held() {
             st.exclusive = false;
         }
-        let released = st.holders.len() != before;
         let has_waiters = st.waiters > 0;
         drop(st);
         if released && has_waiters {
@@ -167,7 +225,7 @@ impl RecordLock {
     /// be stale by the time the caller looks at it): the flight recorder
     /// stamps lock-wait events with the transaction that was in the way.
     pub fn holder(&self) -> Option<TxnId> {
-        self.state.lock().holders.first().copied()
+        self.state.lock().first()
     }
 
     /// True if anyone holds the lock.
@@ -291,6 +349,27 @@ mod tests {
             LockRequestResult::Abort
         );
         assert!(start.elapsed() >= Duration::from_millis(90));
+    }
+
+    #[test]
+    fn sharers_leave_in_any_order() {
+        let l = RecordLock::new();
+        for seq in 1..=3 {
+            l.acquire(t(seq), LockMode::Shared, LockPolicy::NoWait);
+        }
+        // The inline holder leaves first; the others still hold the lock.
+        l.release(t(1));
+        assert!(!l.held_by(t(1)) && l.held_by(t(2)) && l.held_by(t(3)));
+        l.release(t(3));
+        assert_eq!(l.holder(), Some(t(2)));
+        // The last sharer upgrades, and then excludes everyone.
+        assert_eq!(
+            l.acquire(t(2), LockMode::Exclusive, LockPolicy::NoWait),
+            LockRequestResult::Granted
+        );
+        assert!(l.exclusively_locked_by_other(t(1)));
+        l.release(t(2));
+        assert!(!l.is_locked() && !l.exclusively_locked_by_other(t(1)));
     }
 
     #[test]

@@ -124,8 +124,9 @@ pub struct RecordData {
     /// horizon means the key was absent. Below it the answer is unknown
     /// (versions evicted / restored from a checkpoint image).
     floor_cts: u64,
-    /// Bound on retained versions (current + history), `>= 1`.
-    max_versions: usize,
+    /// Bound on retained versions (current + history), `>= 1`. A `u32`
+    /// packs beside `deleted`, keeping the record's size.
+    max_versions: u32,
 }
 
 impl RecordData {
@@ -174,11 +175,14 @@ impl RecordData {
         } else {
             Some(self.value.clone())
         };
+        // The chain's one allocation, sized to the bound.
+        let bound = self.max_versions as usize - 1;
+        self.history.reserve_exact(bound);
         self.history.push(Version {
             cts: self.cts,
             value,
         });
-        while self.history.len() > self.max_versions - 1 {
+        while self.history.len() > bound {
             self.history.remove(0);
             // The oldest retained version now bounds what the chain can
             // answer.
@@ -204,18 +208,34 @@ pub struct Record {
 }
 
 impl Record {
-    /// A committed ([`LifecycleState::Visible`]) record — loaders and
-    /// commit-time creation use this.
+    /// A committed ([`LifecycleState::Visible`]) record keeping the
+    /// default number of versions — loaders and commit-time creation use
+    /// this.
     pub fn new(value: Value) -> Self {
-        Self::with_state(value, LifecycleState::Visible)
+        Self::with_max_versions(value, DEFAULT_MAX_VERSIONS)
     }
 
-    /// A record created ahead of its commit decision by an insert.
-    pub fn new_uncommitted(value: Value, owner: TxnId) -> Self {
-        Self::with_state(value, LifecycleState::UncommittedInsert { owner })
+    /// A committed record keeping up to `max_versions` versions (current +
+    /// history); `max_versions` must be `>= 1`.
+    pub fn with_max_versions(value: Value, max_versions: usize) -> Self {
+        Self::with_state(value, LifecycleState::Visible, max_versions)
     }
 
-    fn with_state(value: Value, state: LifecycleState) -> Self {
+    /// A record created ahead of its commit decision by an insert, keeping
+    /// up to `max_versions` versions once committed.
+    pub fn new_uncommitted(value: Value, owner: TxnId, max_versions: usize) -> Self {
+        Self::with_state(
+            value,
+            LifecycleState::UncommittedInsert { owner },
+            max_versions,
+        )
+    }
+
+    fn with_state(value: Value, state: LifecycleState, max_versions: usize) -> Self {
+        assert!(
+            max_versions >= 1,
+            "a record keeps at least its current version"
+        );
         let cts = match state {
             // Loader-created records are the initial database image,
             // committed "at time zero" and visible to every snapshot.
@@ -240,7 +260,7 @@ impl Record {
                 deleted: matches!(state, LifecycleState::Tombstone),
                 history: Vec::new(),
                 floor_cts,
-                max_versions: DEFAULT_MAX_VERSIONS,
+                max_versions: u32::try_from(max_versions).expect("a version bound fits a u32"),
             }),
             lock: RecordLock::new(),
             state: AtomicU64::new(encode_state(state)),
@@ -251,36 +271,14 @@ impl Record {
     /// replay: `Visible` with `wts = rts = ts`, and a version chain that
     /// answers only for horizons `>= ts` (the image does not carry the
     /// record's pre-`ts` history).
-    pub fn restored(value: Value, ts: u64) -> Self {
-        let rec = Self::new(value);
-        {
-            let mut d = rec.data.lock();
-            d.wts = ts;
-            d.rts = ts;
-            d.cts = ts;
-            d.floor_cts = ts;
-        }
+    pub fn restored(value: Value, ts: u64, max_versions: usize) -> Self {
+        let mut rec = Self::with_max_versions(value, max_versions);
+        let d = rec.data.get_mut();
+        d.wts = ts;
+        d.rts = ts;
+        d.cts = ts;
+        d.floor_cts = ts;
         rec
-    }
-
-    /// Bound the number of retained versions (current + history).
-    /// `max_versions` must be `>= 1`; excess history is evicted immediately.
-    pub fn set_max_versions(&self, max_versions: usize) {
-        assert!(
-            max_versions >= 1,
-            "a record keeps at least its current version"
-        );
-        let mut d = self.data.lock();
-        d.max_versions = max_versions;
-        while d.history.len() > max_versions - 1 {
-            d.history.remove(0);
-            let oldest = d.history.first().map(|v| v.cts);
-            if let Some(oldest) = oldest {
-                d.floor_cts = d.floor_cts.max(oldest);
-            } else if d.cts != CTS_UNCOMMITTED && d.cts != CTS_UNKNOWN {
-                d.floor_cts = d.floor_cts.max(d.cts);
-            }
-        }
     }
 
     /// Current lifecycle state.
@@ -634,7 +632,7 @@ mod tests {
         let r = Record::new(Value::from_u64(0));
         assert_eq!(r.state(), LifecycleState::Visible);
         let owner = TxnId::new(PartitionId(3), 1 << 39);
-        let u = Record::new_uncommitted(Value::zeroed(0), owner);
+        let u = Record::new_uncommitted(Value::EMPTY, owner, DEFAULT_MAX_VERSIONS);
         assert_eq!(u.state(), LifecycleState::UncommittedInsert { owner });
         assert!(u.is_visible_to(owner));
         assert!(!u.is_visible_to(t(999)));
@@ -646,10 +644,10 @@ mod tests {
     #[test]
     fn install_commits_an_uncommitted_insert() {
         let owner = t(5);
-        let r = Record::new_uncommitted(Value::zeroed(0), owner);
+        let r = Record::new_uncommitted(Value::EMPTY, owner, DEFAULT_MAX_VERSIONS);
         r.install(Value::from_u64(7), 3);
         assert_eq!(r.state(), LifecycleState::Visible);
-        let v = Record::new_uncommitted(Value::zeroed(0), owner);
+        let v = Record::new_uncommitted(Value::EMPTY, owner, DEFAULT_MAX_VERSIONS);
         v.install_next_version(Value::from_u64(1));
         assert_eq!(v.state(), LifecycleState::Visible);
     }
@@ -716,7 +714,7 @@ mod tests {
 
     #[test]
     fn uncommitted_inserts_are_invisible_to_snapshots() {
-        let r = Record::new_uncommitted(Value::zeroed(8), t(1));
+        let r = Record::new_uncommitted(Value::zeroed(8), t(1), DEFAULT_MAX_VERSIONS);
         // Unanswerable, not absent: an earlier incarnation of the key may
         // have been reclaimed before this record was created.
         assert_eq!(r.read_at(100), SnapshotRead::Miss);
@@ -739,8 +737,7 @@ mod tests {
 
     #[test]
     fn capacity_eviction_raises_the_floor() {
-        let r = Record::new(Value::from_u64(0));
-        r.set_max_versions(2);
+        let r = Record::with_max_versions(Value::from_u64(0), 2);
         r.install(Value::from_u64(1), 10);
         r.install(Value::from_u64(2), 20);
         // Chain holds current (cts 20) + one history version (cts 10); the
@@ -753,8 +750,7 @@ mod tests {
 
     #[test]
     fn single_version_records_miss_below_current() {
-        let r = Record::new(Value::from_u64(0));
-        r.set_max_versions(1);
+        let r = Record::with_max_versions(Value::from_u64(0), 1);
         r.install(Value::from_u64(1), 10);
         assert_eq!(r.version_chain_len(), 0);
         assert_eq!(r.read_at(10), SnapshotRead::Value(Value::from_u64(1)));
@@ -807,8 +803,7 @@ mod tests {
 
     #[test]
     fn prune_drops_only_shadowed_versions() {
-        let r = Record::new(Value::from_u64(0));
-        r.set_max_versions(8);
+        let r = Record::with_max_versions(Value::from_u64(0), 8);
         for (v, ts) in [(1u64, 10u64), (2, 20), (3, 30)] {
             r.install(Value::from_u64(v), ts);
         }
@@ -827,7 +822,7 @@ mod tests {
 
     #[test]
     fn restored_records_answer_only_from_their_restore_point() {
-        let r = Record::restored(Value::from_u64(5), 12);
+        let r = Record::restored(Value::from_u64(5), 12, DEFAULT_MAX_VERSIONS);
         assert_eq!(r.read_at(12), SnapshotRead::Value(Value::from_u64(5)));
         assert_eq!(r.read_at(11), SnapshotRead::Miss);
         assert_eq!(r.timestamps(), (12, 12));

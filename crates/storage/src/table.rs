@@ -73,9 +73,7 @@ impl Table {
     }
 
     fn new_record(&self, value: Value) -> Arc<Record> {
-        let rec = Arc::new(Record::new(value));
-        rec.set_max_versions(self.max_versions);
-        rec
+        Arc::new(Record::with_max_versions(value, self.max_versions))
     }
 
     #[inline]
@@ -128,8 +126,9 @@ impl Table {
                 }
             };
         }
-        let rec = Arc::new(Record::new_uncommitted(Value::zeroed(0), owner));
-        rec.set_max_versions(self.max_versions);
+        // The slot holds no value until the insert installs one.
+        let rec = Record::new_uncommitted(Value::EMPTY, owner, self.max_versions);
+        let rec = Arc::new(rec);
         shard.insert(key, Arc::clone(&rec));
         InsertSlot::Created(rec)
     }
@@ -254,8 +253,7 @@ impl Table {
     /// behind. The restored chain answers snapshot reads only for horizons
     /// `>= ts` — the image carries no pre-crash history.
     pub fn restore(&self, key: Key, value: Value, ts: u64) -> Arc<Record> {
-        let rec = Arc::new(Record::restored(value, ts));
-        rec.set_max_versions(self.max_versions);
+        let rec = Arc::new(Record::restored(value, ts, self.max_versions));
         self.shards[self.shard_of(key)]
             .write()
             .insert(key, Arc::clone(&rec));

@@ -9,6 +9,9 @@
 //! Model: a per-record-access tracking cost is charged on the critical path
 //! at commit time; the commit is acknowledged once the per-transaction
 //! persist delay has elapsed (dependencies are older, hence durable by then).
+//! A crash rolls back exactly the transactions whose write-set it finds in
+//! the logs appended but not yet quorum-durable at its instant — the rule
+//! recovery and compensation apply to the same entries.
 
 use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::replicated::ReplicatedLog;
@@ -19,7 +22,6 @@ use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_trace::{FlightRecorder, TraceEventKind};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Cost of maintaining the dependency graph, per record accessed,
@@ -30,15 +32,17 @@ const TRACK_COST_PER_OP_US: u64 = 2;
 #[derive(Debug)]
 pub struct ClvCommit {
     num_partitions: usize,
-    /// Time of the last injected crash (0 = never).
-    crash_at_us: AtomicU64,
     /// Acknowledgement delay: the time until a transaction's log records
     /// are *quorum*-durable (the worst partition's quorum-ack delay —
     /// equals the plain persist delay when the log is single-copy).
     ack_delay_us: u64,
-    /// Transactions crash compensation sealed and undid (their verdict must
-    /// be `CrashAborted` even if the commit-time window check would let
-    /// them through — see [`GroupCommit::on_txns_rolled_back`]).
+    /// Every partition's log: a crash reads the write-sets it rolls back
+    /// off them.
+    logs: Vec<Arc<ReplicatedLog>>,
+    /// Transactions a crash rolled back: those whose write-set it caught in
+    /// its persist window, and those crash compensation sealed and undid
+    /// (see [`GroupCommit::on_txns_rolled_back`]). Their verdict is
+    /// `CrashAborted`.
     rolled_back_txns: Mutex<HashSet<TxnId>>,
     /// MVCC snapshot-horizon bookkeeping: the quorum-acked durable horizon.
     tracker: SnapshotTracker,
@@ -56,8 +60,8 @@ impl ClvCommit {
         let ack_delay_us = crate::max_quorum_ack_delay_us(&logs, cfg.persist_delay_us);
         ClvCommit {
             num_partitions,
-            crash_at_us: AtomicU64::new(0),
             ack_delay_us,
+            logs,
             rolled_back_txns: Mutex::new(HashSet::new()),
             tracker: SnapshotTracker::new(cfg.unsafe_latest_commit_horizon),
             recorder: OnceLock::new(),
@@ -68,18 +72,8 @@ impl ClvCommit {
         self.num_partitions
     }
 
-    /// Whether a transaction acknowledged at `ready_at` is rolled back by
-    /// the last crash: its persist window — `[ready_at - ack_delay,
-    /// ready_at)`, i.e. from its commit call to its quorum-durability point
-    /// — must *span* the crash instant. Commits that were durable before
-    /// the crash keep their acknowledgement; commits *started* after the
-    /// crash instant lose nothing (their log records live on surviving
-    /// partitions and become durable normally), so they are committed, not
-    /// rolled back — otherwise every commit during the whole outage would
-    /// be falsely crash-aborted without ever being compensated.
-    fn crash_rolled_back(&self, ready_at: u64) -> bool {
-        let crash = self.crash_at_us.load(Ordering::Acquire);
-        crash != 0 && crash < ready_at && ready_at.saturating_sub(self.ack_delay_us) <= crash
+    fn rolled_back(&self, txn: TxnId) -> bool {
+        self.rolled_back_txns.lock().contains(&txn)
     }
 }
 
@@ -100,14 +94,15 @@ impl GroupCommit for ClvCommit {
         charge_latency_us(TRACK_COST_PER_OP_US * ops as u64);
         let ready_at = now_us() + self.ack_delay_us;
         // The snapshot horizon may pass this commit only once its quorum-ack
-        // deadline has elapsed; a commit whose persist window the crash
-        // already spans is doomed and caps the horizon until compensation.
-        self.tracker.commit(
-            ticket.txn,
-            ts,
-            Release::AtUs(ready_at),
-            self.crash_rolled_back(ready_at),
-        );
+        // deadline has elapsed; a commit a crash already rolled back is
+        // doomed and caps the horizon until compensation. Checked and
+        // registered under the lock a crash holds while it dooms, so the
+        // commit is doomed here or there.
+        let rolled_back = self.rolled_back_txns.lock();
+        let doomed = rolled_back.contains(&ticket.txn);
+        self.tracker
+            .commit(ticket.txn, ts, Release::AtUs(ready_at), doomed);
+        drop(rolled_back);
         // CLV's per-transaction durability decision: the cut after which this
         // commit (and its dependencies, older and hence durable first) is
         // acknowledgeable.
@@ -128,14 +123,10 @@ impl GroupCommit for ClvCommit {
     }
 
     fn try_outcome(&self, waiter: &CommitWaiter) -> Option<CommitOutcome> {
-        if self.rolled_back_txns.lock().contains(&waiter.txn) {
+        if self.rolled_back(waiter.txn) {
             return Some(CommitOutcome::CrashAborted);
         }
-        let ready_at = waiter.ready_at_us.unwrap_or(0);
-        if self.crash_rolled_back(ready_at) {
-            return Some(CommitOutcome::CrashAborted);
-        }
-        if now_us() >= ready_at {
+        if now_us() >= waiter.ready_at_us.unwrap_or(0) {
             Some(CommitOutcome::Committed)
         } else {
             None
@@ -143,15 +134,15 @@ impl GroupCommit for ClvCommit {
     }
 
     fn wait_durable(&self, waiter: &CommitWaiter) -> CommitOutcome {
-        let ready_at = waiter.ready_at_us.unwrap_or(0);
-        // A crash whose instant falls inside this transaction's persist
-        // window rolls it back — checked before and after the durability
-        // wait, since the crash may be injected while we sleep.
-        if self.rolled_back_txns.lock().contains(&waiter.txn) || self.crash_rolled_back(ready_at) {
+        // A crash whose instant falls inside the persist window of this
+        // transaction's write-set rolls it back — checked before and after
+        // the durability wait, since the crash may be injected while we
+        // sleep. A crash after the wait found the write-set durable.
+        if self.rolled_back(waiter.txn) {
             return CommitOutcome::CrashAborted;
         }
-        wait_until(ready_at);
-        if self.rolled_back_txns.lock().contains(&waiter.txn) || self.crash_rolled_back(ready_at) {
+        wait_until(waiter.ready_at_us.unwrap_or(0));
+        if self.rolled_back(waiter.txn) {
             return CommitOutcome::CrashAborted;
         }
         CommitOutcome::Committed
@@ -181,37 +172,44 @@ impl GroupCommit for ClvCommit {
     }
 
     fn rollback_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> crate::ReplayBound {
-        // `crash_token` is the crash instant. A transaction is acknowledged
-        // exactly when its log records are durable, so the commits rolled
-        // back are precisely those whose persist window spans the crash (see
-        // `crash_rolled_back`) — on every partition, the crashed one
-        // included. Entries durable before the crash, and entries appended
-        // after it (post-crash commits), stay committed. The crashed
-        // partition's quorum cut is taken after this instant, so a
-        // write-set that became durable in between is inside the cut but
-        // not covered: it is dropped there as it is undone on the survivors.
+        // `crash_token` is the crash instant. The commits rolled back are
+        // precisely those whose write-set's persist window spans it — on
+        // every partition, the crashed one included — and the crash read
+        // them off the logs by this very bound (`on_partition_crash`).
+        // Entries durable before the crash, and entries appended after it
+        // (post-crash commits), stay committed. The crashed partition's
+        // quorum cut is taken after this instant, so a write-set that
+        // became durable in between is inside the cut but not covered: it
+        // is dropped there as it is undone on the survivors.
         crate::ReplayBound::PersistWindow(crash_token)
     }
 
     fn on_partition_crash(&self, p: PartitionId) -> Ts {
-        // Pending commits whose persist window spans the crash will be
-        // rolled back: keep them capping the snapshot horizon until
-        // compensation has purged their versions. The tracker reads the
-        // crash instant while it dooms them, so no commit is released in
-        // between. The crashed partition's in-flight transactions will
-        // never report back.
-        let t = self.tracker.doom_window(self.ack_delay_us);
-        self.crash_at_us.store(t, Ordering::Release);
+        // The verdict is the logs': a transaction is rolled back exactly
+        // when one of its write-sets was appended before the crash instant
+        // but not yet quorum-durable by it, which is the bound recovery and
+        // compensation apply. Reporting `txn_committed` after the instant
+        // changes nothing. The tracker stamps the instant and holds the
+        // horizon until compensation; doomed commits keep capping it until
+        // then, and none is released in between. The lock on the verdicts
+        // is held throughout, so no waiter reads a half-built set.
+        let mut rolled_back = self.rolled_back_txns.lock();
+        let t = self.tracker.open_crash();
+        // An append stamped with the crash's own microsecond could still
+        // miss the scan below.
+        wait_until(t + 1);
+        let bound = crate::ReplayBound::PersistWindow(t);
+        let caught: HashSet<TxnId> = (self.logs.iter())
+            .flat_map(|log| log.collect_rolled_back(&bound, None))
+            .map(|(txn, ..)| txn)
+            .collect();
+        self.tracker.doom(&caught);
+        rolled_back.extend(caught);
+        drop(rolled_back);
+        // The crashed partition's in-flight transactions will never report
+        // back.
         self.tracker.drop_actives_of(p);
         t
-    }
-
-    fn on_partition_recover(&self, _p: PartitionId, _recovered_wp: Ts) {
-        // The crash is resolved: transactions committing from now on are no
-        // longer rolled back against the old crash instant. (Without this,
-        // every post-recovery commit would compare its fresh `ready_at`
-        // against the stale crash time and abort forever.)
-        self.crash_at_us.store(0, Ordering::Release);
     }
 
     fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
@@ -229,6 +227,7 @@ impl GroupCommit for ClvCommit {
 mod tests {
     use super::*;
     use primo_common::config::LoggingScheme;
+    use primo_common::{TableId, Value};
 
     fn make() -> ClvCommit {
         let cfg = WalConfig {
@@ -243,6 +242,13 @@ mod tests {
 
     fn tid(seq: u64) -> TxnId {
         TxnId::new(PartitionId(0), seq)
+    }
+
+    /// Log a write-set of `txn` on its coordinator, as a commit does
+    /// before it reports.
+    fn log_writes(gc: &ClvCommit, txn: TxnId) {
+        let writes = vec![crate::LoggedWrite::put(TableId(0), 1, Value::from_u64(1))];
+        gc.logs[0].append(crate::LogPayload::TxnWrites { txn, ts: 1, writes });
     }
 
     #[test]
@@ -292,9 +298,14 @@ mod tests {
     fn crash_before_durability_aborts() {
         let gc = make();
         let ticket = gc.begin_txn(PartitionId(0), tid(3));
+        log_writes(&gc, tid(3));
         let waiter = gc.txn_committed(&ticket, 1, 1);
+        // A commit that logged nothing has nothing a crash could roll back.
+        let read_only = gc.begin_txn(PartitionId(0), tid(4));
+        let read = gc.txn_committed(&read_only, 1, 1);
         gc.on_partition_crash(PartitionId(1));
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::CrashAborted);
+        assert_eq!(gc.wait_durable(&read), CommitOutcome::Committed);
         assert_eq!(gc.num_partitions(), 2);
     }
 
@@ -321,6 +332,7 @@ mod tests {
         let p = PartitionId(0);
         let ticket = gc.begin_txn(p, tid(8));
         let ts = gc.reserve_commit_ts(&ticket, 0);
+        log_writes(&gc, tid(8));
         let waiter = gc.txn_committed(&ticket, ts, 1);
         gc.on_partition_crash(PartitionId(1));
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::CrashAborted);

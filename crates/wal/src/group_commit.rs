@@ -83,13 +83,12 @@ impl TxnTicket {
         self.state.lock().participants.clone()
     }
 
-    /// All partitions involved (coordinator + participants).
-    pub fn involved(&self) -> Vec<PartitionId> {
-        let mut v = self.participants();
-        if !v.contains(&self.coordinator) {
-            v.push(self.coordinator);
-        }
-        v
+    /// All partitions involved: the coordinator, then the participants.
+    /// Allocates nothing for a transaction without participants.
+    pub fn involved(&self) -> impl Iterator<Item = PartitionId> {
+        let coordinator = self.coordinator;
+        let participants = self.participants().into_iter();
+        std::iter::once(coordinator).chain(participants.filter(move |p| *p != coordinator))
     }
 }
 
@@ -275,7 +274,7 @@ mod tests {
         }
         assert_eq!(t.current_ts(), 42);
         assert_eq!(t.participants(), vec![PartitionId(2)]);
-        let mut inv = t.involved();
+        let mut inv: Vec<_> = t.involved().collect();
         inv.sort();
         assert_eq!(inv, vec![PartitionId(0), PartitionId(2)]);
     }

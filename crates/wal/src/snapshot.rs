@@ -27,7 +27,7 @@
 use parking_lot::Mutex;
 use primo_common::sim_time::now_us;
 use primo_common::{PartitionId, Ts, TxnId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// When a committed-but-pending transaction becomes durable-forever.
@@ -192,22 +192,23 @@ impl SnapshotTracker {
         self.publish();
     }
 
-    /// A crash happened now: doom every pending CLV transaction whose
-    /// persist window spans this instant (release the rest as usual later)
-    /// and return the instant. It is read under the lock [`Self::release_due`]
-    /// releases under, so a commit released before it was durable by it.
-    pub fn doom_window(&self, ack_delay_us: u64) -> u64 {
+    /// A crash happened now: hold the horizon until compensation completes
+    /// and return the instant. It is read under the lock
+    /// [`Self::release_due`] releases under, so a commit released before it
+    /// was durable by it.
+    pub fn open_crash(&self) -> u64 {
         let mut inner = self.inner.lock();
-        let crash_us = now_us();
         inner.crash_open = true;
-        for p in inner.pending.values_mut() {
-            if let Release::AtUs(ready_at) = p.release {
-                if crash_us < ready_at && ready_at.saturating_sub(ack_delay_us) <= crash_us {
-                    p.doomed = true;
-                }
-            }
+        now_us()
+    }
+
+    /// A crash rolled back `txns`: doom those pending (a later commit of
+    /// one of them is reported doomed).
+    pub fn doom(&self, txns: &HashSet<TxnId>) {
+        let mut inner = self.inner.lock();
+        for (txn, p) in inner.pending.iter_mut() {
+            p.doomed |= txns.contains(txn);
         }
-        crash_us
     }
 
     /// A crash aborted this COCO epoch: doom its pending transactions.
@@ -350,9 +351,9 @@ mod tests {
         let t = SnapshotTracker::new(false);
         t.begin(tid(1));
         t.note_finalized(9);
-        // Persist window [now - 1 s, now + 1 s) spans the crash.
         t.commit(tid(1), 9, Release::AtUs(now_us() + 1_000_000), false);
-        t.doom_window(2_000_000);
+        t.open_crash();
+        t.doom(&HashSet::from([tid(1)]));
         assert_eq!(
             t.horizon(u64::MAX),
             8,
@@ -372,10 +373,9 @@ mod tests {
         let dead = TxnId::new(PartitionId(1), 2);
         t.begin(dead);
         t.note_finalized(9);
-        let crash_us = t.doom_window(40);
+        let crash_us = t.open_crash();
         t.drop_actives_of(PartitionId(1));
-        // Reported after the crash: its window [crash + 10, crash + 50) does
-        // not span the crash, but its append may have.
+        // Reported after the crash and not rolled back by it.
         t.commit(tid(1), 9, Release::AtUs(crash_us + 50), false);
         assert_eq!(t.horizon(u64::MAX), 0, "held while compensation runs");
         t.compensation_complete();

@@ -462,9 +462,7 @@ impl GroupCommit for WatermarkCommit {
         }
         let ts = ticket.current_ts();
         // Propagate to every partition where the transaction is registered.
-        let mut involved = ticket.participants();
-        involved.push(ticket.coordinator);
-        for p in involved {
+        for p in ticket.involved() {
             let part = &self.parts[p.idx()];
             part.max_seen_ts.fetch_max(ts, Ordering::AcqRel);
             if let Some(slot) = part.active.lock().get_mut(&ticket.txn) {

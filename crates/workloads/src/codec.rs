@@ -6,12 +6,13 @@ use primo_common::Value;
 
 /// Encode a row of `u64` fields, padding with `filler` extra bytes.
 pub fn encode_fields(fields: &[u64], filler: usize) -> Value {
-    let mut bytes = Vec::with_capacity(fields.len() * 8 + filler);
-    for f in fields {
-        bytes.extend_from_slice(&f.to_le_bytes());
-    }
-    bytes.resize(fields.len() * 8 + filler, 0xAB);
-    Value::new(bytes)
+    Value::build(fields.len() * 8 + filler, |bytes| {
+        let (head, tail) = bytes.split_at_mut(fields.len() * 8);
+        for (chunk, f) in head.chunks_exact_mut(8).zip(fields) {
+            chunk.copy_from_slice(&f.to_le_bytes());
+        }
+        tail.fill(0xAB);
+    })
 }
 
 /// Decode the `u64` fields of a row encoded with [`encode_fields`].
@@ -37,15 +38,14 @@ pub fn with_field(value: &Value, idx: usize, new: u64) -> Value {
 /// copy however many fields change (a row too short for a field is
 /// extended with zeroes).
 pub fn with_fields(value: &Value, updates: &[(usize, u64)]) -> Value {
-    let mut bytes = value.as_bytes().to_vec();
-    for &(idx, new) in updates {
-        let start = idx * 8;
-        if bytes.len() < start + 8 {
-            bytes.resize(start + 8, 0);
+    let old = value.as_bytes();
+    let fields_end = updates.iter().map(|&(idx, _)| idx * 8 + 8).max();
+    Value::build(old.len().max(fields_end.unwrap_or(0)), |bytes| {
+        bytes[..old.len()].copy_from_slice(old);
+        for &(idx, new) in updates {
+            bytes[idx * 8..idx * 8 + 8].copy_from_slice(&new.to_le_bytes());
         }
-        bytes[start..start + 8].copy_from_slice(&new.to_le_bytes());
-    }
-    Value::new(bytes)
+    })
 }
 
 #[cfg(test)]

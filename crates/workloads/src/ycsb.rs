@@ -122,11 +122,14 @@ impl TxnProgram for YcsbTxn {
                 }
                 YcsbOpKind::ReadModifyWrite => {
                     let v = ctx.read(op.partition, YCSB_TABLE, op.key)?;
-                    let mut bytes = v.as_bytes().to_vec();
-                    bytes.resize(self.value_size.max(8), 0);
-                    let counter = u64::from_le_bytes(bytes[..8].try_into().unwrap()) + 1;
-                    bytes[..8].copy_from_slice(&counter.to_le_bytes());
-                    ctx.write(op.partition, YCSB_TABLE, op.key, Value::new(bytes))?;
+                    let len = self.value_size.max(8);
+                    let kept = &v.as_bytes()[..v.len().min(len)];
+                    let bumped = Value::build(len, |bytes| {
+                        bytes[..kept.len()].copy_from_slice(kept);
+                        let counter = u64::from_le_bytes(bytes[..8].try_into().unwrap()) + 1;
+                        bytes[..8].copy_from_slice(&counter.to_le_bytes());
+                    });
+                    ctx.write(op.partition, YCSB_TABLE, op.key, bumped)?;
                 }
                 YcsbOpKind::BlindWrite => {
                     ctx.write(

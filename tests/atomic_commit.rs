@@ -303,7 +303,8 @@ fn a_worker_orphans_the_trapped_attempt_and_nothing_more() {
     }
     open.retain(|_, balance| *balance != 0);
     assert!(open.is_empty(), "attempts without an end: {open:?}");
-    let locked: Vec<Vec<u64>> = (cluster.partition_ids().into_iter())
+    let locked: Vec<Vec<u64>> = cluster
+        .partition_ids()
         .map(|p| {
             let table = cluster.partition(p).store.table(T);
             table.scan_keys(|k| table.get(k).is_some_and(|r| r.lock().is_locked()))

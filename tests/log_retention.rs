@@ -189,7 +189,6 @@ fn retention_holds(scheme: LoggingScheme, replication_factor: usize) {
         );
         if cluster
             .partition_ids()
-            .into_iter()
             .all(|p| cluster.partition(p).log.end_lsn() >= goal)
         {
             break;
@@ -225,12 +224,26 @@ fn retention_holds(scheme: LoggingScheme, replication_factor: usize) {
         );
     }
 
+    // One more write-set per partition, committed through a session after
+    // the workers stopped. A fold pass never folds what arrived after the
+    // pass before it, so every log's retained tail now holds a write-set
+    // and each recovery below has one to replay.
+    let session = primo.session();
+    for p in cluster.partition_ids() {
+        let bumped = session.transaction(p, |ctx| {
+            let v = ctx.read(p, T, 0)?.as_u64();
+            ctx.write(p, T, 0, Value::from_u64(v + 1))
+        });
+        assert!(
+            bumped.is_ok(),
+            "{label}: the last write-set on {p:?} commits"
+        );
+    }
     // Let the scheme cover the last commits, so the crashes below roll
     // nothing back.
     std::thread::sleep(Duration::from_millis(30));
     let before: Vec<_> = cluster
         .partition_ids()
-        .into_iter()
         .map(|p| visible(&primo, p))
         .collect();
     for p in cluster.partition_ids() {
@@ -243,7 +256,7 @@ fn retention_holds(scheme: LoggingScheme, replication_factor: usize) {
             report.replayed_txns
         );
     }
-    for (p, was) in cluster.partition_ids().into_iter().zip(before) {
+    for (p, was) in cluster.partition_ids().zip(before) {
         assert_eq!(
             was,
             visible(&primo, p),
