@@ -294,19 +294,36 @@ type Buffers = (
     Vec<UndoAction>,
 );
 
-/// How many emptied access sets a thread keeps: as many as a worker
-/// usually has attempts in hand. A set dropped beyond them frees its
-/// buffers.
-const SPARE_SETS: usize = 8;
+/// A thread's emptied access-set buffers, capacity kept.
+struct Spare {
+    buffers: Vec<Buffers>,
+    /// Sets this thread gave fresh buffers, which it does only when none
+    /// are spare: the most sets it has had alive at once. It keeps no more
+    /// spare than that, so the pool never holds more than the thread once
+    /// used, and a thread that only drops sets made elsewhere keeps none.
+    /// A Primo worker runs each attempt to its end before the next and
+    /// keeps one; Sundial's overlapping vote rounds on `ycsb_hot_2pc` kept
+    /// about ten.
+    made: usize,
+}
 
 thread_local! {
-    /// Buffers of this thread's dropped access sets, empty, capacity kept.
-    static SPARE: RefCell<Vec<Buffers>> = const { RefCell::new(Vec::new()) };
+    static SPARE: RefCell<Spare> = const {
+        RefCell::new(Spare {
+            buffers: Vec::new(),
+            made: 0,
+        })
+    };
 }
 
 impl Default for AccessSet {
     fn default() -> Self {
-        let spare = SPARE.try_with(|spare| spare.try_borrow_mut().ok()?.pop());
+        let spare = SPARE.try_with(|spare| {
+            let mut spare = spare.try_borrow_mut().ok()?;
+            let buffers = spare.buffers.pop();
+            spare.made += usize::from(buffers.is_none());
+            buffers
+        });
         let (reads, writes, locked, undo) = spare.ok().flatten().unwrap_or_default();
         AccessSet {
             reads,
@@ -332,7 +349,7 @@ impl Drop for AccessSet {
         buffers.2.clear();
         buffers.3.clear();
         let _ = SPARE.try_with(|spare| match spare.try_borrow_mut() {
-            Ok(mut spare) if spare.len() < SPARE_SETS => spare.push(buffers),
+            Ok(mut spare) if spare.buffers.len() < spare.made => spare.buffers.push(buffers),
             _ => {}
         });
     }

@@ -66,15 +66,13 @@ fn before_image(record: Option<&Arc<Record>>, txn: TxnId) -> Option<primo_common
 /// key has no committed value — so a crash-abort can be compensated on
 /// surviving partitions.
 ///
-/// Each involved partition gets one entry whose write vector is sized
-/// exactly: a pass over the write-set finds the next partition (in
-/// ascending order) and counts its writes, a second fills its entry.
-/// Write-sets are small, so the passes cost less than growing vectors. A
-/// cross-partition commit thus acquires each involved partition's log
-/// sequencer **exactly once** — all of a partition's writes travel in one
-/// entry into the leader's copy, and the follower replicas take it from
-/// there off this critical section (see the append path in
-/// `primo_wal::replicated`).
+/// Each partition's entry is built at its first write, sized by counting
+/// its writes (write-sets are small, and the check for an earlier write of
+/// the same partition stops at that partition's first one), so a
+/// cross-partition commit acquires each involved partition's log sequencer
+/// **exactly once** — all of a partition's writes travel in one entry into
+/// the leader's copy, and the follower replicas take it from there off this
+/// critical section (see the append path in `primo_wal::replicated`).
 pub fn log_txn_writes<'a>(
     cluster: &Cluster,
     txn: TxnId,
@@ -82,24 +80,17 @@ pub fn log_txn_writes<'a>(
     writes: &[WriteEntry],
     records: impl Iterator<Item = Option<&'a Arc<Record>>> + Clone,
 ) {
-    let mut logged_up_to: Option<PartitionId> = None;
-    loop {
-        // The lowest partition not logged yet, and how many writes it has.
-        let mut next: Option<(PartitionId, usize)> = None;
-        let unlogged = writes.iter().map(|w| w.partition);
-        for p in unlogged.filter(|p| logged_up_to < Some(*p)) {
-            match &mut next {
-                Some((q, n)) if *q == p => *n += 1,
-                Some((q, _)) if *q < p => {}
-                _ => next = Some((p, 1)),
-            }
+    for (i, partition) in writes.iter().map(|w| w.partition).enumerate() {
+        if writes[..i].iter().any(|w| w.partition == partition) {
+            continue;
         }
-        let Some((partition, n)) = next else {
-            return;
-        };
+        let n = writes[i..]
+            .iter()
+            .filter(|w| w.partition == partition)
+            .count();
         let mut logged = Vec::with_capacity(n);
-        let records = writes.iter().zip(records.clone());
-        for (w, record) in records.filter(|(w, _)| w.partition == partition) {
+        let own = writes.iter().zip(records.clone()).skip(i);
+        for (w, record) in own.filter(|(w, _)| w.partition == partition) {
             logged.push(LoggedWrite {
                 table: w.table,
                 key: w.key,
@@ -124,7 +115,6 @@ pub fn log_txn_writes<'a>(
                 term: log.term(),
             },
         );
-        logged_up_to = Some(partition);
     }
 }
 

@@ -7,7 +7,7 @@
 //! exclusive-only locking with WAIT_DIE (§4.2.2).
 
 use parking_lot::{Condvar, Mutex};
-use primo_common::{PartitionId, TxnId};
+use primo_common::TxnId;
 use std::time::Duration;
 
 /// Requested/held lock mode.
@@ -48,21 +48,27 @@ struct LockState {
     /// packs beside `exclusive` and `waiters`.)
     first: TxnId,
     held: bool,
-    /// Further shared holders, allocated when a second sharer arrives and
-    /// `None` while there are none. A boxed slice keeps every record's lock
-    /// small; it is rebuilt on each change, which only shared locks see.
-    more: Option<Box<[TxnId]>>,
+    /// Further shared holders: the first `more_len` slots of `more`. The
+    /// buffer is allocated when a second sharer arrives and kept, like a
+    /// `Vec`'s capacity, for the record's life; a boxed slice with a `u16`
+    /// length keeps every record's lock 8 bytes smaller than a `Vec` would.
+    more: Box<[TxnId]>,
+    more_len: u16,
     exclusive: bool,
     /// Number of threads currently blocked waiting on this lock.
     waiters: u32,
 }
 
+/// A free slot of [`LockState::more`].
+const VACANT: TxnId = TxnId { seq: 0, coord: 0 };
+
 impl Default for LockState {
     fn default() -> Self {
         LockState {
-            first: TxnId::new(PartitionId(0), 0),
+            first: VACANT,
             held: false,
-            more: None,
+            more: Box::default(),
+            more_len: 0,
             exclusive: false,
             waiters: 0,
         }
@@ -78,9 +84,13 @@ impl LockState {
         self.held.then_some(self.first)
     }
 
+    fn more(&self) -> &[TxnId] {
+        &self.more[..usize::from(self.more_len)]
+    }
+
     fn holders(&self) -> impl Iterator<Item = &TxnId> {
         let first = self.held.then_some(&self.first);
-        first.into_iter().chain(self.more.iter().flatten())
+        first.into_iter().chain(self.more())
     }
 
     fn held_by(&self, txn: TxnId) -> bool {
@@ -88,7 +98,7 @@ impl LockState {
     }
 
     fn sole_holder(&self, txn: TxnId) -> bool {
-        self.first() == Some(txn) && self.more.is_none()
+        self.first() == Some(txn) && self.more_len == 0
     }
 
     /// True if `txn` is older (higher priority) than every current holder.
@@ -101,31 +111,36 @@ impl LockState {
             (self.first, self.held) = (txn, true);
             return;
         }
-        let mut more = self.take_more();
-        more.push(txn);
-        self.more = Some(more.into_boxed_slice());
+        let len = usize::from(self.more_len);
+        if len == self.more.len() {
+            // Full: double the buffer (two slots at first).
+            let mut grown = vec![VACANT; (2 * len).max(2)].into_boxed_slice();
+            grown[..len].copy_from_slice(&self.more);
+            self.more = grown;
+        }
+        self.more[len] = txn;
+        self.more_len = u16::try_from(len + 1).expect("fewer than 65 536 sharers");
     }
 
     /// Drop `txn` from the holders; whether it held the lock.
     fn remove_holder(&mut self, txn: TxnId) -> bool {
-        let mut more = self.take_more();
-        let held = if self.first() == Some(txn) {
-            match more.pop() {
-                Some(next) => self.first = next,
+        let last = usize::from(self.more_len).checked_sub(1);
+        if self.first() == Some(txn) {
+            match last {
+                Some(last) => (self.first, self.more_len) = (self.more[last], last as u16),
                 None => self.held = false,
             }
-            true
-        } else {
-            let before = more.len();
-            more.retain(|h| *h != txn);
-            more.len() != before
-        };
-        self.more = (!more.is_empty()).then(|| more.into_boxed_slice());
-        held
-    }
-
-    fn take_more(&mut self) -> Vec<TxnId> {
-        self.more.take().map(Vec::from).unwrap_or_default()
+            return true;
+        }
+        match self.more().iter().position(|h| *h == txn) {
+            Some(i) => {
+                let last = last.expect("a found sharer");
+                self.more.swap(i, last);
+                self.more_len = last as u16;
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -370,6 +385,38 @@ mod tests {
         assert!(l.exclusively_locked_by_other(t(1)));
         l.release(t(2));
         assert!(!l.is_locked() && !l.exclusively_locked_by_other(t(1)));
+    }
+
+    #[test]
+    fn sharers_keep_their_buffer() {
+        let l = RecordLock::new();
+        let buffer = |l: &RecordLock| {
+            let st = l.state.lock();
+            (st.more.as_ptr(), st.more.len())
+        };
+        l.acquire(t(1), LockMode::Shared, LockPolicy::NoWait);
+        assert_eq!(buffer(&l).1, 0, "one holder allocates nothing");
+        l.acquire(t(2), LockMode::Shared, LockPolicy::NoWait);
+        let kept = buffer(&l);
+        assert_eq!(kept.1, 2);
+        // A second sharer comes and goes without allocating again.
+        for seq in 3..10 {
+            l.release(t(seq - 1));
+            l.acquire(t(seq), LockMode::Shared, LockPolicy::NoWait);
+            assert_eq!(buffer(&l), kept);
+            assert!(l.held_by(t(1)) && l.held_by(t(seq)) && !l.held_by(t(seq - 1)));
+        }
+        // Five sharers double it once; all leave, in any order.
+        for seq in 10..13 {
+            l.acquire(t(seq), LockMode::Shared, LockPolicy::NoWait);
+        }
+        assert_eq!(buffer(&l).1, 4);
+        for seq in [11, 1, 12, 9, 10] {
+            assert!(l.held_by(t(seq)));
+            l.release(t(seq));
+            assert!(!l.held_by(t(seq)));
+        }
+        assert!(!l.is_locked());
     }
 
     #[test]

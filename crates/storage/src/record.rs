@@ -175,20 +175,22 @@ impl RecordData {
         } else {
             Some(self.value.clone())
         };
-        // The chain's one allocation, sized to the bound.
         let bound = self.max_versions as usize - 1;
-        self.history.reserve_exact(bound);
+        while self.history.len() >= bound {
+            self.history.remove(0);
+            // The oldest retained version now bounds what the chain can
+            // answer.
+            let oldest = self.history.first().map_or(self.cts, |v| v.cts);
+            self.floor_cts = self.floor_cts.max(oldest);
+        }
+        // Evicting first keeps the chain within the bound, so its one
+        // allocation, made on the first superseded version, is never
+        // outgrown.
+        self.history.reserve_exact(bound - self.history.len());
         self.history.push(Version {
             cts: self.cts,
             value,
         });
-        while self.history.len() > bound {
-            self.history.remove(0);
-            // The oldest retained version now bounds what the chain can
-            // answer.
-            let oldest = self.history.first().map_or(new_cts, |v| v.cts);
-            self.floor_cts = self.floor_cts.max(oldest);
-        }
     }
 }
 
@@ -746,6 +748,21 @@ mod tests {
         assert_eq!(r.read_at(20), SnapshotRead::Value(Value::from_u64(2)));
         assert_eq!(r.read_at(10), SnapshotRead::Value(Value::from_u64(1)));
         assert_eq!(r.read_at(9), SnapshotRead::Miss);
+    }
+
+    #[test]
+    fn the_history_is_allocated_once_at_its_bound() {
+        let r = Record::new(Value::from_u64(0));
+        let bound = DEFAULT_MAX_VERSIONS - 1;
+        for ts in 1..=10 {
+            r.install(Value::from_u64(ts), ts);
+            let d = r.data.lock();
+            assert_eq!(d.history.len(), bound.min(ts as usize));
+            assert_eq!(d.history.capacity(), bound, "after the install at {ts}");
+        }
+        // The evictions raised the floor past what they dropped.
+        assert_eq!(r.read_at(7), SnapshotRead::Value(Value::from_u64(7)));
+        assert_eq!(r.read_at(6), SnapshotRead::Miss);
     }
 
     #[test]

@@ -114,12 +114,6 @@ fn carried_waits(kind: &TraceEventKind) -> [(Phase, u64); 2] {
     }
 }
 
-/// Emptied event lists a [`PhaseFold`] keeps. Transactions open about as
-/// often as they end, so a few dozen recycle the lists of a feed's
-/// transactions; a fold that kept every list would hold its peak of open
-/// transactions for good.
-const SPARE_LISTS: usize = 64;
-
 /// What the fold keeps of one of a transaction's events.
 #[derive(Debug, Clone, Copy)]
 struct Mark {
@@ -168,9 +162,6 @@ pub struct PhaseFold {
     pub(crate) read: Vec<u64>,
     /// The events so far of each transaction whose result is not out yet.
     open: HashMap<TxnId, Vec<Mark>>,
-    /// Emptied event lists of transactions whose result is out, for the
-    /// next transactions to open, at most [`SPARE_LISTS`].
-    spare: Vec<Vec<Mark>>,
     out: PhaseBreakdown,
 }
 
@@ -199,22 +190,16 @@ impl PhaseFold {
             GroupCommitRelease { committed } => committed,
             Committed { durable: true, .. } => true,
             Abort { backoff_us: 0, .. } => false,
-            _ => {
-                let fresh = || self.spare.pop().unwrap_or_default();
-                return self.open.entry(txn).or_insert_with(fresh).push(mark);
-            }
+            _ => return self.open.entry(txn).or_default().push(mark),
         };
         let mut events = self.open.remove(&txn).unwrap_or_default();
-        if returned && ended.contains(&at_us) {
-            events.push(mark);
-            match events.iter().position(|m| m.kind == Begin { attempt: 1 }) {
-                Some(first) => self.out.fold(&events[first..]),
-                None => self.out.skipped += 1,
-            }
+        if !returned || !ended.contains(&at_us) {
+            return;
         }
-        if self.spare.len() < SPARE_LISTS {
-            events.clear();
-            self.spare.push(events);
+        events.push(mark);
+        match events.iter().position(|m| m.kind == Begin { attempt: 1 }) {
+            Some(first) => self.out.fold(&events[first..]),
+            None => self.out.skipped += 1,
         }
     }
 }

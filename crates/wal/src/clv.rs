@@ -16,7 +16,7 @@
 use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use primo_common::config::WalConfig;
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{PartitionId, Ts, TxnId};
@@ -39,15 +39,37 @@ pub struct ClvCommit {
     /// Every partition's log: a crash reads the write-sets it rolls back
     /// off them.
     logs: Vec<Arc<ReplicatedLog>>,
-    /// Transactions a crash rolled back: those whose write-set it caught in
-    /// its persist window, and those crash compensation sealed and undid
-    /// (see [`GroupCommit::on_txns_rolled_back`]). Their verdict is
-    /// `CrashAborted`.
-    rolled_back_txns: Mutex<HashSet<TxnId>>,
+    /// What the crashes decided, read by every verdict.
+    verdicts: Mutex<Verdicts>,
+    /// Signalled when a crash's scan of the logs is merged.
+    scanned: Condvar,
     /// MVCC snapshot-horizon bookkeeping: the quorum-acked durable horizon.
     tracker: SnapshotTracker,
     /// Cluster flight recorder, injected after construction.
     recorder: OnceLock<Arc<FlightRecorder>>,
+}
+
+/// The crash verdicts of a [`ClvCommit`].
+#[derive(Debug, Default)]
+struct Verdicts {
+    /// Transactions a crash rolled back: those whose write-set it caught in
+    /// its persist window, and those crash compensation sealed and undid
+    /// (see [`GroupCommit::on_txns_rolled_back`]). Their verdict is
+    /// `CrashAborted`.
+    rolled_back: HashSet<TxnId>,
+    /// Crashes still reading their write-sets off the logs, and the
+    /// earliest one's instant.
+    scans: u32,
+    scan_from: u64,
+}
+
+impl Verdicts {
+    /// Whether a commit acknowledgeable at `ready_at` may yet be caught by
+    /// a scan in progress: its persist window ends after that crash's
+    /// instant.
+    fn undecided(&self, ready_at: u64) -> bool {
+        self.scans > 0 && ready_at > self.scan_from
+    }
 }
 
 impl ClvCommit {
@@ -62,7 +84,8 @@ impl ClvCommit {
             num_partitions,
             ack_delay_us,
             logs,
-            rolled_back_txns: Mutex::new(HashSet::new()),
+            verdicts: Mutex::default(),
+            scanned: Condvar::new(),
             tracker: SnapshotTracker::new(cfg.unsafe_latest_commit_horizon),
             recorder: OnceLock::new(),
         }
@@ -73,7 +96,7 @@ impl ClvCommit {
     }
 
     fn rolled_back(&self, txn: TxnId) -> bool {
-        self.rolled_back_txns.lock().contains(&txn)
+        self.verdicts.lock().rolled_back.contains(&txn)
     }
 }
 
@@ -96,13 +119,13 @@ impl GroupCommit for ClvCommit {
         // The snapshot horizon may pass this commit only once its quorum-ack
         // deadline has elapsed; a commit a crash already rolled back is
         // doomed and caps the horizon until compensation. Checked and
-        // registered under the lock a crash holds while it dooms, so the
-        // commit is doomed here or there.
-        let rolled_back = self.rolled_back_txns.lock();
-        let doomed = rolled_back.contains(&ticket.txn);
+        // registered under the lock a crash takes to doom, so the commit is
+        // doomed here or there.
+        let verdicts = self.verdicts.lock();
+        let doomed = verdicts.rolled_back.contains(&ticket.txn);
         self.tracker
             .commit(ticket.txn, ts, Release::AtUs(ready_at), doomed);
-        drop(rolled_back);
+        drop(verdicts);
         // CLV's per-transaction durability decision: the cut after which this
         // commit (and its dependencies, older and hence durable first) is
         // acknowledgeable.
@@ -123,14 +146,15 @@ impl GroupCommit for ClvCommit {
     }
 
     fn try_outcome(&self, waiter: &CommitWaiter) -> Option<CommitOutcome> {
-        if self.rolled_back(waiter.txn) {
+        // The clock is read under the lock a crash stamps its instant
+        // under: a commit found ready before that instant was durable by
+        // it, and one found ready after it waits for the crash's scan.
+        let verdicts = self.verdicts.lock();
+        if verdicts.rolled_back.contains(&waiter.txn) {
             return Some(CommitOutcome::CrashAborted);
         }
-        if now_us() >= waiter.ready_at_us.unwrap_or(0) {
-            Some(CommitOutcome::Committed)
-        } else {
-            None
-        }
+        let ready_at = waiter.ready_at_us.unwrap_or(0);
+        (now_us() >= ready_at && !verdicts.undecided(ready_at)).then_some(CommitOutcome::Committed)
     }
 
     fn wait_durable(&self, waiter: &CommitWaiter) -> CommitOutcome {
@@ -141,15 +165,21 @@ impl GroupCommit for ClvCommit {
         if self.rolled_back(waiter.txn) {
             return CommitOutcome::CrashAborted;
         }
-        wait_until(waiter.ready_at_us.unwrap_or(0));
-        if self.rolled_back(waiter.txn) {
+        let ready_at = waiter.ready_at_us.unwrap_or(0);
+        wait_until(ready_at);
+        let mut verdicts = self.verdicts.lock();
+        while verdicts.undecided(ready_at) {
+            self.scanned.wait(&mut verdicts);
+        }
+        if verdicts.rolled_back.contains(&waiter.txn) {
             return CommitOutcome::CrashAborted;
         }
         CommitOutcome::Committed
     }
 
     fn on_txns_rolled_back(&self, txns: &[TxnId]) {
-        self.rolled_back_txns.lock().extend(txns.iter().copied());
+        let mut verdicts = self.verdicts.lock();
+        verdicts.rolled_back.extend(txns.iter().copied());
     }
 
     fn ts_floor(&self, _partition: PartitionId) -> Ts {
@@ -191,10 +221,20 @@ impl GroupCommit for ClvCommit {
         // compensation apply. Reporting `txn_committed` after the instant
         // changes nothing. The tracker stamps the instant and holds the
         // horizon until compensation; doomed commits keep capping it until
-        // then, and none is released in between. The lock on the verdicts
-        // is held throughout, so no waiter reads a half-built set.
-        let mut rolled_back = self.rolled_back_txns.lock();
-        let t = self.tracker.open_crash();
+        // then, and none is released in between. The instant is stamped
+        // under the verdicts' lock and the logs are read outside it: until
+        // the scan is merged, a commit whose persist window ends after the
+        // instant has no verdict (`Verdicts::undecided`), and the others
+        // read theirs unhindered.
+        let t = {
+            let mut verdicts = self.verdicts.lock();
+            let t = self.tracker.open_crash();
+            if verdicts.scans == 0 {
+                verdicts.scan_from = t;
+            }
+            verdicts.scans += 1;
+            t
+        };
         // An append stamped with the crash's own microsecond could still
         // miss the scan below.
         wait_until(t + 1);
@@ -203,9 +243,12 @@ impl GroupCommit for ClvCommit {
             .flat_map(|log| log.collect_rolled_back(&bound, None))
             .map(|(txn, ..)| txn)
             .collect();
+        let mut verdicts = self.verdicts.lock();
         self.tracker.doom(&caught);
-        rolled_back.extend(caught);
-        drop(rolled_back);
+        verdicts.rolled_back.extend(caught);
+        verdicts.scans -= 1;
+        drop(verdicts);
+        self.scanned.notify_all();
         // The crashed partition's in-flight transactions will never report
         // back.
         self.tracker.drop_actives_of(p);

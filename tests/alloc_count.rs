@@ -14,11 +14,12 @@
 //! them down, with at most 10 % headroom. A change that adds an allocation
 //! per row, per lock or per attempt breaks them.
 
+use primo_repro::storage::{LockMode, LockPolicy, LockRequestResult};
 use primo_repro::workloads::tpcc::TpccTxnKind;
-use primo_repro::workloads::ycsb::{YcsbOp, YcsbOpKind, YcsbTxn};
+use primo_repro::workloads::ycsb::{YcsbOp, YcsbOpKind, YcsbTxn, YCSB_TABLE};
 use primo_repro::{
-    FastRng, PartitionId, Primo, TpccConfig, TpccWorkload, TxnProgram, Workload, YcsbConfig,
-    YcsbWorkload,
+    ClusterBuilder, FastRng, PartitionId, Primo, ProtocolKind, TpccConfig, TpccWorkload, TxnId,
+    TxnProgram, Workload, YcsbConfig, YcsbWorkload,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,12 +67,8 @@ static GLOBAL: Counting = Counting;
 
 const PARTITIONS: usize = 2;
 
-fn cluster(workload: &dyn Workload) -> Primo {
-    let primo = Primo::builder()
-        .partitions(PARTITIONS)
-        .fast_local()
-        .seed(7)
-        .build();
+fn cluster(workload: &dyn Workload, builder: ClusterBuilder) -> Primo {
+    let primo = builder.partitions(PARTITIONS).fast_local().seed(7).build();
     for p in 0..PARTITIONS as u32 {
         let store = &primo.cluster().partition(PartitionId(p)).store;
         workload.load_partition(store, PartitionId(p));
@@ -127,7 +124,7 @@ fn tpcc_transactions_allocate_what_they_keep() {
         ..TpccConfig::small(PARTITIONS)
     };
     let workload = TpccWorkload::new(cfg);
-    let primo = cluster(&workload);
+    let primo = cluster(&workload, Primo::builder());
     let mut rng = FastRng::new(11);
     let mut run = |kind, warm, n| {
         let warm = tpcc_programs(&workload, &mut rng, kind, warm);
@@ -151,41 +148,98 @@ fn tpcc_transactions_allocate_what_they_keep() {
 fn ycsb_read_modify_writes_allocate_what_they_keep() {
     let cfg = YcsbConfig::small(PARTITIONS);
     let workload = YcsbWorkload::new(cfg.clone());
-    let primo = cluster(&workload);
+    let primo = cluster(&workload, Primo::builder());
     let mut rng = FastRng::new(13);
-    let mut programs = |n: usize| -> Vec<Box<dyn TxnProgram>> {
-        (0..n)
-            .map(|i| {
-                let home = PartitionId((i % PARTITIONS) as u32);
-                let ops = (0..10)
-                    .map(|_| YcsbOp {
-                        partition: home,
-                        key: rng.next_below(cfg.keys_per_partition),
-                        kind: YcsbOpKind::ReadModifyWrite,
-                    })
-                    .collect();
-                Box::new(YcsbTxn {
-                    home,
-                    ops,
-                    value_size: cfg.value_size,
-                    read_ratio: 0.0,
-                }) as Box<dyn TxnProgram>
-            })
-            .collect()
-    };
-    let warm = programs(20);
+    let warm = ycsb_programs(&cfg, 20, YcsbOpKind::ReadModifyWrite, |_, _| {
+        rng.next_below(cfg.keys_per_partition)
+    });
     mean_allocs(&primo, &warm);
-    let rmw = programs(300);
+    let rmw = ycsb_programs(&cfg, 300, YcsbOpKind::ReadModifyWrite, |_, _| {
+        rng.next_below(cfg.keys_per_partition)
+    });
     let rmw = mean_allocs(&primo, &rmw);
     primo.shutdown();
     assert_ceiling("ycsb_rmw_10", rmw, YCSB_RMW_CEILING);
 }
 
-// Measured 29.04, 13.04, 58.94 and 21.75 (debug and release alike). Before
+/// A local ten-operation read-only YCSB transaction under 2PL, each of its
+/// shared read locks the second on its row: a bystander holds every row it
+/// reads shared throughout. The list of further sharers keeps its buffer,
+/// so after each row's first second sharer (the warm-up) a read allocates
+/// nothing for its lock.
+#[test]
+fn second_sharers_of_a_row_allocate_nothing_for_their_lock() {
+    const ROWS: u64 = 64;
+    let cfg = YcsbConfig::small(PARTITIONS);
+    let workload = YcsbWorkload::new(cfg.clone());
+    let builder = Primo::builder().protocol(ProtocolKind::TwoPlNoWait);
+    let primo = cluster(&workload, builder.without_snapshot_reads());
+    let bystander = TxnId::new(PartitionId(0), 1 << 40);
+    let rows: Vec<_> = (0..PARTITIONS as u32)
+        .flat_map(|p| (0..ROWS).map(move |key| (PartitionId(p), key)))
+        .map(|(p, key)| {
+            let store = &primo.cluster().partition(p).store;
+            store.get(YCSB_TABLE, key).expect("a loaded row")
+        })
+        .collect();
+    for row in &rows {
+        let granted = row.acquire(bystander, LockMode::Shared, LockPolicy::NoWait);
+        assert_eq!(granted, LockRequestResult::Granted);
+    }
+    let mut rng = FastRng::new(17);
+    // The warm-up reads every row once.
+    let warm = ycsb_programs(
+        &cfg,
+        2 * ROWS as usize / 10 + 2,
+        YcsbOpKind::Read,
+        |i, op| (i / PARTITIONS * 10 + op) as u64 % ROWS,
+    );
+    mean_allocs(&primo, &warm);
+    let reads = ycsb_programs(&cfg, 300, YcsbOpKind::Read, |_, _| rng.next_below(ROWS));
+    let reads = mean_allocs(&primo, &reads);
+    for row in &rows {
+        row.release(bystander);
+    }
+    primo.shutdown();
+    assert_ceiling("ycsb_2pl_shared_read_10", reads, YCSB_SHARED_READ_CEILING);
+}
+
+/// `n` local ten-operation YCSB programs of one kind, alternating their
+/// home; `key(i, op)` picks the key of program `i`'s `op`-th operation.
+fn ycsb_programs(
+    cfg: &YcsbConfig,
+    n: usize,
+    kind: YcsbOpKind,
+    mut key: impl FnMut(usize, usize) -> u64,
+) -> Vec<Box<dyn TxnProgram>> {
+    (0..n)
+        .map(|i| {
+            let home = PartitionId((i % PARTITIONS) as u32);
+            let ops = (0..10)
+                .map(|op| YcsbOp {
+                    partition: home,
+                    key: key(i, op),
+                    kind,
+                })
+                .collect();
+            Box::new(YcsbTxn {
+                home,
+                ops,
+                value_size: cfg.value_size,
+                read_ratio: 0.0,
+            }) as Box<dyn TxnProgram>
+        })
+        .collect()
+}
+
+// Measured 28.94, 13.04, 58.94 and 21.72 (debug and release alike). Before
 // values were built in place, locks held their first holder inline and the
 // commit path stopped growing vectors, the same runs made 71.82, 29.66,
-// 120.88 and 51.43.
+// 120.88 and 51.43. The 2PL shared reads measured 5.00; they made 9.85
+// when a lock's further sharers lived in a `Vec`, and 23.60 when a boxed
+// slice was rebuilt on every change of them.
 const NEW_ORDER_CEILING: f64 = 31.5;
 const PAYMENT_CEILING: f64 = 14.0;
 const DELIVERY_CEILING: f64 = 64.0;
 const YCSB_RMW_CEILING: f64 = 23.5;
+const YCSB_SHARED_READ_CEILING: f64 = 5.5;
