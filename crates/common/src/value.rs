@@ -1,6 +1,8 @@
 //! Keys and values stored in the partitioned tables.
 
-use std::sync::Arc;
+use std::alloc::{self, Layout};
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicU32, Ordering};
 
 /// Primary-key type. Composite keys (e.g. TPC-C `(w_id, d_id, c_id)`) are
 /// encoded into a single `u64` by the workload crates.
@@ -12,15 +14,29 @@ pub type Key = u64;
 /// into it (YCSB uses fixed-size filler, TPC-C serialises typed rows). The
 /// payload is reference-counted so that reads do not copy the full row while
 /// a transaction is running. Its bytes live in the same allocation as the
-/// reference counts, so a value is one allocation and reading it one pointer
-/// chase; the empty value allocates nothing.
-#[derive(Clone)]
-pub struct Value(Option<Arc<[u8]>>);
+/// reference count, so a value is one allocation and reading it one pointer
+/// chase; the empty value allocates nothing. The handle is one pointer wide
+/// (an `Arc<[u8]>` would be two, in every record, log write, image entry
+/// and copy of a store), and `Option<Value>` is too.
+pub struct Value(NonNull<Header>);
+
+/// The front of a value's allocation; its `len` bytes follow it. Eight
+/// bytes, where `Arc`'s strong and weak counts take sixteen.
+#[repr(C)]
+struct Header {
+    refs: AtomicU32,
+    len: u32,
+}
+
+// SAFETY: as for `Arc<[u8]>`: the bytes are never written once `build`
+// returns, and the count is atomic.
+unsafe impl Send for Value {}
+unsafe impl Sync for Value {}
 
 impl Value {
     /// The empty value (a delete's buffered write, an insert's slot before
-    /// its install).
-    pub const EMPTY: Value = Value(None);
+    /// its install). Its pointer is never followed.
+    pub const EMPTY: Value = Value(NonNull::dangling());
 
     /// A value holding a copy of `bytes`. Hot paths build their bytes in
     /// place with [`Value::build`] instead.
@@ -35,9 +51,23 @@ impl Value {
             fill(&mut []);
             return Value::EMPTY;
         }
-        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-        fill(Arc::get_mut(&mut bytes).expect("a value being built is not shared"));
-        Value(Some(bytes))
+        let header = Header {
+            refs: AtomicU32::new(1),
+            len: u32::try_from(len).expect("a value holds less than 4 GiB"),
+        };
+        let layout = Self::layout(len);
+        // SAFETY: the layout holds a header, so it is not zero-sized.
+        let raw = unsafe { alloc::alloc_zeroed(layout) }.cast::<Header>();
+        let Some(ptr) = NonNull::new(raw) else {
+            alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: the allocation is fresh and sized and aligned for a header.
+        unsafe { ptr.write(header) };
+        let value = Value(ptr);
+        // SAFETY: the `len` bytes after the header are allocated, zeroed and
+        // not yet shared; `value` frees them if `fill` panics.
+        fill(unsafe { std::slice::from_raw_parts_mut(value.bytes_ptr(), len) });
+        value
     }
 
     /// A value holding `n` zero bytes — used by YCSB-style fillers.
@@ -47,7 +77,7 @@ impl Value {
 
     /// Encode a `u64` counter as a value (used by Smallbank/YCSB counters).
     pub fn from_u64(x: u64) -> Self {
-        Value(Some(Arc::from(x.to_le_bytes())))
+        Value::from(&x.to_le_bytes()[..])
     }
 
     /// Decode a value previously produced by [`Value::from_u64`].
@@ -62,15 +92,68 @@ impl Value {
     }
 
     pub fn len(&self) -> usize {
-        self.as_bytes().len()
+        self.header().map_or(0, |h| h.len as usize)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.as_bytes().is_empty()
+        self.header().is_none()
     }
 
     pub fn as_bytes(&self) -> &[u8] {
-        self.0.as_deref().unwrap_or_default()
+        match self.header() {
+            None => &[],
+            // SAFETY: a held value's `len` bytes follow its header and are
+            // no longer written.
+            Some(h) => unsafe { std::slice::from_raw_parts(self.bytes_ptr(), h.len as usize) },
+        }
+    }
+
+    /// The header of a non-empty value; `None` for [`Value::EMPTY`].
+    fn header(&self) -> Option<&Header> {
+        if self.0 == NonNull::dangling() {
+            return None;
+        }
+        // SAFETY: every value but `EMPTY` points at a live allocation it
+        // holds one count of.
+        Some(unsafe { self.0.as_ref() })
+    }
+
+    /// The first byte after the header. Only for a non-empty value.
+    fn bytes_ptr(&self) -> *mut u8 {
+        // SAFETY: a non-empty value's allocation extends past its header.
+        unsafe { self.0.as_ptr().cast::<u8>().add(size_of::<Header>()) }
+    }
+
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(size_of::<Header>() + len, align_of::<Header>())
+            .expect("a value's size fits a layout")
+    }
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Self {
+        if let Some(h) = self.header() {
+            // As `Arc`: stop before a count could wrap and free a live value.
+            if h.refs.fetch_add(1, Ordering::Relaxed) > u32::MAX / 2 {
+                std::process::abort();
+            }
+        }
+        Value(self.0)
+    }
+}
+
+impl Drop for Value {
+    fn drop(&mut self) {
+        let Some(h) = self.header() else { return };
+        if h.refs.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        // Every other handle's use of the bytes happens before the free.
+        fence(Ordering::Acquire);
+        let layout = Self::layout(h.len as usize);
+        // SAFETY: this was the last handle, and `build` allocated with this
+        // layout.
+        unsafe { alloc::dealloc(self.0.as_ptr().cast(), layout) };
     }
 }
 
@@ -96,10 +179,7 @@ impl From<Vec<u8>> for Value {
 
 impl From<&[u8]> for Value {
     fn from(v: &[u8]) -> Self {
-        match v.is_empty() {
-            true => Value::EMPTY,
-            false => Value(Some(Arc::from(v))),
-        }
+        Value::build(v.len(), |bytes| bytes.copy_from_slice(v))
     }
 }
 
@@ -166,5 +246,29 @@ mod tests {
         assert_eq!(Value::build(0, |_| {}), Value::EMPTY);
         assert_eq!(Value::new(vec![]), Value::from(&[][..]));
         assert!(Value::EMPTY.is_empty());
+    }
+
+    #[test]
+    fn a_value_is_one_pointer_wide() {
+        assert_eq!(size_of::<Value>(), size_of::<usize>());
+        assert_eq!(size_of::<Option<Value>>(), size_of::<usize>());
+    }
+
+    #[test]
+    fn clones_dropped_on_other_threads_leave_the_bytes_intact() {
+        let v = Value::build(100, |b| b.fill(7));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let v = &v;
+                s.spawn(move || {
+                    let clones: Vec<Value> = (0..1000).map(|_| v.clone()).collect();
+                    assert!(clones.iter().all(|c| c == v));
+                });
+            }
+        });
+        let last = v.clone();
+        drop(v);
+        assert_eq!(last.as_bytes(), &[7; 100][..]);
+        assert_eq!(Value::EMPTY.clone(), Value::EMPTY);
     }
 }

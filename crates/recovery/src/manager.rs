@@ -221,6 +221,7 @@ impl RecoveryManager {
             // void this pass and rebuild from the new leader's copy.
             mid_replay_handoffs += 1;
         };
+        store.release_spares();
 
         // Bring wiped / lagging replicas back to full strength from the
         // elected leader before the partition serves again, so the replica

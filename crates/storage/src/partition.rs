@@ -80,22 +80,33 @@ impl PartitionStore {
     /// Lifecycle-aware snapshot of every committed record:
     /// `(table, key, value, wts)`. See [`Table::snapshot_visible`] for the
     /// quiescence requirement.
+    /// The result is sized once, to the slot count, with no per-table copy
+    /// in between.
     pub fn snapshot_visible(&self) -> Vec<(TableId, Key, Value, u64)> {
-        let mut out = Vec::new();
-        for (id, table) in self.tables() {
-            for (k, v, ts) in table.snapshot_visible() {
-                out.push((id, k, v, ts));
-            }
+        let tables = self.tables();
+        let mut out = Vec::with_capacity(tables.iter().map(|(_, t)| t.len()).sum());
+        for (id, table) in tables {
+            table.for_each_visible(|k, v, ts| out.push((id, k, v, ts)));
         }
         out
     }
 
     /// Crash recovery step 1: drop every record in every table — the
     /// partition's volatile store is gone. The [`Table`] instances survive
-    /// (protocol threads may hold `Arc<Table>` handles) but end up empty.
-    /// Returns the number of records wiped.
+    /// (protocol threads may hold `Arc<Table>` handles) but end up empty;
+    /// they keep the wiped records for [`PartitionStore::restore`] to refill
+    /// until [`PartitionStore::release_spares`]. Returns the number of
+    /// records wiped.
     pub fn wipe(&self) -> usize {
         self.tables().into_iter().map(|(_, t)| t.clear()).sum()
+    }
+
+    /// Crash recovery's last step: drop the wiped records that no restore
+    /// refilled ([`Table::release_spares`]).
+    pub fn release_spares(&self) {
+        for (_, table) in self.tables() {
+            table.release_spares();
+        }
     }
 
     /// Crash recovery step 2: put back one committed record (from a

@@ -8,7 +8,7 @@
 //! the owning shard's write lock so concurrent transitions serialize.
 
 use crate::record::{LifecycleState, Record, DEFAULT_MAX_VERSIONS};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use primo_common::hash::shard_of;
 use primo_common::{FastMap, Key, TxnId, Value};
 use std::sync::Arc;
@@ -40,6 +40,11 @@ pub struct Table {
     shards: Vec<RwLock<FastMap<Key, Arc<Record>>>>,
     /// Version-chain depth applied to every record this table creates.
     max_versions: usize,
+    /// Records the last [`Table::clear`] dropped that nothing else held,
+    /// kept for [`Table::restore`] to refill in place: recovery rebuilds the
+    /// table in the memory the crash freed rather than in a second copy.
+    /// [`Table::release_spares`] drops what recovery did not refill.
+    spares: Mutex<Vec<Arc<Record>>>,
 }
 
 impl Default for Table {
@@ -69,6 +74,7 @@ impl Table {
         Table {
             shards: (0..n).map(|_| RwLock::new(FastMap::default())).collect(),
             max_versions,
+            spares: Mutex::new(Vec::new()),
         }
     }
 
@@ -236,24 +242,42 @@ impl Table {
     /// the table is quiescent (the base checkpoint taken right after
     /// loading).
     pub fn snapshot_visible(&self) -> Vec<(Key, Value, u64)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each_visible(|key, value, wts| out.push((key, value, wts)));
+        out
+    }
+
+    /// Visit every `Visible` record's `(key, value, wts)`, one shard at a
+    /// time (see [`Table::snapshot_visible`]).
+    pub(crate) fn for_each_visible(&self, mut visit: impl FnMut(Key, Value, u64)) {
         for shard in &self.shards {
             for (k, r) in shard.read().iter() {
                 if r.state() == LifecycleState::Visible {
                     let row = r.read();
-                    out.push((*k, row.value, row.wts));
+                    visit(*k, row.value, row.wts);
                 }
             }
         }
-        out
     }
 
     /// Restore a record during crash recovery: the slot is (re)created
     /// `Visible` with `wts = rts = ts`, replacing whatever the wipe left
     /// behind. The restored chain answers snapshot reads only for horizons
     /// `>= ts` — the image carries no pre-crash history.
+    /// It refills a record the last [`Table::clear`] dropped, if one is
+    /// spare.
     pub fn restore(&self, key: Key, value: Value, ts: u64) -> Arc<Record> {
-        let rec = Arc::new(Record::restored(value, ts, self.max_versions));
+        let restored = Record::restored(value, ts, self.max_versions);
+        let rec = match self.spares.lock().pop() {
+            Some(mut spare) => match Arc::get_mut(&mut spare) {
+                Some(slot) => {
+                    *slot = restored;
+                    spare
+                }
+                None => Arc::new(restored),
+            },
+            None => Arc::new(restored),
+        };
         self.shards[self.shard_of(key)]
             .write()
             .insert(key, Arc::clone(&rec));
@@ -263,21 +287,60 @@ impl Table {
     /// Drop every record (the crashed partition's volatile state is gone).
     /// Returns how many slots were removed. Records still referenced by
     /// in-flight transactions become detached: installing into them no
-    /// longer affects the table.
+    /// longer affects the table. The others stay spare for
+    /// [`Table::restore`] until [`Table::release_spares`].
     pub fn clear(&self) -> usize {
+        let mut spares = self.spares.lock();
+        spares.reserve_exact(self.len());
         let mut removed = 0;
         for shard in &self.shards {
             let mut shard = shard.write();
             removed += shard.len();
-            shard.clear();
+            spares.extend(
+                shard
+                    .drain()
+                    .filter_map(|(_, rec)| (Arc::strong_count(&rec) == 1).then_some(rec)),
+            );
         }
         removed
+    }
+
+    /// Drop the records [`Table::clear`] kept that no restore refilled.
+    pub fn release_spares(&self) {
+        drop(std::mem::take(&mut *self.spares.lock()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_restore_refills_the_records_a_clear_dropped() {
+        let t = Table::new();
+        let held = t.insert(1, Value::from_u64(1));
+        let rec = t.insert(2, Value::from_u64(2));
+        rec.install(Value::from_u64(20), 5);
+        rec.install(Value::from_u64(21), 6);
+        let spare = Arc::as_ptr(&rec);
+        drop(rec);
+        assert_eq!(t.clear(), 2);
+
+        // The record nothing else held comes back refilled, with nothing of
+        // its old self: value, timestamps, history.
+        let restored = t.restore(3, Value::from_u64(3), 9);
+        assert_eq!(Arc::as_ptr(&restored), spare);
+        assert_eq!(restored.read().value.as_u64(), 3);
+        assert_eq!((restored.read().wts, restored.version_chain_len()), (9, 0));
+        assert_eq!(restored.state(), LifecycleState::Visible);
+        // A record a transaction still holds stays detached; the next
+        // restore allocates.
+        let fresh = t.restore(1, Value::from_u64(4), 9);
+        assert!(!Arc::ptr_eq(&fresh, &held));
+        assert_eq!(held.read().value.as_u64(), 1);
+        t.release_spares();
+        assert_eq!(t.len(), 2);
+    }
 
     #[test]
     fn insert_get_remove() {
