@@ -4,23 +4,6 @@
 //! round-trip, exponential back-off starting at 0.5 ms — and §6.2's 20 ms
 //! watermark interval / COCO epoch, the one size every protocol shares.
 
-/// Which concurrency-control scheme a protocol uses for its *local* accesses
-/// and validation logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CcScheme {
-    /// Two-phase locking, aborting immediately on conflict.
-    TwoPlNoWait,
-    /// Two-phase locking with the WAIT_DIE priority policy.
-    TwoPlWaitDie,
-    /// Silo-style OCC (epoch-less variant; TID word validation).
-    Silo,
-    /// TicToc timestamps (used by Sundial and by Primo's local mode).
-    TicToc,
-    /// Primo's write-conflict-free scheme (exclusive locks for reads of
-    /// distributed transactions, TicToc for local ones).
-    Wcf,
-}
-
 /// The distributed transaction protocol under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
@@ -154,10 +137,6 @@ pub struct NetConfig {
     pub one_way_us: u64,
     /// Uniform jitter added to each message, in microseconds.
     pub jitter_us: u64,
-    /// Extra delay applied to *watermark/epoch* messages only (Fig 13a), in
-    /// microseconds, per destination partition (applied uniformly here; the
-    /// experiment driver can override per partition at runtime).
-    pub control_msg_extra_us: u64,
 }
 
 impl Default for NetConfig {
@@ -166,7 +145,6 @@ impl Default for NetConfig {
             // ~200 us RTT: same order as the paper's 16 Gbps Ethernet cluster.
             one_way_us: 100,
             jitter_us: 10,
-            control_msg_extra_us: 0,
         }
     }
 }
@@ -193,12 +171,6 @@ pub struct WalConfig {
     /// `None` means same as `persist_delay_us`. The one-way network latency
     /// of the replication hop is added on top by the cluster.
     pub replica_persist_delay_us: Option<u64>,
-    /// **Deliberately unsound** ablation knob for the snapshot-read
-    /// subsystem: report the latest finalized commit timestamp as the
-    /// snapshot horizon instead of the scheme's durable horizon. Snapshot
-    /// readers may then observe state a crash later rolls back — the
-    /// crash-consistency suite asserts it catches exactly that.
-    pub unsafe_latest_commit_horizon: bool,
 }
 
 impl Default for WalConfig {
@@ -210,7 +182,6 @@ impl Default for WalConfig {
             force_update: true,
             replication_factor: 1,
             replica_persist_delay_us: None,
-            unsafe_latest_commit_horizon: false,
         }
     }
 }
@@ -218,10 +189,6 @@ impl Default for WalConfig {
 /// Primo-specific knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrimoConfig {
-    /// Fall back to 2PC for read-heavy workloads (§4.3). When `Some(r)`, a
-    /// distributed transaction whose declared read ratio exceeds `r` uses the
-    /// 2PC path instead of WCF.
-    pub read_heavy_fallback: Option<f64>,
     /// Use snapshot reads (no locks) for transactions declared read-only.
     pub read_only_snapshot: bool,
     /// Version-chain depth per record (current + history), `>= 1`. Small by
@@ -232,7 +199,6 @@ pub struct PrimoConfig {
 impl Default for PrimoConfig {
     fn default() -> Self {
         PrimoConfig {
-            read_heavy_fallback: None,
             read_only_snapshot: true,
             max_versions: 4,
         }
@@ -248,10 +214,6 @@ pub struct TraceConfig {
     pub enabled: bool,
     /// Per-worker ring capacity in events (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Also record one event per simulated network hop. Off by default:
-    /// per-hop events are high-volume and only useful when debugging the
-    /// network layer itself.
-    pub trace_messages: bool,
 }
 
 impl Default for TraceConfig {
@@ -259,7 +221,6 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: true,
             ring_capacity: 4096,
-            trace_messages: false,
         }
     }
 }
@@ -282,8 +243,6 @@ pub struct ClusterConfig {
     pub backoff_initial_us: u64,
     /// Upper bound on the exponential back-off, microseconds.
     pub backoff_max_us: u64,
-    /// Aria batch size (transactions per partition per batch).
-    pub aria_batch_size: usize,
     /// Batch the remote reads of an attempt into one parallel fan-out
     /// (footprint-hinted or learned from the previous attempt) instead of a
     /// round trip per record. Purely a network-accounting optimization — the
@@ -308,7 +267,6 @@ impl Default for ClusterConfig {
             commit_mode: CommitMode::default(),
             backoff_initial_us: 500,
             backoff_max_us: 8_000,
-            aria_batch_size: 32,
             batch_remote_reads: true,
             seed: 0x5EED,
         }
@@ -325,7 +283,6 @@ impl ClusterConfig {
             net: NetConfig {
                 one_way_us: 5,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             wal: WalConfig {
                 scheme: LoggingScheme::Watermark,
@@ -334,7 +291,6 @@ impl ClusterConfig {
                 force_update: true,
                 replication_factor: 1,
                 replica_persist_delay_us: None,
-                unsafe_latest_commit_horizon: false,
             },
             primo: PrimoConfig::default(),
             trace: TraceConfig {
@@ -346,7 +302,6 @@ impl ClusterConfig {
             commit_mode: CommitMode::default(),
             backoff_initial_us: 20,
             backoff_max_us: 500,
-            aria_batch_size: 8,
             batch_remote_reads: true,
             seed: 0x5EED,
         }

@@ -14,9 +14,7 @@ pub mod sim_time;
 pub mod stats;
 pub mod value;
 
-pub use config::{
-    CcScheme, ClusterConfig, LoggingScheme, NetConfig, PrimoConfig, ProtocolKind, WalConfig,
-};
+pub use config::{ClusterConfig, LoggingScheme, NetConfig, PrimoConfig, ProtocolKind, WalConfig};
 pub use error::{AbortReason, TxnError, TxnResult};
 pub use hash::{FastHasher, FastMap};
 pub use ids::{PartitionId, TableId, ThreadId, Ts, TxnId};

@@ -112,9 +112,10 @@ impl Mailbox {
 pub struct DelayedBus {
     inboxes: Vec<Mailbox>,
     /// Base one-way delay for control messages, microseconds.
-    base_delay_us: AtomicU64,
+    base_delay_us: u64,
     /// Extra delay applied to messages *from* a given partition (simulates a
-    /// lagging sender, Fig 13a).
+    /// lagging sender, Fig 13a). The only lag in the cluster: COCO's
+    /// coordinator reads it too ([`DelayedBus::extra_delay_from`]).
     extra_from_us: Vec<AtomicU64>,
     seq: AtomicU64,
 }
@@ -123,14 +124,10 @@ impl DelayedBus {
     pub fn new(num_partitions: usize, base_delay_us: u64) -> Arc<Self> {
         Arc::new(DelayedBus {
             inboxes: (0..num_partitions).map(|_| Mailbox::default()).collect(),
-            base_delay_us: AtomicU64::new(base_delay_us),
+            base_delay_us,
             extra_from_us: (0..num_partitions).map(|_| AtomicU64::new(0)).collect(),
             seq: AtomicU64::new(0),
         })
-    }
-
-    pub fn set_base_delay_us(&self, us: u64) {
-        self.base_delay_us.store(us, Ordering::Relaxed);
     }
 
     /// Simulate a lagging sender: all control messages originating from
@@ -139,9 +136,13 @@ impl DelayedBus {
         self.extra_from_us[from.idx()].store(us, Ordering::Relaxed);
     }
 
+    /// The extra delay of control messages sent by `from`.
+    pub fn extra_delay_from(&self, from: PartitionId) -> u64 {
+        self.extra_from_us[from.idx()].load(Ordering::Relaxed)
+    }
+
     fn delay_for(&self, from: PartitionId) -> u64 {
-        self.base_delay_us.load(Ordering::Relaxed)
-            + self.extra_from_us[from.idx()].load(Ordering::Relaxed)
+        self.base_delay_us + self.extra_delay_from(from)
     }
 
     /// Send a message to one partition (delivered after the configured delay).

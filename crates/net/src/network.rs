@@ -1,12 +1,9 @@
 //! Latency-charging simulated network with crash injection.
 
-use parking_lot::RwLock;
 use primo_common::config::NetConfig;
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
-use primo_common::{FastRng, PartitionId};
-use primo_trace::{FlightRecorder, TraceEventKind};
+use primo_common::PartitionId;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// Reachability of one partition as seen by the network.
 ///
@@ -43,8 +40,8 @@ impl PartitionHealth {
     }
 }
 
-/// A request/response exchange that has been *sent*: counted, traced and
-/// given its deadline, but not waited for
+/// A request/response exchange that has been *sent*: counted and given its
+/// deadline, but not waited for
 /// ([`SimNetwork::begin_round_trip_multi`]). Whoever reads the replies waits
 /// for [`RoundTrip::ready_at_us`] first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,12 +60,8 @@ pub struct RoundTrip {
 /// that was only begun, by the deadline its caller waits for.
 #[derive(Debug)]
 pub struct SimNetwork {
-    cfg: RwLock<NetConfig>,
+    cfg: NetConfig,
     num_partitions: usize,
-    /// Extra one-way delay per destination partition, microseconds. Used by
-    /// Fig 13a (delayed watermark/epoch messages) and general asymmetry
-    /// experiments.
-    extra_delay_us: Vec<AtomicU64>,
     /// Health per partition: a crashed or recovering partition does not
     /// answer (encoded [`PartitionHealth`]).
     health: Vec<AtomicU8>,
@@ -76,18 +69,10 @@ pub struct SimNetwork {
     messages: AtomicU64,
     /// Total round trips charged.
     round_trips: AtomicU64,
-    /// Of `messages`: the one-way hops attributable to the atomic-commit
-    /// layer's vote/decision fan-out (Paxos Commit). A breakdown counter,
-    /// not an additional charge — the hops are already in `messages`.
-    commit_messages: AtomicU64,
     /// Jitter source (per-call cheap hash, not a shared RNG, to avoid
     /// contention). Derived from the experiment seed so different seeds
     /// sample different jitter while each run stays reproducible.
     jitter_salt: u64,
-    /// Flight recorder for per-hop `MsgHop` events. Only set when the
-    /// `trace.trace_messages` knob is on (per-hop volume dwarfs every other
-    /// event class); unset, each send pays one relaxed `OnceLock` read.
-    recorder: OnceLock<Arc<FlightRecorder>>,
 }
 
 /// One round of splitmix64: turns correlated seeds (0, 1, 2, …) into
@@ -102,36 +87,14 @@ fn splitmix64(mut x: u64) -> u64 {
 impl SimNetwork {
     pub fn new(num_partitions: usize, cfg: NetConfig, seed: u64) -> Self {
         SimNetwork {
-            cfg: RwLock::new(cfg),
+            cfg,
             num_partitions,
-            extra_delay_us: (0..num_partitions).map(|_| AtomicU64::new(0)).collect(),
             health: (0..num_partitions)
                 .map(|_| AtomicU8::new(PartitionHealth::Up.encode()))
                 .collect(),
             messages: AtomicU64::new(0),
             round_trips: AtomicU64::new(0),
-            commit_messages: AtomicU64::new(0),
             jitter_salt: splitmix64(seed),
-            recorder: OnceLock::new(),
-        }
-    }
-
-    /// Attach the cluster flight recorder for per-hop tracing. The cluster
-    /// only calls this when `trace.trace_messages` is enabled.
-    pub fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    fn trace_hop(&self, from: PartitionId, to: PartitionId) {
-        if let Some(rec) = self.recorder.get() {
-            rec.emit(
-                None,
-                Some(from),
-                TraceEventKind::MsgHop {
-                    from: from.0,
-                    to: to.0,
-                },
-            );
         }
     }
 
@@ -140,20 +103,7 @@ impl SimNetwork {
     }
 
     pub fn config(&self) -> NetConfig {
-        *self.cfg.read()
-    }
-
-    pub fn set_config(&self, cfg: NetConfig) {
-        *self.cfg.write() = cfg;
-    }
-
-    /// Add an extra per-destination one-way delay (Fig 13a lag injection).
-    pub fn set_extra_delay_us(&self, to: PartitionId, us: u64) {
-        self.extra_delay_us[to.idx()].store(us, Ordering::Relaxed);
-    }
-
-    pub fn extra_delay_us(&self, to: PartitionId) -> u64 {
-        self.extra_delay_us[to.idx()].load(Ordering::Relaxed)
+        self.cfg
     }
 
     /// Mark a partition as crashed (it will not be reachable) or fully up.
@@ -189,26 +139,24 @@ impl SimNetwork {
         if from == to {
             return 0;
         }
-        let cfg = *self.cfg.read();
-        let jitter = if cfg.jitter_us > 0 {
+        let jitter = if self.cfg.jitter_us > 0 {
             // Cheap stateless jitter: hash of a counter.
             let x = self
                 .messages
                 .load(Ordering::Relaxed)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ self.jitter_salt;
-            x % (cfg.jitter_us + 1)
+            x % (self.cfg.jitter_us + 1)
         } else {
             0
         };
-        cfg.one_way_us + jitter + self.extra_delay_us[to.idx()].load(Ordering::Relaxed)
+        self.cfg.one_way_us + jitter
     }
 
     /// Charge a one-way message from `from` to `to`. Returns `false` if the
     /// destination is crashed (message lost).
     pub fn one_way(&self, from: PartitionId, to: PartitionId) -> bool {
         self.messages.fetch_add(1, Ordering::Relaxed);
-        self.trace_hop(from, to);
         charge_latency_us(self.one_way_latency_us(from, to));
         !self.is_crashed(to)
     }
@@ -221,8 +169,6 @@ impl SimNetwork {
         }
         self.messages.fetch_add(2, Ordering::Relaxed);
         self.round_trips.fetch_add(1, Ordering::Relaxed);
-        self.trace_hop(from, to);
-        self.trace_hop(to, from);
         if self.is_crashed(to) {
             // The request times out: charge only the outbound latency.
             charge_latency_us(self.one_way_latency_us(from, to));
@@ -234,8 +180,8 @@ impl SimNetwork {
 
     /// Send one round trip that fans out to several destinations in parallel
     /// (a batched read fan-out, a 2PC prepare to all participants) without
-    /// waiting for it: messages and the round trip are counted, the hops
-    /// traced and every destination's health sampled now, and the replies
+    /// waiting for it: messages and the round trip are counted and every
+    /// destination's health sampled now, and the replies
     /// are back at `now + 2 x` the slowest destination's one-way latency —
     /// the slowest, not the sum. `ok` is `false` if any destination is
     /// crashed.
@@ -247,8 +193,6 @@ impl SimNetwork {
             self.messages.fetch_add(hops, Ordering::Relaxed);
             self.round_trips.fetch_add(1, Ordering::Relaxed);
             for p in remote() {
-                self.trace_hop(from, p);
-                self.trace_hop(p, from);
                 max_us = max_us.max(self.one_way_latency_us(from, p));
                 ok &= !self.is_crashed(p);
             }
@@ -276,9 +220,6 @@ impl SimNetwork {
         }
         self.messages
             .fetch_add(remote.len() as u64, Ordering::Relaxed);
-        for p in &remote {
-            self.trace_hop(from, *p);
-        }
         // The sender does not wait for delivery: sending is effectively free
         // for the caller beyond a small serialization cost.
         charge_latency_us(1);
@@ -294,21 +235,6 @@ impl SimNetwork {
         self.messages.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Attribute `n` already-charged one-way hops to the atomic-commit
-    /// layer's vote/decision fan-out. Call this *alongside* the charging
-    /// send (`round_trip_multi` / `one_way_multi` / the replicated log's
-    /// `note_background_messages`), never instead of it: this increments
-    /// only the breakdown counter, not the message total.
-    pub fn note_commit_messages(&self, n: u64) {
-        self.commit_messages.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Of [`SimNetwork::messages_sent`]: hops attributed to atomic-commit
-    /// vote/decision fan-out.
-    pub fn commit_messages_sent(&self) -> u64 {
-        self.commit_messages.load(Ordering::Relaxed)
-    }
-
     /// Number of one-way messages charged so far.
     pub fn messages_sent(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
@@ -317,11 +243,6 @@ impl SimNetwork {
     /// Number of round trips charged so far.
     pub fn round_trips_charged(&self) -> u64 {
         self.round_trips.load(Ordering::Relaxed)
-    }
-
-    /// Jitter helper exposed for deterministic tests.
-    pub fn sample_latency_us(&self, from: PartitionId, to: PartitionId, _rng: &mut FastRng) -> u64 {
-        self.one_way_latency_us(from, to)
     }
 }
 
@@ -336,7 +257,6 @@ mod tests {
             NetConfig {
                 one_way_us,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             0x5EED,
         )
@@ -347,30 +267,18 @@ mod tests {
         let cfg = NetConfig {
             one_way_us: 0,
             jitter_us: 1_000_000,
-            control_msg_extra_us: 0,
         };
-        let mut rng = primo_common::FastRng::new(1);
+        let sample =
+            |seed| SimNetwork::new(2, cfg, seed).one_way_latency_us(PartitionId(0), PartitionId(1));
         // Different seeds sample different jitter …
-        let samples: Vec<u64> = (0..16u64)
-            .map(|seed| {
-                SimNetwork::new(2, cfg, seed).sample_latency_us(
-                    PartitionId(0),
-                    PartitionId(1),
-                    &mut rng,
-                )
-            })
-            .collect();
+        let samples: Vec<u64> = (0..16u64).map(sample).collect();
         let distinct: std::collections::HashSet<_> = samples.iter().collect();
         assert!(
             distinct.len() > 8,
             "adjacent seeds must decorrelate: {samples:?}"
         );
         // … while the same seed reproduces the same jitter.
-        let a =
-            SimNetwork::new(2, cfg, 7).sample_latency_us(PartitionId(0), PartitionId(1), &mut rng);
-        let b =
-            SimNetwork::new(2, cfg, 7).sample_latency_us(PartitionId(0), PartitionId(1), &mut rng);
-        assert_eq!(a, b);
+        assert_eq!(sample(7), sample(7));
     }
 
     #[test]
@@ -456,34 +364,12 @@ mod tests {
     }
 
     #[test]
-    fn extra_delay_applies_to_destination() {
-        let n = net(10);
-        n.set_extra_delay_us(PartitionId(1), 300);
-        assert_eq!(n.extra_delay_us(PartitionId(1)), 300);
-        let start = Instant::now();
-        n.round_trip(PartitionId(0), PartitionId(1));
-        assert!(start.elapsed().as_micros() >= 600);
-        let start = Instant::now();
-        n.round_trip(PartitionId(0), PartitionId(2));
-        assert!(start.elapsed().as_micros() < 500);
-    }
-
-    #[test]
     fn background_messages_count_without_charging_latency() {
         let n = net(5000);
         let start = Instant::now();
         n.note_background_messages(3);
         assert!(start.elapsed().as_millis() < 2);
         assert_eq!(n.messages_sent(), 3);
-    }
-
-    #[test]
-    fn commit_message_breakdown_does_not_inflate_the_total() {
-        let n = net(10);
-        n.round_trip_multi(PartitionId(0), &[PartitionId(1), PartitionId(2)]);
-        n.note_commit_messages(4);
-        assert_eq!(n.messages_sent(), 4, "breakdown must not double-count");
-        assert_eq!(n.commit_messages_sent(), 4);
     }
 
     #[test]

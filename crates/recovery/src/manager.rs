@@ -339,7 +339,6 @@ mod tests {
             NetConfig {
                 one_way_us: 0,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             1,
         )
@@ -547,7 +546,9 @@ mod tests {
         /// Wait until everything logged so far is quorum-durable.
         fn settle(&self) {
             for log in &self.logs {
-                let last = log.end_lsn() - 1;
+                let Some(last) = log.end_lsn().checked_sub(1) else {
+                    continue;
+                };
                 while log.durable_lsn() < Some(last) {
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -610,6 +611,33 @@ mod tests {
             (verdict, kept),
             (CommitOutcome::CrashAborted, vec![(false, false)])
         );
+    }
+
+    #[test]
+    fn clv_verdict_matches_recovery_for_a_local_write_set_logged_after_the_crash() {
+        // A transaction local to p0 is in flight when p0 crashes and appends
+        // its write-set after the crash instant but before p0's quorum cut
+        // is taken, then reports its commit. Whether or not the write-set is
+        // quorum-durable at the cut, the verdict must be what recovery keeps.
+        for durable_at_cut in [false, true] {
+            let sides = TwoSides::new(LoggingScheme::Clv, 10, 50_000);
+            let (gc, p0) = (&sides.gc, PartitionId(0));
+            let ticket = gc.begin_txn(p0, TxnId::new(p0, 1));
+            let token = sides.agree();
+            log_put(&sides.logs[0], 1, 1, 1, 1);
+            sides.stores[0].insert(TableId(0), 1, Value::from_u64(1));
+            if durable_at_cut {
+                sides.settle();
+            }
+            let waiter = gc.txn_committed(&ticket, 1, 1);
+            let kept = sides.crash_p0(token, &[1]);
+            let verdict = gc.wait_durable(&waiter);
+            assert_eq!(
+                verdict == CommitOutcome::Committed,
+                kept[0].0,
+                "durable at the cut: {durable_at_cut}, verdict {verdict:?}, kept {kept:?}"
+            );
+        }
     }
 
     #[test]

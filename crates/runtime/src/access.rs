@@ -454,16 +454,6 @@ impl AccessSet {
             }
         }
     }
-
-    /// Fraction of accesses that are reads (excluding dummy reads).
-    pub fn read_fraction(&self) -> f64 {
-        let reads = self.reads.iter().filter(|r| !r.dummy).count();
-        let writes = self.writes.len();
-        if reads + writes == 0 {
-            return 1.0;
-        }
-        reads as f64 / (reads + writes) as f64
-    }
 }
 
 #[cfg(test)]
@@ -678,20 +668,5 @@ mod tests {
         a.release_all_locks(txn);
         assert!(a.reads.iter().all(|r| r.locked.is_none()));
         assert!(!a.reads[1].record.lock().is_locked());
-    }
-
-    #[test]
-    fn read_fraction_counts_non_dummy_reads() {
-        let mut a = AccessSet::new();
-        a.reads.push(entry(0, 1, false));
-        a.reads.push(entry(0, 2, false));
-        a.buffer_write(WriteEntry::put(
-            PartitionId(0),
-            TableId(0),
-            2,
-            Value::from_u64(0),
-        ));
-        assert!((a.read_fraction() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(AccessSet::new().read_fraction(), 1.0);
     }
 }

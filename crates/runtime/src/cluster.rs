@@ -26,8 +26,6 @@ pub struct Partition {
     /// The partition's replicated durable log: a quorum of replicas is the
     /// unit of durability, not any single copy.
     pub log: Arc<ReplicatedLog>,
-    /// Local transaction counter for TID assignment (§4.1).
-    next_seq: AtomicU64,
     /// Extra per-transaction execution delay, microseconds. Simulates a slow
     /// partition ("masked cores", Fig 13b).
     slowdown_us: AtomicU64,
@@ -59,21 +57,11 @@ impl Partition {
             id,
             store: PartitionStore::with_max_versions(id, max_versions),
             log,
-            next_seq: AtomicU64::new(1),
             slowdown_us: AtomicU64::new(0),
             superseded: Mutex::new(VecDeque::new()),
             version_horizon: AtomicU64::new(0),
             pruned_versions: AtomicU64::new(0),
         }
-    }
-
-    /// Assign a globally unique TID coordinated by this partition.
-    pub fn next_txn_id(&self, global_seq: &AtomicU64) -> TxnId {
-        // The sequence component is global so that WAIT_DIE priorities are
-        // comparable across coordinators (older == smaller everywhere).
-        let seq = global_seq.fetch_add(1, Ordering::Relaxed);
-        let _ = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        TxnId::new(self.id, seq)
     }
 
     pub fn set_slowdown_us(&self, us: u64) {
@@ -82,11 +70,6 @@ impl Partition {
 
     pub fn slowdown_us(&self) -> u64 {
         self.slowdown_us.load(Ordering::Relaxed)
-    }
-
-    /// Number of transactions this partition has coordinated.
-    pub fn coordinated_txns(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed) - 1
     }
 
     /// Installs on this partition whose superseded versions are still
@@ -175,7 +158,7 @@ impl Cluster {
         let net = Arc::new(SimNetwork::new(n, config.net, config.seed));
         // Control messages (watermarks / epochs) travel one-way over the bus;
         // give them the same base latency as a data message.
-        let bus = DelayedBus::new(n, config.net.one_way_us + config.net.control_msg_extra_us);
+        let bus = DelayedBus::new(n, config.net.one_way_us);
         // The replicated durable logs exist before the group-commit scheme:
         // watermark agents log their published `Wp` and COCO seals epoch
         // boundaries into them, which is what bounds recovery replay. Each
@@ -205,11 +188,6 @@ impl Cluster {
             log.set_recorder(Arc::clone(&recorder));
         }
         group_commit.set_recorder(Arc::clone(&recorder));
-        // Per-hop message events are opt-in: the network's recorder stays
-        // unset unless the knob is on, so the send hot path pays nothing.
-        if config.trace.trace_messages {
-            net.set_recorder(Arc::clone(&recorder));
-        }
         let max_versions = config.primo.max_versions;
         let partitions = logs
             .into_iter()
@@ -247,9 +225,11 @@ impl Cluster {
         &self.partitions[id.idx()]
     }
 
-    /// Assign a new TID coordinated by `coord`.
+    /// Assign a new TID coordinated by `coord`. The sequence component is
+    /// global so that WAIT_DIE priorities are comparable across coordinators
+    /// (older == smaller everywhere).
     pub fn next_txn_id(&self, coord: PartitionId) -> TxnId {
-        self.partitions[coord.idx()].next_txn_id(&self.global_seq)
+        TxnId::new(coord, self.global_seq.fetch_add(1, Ordering::Relaxed))
     }
 
     /// The atomic-commit protocol this cluster runs distributed commits
@@ -275,12 +255,6 @@ impl Cluster {
         self.coordinator_crash
             .compare_exchange(u64::from(p.0) + 1, 0, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
-    }
-
-    /// Whether a coordinator crash is still armed (i.e. no distributed
-    /// prepare has consumed it yet).
-    pub fn coordinator_crash_armed(&self) -> bool {
-        self.coordinator_crash.load(Ordering::SeqCst) != 0
     }
 
     /// Account one transaction orphaned by a coordinator crash under
@@ -731,7 +705,10 @@ mod tests {
         let b = cluster.next_txn_id(PartitionId(1));
         let c = cluster.next_txn_id(PartitionId(0));
         assert!(a < b && b < c);
-        assert_eq!(cluster.partition(PartitionId(0)).coordinated_txns(), 2);
+        assert_eq!(
+            (a.coordinator(), b.coordinator()),
+            (PartitionId(0), PartitionId(1))
+        );
         cluster.shutdown();
     }
 

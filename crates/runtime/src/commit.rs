@@ -295,9 +295,6 @@ impl AtomicCommit for ClassicTwoPc {
             return None;
         }
         let round = Round::send(cluster, home, participants);
-        cluster
-            .net
-            .note_commit_messages(2 * participants.len() as u64);
         // Prepare to acknowledgements back — whenever they are taken up.
         cluster.record_commit_decision(round.ready_at_us().saturating_sub(prepared.at_us));
         Some(round)
@@ -314,7 +311,6 @@ impl AtomicCommit for ClassicTwoPc {
             return;
         }
         cluster.net.one_way_multi(home, participants);
-        cluster.net.note_commit_messages(participants.len() as u64);
         cluster
             .recorder
             .emit(Some(txn), Some(home), decided_unacknowledged(false));
@@ -361,11 +357,7 @@ impl PaxosCommit {
             }
         }
         for p in std::iter::once(home).chain(participants.iter().copied()) {
-            let log = &cluster.partition(p).log;
-            log.append(LogPayload::CommitDecision { txn, commit: false });
-            cluster
-                .net
-                .note_commit_messages(log.replication_factor() as u64 - 1);
+            (cluster.partition(p).log).append(LogPayload::CommitDecision { txn, commit: false });
         }
         cluster.recorder.emit(
             Some(txn),
@@ -421,9 +413,6 @@ impl AtomicCommit for PaxosCommit {
                 coordinator: home,
                 commit: true,
             });
-            cluster
-                .net
-                .note_commit_messages(log.replication_factor() as u64 - 1);
             cluster.recorder.emit(
                 Some(txn),
                 Some(p),
@@ -456,14 +445,9 @@ impl AtomicCommit for PaxosCommit {
         // from the durable decision). This removes classic 2PC's second
         // round trip from the commit critical path.
         for p in std::iter::once(home).chain(participants.iter().copied()) {
-            let log = &cluster.partition(p).log;
-            log.append(LogPayload::CommitDecision { txn, commit: true });
-            cluster
-                .net
-                .note_commit_messages(log.replication_factor() as u64 - 1);
+            (cluster.partition(p).log).append(LogPayload::CommitDecision { txn, commit: true });
         }
         cluster.net.one_way_multi(home, participants);
-        cluster.net.note_commit_messages(participants.len() as u64);
         cluster.record_commit_decision(prepared.elapsed_us());
         cluster
             .recorder
@@ -482,14 +466,9 @@ impl AtomicCommit for PaxosCommit {
             return;
         }
         for p in std::iter::once(home).chain(participants.iter().copied()) {
-            let log = &cluster.partition(p).log;
-            log.append(LogPayload::CommitDecision { txn, commit: false });
-            cluster
-                .net
-                .note_commit_messages(log.replication_factor() as u64 - 1);
+            (cluster.partition(p).log).append(LogPayload::CommitDecision { txn, commit: false });
         }
         cluster.net.one_way_multi(home, participants);
-        cluster.net.note_commit_messages(participants.len() as u64);
         cluster
             .recorder
             .emit(Some(txn), Some(home), decided_unacknowledged(false));
@@ -509,11 +488,7 @@ impl AtomicCommit for PaxosCommit {
         // The prepare round's response already carried the decision; only
         // the durable resolution of the logged votes remains.
         for p in std::iter::once(home).chain(participants.iter().copied()) {
-            let log = &cluster.partition(p).log;
-            log.append(LogPayload::CommitDecision { txn, commit: true });
-            cluster
-                .net
-                .note_commit_messages(log.replication_factor() as u64 - 1);
+            (cluster.partition(p).log).append(LogPayload::CommitDecision { txn, commit: true });
         }
         cluster.record_commit_decision(prepared.elapsed_us());
         cluster

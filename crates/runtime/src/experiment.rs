@@ -186,7 +186,7 @@ pub struct ExperimentOptions {
     pub duration: Duration,
     pub crash: Option<CrashPlan>,
     /// Extra one-way delay for control (watermark / epoch) messages sent by
-    /// this partition — Fig 13a.
+    /// this partition on the bus — Fig 13a. Data messages are not delayed.
     pub lag_partition: Option<(PartitionId, u64)>,
     /// Extra per-transaction execution time on this partition — Fig 13b
     /// ("masked cores").
@@ -244,7 +244,6 @@ pub fn run_on_cluster(
 
     if let Some((p, us)) = options.lag_partition {
         cluster.bus.set_extra_delay_from(p, us);
-        cluster.net.set_extra_delay_us(p, us);
     }
     if let Some((p, us)) = options.slow_partition {
         cluster.partition(p).set_slowdown_us(us);

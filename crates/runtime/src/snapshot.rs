@@ -54,11 +54,20 @@ pub struct SnapshotSession<'a> {
 }
 
 impl<'a> SnapshotSession<'a> {
+    /// A session at the cluster's durable horizon now.
     pub fn new(cluster: &'a Cluster, home: PartitionId) -> Self {
+        Self::at(cluster, home, cluster.snapshot_horizon())
+    }
+
+    /// A session at an explicit `horizon`. Only one at or below
+    /// [`Cluster::snapshot_horizon`] is sound: a later one can observe
+    /// commits a crash still rolls back (the crash-consistency suite builds
+    /// such a reader to show it would catch one).
+    pub fn at(cluster: &'a Cluster, home: PartitionId, horizon: Ts) -> Self {
         SnapshotSession {
             cluster,
             home,
-            horizon: cluster.snapshot_horizon(),
+            horizon,
             visited: Vec::new(),
             needs_fallback: false,
             reads: 0,

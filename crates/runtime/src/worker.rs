@@ -1131,6 +1131,29 @@ mod tests {
     /// replay's dedup-by-transaction merges the rolled-back and the
     /// committed attempt — and a `TxnRolledBack` marker for the first
     /// attempt would cancel the committed one too.
+    /// [`LoggingProtocol`] whose first attempt waits at a barrier right
+    /// after its append.
+    struct FirstAppendBarrier(std::sync::Barrier, AtomicBool);
+
+    impl Protocol for FirstAppendBarrier {
+        fn name(&self) -> &'static str {
+            "first-append-barrier"
+        }
+        fn start<'a>(
+            &self,
+            cluster: &'a Cluster,
+            program: &dyn TxnProgram,
+            ticket: Arc<TxnTicket>,
+            fanout: ReadFanout,
+        ) -> Step<'a> {
+            let step = LoggingProtocol.start(cluster, program, ticket, fanout);
+            if !self.1.swap(true, Ordering::Relaxed) {
+                self.0.wait();
+            }
+            step
+        }
+    }
+
     #[test]
     fn retries_after_crash_abort_use_fresh_txn_ids() {
         let mut config = ClusterConfig::for_tests(1);
@@ -1141,15 +1164,17 @@ mod tests {
             home: PartitionId(0),
             accesses: vec![],
         };
-        let c2 = Arc::clone(&cluster);
-        let runner = std::thread::spawn(move || run_session_txn(&c2, &LoggingProtocol, &prog));
-        // Inject the scheme-level crash while the first attempt is inside
-        // its persist window (the partition itself stays up): under CLV a
-        // commit whose window spans the crash instant is rolled back; the
-        // retry starts after the instant and commits.
-        while cluster.partition(PartitionId(0)).log.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let protocol = Arc::new(FirstAppendBarrier(
+            std::sync::Barrier::new(2),
+            AtomicBool::new(false),
+        ));
+        let (c2, p2) = (Arc::clone(&cluster), Arc::clone(&protocol));
+        let runner = std::thread::spawn(move || run_session_txn(&c2, p2.as_ref(), &prog));
+        // Inject the scheme-level crash right after the first attempt's
+        // append, inside its persist window (the partition itself stays
+        // up): under CLV a commit whose window spans the crash instant is
+        // rolled back; the retry starts after the instant and commits.
+        protocol.0.wait();
         cluster.group_commit.on_partition_crash(PartitionId(0));
         let attempts = runner.join().unwrap().expect("the retry commits");
         assert!(

@@ -101,18 +101,6 @@ impl Table {
         rec
     }
 
-    /// Insert only if absent; returns the (existing or new) record and whether
-    /// an insert happened. Used for constraint checking (unique keys).
-    pub fn insert_if_absent(&self, key: Key, value: Value) -> (Arc<Record>, bool) {
-        let mut shard = self.shards[self.shard_of(key)].write();
-        if let Some(existing) = shard.get(&key) {
-            return (Arc::clone(existing), false);
-        }
-        let rec = self.new_record(value);
-        shard.insert(key, Arc::clone(&rec));
-        (rec, true)
-    }
-
     /// Claim the slot for an insert by `owner`: reuse an existing record,
     /// create a fresh `UncommittedInsert` one, or revive a tombstone. Runs
     /// under the shard write lock so it cannot race reclamation or another
@@ -353,16 +341,6 @@ mod tests {
         assert!(t.remove(42));
         assert!(!t.remove(42));
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn insert_if_absent_respects_existing() {
-        let t = Table::new();
-        let (_, inserted) = t.insert_if_absent(1, Value::from_u64(10));
-        assert!(inserted);
-        let (rec, inserted) = t.insert_if_absent(1, Value::from_u64(20));
-        assert!(!inserted);
-        assert_eq!(rec.read().value.as_u64(), 10);
     }
 
     #[test]

@@ -104,8 +104,6 @@ pub enum TraceEventKind {
     RecoveryReplay { pass: u32, entries: u64 },
     /// The partition's replicated log elected a new leader.
     LeaderChange { term: u64, leader: u32 },
-    /// A simulated network hop (optional, off by default).
-    MsgHop { from: u32, to: u32 },
     /// Paxos Commit: a prepare vote was appended to a partition's replicated
     /// log at `lsn` (`commit` is the vote itself).
     VoteLogged { lsn: u64, commit: bool },
@@ -221,7 +219,6 @@ impl TraceEventKind {
             Compensation { writes } => (18, writes, 0, 0),
             RecoveryReplay { pass, entries } => (19, pass as u64, entries, 0),
             LeaderChange { term, leader } => (20, term, leader as u64, 0),
-            MsgHop { from, to } => (21, from as u64, to as u64, 0),
             VoteLogged { lsn, commit } => (22, lsn, commit as u64, 0),
             VoteQuorumDurable { lsn } => (23, lsn, 0, 0),
             DecisionReached {
@@ -314,10 +311,6 @@ impl TraceEventKind {
             20 => LeaderChange {
                 term: a,
                 leader: b as u32,
-            },
-            21 => MsgHop {
-                from: a as u32,
-                to: b as u32,
             },
             22 => VoteLogged {
                 lsn: a,
@@ -466,7 +459,6 @@ mod tests {
                 entries: 200,
             },
             TraceEventKind::LeaderChange { term: 3, leader: 1 },
-            TraceEventKind::MsgHop { from: 0, to: 2 },
             TraceEventKind::VoteLogged {
                 lsn: 12,
                 commit: true,

@@ -11,9 +11,12 @@
 //! persist delay has elapsed (dependencies are older, hence durable by then).
 //! A crash rolls back exactly the transactions whose write-set it finds in
 //! the logs appended but not yet quorum-durable at its instant — the rule
-//! recovery and compensation apply to the same entries.
+//! recovery and compensation apply to the same entries — and those in
+//! flight on the crashed partition whose write-set lands there after it:
+//! the dead leader's log keeps nothing it had not acknowledged by then.
 
 use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
+use crate::log::ReplayBound;
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
 use parking_lot::{Condvar, Mutex};
@@ -21,7 +24,7 @@ use primo_common::config::WalConfig;
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_trace::{FlightRecorder, TraceEventKind};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// Cost of maintaining the dependency graph, per record accessed,
@@ -57,6 +60,14 @@ struct Verdicts {
     /// (see [`GroupCommit::on_txns_rolled_back`]). Their verdict is
     /// `CrashAborted`.
     rolled_back: HashSet<TxnId>,
+    /// Per crash: its instant, the crashed partition and the first LSN of
+    /// that partition's log not acknowledged by the instant. Recovery
+    /// replays the log below it and drops the rest.
+    cuts: Vec<(u64, PartitionId, u64)>,
+    /// The transactions in flight on a crashed partition at its instant,
+    /// with that crash's cut: one whose write-set then lands at or past the
+    /// cut is rolled back when it reports.
+    orphans: HashMap<TxnId, u64>,
     /// Crashes still reading their write-sets off the logs, and the
     /// earliest one's instant.
     scans: u32,
@@ -86,7 +97,7 @@ impl ClvCommit {
             logs,
             verdicts: Mutex::default(),
             scanned: Condvar::new(),
-            tracker: SnapshotTracker::new(cfg.unsafe_latest_commit_horizon),
+            tracker: SnapshotTracker::default(),
             recorder: OnceLock::new(),
         }
     }
@@ -121,7 +132,14 @@ impl GroupCommit for ClvCommit {
         // doomed and caps the horizon until compensation. Checked and
         // registered under the lock a crash takes to doom, so the commit is
         // doomed here or there.
-        let verdicts = self.verdicts.lock();
+        let mut verdicts = self.verdicts.lock();
+        if let Some(cut) = verdicts.orphans.remove(&ticket.txn) {
+            let log = &self.logs[ticket.coordinator.idx()];
+            let past_cut = log.collect_rolled_back(&ReplayBound::Lsn(cut), None);
+            if past_cut.iter().any(|(txn, ..)| *txn == ticket.txn) {
+                verdicts.rolled_back.insert(ticket.txn);
+            }
+        }
         let doomed = verdicts.rolled_back.contains(&ticket.txn);
         self.tracker
             .commit(ticket.txn, ts, Release::AtUs(ready_at), doomed);
@@ -201,17 +219,23 @@ impl GroupCommit for ClvCommit {
         self.tracker.compensation_complete();
     }
 
-    fn rollback_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> crate::ReplayBound {
-        // `crash_token` is the crash instant. The commits rolled back are
-        // precisely those whose write-set's persist window spans it — on
-        // every partition, the crashed one included — and the crash read
-        // them off the logs by this very bound (`on_partition_crash`).
-        // Entries durable before the crash, and entries appended after it
-        // (post-crash commits), stay committed. The crashed partition's
-        // quorum cut is taken after this instant, so a write-set that
-        // became durable in between is inside the cut but not covered: it
-        // is dropped there as it is undone on the survivors.
-        crate::ReplayBound::PersistWindow(crash_token)
+    fn rollback_bound(&self, crash_token: Ts, log: &ReplicatedLog) -> ReplayBound {
+        // `crash_token` is the crash instant. On a survivor the commits
+        // rolled back are precisely those whose write-set's persist window
+        // spans it, and the crash read them off the logs by this very bound
+        // (`on_partition_crash`); entries durable before the crash, and
+        // entries appended after it (post-crash commits), stay committed.
+        // The crashed partition keeps only what was acknowledged by the
+        // instant: its quorum cut is taken later, and neither a write-set
+        // that became durable in between nor one its in-flight
+        // transactions appended after the instant is kept.
+        let verdicts = self.verdicts.lock();
+        let cut =
+            (verdicts.cuts.iter()).find(|(t, p, _)| *t == crash_token && *p == log.partition());
+        match cut {
+            Some(&(.., lsn)) => ReplayBound::Lsn(lsn),
+            None => ReplayBound::PersistWindow(crash_token),
+        }
     }
 
     fn on_partition_crash(&self, p: PartitionId) -> Ts {
@@ -219,16 +243,25 @@ impl GroupCommit for ClvCommit {
         // when one of its write-sets was appended before the crash instant
         // but not yet quorum-durable by it, which is the bound recovery and
         // compensation apply. Reporting `txn_committed` after the instant
-        // changes nothing. The tracker stamps the instant and holds the
-        // horizon until compensation; doomed commits keep capping it until
-        // then, and none is released in between. The instant is stamped
-        // under the verdicts' lock and the logs are read outside it: until
-        // the scan is merged, a commit whose persist window ends after the
-        // instant has no verdict (`Verdicts::undecided`), and the others
-        // read theirs unhindered.
+        // changes nothing. The transactions in flight on `p` at the instant
+        // are rolled back when they report if their write-set landed on `p`
+        // past what `p` had acknowledged by then, which its recovery drops.
+        // The tracker stamps the instant and holds the horizon until
+        // compensation; doomed commits keep capping it until then, and none
+        // is released in between. The instant is stamped under the
+        // verdicts' lock and the logs are read outside it: until the scan
+        // is merged, a commit whose persist window ends after the instant
+        // has no verdict (`Verdicts::undecided`), and the others read
+        // theirs unhindered.
         let t = {
             let mut verdicts = self.verdicts.lock();
             let t = self.tracker.open_crash();
+            let cut = self.logs[p.idx()].unacked_from(t);
+            verdicts.cuts.push((t, p, cut));
+            let orphans = self.tracker.drop_actives_of(p);
+            verdicts
+                .orphans
+                .extend(orphans.into_iter().map(|txn| (txn, cut)));
             if verdicts.scans == 0 {
                 verdicts.scan_from = t;
             }
@@ -238,7 +271,7 @@ impl GroupCommit for ClvCommit {
         // An append stamped with the crash's own microsecond could still
         // miss the scan below.
         wait_until(t + 1);
-        let bound = crate::ReplayBound::PersistWindow(t);
+        let bound = ReplayBound::PersistWindow(t);
         let caught: HashSet<TxnId> = (self.logs.iter())
             .flat_map(|log| log.collect_rolled_back(&bound, None))
             .map(|(txn, ..)| txn)
@@ -249,9 +282,6 @@ impl GroupCommit for ClvCommit {
         verdicts.scans -= 1;
         drop(verdicts);
         self.scanned.notify_all();
-        // The crashed partition's in-flight transactions will never report
-        // back.
-        self.tracker.drop_actives_of(p);
         t
     }
 
@@ -326,7 +356,6 @@ mod tests {
             force_update: false,
             replication_factor: 3,
             replica_persist_delay_us: Some(900),
-            ..WalConfig::default()
         };
         let gc = ClvCommit::new(1, cfg, crate::build_logs(1, cfg));
         let ticket = gc.begin_txn(PartitionId(0), tid(9));

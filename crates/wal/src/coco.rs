@@ -9,9 +9,9 @@
 //! scalability and what Primo's watermark scheme removes.
 //!
 //! The synchronization cost charged per epoch is:
-//! `2 × (control-message delay + slowest partition's extra lag) +
-//!  log persist delay + per-partition coordinator processing + straggler
-//!  stalls`. The probability that at least one partition straggles in a given
+//! `coordinator's lag + slowest other partition's lag (their bus delays,
+//!  Fig 13a) + log persist delay + per-partition coordinator processing +
+//!  straggler stalls`. The probability that at least one partition straggles in a given
 //! epoch grows with the partition count, which reproduces COCO's throughput
 //! plateau beyond ~12 partitions (Fig 14).
 
@@ -58,7 +58,7 @@ struct EpochState {
 pub struct CocoCommit {
     cfg: WalConfig,
     num_partitions: usize,
-    #[allow(dead_code)]
+    /// The control bus: its per-sender lag slows the epoch exchange.
     bus: Arc<DelayedBus>,
     /// Current execution epoch.
     epoch: AtomicU64,
@@ -73,8 +73,6 @@ pub struct CocoCommit {
     /// Cached worst-partition quorum-ack delay (immutable after
     /// construction): the floor of every epoch confirmation.
     ack_delay_us: u64,
-    /// Extra one-way control-message delay per partition (Fig 13a lag).
-    extra_delay_us: Vec<AtomicU64>,
     stop: Arc<AtomicBool>,
     coordinator: Mutex<Option<JoinHandle<()>>>,
     /// MVCC snapshot-horizon bookkeeping: commits release when their
@@ -117,10 +115,9 @@ impl CocoCommit {
                 crash_pending: false,
             }),
             cond: Condvar::new(),
-            extra_delay_us: (0..num_partitions).map(|_| AtomicU64::new(0)).collect(),
             stop: Arc::new(AtomicBool::new(false)),
             coordinator: Mutex::new(None),
-            tracker: SnapshotTracker::new(cfg.unsafe_latest_commit_horizon),
+            tracker: SnapshotTracker::default(),
             recorder: OnceLock::new(),
         });
         let me = Arc::clone(&gc);
@@ -130,15 +127,6 @@ impl CocoCommit {
             .expect("spawn coco coordinator");
         *gc.coordinator.lock() = Some(handle);
         gc
-    }
-
-    /// Simulate a lagging partition's epoch messages (Fig 13a).
-    pub fn set_extra_delay_us(&self, p: PartitionId, us: u64) {
-        self.extra_delay_us[p.idx()].store(us, Ordering::Relaxed);
-    }
-
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     pub fn committed_epoch(&self) -> u64 {
@@ -175,22 +163,19 @@ impl CocoCommit {
                 }
             }
 
-            // 4. Synchronous GROUP-PREPARE / GROUP-READY / GROUP-COMMIT.
-            let max_extra = self
-                .extra_delay_us
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0);
+            // 4. Synchronous GROUP-PREPARE / GROUP-READY / GROUP-COMMIT:
+            // the prepare pays the coordinator's lag on the bus, the
+            // slowest GROUP-READY its sender's.
+            let lag = |p: usize| self.bus.extra_delay_from(PartitionId(p as u32));
+            let round_lag = lag(0) + (1..self.num_partitions).map(lag).max().unwrap_or(0);
             // The epoch's log batch must be *quorum*-durable before the
             // coordinator can confirm it: under replication the slowest
             // quorum replica, not the local disk, sets the floor. (The
             // floor is exact — entries reach the followers stamped with
             // their original append instant, so the ack delay measures
             // replication, never when a follower happened to catch up.)
-            let mut sync_us = 2 * max_extra
-                + self.ack_delay_us
-                + PER_PARTITION_COORD_US * self.num_partitions as u64;
+            let mut sync_us =
+                round_lag + self.ack_delay_us + PER_PARTITION_COORD_US * self.num_partitions as u64;
             // Straggler model: each partition independently straggles with a
             // small probability; the coordinator waits for the slowest one.
             let mut straggle = 0;
@@ -454,6 +439,33 @@ mod tests {
         let waiter = gc.txn_committed(&ticket, 1, 1);
         assert_eq!(waiter.epoch, epoch);
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::CrashAborted);
+        gc.shutdown();
+    }
+
+    #[test]
+    fn a_lagging_partition_on_the_bus_slows_every_epoch() {
+        // Fig 13a: partition 1's control messages arrive 20 ms late, so its
+        // GROUP-READY does, and no epoch seals sooner after a commit.
+        const LAG_US: u64 = 20_000;
+        let bus = DelayedBus::new(2, 0);
+        bus.set_extra_delay_from(PartitionId(1), LAG_US);
+        let cfg = WalConfig {
+            scheme: LoggingScheme::CocoEpoch,
+            interval_ms: 1,
+            persist_delay_us: 100,
+            force_update: false,
+            ..WalConfig::default()
+        };
+        let gc = CocoCommit::new(2, cfg, bus, crate::build_logs(2, cfg));
+        let ticket = gc.begin_txn(PartitionId(0), tid(1));
+        let committed_at = now_us();
+        let waiter = gc.txn_committed(&ticket, 1, 1);
+        assert_eq!(gc.wait_durable(&waiter), CommitOutcome::Committed);
+        let waited_us = now_us() - committed_at;
+        assert!(
+            waited_us >= LAG_US,
+            "durable {waited_us} us after the commit"
+        );
         gc.shutdown();
     }
 

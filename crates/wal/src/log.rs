@@ -444,6 +444,16 @@ impl LogCopy {
         }
     }
 
+    /// The first LSN not acknowledged by `instant`: every entry below it
+    /// was (append instant + quorum-ack delay at or before it), and none
+    /// from it on — `appended_at_us` is monotone along the log.
+    pub(crate) fn unacked_from(&self, instant: u64) -> u64 {
+        let inner = self.inner.lock();
+        let acked =
+            (inner.entries).partition_point(|e| e.appended_at_us + self.ack_delay_us <= instant);
+        inner.entries.get(acked).map_or(inner.next_lsn, |e| e.lsn)
+    }
+
     /// The newest entry at or below `cut` that `pick` accepts. The cut **is**
     /// the durability horizon (the quorum's, computed by the caller): this
     /// copy's own disk delay must not filter further, or an elected leader

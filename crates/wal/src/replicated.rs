@@ -706,6 +706,12 @@ impl ReplicatedLog {
             .collect_rolled_back(bound, upper_cutoff)
     }
 
+    /// The first LSN of the (leader's) log not quorum-acknowledged by
+    /// `instant`.
+    pub(crate) fn unacked_from(&self, instant: u64) -> u64 {
+        self.leader_replica().unacked_from(instant)
+    }
+
     /// Clone the suffix of the (leader's) log starting at `from_lsn`.
     pub fn entries_from(&self, from_lsn: u64) -> Vec<LogEntry> {
         self.leader_replica().tail_from(from_lsn).0
@@ -1012,7 +1018,6 @@ mod tests {
                 force_update: true,
                 replication_factor: 3,
                 replica_persist_delay_us: Some(replica_us),
-                ..WalConfig::default()
             },
             hop_us,
             None,

@@ -66,28 +66,16 @@ struct Inner {
 }
 
 /// Shared horizon bookkeeping for CLV / sync / COCO (see module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotTracker {
     inner: Mutex<Inner>,
     /// Published monotone horizon.
     horizon: AtomicU64,
     /// Maximum finalized commit timestamp — the `ts_floor` source.
     max_finalized: AtomicU64,
-    /// Ablation: report the latest finalized commit as the horizon
-    /// (unsound; the crash-consistency suite proves it).
-    unsafe_latest: bool,
 }
 
 impl SnapshotTracker {
-    pub fn new(unsafe_latest: bool) -> Self {
-        SnapshotTracker {
-            inner: Mutex::new(Inner::default()),
-            horizon: AtomicU64::new(0),
-            max_finalized: AtomicU64::new(0),
-            unsafe_latest,
-        }
-    }
-
     /// The floor every new transaction's commit timestamp must exceed.
     pub fn ts_floor(&self) -> Ts {
         self.max_finalized.load(Ordering::Acquire)
@@ -222,13 +210,19 @@ impl SnapshotTracker {
         }
     }
 
-    /// The crashed partition's in-flight transactions will never report
-    /// back; drop their active entries so the horizon is not pinned forever.
-    pub fn drop_actives_of(&self, partition: PartitionId) {
+    /// The crashed partition's in-flight transactions may never report
+    /// back; drop their active entries so the horizon is not pinned forever,
+    /// and return them.
+    pub fn drop_actives_of(&self, partition: PartitionId) -> Vec<TxnId> {
         let mut inner = self.inner.lock();
-        inner.active.retain(|txn, _| txn.coordinator() != partition);
+        let dropped = (inner
+            .active
+            .extract_if(|txn, _| txn.coordinator() == partition))
+        .map(|(txn, _)| txn)
+        .collect();
         drop(inner);
         self.publish();
+        dropped
     }
 
     /// Crash compensation purged every rolled-back version from the chains:
@@ -269,9 +263,6 @@ impl SnapshotTracker {
     /// The current snapshot horizon. `now_us` lets CLV-style deadlines
     /// release lazily on the read path.
     pub fn horizon(&self, now_us: u64) -> Ts {
-        if self.unsafe_latest {
-            return self.max_finalized.load(Ordering::Acquire);
-        }
         self.release_due(now_us);
         self.horizon.load(Ordering::Acquire)
     }
@@ -287,7 +278,7 @@ mod tests {
 
     #[test]
     fn horizon_trails_active_transactions() {
-        let t = SnapshotTracker::new(false);
+        let t = SnapshotTracker::default();
         assert_eq!(t.horizon(0), 0);
         t.begin(tid(1));
         t.note_finalized(10);
@@ -306,7 +297,7 @@ mod tests {
 
     #[test]
     fn reserve_draws_above_the_floor_and_lifts_proposals() {
-        let t = SnapshotTracker::new(false);
+        let t = SnapshotTracker::default();
         let a = t.reserve(0);
         assert!(a > 0);
         assert_eq!(t.ts_floor(), a, "a drawn timestamp is the new floor");
@@ -323,7 +314,7 @@ mod tests {
 
     #[test]
     fn pending_caps_until_released() {
-        let t = SnapshotTracker::new(false);
+        let t = SnapshotTracker::default();
         t.begin(tid(1));
         t.note_finalized(7);
         t.commit(tid(1), 7, Release::AtUs(100), false);
@@ -333,7 +324,7 @@ mod tests {
 
     #[test]
     fn epochs_release_in_bulk() {
-        let t = SnapshotTracker::new(false);
+        let t = SnapshotTracker::default();
         for (seq, cts) in [(1u64, 5u64), (2, 6)] {
             t.begin(tid(seq));
             t.note_finalized(cts);
@@ -348,7 +339,7 @@ mod tests {
 
     #[test]
     fn doomed_transactions_cap_until_compensation() {
-        let t = SnapshotTracker::new(false);
+        let t = SnapshotTracker::default();
         t.begin(tid(1));
         t.note_finalized(9);
         t.commit(tid(1), 9, Release::AtUs(now_us() + 1_000_000), false);
@@ -368,7 +359,7 @@ mod tests {
 
     #[test]
     fn the_horizon_holds_while_a_crash_is_open() {
-        let t = SnapshotTracker::new(false);
+        let t = SnapshotTracker::default();
         t.begin(tid(1));
         let dead = TxnId::new(PartitionId(1), 2);
         t.begin(dead);
@@ -384,7 +375,7 @@ mod tests {
 
     #[test]
     fn crashed_partition_actives_are_dropped() {
-        let t = SnapshotTracker::new(false);
+        let t = SnapshotTracker::default();
         t.note_finalized(5);
         let dead = TxnId::new(PartitionId(1), 1);
         t.begin(dead);
@@ -394,13 +385,5 @@ mod tests {
         assert_eq!(t.horizon(0), 5);
         t.drop_actives_of(PartitionId(1));
         assert_eq!(t.horizon(0), 8);
-    }
-
-    #[test]
-    fn unsafe_mode_reports_latest_commit() {
-        let t = SnapshotTracker::new(true);
-        t.begin(tid(1));
-        t.note_finalized(42);
-        assert_eq!(t.horizon(0), 42, "ablation ignores durability entirely");
     }
 }

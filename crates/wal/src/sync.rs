@@ -41,7 +41,7 @@ impl SyncCommit {
         SyncCommit {
             num_partitions,
             ack_delay_us,
-            tracker: SnapshotTracker::new(cfg.unsafe_latest_commit_horizon),
+            tracker: SnapshotTracker::default(),
         }
     }
 

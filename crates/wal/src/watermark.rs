@@ -157,9 +157,6 @@ pub struct WatermarkCommit {
     /// is open, version chains may still hold rolled-back versions with
     /// `ts >= agreed`, so the snapshot horizon stays capped below it.
     snapshot_caps: Mutex<Vec<Ts>>,
-    /// Highest finalized commit timestamp — only used by the deliberately
-    /// unsound `unsafe_latest_commit_horizon` ablation.
-    max_finalized: AtomicU64,
     /// Cluster flight recorder, injected after construction. `Arc`-wrapped
     /// because the agent threads are already running by then — they share
     /// the cell and see the recorder as soon as it is set.
@@ -196,7 +193,6 @@ impl WatermarkCommit {
             agents: Mutex::new(Vec::new()),
             rolled_back_txns: Mutex::new(HashSet::new()),
             snapshot_caps: Mutex::new(Vec::new()),
-            max_finalized: AtomicU64::new(0),
             recorder: Arc::new(OnceLock::new()),
         };
         wm.start_agents();
@@ -500,7 +496,6 @@ impl GroupCommit for WatermarkCommit {
             let floor = self.parts[ticket.coordinator.idx()].floor();
             self.seq_ts.fetch_add(1, Ordering::Relaxed).max(floor + 1)
         };
-        self.max_finalized.fetch_max(final_ts, Ordering::AcqRel);
         let crash_idx = self.parts[ticket.coordinator.idx()]
             .wg
             .lock()
@@ -614,8 +609,7 @@ impl GroupCommit for WatermarkCommit {
         // order always matches install order and crash replay — which
         // applies entries in `ts` order — reconstructs exactly the state the
         // live run exposed.
-        let drawn = proposed == 0;
-        let proposed = if drawn {
+        let proposed = if proposed == 0 {
             self.seq_ts.fetch_add(1, Ordering::Relaxed)
         } else {
             proposed
@@ -634,18 +628,10 @@ impl GroupCommit for WatermarkCommit {
                 .fetch_max(ts, Ordering::AcqRel);
         }
         active.insert(ticket.txn, ts);
-        if drawn {
-            self.max_finalized.fetch_max(ts, Ordering::AcqRel);
-        }
         ts
     }
 
     fn snapshot_horizon(&self, p: PartitionId) -> Ts {
-        if self.cfg.unsafe_latest_commit_horizon {
-            // Deliberately unsound ablation: expose the newest finalized
-            // commit timestamp regardless of durability or crash agreement.
-            return self.max_finalized.load(Ordering::Acquire);
-        }
         // Everything with `ts < Wg` (this partition's view) has been reported
         // `Committed` — durable on every participant and below every possible
         // future crash agreement *once compensation for open crashes is
@@ -949,29 +935,6 @@ mod tests {
         // uncapped horizon reaches past it again.
         std::thread::sleep(Duration::from_millis(40));
         assert!(wm.snapshot_horizon(p) >= agreed);
-        wm.shutdown();
-    }
-
-    #[test]
-    fn unsafe_horizon_knob_exposes_undurable_commits() {
-        let bus = DelayedBus::new(2, 100);
-        let cfg = WalConfig {
-            scheme: primo_common::config::LoggingScheme::Watermark,
-            interval_ms: 200, // Wg will not catch up during the test
-            persist_delay_us: 100,
-            force_update: true,
-            unsafe_latest_commit_horizon: true,
-            ..WalConfig::default()
-        };
-        let wals = crate::build_logs(2, cfg);
-        let wm = WatermarkCommit::new(2, cfg, bus, wals);
-        let ticket = wm.begin_txn(PartitionId(0), tid(3));
-        wm.update_ts(&ticket, 500_000);
-        let _ = wm.txn_committed(&ticket, 500_000, 1);
-        // The ablation horizon races ahead of durability: it reports the
-        // freshly committed (but not yet watermark-covered) timestamp.
-        assert_eq!(wm.snapshot_horizon(PartitionId(0)), 500_000);
-        assert!(wm.global_watermark(PartitionId(0)) < 500_000);
         wm.shutdown();
     }
 

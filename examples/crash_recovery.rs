@@ -184,9 +184,7 @@ fn trace_excerpt() {
     // Non-transaction cluster events in the crash window: the crash mark,
     // compensation on the survivor, the leader hand-off, recovery replay
     // passes and the watermark publishes resuming afterwards.
-    let window = timeline
-        .between(crash_at.saturating_sub(500), crash_at.saturating_add(5_000))
-        .of_kind(|k| !matches!(k, TraceEventKind::MsgHop { .. }));
+    let window = timeline.between(crash_at.saturating_sub(500), crash_at.saturating_add(5_000));
     const SHOW: usize = 30;
     println!();
     println!(

@@ -304,7 +304,6 @@ mod tests {
             net: NetConfig {
                 one_way_us: 100,
                 jitter_us: 10,
-                control_msg_extra_us: 0,
             },
             wal: WalConfig {
                 scheme: LoggingScheme::Watermark,
@@ -313,22 +312,18 @@ mod tests {
                 force_update: true,
                 replication_factor: 1,
                 replica_persist_delay_us: None,
-                unsafe_latest_commit_horizon: false,
             },
             primo: PrimoConfig {
-                read_heavy_fallback: None,
                 read_only_snapshot: true,
                 max_versions: 4,
             },
             trace: TraceConfig {
                 enabled: true,
                 ring_capacity: 4096,
-                trace_messages: false,
             },
             commit_mode: CommitMode::TwoPc,
             backoff_initial_us: 500,
             backoff_max_us: 8_000,
-            aria_batch_size: 32,
             batch_remote_reads: true,
             seed: 0x5EED,
         }
@@ -342,7 +337,6 @@ mod tests {
             net: NetConfig {
                 one_way_us: 5,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             wal: WalConfig {
                 scheme: LoggingScheme::Watermark,
@@ -351,22 +345,18 @@ mod tests {
                 force_update: true,
                 replication_factor: 1,
                 replica_persist_delay_us: None,
-                unsafe_latest_commit_horizon: false,
             },
             primo: PrimoConfig {
-                read_heavy_fallback: None,
                 read_only_snapshot: true,
                 max_versions: 4,
             },
             trace: TraceConfig {
                 enabled: true,
                 ring_capacity: 512,
-                trace_messages: false,
             },
             commit_mode: CommitMode::TwoPc,
             backoff_initial_us: 20,
             backoff_max_us: 500,
-            aria_batch_size: 8,
             batch_remote_reads: true,
             seed: 0x5EED,
         }

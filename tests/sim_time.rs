@@ -81,7 +81,6 @@ fn a_faster_network_is_not_slower() {
             NetConfig {
                 one_way_us,
                 jitter_us: 0,
-                control_msg_extra_us: 0,
             },
             7,
         );
@@ -173,29 +172,27 @@ fn bus_shutdown_releases_blocked_receivers_promptly() {
 
 #[test]
 fn bus_delay_knobs_apply_to_later_sends() {
-    let bus = DelayedBus::new(2, 0);
-    let delivery_us = |bus: &DelayedBus| {
+    let delivery_us = |bus: &DelayedBus, from: PartitionId, to: PartitionId| {
         let start = now_us();
-        bus.send(P0, P1, epoch(0));
-        bus.recv_timeout(P1, Duration::from_secs(5))
+        bus.send(from, to, epoch(0));
+        bus.recv_timeout(to, Duration::from_secs(5))
             .expect("delivered");
         now_us() - start
     };
-    assert!(delivery_us(&bus) < 3_000);
-    bus.set_base_delay_us(4_000);
-    let base = delivery_us(&bus);
+    let undelayed = DelayedBus::new(2, 0);
+    assert!(delivery_us(&undelayed, P0, P1) < 3_000);
+    undelayed.shutdown();
+    let bus = DelayedBus::new(2, 4_000);
+    let base = delivery_us(&bus, P0, P1);
     assert!((4_000..12_000).contains(&base), "base delay: {base} us");
     bus.set_extra_delay_from(P0, 6_000);
-    let lagging = delivery_us(&bus);
+    let lagging = delivery_us(&bus, P0, P1);
     assert!(
         (10_000..20_000).contains(&lagging),
         "base + extra: {lagging} us"
     );
-    let other = now_us();
-    bus.send(P1, P0, epoch(0)); // the extra delay is per sender
-    bus.recv_timeout(P0, Duration::from_secs(5))
-        .expect("delivered");
-    assert!(now_us() - other < 9_000);
+    // The extra delay is per sender.
+    assert!(delivery_us(&bus, P1, P0) < 9_000);
     bus.shutdown();
 }
 

@@ -16,16 +16,17 @@
 //! Counters only grow, so the invariant per key is simply
 //! `final committed value >= max value any snapshot read returned`.
 //!
-//! A second test flips `unsafe_latest_commit_horizon` — the ablation that
-//! stubs every scheme's horizon to "latest commit timestamp" — and asserts
-//! the same loop DOES observe violations: the suite genuinely discriminates
-//! a sound horizon from a plausible-but-wrong one, and the durability wait
-//! the real horizon encodes is load-bearing. Its writers commit the way
-//! workers do, without waiting for each result, so the crash lands on
-//! installed-but-undurable commits however quickly the group commit releases
-//! a client that does wait.
+//! A second test gives the readers an unsound horizon — "latest commit",
+//! a [`SnapshotSession::at`] `Ts::MAX` in place of the scheme's durable
+//! horizon — and asserts the same loop DOES observe violations: the suite
+//! genuinely discriminates a sound horizon from a plausible-but-wrong one,
+//! and the durability wait the real horizon encodes is load-bearing. Its
+//! writers commit the way workers do, without waiting for each result, so
+//! the crash lands on installed-but-undurable commits however quickly the
+//! group commit releases a client that does wait.
 
-use primo_repro::runtime::{execute_snapshot, SnapshotOutcome};
+use primo_repro::common::Ts;
+use primo_repro::runtime::{execute_snapshot, SnapshotOutcome, SnapshotSession};
 use primo_repro::{
     AbortReason, ClosureProgram, FastRng, LoggingScheme, PartitionId, Primo, ProtocolKind,
     ReadFanout, TableId, TraceEventKind, TxnId, TxnProgram, Value,
@@ -125,8 +126,8 @@ fn commit_without_waiting(primo: &Primo, program: &dyn TxnProgram) {
 }
 
 /// Run one seeded crash case and report what the snapshot readers saw. With
-/// `unsafe_horizon` (the falsification) the writers do not wait for their
-/// results.
+/// `unsafe_horizon` (the falsification) the readers read the latest commit
+/// and the writers do not wait for their results.
 fn run_case(
     kind: ProtocolKind,
     scheme: LoggingScheme,
@@ -142,7 +143,6 @@ fn run_case(
         // Deep-ish chains so the safe horizon rarely outruns the retained
         // history (a fallback discards the batch, weakening the probe).
         .max_versions(8)
-        .tweak(move |c| c.wal.unsafe_latest_commit_horizon = unsafe_horizon)
         .build();
     let session = primo.session();
     for p in 0..PARTITIONS {
@@ -211,7 +211,12 @@ fn run_case(
                         Ok(())
                     })
                     .read_only();
-                    let outcome = execute_snapshot(cluster, &prog);
+                    let outcome = if unsafe_horizon {
+                        let mut session = SnapshotSession::at(cluster, PartitionId(0), Ts::MAX);
+                        SnapshotOutcome::Done(prog.execute(&mut session))
+                    } else {
+                        execute_snapshot(cluster, &prog)
+                    };
                     if let SnapshotOutcome::Done(Err(e)) = &outcome {
                         // The snapshot path must never conflict-abort: the
                         // only legitimate error here is an unreachable
