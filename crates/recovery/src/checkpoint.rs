@@ -146,9 +146,6 @@ mod tests {
         fn checkpoint_bound(&self, _p: PartitionId, _log: &ReplicatedLog) -> ReplayBound {
             self.0
         }
-        fn label(&self) -> &'static str {
-            "fixed"
-        }
         fn shutdown(&self) {}
     }
 

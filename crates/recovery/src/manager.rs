@@ -327,9 +327,6 @@ mod tests {
         fn on_partition_crash(&self, _p: PartitionId) -> Ts {
             0
         }
-        fn label(&self) -> &'static str {
-            "durable"
-        }
         fn shutdown(&self) {}
     }
 

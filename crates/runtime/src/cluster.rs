@@ -145,7 +145,7 @@ impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("partitions", &self.partitions.len())
-            .field("group_commit", &self.group_commit.label())
+            .field("group_commit", &self.config.wal.scheme)
             .finish()
     }
 }
@@ -694,7 +694,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::for_tests(3));
         assert_eq!(cluster.num_partitions(), 3);
         assert_eq!(cluster.partition_ids().len(), 3);
-        assert_eq!(cluster.group_commit.label(), "Watermark");
+        assert!(format!("{cluster:?}").contains("group_commit: Watermark"));
         cluster.shutdown();
     }
 

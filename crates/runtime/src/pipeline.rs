@@ -323,18 +323,14 @@ pub fn install_write(
     ts: Ts,
     rule: TsRule,
 ) {
-    match (w.kind, rule) {
+    let superseded = match (w.kind, rule) {
         (WriteKind::Delete, TsRule::Lease) => record.install_tombstone(ts),
-        (WriteKind::Delete, TsRule::Sequence) => {
-            record.install_tombstone_next_version_at(ts);
-        }
+        (WriteKind::Delete, TsRule::Sequence) => record.install_tombstone_next_version_at(ts),
         (_, TsRule::Lease) => record.install(w.value.clone(), ts),
-        (_, TsRule::Sequence) => {
-            record.install_next_version_at(w.value.clone(), ts);
-        }
-    }
+        (_, TsRule::Sequence) => record.install_next_version_at(w.value.clone(), ts),
+    };
     // (The first version of a freshly inserted record supersedes nothing.)
-    if w.kind != WriteKind::Insert || record.version_chain_len() > 0 {
+    if w.kind != WriteKind::Insert || superseded {
         cluster.note_installed(w.partition, record, ts);
     }
 }

@@ -51,6 +51,18 @@
 //! one that fetched times the share of such bodies a voting client held
 //! back (or that touched a key they had not declared), must cover a flight.
 //!
+//! Nor does a full worker wait for the group commit if it can help it. Its
+//! results come when the scheme releases them, and under the watermark
+//! scheme a release comes one release lag after a client demands it. A
+//! worker that only blocked at its ceiling ([`MAX_PENDING_COMMITS`]) would
+//! sit out that lag every group, so it asks ahead
+//! ([`GroupCommit::demand`](primo_wal::GroupCommit::demand)) for the commit
+//! it just put in `pending`, once per group, when the clients it still has
+//! room for would take it no longer than the lag it last measured
+//! (`Pace::wants_release`, Little's law again). The release then comes about
+//! when the population fills. What it may release is the scheme's, as
+//! before: only the moment of the demand moved.
+//!
 //! A facade session is this loop with one client ([`run_session_txn`]): a
 //! worker with no workload takes up no client of its own and counts as
 //! full, so its turns, run on the caller's thread, drive the caller's program
@@ -162,8 +174,9 @@ impl Suspended<'_> {
 }
 
 /// The measured quantities that decide how many clients a worker keeps on
-/// the wire: a run, a vote round, the share of bodies a vote round holds
-/// back and a flight.
+/// the wire — a run, a vote round, the share of bodies a vote round holds
+/// back and a flight — and when it asks for a release: a run and a release
+/// lag.
 struct Pace {
     /// Worker time one client takes, nanoseconds: from the end of one body
     /// to the end of the next — taking clients up, running one, the later
@@ -188,6 +201,11 @@ struct Pace {
     flight_ns: u64,
     /// When the last run ended, [`now_us`].
     last_ran_us: u64,
+    /// How long the group commit takes to release a commit this worker
+    /// demanded, nanoseconds: from the demand — asked ahead, or a block at
+    /// the ceiling — to the release. An EWMA like `service_ns`, seeded by
+    /// the first sample; 0 until then, so the first demand is a block.
+    release_lag_ns: u64,
 }
 
 impl Pace {
@@ -198,6 +216,7 @@ impl Pace {
             held_share: 1.0,
             flight_ns: 0,
             last_ran_us: now_us,
+            release_lag_ns: 0,
         }
     }
 
@@ -225,6 +244,24 @@ impl Pace {
             voting_ns => (fetched as f64 * self.held_share * voting_ns as f64) as u64,
         };
         runs_ns.saturating_add(held_ns) < self.flight_ns
+    }
+
+    /// Little's law on the group commit: would the `room` clients the
+    /// population has left take the worker no longer than a release takes?
+    /// Then a release demanded now comes about when the worker is full, not
+    /// one release lag after it blocked there. With no lag measured only a
+    /// full worker asks: the block that measures the first.
+    fn wants_release(&self, room: usize) -> bool {
+        (room as u64).saturating_mul(self.service_ns) <= self.release_lag_ns
+    }
+
+    /// A commit this worker demanded was released `lag_us` after the demand.
+    fn released(&mut self, lag_us: u64) {
+        let ns = lag_us * 1_000;
+        self.release_lag_ns = match self.release_lag_ns {
+            0 => ns,
+            lag => lag - lag / 8 + ns / 8,
+        };
     }
 
     /// The body of a client that fetched has run to its vote round: `held`
@@ -328,8 +365,12 @@ struct Worker<'a> {
     /// A client was put ahead of a queued one that could have run: that one
     /// is not passed over a second time.
     passed_over: bool,
-    /// Spent waiting for a deadline since the last body: not the worker's own.
+    /// Spent waiting for a deadline or a result since the last body: not the
+    /// worker's own.
     waited_us: u64,
+    /// The pending commit whose release this worker demanded, and when: one
+    /// demand per group, until that commit is resolved.
+    demanded: Option<(TxnId, u64)>,
     /// The result of the client that ended last: `Ok` with its attempts, or
     /// the reason its abort was final. What a session waits for.
     result: Option<Result<usize, AbortReason>>,
@@ -357,6 +398,7 @@ impl<'a> Worker<'a> {
             pace: Pace::new(now_us()),
             passed_over: false,
             waited_us: 0,
+            demanded: None,
             result: None,
         }
     }
@@ -377,10 +419,17 @@ impl<'a> Worker<'a> {
         self.queued.len() + suspended + self.parked.len() + self.pending.len()
     }
 
-    /// Whether the worker takes up no new client: it has no workload, or
-    /// its population is at the ceiling.
+    /// How many more clients the worker may take up: none if it has no
+    /// workload, else what its population has left below the ceiling.
+    fn room(&self) -> usize {
+        match self.ctx {
+            Some(_) => MAX_PENDING_COMMITS.saturating_sub(self.population()),
+            None => 0,
+        }
+    }
+
     fn full(&self) -> bool {
-        self.ctx.is_none() || self.population() >= MAX_PENDING_COMMITS
+        self.room() == 0
     }
 
     /// Put the read fan-out `plan` describes on the wire.
@@ -581,6 +630,7 @@ impl<'a> Worker<'a> {
                         backoff_us: client.backoff_us,
                         distributed,
                     });
+                    self.ask_ahead();
                 }
             }
             Err(e) => {
@@ -594,6 +644,30 @@ impl<'a> Worker<'a> {
                 self.aborted(client, ticket.txn, e.reason(), true);
             }
         }
+    }
+
+    /// A commit just joined `pending`: demand its group's release if no
+    /// demand is open and the room left would be used up within a release
+    /// lag ([`Pace::wants_release`]). A session's worker never asks ahead:
+    /// it blocks on its one commit.
+    fn ask_ahead(&mut self) {
+        let room = self.room();
+        let Some(last) = self.pending.back() else {
+            return;
+        };
+        if self.ctx.is_none() || self.demanded.is_some() || !self.pace.wants_release(room) {
+            return;
+        }
+        let waiter = &last.waiter;
+        self.cluster.group_commit.demand(waiter);
+        self.trace_demand(waiter.ts, room, false);
+        self.demanded = Some((waiter.txn, now_us()));
+    }
+
+    fn trace_demand(&self, ts: u64, room: usize, blocking: bool) {
+        let room = room as u32;
+        let demand = TraceEventKind::GroupCommitDemand { ts, room, blocking };
+        self.cluster.recorder.emit(None, Some(self.home), demand);
     }
 
     /// A client taken up at `started_us` committed after `attempts`, and its
@@ -656,6 +730,11 @@ impl<'a> Worker<'a> {
         let committed = matches!(outcome, CommitOutcome::Committed);
         let release = TraceEventKind::GroupCommitRelease { committed };
         (self.cluster.recorder).emit(Some(waiter.txn), Some(waiter.coordinator), release);
+        if let Some((_, demanded_at)) = self.demanded.take_if(|(txn, _)| *txn == waiter.txn) {
+            if committed {
+                self.pace.released(now_us() - demanded_at);
+            }
+        }
         match outcome {
             CommitOutcome::Committed => self.returned(started_us, attempts, distributed),
             CommitOutcome::CrashAborted => {
@@ -672,15 +751,21 @@ impl<'a> Worker<'a> {
 
     /// Report every pending transaction whose group-commit outcome is known —
     /// after blocking on the oldest, if `block`: back-pressure at the client
-    /// ceiling, and (the wait being the group commit's demand signal) what
-    /// closes the group early under the watermark scheme. A result released
-    /// is the scheme saying its horizon moved, which the version-chain GC
-    /// wants to know: once per release, not once per commit.
+    /// ceiling. The block demands the release as it waits; with no demand of
+    /// this worker's open it is the group's demand, and its wait a sample of
+    /// the release lag. The wait is not the worker's own time. A result
+    /// released is the scheme saying its horizon moved, which the
+    /// version-chain GC wants to know: once per release, not once per commit.
     fn release_pending(&mut self, block: bool) {
         let (outstanding, group_commit) = (self.pending.len(), &self.cluster.group_commit);
         if block {
+            let room = self.room();
             if let Some(oldest) = self.pending.pop_front() {
+                let blocked_at = now_us();
+                self.trace_demand(oldest.waiter.ts, room, true);
+                self.demanded.get_or_insert((oldest.waiter.txn, blocked_at));
                 let outcome = group_commit.wait_durable(&oldest.waiter);
+                self.waited_us += now_us() - blocked_at;
                 self.resolve(oldest, outcome);
             }
         }
@@ -782,11 +867,12 @@ impl<'a> Worker<'a> {
         // No room for a new client, nothing on the wire and no retry due: wait
         // for a result. A retry due *later* waits with the worker — at most
         // the release lag over its time, as behind any run — because the
-        // block is what tells the group commit that clients are waiting
-        // (`wait_durable` is the demand signal): a worker that hopped from
-        // one parked deadline to the next would never send it, and its
-        // results would come at the interval. Only when every client is
-        // parked is the earliest back-off what the worker waits for.
+        // block demands the release when nothing asked ahead (the first
+        // block of a run, before a lag is measured, or a host that stalled
+        // the worker): a worker that hopped from one parked deadline to the
+        // next would never send it, and its results would come at the
+        // interval. Only when every client is parked is the earliest
+        // back-off what the worker waits for.
         let nothing_flies = self.queued.is_empty() && next_reply_at.is_none();
         if self.full() && nothing_flies && !due(retry_at) {
             match retry_at {
@@ -1043,6 +1129,27 @@ mod tests {
         assert_eq!(pace.held_share, 1.0 - 1.0 / 8.0);
         pace.started(true);
         assert_eq!(pace.held_share, 0.875 + 0.125 / 8.0);
+    }
+
+    #[test]
+    fn a_release_is_asked_for_when_the_room_left_lasts_one_release_lag() {
+        let mut pace = Pace::new(0);
+        // No lag measured: only a full worker asks, and its block seeds the
+        // lag — with no run measured either, and with runs of 4 us.
+        assert!(pace.wants_release(0) && !pace.wants_release(1));
+        pace.service_ns = 4_000;
+        assert!(pace.wants_release(0) && !pace.wants_release(1));
+        pace.released(1_000);
+        assert_eq!(pace.release_lag_ns, 1_000_000);
+        // 250 runs of 4 us last the 1 ms lag exactly; 251 outlast it.
+        assert!(pace.wants_release(250) && !pace.wants_release(251));
+        // The lag follows the releases, an eighth of the way each.
+        pace.released(1_800);
+        assert_eq!(pace.release_lag_ns, 1_000_000 - 125_000 + 225_000);
+        assert!(pace.wants_release(275) && !pace.wants_release(276));
+        // Longer runs: fewer clients last the same lag.
+        pace.service_ns = 11_000;
+        assert!(pace.wants_release(100) && !pace.wants_release(101));
     }
 
     /// A hand-built access set: `reads` and `writes` of table 0.

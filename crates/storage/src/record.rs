@@ -145,8 +145,10 @@ impl RecordData {
     /// Push the current version into the history chain before it is
     /// overwritten by a new install committing at `new_cts`. Handles the
     /// sentinel states and the capacity bound, raising `floor_cts` whenever
-    /// pre-`new_cts` history becomes unanswerable.
-    fn push_current_version(&mut self, new_cts: u64) {
+    /// pre-`new_cts` history becomes unanswerable. Returns whether a
+    /// superseded committed version was kept in the chain — what a
+    /// reclamation pass would have to drop later.
+    fn push_current_version(&mut self, new_cts: u64) -> bool {
         if self.cts == CTS_UNCOMMITTED {
             // First committed version of a runtime-created record. There is
             // no committed version to preserve, and the chain can answer from
@@ -154,7 +156,7 @@ impl RecordData {
             // of the key may have lived and been reclaimed before this record
             // existed, so horizons below the first commit stay unanswerable.
             self.floor_cts = new_cts;
-            return;
+            return false;
         }
         if self.cts == CTS_UNKNOWN || new_cts == CTS_UNKNOWN {
             // An un-timestamped version sits between the retained history
@@ -166,7 +168,7 @@ impl RecordData {
             } else {
                 new_cts
             };
-            return;
+            return false;
         }
         if new_cts < self.cts {
             // Out-of-order commit timestamps (reachable only through direct
@@ -176,11 +178,11 @@ impl RecordData {
             // the newer of the two.
             self.truncate_history(0);
             self.floor_cts = self.floor_cts.max(self.cts);
-            return;
+            return false;
         }
         if self.max_versions <= 1 {
             self.floor_cts = self.floor_cts.max(new_cts);
-            return;
+            return false;
         }
         let value = if self.deleted {
             None
@@ -206,6 +208,7 @@ impl RecordData {
             value,
         };
         self.history_len += 1;
+        true
     }
 
     /// The retained history, oldest first.
@@ -390,10 +393,11 @@ impl Record {
     /// [`LifecycleState::Visible`] (this is the `UncommittedInsert → Visible`
     /// flip of the lifecycle, and also revives a record a delete+insert pair
     /// went through). The previous committed version is pushed onto the
-    /// bounded history chain; `ts` doubles as the commit timestamp.
-    pub fn install(&self, value: Value, ts: u64) {
+    /// bounded history chain; `ts` doubles as the commit timestamp. Returns
+    /// whether the chain kept it (a first install supersedes nothing).
+    pub fn install(&self, value: Value, ts: u64) -> bool {
         let mut d = self.data.lock();
-        d.push_current_version(ts);
+        let superseded = d.push_current_version(ts);
         d.value = value;
         d.wts = ts;
         d.rts = ts;
@@ -401,6 +405,7 @@ impl Record {
         d.deleted = false;
         drop(d);
         self.set_state(LifecycleState::Visible);
+        superseded
     }
 
     /// Install a new version, bumping the version counter by one (used by
@@ -412,25 +417,16 @@ impl Record {
     /// protocol call-sites pass their finalized group-commit timestamp via
     /// [`Record::install_next_version_at`] instead.
     pub fn install_next_version(&self, value: Value) -> u64 {
-        self.install_next_version_at(value, CTS_UNKNOWN)
+        self.next_version(Some(value), CTS_UNKNOWN).0
     }
 
     /// [`Record::install_next_version`] with the transaction's finalized
     /// group-commit timestamp `cts`, which orders the version on the
     /// commit-time axis for snapshot readers while `wts` keeps counting for
-    /// OCC validation.
-    pub fn install_next_version_at(&self, value: Value, cts: u64) -> u64 {
-        let mut d = self.data.lock();
-        d.push_current_version(cts);
-        d.value = value;
-        d.wts += 1;
-        d.rts = d.wts;
-        d.cts = cts;
-        d.deleted = false;
-        let wts = d.wts;
-        drop(d);
-        self.set_state(LifecycleState::Visible);
-        wts
+    /// OCC validation. Returns whether the chain kept the superseded version
+    /// ([`Record::install`]).
+    pub fn install_next_version_at(&self, value: Value, cts: u64) -> bool {
+        self.next_version(Some(value), cts).1
     }
 
     /// Install a committed delete at timestamp `ts`: the record becomes a
@@ -438,10 +434,11 @@ impl Record {
     /// concurrent optimistic readers fail validation instead of resurrecting
     /// the deleted version. A deletion version (`value = None`) is what the
     /// chain records, so snapshot readers below `ts` still see the old value
-    /// and readers at or above it see the key as absent.
-    pub fn install_tombstone(&self, ts: u64) {
+    /// and readers at or above it see the key as absent. Returns whether the
+    /// chain kept the superseded version ([`Record::install`]).
+    pub fn install_tombstone(&self, ts: u64) -> bool {
         let mut d = self.data.lock();
-        d.push_current_version(ts);
+        let superseded = d.push_current_version(ts);
         if d.wts < ts {
             d.wts = ts;
         } else {
@@ -452,28 +449,43 @@ impl Record {
         d.deleted = true;
         drop(d);
         self.set_state(LifecycleState::Tombstone);
+        superseded
     }
 
     /// [`Record::install_tombstone`] for protocols without logical
     /// timestamps: bump the version counter instead.
     pub fn install_tombstone_next_version(&self) -> u64 {
-        self.install_tombstone_next_version_at(CTS_UNKNOWN)
+        self.next_version(None, CTS_UNKNOWN).0
     }
 
     /// [`Record::install_tombstone_next_version`] with the transaction's
     /// finalized group-commit timestamp (see
     /// [`Record::install_next_version_at`]).
-    pub fn install_tombstone_next_version_at(&self, cts: u64) -> u64 {
+    pub fn install_tombstone_next_version_at(&self, cts: u64) -> bool {
+        self.next_version(None, cts).1
+    }
+
+    /// Install `value` (`None`: a deletion) at commit timestamp `cts`,
+    /// bumping the version counter: the new `wts`, and whether the chain
+    /// kept the superseded version.
+    fn next_version(&self, value: Option<Value>, cts: u64) -> (u64, bool) {
         let mut d = self.data.lock();
-        d.push_current_version(cts);
+        let superseded = d.push_current_version(cts);
+        d.deleted = value.is_none();
+        if let Some(value) = value {
+            d.value = value;
+        }
         d.wts += 1;
         d.rts = d.wts;
         d.cts = cts;
-        d.deleted = true;
-        let wts = d.wts;
+        let (wts, deleted) = (d.wts, d.deleted);
         drop(d);
-        self.set_state(LifecycleState::Tombstone);
-        wts
+        self.set_state(if deleted {
+            LifecycleState::Tombstone
+        } else {
+            LifecycleState::Visible
+        });
+        (wts, superseded)
     }
 
     /// Resolve the version current as of commit-time horizon `h` — the MVCC
@@ -835,9 +847,10 @@ mod tests {
     #[test]
     fn timestamped_counter_installs_serve_snapshots() {
         let r = Record::new(Value::from_u64(1));
-        let w1 = r.install_next_version_at(Value::from_u64(2), 17);
-        let w2 = r.install_tombstone_next_version_at(23);
-        assert!(w2 > w1, "wts keeps counting for OCC validation");
+        assert!(r.install_next_version_at(Value::from_u64(2), 17));
+        let w1 = r.wts();
+        assert!(r.install_tombstone_next_version_at(23));
+        assert!(r.wts() > w1, "wts keeps counting for OCC validation");
         assert_eq!(r.read_at(16), SnapshotRead::Value(Value::from_u64(1)));
         assert_eq!(r.read_at(17), SnapshotRead::Value(Value::from_u64(2)));
         assert_eq!(r.read_at(23), SnapshotRead::Absent);

@@ -21,7 +21,8 @@ pub enum WatermarkCause {
     Interval,
     /// A peer's `Wp` showed this idle partition holding `Wg` back.
     IdleLag,
-    /// A client is blocked on a commit the last watermark does not cover.
+    /// A client waits, or is about to, on a commit the last watermark does
+    /// not cover.
     Demand,
 }
 
@@ -67,6 +68,12 @@ pub enum TraceEventKind {
     QuorumAck { entries: u64, durable_lsn: u64 },
     /// The group-commit scheme released the transaction to the client.
     GroupCommitRelease { committed: bool },
+    /// A worker demanded the release of its commit at `ts`
+    /// (`GroupCommit::demand`): `blocking`, it blocks in `wait_durable` on
+    /// it, its population full; otherwise it asks ahead and goes on, with
+    /// `room` more clients left to take up. Recorded without the
+    /// transaction's id: the worker's, not the transaction's.
+    GroupCommitDemand { ts: Ts, room: u32, blocking: bool },
     /// The transaction's attempt committed at `ts`. `durable`: its protocol
     /// made it durable itself (Aria, TAPIR), so this is where its result is
     /// returned; otherwise a `GroupCommitRelease` returns it later.
@@ -85,7 +92,7 @@ pub enum TraceEventKind {
     WatermarkPublish { wg: Ts },
     /// A watermark agent generated the partition watermark `wp` (published
     /// one quorum-ack delay later). `demanded` is the highest commit
-    /// timestamp a blocked client was waiting for at that moment, 0 if none.
+    /// timestamp a client had demanded at that moment, 0 if none.
     WatermarkGenerate {
         wp: Ts,
         cause: WatermarkCause,
@@ -209,6 +216,7 @@ impl TraceEventKind {
                 durable_lsn,
             } => (9, entries, durable_lsn, 0),
             GroupCommitRelease { committed } => (10, committed as u64, 0, 0),
+            GroupCommitDemand { ts, room, blocking } => (32, ts, room.into(), blocking.into()),
             Committed { ts, durable } => (11, ts, durable as u64, 0),
             Abort { reason, backoff_us } => (12, abort_code(reason), backoff_us, 0),
             SnapshotRead { horizon, exec_us } => (13, horizon, exec_us, 0),
@@ -347,6 +355,11 @@ impl TraceEventKind {
                 wait_us: a,
                 round_us: b,
             },
+            32 => GroupCommitDemand {
+                ts: a,
+                room: b as u32,
+                blocking: c != 0,
+            },
             _ => return None,
         })
     }
@@ -437,6 +450,11 @@ mod tests {
                 durable_lsn: 8,
             },
             TraceEventKind::GroupCommitRelease { committed: true },
+            TraceEventKind::GroupCommitDemand {
+                ts: 77,
+                room: 12,
+                blocking: false,
+            },
             TraceEventKind::Committed {
                 ts: 1234,
                 durable: true,

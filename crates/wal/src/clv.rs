@@ -289,10 +289,6 @@ impl GroupCommit for ClvCommit {
         let _ = self.recorder.set(recorder);
     }
 
-    fn label(&self) -> &'static str {
-        "CLV"
-    }
-
     fn shutdown(&self) {}
 }
 

@@ -379,10 +379,6 @@ impl GroupCommit for CocoCommit {
         let _ = self.recorder.set(recorder);
     }
 
-    fn label(&self) -> &'static str {
-        "COCO"
-    }
-
     fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         self.cond.notify_all();

@@ -18,7 +18,8 @@
 //!    protocol finished installing the write-set (or gave up).
 //! 6. [`GroupCommit::wait_durable`] — the worker blocks until the group commit
 //!    confirms (or crash-aborts) the transaction. This is the `return` phase
-//!    of the latency breakdown (Fig 4c).
+//!    of the latency breakdown (Fig 4c). A worker that expects to block soon
+//!    asks for the release ahead of it with [`GroupCommit::demand`].
 //!
 //! A crash is one agreement (§5.2): [`GroupCommit::on_partition_crash`]
 //! returns a token, and [`GroupCommit::rollback_bound`] turns it into the
@@ -137,6 +138,14 @@ pub trait GroupCommit: Send + Sync {
     /// Block until the outcome of the transaction is known.
     fn wait_durable(&self, waiter: &CommitWaiter) -> CommitOutcome;
 
+    /// Ask for the transaction's outcome as soon as the scheme can give it,
+    /// without waiting for it: what a blocking [`GroupCommit::wait_durable`]
+    /// asks first, raised by a client that will block soon. It moves only
+    /// *when* the scheme works towards the outcome, never what the outcome
+    /// is. A no-op by default: fixed epochs and per-commit deadlines (COCO,
+    /// CLV, sync) are those schemes' published behaviour.
+    fn demand(&self, _waiter: &CommitWaiter) {}
+
     /// Non-blocking probe of the outcome. Workers use this to keep executing
     /// new transactions while earlier ones wait for the group commit (the
     /// paper's workers likewise never idle on durability; only the *client*
@@ -251,9 +260,6 @@ pub trait GroupCommit: Send + Sync {
     /// after construction, before any transaction traffic; schemes without
     /// background decisions may ignore it.
     fn set_recorder(&self, _recorder: Arc<FlightRecorder>) {}
-
-    /// Scheme label (for figures).
-    fn label(&self) -> &'static str;
 
     /// Stop background threads.
     fn shutdown(&self);

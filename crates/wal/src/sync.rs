@@ -103,10 +103,6 @@ impl GroupCommit for SyncCommit {
         0
     }
 
-    fn label(&self) -> &'static str {
-        "Sync"
-    }
-
     fn shutdown(&self) {}
 }
 

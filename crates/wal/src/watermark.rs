@@ -2,7 +2,7 @@
 //!
 //! Each partition leader runs a lightweight agent that
 //!
-//! 1. every `t_m`, or as soon as a client is blocked on it, generates a
+//! 1. every `t_m`, or as soon as a client waits (or asks) for it, generates a
 //!    partition watermark `Wp` — the minimum logical timestamp (or lower
 //!    bound `lts`) of the transactions still active on that partition
 //!    (rule R1);
@@ -16,9 +16,10 @@
 //! generation or the publication in flight is due — no polling tick.
 //!
 //! **The group closes on demand or on time, whichever comes first.** A
-//! client that has to *block* in [`GroupCommit::wait_durable`] (`Wg <= ts`)
-//! leaves `ts` in its coordinator's `PartitionWm::demand` and interrupts
-//! that agent's mailbox wait. The agent then runs its one generation step
+//! client that has to *block* in [`GroupCommit::wait_durable`] (`Wg <= ts`),
+//! or that expects to and asks ahead with [`GroupCommit::demand`], leaves
+//! `ts` in its coordinator's `PartitionWm::demand` and interrupts that
+//! agent's mailbox wait. The agent then runs its one generation step
 //! at once instead of at the next interval and — because `Wg` is the minimum
 //! over *all* `Wp` — asks every peer whose last advertised `Wp` does not
 //! cover `ts` with a [`BusMessage::WatermarkDemand`], which pays the normal
@@ -28,8 +29,10 @@
 //! meanwhile is remembered by timestamp and served right after that
 //! publication if still uncovered, so any number of concurrent waiters cost
 //! one generation per quorum-ack delay (leader-flushes-when-someone-waits
-//! group commit). Clients that never block — workers below their pending
-//! ceiling — raise no demand and stay interval-paced.
+//! group commit). A worker asks ahead once per group, one measured release
+//! lag before its client population would be full (`runtime::worker`), so
+//! that the release comes about when it would have blocked; clients that
+//! neither block nor ask stay interval-paced.
 //!
 //! Soundness does not depend on *when* a watermark is generated: demand only
 //! moves the moment the generation step runs, never what its candidate may
@@ -92,8 +95,8 @@ struct PartitionWm {
     /// has already processed instead of creeping one tick at a time.
     max_seen_ts: AtomicU64,
     /// Highest commit timestamp a client of this partition has blocked on
-    /// (0: none yet). Only ever raised; it is an open demand while the
-    /// watermarks do not cover it.
+    /// or asked for ahead (0: none yet). Only ever raised; it is an open
+    /// demand while the watermarks do not cover it.
     demand: AtomicU64,
     /// Latest watermark received from every partition (including self).
     table: Mutex<Vec<Ts>>,
@@ -246,13 +249,13 @@ fn agent_loop(
     // The generated watermark waiting out the quorum-ack delay: (ready at,
     // Wp). At most one — nothing is generated while it is in flight.
     let mut in_flight: Option<(u64, Ts)> = None;
-    // Highest timestamp a peer's blocked client asked this partition to
+    // Highest timestamp a peer's waiting client asked this partition to
     // cover, and the highest own demand already passed on to the peers.
     let mut peer_demand: Ts = 0;
     let mut forwarded: Ts = 0;
     loop {
         // Block until a peer's message, the publication in flight or — with
-        // nothing in flight — the next generation (a blocked client,
+        // nothing in flight — the next generation (a client's demand,
         // `shutdown` and `on_partition_recover` interrupt).
         let wake_at = in_flight.map_or(next_generate_us, |(ready_at, _)| ready_at);
         let first = bus.recv_until(me.id, wake_at);
@@ -302,13 +305,13 @@ fn agent_loop(
             }
         }
 
-        // 3. A client of this partition is blocked on `wanted`, and
+        // 3. A client of this partition waits, or soon will, on `wanted`, and
         //    `Wg = min(all Wp)`: ask — once per timestamp — every peer whose
         //    last advertised `Wp` does not cover it. The peer learns of the
         //    demand from this message alone, one bus delay from now. What it
         //    is asked to cover is the whole group being closed here (every
         //    timestamp processed so far), not just its oldest member, so one
-        //    answer releases everything the blocked client has queued.
+        //    answer releases everything the waiting client has queued.
         let wanted = me.demand.load(Ordering::Acquire);
         let max_seen = me.max_seen_ts.load(Ordering::Acquire);
         if wanted > forwarded {
@@ -328,8 +331,8 @@ fn agent_loop(
         }
 
         // 4. Generate a new partition watermark every t_m — at once when a
-        //    blocked client (here or, by message, on a peer) waits on a
-        //    timestamp the last generation does not cover, or when a peer's
+        //    client (here or, by message, on a peer) demands a timestamp
+        //    the last generation does not cover, or when a peer's
         //    `Wp` shows this partition lagging while it has processed nothing
         //    since (it only holds `Wg` back) — but never while one is still
         //    in flight: whatever asks meanwhile is served right after the
@@ -537,12 +540,10 @@ impl GroupCommit for WatermarkCommit {
         if let Some(outcome) = self.try_outcome(waiter) {
             return outcome;
         }
-        // About to block: that is the demand. Leave the timestamp with the
-        // coordinator's agent and wake it, so the group closes now rather
+        // About to block: that is the demand, so the group closes now rather
         // than at the next interval.
+        self.demand(waiter);
         let part = &self.parts[waiter.coordinator.idx()];
-        part.demand.fetch_max(waiter.ts, Ordering::AcqRel);
-        self.bus.interrupt(part.id);
         let mut wg = part.wg.lock();
         loop {
             // Compensation undid this transaction's installed writes: the
@@ -563,6 +564,13 @@ impl GroupCommit for WatermarkCommit {
             }
             part.wg_cond.wait_for(&mut wg, Duration::from_millis(5));
         }
+    }
+
+    fn demand(&self, waiter: &CommitWaiter) {
+        // Leave the timestamp with the coordinator's agent and wake it.
+        let part = &self.parts[waiter.coordinator.idx()];
+        part.demand.fetch_max(waiter.ts, Ordering::AcqRel);
+        self.bus.interrupt(part.id);
     }
 
     fn on_txns_rolled_back(&self, txns: &[TxnId]) {
@@ -735,10 +743,6 @@ impl GroupCommit for WatermarkCommit {
 
     fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
         let _ = self.recorder.set(recorder);
-    }
-
-    fn label(&self) -> &'static str {
-        "Watermark"
     }
 
     fn shutdown(&self) {

@@ -365,7 +365,7 @@ mod tests {
         let primo = Primo::builder().fast_local().build();
         assert_eq!(primo.protocol().name(), "Primo");
         assert_eq!(primo.num_partitions(), 4);
-        assert_eq!(primo.cluster().group_commit.label(), "Watermark");
+        assert_eq!(primo.cluster().config.wal.scheme, LoggingScheme::Watermark);
         primo.shutdown();
     }
 
@@ -377,7 +377,7 @@ mod tests {
             .fast_local()
             .build();
         assert_eq!(primo.protocol().name(), "Sundial");
-        assert_eq!(primo.cluster().group_commit.label(), "COCO");
+        assert_eq!(primo.cluster().config.wal.scheme, LoggingScheme::CocoEpoch);
         primo.shutdown();
     }
 

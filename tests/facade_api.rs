@@ -12,7 +12,7 @@ fn default_cluster_builder_is_primo_on_watermark() {
     let primo = Primo::builder().fast_local().build();
     assert_eq!(primo.num_partitions(), 4);
     assert_eq!(primo.protocol().name(), "Primo");
-    assert_eq!(primo.cluster().group_commit.label(), "Watermark");
+    assert_eq!(primo.cluster().config.wal.scheme, LoggingScheme::Watermark);
     primo.shutdown();
 }
 
@@ -32,7 +32,7 @@ fn cluster_builder_knobs_reach_the_cluster() {
     assert_eq!(primo.cluster().config.workers_per_partition, 1);
     assert_eq!(primo.cluster().config.wal.interval_ms, 7);
     // Silo pairs with COCO per §6.1.3.
-    assert_eq!(primo.cluster().group_commit.label(), "COCO");
+    assert_eq!(primo.cluster().config.wal.scheme, LoggingScheme::CocoEpoch);
     primo.shutdown();
 
     // tweak() runs last and can override anything, including the scheme.
@@ -41,7 +41,7 @@ fn cluster_builder_knobs_reach_the_cluster() {
         .fast_local()
         .tweak(|c| c.wal.scheme = LoggingScheme::CocoEpoch)
         .build();
-    assert_eq!(primo.cluster().group_commit.label(), "COCO");
+    assert_eq!(primo.cluster().config.wal.scheme, LoggingScheme::CocoEpoch);
     primo.shutdown();
 }
 

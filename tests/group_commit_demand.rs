@@ -4,7 +4,8 @@
 //! peer, not after up to one interval — while the pins (R1, reserved commit
 //! timestamps) hold exactly as before, concurrent waiters share one
 //! generation per quorum-ack delay, and clients that never block stay
-//! interval-paced.
+//! interval-paced. A saturated worker asks for its release one release lag
+//! before its client ceiling more often than it blocks there.
 //!
 //! Intervals here are 100–200 ms so that only a demand can explain a release
 //! within a few milliseconds; every budget carries 10 ms of slack for a busy
@@ -581,5 +582,63 @@ fn saturated_workers_commit_past_the_clients_per_interval_ceiling() {
         snap.throughput_tps >= 2.0 * ceiling_tps,
         "{:.0} TPS against a clients / interval ceiling of {ceiling_tps:.0}",
         snap.throughput_tps
+    );
+}
+
+// ---- (7) a saturated worker asks ahead of its ceiling ----
+
+#[test]
+fn saturated_workers_ask_for_their_release_before_they_block() {
+    let _quiet = quiet();
+    // The shape above: 2 workers x 512 clients of one local increment each,
+    // and an interval no release in the window waits for. A worker that
+    // only blocked at its ceiling would demand every release by a block; one
+    // that asks when the room it has left would last it a release lag blocks
+    // there only for the first release of the run, which measures the lag,
+    // and when a release comes later than that lag.
+    const INTERVAL_MS: u64 = 100;
+    let primo = Primo::builder()
+        .partitions(2)
+        .workers_per_partition(1)
+        .wal_interval_ms(INTERVAL_MS)
+        .fast_local()
+        .tweak(|c| c.trace.ring_capacity = 1 << 18)
+        .build();
+    for p in primo.cluster().partition_ids() {
+        LocalIncrements.load_partition(&primo.cluster().partition(p).store, p);
+    }
+    let options = ExperimentOptions {
+        warmup: Duration::from_millis(100),
+        duration: Duration::from_millis(500),
+        ..ExperimentOptions::default()
+    };
+    run_on_cluster(
+        primo.cluster(),
+        Arc::clone(primo.protocol()),
+        Arc::new(LocalIncrements),
+        &options,
+    );
+    // Each ring keeps a worker's latest events: the counts are over the
+    // same stretch of its run. A block at the ceiling has no room left (a
+    // stopping worker's blocks on what is left have room). A worker's
+    // release may come from its peer's demand — the peer asks this
+    // partition to cover everything it has processed — so one worker may
+    // ask for few of its own: the two are counted together.
+    let timeline = primo.cluster().recorder.merge();
+    primo.shutdown();
+    let (mut ahead, mut blocks) = ([0; 2], [0; 2]);
+    for e in timeline.events() {
+        let p = e.partition.map_or(0, |p| p.idx());
+        if let TraceEventKind::GroupCommitDemand { blocking, room, .. } = e.kind {
+            match (blocking, room) {
+                (true, 0) => blocks[p] += 1,
+                (false, 1..) => ahead[p] += 1,
+                _ => {}
+            }
+        }
+    }
+    assert!(
+        ahead.iter().sum::<u32>() > blocks.iter().sum(),
+        "releases asked for ahead of the ceiling by P0 / P1: {ahead:?}, blocks at it: {blocks:?}"
     );
 }

@@ -11,8 +11,8 @@ use primo_repro::common::config::TraceConfig;
 use primo_repro::runtime::experiment::{run_on_cluster, ExperimentOptions};
 use primo_repro::trace::PhaseFold;
 use primo_repro::{
-    AbortReason, FlightRecorder, PartitionId, Phase, Primo, ProtocolKind, TableId, TraceEvent,
-    TraceEventKind, TxnId, Value, Workload, YcsbConfig, YcsbWorkload,
+    AbortReason, FlightRecorder, LoggingScheme, PartitionId, Phase, Primo, ProtocolKind, TableId,
+    TraceEvent, TraceEventKind, TxnId, Value, Workload, YcsbConfig, YcsbWorkload,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -366,7 +366,7 @@ fn traced_latency_us(events: &[TraceEvent]) -> Option<u64> {
 #[test]
 fn a_session_transaction_is_covered_from_its_begin_to_its_release() {
     let primo = Primo::builder().partitions(2).fast_local().build();
-    assert_eq!(primo.cluster().group_commit.label(), "Watermark");
+    assert_eq!(primo.cluster().config.wal.scheme, LoggingScheme::Watermark);
     let (session, t) = (primo.session(), TableId(0));
     session.load(P0, t, 1, Value::from_u64(1));
     session.load(P1, t, 2, Value::from_u64(2));

@@ -424,7 +424,7 @@ const TEST_WALL_CLOCK: [(&str, usize); 13] = [
     ("snapshot_consistency.rs", 3),
     ("version_reclamation.rs", 6),
     ("watermark_semantics.rs", 3),
-    ("worker_overlap.rs", 23),
+    ("worker_overlap.rs", 22),
 ];
 
 /// What the tests' census counts, spelled in halves so that this file does

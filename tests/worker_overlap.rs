@@ -21,16 +21,18 @@
 use primo_repro::common::sim_time::{charge_latency_us, now_us};
 use primo_repro::common::Metrics;
 use primo_repro::core::analysis::{overlapped_worker_tps, staged_worker_tps};
+use primo_repro::runtime::cluster::Cluster;
+use primo_repro::runtime::pipeline::Step;
 use primo_repro::runtime::worker::spawn_workers;
-use primo_repro::wal::LogPayload;
+use primo_repro::wal::{LogPayload, TxnTicket};
 use primo_repro::{
-    AbortReason, FastRng, Key, LoggingScheme, PartitionId, Primo, ProtocolKind, TableId, Timeline,
-    TraceEventKind, TxnContext, TxnId, TxnProgram, TxnResult, Value, Workload, YcsbConfig,
-    YcsbWorkload,
+    AbortReason, FastRng, Key, LoggingScheme, PartitionId, Primo, Protocol, ProtocolKind,
+    ReadFanout, TableId, Timeline, TraceEventKind, TxnContext, TxnId, TxnProgram, TxnResult, Value,
+    Workload, YcsbConfig, YcsbWorkload,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const P0: PartitionId = PartitionId(0);
@@ -180,11 +182,16 @@ struct Running {
 
 impl Running {
     fn start(primo: &Primo, workload: &Arc<dyn Workload>) -> Self {
+        Self::start_with(primo, primo.protocol(), workload)
+    }
+
+    /// [`Running::start`], running `protocol` in place of the cell's.
+    fn start_with(primo: &Primo, protocol: &Arc<dyn Protocol>, workload: &Arc<dyn Workload>) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(Metrics::new());
         let handles = spawn_workers(
             primo.cluster(),
-            primo.protocol(),
+            protocol,
             workload,
             &metrics,
             &stop,
@@ -521,11 +528,13 @@ fn locals_run_during_a_flight_and_nothing_starves_behind_them() {
 #[test]
 fn queued_and_pending_clients_share_the_population() {
     let _quiet = quiet();
-    // Results are released every 200 ms (or when a worker blocks at its
-    // ceiling), so both workers fill up: the loop's `debug_assert!` on
-    // `queued + parked + pending` runs at the ceiling, with clients queued —
-    // and, on 1 000 hot keys, with clients parked: a parked client is one of
-    // the population, and its retry needs no room.
+    // Results are released every 200 ms, or one release lag after a worker
+    // asks for them, which it does when the room it has left would last it
+    // about that long — so both workers fill up: the loop's `debug_assert!`
+    // on `queued + parked + pending` runs at or near the ceiling (at it,
+    // blocked, whenever a release comes late), with clients queued — and, on
+    // 1 000 hot keys, with clients parked: a parked client is one of the
+    // population, and its retry needs no room.
     let mut uniform = Cell::primo(0.1, 500, 300);
     uniform.interval_ms = 200;
     let mut hot = uniform.clone().with_the_papers_backoff();
@@ -1687,14 +1696,63 @@ fn stopping_finishes_the_deciding_client_and_abandons_the_voting_one() {
     });
 }
 
+/// The cell's protocol with a trap, armed once: the first attempt of
+/// `home`'s that comes out of its start voting — its votes on the wire, its
+/// ticket in hand — meets the test at `held`, and waits there again until
+/// the test is done with it.
+struct TrapVoting {
+    inner: Arc<dyn Protocol>,
+    home: PartitionId,
+    armed: AtomicBool,
+    held: Barrier,
+}
+
+impl Protocol for TrapVoting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn manages_durability(&self) -> bool {
+        self.inner.manages_durability()
+    }
+
+    fn start<'a>(
+        &self,
+        cluster: &'a Cluster,
+        program: &dyn TxnProgram,
+        ticket: Arc<TxnTicket>,
+        fanout: ReadFanout,
+    ) -> Step<'a> {
+        let home = ticket.coordinator;
+        let step = self.inner.start(cluster, program, ticket, fanout);
+        let voting = matches!(&step, Step::Waiting(attempt) if !attempt.holds_locks());
+        if voting && home == self.home && self.armed.swap(false, Ordering::SeqCst) {
+            self.held.wait();
+            self.held.wait();
+        }
+        step
+    }
+}
+
 #[test]
 fn a_crashed_home_finishes_its_deciding_client_and_abandons_the_voting_one() {
     let _quiet = quiet();
     let (primo, workload) = long_rounds(2_500).build();
-    let running = Running::start(&primo, &workload);
-    std::thread::sleep(Duration::from_millis(120));
+    // P1 goes down while its worker holds a voting attempt: the one its
+    // worker is trapped in, between the start that sent its votes and the
+    // turn that would take them up.
+    let trap = Arc::new(TrapVoting {
+        inner: Arc::clone(primo.protocol()),
+        home: P1,
+        armed: AtomicBool::new(true),
+        held: Barrier::new(2),
+    });
+    let protocol: Arc<dyn Protocol> = trap.clone();
+    let running = Running::start_with(&primo, &protocol, &workload);
+    trap.held.wait();
     primo.crash_partition(P1);
     let crashed_at = now_us();
+    trap.held.wait();
     std::thread::sleep(Duration::from_millis(20));
     primo.recover_partition(P1).expect("recovered");
     let up_at = now_us();
