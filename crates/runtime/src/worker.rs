@@ -54,7 +54,7 @@
 //! Nor does a full worker wait for the group commit if it can help it. Its
 //! results come when the scheme releases them, and under the watermark
 //! scheme a release comes one release lag after a client demands it. A
-//! worker that only blocked at its ceiling ([`MAX_PENDING_COMMITS`]) would
+//! worker that only blocked at its ceiling (`MAX_PENDING_COMMITS`) would
 //! sit out that lag every group, so it asks ahead
 //! ([`GroupCommit::demand`](primo_wal::GroupCommit::demand)) for the commit
 //! it just put in `pending`, once per group, when the clients it still has
@@ -652,13 +652,10 @@ impl<'a> Worker<'a> {
     /// it blocks on its one commit.
     fn ask_ahead(&mut self) {
         let room = self.room();
-        let Some(last) = self.pending.back() else {
-            return;
-        };
         if self.ctx.is_none() || self.demanded.is_some() || !self.pace.wants_release(room) {
             return;
         }
-        let waiter = &last.waiter;
+        let waiter = &self.pending.back().expect("a commit just joined").waiter;
         self.cluster.group_commit.demand(waiter);
         self.trace_demand(waiter.ts, room, false);
         self.demanded = Some((waiter.txn, now_us()));

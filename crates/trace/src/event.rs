@@ -216,7 +216,7 @@ impl TraceEventKind {
                 durable_lsn,
             } => (9, entries, durable_lsn, 0),
             GroupCommitRelease { committed } => (10, committed as u64, 0, 0),
-            GroupCommitDemand { ts, room, blocking } => (32, ts, room.into(), blocking.into()),
+            GroupCommitDemand { ts, room, blocking } => (32, ts, room as u64, blocking as u64),
             Committed { ts, durable } => (11, ts, durable as u64, 0),
             Abort { reason, backoff_us } => (12, abort_code(reason), backoff_us, 0),
             SnapshotRead { horizon, exec_us } => (13, horizon, exec_us, 0),

@@ -186,7 +186,11 @@ impl Running {
     }
 
     /// [`Running::start`], running `protocol` in place of the cell's.
-    fn start_with(primo: &Primo, protocol: &Arc<dyn Protocol>, workload: &Arc<dyn Workload>) -> Self {
+    fn start_with(
+        primo: &Primo,
+        protocol: &Arc<dyn Protocol>,
+        workload: &Arc<dyn Workload>,
+    ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(Metrics::new());
         let handles = spawn_workers(
