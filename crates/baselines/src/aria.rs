@@ -20,7 +20,7 @@ use primo_common::{AbortReason, Key, PartitionId, TableId, TxnResult};
 use primo_runtime::access::WriteKind;
 use primo_runtime::cluster::Cluster;
 use primo_runtime::context::{AccessCtx, ReadPolicy};
-use primo_runtime::durability::log_txn_writes;
+use primo_runtime::durability::{log_txn_writes, straddles_crash};
 use primo_runtime::pipeline::Step;
 use primo_runtime::prefetch::ReadFanout;
 use primo_runtime::protocol::{CommittedTxn, Protocol};
@@ -263,8 +263,9 @@ impl Protocol for AriaProtocol {
                     // cover every log this write-set lands on, and each
                     // participant's watermark must stay pinned until
                     // `txn_committed` confirms the entries are appended.
-                    for p in ctx.access.participants(home) {
-                        cluster.group_commit.add_participant(ticket, p, 0);
+                    let participants = ctx.access.participants(home);
+                    for p in &participants {
+                        cluster.group_commit.add_participant(ticket, *p, 0);
                     }
                     let ts = cluster.group_commit.reserve_commit_ts(ticket, 0);
                     // Nothing is locked at Aria's install: look each record up
@@ -273,48 +274,57 @@ impl Protocol for AriaProtocol {
                         .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
                         .collect();
                     let records = records.iter().map(Option::as_ref);
-                    log_txn_writes(cluster, txn, ts, &ctx.access.writes, records);
-                    for w in &ctx.access.writes {
-                        // The commit decision is already made, so inserts
-                        // create their record directly (install flips it
-                        // Visible) and deletes tombstone + reclaim. The slot
-                        // is claimed in uncommitted state first so a
-                        // concurrent snapshot reader never observes a
-                        // placeholder value, and every install carries the
-                        // finalized commit timestamp for the version chain.
-                        let table = cluster.partition(w.partition).store.table(w.table);
-                        match w.kind {
-                            WriteKind::Delete => {
-                                if let Some(record) = table.get(w.key) {
-                                    record.install_tombstone_next_version_at(ts);
+                    // The decision is made, but nothing is installed yet: a
+                    // crash that fenced a log of the write-set since the
+                    // attempt began still aborts it here.
+                    let (terms, writes) = (&ctx.access.terms, &ctx.access.writes);
+                    if log_txn_writes(cluster, terms, txn, ts, writes, records).is_err()
+                        || straddles_crash(cluster, terms, txn, home, &participants, writes)
+                    {
+                        Err(AbortReason::CrashAbort.into())
+                    } else {
+                        for w in writes {
+                            // The commit decision is already made, so inserts
+                            // create their record directly (install flips it
+                            // Visible) and deletes tombstone + reclaim. The slot
+                            // is claimed in uncommitted state first so a
+                            // concurrent snapshot reader never observes a
+                            // placeholder value, and every install carries the
+                            // finalized commit timestamp for the version chain.
+                            let table = cluster.partition(w.partition).store.table(w.table);
+                            match w.kind {
+                                WriteKind::Delete => {
+                                    if let Some(record) = table.get(w.key) {
+                                        record.install_tombstone_next_version_at(ts);
+                                        cluster.note_installed(w.partition, &record, ts);
+                                        table.reclaim(w.key);
+                                    }
+                                }
+                                _ => {
+                                    let record = match table.insert_slot(w.key, txn) {
+                                        primo_storage::InsertSlot::Existing(r)
+                                        | primo_storage::InsertSlot::Created(r)
+                                        | primo_storage::InsertSlot::Revived(r) => r,
+                                        // Unreachable within Aria (the WAW check
+                                        // admits one writer per key per batch),
+                                        // but stay safe: replace the slot with a
+                                        // record born at `ts`.
+                                        primo_storage::InsertSlot::Busy => {
+                                            table.restore(w.key, w.value.clone(), ts);
+                                            continue;
+                                        }
+                                    };
+                                    record.install_next_version_at(w.value.clone(), ts);
                                     cluster.note_installed(w.partition, &record, ts);
-                                    table.reclaim(w.key);
                                 }
                             }
-                            _ => {
-                                let record = match table.insert_slot(w.key, txn) {
-                                    primo_storage::InsertSlot::Existing(r)
-                                    | primo_storage::InsertSlot::Created(r)
-                                    | primo_storage::InsertSlot::Revived(r) => r,
-                                    // Unreachable within Aria (the WAW check
-                                    // admits one writer per key per batch),
-                                    // but stay safe: replace the slot with a
-                                    // record born at `ts`.
-                                    primo_storage::InsertSlot::Busy => {
-                                        table.restore(w.key, w.value.clone(), ts);
-                                        continue;
-                                    }
-                                };
-                                record.install_next_version_at(w.value.clone(), ts);
-                                cluster.note_installed(w.partition, &record, ts);
-                            }
                         }
+                        Ok(CommittedTxn {
+                            ts,
+                            ops,
+                            distributed,
+                        })
                     }
-                    Ok(CommittedTxn {
-                        ts,
-                        ops,
-                        distributed,
-                    })
                 }
             }
         };
@@ -336,7 +346,7 @@ mod tests {
     use super::*;
     use primo_common::config::ClusterConfig;
     use primo_common::Value;
-    use primo_runtime::txn::IncrementProgram;
+    use primo_runtime::txn::{IncrementProgram, TxnContext};
     use primo_runtime::worker::run_session_txn;
 
     fn loaded(n: usize) -> Arc<Cluster> {
@@ -420,6 +430,52 @@ mod tests {
             .count();
         assert_eq!(commits, 1, "exactly one of the two may commit: {results:?}");
         assert_eq!(det_aborts, 1, "the other aborts deterministically");
+        cluster.shutdown();
+    }
+
+    /// Writes key 1 on both partitions, then crashes partition 1 from its
+    /// own body: after the attempt began, before its decision is installed.
+    struct CrashingWriter(Arc<Cluster>);
+
+    impl TxnProgram for CrashingWriter {
+        fn execute(&self, ctx: &mut dyn TxnContext) -> TxnResult<()> {
+            for p in [PartitionId(0), PartitionId(1)] {
+                ctx.write(p, TableId(0), 1, Value::from_u64(1))?;
+            }
+            self.0.crash_partition(PartitionId(1));
+            Ok(())
+        }
+
+        fn home_partition(&self) -> PartitionId {
+            PartitionId(0)
+        }
+    }
+
+    #[test]
+    fn a_crash_after_the_attempt_began_aborts_its_install() {
+        // Aria decides before it logs, and its install has no abort path of
+        // its own: the fenced log of the crashed participant refuses the
+        // write-set, so the decided transaction aborts with nothing
+        // installed anywhere and its survivor's entry sealed.
+        let cluster = loaded(2);
+        cluster.checkpoint_all();
+        let protocol = AriaProtocol::new(quick_cfg());
+        let txn = cluster.next_txn_id(PartitionId(0));
+        let ticket = cluster.group_commit.begin_txn(PartitionId(0), txn);
+        let prog = CrashingWriter(Arc::clone(&cluster));
+        let outcome = protocol.execute_once(&cluster, &prog, &ticket, ReadFanout::empty());
+        assert_eq!(
+            outcome.err().map(|e| e.reason()),
+            Some(AbortReason::CrashAbort)
+        );
+        cluster.group_commit.txn_aborted(&ticket);
+        cluster.recover_partition(PartitionId(1));
+        for p in [PartitionId(0), PartitionId(1)] {
+            let record = cluster.partition(p).store.get(TableId(0), 1);
+            assert_eq!(record.map(|r| r.read().value.as_u64()), Some(0), "{p:?}");
+        }
+        let sealed = cluster.partition(PartitionId(0)).log.rolled_back_txns();
+        assert!(sealed.contains(&txn));
         cluster.shutdown();
     }
 

@@ -281,12 +281,13 @@ fn bench_log_txn_writes() {
         .iter()
         .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
         .collect();
+    let terms: Vec<u64> = cluster.log_terms().collect();
     let mut seq = 1_000_000u64;
     bench("durability/log_txn_writes_16w_4p", || {
         seq += 1;
         let txn = TxnId::new(PartitionId(0), seq);
         let records = records.iter().map(Option::as_ref);
-        log_txn_writes(&cluster, txn, seq, &writes, records);
+        log_txn_writes(&cluster, &terms, txn, seq, &writes, records).expect("no crash");
     });
     cluster.shutdown();
 }

@@ -140,11 +140,13 @@ impl PrimoProtocol {
         // while the exclusive locks are still held. Shipping the set to
         // the participant's log rides the one-way batch charged below.
         // With no vote round, this is also the only place left to notice
-        // that a partition died since its records were locked.
-        log_txn_writes(cluster, txn, ts, &access.writes, pinned_records(access));
-        if straddles_crash(cluster, txn, home, &participants, &ctx.access.writes) {
+        // that a partition died since the attempt began: its log refuses
+        // the append, or its term moved by the time the appends are done.
+        let (terms, writes) = (&access.terms, &access.writes);
+        let logged = log_txn_writes(cluster, terms, txn, ts, writes, pinned_records(access));
+        if logged.is_err() || straddles_crash(cluster, terms, txn, home, &participants, writes) {
             ctx.abort_cleanup();
-            return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
+            return Err(TxnError::Aborted(AbortReason::CrashAbort));
         }
         // Home part: prolong the valid intervals of reads, install the
         // writes, release the locks — all without any communication.

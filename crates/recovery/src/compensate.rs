@@ -98,7 +98,6 @@ fn undo_rolled_back(
     // no in-flight transaction can mistake it for a peer.
     let undo_txn = TxnId::new(store.partition(), 0);
     let mut report = CompensationReport::default();
-    let mut markers = Vec::with_capacity(doomed.len());
     for (txn, ts, writes) in &doomed {
         for w in writes.iter().rev() {
             let table = store.table(w.table);
@@ -158,7 +157,7 @@ fn undo_rolled_back(
             }
             report.undone_writes += 1;
         }
-        markers.push(LogPayload::TxnRolledBack { txn: *txn });
+        wal.append(LogPayload::TxnRolledBack { txn: *txn });
         report.compensated_txns += 1;
         if let Some(rec) = recorder {
             rec.emit(
@@ -170,12 +169,6 @@ fn undo_rolled_back(
             );
         }
     }
-    // Seal the whole set with one batched append: the markers are only
-    // consulted after this pass returns (replay, folds and later
-    // compensations all read the log afterwards), so appending them
-    // together — one sequencer acquisition instead of one per transaction —
-    // is observationally identical to sealing each transaction in turn.
-    wal.append_batch(markers);
     report
 }
 

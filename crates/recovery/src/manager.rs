@@ -36,9 +36,10 @@ pub struct CrashContext {
 
 impl CrashContext {
     /// Capture the crash-time state of one partition. Call *after* the
-    /// network marked the partition crashed and the group commit agreed on
-    /// the rollback point, but *before* the log's leader hand-off discards
-    /// any disk (see [`CrashContext::durable_lsn`]). The horizon is read
+    /// network marked the partition crashed, its log was fenced
+    /// ([`ReplicatedLog::fail_over`]) and the group commit agreed on the
+    /// rollback point, but *before* any disk is discarded (see
+    /// [`CrashContext::durable_lsn`]). The horizon is read
     /// atomically with respect to checkpoint folds
     /// ([`ReplicatedLog::crash_horizon`]): the image and the retained log
     /// recovery later reads are either both before or both after any chunk.
@@ -237,29 +238,22 @@ impl RecoveryManager {
         // a classic-2PC cluster logs no votes and resolves nothing here.
         let in_doubt = log.unresolved_commit_votes(crash.durable_lsn);
         let in_doubt_resolved = in_doubt.len();
-        if !in_doubt.is_empty() {
-            log.append_batch(
-                in_doubt
-                    .iter()
-                    .map(|txn| LogPayload::CommitDecision {
-                        txn: *txn,
-                        commit: false,
-                    })
-                    .collect(),
-            );
+        for txn in &in_doubt {
+            log.append(LogPayload::CommitDecision {
+                txn: *txn,
+                commit: false,
+            });
             if let Some(rec) = recorder {
-                for txn in &in_doubt {
-                    rec.emit(
-                        Some(*txn),
-                        Some(p),
-                        TraceEventKind::DecisionReached {
-                            commit: false,
-                            in_doubt: true,
-                            flight_us: 0,
-                            late_us: 0,
-                        },
-                    );
-                }
+                rec.emit(
+                    Some(*txn),
+                    Some(p),
+                    TraceEventKind::DecisionReached {
+                        commit: false,
+                        in_doubt: true,
+                        flight_us: 0,
+                        late_us: 0,
+                    },
+                );
             }
         }
 
@@ -341,12 +335,17 @@ mod tests {
         )
     }
 
-    fn log_put(wal: &ReplicatedLog, seq: u64, ts: Ts, key: u64, v: u64) {
-        wal.append(LogPayload::TxnWrites {
+    /// Write-set `seq` of p0: one put.
+    fn put(seq: u64, ts: Ts, key: u64, v: u64) -> LogPayload {
+        LogPayload::TxnWrites {
             txn: TxnId::new(PartitionId(0), seq),
             ts,
             writes: vec![LoggedWrite::put(TableId(0), key, Value::from_u64(v))],
-        });
+        }
+    }
+
+    fn log_put(wal: &ReplicatedLog, seq: u64, ts: Ts, key: u64, v: u64) {
+        wal.append(put(seq, ts, key, v));
     }
 
     #[test]
@@ -552,9 +551,11 @@ mod tests {
             }
         }
 
-        /// Mark p0 crashed and let the scheme agree on the rollback point.
+        /// Mark p0 crashed, fence its log and let the scheme agree on the
+        /// rollback point, in the cluster's order.
         fn agree(&self) -> Ts {
             self.net.set_crashed(PartitionId(0), true);
+            self.logs[0].fail_over(false);
             self.gc.on_partition_crash(PartitionId(0))
         }
 
@@ -611,30 +612,46 @@ mod tests {
     }
 
     #[test]
-    fn clv_verdict_matches_recovery_for_a_local_write_set_logged_after_the_crash() {
-        // A transaction local to p0 is in flight when p0 crashes and appends
-        // its write-set after the crash instant but before p0's quorum cut
-        // is taken, then reports its commit. Whether or not the write-set is
-        // quorum-durable at the cut, the verdict must be what recovery keeps.
-        for durable_at_cut in [false, true] {
-            let sides = TwoSides::new(LoggingScheme::Clv, 10, 50_000);
-            let (gc, p0) = (&sides.gc, PartitionId(0));
-            let ticket = gc.begin_txn(p0, TxnId::new(p0, 1));
-            let token = sides.agree();
-            log_put(&sides.logs[0], 1, 1, 1, 1);
+    fn clv_orphan_logging_between_the_crash_and_the_recovery_is_not_committed() {
+        // A transaction local to p0 is in flight when p0 crashes. It appends
+        // its write-set after the crash, before p0's recovery runs, and
+        // reports only once the recovery ran — which kept nothing of it.
+        let sides = TwoSides::new(LoggingScheme::Clv, 10, 50_000);
+        let (gc, p0) = (&sides.gc, PartitionId(0));
+        let ticket = gc.begin_txn(p0, TxnId::new(p0, 1));
+        let term = sides.logs[0].term();
+        let token = sides.agree();
+        let appended = sides.logs[0].append_in_term(term, put(1, 1, 1, 1));
+        if appended.is_ok() {
             sides.stores[0].insert(TableId(0), 1, Value::from_u64(1));
-            if durable_at_cut {
-                sides.settle();
-            }
-            let waiter = gc.txn_committed(&ticket, 1, 1);
-            let kept = sides.crash_p0(token, &[1]);
-            let verdict = gc.wait_durable(&waiter);
-            assert_eq!(
-                verdict == CommitOutcome::Committed,
-                kept[0].0,
-                "durable at the cut: {durable_at_cut}, verdict {verdict:?}, kept {kept:?}"
-            );
         }
+        let kept = sides.crash_p0(token, &[1]);
+        let committed = appended.is_ok()
+            && gc.wait_durable(&gc.txn_committed(&ticket, 1, 1)) == CommitOutcome::Committed;
+        assert_eq!((committed, kept), (false, vec![(false, false)]));
+    }
+
+    #[test]
+    fn clv_orphan_logging_after_the_recovery_leaves_nothing_a_later_recovery_applies() {
+        // The same orphan appends only after p0's recovery ran. It must not
+        // be committed, and its write-set must not be in the log for p0's
+        // next recovery to replay.
+        let sides = TwoSides::new(LoggingScheme::Clv, 10, 50_000);
+        let (gc, p0) = (&sides.gc, PartitionId(0));
+        let ticket = gc.begin_txn(p0, TxnId::new(p0, 1));
+        let term = sides.logs[0].term();
+        let token = sides.agree();
+        sides.crash_p0(token, &[1]);
+        let appended = sides.logs[0].append_in_term(term, put(1, 1, 1, 1));
+        if appended.is_ok() {
+            sides.stores[0].insert(TableId(0), 1, Value::from_u64(1));
+        }
+        let committed = appended.is_ok()
+            && gc.wait_durable(&gc.txn_committed(&ticket, 1, 1)) == CommitOutcome::Committed;
+        sides.settle();
+        let token = sides.agree();
+        let kept = sides.crash_p0(token, &[1]);
+        assert_eq!((committed, kept), (false, vec![(false, false)]));
     }
 
     #[test]

@@ -284,6 +284,11 @@ pub struct AccessSet {
     pub locked: Vec<Arc<Record>>,
     /// Records materialised ahead of the commit decision; unwound on abort.
     pub undo: UndoLog,
+    /// The term of every partition's log when the attempt began, indexed by
+    /// partition: what its appends are fenced by
+    /// ([`ReplicatedLog::append_in_term`](primo_wal::ReplicatedLog::append_in_term)).
+    /// One slot per partition, reused by the thread's next attempt.
+    pub terms: Box<[u64]>,
 }
 
 /// The buffers of an [`AccessSet`].
@@ -292,6 +297,7 @@ type Buffers = (
     Vec<WriteEntry>,
     Vec<Arc<Record>>,
     Vec<UndoAction>,
+    Box<[u64]>,
 );
 
 /// A thread's emptied access-set buffers, capacity kept.
@@ -324,7 +330,7 @@ impl Default for AccessSet {
             spare.made += usize::from(buffers.is_none());
             buffers
         });
-        let (reads, writes, locked, undo) = spare.ok().flatten().unwrap_or_default();
+        let (reads, writes, locked, undo, terms) = spare.ok().flatten().unwrap_or_default();
         AccessSet {
             reads,
             writes,
@@ -332,6 +338,7 @@ impl Default for AccessSet {
             undo: UndoLog {
                 actions: Mutex::new(undo),
             },
+            terms,
         }
     }
 }
@@ -343,6 +350,7 @@ impl Drop for AccessSet {
             std::mem::take(&mut self.writes),
             std::mem::take(&mut self.locked),
             std::mem::take(self.undo.actions.get_mut()),
+            std::mem::take(&mut self.terms),
         );
         buffers.0.clear();
         buffers.1.clear();

@@ -361,11 +361,19 @@ impl Cluster {
         (0..self.partitions.len() as u32).map(PartitionId)
     }
 
-    /// Crash a partition leader: the partition becomes unreachable, the
-    /// group commit agrees on the rollback point (§5.2), the replicated log
-    /// hands leadership to the deterministic successor replica, and the
-    /// crash-time **quorum** LSN is captured — entries that never reached a
-    /// majority of replicas are treated as lost.
+    /// Every partition's log term right now, in partition order: what an
+    /// attempt that begins now carries (`AccessSet::terms`).
+    pub fn log_terms(&self) -> impl Iterator<Item = u64> + '_ {
+        self.partitions.iter().map(|p| p.log.term())
+    }
+
+    /// Crash a partition leader: the partition becomes unreachable, its
+    /// replicated log moves to a new term and hands leadership to the
+    /// deterministic successor replica — the fence: an attempt that began
+    /// before it appends nothing there any more — the group commit agrees
+    /// on the rollback point (§5.2), and the crash-time **quorum** LSN is
+    /// captured — entries that never reached a majority of replicas are
+    /// treated as lost.
     ///
     /// Atomic commit demands all-or-nothing across every participant, so the
     /// crash-abort is then made atomic across partitions: every *surviving*
@@ -391,21 +399,32 @@ impl Cluster {
         self.recorder
             .emit(None, Some(p), TraceEventKind::CrashInjected);
         self.net.set_crashed(p, true);
+        // The crash is ordered fence → agreement → cut. The fail-over bumps
+        // the term under the log's sequencer lock, so every transaction
+        // record of an older term is in the log before it or refused. The
+        // scheme's instant comes after the fence, so it sees every
+        // write-set the crashed log will ever hold from before the crash;
+        // the scheme's agreement cannot sit under the sequencer itself
+        // (COCO's coordinator appends its epoch boundaries under the lock
+        // `on_partition_crash` takes, and its drain waits for appenders).
+        let log = &self.partition(p).log;
+        let dead_leader = log.leader_index();
+        log.fail_over(false);
         let token = self.group_commit.on_partition_crash(p);
-        // Capture the quorum horizon — between, never inside, checkpoint
-        // fold chunks, and with the partition already marked down so no
-        // later chunk starts — **before** the hand-off wipes the dead
-        // leader's disk: everything quorum-durable at the crash instant is
-        // physically present on every replica (the capture itself brings
-        // the followers up to the leader's end, and the fail-over carries
-        // over whatever is appended after that), so the surviving copies can
-        // reproduce it — whereas capturing after
-        // the wipe would drop the dead leader's vote and, at replication
-        // factor 2, misreport fully-acknowledged history as lost. The
-        // fail-over then bumps the term (restarting any in-flight replay)
-        // and elects the successor the recovery will read from.
-        let crash = CrashContext::capture(p, token, &self.partition(p).log);
-        self.partition(p).log.fail_over(discard_log);
+        // Capture the quorum horizon after the instant — so everything the
+        // scheme counts as acknowledged by it is inside — between, never
+        // inside, checkpoint fold chunks, and with the partition already
+        // marked down so no later chunk starts; and **before** the dead
+        // leader's disk is wiped: everything quorum-durable at the crash is
+        // physically present on every replica (the fail-over brought the
+        // followers up to the leader's end), so the surviving copies can
+        // reproduce it — whereas capturing after the wipe would drop the
+        // dead leader's vote and, at replication factor 2, misreport
+        // fully-acknowledged history as lost.
+        let crash = CrashContext::capture(p, token, log);
+        if discard_log {
+            log.wipe_replica(dead_leader);
+        }
         self.pending_crashes.lock().insert(p.0, crash);
         let survivors = self
             .partitions

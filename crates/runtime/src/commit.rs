@@ -183,7 +183,9 @@ pub trait AtomicCommit: Send + Sync + std::fmt::Debug {
     }
 
     /// Take up the votes of the round [`AtomicCommit::prepare`] sent; the
-    /// caller has waited for [`Round::ready_at_us`].
+    /// caller has waited for [`Round::ready_at_us`]. `terms` are the log
+    /// terms the attempt carries (`AccessSet::terms`): a logged vote is
+    /// fenced by them.
     fn votes(
         &self,
         cluster: &Cluster,
@@ -191,12 +193,14 @@ pub trait AtomicCommit: Send + Sync + std::fmt::Debug {
         home: PartitionId,
         participants: &[PartitionId],
         round: Round,
+        terms: &[u64],
     ) -> PrepareOutcome;
 
     /// Propagate the global COMMIT verdict. `Some`: the round of
     /// acknowledgements the coordinator holds its locks for — wait for
     /// [`Round::ready_at_us`], then [`Round::acked`]. `None`: the decision
-    /// needs no acknowledgement, or there is nobody to tell.
+    /// needs no acknowledgement, or there is nobody to tell. A logged
+    /// decision is fenced by `terms`, like the votes.
     fn decide_commit(
         &self,
         cluster: &Cluster,
@@ -204,6 +208,7 @@ pub trait AtomicCommit: Send + Sync + std::fmt::Debug {
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
+        terms: &[u64],
     ) -> Option<Round>;
 
     /// Propagate the global ABORT verdict (after a failed local lock /
@@ -229,8 +234,9 @@ pub trait AtomicCommit: Send + Sync + std::fmt::Debug {
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
+        terms: &[u64],
     ) {
-        let _ = (cluster, txn, home, participants, prepared);
+        let _ = (cluster, txn, home, participants, prepared, terms);
     }
 }
 
@@ -265,6 +271,7 @@ impl AtomicCommit for ClassicTwoPc {
         home: PartitionId,
         participants: &[PartitionId],
         round: Round,
+        _terms: &[u64],
     ) -> PrepareOutcome {
         if !votes_back(cluster, txn, home, round) {
             return PrepareOutcome::Aborted(AbortReason::RemoteUnavailable);
@@ -290,6 +297,7 @@ impl AtomicCommit for ClassicTwoPc {
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
+        _terms: &[u64],
     ) -> Option<Round> {
         if participants.is_empty() {
             return None;
@@ -392,6 +400,7 @@ impl AtomicCommit for PaxosCommit {
         home: PartitionId,
         participants: &[PartitionId],
         round: Round,
+        terms: &[u64],
     ) -> PrepareOutcome {
         if !votes_back(cluster, txn, home, round) {
             return PrepareOutcome::Aborted(AbortReason::RemoteUnavailable);
@@ -404,15 +413,24 @@ impl AtomicCommit for PaxosCommit {
         // Log every YES vote quorum-durably: the coordinator's own vote in
         // the home log, each participant's vote in its own log. Durability
         // proceeds in the background — the commit critical path pays only
-        // the appends.
+        // the appends. A log a crash fenced since the attempt began refuses
+        // its vote: the votes already logged are resolved to abort, and the
+        // attempt is crash-aborted.
         let mut vote_lsns = Vec::with_capacity(participants.len() + 1);
         for p in std::iter::once(home).chain(participants.iter().copied()) {
             let log = &cluster.partition(p).log;
-            let lsn = log.append(LogPayload::CommitVote {
+            let vote = LogPayload::CommitVote {
                 txn,
                 coordinator: home,
                 commit: true,
-            });
+            };
+            let Ok(lsn) = log.append_in_term(terms[p.idx()], vote) else {
+                for (voted, _) in &vote_lsns {
+                    let abort = LogPayload::CommitDecision { txn, commit: false };
+                    cluster.partition(*voted).log.append(abort);
+                }
+                return PrepareOutcome::Aborted(AbortReason::CrashAbort);
+            };
             cluster.recorder.emit(
                 Some(txn),
                 Some(p),
@@ -436,6 +454,7 @@ impl AtomicCommit for PaxosCommit {
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
+        terms: &[u64],
     ) -> Option<Round> {
         if participants.is_empty() {
             return None;
@@ -443,9 +462,14 @@ impl AtomicCommit for PaxosCommit {
         // The verdict is the durable log entry, not the message: participants
         // are told one-way and never ack (a missed notification is recovered
         // from the durable decision). This removes classic 2PC's second
-        // round trip from the commit critical path.
+        // round trip from the commit critical path. A log a crash fenced
+        // since the attempt began refuses its decision: it holds the
+        // write-set from before the crash, or none, and the crash's verdict
+        // decides it there — a decision past the crash cut would contradict
+        // recovery's.
         for p in std::iter::once(home).chain(participants.iter().copied()) {
-            (cluster.partition(p).log).append(LogPayload::CommitDecision { txn, commit: true });
+            let decision = LogPayload::CommitDecision { txn, commit: true };
+            let _ = (cluster.partition(p).log).append_in_term(terms[p.idx()], decision);
         }
         cluster.net.one_way_multi(home, participants);
         cluster.record_commit_decision(prepared.elapsed_us());
@@ -481,14 +505,17 @@ impl AtomicCommit for PaxosCommit {
         home: PartitionId,
         participants: &[PartitionId],
         prepared: PreparedAt,
+        terms: &[u64],
     ) {
         if participants.is_empty() {
             return;
         }
         // The prepare round's response already carried the decision; only
-        // the durable resolution of the logged votes remains.
+        // the durable resolution of the logged votes remains, fenced as in
+        // `decide_commit`.
         for p in std::iter::once(home).chain(participants.iter().copied()) {
-            (cluster.partition(p).log).append(LogPayload::CommitDecision { txn, commit: true });
+            let decision = LogPayload::CommitDecision { txn, commit: true };
+            let _ = (cluster.partition(p).log).append_in_term(terms[p.idx()], decision);
         }
         cluster.record_commit_decision(prepared.elapsed_us());
         cluster
@@ -509,6 +536,11 @@ mod tests {
         Cluster::new(config)
     }
 
+    /// The log terms of an attempt that begins now.
+    fn terms(cluster: &Cluster) -> Vec<u64> {
+        cluster.log_terms().collect()
+    }
+
     /// The vote round, waited out.
     fn prepare(
         cluster: &Cluster,
@@ -519,7 +551,7 @@ mod tests {
         let layer = cluster.atomic_commit();
         let round = layer.prepare(cluster, txn, home, parts);
         wait_until(round.ready_at_us());
-        layer.votes(cluster, txn, home, parts, round)
+        layer.votes(cluster, txn, home, parts, round, &terms(cluster))
     }
 
     /// The decision, its acknowledgements (if it needs any) waited out.
@@ -531,7 +563,9 @@ mod tests {
         prepared: PreparedAt,
     ) {
         let layer = cluster.atomic_commit();
-        if let Some(acks) = layer.decide_commit(cluster, txn, home, parts, prepared) {
+        if let Some(acks) =
+            layer.decide_commit(cluster, txn, home, parts, prepared, &terms(cluster))
+        {
             wait_until(acks.ready_at_us());
             acks.acked(cluster, txn, home);
         }

@@ -94,11 +94,20 @@ impl<'a> AccessCtx<'a> {
         policy: ReadPolicy,
         fanout: ReadFanout,
     ) -> Self {
+        // The attempt begins: it carries every log's term from here on, and
+        // a crash that moves one refuses the attempt's appends there.
+        let mut access = AccessSet::new();
+        if access.terms.len() != cluster.num_partitions() {
+            access.terms = vec![0; cluster.num_partitions()].into();
+        }
+        for (term, now) in access.terms.iter_mut().zip(cluster.log_terms()) {
+            *term = now;
+        }
         AccessCtx {
             cluster,
             ticket,
             home,
-            access: AccessSet::new(),
+            access,
             policy,
             switched: false,
             dead: None,
@@ -158,9 +167,10 @@ impl<'a> AccessCtx<'a> {
     /// operation (a body that ignores an `Err` from the context must not
     /// commit the writes it buffered before it).
     pub fn run_body(&mut self, program: &dyn TxnProgram) -> TxnResult<()> {
-        // A body made only of blind local writes reads nothing, so the
-        // read-time fence in `guarded_read` never sees it: a coordinator
-        // whose own partition is down starts no body at all.
+        // A coordinator whose own partition is down starts no body at all.
+        // Checked after the terms were read (`AccessCtx::new`): a crash
+        // that came later moved a term the attempt carries, so whatever it
+        // appends there is refused.
         if self.cluster.net.is_crashed(self.home) {
             return Err(TxnError::Aborted(AbortReason::RemoteUnavailable));
         }
@@ -318,11 +328,6 @@ impl<'a> AccessCtx<'a> {
         key: Key,
         dummy: Option<WriteKind>,
     ) -> Result<Value, AbortReason> {
-        // A coordinator whose own partition is down serves nobody, in any
-        // mode: what it committed would land in a store recovery wipes.
-        if self.cluster.net.is_crashed(self.home) {
-            return Err(AbortReason::RemoteUnavailable);
-        }
         let remote = p != self.home;
         if remote {
             self.charge_remote(p, table, key, dummy.is_some())?;

@@ -12,6 +12,14 @@
 //! the rolling checkpoint image and keep what their scheme has not covered
 //! yet, and a chunk or two.
 //!
+//! The appends are fenced: each carries the term its attempt read from the
+//! log when it began (`AccessSet::terms`), and a crash that moved the term
+//! since refuses it ([`Fenced`]). A refused append — or, for a commit that
+//! spans partitions, a term that moved by the time its appends are done
+//! ([`straddles_crash`]) — aborts the attempt before it installs anything,
+//! with what it logged elsewhere sealed. Neither reads the network's
+//! health, and a crash never waits for a late write-set.
+//!
 //! Two invariants the recovery subsystem depends on:
 //!
 //! * **Log before results.** The append happens before the group commit is
@@ -30,7 +38,7 @@ use crate::cluster::Cluster;
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_storage::{LifecycleState, Record};
 use primo_trace::TraceEventKind;
-use primo_wal::{LogPayload, LoggedOp, LoggedWrite};
+use primo_wal::{Fenced, LogPayload, LoggedOp, LoggedWrite};
 use std::sync::Arc;
 
 /// The committed before-image of the record a write is about to install
@@ -56,7 +64,11 @@ fn before_image(record: Option<&Arc<Record>>, txn: TxnId) -> Option<primo_common
 }
 
 /// Append one `TxnWrites` entry per involved partition for a transaction
-/// committing at `ts`. `records` gives, in the order of `writes`, the record
+/// committing at `ts`, each in the term the attempt carries for that log
+/// (`terms`, indexed by partition). A refused append ends it: what went into
+/// the other logs is sealed with `TxnRolledBack` markers, so no replay and
+/// no fold ever applies it, and the caller gives up with nothing installed.
+/// `records` gives, in the order of `writes`, the record
 /// each write is about to install into — the one the commit path already
 /// holds locked (`None`: the key has no record yet), so nothing is looked up
 /// a second time. Deletes are logged as [`LoggedOp::Delete`]; puts and
@@ -75,11 +87,12 @@ fn before_image(record: Option<&Arc<Record>>, txn: TxnId) -> Option<primo_common
 /// critical section (see the append path in `primo_wal::replicated`).
 pub fn log_txn_writes<'a>(
     cluster: &Cluster,
+    terms: &[u64],
     txn: TxnId,
     ts: Ts,
     writes: &[WriteEntry],
     records: impl Iterator<Item = Option<&'a Arc<Record>>> + Clone,
-) {
+) -> Result<(), Fenced> {
     for (i, partition) in writes.iter().map(|w| w.partition).enumerate() {
         if writes[..i].iter().any(|w| w.partition == partition) {
             continue;
@@ -102,57 +115,68 @@ pub fn log_txn_writes<'a>(
             });
         }
         let log = &cluster.partition(partition).log;
-        let lsn = log.append(LogPayload::TxnWrites {
+        let term = terms[partition.idx()];
+        let payload = LogPayload::TxnWrites {
             txn,
             ts,
             writes: logged,
-        });
-        cluster.recorder.emit(
-            Some(txn),
-            Some(partition),
-            TraceEventKind::WalAppend {
-                lsn,
-                term: log.term(),
-            },
-        );
+        };
+        let Ok(lsn) = log.append_in_term(term, payload) else {
+            seal(cluster, terms, txn, &writes[..i]);
+            return Err(Fenced);
+        };
+        let appended = TraceEventKind::WalAppend { lsn, term };
+        cluster.recorder.emit(Some(txn), Some(partition), appended);
     }
+    Ok(())
 }
 
 /// The crash check of a commit that spans partitions: call after
 /// [`log_txn_writes`], before the first install.
 ///
 /// A partition crash is made atomic across partitions by one compensation
-/// scan of every survivor's log, taken right after the network marks the
-/// partition down. A commit that already holds its locks on the dying
-/// partition can still append *after* that scan: the scheme then reports it
-/// `Committed`, its half on the survivor stays, its half on the crashed
-/// partition is past the replay bound — half a transaction. So the commit
-/// looks at its partitions' health once its write-set is in the logs. All
-/// up: the append preceded the mark and therefore the scan, and compensation
-/// owns the transaction from here. One down (`true`): the caller must give
-/// up without installing anything; what it logged on the partitions still
-/// up is sealed here with `TxnRolledBack` markers, so no replay and no fold
-/// ever applies it (the crashed partition's recovery drops its own copy).
+/// scan of every survivor's log, taken after the crashed log's fence. A
+/// commit whose write-set reached the dying partition before the fence can
+/// still append to a survivor *after* that scan: the scheme then reports it
+/// `CrashAborted` while its half on the survivor stays — half a
+/// transaction. So once its write-set is in the logs the commit looks at
+/// the terms it carries for `home` and `participants`. None moved: every
+/// append preceded every fence and therefore every scan, and compensation
+/// owns the transaction from here. One moved (`true`): the caller must give
+/// up without installing anything; what it logged on the partitions whose
+/// term stands is sealed here (the crashed partition's recovery judges its
+/// own copy by the scheme's bound).
 pub fn straddles_crash(
     cluster: &Cluster,
+    terms: &[u64],
     txn: TxnId,
     home: PartitionId,
     participants: &[PartitionId],
     writes: &[WriteEntry],
 ) -> bool {
     let mut involved = participants.iter().chain([&home]);
-    if !involved.any(|p| cluster.net.is_crashed(*p)) {
+    if !involved.any(|p| moved(cluster, terms, *p)) {
         return false;
     }
-    let mut sealed: Vec<PartitionId> = Vec::new();
-    for w in writes {
-        if !sealed.contains(&w.partition) && !cluster.net.is_crashed(w.partition) {
-            sealed.push(w.partition);
+    seal(cluster, terms, txn, writes);
+    true
+}
+
+/// Whether a crash moved `p`'s term past the one `terms` carries.
+fn moved(cluster: &Cluster, terms: &[u64], p: PartitionId) -> bool {
+    cluster.partition(p).log.term() > terms[p.idx()]
+}
+
+/// Seal `txn`'s write-set in the logs of `writes` whose term stands: a
+/// `TxnRolledBack` marker, a control record, which no fence refuses.
+fn seal(cluster: &Cluster, terms: &[u64], txn: TxnId, writes: &[WriteEntry]) {
+    for (i, w) in writes.iter().enumerate() {
+        let first = !writes[..i].iter().any(|e| e.partition == w.partition);
+        if first && !moved(cluster, terms, w.partition) {
             let log = &cluster.partition(w.partition).log;
             log.append(LogPayload::TxnRolledBack { txn });
         }
     }
-    true
 }
 
 #[cfg(test)]
@@ -162,14 +186,27 @@ mod tests {
     use primo_common::{PartitionId, TableId, Value};
     use primo_wal::ReplayBound;
 
-    /// Log `writes` the way a commit path does: each with the record the
-    /// store holds for its key right now.
-    fn log_resolved(cluster: &Cluster, txn: TxnId, ts: Ts, writes: &[WriteEntry]) {
+    /// Log `writes` the way a commit path does, in `terms`: each with the
+    /// record the store holds for its key right now.
+    fn log_in(
+        cluster: &Cluster,
+        terms: &[u64],
+        txn: TxnId,
+        ts: Ts,
+        writes: &[WriteEntry],
+    ) -> Result<(), Fenced> {
         let records: Vec<Option<Arc<Record>>> = writes
             .iter()
             .map(|w| cluster.partition(w.partition).store.get(w.table, w.key))
             .collect();
-        log_txn_writes(cluster, txn, ts, writes, records.iter().map(Option::as_ref));
+        let records = records.iter().map(Option::as_ref);
+        log_txn_writes(cluster, terms, txn, ts, writes, records)
+    }
+
+    /// [`log_in`] for an attempt that begins now.
+    fn log_resolved(cluster: &Cluster, txn: TxnId, ts: Ts, writes: &[WriteEntry]) {
+        let terms: Vec<u64> = cluster.log_terms().collect();
+        log_in(cluster, &terms, txn, ts, writes).expect("no crash");
     }
 
     #[test]
@@ -254,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn a_commit_that_finds_a_partition_down_seals_its_survivor_entries() {
+    fn a_commit_whose_participant_crashed_after_its_appends_seals_its_survivor_entries() {
         let cluster = Cluster::new(ClusterConfig::for_tests(2));
         let (p0, p1) = (PartitionId(0), PartitionId(1));
         let writes = vec![
@@ -262,17 +299,52 @@ mod tests {
             WriteEntry::insert(p1, TableId(0), 1, Value::from_u64(1)),
         ];
         let txn = cluster.next_txn_id(p0);
-        log_resolved(&cluster, txn, 7, &writes);
-        assert!(!straddles_crash(&cluster, txn, p0, &[p1], &writes));
+        let terms: Vec<u64> = cluster.log_terms().collect();
+        log_in(&cluster, &terms, txn, 7, &writes).unwrap();
+        assert!(!straddles_crash(&cluster, &terms, txn, p0, &[p1], &writes));
         assert!(cluster.partition(p0).log.rolled_back_txns().is_empty());
-        // The participant dies between the append and the install.
-        cluster.net.set_crashed(p1, true);
-        assert!(straddles_crash(&cluster, txn, p0, &[p1], &writes));
+        // The participant's log is fenced between the appends and the
+        // install.
+        cluster.partition(p1).log.fail_over(false);
+        assert!(straddles_crash(&cluster, &terms, txn, p0, &[p1], &writes));
         assert!(cluster.partition(p0).log.rolled_back_txns().contains(&txn));
         assert!(
             cluster.partition(p1).log.rolled_back_txns().is_empty(),
-            "a dead leader appends nothing; its recovery drops the entry"
+            "a fenced log is not sealed; its recovery judges the entry"
         );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_fenced_log_refuses_the_write_set_and_the_others_are_sealed() {
+        let cluster = Cluster::new(ClusterConfig::for_tests(2));
+        let (p0, p1) = (PartitionId(0), PartitionId(1));
+        let writes = vec![
+            WriteEntry::insert(p0, TableId(0), 1, Value::from_u64(1)),
+            WriteEntry::insert(p1, TableId(0), 1, Value::from_u64(1)),
+        ];
+        let txn = cluster.next_txn_id(p0);
+        let terms: Vec<u64> = cluster.log_terms().collect();
+        // p1 crashes after the attempt began, before it logs.
+        cluster.partition(p1).log.fail_over(false);
+        assert_eq!(log_in(&cluster, &terms, txn, 7, &writes), Err(Fenced));
+        let logged = |p: PartitionId| {
+            let entries = cluster.partition(p).log.entries_from(0);
+            let ours = |e: &&primo_wal::LogEntry| match &*e.payload {
+                LogPayload::TxnWrites { txn: t, .. } | LogPayload::TxnRolledBack { txn: t } => {
+                    *t == txn
+                }
+                _ => false,
+            };
+            entries.iter().filter(ours).count()
+        };
+        assert_eq!(logged(p0), 2, "the write-set and its seal");
+        assert!(cluster.partition(p0).log.rolled_back_txns().contains(&txn));
+        assert_eq!(logged(p1), 0, "nothing lands past the fence");
+        // An attempt that begins now carries the new term.
+        let txn = cluster.next_txn_id(p0);
+        let terms: Vec<u64> = cluster.log_terms().collect();
+        assert_eq!(log_in(&cluster, &terms, txn, 8, &writes), Ok(()));
         cluster.shutdown();
     }
 

@@ -182,7 +182,8 @@ impl<'a> InFlight<'a> {
         let (cluster, txn, home) = (ctx.cluster, ctx.txn(), ctx.home);
         match stage {
             Stage::Voting => {
-                match (cluster.atomic_commit()).votes(cluster, txn, home, &parts, round) {
+                let layer = cluster.atomic_commit();
+                match layer.votes(cluster, txn, home, &parts, round, &ctx.access.terms) {
                     PrepareOutcome::Prepared(at) => install(ctx, spec, Some((parts, at))),
                     PrepareOutcome::Aborted(reason) => ctx.abort(reason),
                     PrepareOutcome::Orphaned => {
@@ -435,22 +436,18 @@ fn install<'a>(
         ts
     });
     let access = &ctx.access;
-    log_txn_writes(
-        cluster,
-        txn,
-        ts,
-        &access.writes,
-        access.locked.iter().map(Some),
-    );
-    if let Some((parts, _)) = &round {
-        if straddles_crash(cluster, txn, home, parts, &ctx.access.writes) {
-            cluster
-                .atomic_commit()
-                .decide_abort(cluster, txn, home, parts);
-            ctx.access.undo.unwind();
-            ctx.access.release_write_locks(txn);
-            return ctx.abort(AbortReason::RemoteUnavailable);
+    let locked = access.locked.iter().map(Some);
+    let logged = log_txn_writes(cluster, &access.terms, txn, ts, &access.writes, locked);
+    let straddles = |(parts, _): &(Vec<PartitionId>, _)| {
+        straddles_crash(cluster, &access.terms, txn, home, parts, &access.writes)
+    };
+    if logged.is_err() || round.as_ref().is_some_and(straddles) {
+        if let Some((parts, _)) = &round {
+            (cluster.atomic_commit()).decide_abort(cluster, txn, home, parts);
         }
+        ctx.access.undo.unwind();
+        ctx.access.release_write_locks(txn);
+        return ctx.abort(AbortReason::CrashAbort);
     }
     for (w, record) in ctx.access.writes.iter().zip(&ctx.access.locked) {
         install_write(cluster, record, w, ts, spec.timestamp);
@@ -462,13 +459,13 @@ fn install<'a>(
     };
 
     if let Some((parts, prepared)) = round {
-        let layer = cluster.atomic_commit();
+        let (layer, terms) = (cluster.atomic_commit(), &ctx.access.terms);
         let acks = match spec.decision {
             Decision::Sealed => {
-                layer.seal_commit(cluster, txn, home, &parts, prepared);
+                layer.seal_commit(cluster, txn, home, &parts, prepared, terms);
                 None
             }
-            _ => layer.decide_commit(cluster, txn, home, &parts, prepared),
+            _ => layer.decide_commit(cluster, txn, home, &parts, prepared, terms),
         };
         if let Some(round) = acks {
             return Step::Waiting(InFlight {

@@ -1069,7 +1069,9 @@ mod tests {
                 Value::from_u64(txn.seq),
             )];
             let records = writes.iter().map(|_| None);
-            crate::durability::log_txn_writes(cluster, txn, ts, &writes, records);
+            let terms: Vec<u64> = cluster.log_terms().collect();
+            crate::durability::log_txn_writes(cluster, &terms, txn, ts, &writes, records)
+                .expect("this stub's cluster never crashes");
             let commit = CommittedTxn {
                 ts,
                 ops: 1,

@@ -11,9 +11,12 @@
 //! persist delay has elapsed (dependencies are older, hence durable by then).
 //! A crash rolls back exactly the transactions whose write-set it finds in
 //! the logs appended but not yet quorum-durable at its instant — the rule
-//! recovery and compensation apply to the same entries — and those in
-//! flight on the crashed partition whose write-set lands there after it:
-//! the dead leader's log keeps nothing it had not acknowledged by then.
+//! recovery and compensation apply to the same entries, on the crashed
+//! partition and the survivors alike. The crashed log was fenced before the
+//! instant (`ReplicatedLog::fail_over` moved its term), so a write-set in
+//! flight there either landed before it, and the rule judges it, or is
+//! refused at its append, and its attempt aborts: no verdict waits for a
+//! late write-set.
 
 use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::log::ReplayBound;
@@ -24,7 +27,7 @@ use primo_common::config::WalConfig;
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_trace::{FlightRecorder, TraceEventKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 /// Cost of maintaining the dependency graph, per record accessed,
@@ -60,14 +63,6 @@ struct Verdicts {
     /// (see [`GroupCommit::on_txns_rolled_back`]). Their verdict is
     /// `CrashAborted`.
     rolled_back: HashSet<TxnId>,
-    /// Per crash: its instant, the crashed partition and the first LSN of
-    /// that partition's log not acknowledged by the instant. Recovery
-    /// replays the log below it and drops the rest.
-    cuts: Vec<(u64, PartitionId, u64)>,
-    /// The transactions in flight on a crashed partition at its instant,
-    /// with that crash's cut: one whose write-set then lands at or past the
-    /// cut is rolled back when it reports.
-    orphans: HashMap<TxnId, u64>,
     /// Crashes still reading their write-sets off the logs, and the
     /// earliest one's instant.
     scans: u32,
@@ -132,14 +127,7 @@ impl GroupCommit for ClvCommit {
         // doomed and caps the horizon until compensation. Checked and
         // registered under the lock a crash takes to doom, so the commit is
         // doomed here or there.
-        let mut verdicts = self.verdicts.lock();
-        if let Some(cut) = verdicts.orphans.remove(&ticket.txn) {
-            let log = &self.logs[ticket.coordinator.idx()];
-            let past_cut = log.collect_rolled_back(&ReplayBound::Lsn(cut), None);
-            if past_cut.iter().any(|(txn, ..)| *txn == ticket.txn) {
-                verdicts.rolled_back.insert(ticket.txn);
-            }
-        }
+        let verdicts = self.verdicts.lock();
         let doomed = verdicts.rolled_back.contains(&ticket.txn);
         self.tracker
             .commit(ticket.txn, ts, Release::AtUs(ready_at), doomed);
@@ -219,23 +207,16 @@ impl GroupCommit for ClvCommit {
         self.tracker.compensation_complete();
     }
 
-    fn rollback_bound(&self, crash_token: Ts, log: &ReplicatedLog) -> ReplayBound {
-        // `crash_token` is the crash instant. On a survivor the commits
-        // rolled back are precisely those whose write-set's persist window
-        // spans it, and the crash read them off the logs by this very bound
-        // (`on_partition_crash`); entries durable before the crash, and
-        // entries appended after it (post-crash commits), stay committed.
-        // The crashed partition keeps only what was acknowledged by the
-        // instant: its quorum cut is taken later, and neither a write-set
-        // that became durable in between nor one its in-flight
-        // transactions appended after the instant is kept.
-        let verdicts = self.verdicts.lock();
-        let cut =
-            (verdicts.cuts.iter()).find(|(t, p, _)| *t == crash_token && *p == log.partition());
-        match cut {
-            Some(&(.., lsn)) => ReplayBound::Lsn(lsn),
-            None => ReplayBound::PersistWindow(crash_token),
-        }
+    fn rollback_bound(&self, crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
+        // `crash_token` is the crash instant. The commits rolled back are
+        // precisely those whose write-set's persist window spans it, and the
+        // crash read them off the logs by this very bound
+        // (`on_partition_crash`); entries durable before the crash stay
+        // committed, and so do entries appended after it — post-crash
+        // commits on a survivor, and nothing on the crashed partition,
+        // whose fence refused every write-set of an older term and whose
+        // quorum cut is taken after the instant.
+        ReplayBound::PersistWindow(crash_token)
     }
 
     fn on_partition_crash(&self, p: PartitionId) -> Ts {
@@ -243,9 +224,8 @@ impl GroupCommit for ClvCommit {
         // when one of its write-sets was appended before the crash instant
         // but not yet quorum-durable by it, which is the bound recovery and
         // compensation apply. Reporting `txn_committed` after the instant
-        // changes nothing. The transactions in flight on `p` at the instant
-        // are rolled back when they report if their write-set landed on `p`
-        // past what `p` had acknowledged by then, which its recovery drops.
+        // changes nothing, and `p`'s log was fenced before it: what is in
+        // flight on `p` lands before the instant or not at all.
         // The tracker stamps the instant and holds the horizon until
         // compensation; doomed commits keep capping it until then, and none
         // is released in between. The instant is stamped under the
@@ -256,12 +236,7 @@ impl GroupCommit for ClvCommit {
         let t = {
             let mut verdicts = self.verdicts.lock();
             let t = self.tracker.open_crash();
-            let cut = self.logs[p.idx()].unacked_from(t);
-            verdicts.cuts.push((t, p, cut));
-            let orphans = self.tracker.drop_actives_of(p);
-            verdicts
-                .orphans
-                .extend(orphans.into_iter().map(|txn| (txn, cut)));
+            self.tracker.drop_actives_of(p);
             if verdicts.scans == 0 {
                 verdicts.scan_from = t;
             }

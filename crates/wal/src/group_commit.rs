@@ -21,7 +21,8 @@
 //!    of the latency breakdown (Fig 4c). A worker that expects to block soon
 //!    asks for the release ahead of it with [`GroupCommit::demand`].
 //!
-//! A crash is one agreement (§5.2): [`GroupCommit::on_partition_crash`]
+//! A crash is one agreement (§5.2), taken after the crashed partition's log
+//! was fenced ([`ReplicatedLog::fail_over`]): [`GroupCommit::on_partition_crash`]
 //! returns a token, and [`GroupCommit::rollback_bound`] turns it into the
 //! one bound that the crashed partition's replay and every survivor's
 //! compensation both apply, so a write-set is kept everywhere or dropped
@@ -210,7 +211,14 @@ pub trait GroupCommit: Send + Sync {
 
     /// A partition crashed. The scheme agrees on a rollback point, resolves
     /// the affected pending waiters as [`CommitOutcome::CrashAborted`] and
-    /// returns the agreed watermark / epoch for reporting.
+    /// returns the agreed watermark / epoch for reporting. `p`'s log was
+    /// fenced first ([`ReplicatedLog::fail_over`] moved its term under the
+    /// lock every append takes): a write-set of a transaction in flight on
+    /// `p` is in `p`'s log by now or is refused at its append, and its
+    /// attempt aborts — no verdict has to wait for one. Not called under
+    /// the log's lock: an agreement may take locks its agents hold while
+    /// they append (COCO's coordinator appends epoch boundaries under its
+    /// state lock) and may wait for appenders (COCO's drain).
     fn on_partition_crash(&self, p: PartitionId) -> Ts;
 
     /// The bound separating the write-sets that stay committed from those
@@ -227,6 +235,12 @@ pub trait GroupCommit: Send + Sync {
     /// pass) runs. The default covers everything — correct for schemes that
     /// never crash-abort a transaction whose commit call returned
     /// (synchronous flush).
+    ///
+    /// The answer is per scheme — what counts as acknowledged differs —
+    /// but not per side: the crashed log was fenced before the agreement
+    /// and its cut is taken after it, so nothing lands there that the
+    /// survivors' rule would judge differently, and no scheme needs a
+    /// separate answer for the crashed partition.
     fn rollback_bound(&self, _crash_token: Ts, _log: &ReplicatedLog) -> ReplayBound {
         ReplayBound::Lsn(u64::MAX)
     }

@@ -40,7 +40,7 @@ pub use image::{CheckpointImage, ImageRecords, ImageSummary};
 pub use log::{
     LogEntry, LogPayload, LoggedOp, LoggedWrite, LoggedWrites, ReplayBound, ReplayedTxn, FOLD_CHUNK,
 };
-pub use replicated::{FoldScope, FoldStats, ReplicatedLog};
+pub use replicated::{Fenced, FoldScope, FoldStats, ReplicatedLog};
 pub use watermark::WatermarkCommit;
 
 use primo_common::config::{LoggingScheme, WalConfig};

@@ -324,7 +324,8 @@ pub enum ReplayBound {
     /// commits still inside their persist window at the crash instant.
     /// Entries already durable by the instant — and entries appended
     /// *after* it, which belong to post-crash transactions the scheme
-    /// reports `Committed` — are covered.
+    /// reports `Committed` — are covered. The crashed log holds none of
+    /// the latter: it was fenced before the instant.
     PersistWindow(u64),
 }
 
@@ -442,16 +443,6 @@ impl LogCopy {
             Some(last) => Some(inner.entries[last].lsn),
             None => inner.truncated_before.checked_sub(1),
         }
-    }
-
-    /// The first LSN not acknowledged by `instant`: every entry below it
-    /// was (append instant + quorum-ack delay at or before it), and none
-    /// from it on — `appended_at_us` is monotone along the log.
-    pub(crate) fn unacked_from(&self, instant: u64) -> u64 {
-        let inner = self.inner.lock();
-        let acked =
-            (inner.entries).partition_point(|e| e.appended_at_us + self.ack_delay_us <= instant);
-        inner.entries.get(acked).map_or(inner.next_lsn, |e| e.lsn)
     }
 
     /// The newest entry at or below `cut` that `pick` accepts. The cut **is**

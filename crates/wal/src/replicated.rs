@@ -50,6 +50,14 @@
 //!   second crash landing mid-replay bumps the term again; the recovery
 //!   loop notices and restarts from the next successor (see
 //!   `RecoveryManager`).
+//! * **The term is a fence.** A transaction's records (write-set, vote,
+//!   commit decision) go through [`ReplicatedLog::append_in_term`] with the
+//!   term its attempt read when it began, and are refused once the term
+//!   moved: the bump happens under the sequencer lock, so a crash splits
+//!   the log into what was appended before it and what never will be
+//!   (Gray & Lamport's ballot numbers, the paper's Raft terms). Control
+//!   records — watermarks, epoch boundaries, rollback markers, seals — take
+//!   the plain [`ReplicatedLog::append`] and never fail.
 //! * **Repair.** After recovery, lagging or wiped replicas restart at the
 //!   elected leader's truncation point and catch up from there
 //!   ([`ReplicatedLog::repair_replicas`]), so the replica set returns to
@@ -112,6 +120,12 @@ pub struct FoldStats {
     /// The image's coverage bound after the pass.
     pub up_to_ts: Ts,
 }
+
+/// An append refused by the log's term fence: a crash moved the log's term
+/// past the one the appending attempt carries
+/// ([`ReplicatedLog::append_in_term`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fenced;
 
 /// Quorum-durable replicated log of one partition. See the module docs.
 pub struct ReplicatedLog {
@@ -346,36 +360,33 @@ impl ReplicatedLog {
         ReplicaView(&self.replicas[idx])
     }
 
-    /// Append a record; returns its LSN (identical on all copies). Never
-    /// blocks on I/O or the network: under the sequencer lock the entry gets
-    /// its LSN, append instant and term and goes into the leader's copy;
-    /// followers take it from there at their next catch-up.
+    /// Append a control record — a watermark, an epoch boundary, a rollback
+    /// marker, a seal — in whatever term is current; returns its LSN
+    /// (identical on all copies). Never blocks on I/O or the network: under
+    /// the sequencer lock the entry gets its LSN, append instant and term
+    /// and goes into the leader's copy; followers take it from there at
+    /// their next catch-up.
     pub fn append(&self, payload: LogPayload) -> u64 {
-        let payload = Arc::new(payload);
-        let _seq = self.lock_sequencer();
-        let lsn = self
-            .leader_replica()
-            .append_in_term(self.term.load(Ordering::Acquire), payload);
-        self.end_hint.store(lsn + 1, Ordering::Relaxed);
-        lsn
+        (self.append_in_term(u64::MAX, payload)).expect("no term passes u64::MAX")
     }
 
-    /// Append a batch of records under **one** sequencer acquisition;
-    /// returns the LSN of the first (`None` for an empty batch). LSNs are
-    /// dense and in payload order — equivalent to calling
-    /// [`ReplicatedLog::append`] per payload with no other appender
-    /// interleaving, at a fraction of the critical-section cost.
-    pub fn append_batch(&self, payloads: Vec<LogPayload>) -> Option<u64> {
+    /// Append a transaction's record — its write-set, its vote, its commit
+    /// decision — on behalf of an attempt that carries `term`, the log's
+    /// term when the attempt began: refused with [`Fenced`] once a crash
+    /// moved the term past it ([`ReplicatedLog::fail_over`]). The check is
+    /// one load under the sequencer lock the append takes anyway, so every
+    /// record of the attempt is either in the log before the crash or not
+    /// at all.
+    pub fn append_in_term(&self, term: u64, payload: LogPayload) -> Result<u64, Fenced> {
+        let payload = Arc::new(payload);
         let _seq = self.lock_sequencer();
-        let term = self.term.load(Ordering::Acquire);
-        let leader = self.leader_replica();
-        let mut first = None;
-        for payload in payloads {
-            let lsn = leader.append_in_term(term, Arc::new(payload));
-            first.get_or_insert(lsn);
-            self.end_hint.store(lsn + 1, Ordering::Relaxed);
+        let current = self.term.load(Ordering::Acquire);
+        if current > term {
+            return Err(Fenced);
         }
-        first
+        let lsn = self.leader_replica().append_in_term(current, payload);
+        self.end_hint.store(lsn + 1, Ordering::Relaxed);
+        Ok(lsn)
     }
 
     /// The LSN the next append will receive (the leader's end; every copy
@@ -706,12 +717,6 @@ impl ReplicatedLog {
             .collect_rolled_back(bound, upper_cutoff)
     }
 
-    /// The first LSN of the (leader's) log not quorum-acknowledged by
-    /// `instant`.
-    pub(crate) fn unacked_from(&self, instant: u64) -> u64 {
-        self.leader_replica().unacked_from(instant)
-    }
-
     /// Clone the suffix of the (leader's) log starting at `from_lsn`.
     pub fn entries_from(&self, from_lsn: u64) -> Vec<LogEntry> {
         self.leader_replica().tail_from(from_lsn).0
@@ -752,7 +757,9 @@ impl ReplicatedLog {
         self.with_sequencer_flushed(|| self.wipe_copy(idx, &mut image))
     }
 
-    /// Bump the leadership term and hand leadership to the deterministic
+    /// Bump the leadership term — the fence: from here on, every append of
+    /// an attempt that began in an older term is refused — and hand
+    /// leadership to the deterministic
     /// successor: the first replica after the failed leader in ring order
     /// among the non-wiped replicas holding the longest log. The followers
     /// are brought up to the leader's end first — the not-yet-quorum-acked
@@ -1115,6 +1122,19 @@ mod tests {
             .next()
             .expect("appended entry");
         assert_eq!(entry.term, 2);
+    }
+
+    #[test]
+    fn a_fail_over_fences_appends_of_an_older_term() {
+        let log = rf3(0, 0, 0);
+        let began = log.term();
+        assert_eq!(log.append_in_term(began, put(1, 5)), Ok(0));
+        log.fail_over(false);
+        assert_eq!(log.append_in_term(began, put(2, 6)), Err(Fenced));
+        assert_eq!(log.end_lsn(), 1, "nothing of the old term lands");
+        // Control records and attempts of the new term still append.
+        assert_eq!(log.append(LogPayload::Watermark { wp: 7 }), 1);
+        assert_eq!(log.append_in_term(log.term(), put(3, 8)), Ok(2));
     }
 
     #[test]
@@ -1495,29 +1515,6 @@ mod tests {
             .replay_range(0, &ReplayBound::Ts(u64::MAX), cutoff)
             .is_empty());
         assert_eq!(log.durable_lsn(), None);
-    }
-
-    #[test]
-    fn append_batch_is_one_sequencer_acquisition_with_dense_lsns() {
-        let log = rf3(0, 0, 0);
-        log.append(put(1, 5));
-        let first = log.append_batch(vec![put(2, 6), put(3, 7), put(4, 8)]);
-        assert_eq!(first, Some(1));
-        assert_eq!(log.append_batch(Vec::new()), None);
-        assert_eq!(log.end_lsn(), 4);
-        for i in 0..3 {
-            assert_eq!(log.replica(i).len(), 4, "replica {i}");
-        }
-        // Batch order = LSN order.
-        let entries = log.entries_from(1);
-        let ts: Vec<Ts> = entries
-            .iter()
-            .map(|e| match e.payload.as_ref() {
-                LogPayload::TxnWrites { ts, .. } => *ts,
-                _ => panic!("unexpected payload"),
-            })
-            .collect();
-        assert_eq!(ts, vec![6, 7, 8]);
     }
 
     #[test]

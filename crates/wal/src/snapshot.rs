@@ -211,18 +211,12 @@ impl SnapshotTracker {
     }
 
     /// The crashed partition's in-flight transactions may never report
-    /// back; drop their active entries so the horizon is not pinned forever,
-    /// and return them.
-    pub fn drop_actives_of(&self, partition: PartitionId) -> Vec<TxnId> {
+    /// back; drop their active entries so the horizon is not pinned forever.
+    pub fn drop_actives_of(&self, partition: PartitionId) {
         let mut inner = self.inner.lock();
-        let dropped = (inner
-            .active
-            .extract_if(|txn, _| txn.coordinator() == partition))
-        .map(|(txn, _)| txn)
-        .collect();
+        inner.active.retain(|txn, _| txn.coordinator() != partition);
         drop(inner);
         self.publish();
-        dropped
     }
 
     /// Crash compensation purged every rolled-back version from the chains:

@@ -172,12 +172,18 @@ fn bus_shutdown_releases_blocked_receivers_promptly() {
 
 #[test]
 fn bus_delay_knobs_apply_to_later_sends() {
+    // The fastest of a few deliveries: a delivery is never early, so the
+    // lower bounds hold for each, and a host that delays one (the binary's
+    // other timing tests run beside this one) rarely delays all five.
     let delivery_us = |bus: &DelayedBus, from: PartitionId, to: PartitionId| {
-        let start = now_us();
-        bus.send(from, to, epoch(0));
-        bus.recv_timeout(to, Duration::from_secs(5))
-            .expect("delivered");
-        now_us() - start
+        let once = || {
+            let start = now_us();
+            bus.send(from, to, epoch(0));
+            bus.recv_timeout(to, Duration::from_secs(5))
+                .expect("delivered");
+            now_us() - start
+        };
+        (0..5).map(|_| once()).min().expect("five deliveries")
     };
     let undelayed = DelayedBus::new(2, 0);
     assert!(delivery_us(&undelayed, P0, P1) < 3_000);

@@ -1621,16 +1621,34 @@ fn a_closed_gate_lets_suspended_attempts_finish_and_the_epoch_drain() {
     let interval_us = cell.interval_ms * 1_000;
     eventually("epoch lengths while workers pipeline", || {
         let out = run(&cell);
-        let sealed: Vec<u64> = (out.timeline.events().iter())
-            .filter(|e| matches!(e.kind, TraceEventKind::EpochSealed { .. }))
-            .map(|e| e.at_us)
-            .collect();
+        let (sealed, epochs): (Vec<u64>, Vec<u64>) = (out.timeline.events().iter())
+            .filter_map(|e| match e.kind {
+                TraceEventKind::EpochSealed { epoch } => Some((e.at_us, epoch)),
+                _ => None,
+            })
+            .unzip();
         ensure(sealed.len() > 10, || {
             format!("only {} epochs", sealed.len())
         })?;
         let attempts = attempts(&out.timeline);
         let suspended = attempts.iter().filter(|c| c.decision.is_some()).count();
         ensure(suspended > 100, || "nothing pipelined".to_string())?;
+        // In event order: no epoch seals twice, and no attempt is in hand
+        // across a seal — the gate was closed since before the seal's drain,
+        // so an attempt begun before the seal holds a ticket of the epoch
+        // being sealed, and the drain waits for it to end.
+        ensure(epochs.windows(2).all(|w| w[0] < w[1]), || {
+            format!("an epoch sealed twice: {epochs:?}")
+        })?;
+        let across = |c: &&AttemptSpan| sealed.iter().any(|&s| c.begun_at < s && s < c.ended_at);
+        let held: Vec<_> = attempts.iter().filter(across).collect();
+        ensure(held.is_empty(), || {
+            format!(
+                "{} attempts in hand across a seal: {:?}",
+                held.len(),
+                held.first()
+            )
+        })?;
         let lengths = || sealed.windows(2).map(|w| w[1] - w[0]);
         // The interval, the drain (an attempt in hand is at most two rounds
         // from its end), the group commit itself — and, one epoch in ten, a
