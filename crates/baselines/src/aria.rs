@@ -245,8 +245,16 @@ impl Protocol for AriaProtocol {
         let decision: TxnResult<CommittedTxn> = if let Err(e) = exec {
             Err(e)
         } else {
+            // Aria reads nothing where it writes blind and runs no vote, so
+            // nothing else asks whether such a partition is up; and an
+            // attempt that began after its crash carries the new term, which
+            // the fence does not refuse. A write-set for a partition that is
+            // down (crashed or recovering) aborts before its timestamp, with
+            // nothing logged or installed.
+            let down = (ctx.access.writes.iter()).any(|w| cluster.net.is_crashed(w.partition));
             match Self::conflict(&batch, &ctx, priority) {
                 Err(reason) => Err(reason.into()),
+                Ok(()) if down => Err(AbortReason::RemoteUnavailable.into()),
                 Ok(()) => {
                     let ops = ctx.access.ops();
                     let distributed = ctx.access.is_distributed(home);
@@ -433,8 +441,10 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Writes key 1 on both partitions, then crashes partition 1 from its
-    /// own body: after the attempt began, before its decision is installed.
+    /// Writes key 1 on both partitions, then crashes and recovers partition
+    /// 1 from its own body: after the attempt began, before its decision is
+    /// installed. Partition 1 is up again at the decision, so only the
+    /// fence stands between the write-set and its log.
     struct CrashingWriter(Arc<Cluster>);
 
     impl TxnProgram for CrashingWriter {
@@ -443,6 +453,7 @@ mod tests {
                 ctx.write(p, TableId(0), 1, Value::from_u64(1))?;
             }
             self.0.crash_partition(PartitionId(1));
+            self.0.recover_partition(PartitionId(1));
             Ok(())
         }
 
@@ -469,13 +480,56 @@ mod tests {
             Some(AbortReason::CrashAbort)
         );
         cluster.group_commit.txn_aborted(&ticket);
-        cluster.recover_partition(PartitionId(1));
         for p in [PartitionId(0), PartitionId(1)] {
             let record = cluster.partition(p).store.get(TableId(0), 1);
             assert_eq!(record.map(|r| r.read().value.as_u64()), Some(0), "{p:?}");
         }
         let sealed = cluster.partition(PartitionId(0)).log.rolled_back_txns();
         assert!(sealed.contains(&txn));
+        cluster.shutdown();
+    }
+
+    /// Inserts key 1 on both partitions blind: nothing is read.
+    struct BlindInserter;
+
+    impl TxnProgram for BlindInserter {
+        fn execute(&self, ctx: &mut dyn TxnContext) -> TxnResult<()> {
+            for p in [PartitionId(0), PartitionId(1)] {
+                ctx.insert(p, TableId(0), 1, Value::from_u64(1))?;
+            }
+            Ok(())
+        }
+
+        fn home_partition(&self) -> PartitionId {
+            PartitionId(0)
+        }
+    }
+
+    #[test]
+    fn a_blind_write_to_a_partition_that_is_down_aborts_before_it_logs() {
+        // The crash comes before the attempt begins, so the attempt carries
+        // the fenced log's new term and no append of it is refused: the
+        // decision itself must see that partition 1 is down.
+        let cluster = loaded(2);
+        cluster.checkpoint_all();
+        cluster.crash_partition(PartitionId(1));
+        let protocol = AriaProtocol::new(quick_cfg());
+        let txn = cluster.next_txn_id(PartitionId(0));
+        let ticket = cluster.group_commit.begin_txn(PartitionId(0), txn);
+        let outcome = protocol.execute_once(&cluster, &BlindInserter, &ticket, ReadFanout::empty());
+        assert_eq!(
+            outcome.err().map(|e| e.reason()),
+            Some(AbortReason::RemoteUnavailable)
+        );
+        cluster.group_commit.txn_aborted(&ticket);
+        cluster.recover_partition(PartitionId(1));
+        for p in [PartitionId(0), PartitionId(1)] {
+            let record = cluster.partition(p).store.get(TableId(0), 1);
+            assert_eq!(record.map(|r| r.read().value.as_u64()), Some(0), "{p:?}");
+            let logged = (cluster.partition(p).log.entries_from(0).into_iter())
+                .any(|e| matches!(*e.payload, primo_wal::LogPayload::TxnWrites { txn: t, .. } if t == txn));
+            assert!(!logged, "{p:?} logged the aborted write-set");
+        }
         cluster.shutdown();
     }
 

@@ -338,6 +338,7 @@ fn bench_checkpoint_and_replay() {
         cfg,
         primo_repro::net::DelayedBus::new(1, 10),
         primo_repro::wal::build_logs(1, cfg),
+        Arc::new(primo_repro::FlightRecorder::new(false, 64)),
     );
     bench("recovery/checkpoint_fold_10k_txns", || {
         let wal = ReplicatedLog::single(PartitionId(0), 0);

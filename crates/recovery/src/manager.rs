@@ -292,6 +292,7 @@ mod tests {
     use primo_common::{TableId, TxnId, Value};
     use primo_net::DelayedBus;
     use primo_wal::{CommitOutcome, CommitWaiter, LogPayload, LoggedWrite, ReplayBound, TxnTicket};
+    use std::collections::HashSet;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -522,7 +523,9 @@ mod tests {
                 ..WalConfig::default()
             };
             let logs = primo_wal::build_logs(2, cfg);
-            let gc = primo_wal::build_group_commit(2, cfg, DelayedBus::new(2, 0), logs.clone());
+            let bus = DelayedBus::new(2, 0);
+            let recorder = Arc::new(FlightRecorder::new(false, 64));
+            let gc = primo_wal::build_group_commit(2, cfg, bus, logs.clone(), recorder);
             let stores = [0, 1].map(|p| PartitionStore::new(PartitionId(p)));
             TwoSides {
                 gc,
@@ -609,6 +612,35 @@ mod tests {
             (verdict, kept),
             (CommitOutcome::CrashAborted, vec![(false, false)])
         );
+    }
+
+    #[test]
+    fn clv_has_crash_aborted_what_compensation_undoes_when_the_agreement_returns() {
+        // Write-set 1 is quorum-durable at the crash; write-set 2 (on both
+        // logs) and write-set 3 (on the survivor's only) are inside their
+        // persist window. The crash alone decides their verdicts: nothing
+        // compensation undoes may still be undecided or committed by then.
+        let sides = TwoSides::new(LoggingScheme::Clv, 10, 50_000);
+        let (gc, p0, p1) = (&sides.gc, PartitionId(0), PartitionId(1));
+        sides.log(1, 1);
+        sides.settle();
+        sides.log(2, 2);
+        log_put(&sides.logs[1], 3, 3, 3, 3);
+        sides.stores[1].insert(TableId(0), 3, Value::from_u64(3));
+        let commit = |seq| gc.txn_committed(&gc.begin_txn(p0, TxnId::new(p0, seq)), seq, 1);
+        let waiters = [1, 2, 3].map(commit);
+        let token = sides.agree();
+        let verdicts = waiters.each_ref().map(|w| gc.try_outcome(w));
+        let survivor = (p1, &sides.stores[1], sides.logs[1].as_ref());
+        compensate_survivors(std::iter::once(survivor), gc.as_ref(), token, None);
+        let handed = sides.logs[1].rolled_back_txns();
+        let aborted: HashSet<TxnId> = (waiters.iter().zip(verdicts))
+            .filter(|(_, v)| *v == Some(CommitOutcome::CrashAborted))
+            .map(|(w, _)| w.txn)
+            .collect();
+        assert_eq!(handed, [2, 3].map(|seq| TxnId::new(p0, seq)).into());
+        assert_eq!(aborted, handed);
+        assert_eq!(gc.wait_durable(&waiters[0]), CommitOutcome::Committed);
     }
 
     #[test]

@@ -175,7 +175,6 @@ impl Cluster {
                 ))
             })
             .collect();
-        let group_commit = build_group_commit(n, config.wal, Arc::clone(&bus), logs.clone());
         // Wire the flight recorder into every layer before any transaction
         // traffic: the logs (sequencer waits, quorum acks, leader changes)
         // and the scheme's background agents (watermark / epoch / CLV
@@ -187,7 +186,13 @@ impl Cluster {
         for log in &logs {
             log.set_recorder(Arc::clone(&recorder));
         }
-        group_commit.set_recorder(Arc::clone(&recorder));
+        let group_commit = build_group_commit(
+            n,
+            config.wal,
+            Arc::clone(&bus),
+            logs.clone(),
+            Arc::clone(&recorder),
+        );
         let max_versions = config.primo.max_versions;
         let partitions = logs
             .into_iter()

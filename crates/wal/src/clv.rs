@@ -22,13 +22,13 @@ use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::log::ReplayBound;
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use primo_common::config::WalConfig;
 use primo_common::sim_time::{charge_latency_us, now_us, wait_until};
 use primo_common::{PartitionId, Ts, TxnId};
 use primo_trace::{FlightRecorder, TraceEventKind};
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Cost of maintaining the dependency graph, per record accessed,
 /// microseconds (charged in the transaction's critical path).
@@ -37,7 +37,6 @@ const TRACK_COST_PER_OP_US: u64 = 2;
 /// Controlled-Lock-Violation durability scheme.
 #[derive(Debug)]
 pub struct ClvCommit {
-    num_partitions: usize,
     /// Acknowledgement delay: the time until a transaction's log records
     /// are *quorum*-durable (the worst partition's quorum-ack delay —
     /// equals the plain persist delay when the log is single-copy).
@@ -45,41 +44,22 @@ pub struct ClvCommit {
     /// Every partition's log: a crash reads the write-sets it rolls back
     /// off them.
     logs: Vec<Arc<ReplicatedLog>>,
-    /// What the crashes decided, read by every verdict.
-    verdicts: Mutex<Verdicts>,
-    /// Signalled when a crash's scan of the logs is merged.
-    scanned: Condvar,
+    /// The crash verdicts: every transaction a crash caught in its persist
+    /// window. Their verdict is `CrashAborted`; a crash decides under this
+    /// lock, so every verdict reads a crash whole or not at all.
+    rolled_back: Mutex<HashSet<TxnId>>,
     /// MVCC snapshot-horizon bookkeeping: the quorum-acked durable horizon.
     tracker: SnapshotTracker,
-    /// Cluster flight recorder, injected after construction.
-    recorder: OnceLock<Arc<FlightRecorder>>,
-}
-
-/// The crash verdicts of a [`ClvCommit`].
-#[derive(Debug, Default)]
-struct Verdicts {
-    /// Transactions a crash rolled back: those whose write-set it caught in
-    /// its persist window, and those crash compensation sealed and undid
-    /// (see [`GroupCommit::on_txns_rolled_back`]). Their verdict is
-    /// `CrashAborted`.
-    rolled_back: HashSet<TxnId>,
-    /// Crashes still reading their write-sets off the logs, and the
-    /// earliest one's instant.
-    scans: u32,
-    scan_from: u64,
-}
-
-impl Verdicts {
-    /// Whether a commit acknowledgeable at `ready_at` may yet be caught by
-    /// a scan in progress: its persist window ends after that crash's
-    /// instant.
-    fn undecided(&self, ready_at: u64) -> bool {
-        self.scans > 0 && ready_at > self.scan_from
-    }
+    /// Cluster flight recorder: each commit's cut is traced.
+    recorder: Arc<FlightRecorder>,
 }
 
 impl ClvCommit {
-    pub fn new(num_partitions: usize, cfg: WalConfig, logs: Vec<Arc<ReplicatedLog>>) -> Self {
+    pub fn new(
+        cfg: WalConfig,
+        logs: Vec<Arc<ReplicatedLog>>,
+        recorder: Arc<FlightRecorder>,
+    ) -> Self {
         // CLV acknowledges a commit when its log records (and its
         // dependencies') are quorum-durable. The delay is a property of the
         // replica set's disks and hops — followers keep the leader's append
@@ -87,22 +67,12 @@ impl ClvCommit {
         // when they actually catch up.
         let ack_delay_us = crate::max_quorum_ack_delay_us(&logs, cfg.persist_delay_us);
         ClvCommit {
-            num_partitions,
             ack_delay_us,
             logs,
-            verdicts: Mutex::default(),
-            scanned: Condvar::new(),
+            rolled_back: Mutex::default(),
             tracker: SnapshotTracker::default(),
-            recorder: OnceLock::new(),
+            recorder,
         }
-    }
-
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions
-    }
-
-    fn rolled_back(&self, txn: TxnId) -> bool {
-        self.verdicts.lock().rolled_back.contains(&txn)
     }
 }
 
@@ -127,21 +97,19 @@ impl GroupCommit for ClvCommit {
         // doomed and caps the horizon until compensation. Checked and
         // registered under the lock a crash takes to doom, so the commit is
         // doomed here or there.
-        let verdicts = self.verdicts.lock();
-        let doomed = verdicts.rolled_back.contains(&ticket.txn);
+        let rolled_back = self.rolled_back.lock();
+        let doomed = rolled_back.contains(&ticket.txn);
         self.tracker
             .commit(ticket.txn, ts, Release::AtUs(ready_at), doomed);
-        drop(verdicts);
+        drop(rolled_back);
         // CLV's per-transaction durability decision: the cut after which this
         // commit (and its dependencies, older and hence durable first) is
         // acknowledgeable.
-        if let Some(rec) = self.recorder.get() {
-            rec.emit(
-                Some(ticket.txn),
-                Some(ticket.coordinator),
-                TraceEventKind::ClvCut { ts },
-            );
-        }
+        self.recorder.emit(
+            Some(ticket.txn),
+            Some(ticket.coordinator),
+            TraceEventKind::ClvCut { ts },
+        );
         CommitWaiter {
             txn: ticket.txn,
             coordinator: ticket.coordinator,
@@ -152,40 +120,23 @@ impl GroupCommit for ClvCommit {
     }
 
     fn try_outcome(&self, waiter: &CommitWaiter) -> Option<CommitOutcome> {
-        // The clock is read under the lock a crash stamps its instant
-        // under: a commit found ready before that instant was durable by
-        // it, and one found ready after it waits for the crash's scan.
-        let verdicts = self.verdicts.lock();
-        if verdicts.rolled_back.contains(&waiter.txn) {
+        // The clock is read under the lock a crash decides under: a commit
+        // found ready before a crash's instant was durable by it, and one
+        // found ready after it reads that crash's whole verdict.
+        let rolled_back = self.rolled_back.lock();
+        if rolled_back.contains(&waiter.txn) {
             return Some(CommitOutcome::CrashAborted);
         }
-        let ready_at = waiter.ready_at_us.unwrap_or(0);
-        (now_us() >= ready_at && !verdicts.undecided(ready_at)).then_some(CommitOutcome::Committed)
+        (now_us() >= waiter.ready_at_us.unwrap_or(0)).then_some(CommitOutcome::Committed)
     }
 
     fn wait_durable(&self, waiter: &CommitWaiter) -> CommitOutcome {
-        // A crash whose instant falls inside the persist window of this
-        // transaction's write-set rolls it back — checked before and after
-        // the durability wait, since the crash may be injected while we
-        // sleep. A crash after the wait found the write-set durable.
-        if self.rolled_back(waiter.txn) {
-            return CommitOutcome::CrashAborted;
+        loop {
+            if let Some(outcome) = self.try_outcome(waiter) {
+                return outcome;
+            }
+            wait_until(waiter.ready_at_us.unwrap_or(0));
         }
-        let ready_at = waiter.ready_at_us.unwrap_or(0);
-        wait_until(ready_at);
-        let mut verdicts = self.verdicts.lock();
-        while verdicts.undecided(ready_at) {
-            self.scanned.wait(&mut verdicts);
-        }
-        if verdicts.rolled_back.contains(&waiter.txn) {
-            return CommitOutcome::CrashAborted;
-        }
-        CommitOutcome::Committed
-    }
-
-    fn on_txns_rolled_back(&self, txns: &[TxnId]) {
-        let mut verdicts = self.verdicts.lock();
-        verdicts.rolled_back.extend(txns.iter().copied());
     }
 
     fn ts_floor(&self, _partition: PartitionId) -> Ts {
@@ -228,40 +179,28 @@ impl GroupCommit for ClvCommit {
         // flight on `p` lands before the instant or not at all.
         // The tracker stamps the instant and holds the horizon until
         // compensation; doomed commits keep capping it until then, and none
-        // is released in between. The instant is stamped under the
-        // verdicts' lock and the logs are read outside it: until the scan
-        // is merged, a commit whose persist window ends after the instant
-        // has no verdict (`Verdicts::undecided`), and the others read
-        // theirs unhindered.
-        let t = {
-            let mut verdicts = self.verdicts.lock();
-            let t = self.tracker.open_crash();
-            self.tracker.drop_actives_of(p);
-            if verdicts.scans == 0 {
-                verdicts.scan_from = t;
-            }
-            verdicts.scans += 1;
-            t
-        };
-        // An append stamped with the crash's own microsecond could still
-        // miss the scan below.
+        // is released in between.
+        //
+        // The whole decision — instant, scan, doom — is one critical
+        // section, so a verdict reads it whole or not at all. The scan waits
+        // for no writer: an append stamps its instant under its log's lock,
+        // so once the clock has passed `t` every entry stamped by `t` is in
+        // its log. Compensation needs nothing more from this scheme: it
+        // applies the same `PersistWindow(t)` bound after this returns,
+        // which passes only entries appended by `t`, so every transaction
+        // it undoes was caught here and already reads `CrashAborted`.
+        let mut rolled_back = self.rolled_back.lock();
+        let t = self.tracker.open_crash();
+        self.tracker.drop_actives_of(p);
         wait_until(t + 1);
         let bound = ReplayBound::PersistWindow(t);
         let caught: HashSet<TxnId> = (self.logs.iter())
             .flat_map(|log| log.collect_rolled_back(&bound, None))
             .map(|(txn, ..)| txn)
             .collect();
-        let mut verdicts = self.verdicts.lock();
         self.tracker.doom(&caught);
-        verdicts.rolled_back.extend(caught);
-        verdicts.scans -= 1;
-        drop(verdicts);
-        self.scanned.notify_all();
+        rolled_back.extend(caught);
         t
-    }
-
-    fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
-        let _ = self.recorder.set(recorder);
     }
 
     fn shutdown(&self) {}
@@ -281,7 +220,7 @@ mod tests {
             force_update: false,
             ..WalConfig::default()
         };
-        ClvCommit::new(2, cfg, crate::build_logs(2, cfg))
+        ClvCommit::new(cfg, crate::build_logs(2, cfg), crate::quiet_recorder())
     }
 
     fn tid(seq: u64) -> TxnId {
@@ -328,7 +267,7 @@ mod tests {
             replication_factor: 3,
             replica_persist_delay_us: Some(900),
         };
-        let gc = ClvCommit::new(1, cfg, crate::build_logs(1, cfg));
+        let gc = ClvCommit::new(cfg, crate::build_logs(1, cfg), crate::quiet_recorder());
         let ticket = gc.begin_txn(PartitionId(0), tid(9));
         let start = std::time::Instant::now();
         let waiter = gc.txn_committed(&ticket, 1, 1);
@@ -349,7 +288,6 @@ mod tests {
         gc.on_partition_crash(PartitionId(1));
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::CrashAborted);
         assert_eq!(gc.wait_durable(&read), CommitOutcome::Committed);
-        assert_eq!(gc.num_partitions(), 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::group_commit::{CommitOutcome, CommitWaiter, GroupCommit, TxnTicket};
 use crate::log::{LogPayload, ReplayBound};
 use crate::replicated::ReplicatedLog;
 use crate::snapshot::{Release, SnapshotTracker};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use primo_common::config::WalConfig;
 use primo_common::sim_time::{now_us, park_until};
 use primo_common::{FastRng, PartitionId, Ts, TxnId};
@@ -27,7 +27,7 @@ use primo_net::DelayedBus;
 use primo_trace::{FlightRecorder, TraceEventKind};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -54,6 +54,17 @@ struct EpochState {
     crash_pending: bool,
 }
 
+impl EpochState {
+    /// The outcome of a commit of `epoch`, once its epoch is decided.
+    fn verdict(&self, epoch: u64) -> Option<CommitOutcome> {
+        if self.aborted.contains(&epoch) {
+            Some(CommitOutcome::CrashAborted)
+        } else {
+            (self.committed >= epoch).then_some(CommitOutcome::Committed)
+        }
+    }
+}
+
 /// Epoch-based group commit (COCO).
 pub struct CocoCommit {
     cfg: WalConfig,
@@ -78,9 +89,8 @@ pub struct CocoCommit {
     /// MVCC snapshot-horizon bookkeeping: commits release when their
     /// epoch's group commit seals a boundary.
     tracker: SnapshotTracker,
-    /// Cluster flight recorder, injected after construction (the
-    /// coordinator thread is already running by then).
-    recorder: OnceLock<Arc<FlightRecorder>>,
+    /// Cluster flight recorder: the coordinator traces each sealed epoch.
+    recorder: Arc<FlightRecorder>,
 }
 
 impl std::fmt::Debug for CocoCommit {
@@ -97,6 +107,7 @@ impl CocoCommit {
         cfg: WalConfig,
         bus: Arc<DelayedBus>,
         wals: Vec<Arc<ReplicatedLog>>,
+        recorder: Arc<FlightRecorder>,
     ) -> Arc<Self> {
         assert_eq!(wals.len(), num_partitions);
         let ack_delay_us = crate::max_quorum_ack_delay_us(&wals, cfg.persist_delay_us);
@@ -118,7 +129,7 @@ impl CocoCommit {
             stop: Arc::new(AtomicBool::new(false)),
             coordinator: Mutex::new(None),
             tracker: SnapshotTracker::default(),
-            recorder: OnceLock::new(),
+            recorder,
         });
         let me = Arc::clone(&gc);
         let handle = std::thread::Builder::new()
@@ -131,6 +142,15 @@ impl CocoCommit {
 
     pub fn committed_epoch(&self) -> u64 {
         self.state.lock().committed
+    }
+
+    /// Wait, for at most 200 ms, until no transaction of `epoch` is still
+    /// executing: what it will log is in the logs by then.
+    fn drain(&self, st: &mut MutexGuard<'_, EpochState>, epoch: u64) {
+        let deadline_us = now_us() + 200_000;
+        while st.active.get(&epoch).copied().unwrap_or(0) > 0 && now_us() < deadline_us {
+            self.cond.wait_for(st, Duration::from_millis(1));
+        }
     }
 
     fn coordinator_loop(self: &Arc<Self>) {
@@ -149,19 +169,10 @@ impl CocoCommit {
             let epoch = self.epoch.load(Ordering::Acquire);
 
             // 2. Close the gate: no new transactions while the epoch commits.
-            {
-                let mut st = self.state.lock();
-                st.gate_open = false;
-            }
+            self.state.lock().gate_open = false;
 
             // 3. Wait for in-flight transactions of this epoch to drain.
-            {
-                let mut st = self.state.lock();
-                let deadline_us = now_us() + 200_000;
-                while st.active.get(&epoch).copied().unwrap_or(0) > 0 && now_us() < deadline_us {
-                    self.cond.wait_for(&mut st, Duration::from_millis(1));
-                }
-            }
+            self.drain(&mut self.state.lock(), epoch);
 
             // 4. Synchronous GROUP-PREPARE / GROUP-READY / GROUP-COMMIT:
             // the prepare pays the coordinator's lag on the bus, the
@@ -223,8 +234,9 @@ impl CocoCommit {
             // Recorded with the gate open: the coordinator thread's first
             // event allocates its trace ring, which must hold up no worker
             // and no epoch.
-            if let (Some(at_us), Some(rec)) = (sealed, self.recorder.get()) {
-                rec.emit_at(at_us, None, None, TraceEventKind::EpochSealed { epoch });
+            if let Some(at_us) = sealed {
+                self.recorder
+                    .emit_at(at_us, None, None, TraceEventKind::EpochSealed { epoch });
             }
         }
         // Unblock anyone still waiting.
@@ -277,24 +289,14 @@ impl GroupCommit for CocoCommit {
     }
 
     fn try_outcome(&self, waiter: &CommitWaiter) -> Option<CommitOutcome> {
-        let st = self.state.lock();
-        if st.aborted.contains(&waiter.epoch) {
-            return Some(CommitOutcome::CrashAborted);
-        }
-        if st.committed >= waiter.epoch {
-            return Some(CommitOutcome::Committed);
-        }
-        None
+        self.state.lock().verdict(waiter.epoch)
     }
 
     fn wait_durable(&self, waiter: &CommitWaiter) -> CommitOutcome {
         let mut st = self.state.lock();
         loop {
-            if st.aborted.contains(&waiter.epoch) {
-                return CommitOutcome::CrashAborted;
-            }
-            if st.committed >= waiter.epoch {
-                return CommitOutcome::Committed;
+            if let Some(outcome) = st.verdict(waiter.epoch) {
+                return outcome;
             }
             self.cond.wait_for(&mut st, Duration::from_millis(5));
             if self.stop.load(Ordering::Relaxed) {
@@ -348,10 +350,7 @@ impl GroupCommit for CocoCommit {
         // reopens the gate at the next boundary.
         st.gate_open = false;
         self.cond.notify_all();
-        let deadline_us = now_us() + 200_000;
-        while st.active.get(&epoch).copied().unwrap_or(0) > 0 && now_us() < deadline_us {
-            self.cond.wait_for(&mut st, Duration::from_millis(1));
-        }
+        self.drain(&mut st, epoch);
         epoch
     }
 
@@ -373,10 +372,6 @@ impl GroupCommit for CocoCommit {
     fn checkpoint_bound(&self, _p: PartitionId, log: &ReplicatedLog) -> ReplayBound {
         let committed = self.committed_epoch();
         ReplayBound::Lsn(log.latest_durable_epoch_boundary(committed).unwrap_or(0))
-    }
-
-    fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
-        let _ = self.recorder.set(recorder);
     }
 
     fn shutdown(&self) {
@@ -409,7 +404,8 @@ mod tests {
             force_update: false,
             ..WalConfig::default()
         };
-        CocoCommit::new(2, cfg, bus, crate::build_logs(2, cfg))
+        let logs = crate::build_logs(2, cfg);
+        CocoCommit::new(2, cfg, bus, logs, crate::quiet_recorder())
     }
 
     fn tid(seq: u64) -> TxnId {
@@ -452,7 +448,8 @@ mod tests {
             force_update: false,
             ..WalConfig::default()
         };
-        let gc = CocoCommit::new(2, cfg, bus, crate::build_logs(2, cfg));
+        let logs = crate::build_logs(2, cfg);
+        let gc = CocoCommit::new(2, cfg, bus, logs, crate::quiet_recorder());
         let ticket = gc.begin_txn(PartitionId(0), tid(1));
         let committed_at = now_us();
         let waiter = gc.txn_committed(&ticket, 1, 1);
@@ -476,7 +473,7 @@ mod tests {
             ..WalConfig::default()
         };
         let wals = crate::build_logs(2, cfg);
-        let gc = CocoCommit::new(2, cfg, bus, wals.clone());
+        let gc = CocoCommit::new(2, cfg, bus, wals.clone(), crate::quiet_recorder());
         let ticket = gc.begin_txn(PartitionId(0), tid(1));
         let waiter = gc.txn_committed(&ticket, 1, 1);
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::Committed);

@@ -26,13 +26,26 @@
 //! returns a token, and [`GroupCommit::rollback_bound`] turns it into the
 //! one bound that the crashed partition's replay and every survivor's
 //! compensation both apply, so a write-set is kept everywhere or dropped
-//! everywhere.
+//! everywhere. Every scheme records what its crashes decided in the one
+//! state its verdict locks, and answers [`GroupCommit::try_outcome`] and
+//! [`GroupCommit::wait_durable`] through one function of it.
+//!
+//! What of the crash contract each scheme overrides, and why it still
+//! needs it (— : the default):
+//!
+//! | `fn` | Watermark | COCO | CLV | Sync |
+//! |---|---|---|---|---|
+//! | `on_partition_crash` | agrees on the largest `Wg` view, records it as every partition's rollback threshold and horizon cap | aborts the current epoch and drains it | stamps the instant and reads what it rolls back off the logs | drops the crashed partition's registrations |
+//! | `rollback_bound` | `Ts(agreed)` | the write-sets behind the last sealed epoch boundary | `PersistWindow(instant)` | — (nothing is ever rolled back) |
+//! | `on_txns_rolled_back` | a waiter registered after the agreement escapes its threshold, so compensation names it | — (the aborted epoch is the verdict) | — (the crash's scan already caught every id) | — |
+//! | `on_compensation_complete` | lifts the horizon cap | the tracker's horizon resumes | the tracker's horizon resumes | — |
+//! | `checkpoint_bound` | below this partition's `Wg` view: a later agreement can reach up to it | the last durable sealed boundary | — (quorum-durable is acknowledged) | — |
+//! | `on_partition_recover` | re-seeds `Wp` from the recovered log | — | — | — |
 
 use crate::log::ReplayBound;
 use crate::replicated::ReplicatedLog;
 use parking_lot::Mutex;
 use primo_common::{PartitionId, Ts, TxnId};
-use primo_trace::FlightRecorder;
 use std::sync::Arc;
 
 /// Final, durable outcome of a transaction that finished its commit phase.
@@ -267,13 +280,6 @@ pub trait GroupCommit: Send + Sync {
     /// (the watermark scheme re-seeds `Wp` from the recovered value) before
     /// the partition becomes reachable again.
     fn on_partition_recover(&self, _p: PartitionId, _recovered_wp: Ts) {}
-
-    /// Attach the cluster flight recorder so the scheme's background agents
-    /// (watermark generators, the COCO coordinator, CLV's dependency cutter)
-    /// can trace their horizon decisions. Called once by the cluster right
-    /// after construction, before any transaction traffic; schemes without
-    /// background decisions may ignore it.
-    fn set_recorder(&self, _recorder: Arc<FlightRecorder>) {}
 
     /// Stop background threads.
     fn shutdown(&self);

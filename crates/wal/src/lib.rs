@@ -46,6 +46,7 @@ pub use watermark::WatermarkCommit;
 use primo_common::config::{LoggingScheme, WalConfig};
 use primo_common::PartitionId;
 use primo_net::DelayedBus;
+use primo_trace::FlightRecorder;
 use std::sync::Arc;
 
 /// Construct the configured group-commit scheme for a cluster of
@@ -54,17 +55,21 @@ use std::sync::Arc;
 /// and COCO appends committed epoch boundaries, which is what bounds
 /// recovery replay; every scheme derives its acknowledgement delay from the
 /// logs' quorum-ack delay, so replication cost shows up in commit latency.
+/// `recorder` is the cluster's flight recorder: the watermark agents, the
+/// COCO coordinator and CLV's cuts trace their decisions into it.
 pub fn build_group_commit(
     num_partitions: usize,
     cfg: WalConfig,
     bus: Arc<DelayedBus>,
     logs: Vec<Arc<ReplicatedLog>>,
+    recorder: Arc<FlightRecorder>,
 ) -> Arc<dyn GroupCommit> {
+    let n = num_partitions;
     match cfg.scheme {
-        LoggingScheme::Watermark => Arc::new(WatermarkCommit::new(num_partitions, cfg, bus, logs)),
-        LoggingScheme::CocoEpoch => coco::CocoCommit::new(num_partitions, cfg, bus, logs),
-        LoggingScheme::Clv => Arc::new(clv::ClvCommit::new(num_partitions, cfg, logs)),
-        LoggingScheme::SyncPerTxn => Arc::new(sync::SyncCommit::new(num_partitions, cfg, logs)),
+        LoggingScheme::Watermark => Arc::new(WatermarkCommit::new(n, cfg, bus, logs, recorder)),
+        LoggingScheme::CocoEpoch => coco::CocoCommit::new(n, cfg, bus, logs, recorder),
+        LoggingScheme::Clv => Arc::new(clv::ClvCommit::new(cfg, logs, recorder)),
+        LoggingScheme::SyncPerTxn => Arc::new(sync::SyncCommit::new(cfg, logs)),
     }
 }
 
@@ -84,4 +89,10 @@ pub fn build_logs(num_partitions: usize, cfg: WalConfig) -> Vec<Arc<ReplicatedLo
     (0..num_partitions)
         .map(|p| Arc::new(ReplicatedLog::new(PartitionId(p as u32), cfg, 0, None)))
         .collect()
+}
+
+/// A flight recorder that records nothing, for the schemes' unit tests.
+#[cfg(test)]
+pub(crate) fn quiet_recorder() -> Arc<FlightRecorder> {
+    Arc::new(FlightRecorder::new(false, 64))
 }

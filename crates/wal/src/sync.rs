@@ -21,7 +21,6 @@ use std::sync::Arc;
 /// Synchronous per-transaction flush.
 #[derive(Debug)]
 pub struct SyncCommit {
-    num_partitions: usize,
     /// Synchronous flush cost: the transaction waits until its log records
     /// are *quorum*-durable (the worst partition's quorum-ack delay).
     ack_delay_us: u64,
@@ -31,7 +30,7 @@ pub struct SyncCommit {
 }
 
 impl SyncCommit {
-    pub fn new(num_partitions: usize, cfg: WalConfig, logs: Vec<Arc<ReplicatedLog>>) -> Self {
+    pub fn new(cfg: WalConfig, logs: Vec<Arc<ReplicatedLog>>) -> Self {
         // A sync commit stalls the caller for the full quorum-ack window.
         // Followers catch up from the leader's log whenever something reads
         // it; since they inherit the leader's append timestamp, waiting out
@@ -39,14 +38,9 @@ impl SyncCommit {
         // quorum replica's persist.
         let ack_delay_us = crate::max_quorum_ack_delay_us(&logs, cfg.persist_delay_us);
         SyncCommit {
-            num_partitions,
             ack_delay_us,
             tracker: SnapshotTracker::default(),
         }
-    }
-
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions
     }
 }
 
@@ -120,13 +114,12 @@ mod tests {
             force_update: false,
             ..WalConfig::default()
         };
-        let gc = SyncCommit::new(1, cfg, crate::build_logs(1, cfg));
+        let gc = SyncCommit::new(cfg, crate::build_logs(1, cfg));
         let ticket = gc.begin_txn(PartitionId(0), TxnId::new(PartitionId(0), 1));
         let start = std::time::Instant::now();
         let waiter = gc.txn_committed(&ticket, 1, 1);
         assert!(start.elapsed().as_micros() >= 380);
         assert_eq!(gc.wait_durable(&waiter), CommitOutcome::Committed);
-        assert_eq!(gc.num_partitions(), 1);
     }
 
     #[test]
@@ -138,7 +131,7 @@ mod tests {
             force_update: false,
             ..WalConfig::default()
         };
-        let gc = SyncCommit::new(1, cfg, crate::build_logs(1, cfg));
+        let gc = SyncCommit::new(cfg, crate::build_logs(1, cfg));
         let p = PartitionId(0);
         assert_eq!(gc.snapshot_horizon(p), 0);
         let ticket = gc.begin_txn(p, TxnId::new(p, 1));

@@ -65,10 +65,12 @@ use primo_net::{BusMessage, DelayedBus};
 use primo_trace::{FlightRecorder, TraceEventKind, WatermarkCause};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// One partition's view of the global watermark and of every crash
+/// agreement: everything a verdict reads, under one lock.
 #[derive(Debug, Default)]
 struct WgState {
     /// This partition's view of the global watermark.
@@ -76,6 +78,30 @@ struct WgState {
     /// Rollback thresholds of past recoveries: pending transactions with
     /// `ts >= threshold` at recovery time were crash-aborted.
     rollbacks: Vec<Ts>,
+    /// Transactions crash compensation sealed and undid. A waiter that
+    /// registered only *after* the crash agreement (its epoch index is past
+    /// the rollback entry) but whose write-set was logged *before* it — and
+    /// therefore compensated — must still be reported `CrashAborted`, or
+    /// the client would be told `Committed` about undone writes.
+    rolled_back: HashSet<TxnId>,
+    /// Open crash agreements: each entry is the agreed rollback watermark of
+    /// a crash whose survivor compensation has not completed yet. While one
+    /// is open, version chains may still hold rolled-back versions with
+    /// `ts >= agreed`, so the snapshot horizon stays capped below it.
+    caps: Vec<Ts>,
+}
+
+impl WgState {
+    /// The outcome of `waiter`, if it is decided yet: crash-aborted by a
+    /// compensation or an agreement since it committed, or covered by `Wg`.
+    fn verdict(&self, waiter: &CommitWaiter) -> Option<CommitOutcome> {
+        let thresholds = &self.rollbacks[waiter.epoch as usize..];
+        if self.rolled_back.contains(&waiter.txn) || thresholds.iter().any(|t| waiter.ts >= *t) {
+            Some(CommitOutcome::CrashAborted)
+        } else {
+            (self.wg > waiter.ts).then_some(CommitOutcome::Committed)
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -149,21 +175,8 @@ pub struct WatermarkCommit {
     seq_ts: AtomicU64,
     stop: Arc<AtomicBool>,
     agents: Mutex<Vec<JoinHandle<()>>>,
-    /// Transactions crash compensation sealed and undid. A waiter that
-    /// registered only *after* the crash agreement (its epoch index is past
-    /// the rollback entry) but whose write-set was logged *before* it — and
-    /// therefore compensated — must still be reported `CrashAborted`, or
-    /// the client would be told `Committed` about undone writes.
-    rolled_back_txns: Mutex<HashSet<TxnId>>,
-    /// Open crash agreements: each entry is the agreed rollback watermark of
-    /// a crash whose survivor compensation has not completed yet. While one
-    /// is open, version chains may still hold rolled-back versions with
-    /// `ts >= agreed`, so the snapshot horizon stays capped below it.
-    snapshot_caps: Mutex<Vec<Ts>>,
-    /// Cluster flight recorder, injected after construction. `Arc`-wrapped
-    /// because the agent threads are already running by then — they share
-    /// the cell and see the recorder as soon as it is set.
-    recorder: Arc<OnceLock<Arc<FlightRecorder>>>,
+    /// Cluster flight recorder: the agents trace their horizon decisions.
+    recorder: Arc<FlightRecorder>,
 }
 
 impl std::fmt::Debug for WatermarkCommit {
@@ -180,6 +193,7 @@ impl WatermarkCommit {
         cfg: WalConfig,
         bus: Arc<DelayedBus>,
         wals: Vec<Arc<ReplicatedLog>>,
+        recorder: Arc<FlightRecorder>,
     ) -> Self {
         assert_eq!(wals.len(), num_partitions);
         let parts: Vec<_> = (0..num_partitions)
@@ -194,9 +208,7 @@ impl WatermarkCommit {
             seq_ts: AtomicU64::new(1),
             stop: Arc::new(AtomicBool::new(false)),
             agents: Mutex::new(Vec::new()),
-            rolled_back_txns: Mutex::new(HashSet::new()),
-            snapshot_caps: Mutex::new(Vec::new()),
-            recorder: Arc::new(OnceLock::new()),
+            recorder,
         };
         wm.start_agents();
         wm
@@ -238,7 +250,7 @@ fn agent_loop(
     wal: Arc<ReplicatedLog>,
     cfg: WalConfig,
     stop: Arc<AtomicBool>,
-    recorder: Arc<OnceLock<Arc<FlightRecorder>>>,
+    recorder: Arc<FlightRecorder>,
 ) {
     let interval_us = cfg.interval_ms * 1000;
     let partitions = me.table.lock().len();
@@ -295,13 +307,11 @@ fn agent_loop(
                 // so a recovering leader can retrieve the latest Wp.
                 wal.append(LogPayload::Watermark { wp });
                 bus.broadcast(me.id, BusMessage::PartitionWatermark { from: me.id, wp });
-                if let Some(rec) = recorder.get() {
-                    rec.emit(
-                        None,
-                        Some(me.id),
-                        TraceEventKind::WatermarkPublish { wg: wp },
-                    );
-                }
+                recorder.emit(
+                    None,
+                    Some(me.id),
+                    TraceEventKind::WatermarkPublish { wg: wp },
+                );
             }
         }
 
@@ -410,24 +420,22 @@ fn agent_loop(
             // uncovered demand is retried once per quorum-ack delay, not in
             // a loop.
             in_flight = Some((now + wal.quorum_ack_delay_us(), candidate));
-            if let Some(rec) = recorder.get() {
-                let (cause, demanded) = if demanded {
-                    (WatermarkCause::Demand, open_demand)
-                } else if due {
-                    (WatermarkCause::Interval, 0)
-                } else {
-                    (WatermarkCause::IdleLag, 0)
-                };
-                rec.emit(
-                    None,
-                    Some(me.id),
-                    TraceEventKind::WatermarkGenerate {
-                        wp: candidate,
-                        cause,
-                        demanded,
-                    },
-                );
-            }
+            let (cause, demanded) = if demanded {
+                (WatermarkCause::Demand, open_demand)
+            } else if due {
+                (WatermarkCause::Interval, 0)
+            } else {
+                (WatermarkCause::IdleLag, 0)
+            };
+            recorder.emit(
+                None,
+                Some(me.id),
+                TraceEventKind::WatermarkGenerate {
+                    wp: candidate,
+                    cause,
+                    demanded,
+                },
+            );
         }
 
         // 5. Recompute `Wg` last: a peer's `Wp` and our own take effect at once.
@@ -519,21 +527,10 @@ impl GroupCommit for WatermarkCommit {
     }
 
     fn try_outcome(&self, waiter: &CommitWaiter) -> Option<CommitOutcome> {
-        if self.rolled_back_txns.lock().contains(&waiter.txn) {
-            return Some(CommitOutcome::CrashAborted);
-        }
-        let part = &self.parts[waiter.coordinator.idx()];
-        let wg = part.wg.lock();
-        if wg.rollbacks[waiter.epoch as usize..]
-            .iter()
-            .any(|thr| waiter.ts >= *thr)
-        {
-            return Some(CommitOutcome::CrashAborted);
-        }
-        if wg.wg > waiter.ts {
-            return Some(CommitOutcome::Committed);
-        }
-        None
+        self.parts[waiter.coordinator.idx()]
+            .wg
+            .lock()
+            .verdict(waiter)
     }
 
     fn wait_durable(&self, waiter: &CommitWaiter) -> CommitOutcome {
@@ -546,21 +543,8 @@ impl GroupCommit for WatermarkCommit {
         let part = &self.parts[waiter.coordinator.idx()];
         let mut wg = part.wg.lock();
         loop {
-            // Compensation undid this transaction's installed writes: the
-            // verdict must say so even if the waiter registered after the
-            // crash agreement was recorded.
-            if self.rolled_back_txns.lock().contains(&waiter.txn) {
-                return CommitOutcome::CrashAborted;
-            }
-            // Crash rollbacks that happened after this transaction committed.
-            if wg.rollbacks[waiter.epoch as usize..]
-                .iter()
-                .any(|thr| waiter.ts >= *thr)
-            {
-                return CommitOutcome::CrashAborted;
-            }
-            if wg.wg > waiter.ts {
-                return CommitOutcome::Committed;
+            if let Some(outcome) = wg.verdict(waiter) {
+                return outcome;
             }
             part.wg_cond.wait_for(&mut wg, Duration::from_millis(5));
         }
@@ -574,7 +558,12 @@ impl GroupCommit for WatermarkCommit {
     }
 
     fn on_txns_rolled_back(&self, txns: &[TxnId]) {
-        self.rolled_back_txns.lock().extend(txns.iter().copied());
+        // Every partition's state learns the ids, so a verdict finds them
+        // whichever partition coordinated the waiter.
+        for part in &self.parts {
+            part.wg.lock().rolled_back.extend(txns.iter().copied());
+            part.wg_cond.notify_all();
+        }
     }
 
     fn ts_floor(&self, partition: PartitionId) -> Ts {
@@ -646,24 +635,19 @@ impl GroupCommit for WatermarkCommit {
         // done*. While a crash agreement is still compensating, survivors may
         // hold to-be-undone versions with `ts >= agreed`, so the horizon is
         // capped at `agreed - 1` until `on_compensation_complete`.
-        let mut h = self.parts[p.idx()].wg.lock().wg.saturating_sub(1);
-        if let Some(cap) = self.snapshot_caps.lock().iter().min() {
-            h = h.min(cap.saturating_sub(1));
-        }
-        h
+        let wg = self.parts[p.idx()].wg.lock();
+        let cap = wg.caps.iter().min().map_or(Ts::MAX, |cap| *cap);
+        wg.wg.min(cap).saturating_sub(1)
     }
 
     fn on_compensation_complete(&self) {
         // Survivor compensation for the oldest open crash finished: no
         // rolled-back version above that agreement survives in any chain.
-        let mut caps = self.snapshot_caps.lock();
-        if let Some(idx) = caps
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, v)| **v)
-            .map(|(i, _)| i)
-        {
-            caps.swap_remove(idx);
+        for part in &self.parts {
+            let mut wg = part.wg.lock();
+            if let Some(idx) = (0..wg.caps.len()).min_by_key(|i| wg.caps[*i]) {
+                wg.caps.swap_remove(idx);
+            }
         }
     }
 
@@ -709,11 +693,10 @@ impl GroupCommit for WatermarkCommit {
         // global watermark; the maximum of those views is adopted. It is
         // >= every view ever used to report results (safe for clients) and
         // <= every partition's durable watermark (safe for durability).
-        // One atomic step under every `wg` lock plus the cap list's: a view
-        // advancing between "read the maximum" and "record the rollback, cap
-        // the horizon" would let a waiter be told `Committed`, or a snapshot
-        // session pick a horizon, above the agreement.
-        let mut caps = self.snapshot_caps.lock();
+        // One atomic step under every `wg` lock: a view advancing between
+        // "read the maximum" and "record the rollback, cap the horizon"
+        // would let a waiter be told `Committed`, or a snapshot session pick
+        // a horizon, above the agreement.
         let mut views: Vec<_> = self.parts.iter().map(|part| part.wg.lock()).collect();
         let agreed = views.iter().map(|wg| wg.wg).max().unwrap_or(0);
         for wg in &mut views {
@@ -721,13 +704,12 @@ impl GroupCommit for WatermarkCommit {
             // The crashed partition recovers from its durable log; the whole
             // cluster resumes from the agreed watermark.
             wg.wg = agreed;
+            // Snapshot readers must not observe versions the survivor
+            // compensation is about to undo (`ts >= agreed`): cap the
+            // horizon until `on_compensation_complete`.
+            wg.caps.push(agreed);
         }
-        // Snapshot readers must not observe versions the survivor
-        // compensation is about to undo (`ts >= agreed`): cap the horizon
-        // until `on_compensation_complete`.
-        caps.push(agreed);
         drop(views);
-        drop(caps);
         for part in &self.parts {
             part.wg_cond.notify_all();
             let mut table = part.table.lock();
@@ -739,10 +721,6 @@ impl GroupCommit for WatermarkCommit {
         // Abort every transaction still active on the crashed partition.
         self.parts[p.idx()].active.lock().clear();
         agreed
-    }
-
-    fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
-        let _ = self.recorder.set(recorder);
     }
 
     fn shutdown(&self) {
@@ -777,7 +755,11 @@ mod tests {
             ..WalConfig::default()
         };
         let wals = crate::build_logs(n, cfg);
-        (WatermarkCommit::new(n, cfg, Arc::clone(&bus), wals), bus)
+        let recorder = crate::quiet_recorder();
+        (
+            WatermarkCommit::new(n, cfg, Arc::clone(&bus), wals, recorder),
+            bus,
+        )
     }
 
     fn tid(seq: u64) -> TxnId {
@@ -874,6 +856,25 @@ mod tests {
     }
 
     #[test]
+    fn a_compensated_commit_is_crash_aborted_after_the_agreement() {
+        let (wm, _bus) = make(2, 1);
+        std::thread::sleep(Duration::from_millis(20));
+        // Coordinated on P1 under an id minted on P0: the verdict must not
+        // look for the id on the partition that minted it.
+        let ticket = wm.begin_txn(PartitionId(1), tid(11));
+        let ts = wm.reserve_commit_ts(&ticket, 0);
+        let agreed = wm.on_partition_crash(PartitionId(0));
+        assert!(agreed <= ts, "the reservation pins the agreement");
+        // The waiter registers after the agreement, so no rollback threshold
+        // applies to it; only compensation's report dooms it.
+        let waiter = wm.txn_committed(&ticket, ts, 1);
+        wm.on_txns_rolled_back(&[tid(11)]);
+        assert_eq!(wm.try_outcome(&waiter), Some(CommitOutcome::CrashAborted));
+        assert_eq!(wm.wait_durable(&waiter), CommitOutcome::CrashAborted);
+        wm.shutdown();
+    }
+
+    #[test]
     fn published_watermarks_are_logged_and_recovery_reseeds() {
         let bus = DelayedBus::new(2, 100);
         let cfg = WalConfig {
@@ -884,7 +885,7 @@ mod tests {
             ..WalConfig::default()
         };
         let wals = crate::build_logs(2, cfg);
-        let wm = WatermarkCommit::new(2, cfg, bus, wals.clone());
+        let wm = WatermarkCommit::new(2, cfg, bus, wals.clone(), crate::quiet_recorder());
         std::thread::sleep(Duration::from_millis(50));
         // Published watermarks land in the partition's durable log (§5.1).
         let logged = wals[0].latest_durable_watermark().expect("Wp logged");

@@ -59,14 +59,14 @@ impl Scheme {
         let logs: Vec<_> = (0..partitions as u32)
             .map(|p| Arc::new(ReplicatedLog::new(PartitionId(p), cfg, BUS_US, None)))
             .collect();
+        let recorder = Arc::new(FlightRecorder::new(true, 1 << 14));
         let wm = Arc::new(WatermarkCommit::new(
             partitions,
             cfg,
             Arc::clone(&bus),
             logs.clone(),
+            Arc::clone(&recorder),
         ));
-        let recorder = Arc::new(FlightRecorder::new(true, 1 << 14));
-        wm.set_recorder(Arc::clone(&recorder));
         // Let the start-up generations publish and the partitions align.
         std::thread::sleep(Duration::from_millis(20));
         Scheme {
@@ -220,7 +220,8 @@ fn the_idle_release_lag_matches_the_model() {
     let measure = |partitions: usize| {
         let bus = DelayedBus::new(partitions, 500);
         let logs = primo_repro::wal::build_logs(partitions, cfg);
-        let wm = WatermarkCommit::new(partitions, cfg, Arc::clone(&bus), logs);
+        let recorder = Arc::new(FlightRecorder::new(false, 64));
+        let wm = WatermarkCommit::new(partitions, cfg, Arc::clone(&bus), logs, recorder);
         std::thread::sleep(Duration::from_millis(20));
         let lags = (0..5u64).map(|i| {
             let ticket = wm.begin_txn(P0, TxnId::new(P0, i + 1));

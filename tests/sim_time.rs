@@ -9,7 +9,7 @@ use primo_repro::common::config::{LoggingScheme, NetConfig, WalConfig};
 use primo_repro::common::sim_time::{charge_latency_us, now_us};
 use primo_repro::net::{BusMessage, DelayedBus, SimNetwork};
 use primo_repro::wal::{CommitOutcome, GroupCommit, WatermarkCommit};
-use primo_repro::{PartitionId, TxnId};
+use primo_repro::{FlightRecorder, PartitionId, TxnId};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -217,7 +217,8 @@ fn watermark(interval_ms: u64) -> WatermarkCommit {
         ..WalConfig::default()
     };
     let bus = DelayedBus::new(2, BUS_US);
-    WatermarkCommit::new(2, cfg, bus, primo_repro::wal::build_logs(2, cfg))
+    let logs = primo_repro::wal::build_logs(2, cfg);
+    WatermarkCommit::new(2, cfg, bus, logs, Arc::new(FlightRecorder::new(false, 64)))
 }
 
 /// Median release lag of three commits on an otherwise idle cluster, ms.

@@ -6,7 +6,8 @@
 use primo_repro::common::config::{LoggingScheme, WalConfig};
 use primo_repro::net::DelayedBus;
 use primo_repro::wal::{CommitOutcome, GroupCommit, WatermarkCommit};
-use primo_repro::{PartitionId, Primo, TableId, TxnId, Value};
+use primo_repro::{FlightRecorder, PartitionId, Primo, TableId, TxnId, Value};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn wm(n: usize, interval_ms: u64) -> WatermarkCommit {
@@ -18,7 +19,8 @@ fn wm(n: usize, interval_ms: u64) -> WatermarkCommit {
         force_update: true,
         ..WalConfig::default()
     };
-    WatermarkCommit::new(n, cfg, bus, primo_repro::wal::build_logs(n, cfg))
+    let logs = primo_repro::wal::build_logs(n, cfg);
+    WatermarkCommit::new(n, cfg, bus, logs, Arc::new(FlightRecorder::new(false, 64)))
 }
 
 #[test]
